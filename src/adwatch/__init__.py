@@ -40,7 +40,7 @@ from .gaze import (
 from .geometry import PlaneIntersection, RayStatus, ScreenPoint, intersect_gaze
 from .head import GazeSource, HeadPoseStats, compute_head_stats, head_off_screen, select_gaze_source
 from .pipeline import ArtifactSet, PipelineVariant, score_session
-from .records import AU_NAMES, FrameArrays, FrameRecord, SessionManifest
+from .records import AU_NAMES, FrameArrays, SessionManifest
 from .session_io import (
     load_frames,
     load_manifest,

@@ -30,7 +30,6 @@ from .pipeline import (
     ArtifactSet,
     score_session,
 )
-from .records import FrameArrays
 from .session_io import (
     load_manifest,
     load_session,
@@ -39,7 +38,7 @@ from .session_io import (
 )
 from .synth import (
     SuiteConfig,
-    generate,
+    _write_session,
     generate_suite,
     load_script,
     load_suite,
@@ -147,24 +146,8 @@ def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 def cmd_simulate(args: argparse.Namespace) -> int:
     out: Path = args.output
     if args.script is not None:
-        script = load_script(args.script)
-        frames, truth = generate(script)
-        from .records import SessionManifest
-        from .session_io import write_frames, write_manifest
-
         sdir = out / "sessions" / "scripted"
-        write_frames(frames.to_records(), sdir / "frames.jsonl")
-        write_timeline(truth, sdir / "truth.jsonl")
-        write_manifest(
-            SessionManifest(
-                session_id="scripted",
-                device_type=script.device_type,
-                frame_rate_hz=script.frame_rate_hz,
-                frame_source="frames.jsonl",
-                ground_truth="truth.jsonl",
-            ),
-            sdir / "manifest.json",
-        )
+        _write_session(load_script(args.script), "scripted", sdir)
         print(f"wrote 1 scripted session to {sdir}")
         return EXIT_OK
     template = {"default": "full", "gaze_offset": "gaze_only",
@@ -208,7 +191,7 @@ def _score_one(task):
         )
         return None
     artifacts = ArtifactSet.load(artifact_dir)
-    frames = FrameArrays.from_records(load_session(manifest, Path(manifest_path).parent))
+    frames = load_session(manifest, Path(manifest_path).parent)
     scored = score_session(frames, manifest, artifacts, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_timeline(scored.timeline, out_dir / f"{manifest.session_id}.timeline.jsonl")

@@ -1,6 +1,7 @@
 """Frame and session data model.
 
-A session is a sequence of per-frame tracker outputs. Two upstream trackers
+A session is a sequence of per-frame tracker outputs, held column by column
+in ``FrameArrays`` and checked by ``validate_frames``. Two upstream trackers
 contribute to each frame: an expression tracker (head pose, mouth landmarks,
 action units, eye closure, face box) and a gaze tracker (3-D pupil position,
 3-D gaze direction, tracking quality). Frames where a tracker lost the face
@@ -16,7 +17,7 @@ units; AU intensities and eye closure on a 0-100 scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,74 +39,6 @@ MOUTH_LEFT_CORNER = 2
 MOUTH_RIGHT_CORNER = 3
 
 DEVICE_TYPES = ("desktop", "mobile")
-
-
-@dataclass(frozen=True)
-class FrameRecord:
-    """One tracker output frame."""
-
-    frame_index: int
-    timestamp_ms: float
-    pupil_position_cm: tuple[float, float, float]
-    gaze_direction: tuple[float, float, float]
-    gaze_quality: float
-    head_yaw_deg: float
-    head_pitch_deg: float
-    head_roll_deg: float
-    mouth_points: tuple[tuple[float, float], ...]
-    au_intensities: tuple[float, ...]
-    eye_closure: float
-    face_detected_expr: bool
-    face_detected_gaze: bool
-    face_center_x: float
-
-    def au(self, name: str) -> float:
-        return self.au_intensities[AU_INDEX[name]]
-
-
-FRAME_FIELDS = tuple(f.name for f in fields(FrameRecord))
-
-
-def validate_frame(rec: FrameRecord, row: Optional[int] = None) -> None:
-    """Raise SessionFormatError if ``rec`` violates a range invariant.
-
-    ``row`` is the 1-based source row for error messages.
-    """
-    where = f"row {row}: " if row is not None else ""
-
-    def fail(msg: str) -> None:
-        raise SessionFormatError(where + msg)
-
-    if rec.frame_index < 0:
-        fail(f"frame_index must be >= 0, got {rec.frame_index}")
-    if not np.isfinite(rec.timestamp_ms) or rec.timestamp_ms < 0:
-        fail(f"timestamp_ms must be a finite real >= 0, got {rec.timestamp_ms}")
-    if len(rec.pupil_position_cm) != 3 or len(rec.gaze_direction) != 3:
-        fail("pupil_position_cm and gaze_direction must be 3-vectors")
-    if not all(np.isfinite(v) for v in rec.pupil_position_cm):
-        fail("pupil_position_cm has non-finite components")
-    if not all(np.isfinite(v) for v in rec.gaze_direction):
-        fail("gaze_direction has non-finite components")
-    if not 0.0 <= rec.gaze_quality <= 1.0:
-        fail(f"gaze_quality outside [0, 1]: {rec.gaze_quality}")
-    if rec.face_detected_gaze and rec.pupil_position_cm[2] <= 0.0:
-        fail(f"pupil z must be > 0 on gaze-tracked frames, got {rec.pupil_position_cm[2]}")
-    for ang in (rec.head_yaw_deg, rec.head_pitch_deg, rec.head_roll_deg):
-        if not np.isfinite(ang):
-            fail("head pose angles must be finite")
-    if len(rec.mouth_points) != 4 or any(len(p) != 2 for p in rec.mouth_points):
-        fail("mouth_points must be four 2-D points")
-    if not all(np.isfinite(c) for p in rec.mouth_points for c in p):
-        fail("mouth_points has non-finite coordinates")
-    if len(rec.au_intensities) != len(AU_NAMES):
-        fail(f"au_intensities must have {len(AU_NAMES)} entries, got {len(rec.au_intensities)}")
-    for i, v in enumerate(rec.au_intensities):
-        if not 0.0 <= v <= 100.0:
-            fail(f"au_intensities[{i}] ({AU_NAMES[i]}) outside [0, 100]: {v}")
-    if not 0.0 <= rec.eye_closure <= 100.0:
-        fail(f"eye_closure outside [0, 100]: {rec.eye_closure}")
-    if not 0.0 <= rec.face_center_x <= 1.0:
-        fail(f"face_center_x outside [0, 1]: {rec.face_center_x}")
 
 
 @dataclass(frozen=True)
@@ -176,48 +109,54 @@ class FrameArrays:
     def __len__(self) -> int:
         return len(self.frame_index)
 
-    @classmethod
-    def from_records(cls, frames: Sequence[FrameRecord]) -> "FrameArrays":
-        n = len(frames)
-        out = cls(
-            frame_index=np.fromiter((f.frame_index for f in frames), dtype=np.int64, count=n),
-            timestamp_ms=np.fromiter((f.timestamp_ms for f in frames), dtype=np.float64, count=n),
-            pupil=np.array([f.pupil_position_cm for f in frames], dtype=np.float64).reshape(n, 3),
-            direction=np.array([f.gaze_direction for f in frames], dtype=np.float64).reshape(n, 3),
-            quality=np.fromiter((f.gaze_quality for f in frames), dtype=np.float64, count=n),
-            yaw=np.fromiter((f.head_yaw_deg for f in frames), dtype=np.float64, count=n),
-            pitch=np.fromiter((f.head_pitch_deg for f in frames), dtype=np.float64, count=n),
-            roll=np.fromiter((f.head_roll_deg for f in frames), dtype=np.float64, count=n),
-            mouth=np.array([f.mouth_points for f in frames], dtype=np.float64).reshape(n, 4, 2),
-            aus=np.array([f.au_intensities for f in frames], dtype=np.float64).reshape(n, len(AU_NAMES)),
-            eye_closure=np.fromiter((f.eye_closure for f in frames), dtype=np.float64, count=n),
-            face_expr=np.fromiter((f.face_detected_expr for f in frames), dtype=bool, count=n),
-            face_gaze=np.fromiter((f.face_detected_gaze for f in frames), dtype=bool, count=n),
-            face_center_x=np.fromiter((f.face_center_x for f in frames), dtype=np.float64, count=n),
-        )
-        return out
 
-    def to_records(self) -> list[FrameRecord]:
-        recs = []
-        for i in range(len(self)):
-            recs.append(
-                FrameRecord(
-                    frame_index=int(self.frame_index[i]),
-                    timestamp_ms=float(self.timestamp_ms[i]),
-                    pupil_position_cm=tuple(float(v) for v in self.pupil[i]),
-                    gaze_direction=tuple(float(v) for v in self.direction[i]),
-                    gaze_quality=float(self.quality[i]),
-                    head_yaw_deg=float(self.yaw[i]),
-                    head_pitch_deg=float(self.pitch[i]),
-                    head_roll_deg=float(self.roll[i]),
-                    mouth_points=tuple(
-                        (float(x), float(y)) for x, y in self.mouth[i]
-                    ),
-                    au_intensities=tuple(float(v) for v in self.aus[i]),
-                    eye_closure=float(self.eye_closure[i]),
-                    face_detected_expr=bool(self.face_expr[i]),
-                    face_detected_gaze=bool(self.face_gaze[i]),
-                    face_center_x=float(self.face_center_x[i]),
-                )
-            )
-        return recs
+def validate_frames(frames: FrameArrays, rows: Sequence[int]) -> None:
+    """Raise SessionFormatError if any frame violates a FORMATS.md invariant.
+
+    ``rows[i]`` is the 1-based source row of frame i. The error names the
+    first offending row and, within it, the first failed check below.
+    Shapes are not checked here; the loader enforces them per column.
+    """
+    fi, ts = frames.frame_index, frames.timestamp_ms
+    q, eye, fcx, aus = frames.quality, frames.eye_closure, frames.face_center_x, frames.aus
+    z = frames.pupil[:, 2]
+    angles = np.stack([frames.yaw, frames.pitch, frames.roll], axis=1)
+    prev_fi = np.concatenate(([-1], fi[:-1]))
+    prev_ts = np.concatenate(([-np.inf], ts[:-1]))
+    # Written as ~(in range) so that NaN counts as out of range.
+    bad_aus = ~((aus >= 0.0) & (aus <= 100.0))
+
+    def first_bad_au(i: int) -> str:
+        j = int(np.flatnonzero(bad_aus[i])[0])
+        return f"au_intensities[{j}] ({AU_NAMES[j]}) outside [0, 100]: {aus[i, j]}"
+
+    checks = (
+        (fi < 0, lambda i: f"frame_index must be >= 0, got {fi[i]}"),
+        (~(np.isfinite(ts) & (ts >= 0.0)),
+         lambda i: f"timestamp_ms must be a finite real >= 0, got {ts[i]}"),
+        (~np.isfinite(frames.pupil).all(axis=1),
+         lambda i: "pupil_position_cm has non-finite components"),
+        (~np.isfinite(frames.direction).all(axis=1),
+         lambda i: "gaze_direction has non-finite components"),
+        (~((q >= 0.0) & (q <= 1.0)), lambda i: f"gaze_quality outside [0, 1]: {q[i]}"),
+        (frames.face_gaze & (z <= 0.0),
+         lambda i: f"pupil z must be > 0 on gaze-tracked frames, got {z[i]}"),
+        (~np.isfinite(angles).all(axis=1), lambda i: "head pose angles must be finite"),
+        (~np.isfinite(frames.mouth).all(axis=(1, 2)),
+         lambda i: "mouth_points has non-finite coordinates"),
+        (bad_aus.any(axis=1), first_bad_au),
+        (~((eye >= 0.0) & (eye <= 100.0)), lambda i: f"eye_closure outside [0, 100]: {eye[i]}"),
+        (~((fcx >= 0.0) & (fcx <= 1.0)), lambda i: f"face_center_x outside [0, 1]: {fcx[i]}"),
+        (ts <= prev_ts, lambda i: f"timestamp_ms {ts[i]} not strictly increasing "
+                                  f"(previous {prev_ts[i]})"),
+        (fi <= prev_fi, lambda i: f"frame_index {fi[i]} not strictly increasing "
+                                  f"(previous {prev_fi[i]})"),
+    )
+    first = None
+    for bad, message in checks:
+        i = int(np.argmax(bad))
+        if bad[i] and (first is None or i < first[0]):
+            first = (i, message)
+    if first is not None:
+        i, message = first
+        raise SessionFormatError(f"row {rows[i]}: {message(i)}")

@@ -1,8 +1,8 @@
 """Readers and writers for all on-disk formats.
 
 Formats are line-delimited JSON (frames, timelines) or a single JSON
-document (manifests). Field names match the data model exactly; see
-FORMATS.md for the full schemas. Numbers are emitted with ``repr``
+document (manifests). Each frame field maps to one ``FrameArrays`` column
+(``_FRAME_SCHEMA``); see FORMATS.md for the full schemas. Numbers are emitted with ``repr``
 round-tripping semantics, so write-then-read is the identity.
 """
 
@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .errors import DataError, SessionFormatError
 from .fusion import SIGNAL_NAMES, DistractionTimeline
-from .records import FrameRecord, SessionManifest, validate_frame
+from .records import AU_NAMES, FrameArrays, SessionManifest, validate_frames
 
 PathLike = Union[str, Path]
 
@@ -25,87 +25,95 @@ PathLike = Union[str, Path]
 # frame files
 # ---------------------------------------------------------------------------
 
-def write_frames(frames: Sequence[FrameRecord], path: PathLike) -> None:
+# JSON field, FrameArrays column, dtype, shape of one frame's value, and the
+# exact JSON type a value must have (None: any number numpy converts).
+_FRAME_SCHEMA = (
+    ("frame_index", "frame_index", np.int64, (), int),
+    ("timestamp_ms", "timestamp_ms", np.float64, (), None),
+    ("pupil_position_cm", "pupil", np.float64, (3,), None),
+    ("gaze_direction", "direction", np.float64, (3,), None),
+    ("gaze_quality", "quality", np.float64, (), None),
+    ("head_yaw_deg", "yaw", np.float64, (), None),
+    ("head_pitch_deg", "pitch", np.float64, (), None),
+    ("head_roll_deg", "roll", np.float64, (), None),
+    ("mouth_points", "mouth", np.float64, (4, 2), None),
+    ("au_intensities", "aus", np.float64, (len(AU_NAMES),), None),
+    ("eye_closure", "eye_closure", np.float64, (), None),
+    ("face_detected_expr", "face_expr", np.bool_, (), bool),
+    ("face_detected_gaze", "face_gaze", np.bool_, (), bool),
+    ("face_center_x", "face_center_x", np.float64, (), None),
+)
+_JSON_TYPE_NAMES = {int: "an integer", bool: "a boolean"}
+
+
+def write_frames(frames: FrameArrays, path: PathLike) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    names = [field for field, *_ in _FRAME_SCHEMA]
+    columns = [getattr(frames, column).tolist() for _, column, *_ in _FRAME_SCHEMA]
+    encode = json.JSONEncoder(separators=(",", ":")).encode
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in frames:
-            fh.write(json.dumps({
-                "frame_index": rec.frame_index,
-                "timestamp_ms": rec.timestamp_ms,
-                "pupil_position_cm": list(rec.pupil_position_cm),
-                "gaze_direction": list(rec.gaze_direction),
-                "gaze_quality": rec.gaze_quality,
-                "head_yaw_deg": rec.head_yaw_deg,
-                "head_pitch_deg": rec.head_pitch_deg,
-                "head_roll_deg": rec.head_roll_deg,
-                "mouth_points": [list(p) for p in rec.mouth_points],
-                "au_intensities": list(rec.au_intensities),
-                "eye_closure": rec.eye_closure,
-                "face_detected_expr": rec.face_detected_expr,
-                "face_detected_gaze": rec.face_detected_gaze,
-                "face_center_x": rec.face_center_x,
-            }, separators=(",", ":")))
+        for values in zip(*columns):
+            fh.write(encode(dict(zip(names, values))))
             fh.write("\n")
 
 
-def _parse_frame_row(obj: dict, row: int) -> FrameRecord:
+def _has_shape(value, dtype, shape: tuple) -> bool:
     try:
-        rec = FrameRecord(
-            frame_index=int(obj["frame_index"]),
-            timestamp_ms=float(obj["timestamp_ms"]),
-            pupil_position_cm=tuple(float(v) for v in obj["pupil_position_cm"]),
-            gaze_direction=tuple(float(v) for v in obj["gaze_direction"]),
-            gaze_quality=float(obj["gaze_quality"]),
-            head_yaw_deg=float(obj["head_yaw_deg"]),
-            head_pitch_deg=float(obj["head_pitch_deg"]),
-            head_roll_deg=float(obj["head_roll_deg"]),
-            mouth_points=tuple(
-                (float(p[0]), float(p[1])) for p in obj["mouth_points"]
-            ),
-            au_intensities=tuple(float(v) for v in obj["au_intensities"]),
-            eye_closure=float(obj["eye_closure"]),
-            face_detected_expr=bool(obj["face_detected_expr"]),
-            face_detected_gaze=bool(obj["face_detected_gaze"]),
-            face_center_x=float(obj["face_center_x"]),
+        return np.asarray(value, dtype=dtype).shape == shape
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _frame_column(objs: list, rows: list[int], field: str, dtype, shape: tuple, exact) -> np.ndarray:
+    """One column of the frame file, or SessionFormatError naming the first bad row."""
+    try:
+        values = [obj[field] for obj in objs]
+    except (KeyError, TypeError):
+        row = next(r for r, obj in zip(rows, objs) if not (isinstance(obj, dict) and field in obj))
+        raise SessionFormatError(f"row {row}: malformed frame record (no {field!r} field)") from None
+    if exact is not None and set(map(type, values)) != {exact}:
+        row, value = next((r, v) for r, v in zip(rows, values) if type(v) is not exact)
+        raise SessionFormatError(
+            f"row {row}: {field} must be {_JSON_TYPE_NAMES[exact]}, got {json.dumps(value)}"
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise SessionFormatError(f"row {row}: malformed frame record ({exc})") from exc
-    validate_frame(rec, row=row)
-    return rec
+    try:
+        column = np.array(values, dtype=dtype)
+        if column.shape[1:] == shape:
+            return column
+    except (TypeError, ValueError, OverflowError):
+        pass
+    row, value = next((r, v) for r, v in zip(rows, values) if not _has_shape(v, dtype, shape))
+    expected = f"an array of shape {shape}" if shape else "a number"
+    raise SessionFormatError(f"row {row}: {field} must be {expected}, got {json.dumps(value)}")
 
 
-def load_frames(path: PathLike) -> list[FrameRecord]:
-    """Read a frame file; rows are validated, never clamped."""
+def load_frames(path: PathLike) -> FrameArrays:
+    """Read a frame file straight into columns; rows are validated, never clamped."""
     path = Path(path)
     if not path.exists():
         raise SessionFormatError(f"frame file not found: {path}")
-    frames: list[FrameRecord] = []
-    last_ts = -np.inf
+    objs, rows = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for row, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if line.isspace():
                 continue
             try:
-                obj = json.loads(line)
+                objs.append(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise SessionFormatError(f"row {row}: invalid JSON ({exc.msg})") from exc
-            rec = _parse_frame_row(obj, row)
-            if rec.timestamp_ms <= last_ts:
-                raise SessionFormatError(
-                    f"row {row}: timestamp_ms {rec.timestamp_ms} not strictly "
-                    f"increasing (previous {last_ts})"
-                )
-            last_ts = rec.timestamp_ms
-            frames.append(rec)
-    if not frames:
+            rows.append(row)
+    if not objs:
         raise SessionFormatError(f"empty session: {path}")
-    frames.sort(key=lambda r: r.frame_index)
+    frames = FrameArrays(**{
+        column: _frame_column(objs, rows, field, dtype, shape, exact)
+        for field, column, dtype, shape, exact in _FRAME_SCHEMA
+    })
+    validate_frames(frames, rows)
     return frames
 
 
-def load_session(manifest: SessionManifest, base_dir: Optional[PathLike] = None) -> list[FrameRecord]:
+def load_session(manifest: SessionManifest, base_dir: Optional[PathLike] = None) -> FrameArrays:
     """Load the frame stream referenced by ``manifest``.
 
     Relative frame paths resolve against ``base_dir`` (the manifest's

@@ -570,6 +570,22 @@ def build_suite_scripts(config: SuiteConfig) -> list[tuple[str, ScenarioScript, 
     return out
 
 
+def _write_session(script: ScenarioScript, session_id: str, sdir: Path) -> None:
+    """Generate one scripted session into ``sdir``: the frame stream, the
+    ground-truth timeline, and the manifest pointing at both."""
+    frames, truth = generate(script)
+    write_frames(frames, sdir / "frames.jsonl")
+    write_timeline(truth, sdir / "truth.jsonl")
+    manifest = SessionManifest(
+        session_id=session_id,
+        device_type=script.device_type,
+        frame_rate_hz=script.frame_rate_hz,
+        frame_source="frames.jsonl",
+        ground_truth="truth.jsonl",
+    )
+    write_manifest(manifest, sdir / "manifest.json")
+
+
 def generate_suite(config: SuiteConfig, out_dir: PathLike) -> SuiteIndex:
     """Generate a whole suite to disk: one directory per session holding the
     manifest, the frame stream, and the ground-truth timeline."""
@@ -577,18 +593,7 @@ def generate_suite(config: SuiteConfig, out_dir: PathLike) -> SuiteIndex:
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for sid, script, split in build_suite_scripts(config):
-        frames, truth = generate(script)
-        sdir = out_dir / "sessions" / sid
-        write_frames(frames.to_records(), sdir / "frames.jsonl")
-        write_timeline(truth, sdir / "truth.jsonl")
-        manifest = SessionManifest(
-            session_id=sid,
-            device_type=script.device_type,
-            frame_rate_hz=script.frame_rate_hz,
-            frame_source="frames.jsonl",
-            ground_truth="truth.jsonl",
-        )
-        write_manifest(manifest, sdir / "manifest.json")
+        _write_session(script, sid, out_dir / "sessions" / sid)
         entries.append(
             SuiteEntry(
                 session_id=sid,

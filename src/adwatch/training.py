@@ -46,7 +46,7 @@ def load_suite_sessions(
             continue
         manifest_path = suite_dir / entry.manifest_path
         manifest = load_manifest(manifest_path)
-        frames = FrameArrays.from_records(load_session(manifest, manifest_path.parent))
+        frames = load_session(manifest, manifest_path.parent)
         if manifest.ground_truth is None:
             raise DataError(f"session {entry.session_id} has no ground truth")
         truth = read_timeline(manifest_path.parent / manifest.ground_truth)

@@ -5,7 +5,7 @@ import pytest
 
 from adwatch.errors import ConfigError
 from adwatch.geometry import intersect_gaze_batch
-from adwatch.records import validate_frame
+from adwatch.records import validate_frames
 from adwatch.session_io import load_frames, load_manifest, read_timeline
 from adwatch.synth import (
     ScenarioScript,
@@ -62,8 +62,7 @@ def test_off_screen_reintersection_recovers_target():
 def test_generated_frames_satisfy_invariants():
     script = simple_script(gaze_noise_deg=0.8, landmark_jitter=0.01, gaze_scale=1.12)
     frames, _ = generate(script)
-    for i, rec in enumerate(frames.to_records()):
-        validate_frame(rec, row=i + 1)
+    validate_frames(frames, range(1, len(frames) + 1))
     assert np.all(np.diff(frames.timestamp_ms) > 0)
 
 
