@@ -7,7 +7,7 @@ head model), speaking, drowsiness, and unattended screen. Ships with a
 seeded synthetic-session generator that doubles as the verification oracle.
 """
 
-from .boosting import BoostConfig, BoostedEnsemble, fit_boosted, predict_boosted
+from .boosting import BoostConfig, BoostedEnsemble, fit_boosted
 from .cnn import CnnTrainConfig, TemporalCnn, gradient_check, train_cnn
 from .config import PipelineConfig, load_config
 from .errors import (

@@ -3,13 +3,15 @@
 Every trained model is stored as a single JSON document carrying a schema
 version, a `kind` tag, a training-metadata header (seed, data hash,
 hyperparameters) and the model payload. Numbers round-trip exactly, so
-reloading a model reproduces its predictions bit for bit.
+reloading a model reproduces its predictions bit for bit. Each file is
+written to a temp file and renamed into place.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 from typing import Union
 
@@ -39,9 +41,16 @@ def data_hash(*arrays: np.ndarray) -> str:
 
 
 def _write(doc: dict, path: PathLike) -> None:
+    """Write to a temp file beside ``path``, then rename it into place, so a
+    reader never sees a half-written artifact and a failed write leaves none."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _read(path: PathLike, expected_kind: str) -> dict:

@@ -6,6 +6,13 @@ are single Newton steps on the log-odds). Split search is exact greedy over
 axis-aligned thresholds at midpoints of consecutive distinct feature values,
 with deterministic tie-breaking (lowest feature index, then lowest
 threshold), so a fit is fully reproducible.
+
+The search is presorted, as in XGBoost's column block (Chen & Guestrin,
+KDD 2016): each fit sorts every feature once, and each split partitions the
+node's sorted row lists with a stable mask instead of sorting again. The
+partition keeps the order "by value, ties by row index", which is the order
+a fresh stable sort of the node would give, so the splits, the gains and
+the tie-breaks are exactly those of a per-node sort.
 """
 
 from __future__ import annotations
@@ -73,77 +80,98 @@ def _tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _best_split(X: np.ndarray, grad: np.ndarray):
+def _best_split(XT: np.ndarray, grad: np.ndarray, idx: np.ndarray, block: np.ndarray):
     """Return (gain, feature, threshold) of the best SSE-reducing split.
 
-    gain is the decrease in sum of squared residuals; None when no valid
-    split improves on the parent.
+    ``XT`` is the (F, N) feature-major training matrix, ``idx`` the node's
+    rows in ascending order and ``block`` (F, n) the same rows per feature,
+    sorted by value with ties by row index. gain is the decrease in sum of
+    squared residuals; None when no valid split improves on the parent.
     """
-    n = len(grad)
+    n = len(idx)
     if n < 2:
         return None
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    gs = grad[order]
-    prefix = np.cumsum(gs, axis=0)
-    total = prefix[-1]
-    nl = np.arange(1, n, dtype=np.float64)[:, None]
-    nr = n - nl
-    left_sum = prefix[:-1]
-    right_sum = total[None, :] - left_sum
-    score = left_sum**2 / nl + right_sum**2 / nr
-    valid = xs[1:] > xs[:-1]
+    xs = np.take_along_axis(XT, block, axis=1)
+    tied = xs[:, 1:] <= xs[:, :-1]        # no threshold between equal values
+    del xs  # freed before the prefix sums; the threshold is read from XT
+    prefix = grad[block]
+    np.cumsum(prefix, axis=1, out=prefix)
+    nl = np.arange(1, n, dtype=np.float64)
+    # gain = left_sum**2 / nl + right_sum**2 / nr - parent score, computed
+    # in place over the left sums
+    gain = prefix[:, :-1]
+    right_sum = prefix[:, -1:] - gain
+    np.square(gain, out=gain)
+    gain /= nl
+    np.square(right_sum, out=right_sum)
+    right_sum /= n - nl
+    gain += right_sum
     # parent score is the same for every feature column
-    parent_score = (np.sum(grad) ** 2) / n
-    gain = score - parent_score
-    gain[~valid] = -np.inf
+    gain -= (np.sum(grad[idx]) ** 2) / n
+    gain[tied] = -np.inf
     best = float(np.max(gain))
     if not np.isfinite(best) or best <= _MIN_GAIN:
         return None
-    rows, cols = np.nonzero(gain == best)
     # deterministic tie-break: lowest feature index, then lowest threshold
-    candidates = sorted(
-        zip(cols.tolist(), rows.tolist()),
-        key=lambda fc: (fc[0], xs[fc[1], fc[0]]),
-    )
-    f, r = candidates[0][0], candidates[0][1]
-    threshold = 0.5 * (xs[r, f] + xs[r + 1, f])
+    # (nonzero scans features in order; within a feature valid splits rise)
+    cols, rows = np.nonzero(gain == best)
+    f, r = int(cols[0]), int(rows[0])
+    threshold = 0.5 * (XT[f, block[f, r]] + XT[f, block[f, r + 1]])
     return best, f, float(threshold)
 
 
 def _build_tree(
-    X: np.ndarray,
+    XT: np.ndarray,
+    order: np.ndarray,
     grad: np.ndarray,
     hess: Optional[np.ndarray],
-    depth: int,
+    fitted: np.ndarray,
     max_depth: int,
     min_samples_leaf: int,
 ) -> TreeNode:
-    def leaf_value(idx: np.ndarray) -> float:
-        if hess is None:
-            return float(np.mean(grad[idx]))
-        h = float(np.sum(hess[idx]))
-        if h <= 0:
-            return 0.0
-        v = float(np.sum(grad[idx])) / h
-        return float(np.clip(v, -_MAX_LEAF_LOGIT, _MAX_LEAF_LOGIT))
+    """Grow one tree from ``order`` (F, N), each feature's rows presorted.
 
-    def build(idx: np.ndarray, d: int) -> TreeNode:
+    Each split partitions every feature's sorted row list with one stable
+    mask, so no node sorts again. Each leaf writes its value into
+    ``fitted`` for its rows, which saves a prediction pass per stage.
+    """
+    def leaf(idx: np.ndarray) -> TreeNode:
+        if hess is None:
+            value = float(np.mean(grad[idx]))
+        else:
+            h = float(np.sum(hess[idx]))
+            if h <= 0:
+                value = 0.0
+            else:
+                v = float(np.sum(grad[idx])) / h
+                value = float(np.clip(v, -_MAX_LEAF_LOGIT, _MAX_LEAF_LOGIT))
+        fitted[idx] = value
+        return TreeNode(value=value)
+
+    def build(idx: np.ndarray, block: np.ndarray, d: int) -> TreeNode:
         if d >= max_depth or len(idx) < 2 * min_samples_leaf:
-            return TreeNode(value=leaf_value(idx))
-        split = _best_split(X[idx], grad[idx])
+            return leaf(idx)
+        split = _best_split(XT, grad, idx, block)
         if split is None:
-            return TreeNode(value=leaf_value(idx))
+            return leaf(idx)
         _, f, thr = split
-        go_left = X[idx, f] <= thr
+        go_left = XT[f, idx] <= thr
         li, ri = idx[go_left], idx[~go_left]
         if len(li) < min_samples_leaf or len(ri) < min_samples_leaf:
-            return TreeNode(value=leaf_value(idx))
+            return leaf(idx)
+        in_left = np.zeros(XT.shape[1], dtype=bool)
+        in_left[li] = True
+        in_left = in_left[block].ravel()
+        left = np.compress(in_left, block).reshape(len(block), len(li))
+        right = np.compress(~in_left, block).reshape(len(block), len(ri))
         return TreeNode(
-            feature=f, threshold=thr, left=build(li, d + 1), right=build(ri, d + 1)
+            feature=f,
+            threshold=thr,
+            left=build(li, left, d + 1),
+            right=build(ri, right, d + 1),
         )
 
-    return build(np.arange(len(X)), depth)
+    return build(np.arange(XT.shape[1]), order, 0)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -180,9 +208,6 @@ class BoostedEnsemble:
         if self.mode == MODE_CLASSIFICATION:
             return _sigmoid(raw)
         return raw
-
-    def predict_one(self, x) -> float:
-        return float(self.predict(np.asarray(x, dtype=np.float64))[0])
 
     def to_dict(self) -> dict:
         return {
@@ -240,6 +265,10 @@ def fit_boosted(X: np.ndarray, y: np.ndarray, config: Optional[BoostConfig] = No
         raise DataError("non-finite target values in y")
     if not 0.0 < config.learning_rate <= 1.0:
         raise DataError(f"learning_rate must be in (0, 1], got {config.learning_rate}")
+    for name in ("n_stages", "max_depth", "min_samples_leaf"):
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise DataError(f"{name} must be an integer of at least 1, got {value!r}")
 
     classification = config.mode == MODE_CLASSIFICATION
     if classification:
@@ -268,6 +297,9 @@ def fit_boosted(X: np.ndarray, y: np.ndarray, config: Optional[BoostConfig] = No
         return float(np.mean((y - raw_scores) ** 2))
 
     model.train_loss_curve.append(loss(raw))
+    # X is fixed across stages: sort every feature once, ties by row index
+    XT = np.ascontiguousarray(X.T)
+    order = np.argsort(XT, axis=1, kind="stable").astype(np.int32)
     for _ in range(config.n_stages):
         if classification:
             p = _sigmoid(raw)
@@ -278,15 +310,11 @@ def fit_boosted(X: np.ndarray, y: np.ndarray, config: Optional[BoostConfig] = No
             hess = None
         if np.max(np.abs(grad)) < 1e-12:
             break                  # targets fully explained; no further trees
+        fitted = np.empty(len(y), dtype=np.float64)
         tree = _build_tree(
-            X, grad, hess, 0, config.max_depth, config.min_samples_leaf
+            XT, order, grad, hess, fitted, config.max_depth, config.min_samples_leaf
         )
-        raw = raw + config.learning_rate * _tree_predict(tree, X)
+        raw = raw + config.learning_rate * fitted
         model.trees.append(tree)
         model.train_loss_curve.append(loss(raw))
     return model
-
-
-def predict_boosted(model: BoostedEnsemble, x) -> float:
-    """Predict a single feature vector; probability in classification mode."""
-    return model.predict_one(x)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 
@@ -24,36 +23,75 @@ FC_WIDTH = 50
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4")
 
+# windows per conv chunk in predict_proba
+_PREDICT_CHUNK = 256
 
-def _conv1d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+
+def _im2col(x: np.ndarray, K: int, work=None, name="") -> np.ndarray:
+    # x: (B, C, L) -> (B, L-K+1, C, K) with cols[b, t, c, k] = x[b, c, t+k],
+    # filled by one strided copy per kernel tap
+    B, C, L = x.shape
+    lo = L - K + 1
+    cols = _buffer(work, name, (B, lo, C, K))
+    xt = x.transpose(0, 2, 1)
+    for k in range(K):
+        cols[..., k] = xt[:, k : k + lo, :]
+    return cols
+
+
+def _buffer(work: dict | None, name: str, shape: tuple, alloc=np.empty) -> np.ndarray:
+    # a training work buffer, or a fresh array when there is no workspace;
+    # a smaller batch (an epoch's last) gets a leading slice of the buffer,
+    # which is C-contiguous like a fresh array of its shape
+    if work is None:
+        return alloc(shape)
+    buf = work.get(name)
+    if buf is None or buf.shape[1:] != shape[1:] or len(buf) < shape[0]:
+        buf = work[name] = alloc(shape)
+    return buf[: shape[0]]
+
+
+def _conv1d(x: np.ndarray, w: np.ndarray, work=None, name="") -> np.ndarray:
     # x: (B, C, L), w: (O, C, K) -> (B, O, L-K+1); im2col + matmul
     B, C, L = x.shape
     O, _, K = w.shape
     lo = L - K + 1
-    cols = sliding_window_view(x, K, axis=2).transpose(0, 2, 1, 3).reshape(B, lo, C * K)
-    return (cols @ w.reshape(O, C * K).T).transpose(0, 2, 1)
+    cols = _im2col(x, K, work, name + "_cols").reshape(B, lo, C * K)
+    out = _buffer(work, name, (B, lo, O))
+    return np.matmul(cols, w.reshape(O, C * K).T, out=out).transpose(0, 2, 1)
 
 
-def _conv_weight_grad(x: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    # x: (B, C, L) layer input, dz: (B, O, L-K+1) output delta -> (O, C, K)
+def _conv_weight_grad(x: np.ndarray, dz: np.ndarray, work=None, name="", cols=None) -> np.ndarray:
+    # x: (B, C, L) layer input, dz: (B, O, L-K+1) output delta -> (O, C, K);
+    # cols: the forward pass's im2col of x, if it was kept
     B, C, L = x.shape
     _, O, lo = dz.shape
     K = L - lo + 1
-    cols = sliding_window_view(x, K, axis=2).transpose(0, 2, 1, 3).reshape(B * lo, C * K)
-    dmat = dz.transpose(0, 2, 1).reshape(B * lo, O)
-    return (dmat.T @ cols).reshape(O, C, K)
+    if cols is None:
+        cols = _im2col(x, K)
+    cols = cols.reshape(B * lo, C * K)
+    dmat = _buffer(work, name, (B, lo, O))
+    np.copyto(dmat, dz.transpose(0, 2, 1))
+    return (dmat.reshape(B * lo, O).T @ cols).reshape(O, C, K)
 
 
-def _conv_input_grad(dz: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # full correlation of the padded delta with flipped kernels
+def _conv_input_grad(dz: np.ndarray, w: np.ndarray, work=None) -> np.ndarray:
+    # full correlation of the zero-padded delta with flipped kernels: the
+    # im2col of the padded delta, filled straight from the delta. Tap k of
+    # column t is dz[..., t + k - (K-1)]; the taps that fall in the padding
+    # are never written, so they stay zero in a kept buffer
     O, C, K = w.shape
-    pad = K - 1
-    dz_pad = np.pad(dz, ((0, 0), (0, 0), (pad, pad)))
-    B = dz.shape[0]
-    li = dz.shape[2] + K - 1
-    cols = sliding_window_view(dz_pad, K, axis=2).transpose(0, 2, 1, 3).reshape(B * li, O * K)
+    B, _, lo = dz.shape
+    li = lo + K - 1
+    cols = _buffer(work, "dz_cols", (B, li, O, K), np.zeros)
+    dzt = dz.transpose(0, 2, 1)
+    for k in range(K):
+        cols[:, K - 1 - k : K - 1 - k + lo, :, k] = dzt
+    cols = cols.reshape(B * li, O * K)
     wmat = w[:, :, ::-1].transpose(1, 0, 2).reshape(C, O * K)
-    return (cols @ wmat.T).reshape(B, li, C).transpose(0, 2, 1)
+    out = _buffer(work, "da1", (B, li, C))
+    np.matmul(cols, wmat.T, out=out.reshape(B * li, C))
+    return out.transpose(0, 2, 1)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -105,26 +143,43 @@ class TemporalCnn:
     # forward / backward
     # ------------------------------------------------------------------
 
-    def _forward(self, X: np.ndarray):
-        """Full forward pass keeping intermediates for backprop."""
-        B = len(X)
+    def _conv_forward(self, X: np.ndarray, work=None):
+        """Standardise the windows and run both conv layers."""
         X = (X - self.input_center) * self.input_scale
         x0 = X[:, None, :]                                   # (B,1,L)
-        z1 = _conv1d(x0, self.w1) + self.b1[None, :, None]   # (B,8,L-2)
-        a1 = np.maximum(z1, 0.0)
-        z2 = _conv1d(a1, self.w2) + self.b2[None, :, None]   # (B,16,L-4)
-        a2 = np.maximum(z2, 0.0)
-        flat = a2.reshape(B, -1)
+        z1 = _conv1d(x0, self.w1, work, "z1")                # (B,8,L-2)
+        z1 += self.b1[None, :, None]
+        a1 = np.maximum(z1, 0.0, out=_buffer(work, "a1", z1.shape))
+        z2 = _conv1d(a1, self.w2, work, "z2")                # (B,16,L-4)
+        z2 += self.b2[None, :, None]
+        a2 = np.maximum(z2, 0.0, out=_buffer(work, "a2", z2.shape))
+        return x0, z1, a1, z2, a2
+
+    def _dense_forward(self, flat: np.ndarray):
+        """Dense layer and sigmoid output: (p, z3, a3)."""
         z3 = flat @ self.w3.T + self.b3
         a3 = np.maximum(z3, 0.0)
         z4 = a3 @ self.w4.T + self.b4
-        p = _sigmoid(z4[:, 0])
+        return _sigmoid(z4[:, 0]), z3, a3
+
+    def _forward(self, X: np.ndarray, work=None):
+        """Full forward pass keeping intermediates for backprop."""
+        x0, z1, a1, z2, a2 = self._conv_forward(X, work)
+        flat = a2.reshape(len(X), -1)
+        p, z3, a3 = self._dense_forward(flat)
         return p, (x0, z1, a1, z2, a2, flat, z3, a3)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = self._check_windows(X)
-        p, _ = self._forward(X)
-        return p
+        # numpy's stacked matmul runs the conv GEMMs window by window, so
+        # chunking the conv layers bounds their im2col temporaries without
+        # changing a bit. The dense GEMM's sums depend on its row count, so
+        # it takes every row at once, from one buffer the chunks fill.
+        flat = np.empty((len(X), self.w3.shape[1]))
+        for i in range(0, len(X), _PREDICT_CHUNK):
+            part = X[i : i + _PREDICT_CHUNK]
+            flat[i : i + len(part)] = self._conv_forward(part)[-1].reshape(len(part), -1)
+        return self._dense_forward(flat)[0]
 
     def _check_windows(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -136,7 +191,7 @@ class TemporalCnn:
             )
         return X
 
-    def _backward(self, X: np.ndarray, y: np.ndarray, cache, p: np.ndarray) -> dict:
+    def _backward(self, X: np.ndarray, y: np.ndarray, cache, p: np.ndarray, work=None) -> dict:
         x0, z1, a1, z2, a2, flat, z3, a3 = cache
         B = len(X)
         dz4 = (p - y)[:, None] / B                           # BCE + sigmoid
@@ -147,24 +202,39 @@ class TemporalCnn:
         dz3 = da3 * (z3 > 0)
         grads["w3"] = dz3.T @ flat
         grads["b3"] = dz3.sum(axis=0)
-        dflat = dz3 @ self.w3
-        da2 = dflat.reshape(a2.shape)
-        dz2 = da2 * (z2 > 0)
+        dflat = np.matmul(dz3, self.w3, out=_buffer(work, "dflat", flat.shape))
+        dz2 = dflat.reshape(a2.shape)
+        # a2 > 0 is the mask z2 > 0, laid out like dz2 (z2 is a transposed
+        # view), which makes the product several times cheaper
+        dz2 *= a2 > 0
         grads["b2"] = dz2.sum(axis=(0, 2))
-        grads["w2"] = _conv_weight_grad(a1, dz2)
-        da1 = _conv_input_grad(dz2, self.w2)
-        dz1 = da1 * (z1 > 0)
+        cols1 = cols2 = None
+        if work is not None:  # the forward pass kept its im2col columns there
+            cols1, cols2 = work["z1_cols"][:B], work["z2_cols"][:B]
+        grads["w2"] = _conv_weight_grad(a1, dz2, work, "dmat2", cols2)
+        dz1 = _conv_input_grad(dz2, self.w2, work)
+        dz1 *= z1 > 0
         grads["b1"] = dz1.sum(axis=(0, 2))
-        grads["w1"] = _conv_weight_grad(x0, dz1)
+        grads["w1"] = _conv_weight_grad(x0, dz1, work, "dmat1", cols1)
         return grads
 
-    def loss_and_grads(self, X: np.ndarray, y: np.ndarray):
+    def loss_and_grads(self, X: np.ndarray, y: np.ndarray, *, work: dict | None = None):
+        """Mean BCE loss and parameter gradients of one batch.
+
+        ``work`` is a dict in which a training loop keeps the per-batch
+        activations and deltas from one call to the next. Allocating them
+        afresh costs about 3 MB a step that the allocator hands back to the
+        OS and then faults in again. The forward im2col columns are kept
+        there too, for the weight gradients to reuse; without ``work``
+        (scoring, the gradient check) every buffer is a temporary. The
+        returned gradients never alias ``work``.
+        """
         X = self._check_windows(X)
         y = np.asarray(y, dtype=np.float64)
-        p, cache = self._forward(X)
+        p, cache = self._forward(X, work)
         eps = 1e-12
         loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
-        grads = self._backward(X, y, cache, p)
+        grads = self._backward(X, y, cache, p, work)
         return loss, grads
 
     # ------------------------------------------------------------------
@@ -231,12 +301,13 @@ def train_cnn(windows: np.ndarray, labels: np.ndarray, config: CnnTrainConfig | 
         return net
     rng = np.random.default_rng(config.seed + 1)
     n = len(windows)
+    work: dict = {}
     for _ in range(config.epochs):
         order = rng.permutation(n)
         epoch_losses = []
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            loss, grads = net.loss_and_grads(windows[idx], labels[idx])
+            loss, grads = net.loss_and_grads(windows[idx], labels[idx], work=work)
             epoch_losses.append(loss)
             for name in PARAM_NAMES:
                 param = getattr(net, name)

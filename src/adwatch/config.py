@@ -102,7 +102,29 @@ def load_config(path: PathLike, base: Optional[PipelineConfig] = None) -> Pipeli
     return config_from_mapping(mapping, base=base)
 
 
+# training fields: integer counts and their least allowed value
+_TRAINING_COUNTS = {
+    "gaze_stages": 1,
+    "gaze_depth": 1,
+    "yawn_stages": 1,
+    "yawn_depth": 1,
+    "max_gaze_train_rows": 1,
+    "max_yawn_train_rows": 1,
+    "cnn_epochs": 0,
+    "cnn_batch_size": 1,
+    "max_speaking_train_windows": 1,
+    "speaking_window_stride": 1,
+}
+
+
 def _validate(cfg: PipelineConfig) -> None:
+    for name, least in _TRAINING_COUNTS.items():
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
+    rate = cfg.cnn_learning_rate
+    if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0.0 < rate <= 1.0:
+        raise ConfigError(f"cnn_learning_rate must lie in (0, 1], got {rate!r}")
     if not 0.0 <= cfg.quality_floor <= 1.0 or not 0.0 <= cfg.quality_gate <= 1.0:
         raise ConfigError("quality gates must lie in [0, 1]")
     if cfg.pvd_coefficient <= 0:

@@ -44,6 +44,7 @@ _FRAME_SCHEMA = (
     ("face_center_x", "face_center_x", np.float64, (), None),
 )
 _JSON_TYPE_NAMES = {int: "an integer", bool: "a boolean"}
+_LOAD_BLOCK_ROWS = 256
 
 
 def write_frames(frames: FrameArrays, path: PathLike) -> None:
@@ -89,11 +90,29 @@ def _frame_column(objs: list, rows: list[int], field: str, dtype, shape: tuple, 
 
 
 def load_frames(path: PathLike) -> FrameArrays:
-    """Read a frame file straight into columns; rows are validated, never clamped."""
+    """Read a frame file straight into columns; rows are validated, never clamped.
+
+    Rows are parsed and converted ``_LOAD_BLOCK_ROWS`` at a time, so only
+    one block's parsed JSON (about 2.5 kB of small objects a row) is alive
+    at once: whole-file parsing leaves enough scattered interpreter memory
+    behind to raise the peak of a later ``adwatch train`` in the same
+    process by up to 2 MB. A file with several bad rows is reported at the
+    first bad row of the first block that has one.
+    """
     path = Path(path)
     if not path.exists():
         raise SessionFormatError(f"frame file not found: {path}")
+    parts: dict = {column: [] for _, column, *_ in _FRAME_SCHEMA}
+    all_rows: list[int] = []
     objs, rows = [], []
+
+    def flush():
+        for field, column, dtype, shape, exact in _FRAME_SCHEMA:
+            parts[column].append(_frame_column(objs, rows, field, dtype, shape, exact))
+        all_rows.extend(rows)
+        objs.clear()
+        rows.clear()
+
     with open(path, "r", encoding="utf-8") as fh:
         for row, line in enumerate(fh, start=1):
             if line.isspace():
@@ -103,13 +122,14 @@ def load_frames(path: PathLike) -> FrameArrays:
             except json.JSONDecodeError as exc:
                 raise SessionFormatError(f"row {row}: invalid JSON ({exc.msg})") from exc
             rows.append(row)
-    if not objs:
+            if len(objs) == _LOAD_BLOCK_ROWS:
+                flush()
+    if objs:
+        flush()
+    if not all_rows:
         raise SessionFormatError(f"empty session: {path}")
-    frames = FrameArrays(**{
-        column: _frame_column(objs, rows, field, dtype, shape, exact)
-        for field, column, dtype, shape, exact in _FRAME_SCHEMA
-    })
-    validate_frames(frames, rows)
+    frames = FrameArrays(**{column: np.concatenate(blocks) for column, blocks in parts.items()})
+    validate_frames(frames, all_rows)
     return frames
 
 
@@ -199,6 +219,10 @@ def read_timeline(path: PathLike) -> DistractionTimeline:
     if not path.exists():
         raise DataError(f"timeline not found: {path}")
     indices, masks, activities, targets = [], [], [], []
+    # the annotations repeat over whole segments, so equal values share one
+    # object (targets keyed by their floats' exact bits): a fresh string and
+    # tuple per frame cost about 160 bytes a frame for as long as it is loaded
+    shared: dict = {}
     has_activity = False
     has_targets = False
     with open(path, "r", encoding="utf-8") as fh:
@@ -223,11 +247,15 @@ def read_timeline(path: PathLike) -> DistractionTimeline:
             masks.append(mask)
             if "activity" in obj:
                 has_activity = True
-            activities.append(obj.get("activity"))
+            activity = obj.get("activity")
+            if isinstance(activity, str):
+                activity = shared.setdefault(activity, activity)
+            activities.append(activity)
             tgt = obj.get("target_cm")
             if tgt is not None:
                 has_targets = True
-                targets.append((float(tgt[0]), float(tgt[1])))
+                point = (float(tgt[0]), float(tgt[1]))
+                targets.append(shared.setdefault((point[0].hex(), point[1].hex()), point))
             else:
                 targets.append(None)
     if not indices:

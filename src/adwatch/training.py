@@ -245,27 +245,29 @@ def train_all(
     seed: int = 0,
     only: Optional[str] = None,
 ) -> list[Path]:
-    """Train requested models on the suite's train split and write artifacts."""
+    """Train requested models on the suite's train split and write artifacts.
+
+    Every requested model is trained before any file is written, so a
+    failing fit leaves the output directory as it was.
+    """
     from .pipeline import GAZE_ARTIFACT, SPEAKING_ARTIFACT, YAWN_ARTIFACT
 
-    sessions = load_suite_sessions(suite_dir, split="train")
-    out_dir = Path(out_dir)
-    written = []
-    if only in (None, "gaze"):
-        models, meta = train_gaze_regressors(sessions, config, seed=seed)
-        path = out_dir / GAZE_ARTIFACT
-        artifacts_io.save_gaze_regressors(models, meta, path)
-        written.append(path)
-    if only in (None, "speaking"):
-        net, meta = train_speaking_cnn(sessions, config, seed=seed)
-        path = out_dir / SPEAKING_ARTIFACT
-        artifacts_io.save_speaking_cnn(net, meta, path)
-        written.append(path)
-    if only in (None, "yawn"):
-        model, meta = train_yawn_classifier(sessions, config, seed=seed)
-        path = out_dir / YAWN_ARTIFACT
-        artifacts_io.save_yawn_classifier(model, meta, path)
-        written.append(path)
-    if not written:
+    targets = {
+        "gaze": (train_gaze_regressors, artifacts_io.save_gaze_regressors, GAZE_ARTIFACT),
+        "speaking": (train_speaking_cnn, artifacts_io.save_speaking_cnn, SPEAKING_ARTIFACT),
+        "yawn": (train_yawn_classifier, artifacts_io.save_yawn_classifier, YAWN_ARTIFACT),
+    }
+    if only is not None and only not in targets:
         raise DataError(f"unknown training target {only!r}")
+    sessions = load_suite_sessions(suite_dir, split="train")
+    trained = [
+        (save, name, *train(sessions, config, seed=seed))
+        for target, (train, save, name) in targets.items()
+        if only in (None, target)
+    ]
+    written = []
+    for save, name, model, meta in trained:
+        path = Path(out_dir) / name
+        save(model, meta, path)
+        written.append(path)
     return written

@@ -2,7 +2,9 @@
 
 These deliberately avoid the formulas under test: the line-sampling oracle
 never divides by the direction's z component, and the pairwise AUC oracle
-compares every positive/negative pair directly.
+compares every positive/negative pair directly. The boosting oracle
+re-sorts every node's rows instead of partitioning a presorted order, and
+the convolution oracles build im2col columns from a sliding-window view.
 """
 
 import numpy as np
@@ -81,3 +83,141 @@ def pairwise_auc(scores, labels):
     for p in pos:
         wins += np.count_nonzero(p > neg) + 0.5 * np.count_nonzero(p == neg)
     return wins / (len(pos) * len(neg))
+
+
+# ---------------------------------------------------------------------------
+# boosted trees: split search that re-sorts every node
+# ---------------------------------------------------------------------------
+
+def _per_node_best_split(X, grad, min_gain=1e-12):
+    n = len(grad)
+    if n < 2:
+        return None
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    gs = grad[order]
+    prefix = np.cumsum(gs, axis=0)
+    total = prefix[-1]
+    nl = np.arange(1, n, dtype=np.float64)[:, None]
+    nr = n - nl
+    left_sum = prefix[:-1]
+    right_sum = total[None, :] - left_sum
+    score = left_sum**2 / nl + right_sum**2 / nr
+    valid = xs[1:] > xs[:-1]
+    parent_score = (np.sum(grad) ** 2) / n
+    gain = score - parent_score
+    gain[~valid] = -np.inf
+    best = float(np.max(gain))
+    if not np.isfinite(best) or best <= min_gain:
+        return None
+    rows, cols = np.nonzero(gain == best)
+    candidates = sorted(
+        zip(cols.tolist(), rows.tolist()),
+        key=lambda fc: (fc[0], xs[fc[1], fc[0]]),
+    )
+    f, r = candidates[0]
+    return best, f, float(0.5 * (xs[r, f] + xs[r + 1, f]))
+
+
+def _per_node_build_tree(X, grad, hess, max_depth, min_samples_leaf, max_leaf_logit=4.0):
+    from adwatch.boosting import TreeNode
+
+    def leaf_value(idx):
+        if hess is None:
+            return float(np.mean(grad[idx]))
+        h = float(np.sum(hess[idx]))
+        if h <= 0:
+            return 0.0
+        v = float(np.sum(grad[idx])) / h
+        return float(np.clip(v, -max_leaf_logit, max_leaf_logit))
+
+    def build(idx, d):
+        if d >= max_depth or len(idx) < 2 * min_samples_leaf:
+            return TreeNode(value=leaf_value(idx))
+        split = _per_node_best_split(X[idx], grad[idx])
+        if split is None:
+            return TreeNode(value=leaf_value(idx))
+        _, f, thr = split
+        go_left = X[idx, f] <= thr
+        li, ri = idx[go_left], idx[~go_left]
+        if len(li) < min_samples_leaf or len(ri) < min_samples_leaf:
+            return TreeNode(value=leaf_value(idx))
+        return TreeNode(feature=f, threshold=thr, left=build(li, d + 1), right=build(ri, d + 1))
+
+    return build(np.arange(len(X)), 0)
+
+
+def per_node_fit_boosted(X, y, config):
+    """Boosting fit that argsorts the rows of every node afresh and predicts
+    each stage's tree by walking it; returns the model's ``to_dict()``."""
+    from adwatch.boosting import MODE_CLASSIFICATION, BoostedEnsemble, _sigmoid, _tree_predict
+
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    classification = config.mode == MODE_CLASSIFICATION
+    if classification:
+        p0 = float(np.clip(np.mean(y), 1e-6, 1 - 1e-6))
+        base = float(np.log(p0 / (1 - p0)))
+    else:
+        base = float(np.mean(y))
+    model = BoostedEnsemble(
+        mode=config.mode, learning_rate=config.learning_rate, max_depth=config.max_depth,
+        base_prediction=base, n_features=X.shape[1],
+    )
+
+    def loss(raw):
+        if classification:
+            p = _sigmoid(raw)
+            eps = 1e-12
+            return float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
+        return float(np.mean((y - raw) ** 2))
+
+    raw = np.full(len(y), base, dtype=np.float64)
+    model.train_loss_curve.append(loss(raw))
+    for _ in range(config.n_stages):
+        if classification:
+            p = _sigmoid(raw)
+            grad, hess = y - p, p * (1 - p)
+        else:
+            grad, hess = y - raw, None
+        if np.max(np.abs(grad)) < 1e-12:
+            break
+        tree = _per_node_build_tree(X, grad, hess, config.max_depth, config.min_samples_leaf)
+        raw = raw + config.learning_rate * _tree_predict(tree, X)
+        model.trees.append(tree)
+        model.train_loss_curve.append(loss(raw))
+    return model.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# CNN: im2col through a sliding-window view
+# ---------------------------------------------------------------------------
+
+def _window_cols(x, K):
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    B, C, L = x.shape
+    return sliding_window_view(x, K, axis=2).transpose(0, 2, 1, 3).reshape(B, L - K + 1, C * K)
+
+
+def window_conv1d(x, w):
+    O, C, K = w.shape
+    return (_window_cols(x, K) @ w.reshape(O, C * K).T).transpose(0, 2, 1)
+
+
+def window_conv_weight_grad(x, dz):
+    B, C, L = x.shape
+    _, O, lo = dz.shape
+    K = L - lo + 1
+    cols = _window_cols(x, K).reshape(B * lo, C * K)
+    return (dz.transpose(0, 2, 1).reshape(B * lo, O).T @ cols).reshape(O, C, K)
+
+
+def window_conv_input_grad(dz, w):
+    O, C, K = w.shape
+    B = dz.shape[0]
+    dz_pad = np.pad(dz, ((0, 0), (0, 0), (K - 1, K - 1)))
+    li = dz.shape[2] + K - 1
+    cols = _window_cols(dz_pad, K).reshape(B * li, O * K)
+    wmat = w[:, :, ::-1].transpose(1, 0, 2).reshape(C, O * K)
+    return (cols @ wmat.T).reshape(B, li, C).transpose(0, 2, 1)

@@ -1,14 +1,20 @@
+import json
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adwatch.boosting import (
     MODE_CLASSIFICATION,
+    MODE_REGRESSION,
     BoostConfig,
     BoostedEnsemble,
     fit_boosted,
-    predict_boosted,
 )
 from adwatch.errors import DataError
+from oracles import per_node_fit_boosted
 
 
 def test_constant_target_needs_no_trees():
@@ -16,7 +22,7 @@ def test_constant_target_needs_no_trees():
     y = np.full(20, 3.25)
     model = fit_boosted(X, y)
     assert model.trees == []
-    assert predict_boosted(model, [11.0]) == pytest.approx(3.25)
+    assert model.predict(np.array([[11.0]]))[0] == pytest.approx(3.25)
 
 
 def test_identity_problem_beats_variance():
@@ -32,7 +38,7 @@ def test_identity_prediction_near_half():
     rng = np.random.default_rng(1)
     x = rng.uniform(0, 1, 200)
     model = fit_boosted(x[:, None], x)
-    assert abs(predict_boosted(model, [0.5]) - 0.5) < 0.1
+    assert abs(model.predict(np.array([[0.5]]))[0] - 0.5) < 0.1
 
 
 def test_nan_features_rejected():
@@ -60,7 +66,7 @@ def test_zero_tree_model_returns_base():
         mode="squared_error_regression", learning_rate=0.1, max_depth=3,
         base_prediction=1.5, n_features=2,
     )
-    assert predict_boosted(model, [0.0, 0.0]) == pytest.approx(1.5)
+    assert model.predict(np.array([[0.0, 0.0]]))[0] == pytest.approx(1.5)
 
 
 def test_training_mse_nonincreasing_per_stage():
@@ -125,3 +131,46 @@ def test_learning_rate_validated():
     X = np.arange(10, dtype=float)[:, None]
     with pytest.raises(DataError):
         fit_boosted(X, np.arange(10, dtype=float), BoostConfig(learning_rate=0.0))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_stages", -1), ("n_stages", 2.5), ("max_depth", 0), ("max_depth", -1),
+     ("min_samples_leaf", 0), ("min_samples_leaf", True)],
+)
+def test_tree_shape_parameters_validated(field, value):
+    X = np.arange(10, dtype=float)[:, None]
+    with pytest.raises(DataError, match=field):
+        fit_boosted(X, np.arange(10, dtype=float), BoostConfig(**{field: value}))
+
+
+@st.composite
+def tied_problems(draw):
+    # small integer grids make many equal feature values and equal gains
+    n = draw(st.integers(10, 60))
+    f = draw(st.integers(1, 4))
+    grid = draw(st.integers(2, 6))
+    X = draw(hnp.arrays(np.int64, (n, f), elements=st.integers(0, grid - 1)))
+    # duplicated columns give exactly equal gains, so the tie-break decides
+    extra = draw(st.lists(st.integers(0, f - 1), max_size=3))
+    X = X[:, draw(st.permutations(list(range(f)) + extra))]
+    mode = draw(st.sampled_from([MODE_REGRESSION, MODE_CLASSIFICATION]))
+    if mode == MODE_CLASSIFICATION:
+        y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    else:
+        y = draw(hnp.arrays(np.int64, n, elements=st.integers(-3, 3)))
+    config = BoostConfig(
+        n_stages=draw(st.integers(1, 8)),
+        max_depth=draw(st.integers(1, 4)),
+        min_samples_leaf=draw(st.sampled_from([1, 3])),
+        mode=mode,
+    )
+    return X.astype(np.float64), y.astype(np.float64), config
+
+
+@settings(max_examples=80, deadline=None)
+@given(problem=tied_problems())
+def test_presorted_fit_matches_per_node_sort(problem):
+    X, y, config = problem
+    fast = json.dumps(fit_boosted(X, y, config).to_dict())
+    assert fast == json.dumps(per_node_fit_boosted(X, y, config))

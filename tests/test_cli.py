@@ -102,6 +102,29 @@ def test_train_rerun_byte_identical(tmp_path, trained):
     assert tree_bytes(a) == tree_bytes(b)
 
 
+def test_failing_yawn_fit_writes_no_artifact(tmp_path, capsys):
+    # the mini template has no yawns, so the last model fails after the
+    # gaze regressors and the speaking CNN have trained
+    suite, out = tmp_path / "suite", tmp_path / "art"
+    assert main(["simulate", "--suite", "mini", "--sessions", "2",
+                 "--seed", "5", "--output", str(suite)]) == 0
+    code = main(["train", "--suite-dir", str(suite), "--config", str(write_fast_config(tmp_path)),
+                 "--output", str(out)])
+    assert code == 3
+    assert "both classes" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_out_of_range_training_value_exits_2(trained, tmp_path, capsys):
+    _, suite, _, _ = trained
+    out = tmp_path / "o"
+    code = main(["train", "--suite-dir", str(suite), "--set", "cnn_batch_size=0",
+                 "--output", str(out)])
+    assert code == 2
+    assert "cnn_batch_size" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_score_suite_and_evaluate(trained, tmp_path):
     root, suite, art, cfg = trained
     scored = tmp_path / "scored"

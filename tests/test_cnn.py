@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 
 from adwatch.cnn import (
+    PARAM_NAMES,
     CnnTrainConfig,
     TemporalCnn,
+    _conv1d,
+    _conv_input_grad,
+    _conv_weight_grad,
     gradient_check,
     train_cnn,
 )
 from adwatch.errors import DataError
+from oracles import window_conv1d, window_conv_input_grad, window_conv_weight_grad
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +116,38 @@ def test_window_length_mismatch_rejected():
     net = TemporalCnn.initialize(30, seed=0)
     with pytest.raises(DataError, match="window length"):
         net.predict_proba(np.zeros(29))
+
+
+# 128 is the training batch; 80 is the last batch of the seed-7 training set
+@pytest.mark.parametrize("batch", [128, 80])
+def test_conv_kernels_match_sliding_window_im2col(batch):
+    rng = np.random.default_rng(batch)
+    net = TemporalCnn.initialize(30, seed=4)
+    x0 = rng.normal(0, 1, (batch, 1, 30))
+    a1 = np.maximum(rng.normal(0, 1, (batch, 8, 28)), 0.0)
+    dz1 = rng.normal(0, 1, (batch, 8, 28))
+    dz2 = rng.normal(0, 1, (batch, 16, 26))
+    assert np.array_equal(_conv1d(x0, net.w1), window_conv1d(x0, net.w1))
+    assert np.array_equal(_conv1d(a1, net.w2), window_conv1d(a1, net.w2))
+    assert np.array_equal(_conv_weight_grad(x0, dz1), window_conv_weight_grad(x0, dz1))
+    assert np.array_equal(_conv_weight_grad(a1, dz2), window_conv_weight_grad(a1, dz2))
+    assert np.array_equal(_conv_input_grad(dz2, net.w2), window_conv_input_grad(dz2, net.w2))
+
+
+def test_work_buffers_leave_training_unchanged(toy_set):
+    # 200 windows make batches of 128 and 72, so buffers of two shapes are
+    # reused; the reference loop allocates every array afresh
+    X, y = toy_set[0][:200], toy_set[1][:200]
+    config = CnnTrainConfig(epochs=3, seed=6)
+    trained = train_cnn(X, y, config)
+    net = train_cnn(X, y, CnnTrainConfig(epochs=0, seed=6))
+    rng = np.random.default_rng(config.seed + 1)
+    for _ in range(config.epochs):
+        order = rng.permutation(len(X))
+        for start in range(0, len(X), config.batch_size):
+            idx = order[start : start + config.batch_size]
+            _, grads = net.loss_and_grads(X[idx], y[idx])
+            for name in PARAM_NAMES:
+                getattr(net, name)[...] -= config.learning_rate * grads[name]
+    for name in PARAM_NAMES:
+        assert np.array_equal(getattr(trained, name), getattr(net, name))

@@ -47,6 +47,34 @@ def test_validation_failures():
         config_from_mapping({"mobile_screen_cm": "wide"})
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("cnn_batch_size", 0),
+        ("gaze_stages", 2.5),
+        ("yawn_depth", -1),
+        ("cnn_epochs", -3),
+        ("gaze_depth", True),
+        ("yawn_stages", "100"),
+        ("max_gaze_train_rows", 0),
+        ("max_yawn_train_rows", 0),
+        ("max_speaking_train_windows", 0),
+        ("speaking_window_stride", 0),
+        ("cnn_learning_rate", 0.0),
+        ("cnn_learning_rate", 1.5),
+        ("cnn_learning_rate", "abc"),
+    ],
+)
+def test_validation_failures_training_fields(key, value):
+    with pytest.raises(ConfigError, match=key):
+        config_from_mapping({key: value})
+
+
+def test_training_field_limits_accepted():
+    cfg = config_from_mapping({"cnn_epochs": 0, "cnn_learning_rate": 1, "gaze_depth": 1})
+    assert (cfg.cnn_epochs, cfg.cnn_learning_rate, cfg.gaze_depth) == (0, 1, 1)
+
+
 def test_missing_or_invalid_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "nope.json")

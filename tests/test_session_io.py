@@ -56,6 +56,27 @@ def test_frames_round_trip_100_rows(tmp_path):
     assert_same_frames(load_frames(path), frames)
 
 
+def test_frames_round_trip_across_load_blocks(tmp_path):
+    # 600 rows span three loader blocks; the columns join in file order
+    frames = make_frames(600, quality=np.linspace(0.0, 1.0, 600), yaw=np.sin(np.arange(600)))
+    path = tmp_path / "frames.jsonl"
+    write_frames(frames, path)
+    assert_same_frames(load_frames(path), frames)
+
+
+@pytest.mark.parametrize("row", [256, 257, 600])
+def test_bad_row_in_later_block_names_row(tmp_path, row):
+    path = tmp_path / "frames.jsonl"
+    write_frames(make_frames(600), path)
+    lines = path.read_text().splitlines()
+    bad = json.loads(lines[row - 1])
+    bad["gaze_quality"] = 1.5
+    lines[row - 1] = json.dumps(bad)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SessionFormatError, match=f"row {row}: gaze_quality outside"):
+        load_frames(path)
+
+
 def test_round_trip_preserves_text_precision(tmp_path):
     # write -> read -> write must be byte-identical
     rng = np.random.default_rng(0)
@@ -296,3 +317,18 @@ def test_timeline_generator_channels_round_trip(tmp_path):
     loaded = read_timeline(path)
     assert loaded.activity == tl.activity
     assert loaded.target_cm == tl.target_cm
+
+
+def test_timeline_annotations_share_equal_values_exactly(tmp_path):
+    tl = fuse(*[np.zeros(5, dtype=bool)] * 5)
+    tl.activity = ["dot", "dot", "dot", "speak", "dot"]
+    tl.target_cm = [(0.0, 1.5), (0.0, 1.5), (-0.0, 1.5), None, (0.0, 1.5)]
+    path = tmp_path / "t.jsonl"
+    write_timeline(tl, path)
+    loaded = read_timeline(path)
+    assert loaded.activity == tl.activity
+    assert loaded.target_cm == tl.target_cm
+    # one object per distinct value; -0.0 keeps its sign and its own tuple
+    assert loaded.activity[0] is loaded.activity[4]
+    assert loaded.target_cm[0] is loaded.target_cm[1] is loaded.target_cm[4]
+    assert np.signbit(loaded.target_cm[2][0]) and not np.signbit(loaded.target_cm[0][0])
