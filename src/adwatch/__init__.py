@@ -38,7 +38,7 @@ from .gaze import (
     normalize_gaze,
 )
 from .geometry import PlaneIntersection, RayStatus, ScreenPoint, intersect_gaze
-from .head import GazeSource, HeadPoseStats, compute_head_stats, head_off_screen, select_gaze_source
+from .head import HeadPoseStats, compute_head_stats, head_off_screen, select_gaze_source
 from .pipeline import ArtifactSet, PipelineVariant, score_session
 from .records import AU_NAMES, FrameArrays, SessionManifest
 from .session_io import (

@@ -13,12 +13,24 @@ node's sorted row lists with a stable mask instead of sorting again. The
 partition keeps the order "by value, ties by row index", which is the order
 a fresh stable sort of the node would give, so the splits, the gains and
 the tie-breaks are exactly those of a per-node sort.
+
+Prediction is compiled and exact. The first ``predict`` turns each tree
+into a lookup table over the product of its own per-feature threshold bins,
+holding ``learning_rate * leaf value`` per cell, in the spirit of
+QuickScorer (Lucchese et al., SIGIR 2015). A prediction bins every used
+feature once against the ensemble's sorted thresholds, with
+``searchsorted(side="left")`` so that bin <= k exactly when x <= t_k (NaN
+and +inf go right at every node, as ``x <= threshold`` sends them). Each
+tree's cell is then a sum of small-integer gathers, and the cells are added
+in tree order: the same doubles in the same order as a node-by-node walk,
+so predictions are bit-identical to it. A tree taller than three levels is
+split at its root until its parts fit a table of at most 128 cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -66,18 +78,196 @@ class TreeNode:
         )
 
 
-def _tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(len(X), dtype=np.float64)
-    stack = [(node, np.arange(len(X)))]
-    while stack:
-        nd, idx = stack.pop()
-        if nd.is_leaf:
-            out[idx] = nd.value
+# A (sub)tree of at most this many levels has at most 2**7 = 128 cells; a
+# taller tree is split at its root until its parts are this short.
+_TABLE_LEVELS = 3
+
+
+class _Table(NamedTuple):
+    """A (sub)tree as one lookup table: its value for a row is
+    ``cells[sum(m[bins[f]] for f, m in maps)]``."""
+
+    maps: list          # (feature, ensemble grid bin -> stride * the tree's own bin)
+    cells: np.ndarray
+
+
+class _Split(NamedTuple):
+    """A tree too tall to tabulate: its root split over two parts."""
+
+    feature: int
+    bin: int            # rows go left where their grid bin is at most this
+    left: Union[_Table, "_Split"]
+    right: Union[_Table, "_Split"]
+
+
+@dataclass
+class _Compiled:
+    """An ensemble's trees as exact lookup tables over its threshold grid:
+    ``grids[f]`` holds feature f's sorted distinct thresholds over all
+    trees, ``parts`` one part per tree."""
+
+    trees: list[TreeNode]
+    learning_rate: float
+    grids: dict[int, np.ndarray]
+    parts: list[Union[_Table, _Split]]
+
+
+def _flatten(trees: list[TreeNode]):
+    """All nodes in preorder (leaves get feature -1) with each subtree's size
+    and height, plus each tree's root index."""
+    feature, threshold, value, size, height = [], [], [], [], []
+
+    def visit(nd: TreeNode) -> int:
+        i = len(feature)
+        feature.append(-1 if nd.left is None else nd.feature)
+        threshold.append(nd.threshold)
+        value.append(nd.value)
+        size.append(1)
+        height.append(0)
+        if nd.left is not None:
+            height[i] = max(visit(nd.left), visit(nd.right)) + 1
+            size[i] = len(feature) - i
+        return height[i]
+
+    roots = []
+    for tree in trees:
+        roots.append(len(feature))
+        visit(tree)
+    return feature, threshold, value, size, height, roots
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For sorted ``keys``: each key's run of equal keys, and each run's start.
+
+    (``np.unique`` would import ``numpy.ma`` on first use, about 1 MB of
+    resident memory that scoring never needs.)
+    """
+    new = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return np.cumsum(new) - 1, np.flatnonzero(new)
+
+
+def _compile(trees: list[TreeNode], learning_rate: float) -> _Compiled:
+    feature_l, threshold_l, value_l, size_l, height, roots = _flatten(trees)
+    feature = np.array(feature_l, dtype=np.intp)
+    threshold = np.array(threshold_l, dtype=np.float64)
+    size = np.array(size_l, dtype=np.intp)
+    n = len(feature)
+    internal = feature >= 0
+    comparable = internal & ~np.isnan(threshold)   # a NaN threshold sends every row right
+
+    # the ensemble's grid per feature, and each threshold's index on it
+    grids = {}
+    grid_bin = np.full(n, -1, dtype=np.intp)
+    for f in sorted(set(feature_l) - {-1}):
+        on_f = comparable & (feature == f)
+        ts = np.sort(threshold[on_f])
+        grids[f] = ts[_runs(ts)[1]]
+        grid_bin[on_f] = np.searchsorted(grids[f], threshold[on_f])
+
+    units: list[int] = []       # root node of each tabulated part
+
+    def part(i: int):
+        if height[i] <= _TABLE_LEVELS:
+            units.append(i)
+            return len(units) - 1
+        return _Split(feature_l[i], int(grid_bin[i]), part(i + 1), part(i + 1 + size_l[i + 1]))
+
+    parts = [part(r) for r in roots]
+    unit_of = np.full(n, -1, dtype=np.intp)
+    for u, r in enumerate(units):
+        unit_of[r : r + size_l[r]] = u
+
+    # each part's own bins per feature: its distinct thresholds, in grid order
+    use = comparable & (unit_of >= 0)
+    n_feat = int(feature.max(initial=-1)) + 1
+    n_bin = max((len(g) for g in grids.values()), default=0) + 1
+    key = (unit_of[use] * n_feat + feature[use]) * n_bin + grid_bin[use]
+    order = np.argsort(key, kind="stable")
+    run, starts = _runs(key[order])
+    distinct = key[order][starts]
+    inverse = np.empty_like(run)
+    inverse[order] = run
+    group_of, first = _runs(distinct // n_bin)     # (part, feature) of each distinct threshold
+    group_key = distinct[first] // n_bin
+    count = np.diff(np.append(first, len(distinct)))
+    g_unit = (group_key // n_feat).tolist()
+    g_feature = group_key % n_feat
+    radix = (count + 1).tolist()
+    # mixed-radix strides, the last feature of a part varying fastest
+    stride = [0] * len(radix)
+    n_cells = [1] * len(units)
+    for g in range(len(radix) - 1, -1, -1):
+        stride[g] = n_cells[g_unit[g]]
+        n_cells[g_unit[g]] *= radix[g]
+    stride = np.array(stride, dtype=np.intp)
+
+    # every cell's value: walk each part from its root with the cell's bins
+    node_stride = np.ones(n, dtype=np.intp)
+    node_radix = np.ones(n, dtype=np.intp)
+    node_k = np.full(n, -1, dtype=np.intp)
+    node_group = group_of[inverse]
+    node_stride[use] = stride[node_group]
+    node_radix[use] = np.asarray(radix, dtype=np.intp)[node_group]
+    # a node goes left on its part's bins 0..k, k its threshold's rank there
+    node_k[use] = (np.arange(len(distinct)) - first[group_of])[inverse]
+    left = np.arange(n)
+    right = np.arange(n)
+    inner = np.flatnonzero(internal)
+    left[inner] = inner + 1
+    right[inner] = inner + 1 + size[inner + 1]
+    cell_unit = np.repeat(np.arange(len(units)), n_cells)
+    start = np.cumsum(n_cells) - n_cells
+    cell = np.arange(len(cell_unit)) - start[cell_unit]
+    node = np.asarray(units, dtype=np.intp)[cell_unit]
+    for _ in range(_TABLE_LEVELS):
+        go_left = (cell // node_stride[node]) % node_radix[node] <= node_k[node]
+        node = np.where(go_left, left[node], right[node])
+    cells = learning_rate * np.array(value_l, dtype=np.float64)[node]
+
+    # grid bin -> stride * own bin, for every (part, feature) at once
+    maps: list[list] = [[] for _ in units]
+    for f, grid in grids.items():
+        gs = np.flatnonzero(g_feature == f)
+        if not len(gs):
             continue
-        go_left = X[idx, nd.feature] <= nd.threshold
-        stack.append((nd.left, idx[go_left]))
-        stack.append((nd.right, idx[~go_left]))
-    return out
+        on_f = np.flatnonzero(g_feature[group_of] == f)
+        # cell indices stay below 2**7, so uint8 maps suffice: an eighth of
+        # the memory of intp ones, and no slower to gather
+        own = np.zeros((len(gs), len(grid) + 1), dtype=np.uint8)
+        own[np.searchsorted(gs, group_of[on_f]), distinct[on_f] % n_bin + 1] = 1
+        np.cumsum(own, axis=1, out=own)
+        own *= stride[gs, None].astype(np.uint8)
+        for row, g in zip(own, gs.tolist()):
+            maps[g_unit[g]].append((f, row))
+
+    tables = [
+        _Table(maps[u], cells[start[u] : start[u] + n_cells[u]]) for u in range(len(units))
+    ]
+
+    def resolve(p):
+        if isinstance(p, _Split):
+            return p._replace(left=resolve(p.left), right=resolve(p.right))
+        return tables[p]
+
+    return _Compiled(list(trees), learning_rate, grids, [resolve(p) for p in parts])
+
+
+def _part_values(part: Union[_Table, _Split], bins: dict[int, np.ndarray]):
+    """``learning_rate * leaf value`` of a tree or part, for every row."""
+    if isinstance(part, _Split):
+        return np.where(
+            bins[part.feature] <= part.bin,
+            _part_values(part.left, bins),
+            _part_values(part.right, bins),
+        )
+    if not part.maps:
+        return part.cells[0]
+    (f, m), *rest = part.maps
+    cell = m[bins[f]]
+    for f, m in rest:
+        cell += m[bins[f]]
+    return part.cells.take(cell)
 
 
 def _best_split(XT: np.ndarray, grad: np.ndarray, idx: np.ndarray, block: np.ndarray):
@@ -109,13 +299,16 @@ def _best_split(XT: np.ndarray, grad: np.ndarray, idx: np.ndarray, block: np.nda
     # parent score is the same for every feature column
     gain -= (np.sum(grad[idx]) ** 2) / n
     gain[tied] = -np.inf
-    best = float(np.max(gain))
+    # deterministic tie-break: lowest feature index, then lowest threshold
+    # (argmax returns the first maximum in C order, which scans features in
+    # order; within a feature valid splits rise). The totals column is no
+    # split: at -inf it lets argmax scan the contiguous prefix rather than
+    # copy the strided gain view.
+    prefix[:, -1] = -np.inf
+    f, r = divmod(int(np.argmax(prefix)), n)
+    best = float(gain[f, r])
     if not np.isfinite(best) or best <= _MIN_GAIN:
         return None
-    # deterministic tie-break: lowest feature index, then lowest threshold
-    # (nonzero scans features in order; within a feature valid splits rise)
-    cols, rows = np.nonzero(gain == best)
-    f, r = int(cols[0]), int(rows[0])
     threshold = 0.5 * (XT[f, block[f, r]] + XT[f, block[f, r + 1]])
     return best, f, float(threshold)
 
@@ -189,6 +382,9 @@ class BoostedEnsemble:
     n_features: int
     trees: list[TreeNode] = field(default_factory=list)
     train_loss_curve: list[float] = field(default_factory=list)
+    # built by the first prediction; rebuilt when the list of trees or the
+    # learning rate changes (a tree's nodes are not edited in place)
+    _compiled: Optional[_Compiled] = field(default=None, init=False, repr=False, compare=False)
 
     def raw_predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -198,9 +394,18 @@ class BoostedEnsemble:
             raise DataError(
                 f"expected {self.n_features} features, got {X.shape[1]}"
             )
+        compiled = self._compiled
+        if (
+            compiled is None
+            or compiled.trees != self.trees
+            or compiled.learning_rate != self.learning_rate
+        ):
+            compiled = self._compiled = _compile(self.trees, self.learning_rate)
+        bins = {f: np.searchsorted(grid, X[:, f]) for f, grid in compiled.grids.items()}
+        # the same terms, learning_rate * leaf value, added in tree order
         out = np.full(len(X), self.base_prediction, dtype=np.float64)
-        for tree in self.trees:
-            out += self.learning_rate * _tree_predict(tree, X)
+        for part in compiled.parts:
+            out += _part_values(part, bins)
         return out
 
     def predict(self, X: np.ndarray) -> np.ndarray:

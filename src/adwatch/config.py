@@ -8,6 +8,7 @@ rejected rather than ignored so typos fail loudly.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Union
@@ -75,16 +76,14 @@ def config_from_mapping(mapping: dict, base: Optional[PipelineConfig] = None) ->
     coerced = {}
     for key, value in mapping.items():
         if key in _TUPLE_FIELDS:
-            try:
-                coerced[key] = tuple(float(v) for v in value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config key {key}: expected a pair of numbers") from exc
+            if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(
+                _is_real(v) for v in value
+            ):
+                raise ConfigError(f"config key {key}: expected a pair of numbers, got {value!r}")
+            coerced[key] = tuple(float(v) for v in value)
         else:
             coerced[key] = value
-    try:
-        cfg = replace(base, **coerced)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = replace(base, **coerced)
     _validate(cfg)
     return cfg
 
@@ -102,42 +101,92 @@ def load_config(path: PathLike, base: Optional[PipelineConfig] = None) -> Pipeli
     return config_from_mapping(mapping, base=base)
 
 
-# training fields: integer counts and their least allowed value
-_TRAINING_COUNTS = {
-    "gaze_stages": 1,
-    "gaze_depth": 1,
-    "yawn_stages": 1,
-    "yawn_depth": 1,
-    "max_gaze_train_rows": 1,
-    "max_yawn_train_rows": 1,
-    "cnn_epochs": 0,
-    "cnn_batch_size": 1,
-    "max_speaking_train_windows": 1,
-    "speaking_window_stride": 1,
+def _is_real(value) -> bool:
+    """An int or float within the float range; bools are not numbers here."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def _at_least(least):
+    return (lambda v: v >= least), f"be at least {least}"
+
+
+def _within(lo, hi):
+    return (lambda v: lo <= v <= hi), f"lie in [{lo}, {hi}]"
+
+
+_POSITIVE = ((lambda v: v > 0), "be positive")
+
+# every scalar field's range; its type (int or float) comes from its annotation
+_RANGES = {
+    # probabilities and the quality gates on the 0-1 tracker quality
+    "quality_floor": _within(0, 1),
+    "quality_gate": _within(0, 1),
+    "speaking_threshold": _within(0, 1),
+    "yawn_threshold": _within(0, 1),
+    # eye closure and AU intensities are on a 0-100 scale (FORMATS.md)
+    "closure_gate": _within(0, 100),
+    "au_gate": _within(0, 100),
+    "margin_cm": _at_least(0),
+    "pvd_coefficient": _POSITIVE,
+    "desktop_aspect": _POSITIVE,
+    "orientation_yaw_deg": _at_least(0),
+    "orientation_gaze_cm": _at_least(0),
+    "head_yaw_threshold_deg": _at_least(0),
+    "head_pitch_threshold_deg": _at_least(0),
+    "window_span_s": _POSITIVE,
+    # durations a run must exceed; 0 counts every run
+    "speaking_min_event_s": _at_least(0),
+    "closure_min_event_s": _at_least(0),
+    "unattended_min_s": _at_least(0),
+    # 0 turns the yawn vote smoothing off
+    "yawn_smooth_s": _at_least(0),
+    "window_samples": _at_least(5),
+    "min_valid_samples": _at_least(0),
+    "max_hold_samples": _at_least(0),
+    "gaze_stages": _at_least(1),
+    "gaze_depth": _at_least(1),
+    "yawn_stages": _at_least(1),
+    "yawn_depth": _at_least(1),
+    "max_gaze_train_rows": _at_least(1),
+    "max_yawn_train_rows": _at_least(1),
+    "cnn_epochs": _at_least(0),
+    "cnn_learning_rate": ((lambda v: 0 < v <= 1), "lie in (0, 1]"),
+    "cnn_batch_size": _at_least(1),
+    "max_speaking_train_windows": _at_least(1),
+    "speaking_window_stride": _at_least(1),
 }
 
 
 def _validate(cfg: PipelineConfig) -> None:
-    for name, least in _TRAINING_COUNTS.items():
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
-    rate = cfg.cnn_learning_rate
-    if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0.0 < rate <= 1.0:
-        raise ConfigError(f"cnn_learning_rate must lie in (0, 1], got {rate!r}")
-    if not 0.0 <= cfg.quality_floor <= 1.0 or not 0.0 <= cfg.quality_gate <= 1.0:
-        raise ConfigError("quality gates must lie in [0, 1]")
-    if cfg.pvd_coefficient <= 0:
-        raise ConfigError("pvd_coefficient must be positive")
-    if cfg.window_samples < 5:
-        raise ConfigError("window_samples must be at least 5")
-    for name in ("speaking_min_event_s", "closure_min_event_s", "unattended_min_s"):
-        if getattr(cfg, name) < 0:
-            raise ConfigError(f"{name} must be nonnegative")
-    if any(v <= 0 for v in cfg.mobile_screen_cm) or any(
-        v <= 0 for v in cfg.default_desktop_screen_cm
-    ):
-        raise ConfigError("screen dimensions must be positive")
+    for f in fields(PipelineConfig):
+        if f.name in _TUPLE_FIELDS:
+            continue            # pairs of finite numbers by config_from_mapping
+        value = getattr(cfg, f.name)
+        if f.type == "int":     # annotations are strings (postponed evaluation)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        elif not _is_real(value):
+            raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+        ok, rule = _RANGES[f.name]
+        if not ok(value):
+            raise ConfigError(f"{f.name} must {rule}, got {value!r}")
+    for name in ("default_desktop_screen_cm", "mobile_screen_cm"):
+        if any(v <= 0 for v in getattr(cfg, name)):
+            raise ConfigError(f"{name}: screen dimensions must be positive")
+    lo, hi = cfg.orientation_face_band
+    if not 0 <= lo < hi <= 1:
+        raise ConfigError(
+            f"orientation_face_band must be an increasing pair in [0, 1], got {[lo, hi]}"
+        )
+    if cfg.min_valid_samples > cfg.window_samples:
+        raise ConfigError(
+            f"min_valid_samples ({cfg.min_valid_samples}) must not exceed "
+            f"window_samples ({cfg.window_samples})"
+        )
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:

@@ -9,18 +9,12 @@ fixed thresholds. Roll plays no part in the decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .config import PipelineConfig
 from .errors import SessionUntrackableError
 from .records import FrameArrays
-
-
-class GazeSource(Enum):
-    EYE_GAZE = "eye_gaze"
-    HEAD_POSE = "head_pose"
 
 
 @dataclass(frozen=True)
@@ -63,10 +57,3 @@ def select_gaze_source(
         np.asarray(quality, dtype=np.float64) >= quality_gate
     )
 
-
-def select_gaze_source_one(
-    quality: float, face_gaze: bool, quality_gate: float
-) -> GazeSource:
-    if face_gaze and quality >= quality_gate:
-        return GazeSource.EYE_GAZE
-    return GazeSource.HEAD_POSE

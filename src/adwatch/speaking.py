@@ -11,7 +11,6 @@ inattention).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -20,20 +19,6 @@ from .config import PipelineConfig
 from .errors import DataError, MissingArtifactError
 from .records import MOUTH_LOWER_INNER, MOUTH_UPPER_INNER, FrameArrays
 from .temporal import Event, events_from_flags, find_runs
-
-
-@dataclass(frozen=True)
-class LipWindow:
-    """One second of resampled lip distance centered on a frame."""
-
-    samples: np.ndarray   # fixed length, finite, >= 0
-    start_frame: int
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if not np.all(np.isfinite(samples)) or np.any(samples < 0):
-            raise DataError("lip window samples must be finite and nonnegative")
-        object.__setattr__(self, "samples", samples)
 
 
 def lip_distance(mouth_points: np.ndarray) -> np.ndarray:
@@ -105,27 +90,6 @@ def build_windows(frames: FrameArrays, config: PipelineConfig) -> WindowedSeries
 
     scored = (valid_counts >= config.min_valid_samples) & (bad_counts == 0)
     return WindowedSeries(windows=windows, scored=scored)
-
-
-def window_for_frame(frames: FrameArrays, frame: int, config: PipelineConfig) -> Optional[LipWindow]:
-    """The resampled window centered on one frame, or None if unscorable."""
-    series = build_windows(frames, config)
-    if not 0 <= frame < len(frames):
-        raise DataError(f"frame {frame} outside session of {len(frames)} frames")
-    if not series.scored[frame]:
-        return None
-    t_start = frames.timestamp_ms[frame] / 1000.0 - config.window_span_s / 2
-    start = int(np.searchsorted(frames.timestamp_ms / 1000.0, t_start, side="left"))
-    return LipWindow(samples=series.windows[frame], start_frame=start)
-
-
-def speaking_probability(window, net: TemporalCnn) -> float:
-    """Deterministic speech probability for one window (array or LipWindow)."""
-    if net is None:
-        raise MissingArtifactError("speaking CNN is not loaded")
-    if isinstance(window, LipWindow):
-        window = window.samples
-    return float(net.predict_proba(np.asarray(window, dtype=np.float64))[0])
 
 
 def speaking_flags(frames: FrameArrays, net: TemporalCnn, config: PipelineConfig) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 These deliberately avoid the formulas under test: the line-sampling oracle
 never divides by the direction's z component, and the pairwise AUC oracle
-compares every positive/negative pair directly. The boosting oracle
-re-sorts every node's rows instead of partitioning a presorted order, and
-the convolution oracles build im2col columns from a sliding-window view.
+compares every positive/negative pair directly. The boosting oracles
+re-sort every node's rows instead of partitioning a presorted order and
+walk each tree node by node instead of looking it up in a compiled table,
+and the convolution oracles build im2col columns from a sliding-window
+view.
 """
 
 import numpy as np
@@ -86,8 +88,32 @@ def pairwise_auc(scores, labels):
 
 
 # ---------------------------------------------------------------------------
-# boosted trees: split search that re-sorts every node
+# boosted trees: a node-by-node walk, and split search that re-sorts every node
 # ---------------------------------------------------------------------------
+
+def tree_predict(node, X):
+    """One tree's leaf values for the rows of X, walking it node by node."""
+    out = np.empty(len(X), dtype=np.float64)
+    stack = [(node, np.arange(len(X)))]
+    while stack:
+        nd, idx = stack.pop()
+        if nd.is_leaf:
+            out[idx] = nd.value
+            continue
+        go_left = X[idx, nd.feature] <= nd.threshold
+        stack.append((nd.left, idx[go_left]))
+        stack.append((nd.right, idx[~go_left]))
+    return out
+
+
+def walk_raw_predict(model, X):
+    """``base + learning_rate * tree(X)`` summed over the trees in order."""
+    X = np.asarray(X, dtype=np.float64)
+    out = np.full(len(X), model.base_prediction, dtype=np.float64)
+    for tree in model.trees:
+        out += model.learning_rate * tree_predict(tree, X)
+    return out
+
 
 def _per_node_best_split(X, grad, min_gain=1e-12):
     n = len(grad)
@@ -150,7 +176,7 @@ def _per_node_build_tree(X, grad, hess, max_depth, min_samples_leaf, max_leaf_lo
 def per_node_fit_boosted(X, y, config):
     """Boosting fit that argsorts the rows of every node afresh and predicts
     each stage's tree by walking it; returns the model's ``to_dict()``."""
-    from adwatch.boosting import MODE_CLASSIFICATION, BoostedEnsemble, _sigmoid, _tree_predict
+    from adwatch.boosting import MODE_CLASSIFICATION, BoostedEnsemble, _sigmoid
 
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -183,7 +209,7 @@ def per_node_fit_boosted(X, y, config):
         if np.max(np.abs(grad)) < 1e-12:
             break
         tree = _per_node_build_tree(X, grad, hess, config.max_depth, config.min_samples_leaf)
-        raw = raw + config.learning_rate * _tree_predict(tree, X)
+        raw = raw + config.learning_rate * tree_predict(tree, X)
         model.trees.append(tree)
         model.train_loss_curve.append(loss(raw))
     return model.to_dict()

@@ -11,10 +11,12 @@ from adwatch.boosting import (
     MODE_REGRESSION,
     BoostConfig,
     BoostedEnsemble,
+    TreeNode,
     fit_boosted,
 )
+from adwatch.drowsiness import yawn_features
 from adwatch.errors import DataError
-from oracles import per_node_fit_boosted
+from oracles import per_node_fit_boosted, walk_raw_predict
 
 
 def test_constant_target_needs_no_trees():
@@ -174,3 +176,113 @@ def test_presorted_fit_matches_per_node_sort(problem):
     X, y, config = problem
     fast = json.dumps(fit_boosted(X, y, config).to_dict())
     assert fast == json.dumps(per_node_fit_boosted(X, y, config))
+
+
+# ---------------------------------------------------------------------------
+# compiled prediction against the node-by-node walk
+# ---------------------------------------------------------------------------
+
+SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+
+
+def thresholds(node):
+    if node.is_leaf:
+        return []
+    return [node.threshold, *thresholds(node.left), *thresholds(node.right)]
+
+
+def thresholds_of(model):
+    return [t for tree in model.trees for t in thresholds(tree)]
+
+
+def assert_matches_walk(model, X):
+    assert model.raw_predict(X).tobytes() == walk_raw_predict(model, X).tobytes()
+
+
+@st.composite
+def fitted_with_probes(draw):
+    # tie-heavy integer grids; 21 features is the yawn model's width
+    f = draw(st.sampled_from([1, 2, 21]))
+    n = draw(st.integers(10, 80))
+    grid = draw(st.integers(2, 6))
+    mode = draw(st.sampled_from([MODE_REGRESSION, MODE_CLASSIFICATION]))
+    config = BoostConfig(
+        n_stages=draw(st.integers(1, 30)),
+        max_depth=draw(st.integers(1, 5)),
+        min_samples_leaf=draw(st.sampled_from([1, 3])),
+        mode=mode,
+    )
+    low, high = (0, 1) if mode == MODE_CLASSIFICATION else (-3, 3)
+
+    def problem():
+        X = draw(hnp.arrays(np.int64, (n, f), elements=st.integers(0, grid - 1)))
+        y = draw(hnp.arrays(np.int64, n, elements=st.integers(low, high)))
+        return X.astype(np.float64), y.astype(np.float64)
+
+    model = fit_boosted(*problem(), config)
+    more = fit_boosted(*problem(), config)
+    # probes exactly on thresholds and grid values, and IEEE special values
+    values = sorted({*thresholds_of(model), *thresholds_of(more)}) + SPECIALS
+    values += [float(v) for v in range(-1, grid + 1)]
+    picks = draw(hnp.arrays(np.int64, (draw(st.integers(1, 40)), f),
+                            elements=st.integers(0, len(values) - 1)))
+    return model, more, np.array(values)[picks]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=fitted_with_probes())
+def test_compiled_prediction_matches_walk(case):
+    model, more, P = case
+    assert_matches_walk(model, P)
+    # trees appended after a prediction must not leave a stale compiled form
+    model.trees.extend(more.trees)
+    assert_matches_walk(model, P)
+    model.learning_rate = 0.5
+    assert_matches_walk(model, P)
+
+
+def test_compiled_prediction_empty_single_leaf_and_odd_thresholds():
+    model = BoostedEnsemble(
+        mode=MODE_REGRESSION, learning_rate=0.1, max_depth=3,
+        base_prediction=0.3, n_features=2,
+    )
+    values = np.array([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, *SPECIALS])
+    P = np.stack(np.meshgrid(values, values), axis=-1).reshape(-1, 2)
+    assert_matches_walk(model, P)
+    model.trees.append(TreeNode(value=2.5))
+    assert_matches_walk(model, P)
+
+    def split(f, t, left, right):
+        return TreeNode(feature=f, threshold=t, left=left, right=right)
+
+    leaf = [TreeNode(value=v) for v in (1.0, -2.0, 3.5, 0.25, -0.75, 7.0)]
+    # a NaN threshold sends every row right; x <= 1.0 under x <= -1.0 never
+    # goes right; infinite and signed-zero thresholds compare as IEEE does
+    model.trees.append(split(
+        0, -0.0,
+        split(1, float("nan"), leaf[0], split(0, -1.0, split(0, 1.0, leaf[1], leaf[2]), leaf[3])),
+        split(1, float("inf"), split(0, float("-inf"), leaf[4], leaf[5]), leaf[0]),
+    ))
+    assert_matches_walk(model, P)
+    # five levels: too tall for one table, so split at a NaN root
+    model.trees.append(split(1, float("nan"), model.trees[-1], leaf[5]))
+    assert_matches_walk(model, P)
+
+
+def test_trained_ensembles_match_walk(artifacts, heldout_sessions):
+    rng = np.random.default_rng(4)
+    feats = np.concatenate([yawn_features(frames) for frames, _, _ in heldout_sessions])
+    models = [artifacts.yawn] + [m for pair in artifacts.gaze.values() for m in pair.values()]
+    assert len(models) == 5
+    for model in models:
+        if model is artifacts.yawn:
+            X = feats.copy()
+        else:
+            # normalized on-screen points in cm, and the thresholds themselves
+            X = rng.uniform(-25.0, 25.0, (4000, 2))
+            ts = np.array(thresholds_of(model))
+            X[: len(ts), 0] = ts
+            X[-len(ts):, 1] = ts
+        X[::17, rng.integers(0, X.shape[1])] = np.nan
+        X[5::29, 0] = np.inf
+        assert_matches_walk(model, X)

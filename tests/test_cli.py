@@ -125,6 +125,15 @@ def test_out_of_range_training_value_exits_2(trained, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("item", ['quality_gate="abc"', "window_samples=5.5"])
+def test_mistyped_scoring_value_exits_2(trained, tmp_path, capsys, item):
+    _, suite, art, _ = trained
+    code = main(["score", "--suite-dir", str(suite), "--artifacts", str(art),
+                 "--set", item, "--output", str(tmp_path / "s")])
+    assert code == 2
+    assert item.split("=")[0] in capsys.readouterr().err
+
+
 def test_score_suite_and_evaluate(trained, tmp_path):
     root, suite, art, cfg = trained
     scored = tmp_path / "scored"

@@ -75,6 +75,54 @@ def test_training_field_limits_accepted():
     assert (cfg.cnn_epochs, cfg.cnn_learning_rate, cfg.gaze_depth) == (0, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("quality_gate", "abc"),
+        ("quality_floor", None),
+        ("window_samples", 5.5),
+        ("max_hold_samples", 2.0),
+        ("min_valid_samples", -1),
+        ("min_valid_samples", 31),              # more than window_samples (30)
+        ("window_span_s", -1),
+        ("window_span_s", 0),
+        ("speaking_threshold", 7),
+        ("yawn_threshold", -0.1),
+        ("closure_gate", 150),
+        ("au_gate", -1),
+        ("margin_cm", True),
+        ("margin_cm", float("nan")),
+        ("margin_cm", 10**400),
+        ("desktop_aspect", 0),
+        ("head_yaw_threshold_deg", -5),
+        ("orientation_gaze_cm", "4"),
+        ("unattended_min_s", float("inf")),
+        ("yawn_smooth_s", -0.5),
+        ("speaking_min_event_s", "1"),
+        ("orientation_face_band", [0.9, 0.1]),
+        ("orientation_face_band", [0.2, 1.5]),
+        ("orientation_face_band", [0.1, 0.2, 0.3]),
+        ("mobile_screen_cm", [True, 7.0]),
+        ("mobile_screen_cm", [10**400, 7.0]),
+        ("default_desktop_screen_cm", ["35.6", "20"]),
+    ],
+)
+def test_validation_failures_scoring_fields(key, value):
+    with pytest.raises(ConfigError, match=key):
+        config_from_mapping({key: value})
+
+
+def test_scoring_field_limits_accepted():
+    limits = {
+        "quality_floor": 0, "quality_gate": 1, "speaking_threshold": 1, "yawn_threshold": 0,
+        "closure_gate": 100, "au_gate": 0, "margin_cm": 0, "yawn_smooth_s": 0,
+        "speaking_min_event_s": 0, "window_span_s": 0.25, "min_valid_samples": 30,
+        "max_hold_samples": 0, "orientation_face_band": [0, 1],
+    }
+    cfg = config_from_mapping(limits)
+    assert config_to_dict(cfg) == {**config_to_dict(PipelineConfig()), **limits}
+
+
 def test_missing_or_invalid_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "nope.json")

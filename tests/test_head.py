@@ -4,12 +4,10 @@ import pytest
 from adwatch.config import PipelineConfig
 from adwatch.errors import SessionUntrackableError
 from adwatch.head import (
-    GazeSource,
     HeadPoseStats,
     compute_head_stats,
     head_off_screen,
     select_gaze_source,
-    select_gaze_source_one,
 )
 from adwatch.records import FrameArrays
 
@@ -93,10 +91,8 @@ def test_head_stats_requires_tracked_frames():
 
 
 def test_source_selection():
-    assert select_gaze_source_one(0.9, True, 0.5) is GazeSource.EYE_GAZE
-    assert select_gaze_source_one(0.2, True, 0.5) is GazeSource.HEAD_POSE
-    assert select_gaze_source_one(0.9, False, 0.5) is GazeSource.HEAD_POSE
+    # True selects the eye path: a tracked face whose quality reaches the gate
     eye = select_gaze_source(
-        np.array([0.9, 0.2, 0.9]), np.array([True, True, False]), 0.5
+        np.array([0.9, 0.2, 0.9, 0.5]), np.array([True, True, False, True]), 0.5
     )
-    assert eye.tolist() == [True, False, False]
+    assert eye.tolist() == [True, False, False, True]

@@ -5,12 +5,10 @@ from adwatch.config import PipelineConfig
 from adwatch.errors import MissingArtifactError
 from adwatch.records import FrameArrays
 from adwatch.speaking import (
-    window_for_frame,
     build_windows,
     lip_distance,
     speaking_events,
     speaking_flags,
-    speaking_probability,
 )
 from adwatch.synth import ScenarioScript, Segment, generate
 
@@ -116,37 +114,43 @@ def test_unscored_frames_inherit_nearest_flag(artifacts):
 
 def test_probability_missing_model():
     with pytest.raises(MissingArtifactError):
-        speaking_probability(np.zeros(30), None)
+        speaking_flags(mouth_session(np.full(30, 0.02)), None, CFG)
 
 
-def test_window_for_frame(artifacts):
-    frames = mouth_session(np.full(90, 0.02))
-    w = window_for_frame(frames, 45, CFG)
-    assert w is not None
-    assert w.samples.shape == (CFG.window_samples,)
-    assert w.start_frame == 30   # half a second before frame 45 at 30 fps
-    assert speaking_probability(w, artifacts.speaking) < 0.5
+def test_window_centered_on_frame(artifacts):
+    # lip gap rising linearly in time, so a window's samples show its span
+    gaps = 0.02 + 0.001 * np.arange(90)
+    series = build_windows(mouth_session(gaps), CFG)
+    assert series.scored[45]
+    window = series.windows[45]
+    assert window.shape == (CFG.window_samples,)
+    # the second centered on frame 45 runs from frame 30 to frame 60 at 30 fps
+    assert window[0] == pytest.approx(gaps[30], abs=1e-12)
+    assert window[-1] == pytest.approx(gaps[60], abs=1e-12)
+    flat = build_windows(mouth_session(np.full(90, 0.02)), CFG)
+    assert artifacts.speaking.predict_proba(flat.windows[[45]])[0] < 0.5
     # unscorable frame inside a long face loss
     expr = np.ones(90, dtype=bool)
     expr[30:60] = False
     gappy = mouth_session(np.full(90, 0.02), face_expr=expr)
-    assert window_for_frame(gappy, 45, CFG) is None
+    assert not build_windows(gappy, CFG).scored[45]
 
 
 def test_probability_deterministic(artifacts):
-    w = np.full(30, 0.05)
-    assert speaking_probability(w, artifacts.speaking) == speaking_probability(w, artifacts.speaking)
+    w = np.full((1, 30), 0.05)
+    first = artifacts.speaking.predict_proba(w)
+    assert np.array_equal(first, artifacts.speaking.predict_proba(w))
 
 
 def test_flat_window_is_silent(artifacts):
     # constant lip distance, as in a silent segment
-    assert speaking_probability(np.full(30, 0.02), artifacts.speaking) < 0.5
+    assert artifacts.speaking.predict_proba(np.full((1, 30), 0.02))[0] < 0.5
 
 
 def test_oscillating_window_is_speech(artifacts):
     t = np.linspace(0, 1, 30)
     w = 0.055 + 0.035 * np.sin(2 * np.pi * 4.5 * t)
-    assert speaking_probability(w, artifacts.speaking) >= 0.5
+    assert artifacts.speaking.predict_proba(w[None, :])[0] >= 0.5
 
 
 def test_events_boundary_strictness():
