@@ -18,6 +18,7 @@ from typing import Optional
 from .config import PipelineConfig, config_from_mapping, load_config
 from .errors import AdwatchError, ConfigError, DataError, MissingArtifactError
 from .evaluation import (
+    AblationTable,
     per_session_mean,
     pooled_report,
     render_table,
@@ -280,11 +281,20 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     artifacts = ArtifactSet.load(args.artifacts)
     sessions = load_suite_sessions(args.suite_dir, split=args.split)
     args.output.mkdir(parents=True, exist_ok=True)
+    families = [
+        (name, variants)
+        for name, variants, choice in (
+            ("processing_steps", TABLE1_VARIANTS, "steps"),
+            ("distraction_signals", TABLE3_VARIANTS, "signals"),
+        )
+        if args.tables in (choice, "both")
+    ]
+    # one run over both families shares each session's detector outputs
+    rows = run_ablation(sessions, artifacts, [v for _, vs in families for v in vs], cfg).rows
     tables = {}
-    if args.tables in ("steps", "both"):
-        tables["processing_steps"] = run_ablation(sessions, artifacts, TABLE1_VARIANTS, cfg)
-    if args.tables in ("signals", "both"):
-        tables["distraction_signals"] = run_ablation(sessions, artifacts, TABLE3_VARIANTS, cfg)
+    for name, variants in families:
+        tables[name] = AblationTable(rows=rows[: len(variants)])
+        rows = rows[len(variants) :]
     doc = {name: tbl.to_dict() for name, tbl in tables.items()}
     (args.output / "ablation.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     rendered = []

@@ -63,6 +63,11 @@ class PipelineConfig:
     max_speaking_train_windows: int = 2000
     speaking_window_stride: int = 3
 
+    def __post_init__(self) -> None:
+        _validate(self)
+        for name in _TUPLE_FIELDS:
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+
 
 _FIELDS = {f.name for f in fields(PipelineConfig)}
 _TUPLE_FIELDS = {"default_desktop_screen_cm", "mobile_screen_cm", "orientation_face_band"}
@@ -73,19 +78,7 @@ def config_from_mapping(mapping: dict, base: Optional[PipelineConfig] = None) ->
     unknown = set(mapping) - _FIELDS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    coerced = {}
-    for key, value in mapping.items():
-        if key in _TUPLE_FIELDS:
-            if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(
-                _is_real(v) for v in value
-            ):
-                raise ConfigError(f"config key {key}: expected a pair of numbers, got {value!r}")
-            coerced[key] = tuple(float(v) for v in value)
-        else:
-            coerced[key] = value
-    cfg = replace(base, **coerced)
-    _validate(cfg)
-    return cfg
+    return replace(base, **mapping)
 
 
 def load_config(path: PathLike, base: Optional[PipelineConfig] = None) -> PipelineConfig:
@@ -163,9 +156,13 @@ _RANGES = {
 
 def _validate(cfg: PipelineConfig) -> None:
     for f in fields(PipelineConfig):
-        if f.name in _TUPLE_FIELDS:
-            continue            # pairs of finite numbers by config_from_mapping
         value = getattr(cfg, f.name)
+        if f.name in _TUPLE_FIELDS:
+            if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(
+                _is_real(v) for v in value
+            ):
+                raise ConfigError(f"{f.name} must be a pair of finite numbers, got {value!r}")
+            continue
         if f.type == "int":     # annotations are strings (postponed evaluation)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")

@@ -10,7 +10,6 @@ over half a second. Either signal marks the frame drowsy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,30 +25,15 @@ from .records import (
     MOUTH_UPPER_INNER,
     FrameArrays,
 )
-from .temporal import Event, distracting_mask, events_from_flags
+from .temporal import Event, distracting_mask
 
 _WIDTH_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class MouthAspect:
-    ratio: float
-    valid: bool
-
-
-def mouth_aspect_ratio(mouth_points: np.ndarray) -> MouthAspect:
-    """Mouth height over width; degenerate widths yield an invalid sample."""
+def mouth_aspect_series(mouth_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ratios, valid) of mouth height over width for (n, 4, 2) mouth points;
+    a degenerate width gives an invalid sample with ratio 0."""
     pts = np.asarray(mouth_points, dtype=np.float64)
-    height = float(np.linalg.norm(pts[MOUTH_UPPER_INNER] - pts[MOUTH_LOWER_INNER]))
-    width = float(np.linalg.norm(pts[MOUTH_LEFT_CORNER] - pts[MOUTH_RIGHT_CORNER]))
-    if width < _WIDTH_EPS:
-        return MouthAspect(ratio=0.0, valid=False)
-    return MouthAspect(ratio=height / width, valid=True)
-
-
-def mouth_aspect_series(frames: FrameArrays) -> tuple[np.ndarray, np.ndarray]:
-    """(ratios, valid) arrays for a whole session."""
-    pts = frames.mouth
     heights = np.linalg.norm(pts[:, MOUTH_UPPER_INNER] - pts[:, MOUTH_LOWER_INNER], axis=1)
     widths = np.linalg.norm(pts[:, MOUTH_LEFT_CORNER] - pts[:, MOUTH_RIGHT_CORNER], axis=1)
     valid = widths >= _WIDTH_EPS
@@ -70,16 +54,9 @@ def refined_eye_closure(
     return closure & au12 & au6
 
 
-def closure_events(
-    flags: np.ndarray, frame_rate_hz: float, min_event_s: float = PipelineConfig().closure_min_event_s
-) -> list[Event]:
-    """Maximal closure runs; distracting iff strictly longer than 2 s."""
-    return events_from_flags(flags, frame_rate_hz, min_event_s)
-
-
 def yawn_features(frames: FrameArrays) -> np.ndarray:
     """21-dim feature rows: mouth aspect ratio followed by the 20 AUs."""
-    ratios, _ = mouth_aspect_series(frames)
+    ratios, _ = mouth_aspect_series(frames.mouth)
     return np.concatenate([ratios[:, None], frames.aus], axis=1)
 
 

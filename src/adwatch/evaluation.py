@@ -154,18 +154,21 @@ def run_ablation(sessions, artifacts, variants, config) -> AblationTable:
     """Score identical sessions under each variant and tabulate per device.
 
     ``sessions`` is a list of (frames, truth, manifest) triples; an empty
-    variant list degrades to the full model alone.
+    variant list degrades to the full model alone. Each session keeps one
+    memo of detector outputs across all variants, so a detector runs once
+    per session for every setting of the switches it reads.
     """
     from .pipeline import FULL_VARIANT, score_session
 
     if not sessions:
         raise DataError("no sessions supplied to the ablation harness")
     variants = list(variants) or [FULL_VARIANT]
+    memos = [{} for _ in sessions]
     rows = []
     for variant in variants:
         per_device: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
-        for frames, truth, manifest in sessions:
-            scored = score_session(frames, manifest, artifacts, config, variant)
+        for (frames, truth, manifest), memo in zip(sessions, memos):
+            scored = score_session(frames, manifest, artifacts, config, variant, memo)
             pair = (~scored.timeline.attentive, ~truth.attentive)
             per_device.setdefault(manifest.device_type, []).append(pair)
         rows.append(

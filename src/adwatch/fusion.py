@@ -20,11 +20,11 @@ from typing import Optional
 
 import numpy as np
 
+from .config import PipelineConfig
 from .errors import DataError
-from .temporal import events_from_flags
+from .temporal import distracting_mask, events_from_flags
 
 SIGNAL_NAMES = ("gaze_eye", "gaze_head", "speaking", "drowsiness", "unattended")
-UNATTENDED_MIN_S = 1.0
 
 
 @dataclass
@@ -63,7 +63,7 @@ def unattended_signal(
     no_face_expr: np.ndarray,
     no_face_gaze: np.ndarray,
     frame_rate_hz: float,
-    min_duration_s: float = UNATTENDED_MIN_S,
+    min_duration_s: float = PipelineConfig().unattended_min_s,
 ) -> np.ndarray:
     """Frames inside runs where BOTH trackers lost the face for > 1 s."""
     no_face_expr = np.asarray(no_face_expr, dtype=bool)
@@ -71,12 +71,7 @@ def unattended_signal(
     if no_face_expr.shape != no_face_gaze.shape:
         raise DataError("tracker no-face flags have mismatched lengths")
     both = no_face_expr & no_face_gaze
-    events = events_from_flags(both, frame_rate_hz, min_duration_s)
-    out = np.zeros(both.shape, dtype=bool)
-    for ev in events:
-        if ev.distracting:
-            out[ev.start_frame : ev.end_frame + 1] = True
-    return out
+    return distracting_mask(events_from_flags(both, frame_rate_hz, min_duration_s), len(both))
 
 
 def fuse(

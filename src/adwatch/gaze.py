@@ -51,7 +51,6 @@ class SessionGazeStats:
     mean_eye_distance_cm: float
     mean_yaw_deg: float
     mean_face_center_x: float
-    mean_gaze_x_s: float
     valid_frame_count: int
 
 
@@ -79,15 +78,12 @@ def compute_session_stats(
     usable = toward & np.all(np.isfinite(points), axis=1)
     if not np.any(usable):
         raise SessionUntrackableError("no valid gaze ray meets the screen plane")
-    mean_x = float(np.mean(points[usable, 0]))
-    mean_y = float(np.mean(points[usable, 1]))
     return SessionGazeStats(
-        mean_x_s=mean_x,
-        mean_y_s=mean_y,
+        mean_x_s=float(np.mean(points[usable, 0])),
+        mean_y_s=float(np.mean(points[usable, 1])),
         mean_eye_distance_cm=float(np.mean(frames.pupil[valid, 2])),
         mean_yaw_deg=float(np.mean(frames.yaw[valid])),
         mean_face_center_x=float(np.mean(frames.face_center_x[valid])),
-        mean_gaze_x_s=mean_x,
         valid_frame_count=int(np.count_nonzero(valid)),
     )
 
@@ -129,7 +125,7 @@ def detect_orientation(stats: SessionGazeStats, config: PipelineConfig) -> Orien
     the mirror image.
     """
     votes = [
-        _vote_signed(-stats.mean_gaze_x_s, config.orientation_gaze_cm),
+        _vote_signed(-stats.mean_x_s, config.orientation_gaze_cm),
         _vote_band(stats.mean_face_center_x, config.orientation_face_band),
         _vote_signed(-stats.mean_yaw_deg, config.orientation_yaw_deg),
     ]

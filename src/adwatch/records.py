@@ -152,11 +152,22 @@ def validate_frames(frames: FrameArrays, rows: Sequence[int]) -> None:
         (fi <= prev_fi, lambda i: f"frame_index {fi[i]} not strictly increasing "
                                   f"(previous {prev_fi[i]})"),
     )
+    failure = first_failure(checks)
+    if failure is not None:
+        i, message = failure
+        raise SessionFormatError(f"row {rows[i]}: {message}")
+
+
+def first_failure(checks) -> Optional[tuple[int, str]]:
+    """The first index any check flags, with that check's message for it.
+
+    ``checks`` is a sequence of (bad mask, message(i)) pairs over the same
+    non-empty index range; at an index several checks flag, the earliest
+    pair in ``checks`` wins.
+    """
     first = None
     for bad, message in checks:
         i = int(np.argmax(bad))
         if bad[i] and (first is None or i < first[0]):
             first = (i, message)
-    if first is not None:
-        i, message = first
-        raise SessionFormatError(f"row {rows[i]}: {message(i)}")
+    return None if first is None else (first[0], first[1](first[0]))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError, SessionFormatError
 from .fusion import SIGNAL_NAMES, DistractionTimeline
-from .records import AU_NAMES, FrameArrays, SessionManifest, validate_frames
+from .records import AU_NAMES, FrameArrays, SessionManifest, first_failure, validate_frames
 
 PathLike = Union[str, Path]
 
@@ -214,61 +214,150 @@ def write_timeline(timeline: DistractionTimeline, path: PathLike) -> None:
             fh.write("\n")
 
 
+_MASK_LIMIT = 1 << len(SIGNAL_NAMES)
+_INT64 = np.iinfo(np.int64)
+
+
+def _json_type_is(values: list, kind: type) -> np.ndarray:
+    return np.fromiter(map(type, values), dtype=object, count=len(values)) == kind
+
+
+def _int_column(values: list, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(int64 column, is a JSON integer, is an integer in [lo, hi]) per value;
+    values that are not in range read as 0 in the column."""
+    objs = np.fromiter(values, dtype=object, count=len(values))
+    is_int = _json_type_is(values, int)
+    in_range = is_int.copy()
+    in_range[is_int] = (objs[is_int] >= lo) & (objs[is_int] <= hi)
+    return np.where(in_range, objs, 0).astype(np.int64), is_int, in_range
+
+
+def _target_column(targets: list, shared: dict) -> tuple[Optional[list], np.ndarray]:
+    """(the targets as float-pair tuples, per-row flags of targets that are
+    not a pair of numbers). The column is None if some target is bad.
+
+    Equal points share one tuple object, the one ``shared`` holds under the
+    points' float bits (so -0.0 keeps its own tuple): the annotations repeat
+    over whole segments, and a fresh tuple per frame costs about 160 bytes a
+    frame for as long as the timeline is loaded.
+    """
+    present = [tgt for tgt in targets if tgt is not None]
+    all_good = np.zeros(len(targets), dtype=bool)
+    if not present:
+        return [None] * len(targets), all_good
+    try:
+        points = np.array(present, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        points = None
+    if points is None or points.shape != (len(present), 2):
+        bad = [tgt is not None and not _has_shape(tgt, np.float64, (2,)) for tgt in targets]
+        return None, np.array(bad)
+    # a target holds over a whole segment: look up one tuple per run of equal bits
+    bits = points.view(np.int64)
+    starts = np.ones(len(bits), dtype=bool)
+    starts[1:] = np.any(bits[1:] != bits[:-1], axis=1)
+    runs = [
+        shared.setdefault(tuple(key), tuple(point))
+        for key, point in zip(bits[starts].tolist(), points[starts].tolist())
+    ]
+    column = iter([runs[k] for k in (np.cumsum(starts) - 1).tolist()])
+    return [None if tgt is None else next(column) for tgt in targets], all_good
+
+
+def _timeline_block(path: Path, rows: list[int], indices: list, masks: list, flags: list,
+                    targets: list, shared: dict):
+    """The frame_index, mask, attentive and target_cm columns of one block of
+    rows, checked column-wise.
+
+    DataError names the block's first bad row and, within it, the first
+    failed check below, as a row-by-row check in this order would.
+    """
+    index, _, index_ok = _int_column(indices, _INT64.min, _INT64.max)
+    mask, mask_int, mask_ok = _int_column(masks, 0, _MASK_LIMIT - 1)
+    flag_ok = _json_type_is(flags, bool)
+    attentive = np.array([flag is True for flag in flags])
+    target_cm, bad_target = _target_column(targets, shared)
+    failure = first_failure((
+        (~index_ok, lambda i: f"frame_index must be a 64-bit integer, got {json.dumps(indices[i])}"),
+        (~mask_int, lambda i: f"mask must be an integer, got {json.dumps(masks[i])}"),
+        (~flag_ok, lambda i: f"attentive must be a boolean, got {json.dumps(flags[i])}"),
+        (~mask_ok, lambda i: f"mask {masks[i]} out of range"),
+        (attentive != (mask == 0), lambda i: "attentive flag inconsistent with mask"),
+        (bad_target, lambda i: "target_cm must be null or a pair of numbers, "
+                               f"got {json.dumps(targets[i])}"),
+    ))
+    if failure is not None:
+        i, message = failure
+        raise DataError(f"timeline {path} row {rows[i]}: {message}")
+    return index, mask.astype(np.uint8), attentive, target_cm
+
+
 def read_timeline(path: PathLike) -> DistractionTimeline:
+    """Read a timeline file; a bad row raises DataError naming the first one.
+
+    Each row is parsed on its own, and every ``_LOAD_BLOCK_ROWS`` rows are
+    checked column-wise before more are read, so only one block's parsed
+    values are alive at once.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"timeline not found: {path}")
-    indices, masks, activities, targets = [], [], [], []
-    # the annotations repeat over whole segments, so equal values share one
-    # object (targets keyed by their floats' exact bits): a fresh string and
-    # tuple per frame cost about 160 bytes a frame for as long as it is loaded
+    rows, indices, masks, flags, targets = [], [], [], [], []
+    blocks, activities, target_cm = [], [], []
+    # annotations repeat over whole segments, so equal values share one object
     shared: dict = {}
     has_activity = False
-    has_targets = False
+    unparsed = None
+
+    def flush():
+        *columns, block_targets = _timeline_block(
+            path, rows, indices, masks, flags, targets, shared
+        )
+        blocks.append(columns)
+        target_cm.extend(block_targets)
+        for values in (rows, indices, masks, flags, targets):
+            values.clear()
+
     with open(path, "r", encoding="utf-8") as fh:
         for row, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if line.isspace():
                 continue
             try:
                 obj = json.loads(line)
-                idx = int(obj["frame_index"])
-                mask = int(obj["mask"])
-                attentive = bool(obj["attentive"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"timeline {path} row {row}: {exc}") from exc
-            if not 0 <= mask < (1 << len(SIGNAL_NAMES)):
-                raise DataError(f"timeline {path} row {row}: mask {mask} out of range")
-            if attentive != (mask == 0):
-                raise DataError(
-                    f"timeline {path} row {row}: attentive flag inconsistent with mask"
-                )
-            indices.append(idx)
-            masks.append(mask)
+                fields = (obj["frame_index"], obj["mask"], obj["attentive"])
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                unparsed = (row, exc)
+                break
+            rows.append(row)
+            indices.append(fields[0])
+            masks.append(fields[1])
+            flags.append(fields[2])
             if "activity" in obj:
                 has_activity = True
             activity = obj.get("activity")
             if isinstance(activity, str):
                 activity = shared.setdefault(activity, activity)
             activities.append(activity)
-            tgt = obj.get("target_cm")
-            if tgt is not None:
-                has_targets = True
-                point = (float(tgt[0]), float(tgt[1]))
-                targets.append(shared.setdefault((point[0].hex(), point[1].hex()), point))
-            else:
-                targets.append(None)
-    if not indices:
+            targets.append(obj.get("target_cm"))
+            if len(rows) == _LOAD_BLOCK_ROWS:
+                flush()
+    if rows:
+        # the rows before an unparsable one are checked first: one may be bad
+        flush()
+    if unparsed is not None:
+        row, exc = unparsed
+        raise DataError(f"timeline {path} row {row}: {exc}") from exc
+    if not blocks:
         raise DataError(f"empty timeline: {path}")
-    mask_arr = np.array(masks, dtype=np.uint8)
-    signals = np.zeros((len(masks), len(SIGNAL_NAMES)), dtype=bool)
+    index, mask, attentive = (np.concatenate(column) for column in zip(*blocks))
+    signals = np.zeros((len(mask), len(SIGNAL_NAMES)), dtype=bool)
     for b in range(len(SIGNAL_NAMES)):
-        signals[:, b] = (mask_arr >> b) & 1
+        signals[:, b] = (mask >> b) & 1
     return DistractionTimeline(
         signals=signals,
-        attentive=mask_arr == 0,
-        mask=mask_arr,
-        frame_index=np.array(indices, dtype=np.int64),
+        attentive=attentive,
+        mask=mask,
+        frame_index=index,
         activity=activities if has_activity else None,
-        target_cm=targets if has_targets else None,
+        target_cm=target_cm if any(tgt is not None for tgt in target_cm) else None,
     )

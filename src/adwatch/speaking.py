@@ -18,7 +18,7 @@ from .cnn import TemporalCnn
 from .config import PipelineConfig
 from .errors import DataError, MissingArtifactError
 from .records import MOUTH_LOWER_INNER, MOUTH_UPPER_INNER, FrameArrays
-from .temporal import Event, events_from_flags, find_runs
+from .temporal import find_runs
 
 
 def lip_distance(mouth_points: np.ndarray) -> np.ndarray:
@@ -115,13 +115,6 @@ def speaking_flags(frames: FrameArrays, net: TemporalCnn, config: PipelineConfig
         nearest = np.where(dl <= dr, scored_idx[left], scored_idx[right])
         flags[unscored] = flags[nearest]
     return flags
-
-
-def speaking_events(
-    flags: np.ndarray, frame_rate_hz: float, min_event_s: float = PipelineConfig().speaking_min_event_s
-) -> list[Event]:
-    """Maximal speaking runs; distracting iff strictly longer than 1 s."""
-    return events_from_flags(flags, frame_rate_hz, min_event_s)
 
 
 def assemble_training_windows(

@@ -6,8 +6,11 @@ compares every positive/negative pair directly. The boosting oracles
 re-sort every node's rows instead of partitioning a presorted order and
 walk each tree node by node instead of looking it up in a compiled table,
 and the convolution oracles build im2col columns from a sliding-window
-view.
+view. The timeline oracle reads and checks one row at a time instead of
+checking whole columns.
 """
+
+import json
 
 import numpy as np
 
@@ -247,3 +250,55 @@ def window_conv_input_grad(dz, w):
     cols = _window_cols(dz_pad, K).reshape(B * li, O * K)
     wmat = w[:, :, ::-1].transpose(1, 0, 2).reshape(C, O * K)
     return (cols @ wmat.T).reshape(B, li, C).transpose(0, 2, 1)
+
+
+def read_timeline_rows(path):
+    """Timeline columns (frame_index, mask, attentive, activity, target_cm),
+    each row checked before the next is read; DataError names the bad row."""
+    from adwatch.errors import DataError
+
+    index, mask, attentive, activity, target = [], [], [], [], []
+    has_activity = False
+    with open(path, encoding="utf-8") as fh:
+        for row, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+
+            def bad(message):
+                return DataError(f"timeline {path} row {row}: {message}")
+
+            try:
+                obj = json.loads(line)
+                fi, m, a = obj["frame_index"], obj["mask"], obj["attentive"]
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise bad(exc)
+            if type(fi) is not int or not -(2**63) <= fi < 2**63:
+                raise bad(f"frame_index must be a 64-bit integer, got {json.dumps(fi)}")
+            if type(m) is not int:
+                raise bad(f"mask must be an integer, got {json.dumps(m)}")
+            if type(a) is not bool:
+                raise bad(f"attentive must be a boolean, got {json.dumps(a)}")
+            if not 0 <= m < 32:
+                raise bad(f"mask {m} out of range")
+            if a != (m == 0):
+                raise bad("attentive flag inconsistent with mask")
+            tgt = obj.get("target_cm")
+            if tgt is not None:
+                try:
+                    point = np.asarray(tgt, dtype=np.float64)
+                except (TypeError, ValueError, OverflowError):
+                    point = None
+                if point is None or point.shape != (2,):
+                    raise bad(f"target_cm must be null or a pair of numbers, got {json.dumps(tgt)}")
+                tgt = (float(point[0]), float(point[1]))
+            has_activity = has_activity or "activity" in obj
+            index.append(fi)
+            mask.append(m)
+            attentive.append(a)
+            activity.append(obj.get("activity"))
+            target.append(tgt)
+    if not index:
+        raise DataError(f"empty timeline: {path}")
+    has_target = any(t is not None for t in target)
+    return (index, mask, attentive, activity if has_activity else None,
+            target if has_target else None)

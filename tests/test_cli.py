@@ -266,3 +266,15 @@ def test_ablate_renders_tables(trained, tmp_path):
     assert "+ unattended screen (all)" in text
     doc = json.loads((out / "ablation.json").read_text())
     assert "processing_steps" in doc and "distraction_signals" in doc
+
+
+def test_ablate_single_family_matches_its_slice_of_both(trained, tmp_path):
+    _, suite, art, cfg = trained
+    docs = {}
+    for tables in ("both", "steps", "signals"):
+        out = tmp_path / tables
+        assert main(["ablate", "--suite-dir", str(suite), "--artifacts", str(art),
+                     "--config", str(cfg), "--tables", tables, "--output", str(out)]) == 0
+        docs[tables] = json.loads((out / "ablation.json").read_text())
+    assert docs["steps"] == {"processing_steps": docs["both"]["processing_steps"]}
+    assert docs["signals"] == {"distraction_signals": docs["both"]["distraction_signals"]}

@@ -136,3 +136,24 @@ def test_round_trip_through_dict():
     cfg = config_from_mapping({"margin_cm": 3.0})
     again = config_from_mapping(config_to_dict(cfg))
     assert again == cfg
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("speaking_threshold", 7),
+        ("quality_gate", -3.0),
+        ("window_samples", 5.5),
+        ("mobile_screen_cm", ("a", 1)),
+    ],
+)
+def test_constructor_validates(key, value):
+    # configs built in code are checked like those read from files
+    with pytest.raises(ConfigError, match=key):
+        PipelineConfig(**{key: value})
+
+
+def test_constructor_stores_pairs_as_float_tuples():
+    cfg = PipelineConfig(mobile_screen_cm=[15, 7])
+    assert cfg.mobile_screen_cm == (15.0, 7.0)
+    assert all(type(v) is float for v in cfg.mobile_screen_cm)

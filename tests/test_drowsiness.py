@@ -3,9 +3,8 @@ import pytest
 
 from adwatch.config import PipelineConfig
 from adwatch.drowsiness import (
-    closure_events,
     drowsiness_signal,
-    mouth_aspect_ratio,
+    mouth_aspect_series,
     refined_eye_closure,
     smooth_flags,
     yawn_features,
@@ -57,46 +56,52 @@ def test_no_flagged_frame_has_high_au12():
 def test_blink_not_distracting():
     flags = np.zeros(300, dtype=bool)
     flags[10:19] = True   # 0.3 s at 30 fps
-    events = closure_events(flags, 30.0)
+    events = events_from_flags(flags, 30.0, CFG.closure_min_event_s)
     assert len(events) == 1 and not events[0].distracting
 
 
 def test_long_closure_distracting():
     flags = np.zeros(300, dtype=bool)
     flags[10:85] = True   # 2.5 s
-    events = closure_events(flags, 30.0)
+    events = events_from_flags(flags, 30.0, CFG.closure_min_event_s)
     assert events[0].distracting
 
 
 def test_alternating_frames_never_distract():
     flags = np.zeros(100, dtype=bool)
     flags[::2] = True
-    events = closure_events(flags, 30.0)
+    events = events_from_flags(flags, 30.0, CFG.closure_min_event_s)
     assert all(not ev.distracting for ev in events)
 
 
 def test_extending_a_run_keeps_it_distracting():
     flags = np.zeros(300, dtype=bool)
     flags[0:70] = True
-    assert closure_events(flags, 30.0)[0].distracting
+    assert events_from_flags(flags, 30.0, CFG.closure_min_event_s)[0].distracting
     flags[0:90] = True
-    assert closure_events(flags, 30.0)[0].distracting
+    assert events_from_flags(flags, 30.0, CFG.closure_min_event_s)[0].distracting
+
+
+def mar(points):
+    """Ratio and validity of one frame's mouth points."""
+    ratios, valid = mouth_aspect_series(np.asarray(points)[None])
+    return ratios[0], valid[0]
 
 
 def test_mar_examples():
     square = np.array([[0.0, 0.2], [0.0, -0.2], [-0.2, 0.0], [0.2, 0.0]])
-    assert mouth_aspect_ratio(square).ratio == pytest.approx(1.0)
     closed = np.array([[0.0, 0.0], [0.0, 0.0], [-0.2, 0.0], [0.2, 0.0]])
-    assert mouth_aspect_ratio(closed).ratio == pytest.approx(0.0)
     half = np.array([[0.0, 0.1], [0.0, -0.1], [-0.2, 0.0], [0.2, 0.0]])
-    assert mouth_aspect_ratio(half).ratio == pytest.approx(0.5)
+    ratios, valid = mouth_aspect_series(np.stack([square, closed, half]))
+    assert ratios == pytest.approx([1.0, 0.0, 0.5])
+    assert valid.all()
 
 
 def test_mar_degenerate_width_invalid():
     pts = np.array([[0.0, 0.1], [0.0, -0.1], [0.0, 0.0], [0.0, 0.0]])
-    aspect = mouth_aspect_ratio(pts)
-    assert not aspect.valid
-    assert np.isfinite(aspect.ratio)
+    ratio, valid = mar(pts)
+    assert not valid
+    assert ratio == 0.0
 
 
 def test_mar_scale_invariant():
@@ -105,13 +110,23 @@ def test_mar_scale_invariant():
         pts = rng.uniform(-0.3, 0.3, (4, 2))
         scale = rng.uniform(0.1, 5.0)
         center = rng.uniform(-2, 2, 2)
-        scaled = (pts - center) * scale + center * scale  # uniform scaling about origin-shifted center
-        assert mouth_aspect_ratio(pts * scale).ratio == pytest.approx(
-            mouth_aspect_ratio(pts).ratio, abs=1e-12
-        )
-        assert mouth_aspect_ratio((pts - center) * scale + center).ratio == pytest.approx(
-            mouth_aspect_ratio(pts).ratio, abs=1e-12
-        )
+        ratio, _ = mar(pts)
+        assert mar(pts * scale)[0] == pytest.approx(ratio, abs=1e-12)
+        assert mar((pts - center) * scale + center)[0] == pytest.approx(ratio, abs=1e-12)
+
+
+def test_mar_series_matches_per_frame():
+    rng = np.random.default_rng(2)
+    pts = rng.uniform(-0.3, 0.3, (40, 4, 2))
+    pts[5, 3] = pts[5, 2]                 # one degenerate width among valid frames
+    ratios, valid = mouth_aspect_series(pts)
+    assert valid.tolist() == [i != 5 for i in range(40)]
+    assert ratios[5] == 0.0
+    for i in range(len(pts)):
+        if i != 5:
+            height = np.hypot(*(pts[i, 0] - pts[i, 1]))
+            width = np.hypot(*(pts[i, 2] - pts[i, 3]))
+            assert ratios[i] == pytest.approx(height / width, rel=1e-12)
 
 
 def test_yawn_probability_dimensionality(artifacts):

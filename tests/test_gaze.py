@@ -51,7 +51,7 @@ def frames_with_targets(targets, z=60.0, quality=0.9, face_gaze=True):
 def make_stats(**overrides):
     base = dict(
         mean_x_s=0.0, mean_y_s=0.0, mean_eye_distance_cm=60.0,
-        mean_yaw_deg=0.0, mean_face_center_x=0.5, mean_gaze_x_s=0.0,
+        mean_yaw_deg=0.0, mean_face_center_x=0.5,
         valid_frame_count=100,
     )
     base.update(overrides)
@@ -66,7 +66,6 @@ def test_stats_constant_stream():
     frames = frames_with_targets([(3.0, -2.0)] * 10)
     stats = compute_session_stats(frames)
     assert (stats.mean_x_s, stats.mean_y_s) == pytest.approx((3.0, -2.0))
-    assert stats.mean_gaze_x_s == pytest.approx(3.0)
     assert stats.mean_eye_distance_cm == pytest.approx(60.0)
 
 
@@ -210,12 +209,12 @@ def test_orientation_unanimous_centered():
 
 def test_orientation_majority():
     # gaze and face vote clockwise, yaw votes centered
-    stats = make_stats(mean_gaze_x_s=-7.0, mean_face_center_x=0.2, mean_yaw_deg=0.0)
+    stats = make_stats(mean_x_s=-7.0, mean_face_center_x=0.2, mean_yaw_deg=0.0)
     assert detect_orientation(stats, CFG) is Orientation.CLOCKWISE
 
 
 def test_orientation_tie_resolves_centered():
-    stats = make_stats(mean_gaze_x_s=-7.0, mean_face_center_x=0.8, mean_yaw_deg=0.0)
+    stats = make_stats(mean_x_s=-7.0, mean_face_center_x=0.8, mean_yaw_deg=0.0)
     assert detect_orientation(stats, CFG) is Orientation.CENTERED
 
 

@@ -1,13 +1,18 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from adwatch import pipeline
 from adwatch.errors import MissingArtifactError
 from adwatch.pipeline import (
+    TABLE1_VARIANTS,
+    TABLE3_VARIANTS,
     ArtifactSet,
     PipelineVariant,
     score_session,
 )
-from adwatch.evaluation import frame_metrics
+from adwatch.evaluation import frame_metrics, run_ablation
 from adwatch.records import SessionManifest
 from adwatch.synth import ScenarioScript, Segment, generate
 
@@ -76,3 +81,45 @@ def test_screen_override_is_used(artifacts, config):
 def test_artifact_set_load_missing_names_files(tmp_path):
     with pytest.raises(MissingArtifactError, match="gaze_regressors.json"):
         ArtifactSet.load(tmp_path)
+
+
+ABLATE_ORDER = TABLE1_VARIANTS + TABLE3_VARIANTS
+
+
+def test_shared_memo_matches_memo_free_scoring(heldout_sessions, artifacts, config):
+    for frames, _, manifest in heldout_sessions:
+        memo = {}
+        for variant in ABLATE_ORDER:
+            shared = score_session(frames, manifest, artifacts, config, variant, memo)
+            alone = score_session(frames, manifest, artifacts, config, variant)
+            assert shared.timeline == alone.timeline, variant.name
+            assert shared.orientation is alone.orientation, variant.name
+            assert shared.screen == alone.screen, variant.name
+            assert shared.stats == alone.stats, variant.name
+        stored = [v for out in memo.values() for v in (out if isinstance(out, tuple) else (out,))]
+        arrays = [v for v in stored if isinstance(v, np.ndarray)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
+
+
+def test_ablation_runs_each_detector_once_per_session(
+    heldout_sessions, artifacts, config, monkeypatch
+):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("score_session", "speaking_flags", "yawn_flags", "fine_tune"):
+        monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+    sessions = heldout_sessions
+    table = run_ablation(sessions, artifacts, ABLATE_ORDER, config)
+    assert [row.variant for row in table.rows] == [v.name for v in ABLATE_ORDER]
+    assert calls["score_session"] == len(ABLATE_ORDER) * len(sessions)
+    assert calls["speaking_flags"] == len(sessions)
+    assert calls["yawn_flags"] == len(sessions)
+    # one eye-gaze run per distinct fine-tuned step setting: full, w/o normalization,
+    # w/o screen size detection
+    assert calls["fine_tune"] == 3 * len(sessions)

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from adwatch.session_io import (
     write_manifest,
     write_timeline,
 )
+from oracles import read_timeline_rows
 
 
 def make_frames(n, **overrides):
@@ -332,3 +334,145 @@ def test_timeline_annotations_share_equal_values_exactly(tmp_path):
     assert loaded.activity[0] is loaded.activity[4]
     assert loaded.target_cm[0] is loaded.target_cm[1] is loaded.target_cm[4]
     assert np.signbit(loaded.target_cm[2][0]) and not np.signbit(loaded.target_cm[0][0])
+
+
+GOOD_ROW = '{"frame_index":%d,"attentive":false,"mask":4,"sources":["speaking"],"target_cm":[1.0,2.0]}'
+BAD_ROWS = {
+    "mask out of range": ('{"frame_index":%d,"attentive":false,"mask":32}', "mask 32 out of range"),
+    "negative mask": ('{"frame_index":%d,"attentive":false,"mask":-1}', "mask -1 out of range"),
+    "inconsistent": ('{"frame_index":%d,"attentive":true,"mask":4}',
+                     "attentive flag inconsistent with mask"),
+    "mask not an integer": ('{"frame_index":%d,"attentive":false,"mask":4.0}',
+                            "mask must be an integer, got 4.0"),
+    "index not an integer": ('{"frame_index":"%d","attentive":false,"mask":4}',
+                             "frame_index must be a 64-bit integer"),
+    "index past int64": ('{"frame_index":1%d0000000000000000000,"attentive":false,"mask":4}',
+                         "frame_index must be a 64-bit integer"),
+    "attentive not a boolean": ('{"frame_index":%d,"attentive":0,"mask":4}',
+                                "attentive must be a boolean, got 0"),
+    "missing key": ('{"frame_index":%d,"mask":4}', "'attentive'"),
+    # several faults in one row: the first check in row-by-row order names it
+    "mistyped and out of range": ('{"frame_index":%d,"attentive":0,"mask":99}',
+                                  "attentive must be a boolean, got 0"),
+    "all fields mistyped": ('{"frame_index":[%d],"attentive":"x","mask":1.5}',
+                            "frame_index must be a 64-bit integer, got ["),
+    "invalid JSON": ('{"frame_index":%d,', "Expecting property name"),
+    "bad target": ('{"frame_index":%d,"attentive":false,"mask":4,"target_cm":[1.0]}',
+                   "target_cm must be null or a pair of numbers, got [1.0]"),
+    "nested target": ('{"frame_index":%d,"attentive":false,"mask":4,"target_cm":[[1.0,2.0]]}',
+                      "target_cm must be null or a pair of numbers"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_ROWS))
+@pytest.mark.parametrize("position", [0, 4, 9])
+def test_timeline_bad_row_named(tmp_path, kind, position):
+    bad, message = BAD_ROWS[kind]
+    lines = [(bad if i == position else GOOD_ROW) % i for i in range(10)]
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"row {position + 1}: .*{re.escape(message)}"):
+        read_timeline(path)
+
+
+def test_timeline_first_bad_row_wins(tmp_path):
+    lines = [GOOD_ROW % i for i in range(10)]
+    lines[3] = BAD_ROWS["inconsistent"][0] % 3
+    lines[6] = BAD_ROWS["mask out of range"][0] % 6
+    lines[8] = "not json"
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="row 4: attentive flag inconsistent"):
+        read_timeline(path)
+    # within one row, the checks keep their row-by-row order
+    lines[3] = '{"frame_index":"3","attentive":0,"mask":99}'
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="row 4: frame_index must be"):
+        read_timeline(path)
+    lines[3] = GOOD_ROW % 3
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="row 7: mask 32 out of range"):
+        read_timeline(path)
+
+
+def test_timeline_rows_count_blank_lines(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text(GOOD_ROW % 0 + "\n\n" + BAD_ROWS["inconsistent"][0] % 1 + "\n")
+    with pytest.raises(DataError, match="row 3: attentive flag inconsistent"):
+        read_timeline(path)
+
+
+def test_timeline_bad_target_before_bad_mask_is_named(tmp_path):
+    lines = [GOOD_ROW % i for i in range(6)]
+    lines[1] = BAD_ROWS["bad target"][0] % 1
+    lines[4] = BAD_ROWS["mask out of range"][0] % 4
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="row 2: target_cm must be null or a pair"):
+        read_timeline(path)
+
+
+_GOOD_ROW_TEMPLATES = (
+    '{"frame_index":%d,"attentive":true,"mask":0,"sources":[]}',
+    '{"frame_index":%d,"attentive":false,"mask":17,"sources":[],"activity":"leave",'
+    '"target_cm":null}',
+    '{"frame_index":%d,"attentive":false,"mask":4,"activity":"speak","target_cm":[-0.0,2]}',
+    '{"frame_index":%d,"attentive":true,"mask":0,"activity":"dot","target_cm":[0.0,2.0]}',
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kinds=st.lists(
+        st.one_of(
+            st.sampled_from(range(len(_GOOD_ROW_TEMPLATES))),
+            st.sampled_from(sorted(BAD_ROWS)),
+            st.just("blank"),
+        ),
+        min_size=1, max_size=30,
+    )
+)
+def test_timeline_reader_matches_row_by_row_oracle(kinds):
+    lines = []
+    for i, kind in enumerate(kinds):
+        if kind == "blank":
+            lines.append("")
+        elif isinstance(kind, int):
+            lines.append(_GOOD_ROW_TEMPLATES[kind] % i)
+        else:
+            lines.append(BAD_ROWS[kind][0] % i)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            expected = read_timeline_rows(path)
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                read_timeline(path)
+            assert str(got.value) == str(exc)
+            return
+        tl = read_timeline(path)
+    index, mask, attentive, activity, target = expected
+    assert tl.frame_index.tolist() == index
+    assert tl.mask.tolist() == mask
+    assert tl.attentive.tolist() == attentive
+    assert tl.activity == activity
+    assert (tl.target_cm is None) == (target is None)
+    if target is not None:
+        assert [None if t is None else tuple(map(float.hex, t)) for t in tl.target_cm] == [
+            None if t is None else tuple(map(float.hex, t)) for t in target
+        ]
+
+
+def test_timeline_checks_and_sharing_span_blocks(tmp_path):
+    lines = [GOOD_ROW % i for i in range(600)]      # longer than one checked block
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    loaded = read_timeline(path)
+    assert loaded.frame_index.tolist() == list(range(600))
+    assert loaded.target_cm[0] is loaded.target_cm[599]
+    lines[519] = BAD_ROWS["mask out of range"][0] % 519
+    lines[299] = BAD_ROWS["inconsistent"][0] % 299
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="row 300: attentive flag inconsistent"):
+        read_timeline(path)

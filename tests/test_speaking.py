@@ -7,10 +7,10 @@ from adwatch.records import FrameArrays
 from adwatch.speaking import (
     build_windows,
     lip_distance,
-    speaking_events,
     speaking_flags,
 )
 from adwatch.synth import ScenarioScript, Segment, generate
+from adwatch.temporal import events_from_flags
 
 CFG = PipelineConfig()
 
@@ -156,18 +156,18 @@ def test_oscillating_window_is_speech(artifacts):
 def test_events_boundary_strictness():
     flags = np.zeros(200, dtype=bool)
     flags[0:27] = True     # 0.9 s at 30 fps
-    events = speaking_events(flags, 30.0)
+    events = events_from_flags(flags, 30.0, CFG.speaking_min_event_s)
     assert len(events) == 1 and not events[0].distracting
     flags[0:45] = True     # 1.5 s
-    events = speaking_events(flags, 30.0)
+    events = events_from_flags(flags, 30.0, CFG.speaking_min_event_s)
     assert events[0].distracting
-    assert speaking_events(np.zeros(10, dtype=bool), 30.0) == []
+    assert events_from_flags(np.zeros(10, dtype=bool), 30.0, CFG.speaking_min_event_s) == []
 
 
 def test_event_decomposition_partition():
     rng = np.random.default_rng(3)
     flags = rng.uniform(size=500) < 0.3
-    events = speaking_events(flags, 30.0)
+    events = events_from_flags(flags, 30.0, CFG.speaking_min_event_s)
     total = sum(ev.n_frames for ev in events)
     assert total == int(np.count_nonzero(flags))
 
