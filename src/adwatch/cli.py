@@ -57,8 +57,17 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None, help="JSON config file")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override one config value (repeatable; wins over --config)")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel sessions")
     parser.add_argument("--output", type=Path, required=True, help="output directory")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,6 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="score only this device type")
     p.add_argument("--split", choices=["train", "held_out", "all"], default="all",
                    help="suite split to score")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="sessions scored in parallel worker processes")
 
     p = sub.add_parser("evaluate", help="compare scored timelines against ground truth",
                        formatter_class=fmt)

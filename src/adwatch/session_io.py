@@ -3,7 +3,9 @@
 Formats are line-delimited JSON (frames, timelines) or a single JSON
 document (manifests). Each frame field maps to one ``FrameArrays`` column
 (``_FRAME_SCHEMA``); see FORMATS.md for the full schemas. Numbers are emitted with ``repr``
-round-tripping semantics, so write-then-read is the identity.
+round-tripping semantics, so write-then-read is the identity. The JSONL
+writers fill row templates with text rendered a block of rows at a time and
+write the bytes ``json.dumps(row, separators=(",", ":"))`` would.
 """
 
 from __future__ import annotations
@@ -44,19 +46,67 @@ _FRAME_SCHEMA = (
     ("face_center_x", "face_center_x", np.float64, (), None),
 )
 _JSON_TYPE_NAMES = {int: "an integer", bool: "a boolean"}
-_LOAD_BLOCK_ROWS = 256
+# rows per block, for reading and writing alike: only one block's parsed
+# objects or rendered text is alive at once
+_BLOCK_ROWS = 256
+
+# json's spelling of the non-finite floats and of booleans
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_BOOL_TEXT = {False: "false", True: "true"}
+
+
+def _json_texts(values: np.ndarray) -> list[str]:
+    """The JSON text of every value, flattened in row-major order."""
+    kind = values.dtype.kind
+    if kind == "b":
+        return list(map(_BOOL_TEXT.__getitem__, values.ravel().tolist()))
+    if kind in "iu":
+        return list(map(int.__repr__, values.ravel().tolist()))
+    values = np.asarray(values, dtype=np.float64)
+    texts = list(map(float.__repr__, values.ravel().tolist()))
+    if not np.isfinite(values).all():
+        texts = [_NON_FINITE.get(text, text) for text in texts]
+    return texts
+
+
+def _row_texts(texts: list[str], shape: tuple) -> list[str]:
+    """Join the flat texts of a block of values of one ``shape`` into one
+    text per row, innermost axis first: shape (4, 2) gives "a,b],[c,d],[e,f],[g,h"
+    for a row template's "[[%s]]"."""
+    for depth, size in enumerate(reversed(shape)):
+        separator = "]" * depth + "," + "[" * depth
+        texts = list(map(separator.join, zip(*[iter(texts)] * size)))
+    return texts
+
+
+_FRAME_ROW = "{" + ",".join(
+    json.dumps(field) + ":" + "[" * len(shape) + "%s" + "]" * len(shape)
+    for field, _, _, shape, _ in _FRAME_SCHEMA
+) + "}\n"
 
 
 def write_frames(frames: FrameArrays, path: PathLike) -> None:
+    """One JSON object per frame, in ``_FRAME_SCHEMA`` order (FORMATS.md).
+
+    Each block of ``_BLOCK_ROWS`` frames is rendered column by column and
+    written with one ``writelines``.
+    """
+    n = len(frames)
+    columns = []
+    for _, column, _, shape, _ in _FRAME_SCHEMA:
+        values = np.asarray(getattr(frames, column))
+        if values.shape != (n, *shape):
+            raise DataError(f"frame column {column} has shape {values.shape}, expected {(n, *shape)}")
+        columns.append((values, shape))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    names = [field for field, *_ in _FRAME_SCHEMA]
-    columns = [getattr(frames, column).tolist() for _, column, *_ in _FRAME_SCHEMA]
-    encode = json.JSONEncoder(separators=(",", ":")).encode
     with open(path, "w", encoding="utf-8") as fh:
-        for values in zip(*columns):
-            fh.write(encode(dict(zip(names, values))))
-            fh.write("\n")
+        for start in range(0, n, _BLOCK_ROWS):
+            block = [
+                _row_texts(_json_texts(values[start:start + _BLOCK_ROWS]), shape)
+                for values, shape in columns
+            ]
+            fh.writelines([_FRAME_ROW % row for row in zip(*block)])
 
 
 def _has_shape(value, dtype, shape: tuple) -> bool:
@@ -92,7 +142,7 @@ def _frame_column(objs: list, rows: list[int], field: str, dtype, shape: tuple, 
 def load_frames(path: PathLike) -> FrameArrays:
     """Read a frame file straight into columns; rows are validated, never clamped.
 
-    Rows are parsed and converted ``_LOAD_BLOCK_ROWS`` at a time, so only
+    Rows are parsed and converted ``_BLOCK_ROWS`` at a time, so only
     one block's parsed JSON (about 2.5 kB of small objects a row) is alive
     at once: whole-file parsing leaves enough scattered interpreter memory
     behind to raise the peak of a later ``adwatch train`` in the same
@@ -122,7 +172,7 @@ def load_frames(path: PathLike) -> FrameArrays:
             except json.JSONDecodeError as exc:
                 raise SessionFormatError(f"row {row}: invalid JSON ({exc.msg})") from exc
             rows.append(row)
-            if len(objs) == _LOAD_BLOCK_ROWS:
+            if len(objs) == _BLOCK_ROWS:
                 flush()
     if objs:
         flush()
@@ -191,30 +241,119 @@ def load_manifest(path: PathLike) -> SessionManifest:
 # timelines
 # ---------------------------------------------------------------------------
 
+_MASK_LIMIT = 1 << len(SIGNAL_NAMES)
+# what a timeline row holds after frame_index, by mask
+_TIMELINE_TAILS = tuple(
+    ',"attentive":%s,"mask":%d,"sources":%s' % (
+        _BOOL_TEXT[mask == 0],
+        mask,
+        json.dumps([name for b, name in enumerate(SIGNAL_NAMES) if mask >> b & 1],
+                   separators=(",", ":")),
+    )
+    for mask in range(_MASK_LIMIT)
+)
+
+
+def _check_timeline(timeline: DistractionTimeline, path: Path) -> None:
+    """DataError unless the columns have one row per frame, each mask is
+    the bit-packing of its row of signals and ``attentive == (mask == 0)``;
+    the error names the first bad row."""
+    n = len(timeline)
+    signals = np.asarray(timeline.signals)
+    lengths = {
+        "frame_index": len(timeline.frame_index),
+        "mask": len(timeline.mask),
+        "activity": n if timeline.activity is None else len(timeline.activity),
+        "target_cm": n if timeline.target_cm is None else len(timeline.target_cm),
+    }
+    if signals.shape != (n, len(SIGNAL_NAMES)) or set(lengths.values()) != {n}:
+        raise DataError(
+            f"timeline {path}: columns of mismatched shapes "
+            f"(attentive {n}, signals {signals.shape}, {lengths})"
+        )
+    mask = np.asarray(timeline.mask)
+    packed = np.packbits(signals.astype(bool), axis=1, bitorder="little")[:, 0]
+    failure = first_failure((
+        (mask != packed, lambda i: f"mask {mask[i]} is not the bit-packing of signals "
+                                   f"{signals[i].astype(int).tolist()}"),
+        (np.asarray(timeline.attentive) != (mask == 0),
+         lambda i: "attentive flag inconsistent with mask"),
+    ))
+    if failure is not None:
+        i, message = failure
+        raise DataError(f"timeline {path} row {i + 1}: {message}")
+
+
+def _activity_texts(activity: list, encoded: dict) -> list[str]:
+    """The JSON text of each activity; each distinct string is encoded
+    once, into ``encoded``."""
+    texts = []
+    for value in activity:
+        if type(value) is str:
+            if value not in encoded:
+                encoded[value] = json.dumps(value)
+            texts.append(encoded[value])
+        else:  # null, or any other JSON value a reader kept as it found it
+            texts.append(json.dumps(value, separators=(",", ":")))
+    return texts
+
+
+def _target_points(targets: list, path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """(the target_cm column as float pairs, which rows have one); a row
+    without a target reads (0.0, 0.0)."""
+    present = np.array([target is not None for target in targets])
+    try:
+        points = np.array([(0.0, 0.0) if t is None else t for t in targets], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        points = None
+    if points is None or points.shape != (len(targets), 2):
+        row, target = next((i, t) for i, t in enumerate(targets)
+                           if t is not None and not _has_shape(t, np.float64, (2,)))
+        raise DataError(f"timeline {path} row {row + 1}: target_cm must be null "
+                        f"or a pair of numbers, got {target!r}")
+    return points, present
+
+
 def write_timeline(timeline: DistractionTimeline, path: PathLike) -> None:
-    """One line per frame: index, attentive flag, signal mask, active names."""
+    """One line per frame: index, attentive flag, signal mask, active names,
+    and the generator's activity and target_cm where the timeline has them.
+
+    A timeline whose mask, signals and attentive flags disagree is refused
+    with DataError before anything is written. Rows are rendered and
+    written ``_BLOCK_ROWS`` at a time, as ``write_frames`` does.
+    """
     if len(timeline) == 0:
         raise DataError("refusing to write a 0-length timeline")
     path = Path(path)
+    _check_timeline(timeline, path)
+    row = '{"frame_index":%s%s'
+    if timeline.activity is not None:
+        row += ',"activity":%s'
+    if timeline.target_cm is not None:
+        row += ',"target_cm":%s'
+    row += "}\n"
+    index = np.asarray(timeline.frame_index).astype(np.int64, copy=False)
+    mask = np.asarray(timeline.mask)
+    if timeline.target_cm is not None:
+        points, present = _target_points(timeline.target_cm, path)
+    encoded: dict = {}
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        for i in range(len(timeline)):
-            row = {
-                "frame_index": int(timeline.frame_index[i]),
-                "attentive": bool(timeline.attentive[i]),
-                "mask": int(timeline.mask[i]),
-                "sources": timeline.active_names(i),
-            }
+        for start in range(0, len(timeline), _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            block = [
+                _json_texts(index[start:stop]),
+                list(map(_TIMELINE_TAILS.__getitem__, mask[start:stop].tolist())),
+            ]
             if timeline.activity is not None:
-                row["activity"] = timeline.activity[i]
+                block.append(_activity_texts(timeline.activity[start:stop], encoded))
             if timeline.target_cm is not None:
-                tgt = timeline.target_cm[i]
-                row["target_cm"] = list(tgt) if tgt is not None else None
-            fh.write(json.dumps(row, separators=(",", ":")))
-            fh.write("\n")
+                pairs = _row_texts(_json_texts(points[start:stop]), (2,))
+                block.append(["[" + pair + "]" if has else "null"
+                              for pair, has in zip(pairs, present[start:stop].tolist())])
+            fh.writelines([row % texts for texts in zip(*block)])
 
 
-_MASK_LIMIT = 1 << len(SIGNAL_NAMES)
 _INT64 = np.iinfo(np.int64)
 
 
@@ -295,7 +434,7 @@ def _timeline_block(path: Path, rows: list[int], indices: list, masks: list, fla
 def read_timeline(path: PathLike) -> DistractionTimeline:
     """Read a timeline file; a bad row raises DataError naming the first one.
 
-    Each row is parsed on its own, and every ``_LOAD_BLOCK_ROWS`` rows are
+    Each row is parsed on its own, and every ``_BLOCK_ROWS`` rows are
     checked column-wise before more are read, so only one block's parsed
     values are alive at once.
     """
@@ -339,7 +478,7 @@ def read_timeline(path: PathLike) -> DistractionTimeline:
                 activity = shared.setdefault(activity, activity)
             activities.append(activity)
             targets.append(obj.get("target_cm"))
-            if len(rows) == _LOAD_BLOCK_ROWS:
+            if len(rows) == _BLOCK_ROWS:
                 flush()
     if rows:
         # the rows before an unparsable one are checked first: one may be bad

@@ -188,20 +188,31 @@ def train_speaking_cnn(
 def yawn_training_set(
     sessions: list[Session], config: PipelineConfig, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    feats, labels = [], []
+    """(features, labels) of a uniform subsample of the tracked frames.
+
+    The subsample is drawn over the tracked frames of all sessions in order,
+    and only its rows are gathered from each session, so the features of
+    every tracked frame are never held at once.
+    """
+    tracked = []
     for frames, truth, _ in sessions:
         if truth.activity is None:
             raise DataError("yawn training needs generator activity labels")
-        tracked = frames.face_expr
-        feats.append(yawn_features(frames)[tracked])
-        labels.append(
-            np.array([a == "yawn_active" for a in truth.activity], dtype=np.float64)[tracked]
-        )
-    X = np.concatenate(feats)
-    y = np.concatenate(labels)
+        tracked.append(np.flatnonzero(frames.face_expr))
     # uniform subsampling keeps the natural class imbalance
-    idx = _subsample(np.random.default_rng(seed), len(X), config.max_yawn_train_rows)
-    return X[idx], y[idx]
+    offsets = np.cumsum([0] + [len(rows) for rows in tracked])
+    idx = _subsample(np.random.default_rng(seed), int(offsets[-1]), config.max_yawn_train_rows)
+    bounds = np.searchsorted(idx, offsets)
+    feats, labels = [], []
+    for (frames, truth, _), rows, offset, lo, hi in zip(
+        sessions, tracked, offsets, bounds[:-1], bounds[1:]
+    ):
+        picked = rows[idx[lo:hi] - offset]
+        feats.append(yawn_features(frames)[picked])
+        labels.append(
+            np.array([truth.activity[i] == "yawn_active" for i in picked.tolist()], dtype=np.float64)
+        )
+    return np.concatenate(feats), np.concatenate(labels)
 
 
 def train_yawn_classifier(

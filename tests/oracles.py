@@ -7,7 +7,10 @@ re-sort every node's rows instead of partitioning a presorted order and
 walk each tree node by node instead of looking it up in a compiled table,
 and the convolution oracles build im2col columns from a sliding-window
 view. The timeline oracle reads and checks one row at a time instead of
-checking whole columns.
+checking whole columns. The writer oracles encode each row as a dict with
+the stdlib JSON encoder instead of filling a row template, and the yawn
+training-set oracle concatenates every tracked frame's features before it
+subsamples them.
 """
 
 import json
@@ -302,3 +305,56 @@ def read_timeline_rows(path):
     has_target = any(t is not None for t in target)
     return (index, mask, attentive, activity if has_activity else None,
             target if has_target else None)
+
+
+# ---------------------------------------------------------------------------
+# JSONL writers: one dict per row through the stdlib JSON encoder
+# ---------------------------------------------------------------------------
+
+def json_write_frames(frames, path):
+    from adwatch.session_io import _FRAME_SCHEMA
+
+    names = [field for field, *_ in _FRAME_SCHEMA]
+    columns = [getattr(frames, column).tolist() for _, column, *_ in _FRAME_SCHEMA]
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    with open(path, "w", encoding="utf-8") as fh:
+        for values in zip(*columns):
+            fh.write(encode(dict(zip(names, values))))
+            fh.write("\n")
+
+
+def json_write_timeline(timeline, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(len(timeline)):
+            row = {
+                "frame_index": int(timeline.frame_index[i]),
+                "attentive": bool(timeline.attentive[i]),
+                "mask": int(timeline.mask[i]),
+                "sources": timeline.active_names(i),
+            }
+            if timeline.activity is not None:
+                row["activity"] = timeline.activity[i]
+            if timeline.target_cm is not None:
+                tgt = timeline.target_cm[i]
+                row["target_cm"] = list(tgt) if tgt is not None else None
+            fh.write(json.dumps(row, separators=(",", ":")))
+            fh.write("\n")
+
+
+def concatenating_yawn_training_set(sessions, config, seed=0):
+    """(X, y) of the yawn classifier, from all tracked frames' features
+    concatenated and then subsampled."""
+    from adwatch.drowsiness import yawn_features
+    from adwatch.training import _subsample
+
+    feats, labels = [], []
+    for frames, truth, _ in sessions:
+        tracked = frames.face_expr
+        feats.append(yawn_features(frames)[tracked])
+        labels.append(
+            np.array([a == "yawn_active" for a in truth.activity], dtype=np.float64)[tracked]
+        )
+    X = np.concatenate(feats)
+    y = np.concatenate(labels)
+    idx = _subsample(np.random.default_rng(seed), len(X), config.max_yawn_train_rows)
+    return X[idx], y[idx]

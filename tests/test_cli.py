@@ -255,6 +255,19 @@ def test_score_with_parallel_jobs_matches_serial(trained, tmp_path):
     assert tree_bytes(serial) == tree_bytes(parallel)
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["simulate", "--jobs", "2"], id="simulate_has_no_jobs"),
+    pytest.param(["score", "--artifacts", "a", "--jobs", "0"], id="score_jobs_0"),
+    pytest.param(["score", "--artifacts", "a", "--jobs", "-3"], id="score_jobs_negative"),
+])
+def test_jobs_is_a_positive_score_flag(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--output", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_ablate_renders_tables(trained, tmp_path):
     _, suite, art, cfg = trained
     out = tmp_path / "abl"

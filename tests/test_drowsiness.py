@@ -11,8 +11,11 @@ from adwatch.drowsiness import (
     yawn_probability,
 )
 from adwatch.errors import DataError, MissingArtifactError
+from adwatch.artifacts import data_hash
 from adwatch.records import AU_INDEX
 from adwatch.temporal import events_from_flags
+from adwatch.training import yawn_training_set
+from oracles import concatenating_yawn_training_set
 
 CFG = PipelineConfig()
 
@@ -184,3 +187,16 @@ def test_yawn_features_shape(artifacts, heldout_sessions):
     frames = heldout_sessions[0][0]
     feats = yawn_features(frames)
     assert feats.shape == (len(frames), 21)
+
+
+@pytest.mark.parametrize("cap", [CFG.max_yawn_train_rows, 10**6], ids=["subsampled", "all_rows"])
+def test_yawn_training_set_matches_concatenating_oracle(train_sessions, cap):
+    # drawing the subsample before gathering features keeps the rows and their order
+    config = PipelineConfig(max_yawn_train_rows=cap)
+    X, y = yawn_training_set(train_sessions, config, seed=7)
+    X_ref, y_ref = concatenating_yawn_training_set(train_sessions, config, seed=7)
+    np.testing.assert_array_equal(X, X_ref, strict=True)
+    np.testing.assert_array_equal(y, y_ref, strict=True)
+    assert data_hash(X, y) == data_hash(X_ref, y_ref)
+    tracked = sum(int(np.count_nonzero(f.face_expr)) for f, _, _ in train_sessions)
+    assert len(X) == min(cap, tracked) and tracked > CFG.max_yawn_train_rows

@@ -13,6 +13,7 @@ from adwatch.errors import DataError, SessionFormatError
 from adwatch.fusion import SIGNAL_NAMES, DistractionTimeline, fuse
 from adwatch.records import AU_NAMES, FrameArrays, SessionManifest
 from adwatch.session_io import (
+    _FRAME_SCHEMA,
     load_frames,
     load_manifest,
     load_session,
@@ -21,7 +22,7 @@ from adwatch.session_io import (
     write_manifest,
     write_timeline,
 )
-from oracles import read_timeline_rows
+from oracles import json_write_frames, json_write_timeline, read_timeline_rows
 
 
 def make_frames(n, **overrides):
@@ -476,3 +477,158 @@ def test_timeline_checks_and_sharing_span_blocks(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match="row 300: attentive flag inconsistent"):
         read_timeline(path)
+
+
+# ---------------------------------------------------------------------------
+# the template writers write what the stdlib JSON encoder writes
+# ---------------------------------------------------------------------------
+
+_SPECIAL_FLOATS = (np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308)
+_INT64_EXTREMES = (-(2**63), -1, 0, 2**63 - 1)
+# around one writer block of 256 rows, and several blocks
+_WRITER_LENGTHS = (1, 255, 256, 257, 600)
+
+
+def assert_written_like_oracle(write, oracle, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, expected = Path(tmp) / "got.jsonl", Path(tmp) / "expected.jsonl"
+        write(value, got)
+        oracle(value, expected)
+        assert got.read_bytes() == expected.read_bytes()
+
+
+@st.composite
+def any_frames(draw):
+    """Frame columns of the schema's dtypes holding any values, valid or not."""
+    n = draw(st.sampled_from(_WRITER_LENGTHS))
+
+    def floats(*shape):
+        return draw(hnp.arrays(np.float64, (n, *shape),
+                               elements=st.floats() | st.sampled_from(_SPECIAL_FLOATS),
+                               fill=st.sampled_from(_SPECIAL_FLOATS)))
+
+    return FrameArrays(
+        frame_index=draw(hnp.arrays(np.int64, n, elements=st.integers(-(2**63), 2**63 - 1),
+                                    fill=st.sampled_from(_INT64_EXTREMES))),
+        timestamp_ms=floats(),
+        pupil=floats(3),
+        direction=floats(3),
+        quality=floats(),
+        yaw=floats(),
+        pitch=floats(),
+        roll=floats(),
+        mouth=floats(4, 2),
+        aus=floats(len(AU_NAMES)),
+        eye_closure=floats(),
+        face_expr=draw(hnp.arrays(np.bool_, n)),
+        face_gaze=draw(hnp.arrays(np.bool_, n)),
+        face_center_x=floats(),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(frames=any_frames())
+def test_write_frames_matches_json_encoder_property(frames):
+    assert_written_like_oracle(write_frames, json_write_frames, frames)
+
+
+@pytest.mark.parametrize("n", _WRITER_LENGTHS)
+def test_write_frames_special_values_in_every_field(n):
+    # every float field holds every special value somewhere, shifted per field
+    columns = {}
+    for k, (_, column, dtype, shape, _) in enumerate(_FRAME_SCHEMA):
+        size = n * int(np.prod(shape, dtype=int))
+        if dtype is np.int64:
+            values = np.resize(np.array(_INT64_EXTREMES, dtype=np.int64), size)
+        elif dtype is np.bool_:
+            values = np.arange(size) % 2 == 0
+        else:
+            values = np.roll(np.resize(np.array(_SPECIAL_FLOATS + (0.1, -2.5e-7)), size), k)
+        columns[column] = values.reshape(n, *shape)
+    assert_written_like_oracle(write_frames, json_write_frames, FrameArrays(**columns))
+
+
+def test_write_frames_other_numeric_dtypes_match_json_encoder():
+    frames = make_frames(
+        300,
+        frame_index=np.arange(300, dtype=np.int32),
+        quality=np.linspace(0.0, 1.0, 300, dtype=np.float32),
+        yaw=np.arange(300, dtype=np.int16),
+    )
+    assert_written_like_oracle(write_frames, json_write_frames, frames)
+
+
+def test_write_frames_rejects_misshapen_column(tmp_path):
+    frames = make_frames(4, pupil=np.zeros((4, 2)))
+    with pytest.raises(DataError, match=r"pupil has shape \(4, 2\), expected \(4, 3\)"):
+        write_frames(frames, tmp_path / "f.jsonl")
+
+
+_ACTIVITIES = ("dot", 'say "hi"', "back\\slash", "caf\u00e9", "line\nbreak", "speak")
+_TARGETS = ((-0.0, 0.0), (0.0, 0.0), (0.0, -0.0), (np.nan, np.inf), (-np.inf, 5e-324))
+
+
+@st.composite
+def any_timelines(draw):
+    n = draw(st.sampled_from(_WRITER_LENGTHS))
+    signals = draw(hnp.arrays(np.bool_, (n, len(SIGNAL_NAMES))))
+    timeline = fuse(*signals.T, frame_index=draw(hnp.arrays(
+        np.int64, n, elements=st.integers(-(2**63), 2**63 - 1),
+        fill=st.sampled_from(_INT64_EXTREMES))))
+    if draw(st.booleans()):
+        choices = st.sampled_from(_ACTIVITIES) | st.text() | st.none()
+        timeline.activity = draw(st.lists(choices, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        choices = (st.none() | st.sampled_from(_TARGETS)
+                   | st.tuples(st.floats(), st.floats()))
+        # segments repeat one target over many rows
+        runs = draw(st.lists(st.tuples(choices, st.integers(1, 300)), min_size=1))
+        targets = [target for target, length in runs for _ in range(length)]
+        timeline.target_cm = (targets * n)[:n]
+    return timeline
+
+
+@settings(max_examples=60, deadline=None)
+@given(timeline=any_timelines())
+def test_write_timeline_matches_json_encoder_property(timeline):
+    assert_written_like_oracle(write_timeline, json_write_timeline, timeline)
+
+
+@pytest.mark.parametrize("targets", [None, [None] * 5, list(_TARGETS)],
+                         ids=["no_targets", "all_null", "signed_zeros_and_non_finite"])
+@pytest.mark.parametrize("activity", [None, list(_ACTIVITIES[1:])], ids=["no_activity", "escapes"])
+def test_write_timeline_annotations_match_json_encoder(activity, targets):
+    signals = np.eye(5, dtype=bool)
+    tl = fuse(*signals.T)
+    tl.activity, tl.target_cm = activity, targets
+    assert_written_like_oracle(write_timeline, json_write_timeline, tl)
+
+
+def test_write_timeline_refuses_mask_that_is_not_the_signals(tmp_path):
+    tl = random_timeline(np.random.default_rng(3), 300)
+    tl.mask = tl.mask.copy()
+    row = int(np.flatnonzero(tl.mask == 0)[-1])
+    tl.mask[row] = 4            # no signal is set on this row
+    tl.attentive[row] = False   # attentive still agrees with the mask
+    path = tmp_path / "t.jsonl"
+    with pytest.raises(DataError, match=f"row {row + 1}: mask 4 is not the bit-packing"):
+        write_timeline(tl, path)
+    assert not path.exists()
+
+
+def test_write_timeline_refuses_attentive_inconsistent_with_mask(tmp_path):
+    tl = random_timeline(np.random.default_rng(4), 300)
+    tl.attentive[270] = not tl.attentive[270]
+    path = tmp_path / "t.jsonl"
+    with pytest.raises(DataError, match="row 271: attentive flag inconsistent with mask"):
+        write_timeline(tl, path)
+    assert not path.exists()
+
+
+def test_write_timeline_refuses_annotations_of_another_length(tmp_path):
+    tl = fuse(*[np.zeros(300, dtype=bool)] * 5)
+    tl.activity = ["dot"] * 299
+    path = tmp_path / "t.jsonl"
+    with pytest.raises(DataError, match="columns of mismatched shapes"):
+        write_timeline(tl, path)
+    assert not path.exists()
