@@ -11,7 +11,7 @@ import numpy as np
 from adwatch.config import PipelineConfig
 from adwatch.evaluation import frame_metrics
 from adwatch.fusion import SIGNAL_NAMES, session_summary
-from adwatch.pipeline import ArtifactSet, score_session
+from adwatch.pipeline import ArtifactSet, SessionDetectors, score_session
 from adwatch.records import SessionManifest
 from adwatch.synth import ScenarioScript, Segment, SuiteConfig, build_suite_scripts, generate
 from adwatch.training import train_gaze_regressors, train_speaking_cnn, train_yawn_classifier
@@ -55,7 +55,7 @@ script = ScenarioScript(seed=99, device_type="desktop", duration_s=33.8,
 frames, truth = generate(script)
 manifest = SessionManifest("demo", "desktop", 30.0, "f")
 
-scored = score_session(frames, manifest, artifacts, config)
+scored = score_session(SessionDetectors(frames, manifest, artifacts, config))
 timeline = scored.timeline
 
 print(f"\nscreen estimate: {scored.screen.width_cm:.1f} x {scored.screen.height_cm:.1f} cm")

@@ -37,9 +37,9 @@ from .gaze import (
     gaze_on_screen,
     normalize_gaze,
 )
-from .geometry import PlaneIntersection, RayStatus, ScreenPoint, intersect_gaze
+from .geometry import intersect_gaze_batch
 from .head import HeadPoseStats, compute_head_stats, head_off_screen, select_gaze_source
-from .pipeline import ArtifactSet, PipelineVariant, score_session
+from .pipeline import ArtifactSet, PipelineVariant, SessionDetectors, score_session
 from .records import AU_NAMES, FrameArrays, SessionManifest
 from .session_io import (
     load_frames,

@@ -29,6 +29,7 @@ from .pipeline import (
     TABLE1_VARIANTS,
     TABLE3_VARIANTS,
     ArtifactSet,
+    SessionDetectors,
     score_session,
 )
 from .session_io import (
@@ -204,7 +205,7 @@ def _score_one(task):
         return None
     artifacts = ArtifactSet.load(artifact_dir)
     frames = load_session(manifest, Path(manifest_path).parent)
-    scored = score_session(frames, manifest, artifacts, cfg)
+    scored = score_session(SessionDetectors(frames, manifest, artifacts, cfg))
     out_dir.mkdir(parents=True, exist_ok=True)
     write_timeline(scored.timeline, out_dir / f"{manifest.session_id}.timeline.jsonl")
     summary = session_summary(scored.timeline, manifest.frame_rate_hz)

@@ -64,15 +64,11 @@ def yawn_probability(features: np.ndarray, model: Optional[BoostedEnsemble]) -> 
     if model is None:
         raise MissingArtifactError("yawn classifier is not loaded")
     features = np.asarray(features, dtype=np.float64)
-    single = features.ndim == 1
-    if single:
-        features = features[None, :]
-    if features.shape[1] != model.n_features:
+    if features.ndim != 2 or features.shape[1] != model.n_features:
         raise DataError(
-            f"yawn features must be {model.n_features}-dimensional, got {features.shape[1]}"
+            f"yawn features must be (n, {model.n_features}) rows, got shape {features.shape}"
         )
-    probs = model.predict(features)
-    return float(probs[0]) if single else probs
+    return model.predict(features)
 
 
 def smooth_flags(flags: np.ndarray, frame_rate_hz: float, span_s: float) -> np.ndarray:

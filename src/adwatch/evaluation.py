@@ -154,29 +154,30 @@ def run_ablation(sessions, artifacts, variants, config) -> AblationTable:
     """Score identical sessions under each variant and tabulate per device.
 
     ``sessions`` is a list of (frames, truth, manifest) triples; an empty
-    variant list degrades to the full model alone. Each session keeps one
-    memo of detector outputs across all variants, so a detector runs once
-    per session for every setting of the switches it reads.
+    variant list degrades to the full model alone. Each session is scored
+    under every variant through one ``SessionDetectors``, so a detector step
+    runs once per session for every setting of the switches it reads, and
+    only one session's steps are held at a time.
     """
-    from .pipeline import FULL_VARIANT, score_session
+    from .pipeline import FULL_VARIANT, SessionDetectors, score_session
 
     if not sessions:
         raise DataError("no sessions supplied to the ablation harness")
     variants = list(variants) or [FULL_VARIANT]
-    memos = [{} for _ in sessions]
-    rows = []
-    for variant in variants:
-        per_device: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
-        for (frames, truth, manifest), memo in zip(sessions, memos):
-            scored = score_session(frames, manifest, artifacts, config, variant, memo)
+    per_variant: list[dict[str, list[tuple[np.ndarray, np.ndarray]]]] = [{} for _ in variants]
+    for frames, truth, manifest in sessions:
+        session = SessionDetectors(frames, manifest, artifacts, config)
+        for variant, per_device in zip(variants, per_variant):
+            scored = score_session(session, variant)
             pair = (~scored.timeline.attentive, ~truth.attentive)
             per_device.setdefault(manifest.device_type, []).append(pair)
-        rows.append(
-            AblationRow(
-                variant=variant.name,
-                by_device={d: pooled_report(pairs) for d, pairs in sorted(per_device.items())},
-            )
+    rows = [
+        AblationRow(
+            variant=variant.name,
+            by_device={d: pooled_report(pairs) for d, pairs in sorted(per_device.items())},
         )
+        for variant, per_device in zip(variants, per_variant)
+    ]
     return AblationTable(rows=rows)
 
 

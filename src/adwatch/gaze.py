@@ -97,7 +97,7 @@ def normalize_gaze(points: np.ndarray, stats: SessionGazeStats) -> np.ndarray:
 def fine_tune(
     points: np.ndarray, models: Optional[dict[str, BoostedEnsemble]]
 ) -> np.ndarray:
-    """Apply the trained per-axis correction to normalized points.
+    """Apply the trained per-axis correction to (n, 2) normalized points.
 
     The regressors predict the residual between the true on-screen location
     and the measured one; the corrected point is input plus predicted
@@ -108,13 +108,9 @@ def fine_tune(
     if models is None or "x" not in models or "y" not in models:
         raise MissingArtifactError("gaze fine-tuning regressors are not loaded")
     points = np.asarray(points, dtype=np.float64)
-    single = points.ndim == 1
-    if single:
-        points = points[None, :]
     dx = models["x"].predict(points)
     dy = models["y"].predict(points)
-    out = points + np.stack([dx, dy], axis=1)
-    return out[0] if single else out
+    return points + np.stack([dx, dy], axis=1)
 
 
 def detect_orientation(stats: SessionGazeStats, config: PipelineConfig) -> Orientation:
@@ -196,16 +192,12 @@ def estimate_screen(
 
 
 def gaze_on_screen(points: np.ndarray, toward: np.ndarray, geom: ScreenGeometry) -> np.ndarray:
-    """True where the corrected point lies inside the rectangle plus margin;
-    rays that do not meet the plane in front of the viewer are off-screen."""
+    """True where the corrected (n, 2) point lies inside the rectangle plus
+    margin; rays that do not meet the plane in front of the viewer are
+    off-screen."""
     points = np.asarray(points, dtype=np.float64)
-    single = points.ndim == 1
-    if single:
-        points = points[None, :]
-        toward = np.asarray([toward])
     half_w = geom.width_cm / 2 + geom.margin_cm
     half_h = geom.height_cm / 2 + geom.margin_cm
     with np.errstate(invalid="ignore"):
         inside = (np.abs(points[:, 0]) <= half_w) & (np.abs(points[:, 1]) <= half_h)
-    result = inside & np.asarray(toward, dtype=bool)
-    return bool(result[0]) if single else result
+    return inside & np.asarray(toward, dtype=bool)

@@ -9,66 +9,19 @@ reported as such instead of producing an exploding t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
 
 # |z_d| / ||D|| below this counts as parallel to the plane.
 PARALLEL_EPS = 1e-6
 
 
-class RayStatus(Enum):
-    TOWARD_PLANE = "toward_plane"
-    AWAY_FROM_PLANE = "away_from_plane"
-    PARALLEL = "parallel"
-
-
-@dataclass(frozen=True)
-class ScreenPoint:
-    x_s: float
-    y_s: float
-
-
-@dataclass(frozen=True)
-class PlaneIntersection:
-    point: ScreenPoint
-    t: float
-    status: RayStatus
-
-
-def intersect_gaze(pupil, direction) -> PlaneIntersection:
-    """Intersect one gaze ray with the screen plane.
-
-    ``pupil`` must have z > 0 (participant in front of the camera plane) and
-    ``direction`` must be nonzero; direction need not be unit length, and the
-    returned point and status are invariant under positive scaling of it.
-    """
-    pupil = np.asarray(pupil, dtype=np.float64)
-    direction = np.asarray(direction, dtype=np.float64)
-    norm = float(np.linalg.norm(direction))
-    if norm == 0.0:
-        raise ValueError("gaze direction is the zero vector")
-    if pupil[2] <= 0.0:
-        raise ValueError(f"pupil z must be > 0, got {pupil[2]}")
-    if abs(direction[2]) / norm < PARALLEL_EPS:
-        return PlaneIntersection(
-            point=ScreenPoint(np.nan, np.nan), t=np.nan, status=RayStatus.PARALLEL
-        )
-    t = -pupil[2] / direction[2]
-    point = ScreenPoint(
-        x_s=float(pupil[0] + direction[0] * t),
-        y_s=float(pupil[1] + direction[1] * t),
-    )
-    status = RayStatus.TOWARD_PLANE if t > 0 else RayStatus.AWAY_FROM_PLANE
-    return PlaneIntersection(point=point, t=float(t), status=status)
-
-
 def intersect_gaze_batch(pupils: np.ndarray, directions: np.ndarray):
-    """Vectorized intersection for (n, 3) arrays.
+    """Intersect (n, 3) pupil positions and gaze directions with the plane.
 
     Returns (points (n, 2), t (n,), toward (n,), parallel (n,)). Points and t
-    are NaN where the ray is parallel. Zero directions are rejected.
+    are NaN where the ray is parallel. Zero directions are rejected; the
+    others need not be unit length, and the points and flags are invariant
+    under positive scaling of them.
     """
     pupils = np.asarray(pupils, dtype=np.float64)
     directions = np.asarray(directions, dtype=np.float64)

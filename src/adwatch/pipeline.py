@@ -1,19 +1,20 @@
 """End-to-end per-session scoring.
 
-Runs five detectors over one session and fuses their signals: the eye gaze
-(gaze stats, orientation and screen geometry, the per-frame eye-vs-head
+Five detectors run over one session and their signals are fused: the eye
+gaze (gaze stats, orientation and screen geometry, the per-frame eye-vs-head
 source switch), the head gaze, speaking, drowsiness and unattended screen.
 A ``PipelineVariant`` switches individual processing steps or signals off,
 which is how the ablation harness removes one step at a time while
-everything else stays identical; a per-session memo of detector outputs
-lets it compute each output once for all the variants that share it.
+everything else stays identical; variants scored through one
+``SessionDetectors`` share every step they have in common.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -128,166 +129,164 @@ class ScoredSession:
     stats: Optional[SessionGazeStats] = None
 
 
-class _EyeGaze(NamedTuple):
-    """The eye-gaze detector's signal plus the session facts it decided on."""
+def _step(method):
+    """Run ``method`` once per setting of its arguments, the switches it reads.
 
-    signal: np.ndarray                  # (n,) bool, off-screen by the eye path
-    eye_path: np.ndarray                # (n,) bool, frames the eye path scores
-    stats: Optional[SessionGazeStats]   # None when the gaze stream is untrackable
-    orientation: Orientation
-    screen: Optional[ScreenGeometry]
-
-
-def _eye_gaze(
-    frames: FrameArrays,
-    manifest: SessionManifest,
-    artifacts: ArtifactSet,
-    config: PipelineConfig,
-    normalize: bool,
-    tune: bool,
-    size_detection: bool,
-) -> _EyeGaze:
-    n = len(frames)
-    signal = np.zeros(n, dtype=bool)
-    try:
-        stats = compute_session_stats(frames, config.quality_floor)
-    except SessionUntrackableError:
-        return _EyeGaze(signal, np.zeros(n, dtype=bool), None, Orientation.CENTERED, None)
-    orientation = Orientation.CENTERED
-    if manifest.device_type == "mobile":
-        orientation = detect_orientation(stats, config)
-    screen = estimate_screen(
-        stats,
-        manifest.device_type,
-        config,
-        orientation=orientation,
-        override_cm=manifest.screen_override_cm,
-        use_size_detection=size_detection,
-    )
-    eye_path = select_gaze_source(frames.quality, frames.face_gaze, config.quality_gate)
-    # below the stats floor the ray is too unreliable even for the eye path
-    eye_path &= valid_gaze_mask(frames, config.quality_floor)
-    if np.any(eye_path):
-        points, _, toward, _ = intersect_gaze_batch(
-            frames.pupil[eye_path], frames.direction[eye_path]
-        )
-        finite = np.all(np.isfinite(points), axis=1)
-        pts = points.copy()
-        if normalize:
-            pts[finite] = normalize_gaze(pts[finite], stats)
-        if tune:
-            pair = artifacts.gaze_pair(manifest.device_type)
-            pts[finite] = fine_tune(pts[finite], pair)
-        on = gaze_on_screen(pts, toward, screen)
-        signal[eye_path] = ~on
-    return _EyeGaze(signal, eye_path, stats, orientation, screen)
-
-
-def _head_gaze(frames: FrameArrays, eye_path: np.ndarray, config: PipelineConfig) -> np.ndarray:
-    """Off-screen head pose on the tracked frames the eye path leaves over."""
-    signal = np.zeros(len(frames), dtype=bool)
-    try:
-        head_stats = compute_head_stats(frames)
-    except SessionUntrackableError:
-        return signal
-    head_candidates = frames.face_expr & ~eye_path
-    if np.any(head_candidates):
-        signal[head_candidates] = head_off_screen(
-            frames.yaw[head_candidates], frames.pitch[head_candidates], head_stats, config
-        )
-    return signal
-
-
-def _speaking(
-    frames: FrameArrays, net: Optional[TemporalCnn], config: PipelineConfig, fps: float
-) -> np.ndarray:
-    flags = speaking_flags(frames, net, config)
-    events = events_from_flags(flags, fps, config.speaking_min_event_s)
-    return distracting_mask(events, len(frames))
-
-
-def _drowsiness(
-    frames: FrameArrays, yawn_model: Optional[BoostedEnsemble], config: PipelineConfig, fps: float
-) -> np.ndarray:
-    closure = refined_eye_closure(frames.eye_closure, frames.aus, config) & frames.face_expr
-    events = events_from_flags(closure, fps, config.closure_min_event_s)
-    yawns = yawn_flags(frames, yawn_model, config, fps)
-    return drowsiness_signal(events, yawns, len(frames))
-
-
-def _unattended(frames: FrameArrays, config: PipelineConfig, fps: float) -> np.ndarray:
-    return unattended_signal(~frames.face_expr, ~frames.face_gaze, fps, config.unattended_min_s)
-
-
-def _memoised(memo: Optional[dict], key: tuple, detect: Callable[[], Any]) -> Any:
-    """``detect()``, computed once per ``key`` when a memo is given.
-
-    Stored arrays are made read-only: every variant that reads them gets the
+    Cached arrays are made read-only: every variant that reads them gets the
     same objects, so a write through one would change the others' results.
     """
-    if memo is None:
-        return detect()
-    if key not in memo:
-        out = detect()
-        for value in out if isinstance(out, tuple) else (out,):
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-        memo[key] = out
-    return memo[key]
+    @functools.wraps(method)
+    def cached(self, *switches):
+        key = (method.__name__, *switches)
+        if key not in self._cache:
+            out = method(self, *switches)
+            for value in out if isinstance(out, tuple) else (out,):
+                if isinstance(value, np.ndarray):
+                    value.flags.writeable = False
+            self._cache[key] = out
+        return self._cache[key]
+    return cached
+
+
+@dataclass(eq=False)
+class SessionDetectors:
+    """One session's detector steps, each computed once for every setting of
+    exactly the ``PipelineVariant`` switches it reads, which are its arguments.
+    The session facts (``stats``, ``orientation``, ``eye_path``, ``eye_rays``)
+    read none; the orientation, screen and corrected points need a trackable
+    gaze stream, one whose ``stats()`` is not None."""
+
+    frames: FrameArrays
+    manifest: SessionManifest
+    artifacts: ArtifactSet
+    config: PipelineConfig
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    @_step
+    def stats(self) -> Optional[SessionGazeStats]:
+        """The session gaze stats; None when the gaze stream is untrackable."""
+        try:
+            return compute_session_stats(self.frames, self.config.quality_floor)
+        except SessionUntrackableError:
+            return None
+
+    @_step
+    def orientation(self) -> Orientation:
+        if self.manifest.device_type != "mobile":
+            return Orientation.CENTERED
+        return detect_orientation(self.stats(), self.config)
+
+    @_step
+    def eye_path(self) -> np.ndarray:
+        """Frames the eye gaze scores: none when the gaze stream is untrackable."""
+        frames, config = self.frames, self.config
+        if self.stats() is None:
+            return np.zeros(len(frames), dtype=bool)
+        path = select_gaze_source(frames.quality, frames.face_gaze, config.quality_gate)
+        # below the stats floor the ray is too unreliable even for the eye path
+        return path & valid_gaze_mask(frames, config.quality_floor)
+
+    @_step
+    def eye_rays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(points, toward, finite) where the eye path's rays meet the screen plane."""
+        path = self.eye_path()
+        points, _, toward, _ = intersect_gaze_batch(
+            self.frames.pupil[path], self.frames.direction[path]
+        )
+        return points, toward, np.all(np.isfinite(points), axis=1)
+
+    @_step
+    def corrected_points(self, normalize: bool, tune: bool) -> np.ndarray:
+        points, _, finite = self.eye_rays()
+        points = points.copy()
+        if normalize:
+            points[finite] = normalize_gaze(points[finite], self.stats())
+        if tune:
+            pair = self.artifacts.gaze_pair(self.manifest.device_type)
+            points[finite] = fine_tune(points[finite], pair)
+        return points
+
+    @_step
+    def screen(self, screen_size: bool) -> ScreenGeometry:
+        return estimate_screen(
+            self.stats(),
+            self.manifest.device_type,
+            self.config,
+            orientation=self.orientation(),
+            override_cm=self.manifest.screen_override_cm,
+            use_size_detection=screen_size,
+        )
+
+    @_step
+    def eye_gaze(self, normalize: bool, tune: bool, screen_size: bool) -> np.ndarray:
+        """Off-screen by the eye path."""
+        signal = np.zeros(len(self.frames), dtype=bool)
+        path = self.eye_path()
+        if np.any(path):
+            _, toward, _ = self.eye_rays()
+            points = self.corrected_points(normalize, tune)
+            signal[path] = ~gaze_on_screen(points, toward, self.screen(screen_size))
+        return signal
+
+    @_step
+    def head_gaze(self, use_gaze: bool) -> np.ndarray:
+        """Off-screen head pose on the tracked frames the eye path leaves over."""
+        frames = self.frames
+        signal = np.zeros(len(frames), dtype=bool)
+        candidates = frames.face_expr & ~self.eye_path() if use_gaze else frames.face_expr
+        # with a candidate there is a tracked face, so the head stats exist
+        if np.any(candidates):
+            signal[candidates] = head_off_screen(
+                frames.yaw[candidates], frames.pitch[candidates],
+                compute_head_stats(frames), self.config,
+            )
+        return signal
+
+    @_step
+    def speaking(self) -> np.ndarray:
+        flags = speaking_flags(self.frames, self.artifacts.speaking, self.config)
+        events = events_from_flags(
+            flags, self.manifest.frame_rate_hz, self.config.speaking_min_event_s
+        )
+        return distracting_mask(events, len(self.frames))
+
+    @_step
+    def drowsiness(self) -> np.ndarray:
+        frames, config, fps = self.frames, self.config, self.manifest.frame_rate_hz
+        closure = refined_eye_closure(frames.eye_closure, frames.aus, config) & frames.face_expr
+        events = events_from_flags(closure, fps, config.closure_min_event_s)
+        yawns = yawn_flags(frames, self.artifacts.yawn, config, fps)
+        return drowsiness_signal(events, yawns, len(frames))
+
+    @_step
+    def unattended(self) -> np.ndarray:
+        return unattended_signal(
+            ~self.frames.face_expr, ~self.frames.face_gaze,
+            self.manifest.frame_rate_hz, self.config.unattended_min_s,
+        )
 
 
 def score_session(
-    frames: FrameArrays,
-    manifest: SessionManifest,
-    artifacts: ArtifactSet,
-    config: PipelineConfig = PipelineConfig(),
-    variant: PipelineVariant = FULL_VARIANT,
-    memo: Optional[dict] = None,
+    session: SessionDetectors, variant: PipelineVariant = FULL_VARIANT
 ) -> ScoredSession:
-    """Run the detectors ``variant`` switches on and fuse their signals.
-
-    ``memo`` is an optional per-session store of detector outputs, for
-    scoring one session under several variants. Each output is keyed by its
-    detector plus exactly the variant switches it reads: the eye gaze by
-    ``normalize``, ``fine_tune`` and ``screen_size``, the head gaze by
-    ``use_gaze`` (it scores the frames the eye path leaves over), and the
-    speaking, drowsiness and unattended detectors by nothing. Share a memo
-    only between calls with the same frames, manifest, artifacts and config.
-    """
-    n = len(frames)
-    fps = manifest.frame_rate_hz
-    off = np.zeros(n, dtype=bool)
-
-    eye = _EyeGaze(off, off, None, Orientation.CENTERED, None)
-    if variant.use_gaze:
-        switches = (variant.normalize, variant.fine_tune, variant.screen_size)
-        eye = _memoised(
-            memo, ("eye_gaze", *switches),
-            lambda: _eye_gaze(frames, manifest, artifacts, config, *switches),
-        )
-    gaze_head = off
-    if variant.use_head:
-        gaze_head = _memoised(
-            memo, ("head_gaze", variant.use_gaze),
-            lambda: _head_gaze(frames, eye.eye_path, config),
-        )
-    speaking = off
-    if variant.use_speaking:
-        speaking = _memoised(
-            memo, ("speaking",), lambda: _speaking(frames, artifacts.speaking, config, fps)
-        )
-    drowsy = off
-    if variant.use_drowsiness:
-        drowsy = _memoised(
-            memo, ("drowsiness",), lambda: _drowsiness(frames, artifacts.yawn, config, fps)
-        )
-    unattended = off
-    if variant.use_unattended:
-        unattended = _memoised(memo, ("unattended",), lambda: _unattended(frames, config, fps))
-
+    """Fuse the signals ``variant`` switches on. A switched-off signal is all
+    false; so is the eye gaze of an untrackable stream, whose facts stay unset."""
+    off = np.zeros(len(session.frames), dtype=bool)
+    eye = off
+    facts = {"orientation": Orientation.CENTERED}
+    if variant.use_gaze and session.stats() is not None:
+        facts = {
+            "orientation": session.orientation(),
+            "screen": session.screen(variant.screen_size),
+            "stats": session.stats(),
+        }
+        eye = session.eye_gaze(variant.normalize, variant.fine_tune, variant.screen_size)
     timeline = fuse(
-        eye.signal, gaze_head, speaking, drowsy, unattended, frame_index=frames.frame_index
+        eye,
+        session.head_gaze(variant.use_gaze) if variant.use_head else off,
+        session.speaking() if variant.use_speaking else off,
+        session.drowsiness() if variant.use_drowsiness else off,
+        session.unattended() if variant.use_unattended else off,
+        frame_index=session.frames.frame_index,
     )
-    return ScoredSession(
-        timeline=timeline, orientation=eye.orientation, screen=eye.screen, stats=eye.stats
-    )
+    return ScoredSession(timeline=timeline, **facts)

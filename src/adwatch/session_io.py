@@ -242,22 +242,30 @@ def load_manifest(path: PathLike) -> SessionManifest:
 # ---------------------------------------------------------------------------
 
 _MASK_LIMIT = 1 << len(SIGNAL_NAMES)
+# the names of each mask's set bits, in SIGNAL_NAMES order
+_SOURCES = tuple(
+    [name for b, name in enumerate(SIGNAL_NAMES) if mask >> b & 1] for mask in range(_MASK_LIMIT)
+)
 # what a timeline row holds after frame_index, by mask
 _TIMELINE_TAILS = tuple(
     ',"attentive":%s,"mask":%d,"sources":%s' % (
-        _BOOL_TEXT[mask == 0],
-        mask,
-        json.dumps([name for b, name in enumerate(SIGNAL_NAMES) if mask >> b & 1],
-                   separators=(",", ":")),
+        _BOOL_TEXT[mask == 0], mask, json.dumps(sources, separators=(",", ":"))
     )
-    for mask in range(_MASK_LIMIT)
+    for mask, sources in enumerate(_SOURCES)
 )
+# the sources of a row that has none
+_UNLISTED = object()
+
+
+def _not_text(activities: list) -> np.ndarray:
+    """Per activity: True unless it is a string or None (JSON null)."""
+    return np.array([a is not None and not isinstance(a, str) for a in activities], dtype=bool)
 
 
 def _check_timeline(timeline: DistractionTimeline, path: Path) -> None:
     """DataError unless the columns have one row per frame, each mask is
-    the bit-packing of its row of signals and ``attentive == (mask == 0)``;
-    the error names the first bad row."""
+    the bit-packing of its row of signals, ``attentive == (mask == 0)`` and
+    each activity is a string or None; the error names the first bad row."""
     n = len(timeline)
     signals = np.asarray(timeline.signals)
     lengths = {
@@ -273,28 +281,30 @@ def _check_timeline(timeline: DistractionTimeline, path: Path) -> None:
         )
     mask = np.asarray(timeline.mask)
     packed = np.packbits(signals.astype(bool), axis=1, bitorder="little")[:, 0]
-    failure = first_failure((
+    checks = [
         (mask != packed, lambda i: f"mask {mask[i]} is not the bit-packing of signals "
                                    f"{signals[i].astype(int).tolist()}"),
         (np.asarray(timeline.attentive) != (mask == 0),
          lambda i: "attentive flag inconsistent with mask"),
-    ))
+    ]
+    activity = timeline.activity
+    if activity is not None:
+        checks.append((_not_text(activity),
+                       lambda i: f"activity must be a string or null, got {activity[i]!r}"))
+    failure = first_failure(checks)
     if failure is not None:
         i, message = failure
         raise DataError(f"timeline {path} row {i + 1}: {message}")
 
 
 def _activity_texts(activity: list, encoded: dict) -> list[str]:
-    """The JSON text of each activity; each distinct string is encoded
-    once, into ``encoded``."""
+    """The JSON text of each activity, a string or None; each distinct value
+    is encoded once, into ``encoded``."""
     texts = []
     for value in activity:
-        if type(value) is str:
-            if value not in encoded:
-                encoded[value] = json.dumps(value)
-            texts.append(encoded[value])
-        else:  # null, or any other JSON value a reader kept as it found it
-            texts.append(json.dumps(value, separators=(",", ":")))
+        if value not in encoded:
+            encoded[value] = json.dumps(value)
+        texts.append(encoded[value])
     return texts
 
 
@@ -318,9 +328,10 @@ def write_timeline(timeline: DistractionTimeline, path: PathLike) -> None:
     """One line per frame: index, attentive flag, signal mask, active names,
     and the generator's activity and target_cm where the timeline has them.
 
-    A timeline whose mask, signals and attentive flags disagree is refused
-    with DataError before anything is written. Rows are rendered and
-    written ``_BLOCK_ROWS`` at a time, as ``write_frames`` does.
+    A timeline whose mask, signals and attentive flags disagree, or with an
+    activity that is neither a string nor None, is refused with DataError
+    before anything is written. Rows are rendered and written
+    ``_BLOCK_ROWS`` at a time, as ``write_frames`` does.
     """
     if len(timeline) == 0:
         raise DataError("refusing to write a 0-length timeline")
@@ -404,9 +415,9 @@ def _target_column(targets: list, shared: dict) -> tuple[Optional[list], np.ndar
 
 
 def _timeline_block(path: Path, rows: list[int], indices: list, masks: list, flags: list,
-                    targets: list, shared: dict):
+                    targets: list, activities: list, sources: list, shared: dict):
     """The frame_index, mask, attentive and target_cm columns of one block of
-    rows, checked column-wise.
+    rows, checked column-wise with its activities and sources.
 
     DataError names the block's first bad row and, within it, the first
     failed check below, as a row-by-row check in this order would.
@@ -416,6 +427,8 @@ def _timeline_block(path: Path, rows: list[int], indices: list, masks: list, fla
     flag_ok = _json_type_is(flags, bool)
     attentive = np.array([flag is True for flag in flags])
     target_cm, bad_target = _target_column(targets, shared)
+    bad_sources = [listed is not _UNLISTED and listed != _SOURCES[m]
+                   for listed, m in zip(sources, mask.tolist())]
     failure = first_failure((
         (~index_ok, lambda i: f"frame_index must be a 64-bit integer, got {json.dumps(indices[i])}"),
         (~mask_int, lambda i: f"mask must be an integer, got {json.dumps(masks[i])}"),
@@ -424,6 +437,10 @@ def _timeline_block(path: Path, rows: list[int], indices: list, masks: list, fla
         (attentive != (mask == 0), lambda i: "attentive flag inconsistent with mask"),
         (bad_target, lambda i: "target_cm must be null or a pair of numbers, "
                                f"got {json.dumps(targets[i])}"),
+        (_not_text(activities), lambda i: "activity must be a string or null, "
+                                          f"got {json.dumps(activities[i])}"),
+        (np.array(bad_sources), lambda i: f"sources {json.dumps(sources[i])} "
+                                          f"do not match mask {masks[i]}"),
     ))
     if failure is not None:
         i, message = failure
@@ -441,7 +458,7 @@ def read_timeline(path: PathLike) -> DistractionTimeline:
     path = Path(path)
     if not path.exists():
         raise DataError(f"timeline not found: {path}")
-    rows, indices, masks, flags, targets = [], [], [], [], []
+    rows, indices, masks, flags, targets, block_activities, sources = [], [], [], [], [], [], []
     blocks, activities, target_cm = [], [], []
     # annotations repeat over whole segments, so equal values share one object
     shared: dict = {}
@@ -450,11 +467,12 @@ def read_timeline(path: PathLike) -> DistractionTimeline:
 
     def flush():
         *columns, block_targets = _timeline_block(
-            path, rows, indices, masks, flags, targets, shared
+            path, rows, indices, masks, flags, targets, block_activities, sources, shared
         )
         blocks.append(columns)
         target_cm.extend(block_targets)
-        for values in (rows, indices, masks, flags, targets):
+        activities.extend(block_activities)
+        for values in (rows, indices, masks, flags, targets, block_activities, sources):
             values.clear()
 
     with open(path, "r", encoding="utf-8") as fh:
@@ -476,7 +494,8 @@ def read_timeline(path: PathLike) -> DistractionTimeline:
             activity = obj.get("activity")
             if isinstance(activity, str):
                 activity = shared.setdefault(activity, activity)
-            activities.append(activity)
+            block_activities.append(activity)
+            sources.append(obj.get("sources", _UNLISTED))
             targets.append(obj.get("target_cm"))
             if len(rows) == _BLOCK_ROWS:
                 flush()

@@ -22,17 +22,10 @@ from .temporal import find_runs
 
 
 def lip_distance(mouth_points: np.ndarray) -> np.ndarray:
-    """Euclidean distance between inner upper and lower lip points.
-
-    Accepts (4, 2) for one frame or (n, 4, 2) for a session.
-    """
+    """Euclidean distance between inner upper and lower lip points of
+    (n, 4, 2) mouth points."""
     pts = np.asarray(mouth_points, dtype=np.float64)
-    single = pts.ndim == 2
-    if single:
-        pts = pts[None]
-    diff = pts[:, MOUTH_UPPER_INNER] - pts[:, MOUTH_LOWER_INNER]
-    dist = np.linalg.norm(diff, axis=1)
-    return float(dist[0]) if single else dist
+    return np.linalg.norm(pts[:, MOUTH_UPPER_INNER] - pts[:, MOUTH_LOWER_INNER], axis=1)
 
 
 @dataclass

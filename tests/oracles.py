@@ -1,7 +1,8 @@
 """Independent reference implementations used to verify the fast paths.
 
 These deliberately avoid the formulas under test: the line-sampling oracle
-never divides by the direction's z component, and the pairwise AUC oracle
+never divides by the direction's z component, the scalar ray intersection
+handles one ray at a time with no array masking, and the pairwise AUC oracle
 compares every positive/negative pair directly. The boosting oracles
 re-sort every node's rows instead of partitioning a presorted order and
 walk each tree node by node instead of looking it up in a compiled table,
@@ -47,6 +48,28 @@ def line_sampling_intersection(pupil, direction, n_samples=4096, t_limit=1e9):
             return x, y, t, status
         t_max *= 8.0
     return np.nan, np.nan, np.nan, "parallel"
+
+
+def intersect_gaze(pupil, direction):
+    """One ray at a time: t = -z_p / z_d, a ray counted parallel when
+    |z_d| / ||D|| < ``PARALLEL_EPS``.
+
+    Returns (x, y, t, status) as ``line_sampling_intersection`` does; x, y
+    and t are NaN for a parallel ray.
+    """
+    from adwatch.geometry import PARALLEL_EPS
+
+    pupil = np.asarray(pupil, dtype=np.float64)
+    direction = np.asarray(direction, dtype=np.float64)
+    norm = float(np.linalg.norm(direction))
+    if norm == 0.0:
+        raise ValueError("gaze direction is the zero vector")
+    if abs(direction[2]) / norm < PARALLEL_EPS:
+        return np.nan, np.nan, np.nan, "parallel"
+    t = -pupil[2] / direction[2]
+    x = float(pupil[0] + direction[0] * t)
+    y = float(pupil[1] + direction[1] * t)
+    return x, y, float(t), "toward_plane" if t > 0 else "away_from_plane"
 
 
 def line_sampling_intersection_batch(pupils, directions, n_samples=1025, t_max=1e6):
@@ -259,6 +282,7 @@ def read_timeline_rows(path):
     """Timeline columns (frame_index, mask, attentive, activity, target_cm),
     each row checked before the next is read; DataError names the bad row."""
     from adwatch.errors import DataError
+    from adwatch.fusion import SIGNAL_NAMES
 
     index, mask, attentive, activity, target = [], [], [], [], []
     has_activity = False
@@ -294,11 +318,17 @@ def read_timeline_rows(path):
                 if point is None or point.shape != (2,):
                     raise bad(f"target_cm must be null or a pair of numbers, got {json.dumps(tgt)}")
                 tgt = (float(point[0]), float(point[1]))
+            act = obj.get("activity")
+            if act is not None and type(act) is not str:
+                raise bad(f"activity must be a string or null, got {json.dumps(act)}")
+            names = [name for b, name in enumerate(SIGNAL_NAMES) if m >> b & 1]
+            if "sources" in obj and obj["sources"] != names:
+                raise bad(f"sources {json.dumps(obj['sources'])} do not match mask {m}")
             has_activity = has_activity or "activity" in obj
             index.append(fi)
             mask.append(m)
             attentive.append(a)
-            activity.append(obj.get("activity"))
+            activity.append(act)
             target.append(tgt)
     if not index:
         raise DataError(f"empty timeline: {path}")

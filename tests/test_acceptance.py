@@ -23,10 +23,11 @@ from adwatch.gaze import (
     detect_orientation,
     majority_orientation,
 )
-from adwatch.geometry import RayStatus, intersect_gaze, intersect_gaze_batch
+from adwatch.geometry import intersect_gaze_batch
 from adwatch.pipeline import (
     TABLE1_VARIANTS,
     TABLE3_VARIANTS,
+    SessionDetectors,
     score_session,
 )
 from adwatch.synth import SuiteConfig, build_suite_scripts, generate
@@ -61,9 +62,11 @@ def test_criterion_01_geometry_oracle():
     assert elapsed < 1.0
 
     # parallel and away-from-plane cases classified exactly
-    assert intersect_gaze((0, 0, 60), (1.0, 0.0, 0.0)).status is RayStatus.PARALLEL
-    assert intersect_gaze((0, 0, 60), (0.0, 1.0, 1e-9)).status is RayStatus.PARALLEL
-    assert intersect_gaze((0, 0, 60), (0.2, 0.0, 0.5)).status is RayStatus.AWAY_FROM_PLANE
+    _, _, toward, parallel = intersect_gaze_batch(
+        [(0, 0, 60)] * 3, [(1.0, 0.0, 0.0), (0.0, 1.0, 1e-9), (0.2, 0.0, 0.5)]
+    )
+    assert parallel.tolist() == [True, True, False]   # the third is away from the plane
+    assert not toward.any()
     report("criterion 1", f"10k-ray oracle max error {err:.2e} cm in {elapsed:.2f}s")
 
 
@@ -83,8 +86,8 @@ def test_criterion_02_normalization_invariance(artifacts, config):
         manifest = SessionManifest(sid, "desktop", script.frame_rate_hz, "f")
         f1, _ = generate(with_offset)
         f0, _ = generate(without)
-        t1 = score_session(f1, manifest, artifacts, config).timeline
-        t0 = score_session(f0, manifest, artifacts, config).timeline
+        t1 = score_session(SessionDetectors(f1, manifest, artifacts, config)).timeline
+        t0 = score_session(SessionDetectors(f0, manifest, artifacts, config)).timeline
         flips += int(np.count_nonzero(t1.mask != t0.mask))
         frames_checked += len(t0)
     assert flips == 0
@@ -103,7 +106,7 @@ def test_criterion_03_end_to_end_suite(eval_suite_50, artifacts, config):
     t0 = time.time()
     pairs = {}
     for frames, truth, manifest, _ in eval_suite_50:
-        scored = score_session(frames, manifest, artifacts, config)
+        scored = score_session(SessionDetectors(frames, manifest, artifacts, config))
         pairs.setdefault(manifest.device_type, []).append(
             (~scored.timeline.attentive, ~truth.attentive)
         )

@@ -134,16 +134,19 @@ def test_mar_series_matches_per_frame():
 
 def test_yawn_probability_dimensionality(artifacts):
     with pytest.raises(DataError):
-        yawn_probability(np.zeros(5), artifacts.yawn)
+        yawn_probability(np.zeros((1, 5)), artifacts.yawn)
+    with pytest.raises(DataError):
+        yawn_probability(np.zeros(21), artifacts.yawn)      # one row must be a batch of one
     with pytest.raises(MissingArtifactError):
-        yawn_probability(np.zeros(21), None)
+        yawn_probability(np.zeros((1, 21)), None)
 
 
 def test_yawn_probability_deterministic(artifacts):
-    feats = np.zeros(21)
-    feats[0] = 0.8
-    feats[1 + AU_INDEX["AU26"]] = 60.0
-    assert yawn_probability(feats, artifacts.yawn) == yawn_probability(feats, artifacts.yawn)
+    feats = np.zeros((1, 21))
+    feats[0, 0] = 0.8
+    feats[0, 1 + AU_INDEX["AU26"]] = 60.0
+    assert np.array_equal(yawn_probability(feats, artifacts.yawn),
+                          yawn_probability(feats, artifacts.yawn))
 
 
 def test_yawn_vs_speech_features(artifacts):
@@ -155,8 +158,8 @@ def test_yawn_vs_speech_features(artifacts):
     speech[0] = 0.2                     # small oscillating opening
     speech[1 + AU_INDEX["AU26"]] = 15.0
     speech[1 + AU_INDEX["AU25"]] = 20.0
-    assert yawn_probability(yawn, artifacts.yawn) >= 0.5
-    assert yawn_probability(speech, artifacts.yawn) < 0.5
+    assert yawn_probability(yawn[None], artifacts.yawn)[0] >= 0.5
+    assert yawn_probability(speech[None], artifacts.yawn)[0] < 0.5
 
 
 def test_smoothing_majority_suppresses_single_flips():

@@ -135,9 +135,9 @@ def test_fine_tune_identity_regressors():
 
 def test_fine_tune_missing_model():
     with pytest.raises(MissingArtifactError):
-        fine_tune(np.zeros(2), None)
+        fine_tune(np.zeros((1, 2)), None)
     with pytest.raises(MissingArtifactError):
-        fine_tune(np.zeros(2), {"x": None ,})
+        fine_tune(np.zeros((1, 2)), {"x": None ,})
 
 
 def gaze_only_script(seed, scale, noise, offset=(0.0, 0.0)):
@@ -285,18 +285,18 @@ def test_estimate_screen_fixed_fallback():
 
 def test_on_screen_center():
     geom = ScreenGeometry(35.6, 20.0, margin_cm=1.0)
-    assert gaze_on_screen(np.array([0.0, 0.0]), True, geom)
+    assert gaze_on_screen(np.array([[0.0, 0.0]]), [True], geom).tolist() == [True]
 
 
 def test_just_outside_boundary():
     geom = ScreenGeometry(35.6, 20.0, margin_cm=1.0)
     x = 35.6 / 2 + 1.0 + 0.1
-    assert not gaze_on_screen(np.array([x, 0.0]), True, geom)
+    assert gaze_on_screen(np.array([[x, 0.0]]), [True], geom).tolist() == [False]
 
 
 def test_away_from_plane_is_off_screen():
     geom = ScreenGeometry(35.6, 20.0, margin_cm=1.0)
-    assert not gaze_on_screen(np.array([0.0, 0.0]), False, geom)
+    assert gaze_on_screen(np.array([[0.0, 0.0]]), [False], geom).tolist() == [False]
 
 
 def test_shrinking_screen_is_monotone():

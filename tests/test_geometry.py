@@ -1,86 +1,80 @@
 import numpy as np
 import pytest
 
-from adwatch.geometry import (
-    RayStatus,
-    intersect_gaze,
-    intersect_gaze_batch,
-)
+from adwatch.geometry import intersect_gaze_batch
 
-from oracles import line_sampling_intersection
+from oracles import intersect_gaze, line_sampling_intersection
+
+
+def one_ray(pupil, direction):
+    """(x, y, t, toward, parallel) of one ray, through a one-row batch."""
+    points, t, toward, parallel = intersect_gaze_batch([pupil], [direction])
+    return points[0, 0], points[0, 1], t[0], toward[0], parallel[0]
 
 
 def test_head_on_ray():
-    hit = intersect_gaze((0, 0, 60), (0, 0, -1))
-    assert hit.status is RayStatus.TOWARD_PLANE
-    assert hit.t == pytest.approx(60.0)
-    assert (hit.point.x_s, hit.point.y_s) == pytest.approx((0.0, 0.0))
+    x, y, t, toward, parallel = one_ray((0, 0, 60), (0, 0, -1))
+    assert toward and not parallel
+    assert t == pytest.approx(60.0)
+    assert (x, y) == pytest.approx((0.0, 0.0))
 
 
 def test_translated_head_on_ray():
-    hit = intersect_gaze((5, 2, 60), (0, 0, -1))
-    assert hit.t == pytest.approx(60.0)
-    assert (hit.point.x_s, hit.point.y_s) == pytest.approx((5.0, 2.0))
+    x, y, t, _, _ = one_ray((5, 2, 60), (0, 0, -1))
+    assert t == pytest.approx(60.0)
+    assert (x, y) == pytest.approx((5.0, 2.0))
 
 
 def test_oblique_ray_matches_line_sampling_oracle():
     # expected point computed with the independent line-sampling oracle
-    x, y, t, status = line_sampling_intersection((0, 0, 60), (0.1, 0, -1))
-    assert (x, y) == pytest.approx((6.0, 0.0), abs=1e-9)
-    hit = intersect_gaze((0, 0, 60), (0.1, 0, -1))
-    assert hit.point.x_s == pytest.approx(x, abs=1e-9)
-    assert hit.point.y_s == pytest.approx(y, abs=1e-9)
-    assert hit.t == pytest.approx(t, rel=1e-9)
-    assert hit.status.value == status
+    ox, oy, ot, status = line_sampling_intersection((0, 0, 60), (0.1, 0, -1))
+    assert (ox, oy) == pytest.approx((6.0, 0.0), abs=1e-9)
+    x, y, t, toward, _ = one_ray((0, 0, 60), (0.1, 0, -1))
+    assert x == pytest.approx(ox, abs=1e-9)
+    assert y == pytest.approx(oy, abs=1e-9)
+    assert t == pytest.approx(ot, rel=1e-9)
+    assert status == "toward_plane" and toward
 
 
 def test_parallel_ray():
-    hit = intersect_gaze((0, 0, 60), (1, 0, 0))
-    assert hit.status is RayStatus.PARALLEL
-    assert np.isnan(hit.t)
+    x, y, t, toward, parallel = one_ray((0, 0, 60), (1, 0, 0))
+    assert parallel and not toward
+    assert np.isnan(t) and np.isnan(x) and np.isnan(y)
 
 
 def test_away_from_plane():
-    hit = intersect_gaze((0, 0, 60), (0, 0, 1))
-    assert hit.status is RayStatus.AWAY_FROM_PLANE
-    assert hit.t == pytest.approx(-60.0)
+    _, _, t, toward, parallel = one_ray((0, 0, 60), (0, 0, 1))
+    assert not toward and not parallel
+    assert t == pytest.approx(-60.0)
 
 
 def test_zero_direction_rejected():
-    with pytest.raises(ValueError):
-        intersect_gaze((0, 0, 60), (0, 0, 0))
-
-
-def test_nonpositive_pupil_z_rejected():
-    with pytest.raises(ValueError):
-        intersect_gaze((0, 0, -1), (0, 0, -1))
+    with pytest.raises(ValueError, match="zero vector"):
+        intersect_gaze_batch([(0, 0, 60), (0, 0, 60)], [(0, 0, -1), (0, 0, 0)])
 
 
 def test_residual_z_below_1e9_cm():
     rng = np.random.default_rng(42)
-    for _ in range(500):
-        pupil = rng.uniform([-20, -20, 20], [20, 20, 120])
-        direction = rng.normal(0, 1, 3)
-        if abs(direction[2]) / np.linalg.norm(direction) < 1e-5:
-            continue
-        hit = intersect_gaze(pupil, direction)
-        residual = pupil[2] + direction[2] * hit.t
-        assert abs(residual) <= 1e-9
+    pupils = rng.uniform([-20, -20, 20], [20, 20, 120], (500, 3))
+    dirs = rng.normal(0, 1, (500, 3))
+    keep = np.abs(dirs[:, 2]) / np.linalg.norm(dirs, axis=1) >= 1e-5
+    _, t, _, parallel = intersect_gaze_batch(pupils[keep], dirs[keep])
+    assert not parallel.any()
+    residual = pupils[keep, 2] + dirs[keep, 2] * t
+    assert np.abs(residual).max() <= 1e-9
 
 
 def test_positive_scaling_invariance():
     rng = np.random.default_rng(7)
-    for _ in range(200):
-        pupil = rng.uniform([-20, -20, 20], [20, 20, 120])
-        direction = rng.normal(0, 1, 3)
-        lam = rng.uniform(0.01, 100)
-        a = intersect_gaze(pupil, direction)
-        b = intersect_gaze(pupil, direction * lam)
-        assert a.status is b.status
-        if a.status is not RayStatus.PARALLEL:
-            assert b.point.x_s == pytest.approx(a.point.x_s, rel=1e-9, abs=1e-9)
-            assert b.point.y_s == pytest.approx(a.point.y_s, rel=1e-9, abs=1e-9)
-            assert b.t == pytest.approx(a.t / lam, rel=1e-9)
+    pupils = rng.uniform([-20, -20, 20], [20, 20, 120], (200, 3))
+    dirs = rng.normal(0, 1, (200, 3))
+    lam = rng.uniform(0.01, 100, 200)
+    pa, ta, toward_a, parallel_a = intersect_gaze_batch(pupils, dirs)
+    pb, tb, toward_b, parallel_b = intersect_gaze_batch(pupils, dirs * lam[:, None])
+    assert np.array_equal(toward_a, toward_b) and np.array_equal(parallel_a, parallel_b)
+    hit = ~parallel_a
+    np.testing.assert_allclose(pb[hit], pa[hit], rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(tb[hit], ta[hit] / lam[hit], rtol=1e-9)
 
 
 def test_batch_matches_scalar():
@@ -89,23 +83,25 @@ def test_batch_matches_scalar():
     dirs = rng.normal(0, 1, (300, 3))
     points, ts, toward, parallel = intersect_gaze_batch(pupils, dirs)
     for i in range(300):
-        hit = intersect_gaze(pupils[i], dirs[i])
-        if hit.status is RayStatus.PARALLEL:
+        x, y, t, status = intersect_gaze(pupils[i], dirs[i])
+        if status == "parallel":
             assert parallel[i]
             continue
-        assert points[i, 0] == pytest.approx(hit.point.x_s)
-        assert points[i, 1] == pytest.approx(hit.point.y_s)
-        assert toward[i] == (hit.status is RayStatus.TOWARD_PLANE)
+        assert points[i, 0] == pytest.approx(x)
+        assert points[i, 1] == pytest.approx(y)
+        assert ts[i] == pytest.approx(t)
+        assert toward[i] == (status == "toward_plane")
 
 
 def test_oracle_equivalence_sample():
     rng = np.random.default_rng(1234)
-    for _ in range(500):
-        pupil = rng.uniform([-15, -15, 25], [15, 15, 100])
-        direction = rng.normal(0, 1, 3)
-        direction[2] = -abs(direction[2]) - 0.05
-        hit = intersect_gaze(pupil, direction)
-        x, y, _, status = line_sampling_intersection(pupil, direction)
-        assert status == hit.status.value
-        assert abs(hit.point.x_s - x) <= 1e-6
-        assert abs(hit.point.y_s - y) <= 1e-6
+    pupils = rng.uniform([-15, -15, 25], [15, 15, 100], (500, 3))
+    dirs = rng.normal(0, 1, (500, 3))
+    dirs[:, 2] = -np.abs(dirs[:, 2]) - 0.05
+    points, _, toward, _ = intersect_gaze_batch(pupils, dirs)
+    assert toward.all()
+    for i in range(500):
+        x, y, _, status = line_sampling_intersection(pupils[i], dirs[i])
+        assert status == "toward_plane"
+        assert abs(points[i, 0] - x) <= 1e-6
+        assert abs(points[i, 1] - y) <= 1e-6

@@ -5,11 +5,13 @@ import pytest
 
 from adwatch import pipeline
 from adwatch.errors import MissingArtifactError
+from adwatch.gaze import Orientation
 from adwatch.pipeline import (
     TABLE1_VARIANTS,
     TABLE3_VARIANTS,
     ArtifactSet,
     PipelineVariant,
+    SessionDetectors,
     score_session,
 )
 from adwatch.evaluation import frame_metrics, run_ablation
@@ -19,7 +21,7 @@ from adwatch.synth import ScenarioScript, Segment, generate
 
 def test_clean_session_scores_close_to_truth(heldout_sessions, artifacts, config):
     frames, truth, manifest = heldout_sessions[0]
-    scored = score_session(frames, manifest, artifacts, config)
+    scored = score_session(SessionDetectors(frames, manifest, artifacts, config))
     assert len(scored.timeline) == len(frames)
     rep = frame_metrics(~scored.timeline.attentive, ~truth.attentive)
     assert rep.g_mean > 0.9
@@ -27,7 +29,7 @@ def test_clean_session_scores_close_to_truth(heldout_sessions, artifacts, config
 
 def test_gaze_source_exclusive_per_frame(heldout_sessions, artifacts, config):
     for frames, _, manifest in heldout_sessions:
-        scored = score_session(frames, manifest, artifacts, config)
+        scored = score_session(SessionDetectors(frames, manifest, artifacts, config))
         both = scored.timeline.signal("gaze_eye") & scored.timeline.signal("gaze_head")
         assert not both.any()
 
@@ -39,17 +41,38 @@ def test_all_no_face_session_is_unattended(artifacts, config):
     )
     frames, _ = generate(script)
     manifest = SessionManifest("gone", "desktop", 30.0, "f")
-    scored = score_session(frames, manifest, artifacts, config)
+    scored = score_session(SessionDetectors(frames, manifest, artifacts, config))
     assert not scored.timeline.attentive.any()
     assert scored.timeline.signal("unattended").all()
     assert scored.timeline.mask.max() == 0b10000
+
+
+def test_untrackable_gaze_stream_leaves_every_tracked_frame_to_the_head(artifacts, config):
+    script = ScenarioScript(
+        seed=3, device_type="desktop", duration_s=6.0,
+        segments=[Segment("dot_at", 0.0, 3.0, dot=(0.0, 0.0)),
+                  Segment("off_screen", 3.0, 3.0, direction="left")],
+    )
+    frames, _ = generate(script)
+    frames.direction = frames.direction.copy()
+    frames.direction[:, 2] = np.abs(frames.direction[:, 2]) + 0.1   # every ray looks away
+    session = SessionDetectors(frames, SessionManifest("away", "desktop", 30.0, "f"),
+                               artifacts, config)
+    assert frames.face_gaze.any() and session.stats() is None
+    assert not session.eye_path().any()
+    scored = score_session(session)
+    without_eye = score_session(session, PipelineVariant(name="no eye", use_gaze=False))
+    assert (scored.orientation, scored.screen, scored.stats) == (Orientation.CENTERED, None, None)
+    assert not scored.timeline.signal("gaze_eye").any()
+    head = scored.timeline.signal("gaze_head")
+    assert head.any() and np.array_equal(head, without_eye.timeline.signal("gaze_head"))
 
 
 def test_missing_gaze_artifact_raises(heldout_sessions, config):
     frames, _, manifest = heldout_sessions[0]
     empty = ArtifactSet(gaze=None, speaking=None, yawn=None)
     with pytest.raises(MissingArtifactError):
-        score_session(frames, manifest, empty, config)
+        score_session(SessionDetectors(frames, manifest, empty, config))
 
 
 def test_variant_switches_disable_signals(heldout_sessions, artifacts, config):
@@ -58,7 +81,7 @@ def test_variant_switches_disable_signals(heldout_sessions, artifacts, config):
         name="head", use_gaze=False, use_speaking=False,
         use_drowsiness=False, use_unattended=False,
     )
-    scored = score_session(frames, manifest, artifacts, config, head_only)
+    scored = score_session(SessionDetectors(frames, manifest, artifacts, config), head_only)
     tl = scored.timeline
     assert not tl.signal("gaze_eye").any()
     assert not tl.signal("speaking").any()
@@ -74,7 +97,7 @@ def test_screen_override_is_used(artifacts, config):
     )
     frames, _ = generate(script)
     manifest = SessionManifest("s", "desktop", 30.0, "f", screen_override_cm=(100.0, 100.0))
-    scored = score_session(frames, manifest, artifacts, config)
+    scored = score_session(SessionDetectors(frames, manifest, artifacts, config))
     assert scored.screen.width_cm == 100.0
 
 
@@ -86,19 +109,22 @@ def test_artifact_set_load_missing_names_files(tmp_path):
 ABLATE_ORDER = TABLE1_VARIANTS + TABLE3_VARIANTS
 
 
-def test_shared_memo_matches_memo_free_scoring(heldout_sessions, artifacts, config):
+def test_shared_session_matches_fresh_session_scoring(heldout_sessions, artifacts, config):
     for frames, _, manifest in heldout_sessions:
-        memo = {}
+        session = SessionDetectors(frames, manifest, artifacts, config)
         for variant in ABLATE_ORDER:
-            shared = score_session(frames, manifest, artifacts, config, variant, memo)
-            alone = score_session(frames, manifest, artifacts, config, variant)
+            shared = score_session(session, variant)
+            alone = score_session(SessionDetectors(frames, manifest, artifacts, config), variant)
             assert shared.timeline == alone.timeline, variant.name
             assert shared.orientation is alone.orientation, variant.name
             assert shared.screen == alone.screen, variant.name
             assert shared.stats == alone.stats, variant.name
-        stored = [v for out in memo.values() for v in (out if isinstance(out, tuple) else (out,))]
-        arrays = [v for v in stored if isinstance(v, np.ndarray)]
-        assert arrays and not any(a.flags.writeable for a in arrays)
+        cached = [
+            session.eye_path(), *session.eye_rays(), session.corrected_points(True, True),
+            session.eye_gaze(True, True, True), session.head_gaze(True), session.head_gaze(False),
+            session.speaking(), session.drowsiness(), session.unattended(),
+        ]
+        assert not any(a.flags.writeable for a in cached)
 
 
 def test_ablation_runs_each_detector_once_per_session(
@@ -112,14 +138,22 @@ def test_ablation_runs_each_detector_once_per_session(
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("score_session", "speaking_flags", "yawn_flags", "fine_tune"):
+    counted_names = (
+        "score_session", "compute_session_stats", "select_gaze_source", "intersect_gaze_batch",
+        "fine_tune", "speaking_flags", "yawn_flags",
+    )
+    for name in counted_names:
         monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
     sessions = heldout_sessions
     table = run_ablation(sessions, artifacts, ABLATE_ORDER, config)
     assert [row.variant for row in table.rows] == [v.name for v in ABLATE_ORDER]
     assert calls["score_session"] == len(ABLATE_ORDER) * len(sessions)
+    # the session facts: once per session
+    assert calls["compute_session_stats"] == len(sessions)
+    assert calls["select_gaze_source"] == len(sessions)
+    assert calls["intersect_gaze_batch"] == len(sessions)
+    # once per distinct (normalize, fine_tune) setting that fine-tunes: full and
+    # w/o normalization ("w/o screen size detection" reuses the full model's points)
+    assert calls["fine_tune"] == 2 * len(sessions)
     assert calls["speaking_flags"] == len(sessions)
     assert calls["yawn_flags"] == len(sessions)
-    # one eye-gaze run per distinct fine-tuned step setting: full, w/o normalization,
-    # w/o screen size detection
-    assert calls["fine_tune"] == 3 * len(sessions)

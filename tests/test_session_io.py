@@ -362,6 +362,11 @@ BAD_ROWS = {
                    "target_cm must be null or a pair of numbers, got [1.0]"),
     "nested target": ('{"frame_index":%d,"attentive":false,"mask":4,"target_cm":[[1.0,2.0]]}',
                       "target_cm must be null or a pair of numbers"),
+    "sources mismatch": ('{"frame_index":%d,"attentive":false,"mask":5,'
+                         '"sources":["speaking","gaze_eye"]}',
+                         'sources ["speaking", "gaze_eye"] do not match mask 5'),
+    "activity not a string": ('{"frame_index":%d,"attentive":false,"mask":4,"activity":3}',
+                              "activity must be a string or null, got 3"),
 }
 
 
@@ -413,10 +418,27 @@ def test_timeline_bad_target_before_bad_mask_is_named(tmp_path):
         read_timeline(path)
 
 
+def test_timeline_with_wrong_sources_and_activities_refused(tmp_path):
+    path = tmp_path / "t.jsonl"
+    rows = ['{"frame_index":0,"attentive":true,"mask":0,"sources":["speaking"],"activity":3}',
+            '{"frame_index":1,"attentive":true,"mask":0,"sources":[],"activity":[1]}']
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(DataError, match="row 1: activity must be a string or null, got 3"):
+        read_timeline(path)
+    rows[0] = rows[0].replace('"activity":3', '"activity":null')
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(DataError, match=r'row 1: sources \["speaking"\] do not match mask 0'):
+        read_timeline(path)
+    rows[0] = rows[0].replace('["speaking"]', "[]")
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(DataError, match=r"row 2: activity must be a string or null, got \[1\]"):
+        read_timeline(path)
+
+
 _GOOD_ROW_TEMPLATES = (
     '{"frame_index":%d,"attentive":true,"mask":0,"sources":[]}',
-    '{"frame_index":%d,"attentive":false,"mask":17,"sources":[],"activity":"leave",'
-    '"target_cm":null}',
+    '{"frame_index":%d,"attentive":false,"mask":17,"sources":["gaze_eye","unattended"],'
+    '"activity":"leave","target_cm":null}',
     '{"frame_index":%d,"attentive":false,"mask":4,"activity":"speak","target_cm":[-0.0,2]}',
     '{"frame_index":%d,"attentive":true,"mask":0,"activity":"dot","target_cm":[0.0,2.0]}',
 )
@@ -621,6 +643,17 @@ def test_write_timeline_refuses_attentive_inconsistent_with_mask(tmp_path):
     tl.attentive[270] = not tl.attentive[270]
     path = tmp_path / "t.jsonl"
     with pytest.raises(DataError, match="row 271: attentive flag inconsistent with mask"):
+        write_timeline(tl, path)
+    assert not path.exists()
+
+
+def test_write_timeline_refuses_activity_that_is_not_a_string(tmp_path):
+    tl = fuse(*[np.zeros(300, dtype=bool)] * 5)
+    tl.activity = ["dot"] * 300
+    tl.activity[280] = None     # null is written as null
+    tl.activity[290] = 3
+    path = tmp_path / "t.jsonl"
+    with pytest.raises(DataError, match="row 291: activity must be a string or null, got 3"):
         write_timeline(tl, path)
     assert not path.exists()
 

@@ -42,13 +42,13 @@ def mouth_session(gaps, face_expr=None, fps=30.0):
 
 
 def test_lip_distance_closed_mouth():
-    pts = np.array([[0.0, 0.1], [0.0, 0.1], [-0.1, 0.0], [0.1, 0.0]])
-    assert lip_distance(pts) == 0.0
+    pts = np.array([[[0.0, 0.1], [0.0, 0.1], [-0.1, 0.0], [0.1, 0.0]]])
+    assert lip_distance(pts).tolist() == [0.0]
 
 
 def test_lip_distance_direct():
-    pts = np.array([[0.0, 0.1], [0.0, -0.1], [-0.1, 0.0], [0.1, 0.0]])
-    assert lip_distance(pts) == pytest.approx(0.2)
+    pts = np.array([[[0.0, 0.1], [0.0, -0.1], [-0.1, 0.0], [0.1, 0.0]]])
+    assert lip_distance(pts) == pytest.approx([0.2])
 
 
 def test_lip_distance_rotation_invariant():
@@ -59,7 +59,7 @@ def test_lip_distance_rotation_invariant():
         center = rng.uniform(-1, 1, 2)
         rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         moved = (pts - center) @ rot.T + center
-        assert lip_distance(moved) == pytest.approx(lip_distance(pts), abs=1e-12)
+        assert lip_distance(moved[None]) == pytest.approx(lip_distance(pts[None]), abs=1e-12)
 
 
 def test_windows_fixed_length_and_scored():
