@@ -19,6 +19,7 @@ import numpy as np
 
 from .boosting import BoostedEnsemble
 from .cnn import TemporalCnn
+from .config import _read_json_object
 from .errors import MissingArtifactError
 
 SCHEMA_VERSION = 1
@@ -55,12 +56,7 @@ def _write(doc: dict, path: PathLike) -> None:
 
 def _read(path: PathLike, expected_kind: str) -> dict:
     path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(f"model artifact not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MissingArtifactError(f"artifact {path} is not valid JSON: {exc.msg}") from exc
+    doc = _read_json_object(path, "model artifact", MissingArtifactError)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise MissingArtifactError(
             f"artifact {path}: unsupported schema version {doc.get('schema_version')}"
@@ -133,8 +129,4 @@ def load_yawn_classifier(path: PathLike) -> BoostedEnsemble:
 
 
 def read_metadata(path: PathLike) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(f"model artifact not found: {path}")
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    return doc.get("metadata", {})
+    return _read_json_object(Path(path), "model artifact", MissingArtifactError).get("metadata", {})

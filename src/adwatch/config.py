@@ -81,17 +81,26 @@ def config_from_mapping(mapping: dict, base: Optional[PipelineConfig] = None) ->
     return replace(base, **mapping)
 
 
-def load_config(path: PathLike, base: Optional[PipelineConfig] = None) -> PipelineConfig:
-    path = Path(path)
+def _read_json_object(path: Path, what: str, error: type) -> dict:
+    """The JSON object in the ``what`` file at ``path``, or ``error`` if the
+    file is missing, is not JSON or holds another JSON value.
+
+    Every JSON document loader reads through this. It is private so that a
+    tracer of the public functions counts the parse in the caller's module.
+    """
     if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+        raise error(f"{what} not found: {path}")
     try:
-        mapping = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"config {path}: expected a JSON object")
-    return config_from_mapping(mapping, base=base)
+        raise error(f"{what} {path}: invalid JSON ({exc.msg})") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{what} {path}: expected a JSON object")
+    return doc
+
+
+def load_config(path: PathLike, base: Optional[PipelineConfig] = None) -> PipelineConfig:
+    return config_from_mapping(_read_json_object(Path(path), "config", ConfigError), base=base)
 
 
 def _is_real(value) -> bool:

@@ -25,7 +25,6 @@ from .records import (
     MOUTH_UPPER_INNER,
     FrameArrays,
 )
-from .temporal import Event, distracting_mask
 
 _WIDTH_EPS = 1e-9
 
@@ -94,11 +93,3 @@ def yawn_flags(
     raw = (probs >= config.yawn_threshold) & frames.face_expr
     return smooth_flags(raw, frame_rate_hz, config.yawn_smooth_s) & frames.face_expr
 
-
-def drowsiness_signal(
-    closure_evs: list[Event], yawns: np.ndarray, n_frames: int
-) -> np.ndarray:
-    """OR of distracting closure events and yawn flags."""
-    if len(yawns) != n_frames:
-        raise DataError("yawn flags length does not match session")
-    return distracting_mask(closure_evs, n_frames) | np.asarray(yawns, dtype=bool)

@@ -8,53 +8,62 @@ Signal order (and bit position in the per-frame mask):
     3  drowsiness  prolonged eye closure or yawning
     4  unattended  neither tracker sees a face for over a second
 
-A frame is attentive exactly when no signal is active. The eye and head gaze
-signals are made mutually exclusive upstream by the per-frame source switch;
-the fuser itself accepts any combination.
+A timeline stores only that mask: a frame is attentive exactly when its
+mask is 0, and each signal's activations are one bit of it. The eye and head
+gaze signals are made mutually exclusive upstream by the per-frame source
+switch; the fuser itself accepts any combination.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .config import PipelineConfig
 from .errors import DataError
-from .temporal import distracting_mask, events_from_flags
+from .temporal import find_runs, long_runs
 
 SIGNAL_NAMES = ("gaze_eye", "gaze_head", "speaking", "drowsiness", "unattended")
 
 
 @dataclass
 class DistractionTimeline:
-    """Per-frame five-signal activations plus the fused attention label."""
+    """Per-frame signal mask, from which the five activations and the fused
+    attention label are read."""
 
-    signals: np.ndarray            # (n, 5) bool, column order = SIGNAL_NAMES
-    attentive: np.ndarray          # (n,) bool
     mask: np.ndarray               # (n,) uint8, bit i = SIGNAL_NAMES[i]
     frame_index: np.ndarray        # (n,) int
     # generator-only annotations, absent on scored timelines
     activity: Optional[list[str]] = field(default=None, repr=False)
     target_cm: Optional[list[Optional[tuple[float, float]]]] = field(default=None, repr=False)
 
+    @property
+    def attentive(self) -> np.ndarray:
+        """(n,) bool: no signal is active."""
+        return self.mask == 0
+
+    @property
+    def signals(self) -> np.ndarray:
+        """(n, 5) bool activations, column order = SIGNAL_NAMES."""
+        bits = np.unpackbits(self.mask[:, None], axis=1, count=len(SIGNAL_NAMES), bitorder="little")
+        return bits.astype(bool)
+
     def __len__(self) -> int:
-        return len(self.attentive)
+        return len(self.mask)
 
     def active_names(self, i: int) -> list[str]:
-        return [name for b, name in enumerate(SIGNAL_NAMES) if self.signals[i, b]]
+        return [name for b, name in enumerate(SIGNAL_NAMES) if self.mask[i] >> b & 1]
 
     def signal(self, name: str) -> np.ndarray:
-        return self.signals[:, SIGNAL_NAMES.index(name)]
+        return (self.mask >> SIGNAL_NAMES.index(name) & 1).astype(bool)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DistractionTimeline):
             return NotImplemented
         return (
-            np.array_equal(self.signals, other.signals)
-            and np.array_equal(self.attentive, other.attentive)
-            and np.array_equal(self.mask, other.mask)
+            np.array_equal(self.mask, other.mask)
             and np.array_equal(self.frame_index, other.frame_index)
         )
 
@@ -70,8 +79,7 @@ def unattended_signal(
     no_face_gaze = np.asarray(no_face_gaze, dtype=bool)
     if no_face_expr.shape != no_face_gaze.shape:
         raise DataError("tracker no-face flags have mismatched lengths")
-    both = no_face_expr & no_face_gaze
-    return distracting_mask(events_from_flags(both, frame_rate_hz, min_duration_s), len(both))
+    return long_runs(no_face_expr & no_face_gaze, frame_rate_hz, min_duration_s)
 
 
 def fuse(
@@ -87,17 +95,12 @@ def fuse(
     n = len(cols[0])
     if any(len(c) != n for c in cols):
         raise DataError("signal length mismatch in fuse()")
-    signals = np.stack(cols, axis=1)
     mask = np.zeros(n, dtype=np.uint8)
-    for b in range(len(SIGNAL_NAMES)):
-        mask |= (signals[:, b].astype(np.uint8) << b)
-    attentive = mask == 0
+    for b, col in enumerate(cols):
+        mask |= col.astype(np.uint8) << b
     if frame_index is None:
         frame_index = np.arange(n, dtype=np.int64)
-    return DistractionTimeline(
-        signals=signals, attentive=attentive, mask=mask,
-        frame_index=np.asarray(frame_index, dtype=np.int64),
-    )
+    return DistractionTimeline(mask=mask, frame_index=np.asarray(frame_index, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -122,17 +125,7 @@ class SessionSummary:
             "n_frames": self.n_frames,
             "percent_inattentive": self.percent_inattentive,
             "events": {
-                name: [
-                    {
-                        "start_frame": ev.start_frame,
-                        "end_frame": ev.end_frame,
-                        "start_s": ev.start_s,
-                        "end_s": ev.end_s,
-                        "duration_s": ev.duration_s,
-                    }
-                    for ev in evs
-                ]
-                for name, evs in self.events_by_source.items()
+                name: [asdict(ev) for ev in evs] for name, evs in self.events_by_source.items()
             },
         }
 
@@ -143,20 +136,19 @@ def session_summary(timeline: DistractionTimeline, frame_rate_hz: float) -> Sess
     if n == 0:
         raise DataError("cannot summarize an empty timeline")
     percent = 100.0 * float(np.count_nonzero(~timeline.attentive)) / n
-    by_source: dict[str, list[SourceEvent]] = {}
-    for b, name in enumerate(SIGNAL_NAMES):
-        evs = []
-        for ev in events_from_flags(timeline.signals[:, b], frame_rate_hz, 0.0):
-            evs.append(
-                SourceEvent(
-                    start_frame=ev.start_frame,
-                    end_frame=ev.end_frame,
-                    start_s=ev.start_frame / frame_rate_hz,
-                    end_s=(ev.end_frame + 1) / frame_rate_hz,
-                    duration_s=ev.duration_s,
-                )
+    by_source = {
+        name: [
+            SourceEvent(
+                start_frame=start,
+                end_frame=end,
+                start_s=start / frame_rate_hz,
+                end_s=(end + 1) / frame_rate_hz,
+                duration_s=(end - start + 1) / frame_rate_hz,
             )
-        by_source[name] = evs
+            for start, end in find_runs(timeline.signal(name))
+        ]
+        for name in SIGNAL_NAMES
+    }
     return SessionSummary(
         n_frames=n, percent_inattentive=percent, events_by_source=by_source
     )

@@ -22,7 +22,7 @@ from . import artifacts as artifacts_io
 from .boosting import BoostedEnsemble
 from .cnn import TemporalCnn
 from .config import PipelineConfig
-from .drowsiness import drowsiness_signal, refined_eye_closure, yawn_flags
+from .drowsiness import refined_eye_closure, yawn_flags
 from .errors import MissingArtifactError, SessionUntrackableError
 from .fusion import DistractionTimeline, fuse, unattended_signal
 from .gaze import (
@@ -41,7 +41,7 @@ from .geometry import intersect_gaze_batch
 from .head import compute_head_stats, head_off_screen, select_gaze_source
 from .records import FrameArrays, SessionManifest
 from .speaking import speaking_flags
-from .temporal import distracting_mask, events_from_flags
+from .temporal import long_runs
 
 PathLike = Union[str, Path]
 
@@ -245,18 +245,15 @@ class SessionDetectors:
     @_step
     def speaking(self) -> np.ndarray:
         flags = speaking_flags(self.frames, self.artifacts.speaking, self.config)
-        events = events_from_flags(
-            flags, self.manifest.frame_rate_hz, self.config.speaking_min_event_s
-        )
-        return distracting_mask(events, len(self.frames))
+        return long_runs(flags, self.manifest.frame_rate_hz, self.config.speaking_min_event_s)
 
     @_step
     def drowsiness(self) -> np.ndarray:
         frames, config, fps = self.frames, self.config, self.manifest.frame_rate_hz
         closure = refined_eye_closure(frames.eye_closure, frames.aus, config) & frames.face_expr
-        events = events_from_flags(closure, fps, config.closure_min_event_s)
-        yawns = yawn_flags(frames, self.artifacts.yawn, config, fps)
-        return drowsiness_signal(events, yawns, len(frames))
+        return long_runs(closure, fps, config.closure_min_event_s) | yawn_flags(
+            frames, self.artifacts.yawn, config, fps
+        )
 
     @_step
     def unattended(self) -> np.ndarray:

@@ -67,44 +67,29 @@ class SessionManifest:
                 raise SessionFormatError("screen_override_cm must be positive")
 
 
+@dataclass(eq=False)
 class FrameArrays:
     """Columnar view of a frame sequence for vectorized processing.
 
     Arrays share index i with frame i; sentinel values on invalid frames are
-    preserved, so every consumer must mask with the face flags.
+    preserved, so every consumer must mask with the face flags. Equality is
+    identity, as comparing arrays element-wise has no single truth value.
     """
 
-    def __init__(
-        self,
-        frame_index: np.ndarray,
-        timestamp_ms: np.ndarray,
-        pupil: np.ndarray,
-        direction: np.ndarray,
-        quality: np.ndarray,
-        yaw: np.ndarray,
-        pitch: np.ndarray,
-        roll: np.ndarray,
-        mouth: np.ndarray,
-        aus: np.ndarray,
-        eye_closure: np.ndarray,
-        face_expr: np.ndarray,
-        face_gaze: np.ndarray,
-        face_center_x: np.ndarray,
-    ):
-        self.frame_index = frame_index
-        self.timestamp_ms = timestamp_ms
-        self.pupil = pupil            # (n, 3)
-        self.direction = direction    # (n, 3)
-        self.quality = quality
-        self.yaw = yaw
-        self.pitch = pitch
-        self.roll = roll
-        self.mouth = mouth            # (n, 4, 2)
-        self.aus = aus                # (n, 20)
-        self.eye_closure = eye_closure
-        self.face_expr = face_expr
-        self.face_gaze = face_gaze
-        self.face_center_x = face_center_x
+    frame_index: np.ndarray
+    timestamp_ms: np.ndarray
+    pupil: np.ndarray             # (n, 3)
+    direction: np.ndarray         # (n, 3)
+    quality: np.ndarray
+    yaw: np.ndarray
+    pitch: np.ndarray
+    roll: np.ndarray
+    mouth: np.ndarray             # (n, 4, 2)
+    aus: np.ndarray               # (n, 20)
+    eye_closure: np.ndarray
+    face_expr: np.ndarray
+    face_gaze: np.ndarray
+    face_center_x: np.ndarray
 
     def __len__(self) -> int:
         return len(self.frame_index)

@@ -16,6 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .config import _read_json_object
 from .errors import DataError, SessionFormatError
 from .fusion import SIGNAL_NAMES, DistractionTimeline
 from .records import AU_NAMES, FrameArrays, SessionManifest, first_failure, validate_frames
@@ -215,25 +216,38 @@ def write_manifest(manifest: SessionManifest, path: PathLike) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
+# manifest field -> the JSON types its value may have, and their description
+_MANIFEST_FIELDS = {
+    "session_id": ((str,), "a string"),
+    "device_type": ((str,), "a string"),
+    "frame_rate_hz": ((int, float), "a number"),
+    "frame_source": ((str,), "a string"),
+    "ground_truth": ((str, type(None)), "a string or null"),
+}
+
+
 def load_manifest(path: PathLike) -> SessionManifest:
     path = Path(path)
-    if not path.exists():
-        raise SessionFormatError(f"manifest not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SessionFormatError(f"manifest {path}: invalid JSON ({exc.msg})") from exc
+    doc = _read_json_object(path, "manifest", SessionFormatError)
+    for key, (types, described) in _MANIFEST_FIELDS.items():
+        if key not in doc and key != "ground_truth":
+            raise SessionFormatError(f"manifest {path}: missing key {key!r}")
+        # type(), not isinstance: a JSON boolean is not a number here
+        if type(doc.get(key)) not in types:
+            raise SessionFormatError(
+                f"manifest {path}: {key} must be {described}, got {json.dumps(doc[key])}"
+            )
     try:
         override = doc.get("screen_override_cm")
         return SessionManifest(
-            session_id=str(doc["session_id"]),
-            device_type=str(doc["device_type"]),
+            session_id=doc["session_id"],
+            device_type=doc["device_type"],
             frame_rate_hz=float(doc["frame_rate_hz"]),
-            frame_source=str(doc["frame_source"]),
+            frame_source=doc["frame_source"],
             ground_truth=doc.get("ground_truth"),
             screen_override_cm=tuple(float(v) for v in override) if override else None,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SessionFormatError(f"manifest {path}: {exc}") from exc
 
 
@@ -263,30 +277,23 @@ def _not_text(activities: list) -> np.ndarray:
 
 
 def _check_timeline(timeline: DistractionTimeline, path: Path) -> None:
-    """DataError unless the columns have one row per frame, each mask is
-    the bit-packing of its row of signals, ``attentive == (mask == 0)`` and
-    each activity is a string or None; the error names the first bad row."""
+    """DataError unless the columns have one row per frame, each mask is an
+    integer in [0, 32) and each activity is a string or None; the error
+    names the first bad row."""
     n = len(timeline)
-    signals = np.asarray(timeline.signals)
     lengths = {
         "frame_index": len(timeline.frame_index),
-        "mask": len(timeline.mask),
         "activity": n if timeline.activity is None else len(timeline.activity),
         "target_cm": n if timeline.target_cm is None else len(timeline.target_cm),
     }
-    if signals.shape != (n, len(SIGNAL_NAMES)) or set(lengths.values()) != {n}:
-        raise DataError(
-            f"timeline {path}: columns of mismatched shapes "
-            f"(attentive {n}, signals {signals.shape}, {lengths})"
-        )
+    if set(lengths.values()) != {n}:
+        raise DataError(f"timeline {path}: columns of mismatched shapes (mask {n}, {lengths})")
     mask = np.asarray(timeline.mask)
-    packed = np.packbits(signals.astype(bool), axis=1, bitorder="little")[:, 0]
-    checks = [
-        (mask != packed, lambda i: f"mask {mask[i]} is not the bit-packing of signals "
-                                   f"{signals[i].astype(int).tolist()}"),
-        (np.asarray(timeline.attentive) != (mask == 0),
-         lambda i: "attentive flag inconsistent with mask"),
-    ]
+    # a mask outside [0, 32) would pick the wrong row tail, or wrap round to one
+    in_range = np.zeros(n, dtype=bool)
+    if mask.dtype.kind in "iu":
+        in_range = (mask >= 0) & (mask < _MASK_LIMIT)
+    checks = [(~in_range, lambda i: f"mask must be an integer in [0, {_MASK_LIMIT}), got {mask[i]}")]
     activity = timeline.activity
     if activity is not None:
         checks.append((_not_text(activity),
@@ -328,9 +335,9 @@ def write_timeline(timeline: DistractionTimeline, path: PathLike) -> None:
     """One line per frame: index, attentive flag, signal mask, active names,
     and the generator's activity and target_cm where the timeline has them.
 
-    A timeline whose mask, signals and attentive flags disagree, or with an
-    activity that is neither a string nor None, is refused with DataError
-    before anything is written. Rows are rendered and written
+    A timeline with a mask outside [0, 32), or with an activity that is
+    neither a string nor None, is refused with DataError before anything is
+    written. Rows are rendered and written
     ``_BLOCK_ROWS`` at a time, as ``write_frames`` does.
     """
     if len(timeline) == 0:
@@ -416,8 +423,8 @@ def _target_column(targets: list, shared: dict) -> tuple[Optional[list], np.ndar
 
 def _timeline_block(path: Path, rows: list[int], indices: list, masks: list, flags: list,
                     targets: list, activities: list, sources: list, shared: dict):
-    """The frame_index, mask, attentive and target_cm columns of one block of
-    rows, checked column-wise with its activities and sources.
+    """The frame_index, mask and target_cm columns of one block of rows,
+    checked column-wise with its attentive flags, activities and sources.
 
     DataError names the block's first bad row and, within it, the first
     failed check below, as a row-by-row check in this order would.
@@ -445,7 +452,7 @@ def _timeline_block(path: Path, rows: list[int], indices: list, masks: list, fla
     if failure is not None:
         i, message = failure
         raise DataError(f"timeline {path} row {rows[i]}: {message}")
-    return index, mask.astype(np.uint8), attentive, target_cm
+    return index, mask.astype(np.uint8), target_cm
 
 
 def read_timeline(path: PathLike) -> DistractionTimeline:
@@ -507,13 +514,8 @@ def read_timeline(path: PathLike) -> DistractionTimeline:
         raise DataError(f"timeline {path} row {row}: {exc}") from exc
     if not blocks:
         raise DataError(f"empty timeline: {path}")
-    index, mask, attentive = (np.concatenate(column) for column in zip(*blocks))
-    signals = np.zeros((len(mask), len(SIGNAL_NAMES)), dtype=bool)
-    for b in range(len(SIGNAL_NAMES)):
-        signals[:, b] = (mask >> b) & 1
+    index, mask = (np.concatenate(column) for column in zip(*blocks))
     return DistractionTimeline(
-        signals=signals,
-        attentive=attentive,
         mask=mask,
         frame_index=index,
         activity=activities if has_activity else None,

@@ -2,10 +2,10 @@
 
 Per frame, the vertical distance between the inner upper and lower lip
 landmarks is computed; a one-second window around each frame is resampled
-to a fixed 30 samples and classified by the temporal CNN. Runs of speaking
-frames become events; only runs strictly longer than one second count as
-distraction (shorter bursts are engaging reactions to the ad, not
-inattention).
+to a fixed 30 samples and classified by the temporal CNN. Only runs of
+speaking frames strictly longer than one second count as distraction
+(``temporal.long_runs``; shorter bursts are engaging reactions to the ad,
+not inattention).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .cnn import TemporalCnn
 from .config import PipelineConfig
 from .errors import DataError, MissingArtifactError
 from .records import MOUTH_LOWER_INNER, MOUTH_UPPER_INNER, FrameArrays
-from .temporal import find_runs
+from .temporal import long_runs
 
 
 def lip_distance(mouth_points: np.ndarray) -> np.ndarray:
@@ -57,10 +57,7 @@ def build_windows(frames: FrameArrays, config: PipelineConfig) -> WindowedSeries
         return WindowedSeries(windows=windows, scored=scored)
 
     # frames inside invalid runs longer than the hold budget poison windows
-    unfillable = np.zeros(n, dtype=bool)
-    for start, end in find_runs(~valid):
-        if end - start + 1 > config.max_hold_samples:
-            unfillable[start : end + 1] = True
+    unfillable = long_runs(~valid, 1.0, config.max_hold_samples)
 
     vt = times[valid]
     vd = dist[valid]

@@ -32,6 +32,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .config import _is_real, _read_json_object
 from .errors import ConfigError
 from .fusion import SIGNAL_NAMES, DistractionTimeline
 from .records import AU_INDEX, FrameArrays, SessionManifest
@@ -63,11 +64,12 @@ SPEAK_MIN_S = 1.0
 CLOSURE_MIN_S = 2.0
 LEAVE_MIN_S = 1.0
 
-_IDX_GAZE_EYE = SIGNAL_NAMES.index("gaze_eye")
-_IDX_GAZE_HEAD = SIGNAL_NAMES.index("gaze_head")
-_IDX_SPEAKING = SIGNAL_NAMES.index("speaking")
-_IDX_DROWSY = SIGNAL_NAMES.index("drowsiness")
-_IDX_UNATTENDED = SIGNAL_NAMES.index("unattended")
+# each signal's bit in the truth mask
+_BIT_GAZE_EYE = 1 << SIGNAL_NAMES.index("gaze_eye")
+_BIT_GAZE_HEAD = 1 << SIGNAL_NAMES.index("gaze_head")
+_BIT_SPEAKING = 1 << SIGNAL_NAMES.index("speaking")
+_BIT_DROWSY = 1 << SIGNAL_NAMES.index("drowsiness")
+_BIT_UNATTENDED = 1 << SIGNAL_NAMES.index("unattended")
 
 
 @dataclass(frozen=True)
@@ -108,6 +110,9 @@ def validate_script(script: ScenarioScript) -> None:
         raise ConfigError(f"unknown orientation {script.orientation!r}")
     if not 0.0 <= script.behavior_mix <= 1.0:
         raise ConfigError("behavior_mix must lie in [0, 1]")
+    vd = script.viewing_distance_cm
+    if vd is not None and not (_is_real(vd) and vd > 0):
+        raise ConfigError(f"viewing_distance_cm must be a positive number or null, got {vd!r}")
     segs = script.segments
     tol = 1e-6
     for i, seg in enumerate(segs):
@@ -206,7 +211,7 @@ def generate(script: ScenarioScript) -> tuple[FrameArrays, DistractionTimeline]:
     closure_mask = np.zeros(n, dtype=bool)
     activity = np.full(n, "dot", dtype=object)
 
-    truth_signals = np.zeros((n, len(SIGNAL_NAMES)), dtype=bool)
+    mask = np.zeros(n, dtype=np.uint8)
 
     for k, seg in enumerate(segs):
         sel = seg_idx == k
@@ -221,8 +226,7 @@ def generate(script: ScenarioScript) -> tuple[FrameArrays, DistractionTimeline]:
             target[sel] = _off_screen_target(seg.direction, width, height)
             head_mix[sel] = script.behavior_mix
             activity[sel] = f"off_screen_{seg.direction}"
-            bit = _IDX_GAZE_HEAD if script.behavior_mix >= 0.5 else _IDX_GAZE_EYE
-            truth_signals[sel, bit] = True
+            mask[sel] |= _BIT_GAZE_HEAD if script.behavior_mix >= 0.5 else _BIT_GAZE_EYE
         elif seg.kind == "speak":
             freq = rng.uniform(3.0, 6.0)
             phase = rng.uniform(0.0, 2 * np.pi)
@@ -230,7 +234,7 @@ def generate(script: ScenarioScript) -> tuple[FrameArrays, DistractionTimeline]:
             speak_mask[sel] = True
             activity[sel] = "speak"
             if seg.duration_s > SPEAK_MIN_S:
-                truth_signals[sel, _IDX_SPEAKING] = True
+                mask[sel] |= _BIT_SPEAKING
         elif seg.kind == "yawn":
             ramp = np.sin(np.pi * local / seg.duration_s) ** 2
             yawn_ramp[sel] = ramp
@@ -240,17 +244,17 @@ def generate(script: ScenarioScript) -> tuple[FrameArrays, DistractionTimeline]:
             act = np.where(active, "yawn_active", "yawn_edge")
             activity[sel] = act
             rows = np.flatnonzero(sel)
-            truth_signals[rows[active], _IDX_DROWSY] = True
+            mask[rows[active]] |= _BIT_DROWSY
         elif seg.kind == "close_eyes":
             closure_mask[sel] = True
             activity[sel] = "close_eyes"
             if seg.duration_s > CLOSURE_MIN_S:
-                truth_signals[sel, _IDX_DROWSY] = True
+                mask[sel] |= _BIT_DROWSY
         elif seg.kind == "leave":
             leave_mask[sel] = True
             activity[sel] = "leave"
             if seg.duration_s > LEAVE_MIN_S:
-                truth_signals[sel, _IDX_UNATTENDED] = True
+                mask[sel] |= _BIT_UNATTENDED
 
     # -- per-frame draws (fixed order) -------------------------------------
     gaze_noise = rng.standard_normal((n, 2))
@@ -357,15 +361,10 @@ def generate(script: ScenarioScript) -> tuple[FrameArrays, DistractionTimeline]:
         face_center_x=np.round(face_center, 4),
     )
 
-    mask = np.zeros(n, dtype=np.uint8)
-    for b in range(len(SIGNAL_NAMES)):
-        mask |= truth_signals[:, b].astype(np.uint8) << b
     targets_list: list[Optional[tuple[float, float]]] = [
         None if leave_mask[i] else (float(target[i, 0]), float(target[i, 1])) for i in range(n)
     ]
     truth = DistractionTimeline(
-        signals=truth_signals,
-        attentive=mask == 0,
         mask=mask,
         frame_index=np.arange(n, dtype=np.int64),
         activity=[str(a) for a in activity],
@@ -614,13 +613,15 @@ def generate_suite(config: SuiteConfig, out_dir: PathLike) -> SuiteIndex:
 
 
 def load_suite(suite_dir: PathLike) -> SuiteIndex:
-    suite_dir = Path(suite_dir)
-    path = suite_dir / "suite.json"
-    if not path.exists():
-        raise ConfigError(f"suite index not found: {path}")
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    entries = [SuiteEntry(**e) for e in doc["sessions"]]
-    return SuiteIndex(seed=int(doc["seed"]), entries=entries)
+    path = Path(suite_dir) / "suite.json"
+    doc = _read_json_object(path, "suite index", ConfigError)
+    try:
+        entries = [SuiteEntry(**e) for e in doc["sessions"]]
+        return SuiteIndex(seed=int(doc["seed"]), entries=entries)
+    except KeyError as exc:
+        raise ConfigError(f"suite index {path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"suite index {path}: malformed ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -639,12 +640,7 @@ def script_to_dict(script: ScenarioScript) -> dict:
 
 def load_script(path: PathLike) -> ScenarioScript:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"script file not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"script {path}: invalid JSON ({exc.msg})") from exc
+    doc = _read_json_object(path, "script", ConfigError)
     try:
         segments = [
             Segment(
@@ -670,9 +666,9 @@ def load_script(path: PathLike) -> ScenarioScript:
             viewing_distance_cm=doc.get("viewing_distance_cm"),
             frame_rate_hz=float(doc.get("frame_rate_hz", 30.0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        validate_script(script)
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"script {path}: {exc}") from exc
-    validate_script(script)
     return script
 
 

@@ -1,28 +1,13 @@
-"""Run-length event extraction shared by the per-signal duration rules."""
+"""Run lengths, and the duration rule every per-signal detector shares.
+
+A run is a maximal stretch of consecutive active frames. Its duration counts
+whole frame periods, so a run of n frames at rate r lasts n/r seconds, and a
+duration rule keeps only the runs strictly longer than its minimum.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Event:
-    """A maximal run of consecutive active frames.
-
-    ``end_frame`` is inclusive. Duration counts whole frame periods, so a run
-    of n frames at rate r lasts n/r seconds.
-    """
-
-    start_frame: int
-    end_frame: int
-    duration_s: float
-    distracting: bool
-
-    @property
-    def n_frames(self) -> int:
-        return self.end_frame - self.start_frame + 1
 
 
 def find_runs(flags: np.ndarray) -> list[tuple[int, int]]:
@@ -37,32 +22,14 @@ def find_runs(flags: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(starts.tolist(), ends.tolist()))
 
 
-def events_from_flags(
-    flags: np.ndarray, frame_rate_hz: float, min_duration_s: float
-) -> list[Event]:
-    """Turn per-frame flags into events; distracting iff strictly longer
-    than ``min_duration_s``."""
+def long_runs(flags: np.ndarray, frame_rate_hz: float, min_duration_s: float) -> np.ndarray:
+    """Per-frame mask of the runs of ``flags`` lasting strictly longer than
+    ``min_duration_s`` at ``frame_rate_hz``."""
     if frame_rate_hz <= 0:
         raise ValueError(f"frame_rate_hz must be positive, got {frame_rate_hz}")
-    events = []
+    flags = np.asarray(flags, dtype=bool)
+    mask = np.zeros(len(flags), dtype=bool)
     for start, end in find_runs(flags):
-        n = end - start + 1
-        duration = n / frame_rate_hz
-        events.append(
-            Event(
-                start_frame=start,
-                end_frame=end,
-                duration_s=duration,
-                distracting=duration > min_duration_s,
-            )
-        )
-    return events
-
-
-def distracting_mask(events: list[Event], n_frames: int) -> np.ndarray:
-    """Per-frame boolean mask of frames inside distracting events."""
-    mask = np.zeros(n_frames, dtype=bool)
-    for ev in events:
-        if ev.distracting:
-            mask[ev.start_frame : ev.end_frame + 1] = True
+        if (end - start + 1) / frame_rate_hz > min_duration_s:
+            mask[start : end + 1] = True
     return mask

@@ -11,10 +11,12 @@ view. The timeline oracle reads and checks one row at a time instead of
 checking whole columns. The writer oracles encode each row as a dict with
 the stdlib JSON encoder instead of filling a row template, and the yawn
 training-set oracle concatenates every tracked frame's features before it
-subsamples them.
+subsamples them. The duration-rule oracle walks the flags frame by frame
+into one event per run and paints the distracting events back into a mask.
 """
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -242,6 +244,49 @@ def per_node_fit_boosted(X, y, config):
         model.trees.append(tree)
         model.train_loss_curve.append(loss(raw))
     return model.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# duration rule: runs as events, then the distracting events as a mask
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Event:
+    """A maximal run of consecutive active frames; ``end_frame`` is inclusive."""
+
+    start_frame: int
+    end_frame: int
+    duration_s: float
+    distracting: bool
+
+    @property
+    def n_frames(self):
+        return self.end_frame - self.start_frame + 1
+
+
+def events_from_flags(flags, frame_rate_hz, min_duration_s):
+    """One event per run of True flags, found frame by frame; distracting iff
+    the run lasts strictly longer than ``min_duration_s``."""
+    if frame_rate_hz <= 0:
+        raise ValueError(f"frame_rate_hz must be positive, got {frame_rate_hz}")
+    events, start = [], None
+    for i, flag in enumerate(list(np.asarray(flags, dtype=bool)) + [False]):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            duration = (i - start) / frame_rate_hz
+            events.append(Event(start, i - 1, duration, duration > min_duration_s))
+            start = None
+    return events
+
+
+def distracting_mask(events, n_frames):
+    """Per-frame boolean mask of the frames inside distracting events."""
+    mask = np.zeros(n_frames, dtype=bool)
+    for ev in events:
+        if ev.distracting:
+            mask[ev.start_frame : ev.end_frame + 1] = True
+    return mask
 
 
 # ---------------------------------------------------------------------------

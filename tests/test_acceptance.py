@@ -31,7 +31,7 @@ from adwatch.pipeline import (
     score_session,
 )
 from adwatch.synth import SuiteConfig, build_suite_scripts, generate
-from adwatch.temporal import events_from_flags
+from adwatch.temporal import long_runs
 from adwatch.fusion import unattended_signal
 
 from conftest import sessions_from_config
@@ -242,12 +242,10 @@ def test_criterion_08_orientation_voting(config):
 def test_criterion_09_duration_rule_boundaries(kind, min_s, frames_at, expect):
     flags = np.zeros(200, dtype=bool)
     flags[50 : 50 + frames_at] = True
+    active = long_runs(flags, 30.0, min_s)
     if kind == "unattended":
-        active = unattended_signal(flags, flags, 30.0, min_s)
-        assert active.any() == expect
-    else:
-        events = events_from_flags(flags, 30.0, min_s)
-        assert events[0].distracting == expect
+        np.testing.assert_array_equal(unattended_signal(flags, flags, 30.0, min_s), active)
+    np.testing.assert_array_equal(active, flags if expect else np.zeros_like(flags))
     report(
         "criterion 9",
         f"{kind}: run of {frames_at} frames at 30 fps -> "

@@ -206,6 +206,68 @@ def test_evaluate_without_ground_truth_exit_3(trained, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("text", ['{"seed": 3, "sessions": [', '{"seed": 3}'],
+                         ids=["invalid_json", "missing_key"])
+def test_malformed_suite_index_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "suite.json"
+    path.write_text(text)
+    code = main(["evaluate", "--suite-dir", str(tmp_path), "--scored", str(tmp_path),
+                 "--output", str(tmp_path / "e")])
+    assert code == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_manifest_that_is_an_array_exits_3(trained, tmp_path, capsys):
+    _, _, art, _ = trained
+    path = tmp_path / "manifest.json"
+    path.write_text("[]")
+    code = main(["score", "--manifest", str(path), "--artifacts", str(art),
+                 "--output", str(tmp_path / "o")])
+    assert code == 3
+    assert str(path) in capsys.readouterr().err
+
+
+def test_manifest_with_null_frame_source_exits_3(trained, tmp_path, capsys):
+    _, suite, art, _ = trained
+    doc = json.loads(next(suite.glob("sessions/*/manifest.json")).read_text())
+    doc["frame_source"] = None
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    code = main(["score", "--manifest", str(path), "--artifacts", str(art),
+                 "--output", str(tmp_path / "o")])
+    assert code == 3
+    assert str(path) in capsys.readouterr().err
+
+
+def test_manifest_with_numeric_ground_truth_exits_3(trained, tmp_path, capsys):
+    import shutil
+
+    _, suite, _, _ = trained
+    copy = tmp_path / "suite"
+    shutil.copytree(suite, copy)
+    path = sorted(copy.glob("sessions/*/manifest.json"))[0]
+    doc = json.loads(path.read_text())
+    doc["ground_truth"] = 5
+    path.write_text(json.dumps(doc))
+    code = main(["evaluate", "--suite-dir", str(copy), "--scored", str(tmp_path),
+                 "--output", str(tmp_path / "e")])
+    assert code == 3
+    assert str(path) in capsys.readouterr().err
+
+
+def test_script_with_text_viewing_distance_exits_2(tmp_path, capsys):
+    script = {
+        "duration_s": 2.0,
+        "viewing_distance_cm": "60",
+        "segments": [{"kind": "dot_at", "start_s": 0.0, "duration_s": 2.0, "dot": [0, 0]}],
+    }
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    code = main(["simulate", "--script", str(path), "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_unknown_config_key_exit_2(trained, tmp_path, capsys):
     _, suite, _, _ = trained
     bad = tmp_path / "bad.json"

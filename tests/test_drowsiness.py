@@ -3,17 +3,18 @@ import pytest
 
 from adwatch.config import PipelineConfig
 from adwatch.drowsiness import (
-    drowsiness_signal,
     mouth_aspect_series,
     refined_eye_closure,
     smooth_flags,
     yawn_features,
+    yawn_flags,
     yawn_probability,
 )
 from adwatch.errors import DataError, MissingArtifactError
 from adwatch.artifacts import data_hash
 from adwatch.records import AU_INDEX
-from adwatch.temporal import events_from_flags
+from adwatch.pipeline import SessionDetectors
+from adwatch.temporal import long_runs
 from adwatch.training import yawn_training_set
 from oracles import concatenating_yawn_training_set
 
@@ -59,30 +60,27 @@ def test_no_flagged_frame_has_high_au12():
 def test_blink_not_distracting():
     flags = np.zeros(300, dtype=bool)
     flags[10:19] = True   # 0.3 s at 30 fps
-    events = events_from_flags(flags, 30.0, CFG.closure_min_event_s)
-    assert len(events) == 1 and not events[0].distracting
+    assert not long_runs(flags, 30.0, CFG.closure_min_event_s).any()
 
 
 def test_long_closure_distracting():
     flags = np.zeros(300, dtype=bool)
     flags[10:85] = True   # 2.5 s
-    events = events_from_flags(flags, 30.0, CFG.closure_min_event_s)
-    assert events[0].distracting
+    assert np.array_equal(long_runs(flags, 30.0, CFG.closure_min_event_s), flags)
 
 
 def test_alternating_frames_never_distract():
     flags = np.zeros(100, dtype=bool)
     flags[::2] = True
-    events = events_from_flags(flags, 30.0, CFG.closure_min_event_s)
-    assert all(not ev.distracting for ev in events)
+    assert not long_runs(flags, 30.0, CFG.closure_min_event_s).any()
 
 
 def test_extending_a_run_keeps_it_distracting():
     flags = np.zeros(300, dtype=bool)
     flags[0:70] = True
-    assert events_from_flags(flags, 30.0, CFG.closure_min_event_s)[0].distracting
+    assert np.array_equal(long_runs(flags, 30.0, CFG.closure_min_event_s), flags)
     flags[0:90] = True
-    assert events_from_flags(flags, 30.0, CFG.closure_min_event_s)[0].distracting
+    assert np.array_equal(long_runs(flags, 30.0, CFG.closure_min_event_s), flags)
 
 
 def mar(points):
@@ -171,19 +169,21 @@ def test_smoothing_majority_suppresses_single_flips():
     assert smoothed[25:45].all()
 
 
-def test_drowsiness_or_combination():
-    n = 120
-    closure = np.zeros(n, dtype=bool)
-    closure[0:70] = True
-    events = events_from_flags(closure, 30.0, CFG.closure_min_event_s)
-    yawns = np.zeros(n, dtype=bool)
-    yawns[100:110] = True
-    signal = drowsiness_signal(events, yawns, n)
-    assert signal[0:70].all()          # closure event only
-    assert signal[100:110].all()       # yawn only
-    assert not signal[80:95].any()     # neither
-    with pytest.raises(DataError):
-        drowsiness_signal(events, yawns[:-1], n)
+def test_drowsiness_or_combination(artifacts, heldout_sessions):
+    # the drowsiness signal is the long closure runs OR the yawn flags
+    for frames, _, manifest in heldout_sessions:
+        fps = manifest.frame_rate_hz
+        closure = refined_eye_closure(frames.eye_closure, frames.aus, CFG) & frames.face_expr
+        closure = long_runs(closure, fps, CFG.closure_min_event_s)
+        yawns = yawn_flags(frames, artifacts.yawn, CFG, fps)
+        if (closure & ~yawns).any() and (yawns & ~closure).any():
+            break
+    else:
+        pytest.fail("no held-out session has both closure-only and yawn-only frames")
+    signal = SessionDetectors(frames, manifest, artifacts, CFG).drowsiness()
+    assert signal[closure].all()        # closure runs
+    assert signal[yawns].all()          # yawns
+    assert not signal[~closure & ~yawns].any()
 
 
 def test_yawn_features_shape(artifacts, heldout_sessions):

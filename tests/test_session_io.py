@@ -302,8 +302,6 @@ def test_timeline_round_trip_randomized(tmp_path):
 
 def test_zero_length_timeline_rejected(tmp_path):
     tl = DistractionTimeline(
-        signals=np.zeros((0, 5), dtype=bool),
-        attentive=np.zeros(0, dtype=bool),
         mask=np.zeros(0, dtype=np.uint8),
         frame_index=np.zeros(0, dtype=np.int64),
     )
@@ -626,23 +624,13 @@ def test_write_timeline_annotations_match_json_encoder(activity, targets):
     assert_written_like_oracle(write_timeline, json_write_timeline, tl)
 
 
-def test_write_timeline_refuses_mask_that_is_not_the_signals(tmp_path):
+@pytest.mark.parametrize("bad,dtype", [(32, np.uint8), (-1, np.int64)], ids=["32", "-1"])
+def test_write_timeline_refuses_mask_outside_0_to_31(tmp_path, bad, dtype):
     tl = random_timeline(np.random.default_rng(3), 300)
-    tl.mask = tl.mask.copy()
-    row = int(np.flatnonzero(tl.mask == 0)[-1])
-    tl.mask[row] = 4            # no signal is set on this row
-    tl.attentive[row] = False   # attentive still agrees with the mask
+    tl.mask = tl.mask.astype(dtype)
+    tl.mask[270] = bad
     path = tmp_path / "t.jsonl"
-    with pytest.raises(DataError, match=f"row {row + 1}: mask 4 is not the bit-packing"):
-        write_timeline(tl, path)
-    assert not path.exists()
-
-
-def test_write_timeline_refuses_attentive_inconsistent_with_mask(tmp_path):
-    tl = random_timeline(np.random.default_rng(4), 300)
-    tl.attentive[270] = not tl.attentive[270]
-    path = tmp_path / "t.jsonl"
-    with pytest.raises(DataError, match="row 271: attentive flag inconsistent with mask"):
+    with pytest.raises(DataError, match=rf"row 271: mask must be an integer in \[0, 32\), got {bad}"):
         write_timeline(tl, path)
     assert not path.exists()
 

@@ -10,7 +10,7 @@ from adwatch.speaking import (
     speaking_flags,
 )
 from adwatch.synth import ScenarioScript, Segment, generate
-from adwatch.temporal import events_from_flags
+from adwatch.temporal import find_runs, long_runs
 
 CFG = PipelineConfig()
 
@@ -156,20 +156,22 @@ def test_oscillating_window_is_speech(artifacts):
 def test_events_boundary_strictness():
     flags = np.zeros(200, dtype=bool)
     flags[0:27] = True     # 0.9 s at 30 fps
-    events = events_from_flags(flags, 30.0, CFG.speaking_min_event_s)
-    assert len(events) == 1 and not events[0].distracting
+    assert not long_runs(flags, 30.0, CFG.speaking_min_event_s).any()
     flags[0:45] = True     # 1.5 s
-    events = events_from_flags(flags, 30.0, CFG.speaking_min_event_s)
-    assert events[0].distracting
-    assert events_from_flags(np.zeros(10, dtype=bool), 30.0, CFG.speaking_min_event_s) == []
+    assert np.array_equal(long_runs(flags, 30.0, CFG.speaking_min_event_s), flags)
+    assert not long_runs(np.zeros(10, dtype=bool), 30.0, CFG.speaking_min_event_s).any()
 
 
 def test_event_decomposition_partition():
     rng = np.random.default_rng(3)
     flags = rng.uniform(size=500) < 0.3
-    events = events_from_flags(flags, 30.0, CFG.speaking_min_event_s)
-    total = sum(ev.n_frames for ev in events)
-    assert total == int(np.count_nonzero(flags))
+    flags[100:140] = True   # one run over a second, so some frames are kept
+    kept = long_runs(flags, 30.0, CFG.speaking_min_event_s)
+    runs = find_runs(flags)
+    assert sum(end - start + 1 for start, end in runs) == int(np.count_nonzero(flags))
+    long = [(start, end) for start, end in runs if end - start + 1 > 30]
+    assert int(np.count_nonzero(kept)) == sum(end - start + 1 for start, end in long) > 0
+    assert not np.any(kept & ~flags)
 
 
 def test_end_to_end_speaking_detection(artifacts):
