@@ -193,8 +193,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _score_one(task):
-    manifest_path, device_filter, cfg, artifact_dir, out_dir = task
+def _score_one(task, artifacts: ArtifactSet):
+    manifest_path, device_filter, cfg, out_dir = task
     manifest = load_manifest(manifest_path)
     if device_filter is not None and manifest.device_type != device_filter:
         print(
@@ -203,7 +203,6 @@ def _score_one(task):
             file=sys.stderr,
         )
         return None
-    artifacts = ArtifactSet.load(artifact_dir)
     frames = load_session(manifest, Path(manifest_path).parent)
     scored = score_session(SessionDetectors(frames, manifest, artifacts, cfg))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -213,6 +212,20 @@ def _score_one(task):
         json.dumps(summary.to_dict(), indent=2) + "\n", encoding="utf-8"
     )
     return manifest.session_id
+
+
+# Set only inside ``score --jobs N`` worker processes, once per worker, by
+# the pool initializer; the parent process never assigns it.
+_worker_artifacts: Optional[ArtifactSet] = None
+
+
+def _init_worker(artifacts: ArtifactSet) -> None:
+    global _worker_artifacts
+    _worker_artifacts = artifacts
+
+
+def _score_in_worker(task):
+    return _score_one(task, _worker_artifacts)
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -226,14 +239,18 @@ def cmd_score(args: argparse.Namespace) -> int:
         manifest_paths = [
             args.suite_dir / e.manifest_path for e in index.by_split(args.split)
         ]
-    # fail fast if artifacts are absent before doing any work
-    ArtifactSet.load(args.artifacts)
-    tasks = [(p, args.device, cfg, args.artifacts, args.output) for p in manifest_paths]
+    # the one load per command: it fails before any session is read, and
+    # every session scores against it, so each ensemble compiles its lookup
+    # tables once (once per worker with --jobs)
+    artifacts = ArtifactSet.load(args.artifacts)
+    tasks = [(p, args.device, cfg, args.output) for p in manifest_paths]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_score_one, tasks))
+        with ProcessPoolExecutor(
+            max_workers=args.jobs, initializer=_init_worker, initargs=(artifacts,)
+        ) as pool:
+            results = list(pool.map(_score_in_worker, tasks))
     else:
-        results = [_score_one(t) for t in tasks]
+        results = [_score_one(t, artifacts) for t in tasks]
     scored = [r for r in results if r is not None]
     print(f"scored {len(scored)} session(s) into {args.output}")
     return EXIT_OK

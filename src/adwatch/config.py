@@ -112,6 +112,11 @@ def _is_real(value) -> bool:
     )
 
 
+def _is_real_pair(value) -> bool:
+    """A list or tuple of exactly two numbers, each as ``_is_real`` counts them."""
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value))
+
+
 def _at_least(least):
     return (lambda v: v >= least), f"be at least {least}"
 
@@ -167,9 +172,7 @@ def _validate(cfg: PipelineConfig) -> None:
     for f in fields(PipelineConfig):
         value = getattr(cfg, f.name)
         if f.name in _TUPLE_FIELDS:
-            if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(
-                _is_real(v) for v in value
-            ):
+            if not _is_real_pair(value):
                 raise ConfigError(f"{f.name} must be a pair of finite numbers, got {value!r}")
             continue
         if f.type == "int":     # annotations are strings (postponed evaluation)

@@ -32,7 +32,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .config import _is_real, _read_json_object
+from .config import _is_real, _is_real_pair, _read_json_object
 from .errors import ConfigError
 from .fusion import SIGNAL_NAMES, DistractionTimeline
 from .records import AU_INDEX, FrameArrays, SessionManifest
@@ -113,6 +113,10 @@ def validate_script(script: ScenarioScript) -> None:
     vd = script.viewing_distance_cm
     if vd is not None and not (_is_real(vd) and vd > 0):
         raise ConfigError(f"viewing_distance_cm must be a positive number or null, got {vd!r}")
+    if not _is_real_pair(script.camera_offset_cm):
+        raise ConfigError(
+            f"camera_offset_cm must be a pair of finite numbers, got {script.camera_offset_cm!r}"
+        )
     segs = script.segments
     tol = 1e-6
     for i, seg in enumerate(segs):
@@ -124,6 +128,8 @@ def validate_script(script: ScenarioScript) -> None:
             raise ConfigError(f"segment {i}: off_screen needs a direction in {OFF_DIRECTIONS}")
         if seg.kind == "dot_at" and seg.dot is None:
             raise ConfigError(f"segment {i}: dot_at needs a dot position")
+        if seg.dot is not None and not _is_real_pair(seg.dot):
+            raise ConfigError(f"segment {i}: dot must be a pair of finite numbers, got {seg.dot!r}")
     order = sorted(range(len(segs)), key=lambda i: segs[i].start_s)
     if abs(segs[order[0]].start_s) > tol:
         raise ConfigError(f"segment {order[0]}: first segment must start at 0")
@@ -616,12 +622,21 @@ def load_suite(suite_dir: PathLike) -> SuiteIndex:
     path = Path(suite_dir) / "suite.json"
     doc = _read_json_object(path, "suite index", ConfigError)
     try:
+        seed = doc["seed"]
         entries = [SuiteEntry(**e) for e in doc["sessions"]]
-        return SuiteIndex(seed=int(doc["seed"]), entries=entries)
     except KeyError as exc:
         raise ConfigError(f"suite index {path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise ConfigError(f"suite index {path}: malformed ({exc})") from exc
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"suite index {path}: seed must be an integer, got {seed!r}")
+    for i, entry in enumerate(entries):
+        for name, value in vars(entry).items():
+            if not isinstance(value, str):
+                raise ConfigError(
+                    f"suite index {path}: sessions[{i}]: {name} must be a string, got {value!r}"
+                )
+    return SuiteIndex(seed=seed, entries=entries)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from adwatch.cli import build_parser, main
+from adwatch.pipeline import ArtifactSet
 
 FAST_CONFIG = {
     "cnn_epochs": 30,
@@ -76,8 +78,6 @@ def test_overlapping_script_exits_2(tmp_path, capsys):
 
 def test_train_produces_three_loadable_artifacts(trained):
     _, _, art, _ = trained
-    from adwatch.pipeline import ArtifactSet
-
     arts = ArtifactSet.load(art)
     assert arts.speaking is not None
     assert arts.yawn is not None
@@ -186,6 +186,33 @@ def test_missing_artifacts_exit_4(trained, tmp_path, capsys):
                  "--artifacts", str(tmp_path / "void"), "--output", str(tmp_path / "o")])
     assert code == 4
     assert "gaze_regressors.json" in capsys.readouterr().err
+    # the load comes before any session is read or any output is written
+    assert not (tmp_path / "o").exists()
+    assert not list(tmp_path.rglob("*.timeline.jsonl"))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_score_loads_the_artifacts_once_per_command(trained, tmp_path, monkeypatch, jobs):
+    _, suite, art, _ = trained
+    real_load = ArtifactSet.load.__func__
+    test_pid = os.getpid()
+    loads = []
+
+    def load_here_only(cls, artifact_dir):
+        # forked workers inherit this patch; one that loads again fails the command
+        if os.getpid() != test_pid:
+            raise AssertionError("a score worker loaded the artifacts again")
+        loads.append(artifact_dir)
+        return real_load(cls, artifact_dir)
+
+    monkeypatch.setattr(ArtifactSet, "load", classmethod(load_here_only))
+    # each command pays for its own load: nothing is cached across commands
+    for n in (1, 2):
+        out = tmp_path / f"scored{n}"
+        assert main(["score", "--suite-dir", str(suite), "--artifacts", str(art),
+                     "--jobs", jobs, "--output", str(out)]) == 0
+        assert len(loads) == n
+        assert len(list(out.glob("*.timeline.jsonl"))) == 4
 
 
 def test_evaluate_without_ground_truth_exit_3(trained, tmp_path):
@@ -215,6 +242,36 @@ def test_malformed_suite_index_exits_2(tmp_path, capsys, text):
                  "--output", str(tmp_path / "e")])
     assert code == 2
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("manifest_path", 5), ("device_type", None), ("split", ["held_out"]),
+], ids=["manifest_path_number", "device_type_null", "split_list"])
+def test_suite_entry_field_that_is_not_a_string_exits_2(trained, tmp_path, capsys, key, value):
+    _, suite, art, _ = trained
+    doc = json.loads((suite / "suite.json").read_text())
+    doc["sessions"][1][key] = value
+    (tmp_path / "suite.json").write_text(json.dumps(doc))
+    code = main(["score", "--suite-dir", str(tmp_path), "--artifacts", str(art),
+                 "--output", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "suite.json") in err and f"sessions[1]: {key}" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["3", True, 3.0], ids=["text", "boolean", "float"])
+def test_suite_seed_that_is_not_an_integer_exits_2(trained, tmp_path, capsys, value):
+    _, suite, art, _ = trained
+    doc = json.loads((suite / "suite.json").read_text())
+    doc["seed"] = value
+    (tmp_path / "suite.json").write_text(json.dumps(doc))
+    code = main(["score", "--suite-dir", str(tmp_path), "--artifacts", str(art),
+                 "--output", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "suite.json") in err and "seed" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_manifest_that_is_an_array_exits_3(trained, tmp_path, capsys):
@@ -266,6 +323,27 @@ def test_script_with_text_viewing_distance_exits_2(tmp_path, capsys):
     code = main(["simulate", "--script", str(path), "--output", str(tmp_path / "out")])
     assert code == 2
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, named", [
+    ({"segments": [{"kind": "dot_at", "start_s": 0.0, "duration_s": 2.0, "dot": [0, 0]},
+                   {"kind": "dot_at", "start_s": 2.0, "duration_s": 2.0, "dot": ["a", 0]}]},
+     "segment 1: dot"),
+    ({"camera_offset_cm": "ab"}, "camera_offset_cm"),
+], ids=["dot", "camera_offset_cm"])
+def test_script_with_a_pair_that_is_not_numbers_exits_2(tmp_path, capsys, change, named):
+    script = {
+        "duration_s": 4.0,
+        "segments": [{"kind": "dot_at", "start_s": 0.0, "duration_s": 4.0, "dot": [0, 0]}],
+        **change,
+    }
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    code = main(["simulate", "--script", str(path), "--output", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and named in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_config_key_exit_2(trained, tmp_path, capsys):

@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from adwatch import artifacts as artifacts_io
 from adwatch import pipeline
 from adwatch.errors import MissingArtifactError
 from adwatch.gaze import Orientation
@@ -104,6 +105,26 @@ def test_screen_override_is_used(artifacts, config):
 def test_artifact_set_load_missing_names_files(tmp_path):
     with pytest.raises(MissingArtifactError, match="gaze_regressors.json"):
         ArtifactSet.load(tmp_path)
+
+
+def test_shared_artifact_set_matches_a_fresh_load_per_session(
+    heldout_sessions, artifacts, config, tmp_path
+):
+    # adwatch score loads once per command; no detector may change a model it shares
+    artifacts_io.save_gaze_regressors(artifacts.gaze, {}, tmp_path / pipeline.GAZE_ARTIFACT)
+    artifacts_io.save_speaking_cnn(artifacts.speaking, {}, tmp_path / pipeline.SPEAKING_ARTIFACT)
+    artifacts_io.save_yawn_classifier(artifacts.yawn, {}, tmp_path / pipeline.YAWN_ARTIFACT)
+    assert {m.device_type for _, _, m in heldout_sessions} == {"desktop", "mobile"}
+    shared = ArtifactSet.load(tmp_path)
+    for frames, _, manifest in heldout_sessions:
+        kept = score_session(SessionDetectors(frames, manifest, shared, config))
+        fresh = score_session(
+            SessionDetectors(frames, manifest, ArtifactSet.load(tmp_path), config)
+        )
+        assert kept.timeline == fresh.timeline, manifest.session_id
+        assert kept.orientation is fresh.orientation, manifest.session_id
+        assert kept.screen == fresh.screen, manifest.session_id
+        assert kept.stats == fresh.stats, manifest.session_id
 
 
 ABLATE_ORDER = TABLE1_VARIANTS + TABLE3_VARIANTS
