@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import PipelineConfig
 from .errors import DataError
 
 KERNEL_WIDTH = 3
@@ -266,19 +267,37 @@ class TemporalCnn:
 
 @dataclass
 class CnnTrainConfig:
-    epochs: int = 200
-    learning_rate: float = 0.02
-    batch_size: int = 128
+    # the budget defaults are PipelineConfig's, so train_cnn(X, y) fits what
+    # `adwatch train` fits
+    epochs: int = PipelineConfig.cnn_epochs
+    learning_rate: float = PipelineConfig.cnn_learning_rate
+    batch_size: int = PipelineConfig.cnn_batch_size
     seed: int = 0
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_train_config(config: CnnTrainConfig) -> None:
+    if not _is_int(config.epochs) or config.epochs < 0:
+        raise DataError(f"epochs must be an integer of at least 0, got {config.epochs!r}")
+    if not _is_int(config.batch_size) or config.batch_size < 1:
+        raise DataError(f"batch_size must be an integer of at least 1, got {config.batch_size!r}")
+    rate = config.learning_rate
+    if not (_is_int(rate) or isinstance(rate, (float, np.floating))) or not 0 < rate <= 1:
+        raise DataError(f"learning_rate must be a number in (0, 1], got {rate!r}")
 
 
 def train_cnn(windows: np.ndarray, labels: np.ndarray, config: CnnTrainConfig | None = None) -> TemporalCnn:
     """Train on fixed-length windows with binary labels.
 
     ``windows`` may be a ragged list; inconsistent lengths are rejected.
-    epochs = 0 returns the freshly initialized network.
+    epochs = 0 returns the freshly initialized network. A budget outside
+    the ranges ``PipelineConfig`` allows raises ``DataError`` before any work.
     """
     config = config or CnnTrainConfig()
+    _check_train_config(config)
     if isinstance(windows, np.ndarray) and windows.dtype == object or not isinstance(windows, np.ndarray):
         lengths = {len(w) for w in windows}
         if len(lengths) > 1:

@@ -57,7 +57,7 @@ class PipelineConfig:
     yawn_depth: int = 3
     max_gaze_train_rows: int = 4000
     max_yawn_train_rows: int = 6000
-    cnn_epochs: int = 200
+    cnn_epochs: int = 50
     cnn_learning_rate: float = 0.02
     cnn_batch_size: int = 128
     max_speaking_train_windows: int = 2000

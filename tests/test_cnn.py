@@ -11,7 +11,9 @@ from adwatch.cnn import (
     gradient_check,
     train_cnn,
 )
+from adwatch.config import PipelineConfig
 from adwatch.errors import DataError
+from adwatch.training import train_speaking_cnn
 from oracles import window_conv1d, window_conv_input_grad, window_conv_weight_grad
 
 
@@ -151,3 +153,65 @@ def test_work_buffers_leave_training_unchanged(toy_set):
                 getattr(net, name)[...] -= config.learning_rate * grads[name]
     for name in PARAM_NAMES:
         assert np.array_equal(getattr(trained, name), getattr(net, name))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("epochs", -5),
+        ("epochs", 2.5),
+        ("epochs", True),
+        ("batch_size", 0),
+        ("batch_size", True),
+        ("batch_size", 64.0),
+        ("learning_rate", -0.5),
+        ("learning_rate", 0.0),
+        ("learning_rate", 1.5),
+        ("learning_rate", float("nan")),
+        ("learning_rate", True),
+        ("learning_rate", "0.1"),
+    ],
+)
+def test_train_budget_validated(toy_set, field, value):
+    X, y = toy_set
+    config = CnnTrainConfig(epochs=1, seed=0)
+    setattr(config, field, value)
+    with pytest.raises(DataError, match=field):
+        train_cnn(X, y, config)
+
+
+def test_train_budget_checked_before_the_windows():
+    with pytest.raises(DataError, match="batch_size"):
+        train_cnn(np.zeros((0, 30)), np.zeros(0), CnnTrainConfig(batch_size=0))
+
+
+def test_train_budget_limits_accepted(toy_set):
+    # epochs=0 is covered by test_zero_epochs_returns_untrained
+    X, y = toy_set[0][:8], toy_set[1][:8]
+    net = train_cnn(X, y, CnnTrainConfig(epochs=np.int64(1), batch_size=1, learning_rate=1, seed=3))
+    assert len(net.train_loss_curve) == 1
+
+
+def test_default_budget_is_the_pipeline_default():
+    config, pipeline = CnnTrainConfig(), PipelineConfig()
+    assert (config.epochs, config.learning_rate, config.batch_size) == (
+        pipeline.cnn_epochs,
+        pipeline.cnn_learning_rate,
+        pipeline.cnn_batch_size,
+    )
+
+
+def test_shorter_budget_is_a_prefix_of_the_longer_schedule(toy_set):
+    X, y = toy_set
+    short = train_cnn(X, y, CnnTrainConfig(epochs=3, seed=7))
+    longer = train_cnn(X, y, CnnTrainConfig(epochs=5, seed=7))
+    assert short.train_loss_curve == longer.train_loss_curve[:3]
+
+
+def test_speaking_cnn_trains_for_the_configured_epochs(train_sessions, artifacts):
+    config = PipelineConfig(cnn_epochs=4, max_speaking_train_windows=300)
+    net, metadata = train_speaking_cnn(train_sessions, config, seed=1)
+    assert metadata["hyperparameters"]["epochs"] == config.cnn_epochs
+    assert len(net.train_loss_curve) == config.cnn_epochs
+    # the shared fixture trains at the default budget
+    assert len(artifacts.speaking.train_loss_curve) == PipelineConfig().cnn_epochs
