@@ -1,18 +1,19 @@
 """Gradient-boosted regression trees, built from scratch on numpy.
 
-Two modes share the same tree machinery: squared-error regression (leaf
-values are residual means) and binary logistic classification (leaf values
-are single Newton steps on the log-odds). Split search is exact greedy over
-axis-aligned thresholds at midpoints of consecutive distinct feature values,
-with deterministic tie-breaking (lowest feature index, then lowest
-threshold), so a fit is fully reproducible.
+Two modes share the tree machinery: squared-error regression (leaf values
+are residual means) and binary logistic classification (leaf values are
+single Newton steps on the log-odds).
 
-The search is presorted, as in XGBoost's column block (Chen & Guestrin,
-KDD 2016): each fit sorts every feature once, and each split partitions the
-node's sorted row lists with a stable mask instead of sorting again. The
-partition keeps the order "by value, ties by row index", which is the order
-a fresh stable sort of the node would give, so the splits, the gains and
-the tie-breaks are exactly those of a per-node sort.
+Split search uses histograms, as LightGBM (Ke et al., NeurIPS 2017) and
+XGBoost's ``hist`` method (Chen & Guestrin, KDD 2016) do. A fit bins each
+feature once, at thresholds midway between adjacent distinct values (the
+gaps nearest the row quantiles when there are more than ``MAX_THRESHOLDS``;
+the lower value where the midpoint rounds onto the upper), with
+``searchsorted(side="left")``, so that bin <= k exactly when x <= t_k. A
+node's split is found over its per-bin gradient sums and row counts, each
+one ``np.bincount``; only a split's smaller child is counted, the larger
+one being its parent minus its sibling. Ties go to the lowest feature, then
+the lowest threshold, so a fit is fully reproducible.
 
 Prediction is compiled and exact. The first ``predict`` turns each tree
 into a lookup table over the product of its own per-feature threshold bins,
@@ -42,6 +43,8 @@ MODE_CLASSIFICATION = "logistic_classification"
 # Newton leaf steps are clipped to keep log-odds updates bounded.
 _MAX_LEAF_LOGIT = 4.0
 _MIN_GAIN = 1e-12
+# thresholds per feature and fit, so a row's bin (0..255) fits a uint8
+MAX_THRESHOLDS = 255
 
 
 @dataclass
@@ -270,64 +273,56 @@ def _part_values(part: Union[_Table, _Split], bins: dict[int, np.ndarray]):
     return part.cells.take(cell)
 
 
-def _best_split(XT: np.ndarray, grad: np.ndarray, idx: np.ndarray, block: np.ndarray):
-    """Return (gain, feature, threshold) of the best SSE-reducing split.
+def _bin_feature(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A feature's increasing thresholds, at most ``MAX_THRESHOLDS``, and
+    each row's bin: the number of thresholds below its value."""
+    v = np.sort(x)
+    gaps = _runs(v)[1][1:]      # sorted positions just above each value gap
+    if len(gaps) > MAX_THRESHOLDS:
+        # the gaps at or just above the row quantiles
+        at = np.arange(1, MAX_THRESHOLDS + 1) * (len(v) / (MAX_THRESHOLDS + 1))
+        picked = np.minimum(np.searchsorted(gaps, at), len(gaps) - 1)
+        gaps = gaps[picked[_runs(picked)[1]]]
+    lo, hi = v[gaps - 1], v[gaps]
+    mid = 0.5 * (lo + hi)
+    cuts = np.where((lo <= mid) & (mid < hi), mid, lo)
+    return cuts, np.searchsorted(cuts, x, side="left").astype(np.uint8)
 
-    ``XT`` is the (F, N) feature-major training matrix, ``idx`` the node's
-    rows in ascending order and ``block`` (F, n) the same rows per feature,
-    sorted by value with ties by row index. gain is the decrease in sum of
-    squared residuals; None when no valid split improves on the parent.
-    """
-    n = len(idx)
-    if n < 2:
+
+def _best_split(sums: np.ndarray, counts: np.ndarray):
+    """Return (feature, bin) of the best SSE-reducing split of a node from
+    its (F, B) gradient-sum and row-count histograms, rows in that bin or
+    below going left; None when no split reduces the squared residuals."""
+    left_sum = np.cumsum(sums, axis=1)
+    left_n = np.cumsum(counts, axis=1)
+    total, n = left_sum[:, -1:], left_n[:, -1:]
+    # a split ends on a bin holding rows of the node and leaves rows right;
+    # one after an empty bin repeats a partition at a higher threshold
+    valid = (counts > 0) & (left_n < n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = left_sum**2 / left_n + (total - left_sum) ** 2 / (n - left_n) - total**2 / n
+    gain[~valid] = -np.inf
+    # deterministic tie-break: argmax returns the first maximum in C order,
+    # the lowest feature index, then the lowest threshold
+    f, k = divmod(int(np.argmax(gain)), gain.shape[1])
+    if not gain[f, k] > _MIN_GAIN:        # also catches no valid split (-inf)
         return None
-    xs = np.take_along_axis(XT, block, axis=1)
-    tied = xs[:, 1:] <= xs[:, :-1]        # no threshold between equal values
-    del xs  # freed before the prefix sums; the threshold is read from XT
-    prefix = grad[block]
-    np.cumsum(prefix, axis=1, out=prefix)
-    nl = np.arange(1, n, dtype=np.float64)
-    # gain = left_sum**2 / nl + right_sum**2 / nr - parent score, computed
-    # in place over the left sums
-    gain = prefix[:, :-1]
-    right_sum = prefix[:, -1:] - gain
-    np.square(gain, out=gain)
-    gain /= nl
-    np.square(right_sum, out=right_sum)
-    right_sum /= n - nl
-    gain += right_sum
-    # parent score is the same for every feature column
-    gain -= (np.sum(grad[idx]) ** 2) / n
-    gain[tied] = -np.inf
-    # deterministic tie-break: lowest feature index, then lowest threshold
-    # (argmax returns the first maximum in C order, which scans features in
-    # order; within a feature valid splits rise). The totals column is no
-    # split: at -inf it lets argmax scan the contiguous prefix rather than
-    # copy the strided gain view.
-    prefix[:, -1] = -np.inf
-    f, r = divmod(int(np.argmax(prefix)), n)
-    best = float(gain[f, r])
-    if not np.isfinite(best) or best <= _MIN_GAIN:
-        return None
-    threshold = 0.5 * (XT[f, block[f, r]] + XT[f, block[f, r + 1]])
-    return best, f, float(threshold)
+    return f, k
 
 
-def _build_tree(
-    XT: np.ndarray,
-    order: np.ndarray,
-    grad: np.ndarray,
-    hess: Optional[np.ndarray],
-    fitted: np.ndarray,
-    max_depth: int,
-    min_samples_leaf: int,
-) -> TreeNode:
-    """Grow one tree from ``order`` (F, N), each feature's rows presorted.
-
-    Each split partitions every feature's sorted row list with one stable
-    mask, so no node sorts again. Each leaf writes its value into
-    ``fitted`` for its rows, which saves a prediction pass per stage.
+def _build_tree(keys, cuts, n_bins, grad, hess, fitted, max_depth, min_samples_leaf) -> TreeNode:
+    """Grow one tree over binned rows: ``keys`` (N, F) holds each row's
+    ``feature * n_bins + bin``, ``cuts[f]`` feature f's thresholds. Each leaf
+    writes its value into ``fitted`` for its rows, saving a prediction pass.
     """
+    n_feat = keys.shape[1]
+
+    def histograms(idx: np.ndarray):
+        k = keys[idx].ravel()
+        sums = np.bincount(k, weights=np.repeat(grad[idx], n_feat), minlength=n_feat * n_bins)
+        counts = np.bincount(k, minlength=n_feat * n_bins)
+        return sums.reshape(n_feat, n_bins), counts.reshape(n_feat, n_bins)
+
     def leaf(idx: np.ndarray) -> TreeNode:
         if hess is None:
             value = float(np.mean(grad[idx]))
@@ -341,30 +336,33 @@ def _build_tree(
         fitted[idx] = value
         return TreeNode(value=value)
 
-    def build(idx: np.ndarray, block: np.ndarray, d: int) -> TreeNode:
-        if d >= max_depth or len(idx) < 2 * min_samples_leaf:
+    def build(idx: np.ndarray, hist, d: int) -> TreeNode:
+        if hist is None or len(idx) < 2 * min_samples_leaf:
             return leaf(idx)
-        split = _best_split(XT, grad, idx, block)
+        split = _best_split(*hist)
         if split is None:
             return leaf(idx)
-        _, f, thr = split
-        go_left = XT[f, idx] <= thr
+        f, k = split
+        go_left = keys[idx, f] <= f * n_bins + k
         li, ri = idx[go_left], idx[~go_left]
         if len(li) < min_samples_leaf or len(ri) < min_samples_leaf:
             return leaf(idx)
-        in_left = np.zeros(XT.shape[1], dtype=bool)
-        in_left[li] = True
-        in_left = in_left[block].ravel()
-        left = np.compress(in_left, block).reshape(len(block), len(li))
-        right = np.compress(~in_left, block).reshape(len(block), len(ri))
+        hists = [None, None]
+        if d + 1 < max_depth:
+            # count the smaller child; the larger one is its parent minus it
+            small = int(len(ri) < len(li))
+            hists[small] = histograms((li, ri)[small])
+            sums, counts = hist[0] - hists[small][0], hist[1] - hists[small][1]
+            sums[counts == 0] = 0.0     # no rounding residue in empty bins
+            hists[1 - small] = sums, counts
         return TreeNode(
             feature=f,
-            threshold=thr,
-            left=build(li, left, d + 1),
-            right=build(ri, right, d + 1),
+            threshold=float(cuts[f][k]),
+            left=build(li, hists[0], d + 1),
+            right=build(ri, hists[1], d + 1),
         )
 
-    return build(np.arange(XT.shape[1]), order, 0)
+    return build(np.arange(len(keys)), histograms(slice(None)), 0)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -502,9 +500,10 @@ def fit_boosted(X: np.ndarray, y: np.ndarray, config: Optional[BoostConfig] = No
         return float(np.mean((y - raw_scores) ** 2))
 
     model.train_loss_curve.append(loss(raw))
-    # X is fixed across stages: sort every feature once, ties by row index
-    XT = np.ascontiguousarray(X.T)
-    order = np.argsort(XT, axis=1, kind="stable").astype(np.int32)
+    # X is fixed across stages: bin every feature once
+    cuts, bins = zip(*(_bin_feature(x) for x in X.T))
+    n_bins = max(len(c) for c in cuts) + 1
+    keys = np.stack(bins, axis=1) + np.arange(X.shape[1]) * n_bins
     for _ in range(config.n_stages):
         if classification:
             p = _sigmoid(raw)
@@ -517,7 +516,7 @@ def fit_boosted(X: np.ndarray, y: np.ndarray, config: Optional[BoostConfig] = No
             break                  # targets fully explained; no further trees
         fitted = np.empty(len(y), dtype=np.float64)
         tree = _build_tree(
-            XT, order, grad, hess, fitted, config.max_depth, config.min_samples_leaf
+            keys, cuts, n_bins, grad, hess, fitted, config.max_depth, config.min_samples_leaf
         )
         raw = raw + config.learning_rate * fitted
         model.trees.append(tree)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import PipelineConfig, check_seed
 from .errors import DataError
 
 KERNEL_WIDTH = 3
@@ -274,6 +274,9 @@ class CnnTrainConfig:
     batch_size: int = PipelineConfig.cnn_batch_size
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        _check_train_config(self)
+
 
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -287,6 +290,7 @@ def _check_train_config(config: CnnTrainConfig) -> None:
     rate = config.learning_rate
     if not (_is_int(rate) or isinstance(rate, (float, np.floating))) or not 0 < rate <= 1:
         raise DataError(f"learning_rate must be a number in (0, 1], got {rate!r}")
+    check_seed(config.seed, DataError)
 
 
 def train_cnn(windows: np.ndarray, labels: np.ndarray, config: CnnTrainConfig | None = None) -> TemporalCnn:
@@ -294,7 +298,9 @@ def train_cnn(windows: np.ndarray, labels: np.ndarray, config: CnnTrainConfig | 
 
     ``windows`` may be a ragged list; inconsistent lengths are rejected.
     epochs = 0 returns the freshly initialized network. A budget outside
-    the ranges ``PipelineConfig`` allows raises ``DataError`` before any work.
+    the ranges ``PipelineConfig`` allows, or a seed that is not an integer of
+    at least 0, raises ``DataError`` before any work (and already when the
+    ``CnnTrainConfig`` is made).
     """
     config = config or CnnTrainConfig()
     _check_train_config(config)

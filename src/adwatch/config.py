@@ -8,6 +8,7 @@ rejected rather than ignored so typos fail loudly.
 from __future__ import annotations
 
 import json
+import numbers
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -196,6 +197,13 @@ def _validate(cfg: PipelineConfig) -> None:
             f"min_valid_samples ({cfg.min_valid_samples}) must not exceed "
             f"window_samples ({cfg.window_samples})"
         )
+
+
+def check_seed(seed, error: type = ConfigError) -> None:
+    """Raise ``error`` unless ``seed`` is an integer of at least 0, which is
+    what numpy's generators accept; a bool is not a seed."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise error(f"seed must be an integer of at least 0, got {seed!r}")
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:

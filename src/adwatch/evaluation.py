@@ -52,6 +52,21 @@ def frame_metrics(predicted_inattentive: np.ndarray, true_inattentive: np.ndarra
     return ClassificationReport(tp=tp, fp=fp, tn=tn, fn=fn, tpr=tpr, tnr=tnr, g_mean=g_mean, f1=float(f1))
 
 
+def _average_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``scores``, equal values sharing their average rank
+    (each NaN ranks alone, after every number)."""
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    first = np.ones(len(ordered), dtype=bool)   # first of a run of equal values
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], len(ordered))
+    ranks = np.empty(len(ordered), dtype=np.float64)
+    # a run over sorted positions i..j (0-based) shares rank (i + 1 + j + 1) / 2
+    ranks[order] = (0.5 * (starts + 1 + ends))[np.cumsum(first) - 1]
+    return ranks
+
+
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Rank-based AUC; requires both classes present."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -62,19 +77,7 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("roc_auc needs both classes present")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    ranks[order] = np.arange(1, scores.size + 1)
-    # average ranks over ties
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        if j > i:
-            ranks[order[i : j + 1]] = 0.5 * (i + 1 + j + 1)
-        i = j + 1
+    ranks = _average_ranks(scores)
     rank_sum = float(np.sum(ranks[labels]))
     return (rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
 

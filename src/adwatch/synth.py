@@ -32,7 +32,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .config import _is_real, _is_real_pair, _read_json_object
+from .config import _is_real, _is_real_pair, _read_json_object, check_seed
 from .errors import ConfigError
 from .fusion import SIGNAL_NAMES, DistractionTimeline
 from .records import AU_INDEX, FrameArrays, SessionManifest
@@ -102,6 +102,7 @@ class ScenarioScript:
 
 
 def validate_script(script: ScenarioScript) -> None:
+    check_seed(script.seed)
     if not script.segments:
         raise ConfigError("script has no segments")
     if script.device_type not in ("desktop", "mobile"):
@@ -535,6 +536,7 @@ def build_suite_scripts(config: SuiteConfig) -> list[tuple[str, ScenarioScript, 
 
     Returns (session_id, script, split) triples.
     """
+    check_seed(config.seed)
     if config.n_sessions < 1:
         raise ConfigError("n_sessions must be at least 1")
     out = []
@@ -594,10 +596,11 @@ def _write_session(script: ScenarioScript, session_id: str, sdir: Path) -> None:
 def generate_suite(config: SuiteConfig, out_dir: PathLike) -> SuiteIndex:
     """Generate a whole suite to disk: one directory per session holding the
     manifest, the frame stream, and the ground-truth timeline."""
+    scripts = build_suite_scripts(config)      # a bad config fails before any write
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for sid, script, split in build_suite_scripts(config):
+    for sid, script, split in scripts:
         _write_session(script, sid, out_dir / "sessions" / sid)
         entries.append(
             SuiteEntry(
@@ -668,7 +671,7 @@ def load_script(path: PathLike) -> ScenarioScript:
             for s in doc["segments"]
         ]
         script = ScenarioScript(
-            seed=int(doc.get("seed", 0)),
+            seed=doc.get("seed", 0),        # checked, not coerced, by validate_script
             device_type=str(doc.get("device_type", "desktop")),
             duration_s=float(doc["duration_s"]),
             segments=segments,

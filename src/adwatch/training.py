@@ -19,7 +19,7 @@ import numpy as np
 from . import artifacts as artifacts_io
 from .boosting import BoostConfig, BoostedEnsemble, MODE_CLASSIFICATION, fit_boosted
 from .cnn import CnnTrainConfig, TemporalCnn, train_cnn
-from .config import PipelineConfig
+from .config import PipelineConfig, check_seed
 from .errors import DataError
 from .fusion import DistractionTimeline
 from .gaze import compute_session_stats, normalize_gaze, valid_gaze_mask
@@ -270,6 +270,7 @@ def train_all(
     }
     if only is not None and only not in targets:
         raise DataError(f"unknown training target {only!r}")
+    check_seed(seed)
     sessions = load_suite_sessions(suite_dir, split="train")
     trained = [
         (save, name, *train(sessions, config, seed=seed))

@@ -4,8 +4,9 @@ These deliberately avoid the formulas under test: the line-sampling oracle
 never divides by the direction's z component, the scalar ray intersection
 handles one ray at a time with no array masking, and the pairwise AUC oracle
 compares every positive/negative pair directly. The boosting oracles
-re-sort every node's rows instead of partitioning a presorted order and
-walk each tree node by node instead of looking it up in a compiled table,
+search every node's rows exactly from a fresh sort instead of over
+histograms of binned values, replay a fit's gradients by walking its trees,
+and walk each tree node by node instead of looking it up in a compiled table,
 and the convolution oracles build im2col columns from a sliding-window
 view. The timeline oracle reads and checks one row at a time instead of
 checking whole columns. The writer oracles encode each row as a dict with
@@ -146,24 +147,29 @@ def walk_raw_predict(model, X):
     return out
 
 
-def _per_node_best_split(X, grad, min_gain=1e-12):
+def per_node_split_gains(X, grad):
+    """Every exact-search split of one node's rows ``X`` (n, F), from a fresh
+    stable sort: the (n-1, F) gains, where [r, f] splits feature f between
+    its r-th and (r+1)-th sorted values (-inf where they are equal), and the
+    (n, F) sorted values."""
     n = len(grad)
-    if n < 2:
-        return None
     order = np.argsort(X, axis=0, kind="stable")
     xs = np.take_along_axis(X, order, axis=0)
-    gs = grad[order]
-    prefix = np.cumsum(gs, axis=0)
-    total = prefix[-1]
+    prefix = np.cumsum(grad[order], axis=0)
     nl = np.arange(1, n, dtype=np.float64)[:, None]
-    nr = n - nl
     left_sum = prefix[:-1]
-    right_sum = total[None, :] - left_sum
-    score = left_sum**2 / nl + right_sum**2 / nr
-    valid = xs[1:] > xs[:-1]
-    parent_score = (np.sum(grad) ** 2) / n
-    gain = score - parent_score
-    gain[~valid] = -np.inf
+    right_sum = prefix[-1][None, :] - left_sum
+    gain = left_sum**2 / nl + right_sum**2 / (n - nl) - (np.sum(grad) ** 2) / n
+    gain[xs[1:] <= xs[:-1]] = -np.inf
+    return gain, xs
+
+
+def _per_node_best_split(X, grad, min_gain=1e-12):
+    """(gain, feature, threshold) of the exact greedy search at one node: the
+    midpoint of the best gap, ties to the lowest feature, then threshold."""
+    if len(grad) < 2:
+        return None
+    gain, xs = per_node_split_gains(X, grad)
     best = float(np.max(gain))
     if not np.isfinite(best) or best <= min_gain:
         return None
@@ -176,74 +182,61 @@ def _per_node_best_split(X, grad, min_gain=1e-12):
     return best, f, float(0.5 * (xs[r, f] + xs[r + 1, f]))
 
 
-def _per_node_build_tree(X, grad, hess, max_depth, min_samples_leaf, max_leaf_logit=4.0):
-    from adwatch.boosting import TreeNode
-
-    def leaf_value(idx):
-        if hess is None:
-            return float(np.mean(grad[idx]))
-        h = float(np.sum(hess[idx]))
-        if h <= 0:
-            return 0.0
-        v = float(np.sum(grad[idx])) / h
-        return float(np.clip(v, -max_leaf_logit, max_leaf_logit))
-
-    def build(idx, d):
-        if d >= max_depth or len(idx) < 2 * min_samples_leaf:
-            return TreeNode(value=leaf_value(idx))
-        split = _per_node_best_split(X[idx], grad[idx])
-        if split is None:
-            return TreeNode(value=leaf_value(idx))
-        _, f, thr = split
-        go_left = X[idx, f] <= thr
-        li, ri = idx[go_left], idx[~go_left]
-        if len(li) < min_samples_leaf or len(ri) < min_samples_leaf:
-            return TreeNode(value=leaf_value(idx))
-        return TreeNode(feature=f, threshold=thr, left=build(li, d + 1), right=build(ri, d + 1))
-
-    return build(np.arange(len(X)), 0)
+def leaf_value(grad, hess, max_leaf_logit=4.0):
+    """A leaf's value over its rows: the mean residual, or one clipped Newton step."""
+    if hess is None:
+        return float(np.mean(grad))
+    h = float(np.sum(hess))
+    if h <= 0:
+        return 0.0
+    return float(np.clip(float(np.sum(grad)) / h, -max_leaf_logit, max_leaf_logit))
 
 
-def per_node_fit_boosted(X, y, config):
-    """Boosting fit that argsorts the rows of every node afresh and predicts
-    each stage's tree by walking it; returns the model's ``to_dict()``."""
-    from adwatch.boosting import MODE_CLASSIFICATION, BoostedEnsemble, _sigmoid
+def tree_nodes(tree, X):
+    """Every node of a tree with its depth and the rows of X that reach it,
+    in ascending order, walking it node by node."""
+    stack = [(tree, np.arange(len(X)), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        yield depth, node, rows
+        if not node.is_leaf:
+            go_left = X[rows, node.feature] <= node.threshold
+            stack.append((node.right, rows[~go_left], depth + 1))
+            stack.append((node.left, rows[go_left], depth + 1))
+
+
+def base_prediction(y, classification):
+    """The constant a fit starts from: the mean target, or the log-odds of
+    the clipped positive rate."""
+    if classification:
+        p0 = float(np.clip(np.mean(y), 1e-6, 1 - 1e-6))
+        return float(np.log(p0 / (1 - p0)))
+    return float(np.mean(y))
+
+
+def replay_fit(model, X, y):
+    """A fitted model's training re-derived by walking its trees: the
+    (gradient, Hessian or None) each tree was grown on, then those after the
+    last tree, and the training loss before the first tree and after each."""
+    from adwatch.boosting import MODE_CLASSIFICATION, _sigmoid
 
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    classification = config.mode == MODE_CLASSIFICATION
-    if classification:
-        p0 = float(np.clip(np.mean(y), 1e-6, 1 - 1e-6))
-        base = float(np.log(p0 / (1 - p0)))
-    else:
-        base = float(np.mean(y))
-    model = BoostedEnsemble(
-        mode=config.mode, learning_rate=config.learning_rate, max_depth=config.max_depth,
-        base_prediction=base, n_features=X.shape[1],
-    )
-
-    def loss(raw):
+    classification = model.mode == MODE_CLASSIFICATION
+    raw = np.full(len(y), model.base_prediction, dtype=np.float64)
+    stages, curve = [], []
+    for tree in [*model.trees, None]:
         if classification:
             p = _sigmoid(raw)
+            stages.append((y - p, p * (1 - p)))
             eps = 1e-12
-            return float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
-        return float(np.mean((y - raw) ** 2))
-
-    raw = np.full(len(y), base, dtype=np.float64)
-    model.train_loss_curve.append(loss(raw))
-    for _ in range(config.n_stages):
-        if classification:
-            p = _sigmoid(raw)
-            grad, hess = y - p, p * (1 - p)
+            curve.append(float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))))
         else:
-            grad, hess = y - raw, None
-        if np.max(np.abs(grad)) < 1e-12:
-            break
-        tree = _per_node_build_tree(X, grad, hess, config.max_depth, config.min_samples_leaf)
-        raw = raw + config.learning_rate * tree_predict(tree, X)
-        model.trees.append(tree)
-        model.train_loss_curve.append(loss(raw))
-    return model.to_dict()
+            stages.append((y - raw, None))
+            curve.append(float(np.mean((y - raw) ** 2)))
+        if tree is not None:
+            raw = raw + model.learning_rate * tree_predict(tree, X)
+    return stages, curve
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adwatch.boosting import (
+    MAX_THRESHOLDS,
     MODE_CLASSIFICATION,
     MODE_REGRESSION,
     BoostConfig,
     BoostedEnsemble,
     TreeNode,
+    _best_split,
+    _bin_feature,
     fit_boosted,
 )
 from adwatch.drowsiness import yawn_features
 from adwatch.errors import DataError
-from oracles import per_node_fit_boosted, walk_raw_predict
+from oracles import (
+    _per_node_best_split,
+    base_prediction,
+    leaf_value,
+    per_node_split_gains,
+    replay_fit,
+    tree_nodes,
+    walk_raw_predict,
+)
 
 
 def test_constant_target_needs_no_trees():
@@ -148,19 +159,21 @@ def test_tree_shape_parameters_validated(field, value):
 
 @st.composite
 def tied_problems(draw):
-    # small integer grids make many equal feature values and equal gains
+    # small integer grids make many equal feature values and equal gains;
+    # no fill value, so every element is drawn rather than most of them
+    # being one repeated value, which would leave most fits without a split
     n = draw(st.integers(10, 60))
     f = draw(st.integers(1, 4))
     grid = draw(st.integers(2, 6))
-    X = draw(hnp.arrays(np.int64, (n, f), elements=st.integers(0, grid - 1)))
+    X = draw(hnp.arrays(np.int64, (n, f), elements=st.integers(0, grid - 1), fill=st.nothing()))
     # duplicated columns give exactly equal gains, so the tie-break decides
     extra = draw(st.lists(st.integers(0, f - 1), max_size=3))
     X = X[:, draw(st.permutations(list(range(f)) + extra))]
     mode = draw(st.sampled_from([MODE_REGRESSION, MODE_CLASSIFICATION]))
     if mode == MODE_CLASSIFICATION:
-        y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+        y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1), fill=st.nothing()))
     else:
-        y = draw(hnp.arrays(np.int64, n, elements=st.integers(-3, 3)))
+        y = draw(hnp.arrays(np.int64, n, elements=st.integers(-3, 3), fill=st.nothing()))
     config = BoostConfig(
         n_stages=draw(st.integers(1, 8)),
         max_depth=draw(st.integers(1, 4)),
@@ -170,12 +183,253 @@ def tied_problems(draw):
     return X.astype(np.float64), y.astype(np.float64), config
 
 
+# The histogram search and the exact search see the same candidate
+# partitions on data with at most 255 distinct values per feature, but sum
+# the gradients in different orders, so gains that tie exactly in one can
+# differ in the last bits in the other. Splits are compared wherever the
+# best partition beats every other by more than this share of the node's
+# sum of squared gradients, the quantity the gains are decreases of.
+MARGIN = 1e-9
+_MIN_GAIN = 1e-12
+
+
+def exact_partitions(X, grad):
+    """The exact search's candidate partitions at a node, best gain each:
+    {left-row mask bytes: gain}, "no split" counted as gain ``_MIN_GAIN``."""
+    best = {None: _MIN_GAIN}
+    if len(grad) < 2:
+        return best
+    gain, xs = per_node_split_gains(X, grad)
+    r, f = np.nonzero(np.isfinite(gain))
+    left = X[:, f].T <= xs[r, f][:, None]
+    for key, g in zip(map(bytes, left), gain[r, f].tolist()):
+        best[key] = max(best.get(key, -np.inf), g)
+    return best
+
+
+def clear_winner(best, tol):
+    """Whether the best partition beats the runner-up by more than ``tol``."""
+    ranked = sorted(best.values(), reverse=True)
+    return len(ranked) == 1 or ranked[0] - ranked[1] > tol
+
+
+def leaves_a_small_child(key, n_rows, least):
+    n_left = int(np.frombuffer(key, bool).sum())
+    return min(n_left, n_rows - n_left) < least
+
+
 @settings(max_examples=80, deadline=None)
 @given(problem=tied_problems())
-def test_presorted_fit_matches_per_node_sort(problem):
+def test_histogram_fit_matches_per_node_search(problem):
+    # every node of a whole fit, replayed with the exact search: each split
+    # is a best partition up to the margin, each leaf is one the exact search
+    # makes, and each leaf value and stage loss is exactly the oracle's
     X, y, config = problem
-    fast = json.dumps(fit_boosted(X, y, config).to_dict())
-    assert fast == json.dumps(per_node_fit_boosted(X, y, config))
+    model = fit_boosted(X, y, config)
+    assert model.base_prediction == base_prediction(y, config.mode == MODE_CLASSIFICATION)
+    assert (model.mode, model.learning_rate, model.max_depth, model.n_features) == (
+        config.mode, config.learning_rate, config.max_depth, X.shape[1]
+    )
+    stages, curve = replay_fit(model, X, y)
+    assert model.train_loss_curve == curve
+    for tree, (grad, hess) in zip(model.trees, stages):
+        assert np.max(np.abs(grad)) >= 1e-12
+        for depth, node, rows in tree_nodes(tree, X):
+            g = grad[rows]
+            tol = MARGIN * float(np.sum(g**2))
+            searched = depth < config.max_depth and len(rows) >= 2 * config.min_samples_leaf
+            best = exact_partitions(X[rows], g) if searched else {None: _MIN_GAIN}
+            top = max(best.values())
+            if node.is_leaf:
+                assert node.value == leaf_value(g, None if hess is None else hess[rows])
+                # no split, or a near-best one that leaves a child too small
+                small = [
+                    gain for key, gain in best.items()
+                    if key is not None
+                    and leaves_a_small_child(key, len(rows), config.min_samples_leaf)
+                ]
+                assert top <= _MIN_GAIN + tol or max(small, default=-np.inf) >= top - tol
+            else:
+                assert searched
+                left = X[rows, node.feature] <= node.threshold
+                assert min(left.sum(), (~left).sum()) >= config.min_samples_leaf
+                assert best[bytes(left)] >= top - tol
+    if len(model.trees) < config.n_stages:
+        assert np.max(np.abs(stages[-1][0])) < 1e-12
+
+
+@st.composite
+def binned_nodes(draw):
+    # integer grids with at most 255 distinct values per feature; the node is
+    # a subset of the rows, binned with the thresholds of all of them. The
+    # values come from a drawn seed: drawing thousands of elements one by one
+    # would cost more than the searches under test.
+    n = draw(st.integers(10, 120))
+    f = draw(st.integers(1, 4))
+    grid = draw(st.sampled_from([2, 3, 6, 40, 255]))
+    step = draw(st.sampled_from([0.125, 0.1, 1.0 / 3.0]))
+    extra = draw(st.lists(st.integers(0, f - 1), max_size=3))
+    columns = draw(st.permutations(list(range(f)) + extra))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, grid, (n, f))[:, columns].astype(np.float64)
+    grad = rng.integers(-24, 25, n) * step
+    rows = np.sort(rng.permutation(n)[: draw(st.integers(2, n))])
+    return X, grad, rows
+
+
+@settings(max_examples=2000, deadline=None)
+@given(case=binned_nodes())
+def test_histogram_split_matches_exact_search_at_a_node(case):
+    X, grad, rows = case
+    cuts, bins = zip(*(_bin_feature(x) for x in X.T))
+    n_bins = max(len(c) for c in cuts) + 1
+    sums = np.zeros((X.shape[1], n_bins))
+    counts = np.zeros((X.shape[1], n_bins), dtype=np.intp)
+    for f, b in enumerate(bins):
+        np.add.at(sums[f], b[rows], grad[rows])
+        np.add.at(counts[f], b[rows], 1)
+    split = _best_split(sums, counts)
+    got = None
+    if split is not None:
+        f, k = split
+        got = bytes(X[rows, f] <= cuts[f][k])
+        assert np.array_equal(bins[f][rows] <= k, X[rows, f] <= cuts[f][k])
+    g = grad[rows]
+    if clear_winner(exact_partitions(X[rows], g), MARGIN * float(np.sum(g**2))):
+        exact = _per_node_best_split(X[rows], g)
+        assert got == (None if exact is None else bytes(X[rows, exact[1]] <= exact[2]))
+
+
+# ---------------------------------------------------------------------------
+# binning
+# ---------------------------------------------------------------------------
+
+def assert_bins_agree_with_thresholds(x, cuts, bins):
+    assert len(cuts) <= MAX_THRESHOLDS
+    assert bins.dtype == np.uint8
+    assert np.all(np.diff(cuts) > 0)
+    for k, t in enumerate(cuts):
+        assert np.array_equal(bins <= k, x <= t)
+        # each threshold separates the values it lies between
+        assert np.any(x <= t) and np.any(x > t)
+
+
+def adjacent_float_runs(draw):
+    start = draw(st.floats(-1e6, 1e6, allow_nan=False))
+    values = [start]
+    for _ in range(draw(st.integers(1, 6))):
+        values.append(float(np.nextafter(values[-1], np.inf)))
+    return values
+
+
+@st.composite
+def binning_columns(draw):
+    kind = draw(st.sampled_from(["grid", "floats", "adjacent", "many", "top_heavy"]))
+    if kind == "grid":
+        grid = draw(st.integers(1, 300))
+        x = draw(hnp.arrays(np.int64, draw(st.integers(1, 400)),
+                            elements=st.integers(0, grid - 1), fill=st.nothing())).astype(np.float64)
+    elif kind == "floats":
+        x = draw(hnp.arrays(np.float64, draw(st.integers(1, 400)),
+                            elements=st.floats(-1e300, 1e300, allow_nan=False), fill=st.nothing()))
+    elif kind == "adjacent":
+        pool = adjacent_float_runs(draw)
+        x = np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=50)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n = draw(st.integers(256, 3000))
+        x = rng.normal(0, 1, n)
+        if kind == "top_heavy":
+            # more than 255 distinct values, most rows tied at the top
+            x[: n - 256] = np.max(x) + 1.0
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=binning_columns())
+def test_bin_is_at_most_k_exactly_when_value_is_at_most_threshold_k(x):
+    cuts, bins = _bin_feature(x)
+    assert_bins_agree_with_thresholds(x, cuts, bins)
+    distinct = len(np.unique(x))
+    if distinct <= MAX_THRESHOLDS + 1:
+        assert len(cuts) == distinct - 1        # one threshold in every gap
+
+
+def test_midpoint_rounding_onto_the_upper_float_falls_back_to_the_lower():
+    lo = float(np.nextafter(1.0, 2.0))
+    hi = float(np.nextafter(lo, 2.0))
+    assert 0.5 * (lo + hi) == hi          # the midpoint rounds up onto hi
+    x = np.array([hi, lo, hi, lo])
+    cuts, bins = _bin_feature(x)
+    assert cuts.tolist() == [lo]
+    assert bins.tolist() == [1, 0, 1, 0]
+    model = fit_boosted(np.repeat(x, 5)[:, None], np.repeat([1.0, 0.0, 1.0, 0.0], 5),
+                        BoostConfig(n_stages=1, max_depth=1))
+    assert model.predict(np.array([[lo], [hi]])).tolist() == [pytest.approx(0.45), pytest.approx(0.55)]
+
+
+def test_features_with_many_values_get_at_most_255_thresholds():
+    rng = np.random.default_rng(3)
+    X = np.stack([rng.normal(0, 1, 3000), rng.uniform(0, 1, 3000), np.arange(3000.0)], axis=1)
+    y = np.sin(3 * X[:, 0]) + X[:, 1] + rng.normal(0, 0.1, 3000)
+    for x in X.T:
+        cuts, bins = _bin_feature(x)
+        assert len(cuts) == MAX_THRESHOLDS
+        assert_bins_agree_with_thresholds(x, cuts, bins)
+        # spaced by rows: each bin holds close to 3000 / 256 rows
+        assert np.max(np.bincount(bins)) <= 2 * 3000 / (MAX_THRESHOLDS + 1)
+    model = fit_boosted(X, y, BoostConfig(n_stages=60, max_depth=4))
+    model.predict(X[:5])
+    assert all(len(grid) <= MAX_THRESHOLDS for grid in model._compiled.grids.values())
+    for f, x in enumerate(X.T):
+        used = {t for tree in model.trees for t in thresholds(tree, f)}
+        assert used <= set(_bin_feature(x)[0].tolist())
+
+
+def features(node):
+    if node.is_leaf:
+        return set()
+    return {node.feature} | features(node.left) | features(node.right)
+
+
+def test_constant_feature_never_splits():
+    rng = np.random.default_rng(8)
+    x = rng.normal(0, 1, 200)
+    X = np.stack([np.full(200, 2.5), x, np.full(200, -1.0)], axis=1)
+    model = fit_boosted(X, x**2, BoostConfig(n_stages=30, max_depth=3))
+    assert {t for tree in model.trees for t in features(tree)} == {1}
+    cuts, bins = _bin_feature(np.full(50, 7.0))
+    assert len(cuts) == 0 and not np.any(bins)
+    flat = fit_boosted(X[:, [0, 2]], x, BoostConfig(n_stages=5))
+    assert flat.trees and all(tree.is_leaf for tree in flat.trees)
+
+
+def assert_thresholds_are_midpoints(X, model):
+    for f, x in enumerate(X.T):
+        distinct = np.unique(x)
+        midpoints = set((0.5 * (distinct[1:] + distinct[:-1])).tolist())
+        assert {t for tree in model.trees for t in thresholds(tree, f)} <= midpoints
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=tied_problems())
+def test_thresholds_are_midpoints_of_adjacent_distinct_values(problem):
+    X, y, config = problem
+    assert_thresholds_are_midpoints(X, fit_boosted(X, y, config))
+
+
+def test_thresholds_are_midpoints_at_256_distinct_values():
+    # the most distinct values a feature can have and still get a threshold
+    # in every gap
+    rng = np.random.default_rng(12)
+    levels = rng.normal(0, 1, (MAX_THRESHOLDS + 1, 2))
+    X = levels[rng.integers(0, len(levels), (2000, 2)), [0, 1]]
+    X[: len(levels)] = levels       # every level present
+    assert all(len(np.unique(x)) == MAX_THRESHOLDS + 1 for x in X.T)
+    y = np.sin(3 * X[:, 0]) + X[:, 1] + rng.normal(0, 0.1, 2000)
+    model = fit_boosted(X, y, BoostConfig(n_stages=40, max_depth=4))
+    assert_thresholds_are_midpoints(X, model)
+    assert len({t for tree in model.trees for t in thresholds(tree, 0)}) > 20
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +439,11 @@ def test_presorted_fit_matches_per_node_sort(problem):
 SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 0.0]
 
 
-def thresholds(node):
+def thresholds(node, feature=None):
     if node.is_leaf:
         return []
-    return [node.threshold, *thresholds(node.left), *thresholds(node.right)]
+    own = [node.threshold] if feature in (None, node.feature) else []
+    return [*own, *thresholds(node.left, feature), *thresholds(node.right, feature)]
 
 
 def thresholds_of(model):

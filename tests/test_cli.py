@@ -76,6 +76,38 @@ def test_overlapping_script_exits_2(tmp_path, capsys):
     assert "segments 0 and 1" in err
 
 
+def test_negative_seed_to_simulate_exits_2(tmp_path, capsys):
+    code = main(["simulate", "--suite", "mini", "--seed", "-1", "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert "seed must be an integer of at least 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_to_train_exits_2_before_reading_the_suite(tmp_path, capsys):
+    # the suite directory does not exist: the seed is checked first
+    code = main(["train", "--suite-dir", str(tmp_path / "missing"), "--seed", "-1",
+                 "--only", "speaking", "--output", str(tmp_path / "art")])
+    assert code == 2
+    assert "seed must be an integer of at least 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "art").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, "3", True])
+def test_script_seed_that_is_not_a_non_negative_integer_exits_2(tmp_path, capsys, seed):
+    script = {
+        "seed": seed,
+        "duration_s": 2.0,
+        "segments": [{"kind": "dot_at", "start_s": 0.0, "duration_s": 2.0, "dot": [0, 0]}],
+    }
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    code = main(["simulate", "--script", str(path), "--output", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "seed" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_produces_three_loadable_artifacts(trained):
     _, _, art, _ = trained
     arts = ArtifactSet.load(art)

@@ -185,6 +185,26 @@ def test_train_budget_checked_before_the_windows():
         train_cnn(np.zeros((0, 30)), np.zeros(0), CnnTrainConfig(batch_size=0))
 
 
+@pytest.mark.parametrize("seed", [2.5, True, -1, "3", None])
+def test_seed_validated_when_the_config_is_made(seed):
+    with pytest.raises(DataError, match="seed"):
+        CnnTrainConfig(seed=seed)
+
+
+def test_seed_validated_before_training(toy_set):
+    X, y = toy_set
+    config = CnnTrainConfig(epochs=1)
+    config.seed = -3
+    with pytest.raises(DataError, match="seed"):
+        train_cnn(X, y, config)
+
+
+def test_seed_limits_accepted(toy_set):
+    X, y = toy_set[0][:8], toy_set[1][:8]
+    for seed in (0, np.int64(5), 2**63):
+        assert len(train_cnn(X, y, CnnTrainConfig(epochs=1, seed=seed)).train_loss_curve) == 1
+
+
 def test_train_budget_limits_accepted(toy_set):
     # epochs=0 is covered by test_zero_epochs_returns_untrained
     X, y = toy_set[0][:8], toy_set[1][:8]

@@ -1,8 +1,13 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from adwatch.errors import DataError
 from adwatch.evaluation import (
+    _average_ranks,
     frame_metrics,
     macro_f1,
     per_session_mean,
@@ -84,6 +89,40 @@ def test_roc_auc_matches_pairwise_oracle():
     scores = np.round(rng.normal(0, 1, 200), 2)   # rounding forces ties
     labels = rng.uniform(size=200) < 0.4
     assert abs(roc_auc(scores, labels) - pairwise_auc(scores, labels)) <= 1e-12
+
+
+# tie-heavy scores: a few distinct values, signed zeros and extremes
+tied_scores = hnp.arrays(
+    np.float64, st.integers(1, 300),
+    elements=st.sampled_from([-np.inf, -1e300, -2.5, -0.0, 0.0, 0.1, 0.25, 1.0, 1e300, np.inf])
+    | st.floats(-10, 10, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores=tied_scores)
+def test_average_ranks_match_scipy_rankdata(scores):
+    # scipy is the oracle here only; the package itself needs numpy alone
+    assert _average_ranks(scores).tobytes() == rankdata(scores, method="average").tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores=tied_scores, data=st.data())
+def test_roc_auc_is_the_rank_sum_statistic_of_scipy_ranks(scores, data):
+    labels = data.draw(hnp.arrays(bool, len(scores)))
+    if labels.all() or not labels.any():
+        with pytest.raises(DataError):
+            roc_auc(scores, labels)
+        return
+    n_pos, n_neg = int(labels.sum()), int((~labels).sum())
+    rank_sum = float(np.sum(rankdata(scores, method="average")[labels]))
+    assert roc_auc(scores, labels) == (rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
+    assert roc_auc(scores, labels) == pytest.approx(pairwise_auc(scores, labels), abs=1e-12)
+
+
+def test_nan_scores_rank_alone_after_every_number():
+    scores = np.array([np.nan, 1.0, np.nan, 1.0, -np.inf])
+    assert _average_ranks(scores).tolist() == [4.0, 2.5, 5.0, 2.5, 1.0]
 
 
 def test_roc_auc_monotone_transform_invariant():

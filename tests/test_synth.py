@@ -193,6 +193,15 @@ def test_script_field_validation():
         validate_script(simple_script(segments=[]))
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, True])
+def test_seed_that_numpy_cannot_take_is_a_config_error(tmp_path, seed):
+    with pytest.raises(ConfigError, match="seed"):
+        validate_script(simple_script(seed=seed))
+    with pytest.raises(ConfigError, match="seed"):
+        generate_suite(SuiteConfig(seed=seed, n_sessions=1, template="mini"), tmp_path / "suite")
+    assert not (tmp_path / "suite").exists()
+
+
 def test_script_file_round_trip(tmp_path):
     script = simple_script(gaze_noise_deg=0.4)
     path = tmp_path / "script.json"
