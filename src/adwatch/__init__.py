@@ -18,12 +18,13 @@ from .errors import (
     SessionFormatError,
     SessionUntrackableError,
 )
-from .evaluation import ClassificationReport, frame_metrics, macro_f1, roc_auc, run_ablation
+from .evaluation import ClassificationReport, frame_metrics, roc_auc, run_ablation
 from .fusion import (
     SIGNAL_NAMES,
     DistractionTimeline,
     fuse,
     session_summary,
+    signal_bits,
     unattended_signal,
 )
 from .gaze import (
@@ -36,6 +37,7 @@ from .gaze import (
     fine_tune,
     gaze_on_screen,
     normalize_gaze,
+    valid_gaze_rays,
 )
 from .geometry import intersect_gaze_batch
 from .head import HeadPoseStats, compute_head_stats, head_off_screen, select_gaze_source

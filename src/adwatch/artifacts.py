@@ -126,7 +126,3 @@ def save_yawn_classifier(model: BoostedEnsemble, metadata: dict, path: PathLike)
 def load_yawn_classifier(path: PathLike) -> BoostedEnsemble:
     doc = _read(path, KIND_YAWN)
     return BoostedEnsemble.from_dict(doc["model"])
-
-
-def read_metadata(path: PathLike) -> dict:
-    return _read_json_object(Path(path), "model artifact", MissingArtifactError).get("metadata", {})

@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 missing model
 artifact. Threshold defaults come from ``PipelineConfig`` and can be set in
 a JSON config file; command-line values win over the file, the file over
-the defaults.
+the defaults. Each command takes only the flags it reads: ``--seed`` goes to
+simulate and train, ``--config`` and ``--set`` to train, score and ablate,
+and any other use of them is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -53,12 +55,18 @@ EXIT_DATA = 3
 EXIT_ARTIFACT = 4
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
+def _output_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--output", type=Path, required=True, help="output directory")
+
+
+def _seed_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master random seed")
+
+
+def _config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None, help="JSON config file")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override one config value (repeatable; wins over --config)")
-    parser.add_argument("--output", type=Path, required=True, help="output directory")
 
 
 def _positive_int(text: str) -> int:
@@ -81,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic suite or session",
                        formatter_class=fmt)
-    _common_flags(p)
+    _seed_flag(p)
+    _output_flag(p)
     p.add_argument("--suite", choices=["default", "gaze_offset", "orientation", "mini"],
                    default="default", help="suite template")
     p.add_argument("--sessions", type=int, default=20, help="number of sessions")
@@ -94,14 +103,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train model artifacts from a suite",
                        formatter_class=fmt)
-    _common_flags(p)
+    _seed_flag(p)
+    _config_flags(p)
+    _output_flag(p)
     p.add_argument("--suite-dir", type=Path, required=True, help="generated suite directory")
     p.add_argument("--only", choices=["gaze", "speaking", "yawn"], default=None,
                    help="train a single artifact")
 
     p = sub.add_parser("score", help="score sessions into timelines + summaries",
                        formatter_class=fmt)
-    _common_flags(p)
+    _config_flags(p)
+    _output_flag(p)
     p.add_argument("--suite-dir", type=Path, default=None, help="suite to score")
     p.add_argument("--manifest", type=Path, default=None, help="single session manifest")
     p.add_argument("--artifacts", type=Path, required=True, help="trained artifact directory")
@@ -114,14 +126,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="compare scored timelines against ground truth",
                        formatter_class=fmt)
-    _common_flags(p)
+    _output_flag(p)
     p.add_argument("--suite-dir", type=Path, required=True, help="suite with ground truth")
     p.add_argument("--scored", type=Path, required=True, help="directory of scored timelines")
     p.add_argument("--macro", action="store_true",
                    help="also report per-session macro averages")
 
     p = sub.add_parser("ablate", help="run the ablation tables", formatter_class=fmt)
-    _common_flags(p)
+    _config_flags(p)
+    _output_flag(p)
     p.add_argument("--suite-dir", type=Path, required=True, help="suite with ground truth")
     p.add_argument("--artifacts", type=Path, required=True, help="trained artifact directory")
     p.add_argument("--split", choices=["train", "held_out", "all"], default="held_out",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import numbers
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Union
 
@@ -204,10 +204,3 @@ def check_seed(seed, error: type = ConfigError) -> None:
     what numpy's generators accept; a bool is not a seed."""
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise error(f"seed must be an integer of at least 0, got {seed!r}")
-
-
-def config_to_dict(cfg: PipelineConfig) -> dict:
-    doc = asdict(cfg)
-    for key in _TUPLE_FIELDS:
-        doc[key] = list(doc[key])
-    return doc

@@ -10,7 +10,7 @@ P(score+ > score-) + 0.5 P(tie), computed from average ranks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -80,21 +80,6 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     ranks = _average_ranks(scores)
     rank_sum = float(np.sum(ranks[labels]))
     return (rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
-
-
-def macro_f1(y_true: Sequence, y_pred: Sequence, labels: Sequence) -> float:
-    """Unweighted mean of per-class F1 over the fixed label set."""
-    y_true = list(y_true)
-    y_pred = list(y_pred)
-    if len(y_true) != len(y_pred):
-        raise DataError("macro_f1 length mismatch")
-    scores = []
-    for label in labels:
-        t = np.array([y == label for y in y_true])
-        p = np.array([y == label for y in y_pred])
-        rep = frame_metrics(p, t)
-        scores.append(rep.f1)
-    return float(np.mean(scores))
 
 
 def pooled_report(pairs: list[tuple[np.ndarray, np.ndarray]]) -> ClassificationReport:

@@ -28,6 +28,16 @@ from .temporal import find_runs, long_runs
 SIGNAL_NAMES = ("gaze_eye", "gaze_head", "speaking", "drowsiness", "unattended")
 
 
+def signal_bits(names) -> int:
+    """The mask bits of the named signals; an unknown name is an error."""
+    bits = 0
+    for name in names:
+        if name not in SIGNAL_NAMES:
+            raise DataError(f"unknown signal {name!r}; expected one of {SIGNAL_NAMES}")
+        bits |= 1 << SIGNAL_NAMES.index(name)
+    return bits
+
+
 @dataclass
 class DistractionTimeline:
     """Per-frame signal mask, from which the five activations and the fused

@@ -1,7 +1,7 @@
 """Off-screen gaze detection from the eye-gaze stream.
 
 The full chain per session: intersect every valid gaze ray with the screen
-plane, normalize the intersections by subtracting the session mean (this
+plane once, normalize the intersections by subtracting the session mean (this
 anchors the average gaze at the screen center and absorbs unknown camera
 placement), correct residual systematic error with trained per-axis boosted
 regressors, pick a screen rectangle (estimated from viewing distance on
@@ -54,27 +54,33 @@ class SessionGazeStats:
     valid_frame_count: int
 
 
-def valid_gaze_mask(frames: FrameArrays, quality_floor: float) -> np.ndarray:
-    return frames.face_gaze & (frames.quality >= quality_floor)
+def valid_gaze_rays(
+    frames: FrameArrays, quality_floor: float = PipelineConfig().quality_floor
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(valid, points, toward): the frames whose gaze is tracked at or above
+    the quality floor, and where their rays meet the screen plane, one row per
+    valid frame. A session intersects its rays once; the stats, the eye path
+    and the training rows each slice the rows of their own valid frames."""
+    valid = frames.face_gaze & (frames.quality >= quality_floor)
+    points, _, toward, _ = intersect_gaze_batch(frames.pupil[valid], frames.direction[valid])
+    return valid, points, toward
 
 
 def compute_session_stats(
-    frames: FrameArrays, quality_floor: float = PipelineConfig().quality_floor
+    frames: FrameArrays, rays: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> SessionGazeStats:
-    """First pass over a session: means of the raw screen-plane intersections,
-    eye distance, head yaw, and face location.
+    """First pass over a session: means of the raw screen-plane intersections
+    (``rays`` from ``valid_gaze_rays``), eye distance, head yaw, and face
+    location.
 
     Eye-to-camera distance is the perpendicular distance to the camera plane
     (pupil z); unlike the full Euclidean norm this is invariant to where the
     camera sits within the plane, which keeps the screen-size estimate stable
     for displaced webcams.
     """
-    valid = valid_gaze_mask(frames, quality_floor)
+    valid, points, toward = rays
     if not np.any(valid):
         raise SessionUntrackableError("no frame passed the gaze validity gates")
-    points, _, toward, _ = intersect_gaze_batch(
-        frames.pupil[valid], frames.direction[valid]
-    )
     usable = toward & np.all(np.isfinite(points), axis=1)
     if not np.any(usable):
         raise SessionUntrackableError("no valid gaze ray meets the screen plane")

@@ -3,8 +3,9 @@
 Five detectors run over one session and their signals are fused: the eye
 gaze (gaze stats, orientation and screen geometry, the per-frame eye-vs-head
 source switch), the head gaze, speaking, drowsiness and unattended screen.
-A ``PipelineVariant`` switches individual processing steps or signals off,
-which is how the ablation harness removes one step at a time while
+A ``PipelineVariant`` switches individual processing steps off and names
+the signals whose bits of the fused mask it keeps, which is how the
+ablation harness removes one step or adds one signal at a time while
 everything else stays identical; variants scored through one
 ``SessionDetectors`` share every step they have in common.
 """
@@ -24,7 +25,7 @@ from .cnn import TemporalCnn
 from .config import PipelineConfig
 from .drowsiness import refined_eye_closure, yawn_flags
 from .errors import MissingArtifactError, SessionUntrackableError
-from .fusion import DistractionTimeline, fuse, unattended_signal
+from .fusion import SIGNAL_NAMES, DistractionTimeline, fuse, signal_bits, unattended_signal
 from .gaze import (
     Orientation,
     ScreenGeometry,
@@ -35,9 +36,8 @@ from .gaze import (
     fine_tune,
     gaze_on_screen,
     normalize_gaze,
-    valid_gaze_mask,
+    valid_gaze_rays,
 )
-from .geometry import intersect_gaze_batch
 from .head import compute_head_stats, head_off_screen, select_gaze_source
 from .records import FrameArrays, SessionManifest
 from .speaking import speaking_flags
@@ -84,17 +84,14 @@ class ArtifactSet:
 
 @dataclass(frozen=True)
 class PipelineVariant:
-    """Feature switches for ablation runs; the default is the full model."""
+    """Step switches and kept signals for ablation runs; the default is the
+    full model. Without ``gaze_eye`` the head pose scores every tracked frame."""
 
     name: str = "full"
     normalize: bool = True
     fine_tune: bool = True
     screen_size: bool = True
-    use_gaze: bool = True
-    use_head: bool = True
-    use_speaking: bool = True
-    use_drowsiness: bool = True
-    use_unattended: bool = True
+    signals: frozenset[str] = frozenset(SIGNAL_NAMES)
 
 
 FULL_VARIANT = PipelineVariant()
@@ -106,18 +103,13 @@ TABLE1_VARIANTS = (
     PipelineVariant(name="full model"),
 )
 
-TABLE3_VARIANTS = (
-    PipelineVariant(
-        name="head model only",
-        use_gaze=False, use_speaking=False, use_drowsiness=False, use_unattended=False,
-    ),
-    PipelineVariant(
-        name="+ gaze model",
-        use_speaking=False, use_drowsiness=False, use_unattended=False,
-    ),
-    PipelineVariant(name="+ drowsiness", use_speaking=False, use_unattended=False),
-    PipelineVariant(name="+ speaking", use_unattended=False),
-    PipelineVariant(name="+ unattended screen (all)"),
+# each row keeps one more signal than the row before it
+_TABLE3_SIGNALS = ("gaze_head", "gaze_eye", "drowsiness", "speaking", "unattended")
+TABLE3_VARIANTS = tuple(
+    PipelineVariant(name=name, signals=frozenset(_TABLE3_SIGNALS[: k + 1]))
+    for k, name in enumerate(
+        ("head model only", "+ gaze model", "+ drowsiness", "+ speaking", "+ unattended screen (all)")
+    )
 )
 
 
@@ -152,9 +144,9 @@ def _step(method):
 class SessionDetectors:
     """One session's detector steps, each computed once for every setting of
     exactly the ``PipelineVariant`` switches it reads, which are its arguments.
-    The session facts (``stats``, ``orientation``, ``eye_path``, ``eye_rays``)
-    read none; the orientation, screen and corrected points need a trackable
-    gaze stream, one whose ``stats()`` is not None."""
+    The session facts (``rays``, ``stats``, ``orientation``, ``eye_path``,
+    ``eye_rays``) read none; the orientation, screen and corrected points need
+    a trackable gaze stream, one whose ``stats()`` is not None."""
 
     frames: FrameArrays
     manifest: SessionManifest
@@ -163,10 +155,15 @@ class SessionDetectors:
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @_step
+    def rays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(valid, points, toward) of every valid gaze ray, intersected once."""
+        return valid_gaze_rays(self.frames, self.config.quality_floor)
+
+    @_step
     def stats(self) -> Optional[SessionGazeStats]:
         """The session gaze stats; None when the gaze stream is untrackable."""
         try:
-            return compute_session_stats(self.frames, self.config.quality_floor)
+            return compute_session_stats(self.frames, self.rays())
         except SessionUntrackableError:
             return None
 
@@ -184,16 +181,15 @@ class SessionDetectors:
             return np.zeros(len(frames), dtype=bool)
         path = select_gaze_source(frames.quality, frames.face_gaze, config.quality_gate)
         # below the stats floor the ray is too unreliable even for the eye path
-        return path & valid_gaze_mask(frames, config.quality_floor)
+        return path & self.rays()[0]
 
     @_step
     def eye_rays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(points, toward, finite) where the eye path's rays meet the screen plane."""
-        path = self.eye_path()
-        points, _, toward, _ = intersect_gaze_batch(
-            self.frames.pupil[path], self.frames.direction[path]
-        )
-        return points, toward, np.all(np.isfinite(points), axis=1)
+        valid, points, toward = self.rays()
+        keep = self.eye_path()[valid]
+        points = points[keep]
+        return points, toward[keep], np.all(np.isfinite(points), axis=1)
 
     @_step
     def corrected_points(self, normalize: bool, tune: bool) -> np.ndarray:
@@ -229,11 +225,12 @@ class SessionDetectors:
         return signal
 
     @_step
-    def head_gaze(self, use_gaze: bool) -> np.ndarray:
-        """Off-screen head pose on the tracked frames the eye path leaves over."""
+    def head_gaze(self, after_eye: bool) -> np.ndarray:
+        """Off-screen head pose on the tracked frames the eye path leaves over,
+        or on every tracked frame when not ``after_eye``."""
         frames = self.frames
         signal = np.zeros(len(frames), dtype=bool)
-        candidates = frames.face_expr & ~self.eye_path() if use_gaze else frames.face_expr
+        candidates = frames.face_expr & ~self.eye_path() if after_eye else frames.face_expr
         # with a candidate there is a tracked face, so the head stats exist
         if np.any(candidates):
             signal[candidates] = head_off_screen(
@@ -266,12 +263,11 @@ class SessionDetectors:
 def score_session(
     session: SessionDetectors, variant: PipelineVariant = FULL_VARIANT
 ) -> ScoredSession:
-    """Fuse the signals ``variant`` switches on. A switched-off signal is all
-    false; so is the eye gaze of an untrackable stream, whose facts stay unset."""
-    off = np.zeros(len(session.frames), dtype=bool)
-    eye = off
+    """Fuse all five signals and keep the bits of ``variant.signals``. The eye
+    gaze of an untrackable stream is all false, and its facts stay unset."""
+    eye = np.zeros(len(session.frames), dtype=bool)
     facts = {"orientation": Orientation.CENTERED}
-    if variant.use_gaze and session.stats() is not None:
+    if session.stats() is not None:
         facts = {
             "orientation": session.orientation(),
             "screen": session.screen(variant.screen_size),
@@ -280,10 +276,11 @@ def score_session(
         eye = session.eye_gaze(variant.normalize, variant.fine_tune, variant.screen_size)
     timeline = fuse(
         eye,
-        session.head_gaze(variant.use_gaze) if variant.use_head else off,
-        session.speaking() if variant.use_speaking else off,
-        session.drowsiness() if variant.use_drowsiness else off,
-        session.unattended() if variant.use_unattended else off,
+        session.head_gaze("gaze_eye" in variant.signals),
+        session.speaking(),
+        session.drowsiness(),
+        session.unattended(),
         frame_index=session.frames.frame_index,
     )
+    timeline.mask &= signal_bits(variant.signals)
     return ScoredSession(timeline=timeline, **facts)

@@ -646,16 +646,6 @@ def load_suite(suite_dir: PathLike) -> SuiteIndex:
 # script files
 # ---------------------------------------------------------------------------
 
-def script_to_dict(script: ScenarioScript) -> dict:
-    doc = dataclasses.asdict(script)
-    doc["segments"] = [
-        {k: v for k, v in dataclasses.asdict(s).items() if v is not None}
-        for s in script.segments
-    ]
-    doc["camera_offset_cm"] = list(script.camera_offset_cm)
-    return doc
-
-
 def load_script(path: PathLike) -> ScenarioScript:
     path = Path(path)
     doc = _read_json_object(path, "script", ConfigError)
@@ -689,8 +679,3 @@ def load_script(path: PathLike) -> ScenarioScript:
         raise ConfigError(f"script {path}: {exc}") from exc
     return script
 
-
-def save_script(script: ScenarioScript, path: PathLike) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(script_to_dict(script), indent=2) + "\n", encoding="utf-8")

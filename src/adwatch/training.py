@@ -22,8 +22,7 @@ from .cnn import CnnTrainConfig, TemporalCnn, train_cnn
 from .config import PipelineConfig, check_seed
 from .errors import DataError
 from .fusion import DistractionTimeline
-from .gaze import compute_session_stats, normalize_gaze, valid_gaze_mask
-from .geometry import intersect_gaze_batch
+from .gaze import compute_session_stats, normalize_gaze, valid_gaze_rays
 from .records import FrameArrays, SessionManifest
 from .session_io import load_manifest, load_session, read_timeline
 from .speaking import assemble_training_windows
@@ -74,15 +73,16 @@ def gaze_training_rows(
     for frames, truth, manifest in sessions:
         if truth.activity is None or truth.target_cm is None:
             raise DataError("gaze training needs generator ground truth (activity, target_cm)")
-        stats = compute_session_stats(frames, config.quality_floor)
+        valid, points, toward = rays = valid_gaze_rays(frames, config.quality_floor)
+        stats = compute_session_stats(frames, rays)
         is_dot = np.array([a == "dot" for a in truth.activity])
-        usable = is_dot & valid_gaze_mask(frames, config.quality_floor)
-        if not np.any(usable):
+        dot = is_dot[valid]   # the dot frames among the valid rows
+        if not np.any(dot):
             continue
-        points, _, toward, _ = intersect_gaze_batch(frames.pupil[usable], frames.direction[usable])
+        points, toward = points[dot], toward[dot]
         keep = toward & np.all(np.isfinite(points), axis=1)
         measured = normalize_gaze(points[keep], stats)
-        rows = np.flatnonzero(usable)[keep]
+        rows = np.flatnonzero(is_dot & valid)[keep]
         targets = np.array([truth.target_cm[i] for i in rows], dtype=np.float64)
         per_device.setdefault(manifest.device_type, []).append((measured, targets))
     out = {}

@@ -3,7 +3,8 @@
 These deliberately avoid the formulas under test: the line-sampling oracle
 never divides by the direction's z component, the scalar ray intersection
 handles one ray at a time with no array masking, and the pairwise AUC oracle
-compares every positive/negative pair directly. The boosting oracles
+compares every positive/negative pair directly; the macro-F1 oracle counts
+each class's hits and misses pair by pair. The boosting oracles
 search every node's rows exactly from a fresh sort instead of over
 histograms of binned values, replay a fit's gradients by walking its trees,
 and walk each tree node by node instead of looking it up in a compiled table,
@@ -117,6 +118,21 @@ def pairwise_auc(scores, labels):
     for p in pos:
         wins += np.count_nonzero(p > neg) + 0.5 * np.count_nonzero(p == neg)
     return wins / (len(pos) * len(neg))
+
+
+def macro_f1(y_true, y_pred, labels):
+    """Unweighted mean over the fixed label set of each class's F1, taken as 0
+    for a class that is neither true nor predicted anywhere."""
+    if len(y_true) != len(y_pred):
+        raise ValueError("macro_f1 length mismatch")
+    pairs = list(zip(y_true, y_pred))
+    scores = []
+    for label in labels:
+        tp = sum(t == label and p == label for t, p in pairs)
+        fp = sum(t != label and p == label for t, p in pairs)
+        fn = sum(t == label and p != label for t, p in pairs)
+        scores.append(2 * tp / (2 * tp + fp + fn) if tp + fp + fn else 0.0)
+    return float(np.mean(scores))
 
 
 # ---------------------------------------------------------------------------

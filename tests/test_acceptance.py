@@ -16,12 +16,13 @@ from adwatch.boosting import BoostConfig, fit_boosted
 from adwatch.cli import main as cli_main
 from adwatch.cnn import gradient_check
 from adwatch.config import PipelineConfig
-from adwatch.evaluation import macro_f1, pooled_report, roc_auc, run_ablation
+from adwatch.evaluation import pooled_report, roc_auc, run_ablation
 from adwatch.gaze import (
     Orientation,
     compute_session_stats,
     detect_orientation,
     majority_orientation,
+    valid_gaze_rays,
 )
 from adwatch.geometry import intersect_gaze_batch
 from adwatch.pipeline import (
@@ -35,7 +36,7 @@ from adwatch.temporal import long_runs
 from adwatch.fusion import unattended_signal
 
 from conftest import sessions_from_config
-from oracles import line_sampling_intersection_batch
+from oracles import line_sampling_intersection_batch, macro_f1
 
 CFG = PipelineConfig()
 
@@ -195,7 +196,7 @@ def orientation_macro_f1(suite: SuiteConfig, config) -> float:
     truth, predicted = [], []
     for _, script, _ in build_suite_scripts(suite):
         frames, _ = generate(script)
-        stats = compute_session_stats(frames, config.quality_floor)
+        stats = compute_session_stats(frames, valid_gaze_rays(frames, config.quality_floor))
         predicted.append(detect_orientation(stats, config).value)
         truth.append(script.orientation)
     labels = ["centered", "clockwise", "anticlockwise"]

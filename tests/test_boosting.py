@@ -469,9 +469,10 @@ def fitted_with_probes(draw):
     )
     low, high = (0, 1) if mode == MODE_CLASSIFICATION else (-3, 3)
 
+    # every element drawn, as in tied_problems, so that most models split
     def problem():
-        X = draw(hnp.arrays(np.int64, (n, f), elements=st.integers(0, grid - 1)))
-        y = draw(hnp.arrays(np.int64, n, elements=st.integers(low, high)))
+        X = draw(hnp.arrays(np.int64, (n, f), elements=st.integers(0, grid - 1), fill=st.nothing()))
+        y = draw(hnp.arrays(np.int64, n, elements=st.integers(low, high), fill=st.nothing()))
         return X.astype(np.float64), y.astype(np.float64)
 
     model = fit_boosted(*problem(), config)

@@ -440,6 +440,57 @@ def test_jobs_is_a_positive_score_flag(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+# the required flags of each command, so that a parse reaches the flag under test
+REQUIRED = {
+    "simulate": [],
+    "train": ["--suite-dir", "s"],
+    "score": ["--artifacts", "a"],
+    "evaluate": ["--suite-dir", "s", "--scored", "x"],
+    "ablate": ["--suite-dir", "s", "--artifacts", "a"],
+}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("simulate", "--config", "c.json"),
+    ("simulate", "--set", "margin_cm=2"),
+    ("score", "--seed", "1"),
+    ("evaluate", "--seed", "1"),
+    ("evaluate", "--config", "c.json"),
+    ("evaluate", "--set", "margin_cm=2"),
+    ("ablate", "--seed", "1"),
+])
+def test_flag_a_command_does_not_read_exits_2(tmp_path, capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *REQUIRED[command], flag, value, "--output", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# flag: (text, destination, parsed value, default)
+KEPT = {
+    "--seed": ("5", "seed", 5, 0),
+    "--config": ("c.json", "config", Path("c.json"), None),
+    "--set": ("margin_cm=2", "set", ["margin_cm=2"], []),
+}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--seed"]),
+    ("train", ["--seed", "--config", "--set"]),
+    ("score", ["--config", "--set"]),
+    ("ablate", ["--config", "--set"]),
+])
+def test_kept_seed_and_config_flags_parse(command, flags):
+    base = [command, *REQUIRED[command], "--output", "o"]
+    given = build_parser().parse_args(base + [a for f in flags for a in (f, KEPT[f][0])])
+    unset = build_parser().parse_args(base)
+    for flag in flags:
+        _, dest, parsed, default = KEPT[flag]
+        assert getattr(given, dest) == parsed
+        assert getattr(unset, dest) == default
+
+
 def test_ablate_renders_tables(trained, tmp_path):
     _, suite, art, cfg = trained
     out = tmp_path / "abl"

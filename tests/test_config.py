@@ -1,9 +1,15 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
-from adwatch.config import PipelineConfig, config_from_mapping, config_to_dict, load_config
+from adwatch.config import PipelineConfig, config_from_mapping, load_config
 from adwatch.errors import ConfigError
+
+
+def config_to_dict(cfg: PipelineConfig) -> dict:
+    """The config as ``config_from_mapping`` reads it: pairs as lists."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(cfg).items()}
 
 
 def test_defaults_are_sane():

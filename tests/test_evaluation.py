@@ -9,7 +9,6 @@ from adwatch.errors import DataError
 from adwatch.evaluation import (
     _average_ranks,
     frame_metrics,
-    macro_f1,
     per_session_mean,
     pooled_report,
     render_table,
@@ -18,7 +17,7 @@ from adwatch.evaluation import (
 )
 from adwatch.pipeline import FULL_VARIANT
 
-from oracles import pairwise_auc
+from oracles import macro_f1, pairwise_auc
 
 
 def test_perfect_prediction():

@@ -17,6 +17,7 @@ from adwatch.gaze import (
     gaze_on_screen,
     majority_orientation,
     normalize_gaze,
+    valid_gaze_rays,
 )
 from adwatch.records import FrameArrays
 from adwatch.synth import ScenarioScript, Segment, generate
@@ -64,29 +65,52 @@ def make_stats(**overrides):
 
 def test_stats_constant_stream():
     frames = frames_with_targets([(3.0, -2.0)] * 10)
-    stats = compute_session_stats(frames)
+    stats = compute_session_stats(frames, valid_gaze_rays(frames))
     assert (stats.mean_x_s, stats.mean_y_s) == pytest.approx((3.0, -2.0))
     assert stats.mean_eye_distance_cm == pytest.approx(60.0)
 
 
 def test_stats_arithmetic_mean():
     frames = frames_with_targets([(0.0, 0.0), (4.0, 2.0)])
-    stats = compute_session_stats(frames)
+    stats = compute_session_stats(frames, valid_gaze_rays(frames))
     assert (stats.mean_x_s, stats.mean_y_s) == pytest.approx((2.0, 1.0))
 
 
 def test_stats_without_valid_frames_is_untrackable():
     frames = frames_with_targets([(0.0, 0.0)] * 5, face_gaze=False)
     with pytest.raises(SessionUntrackableError):
-        compute_session_stats(frames)
+        compute_session_stats(frames, valid_gaze_rays(frames))
 
 
 def test_stats_quality_floor_masks_frames():
     frames = frames_with_targets([(0.0, 0.0), (8.0, 8.0)])
     frames.quality[1] = 0.1   # below floor: excluded from the means
-    stats = compute_session_stats(frames, CFG.quality_floor)
+    stats = compute_session_stats(frames, valid_gaze_rays(frames, CFG.quality_floor))
     assert stats.valid_frame_count == 1
     assert stats.mean_x_s == pytest.approx(0.0)
+
+
+def test_valid_rays_slice_to_a_fresh_intersection_of_any_subset():
+    # the eye path and the dot frames read their rows of the session's one
+    # intersection; each row must be what intersecting that subset alone gives
+    from adwatch.geometry import intersect_gaze_batch
+
+    frames, _ = generate(gaze_only_script(11, scale=1.1, noise=1.0))
+    frames.quality[::7] = 0.1
+    frames.direction = frames.direction.copy()
+    frames.direction[::13, 2] = 0.0   # parallel rays: NaN points
+    valid, points, toward = valid_gaze_rays(frames, CFG.quality_floor)
+    assert np.array_equal(valid, frames.face_gaze & (frames.quality >= CFG.quality_floor))
+    assert np.isnan(points).any() and not valid.all()
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        subset = valid & (rng.random(len(frames)) < 0.4)
+        fresh, _, fresh_toward, _ = intersect_gaze_batch(
+            frames.pupil[subset], frames.direction[subset]
+        )
+        keep = subset[valid]
+        assert np.array_equal(points[keep], fresh, equal_nan=True)
+        assert np.array_equal(toward[keep], fresh_toward)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +262,7 @@ def test_orientation_invariant_to_frame_count():
         frames = frames_with_targets([(-7.0, 0.0)] * n)
         frames.face_center_x[:] = 0.2
         frames.yaw[:] = -15.0
-        stats = compute_session_stats(frames)
+        stats = compute_session_stats(frames, valid_gaze_rays(frames))
         assert detect_orientation(stats, CFG) is Orientation.CLOCKWISE
 
 
@@ -314,11 +338,9 @@ def test_translation_invariance_of_labels():
     # shifting every raw intersection by a constant changes no label
     script = gaze_only_script(7, scale=1.0, noise=0.5)
     frames, _ = generate(script)
-    stats = compute_session_stats(frames)
-    from adwatch.geometry import intersect_gaze_batch
-
-    valid = frames.face_gaze & (frames.quality >= CFG.quality_floor)
-    pts, _, toward, _ = intersect_gaze_batch(frames.pupil[valid], frames.direction[valid])
+    rays = valid_gaze_rays(frames, CFG.quality_floor)
+    stats = compute_session_stats(frames, rays)
+    _, pts, toward = rays
     geom = estimate_screen(stats, "desktop", CFG)
     base = gaze_on_screen(normalize_gaze(pts, stats), toward, geom)
     for offset in ([3.0, -2.0], [-9.9, 0.4]):

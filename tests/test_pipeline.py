@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from adwatch import artifacts as artifacts_io
-from adwatch import pipeline
-from adwatch.errors import MissingArtifactError
+from adwatch import gaze, geometry, pipeline
+from adwatch.errors import DataError, MissingArtifactError
+from adwatch.fusion import SIGNAL_NAMES, signal_bits
 from adwatch.gaze import Orientation
 from adwatch.pipeline import (
     TABLE1_VARIANTS,
@@ -62,7 +63,9 @@ def test_untrackable_gaze_stream_leaves_every_tracked_frame_to_the_head(artifact
     assert frames.face_gaze.any() and session.stats() is None
     assert not session.eye_path().any()
     scored = score_session(session)
-    without_eye = score_session(session, PipelineVariant(name="no eye", use_gaze=False))
+    without_eye = score_session(
+        session, PipelineVariant(name="no eye", signals=frozenset(SIGNAL_NAMES) - {"gaze_eye"})
+    )
     assert (scored.orientation, scored.screen, scored.stats) == (Orientation.CENTERED, None, None)
     assert not scored.timeline.signal("gaze_eye").any()
     head = scored.timeline.signal("gaze_head")
@@ -77,17 +80,44 @@ def test_missing_gaze_artifact_raises(heldout_sessions, config):
 
 
 def test_variant_switches_disable_signals(heldout_sessions, artifacts, config):
-    frames, _, manifest = heldout_sessions[0]
-    head_only = PipelineVariant(
-        name="head", use_gaze=False, use_speaking=False,
-        use_drowsiness=False, use_unattended=False,
-    )
-    scored = score_session(SessionDetectors(frames, manifest, artifacts, config), head_only)
-    tl = scored.timeline
-    assert not tl.signal("gaze_eye").any()
-    assert not tl.signal("speaking").any()
-    assert not tl.signal("drowsiness").any()
-    assert not tl.signal("unattended").any()
+    head_only = PipelineVariant(name="head", signals=frozenset({"gaze_head"}))
+    head_takes_eye_frames = False
+    for frames, _, manifest in heldout_sessions:
+        session = SessionDetectors(frames, manifest, artifacts, config)
+        tl = score_session(session, head_only).timeline
+        assert not tl.signal("gaze_eye").any()
+        assert not tl.signal("speaking").any()
+        assert not tl.signal("drowsiness").any()
+        assert not tl.signal("unattended").any()
+        # without the eye gaze, the head pose scores every tracked frame
+        assert np.array_equal(tl.signal("gaze_head"), session.head_gaze(False))
+        head_takes_eye_frames |= not np.array_equal(session.head_gaze(False), session.head_gaze(True))
+    assert head_takes_eye_frames
+
+
+def test_signal_rows_are_the_full_mask_and_their_bits(heldout_sessions, artifacts, config):
+    # every Table 3 row but "head model only", whose head pose also scores the
+    # frames the eye path would take, keeps bits of the full model's mask
+    rows = [v for v in TABLE3_VARIANTS if "gaze_eye" in v.signals]
+    assert [v.name for v in TABLE3_VARIANTS if v not in rows] == ["head model only"]
+    for frames, _, manifest in heldout_sessions:
+        full = score_session(SessionDetectors(frames, manifest, artifacts, config)).timeline
+        for variant in rows:
+            # a fresh session: nothing is shared with the full model's scoring
+            session = SessionDetectors(frames, manifest, artifacts, config)
+            mask = score_session(session, variant).timeline.mask
+            expected = full.mask & signal_bits(variant.signals)
+            assert np.array_equal(mask, expected), (manifest.session_id, variant.name)
+        assert full.mask.any(), manifest.session_id
+
+
+def test_signal_bits_follow_the_signal_order():
+    assert [signal_bits([name]) for name in SIGNAL_NAMES] == [1, 2, 4, 8, 16]
+    assert signal_bits(SIGNAL_NAMES) == 0b11111
+    assert signal_bits(["speaking", "speaking"]) == signal_bits(["speaking"]) == 4
+    assert signal_bits([]) == 0
+    with pytest.raises(DataError, match="gaze"):
+        signal_bits(["gaze"])
 
 
 def test_screen_override_is_used(artifacts, config):
@@ -141,7 +171,8 @@ def test_shared_session_matches_fresh_session_scoring(heldout_sessions, artifact
             assert shared.screen == alone.screen, variant.name
             assert shared.stats == alone.stats, variant.name
         cached = [
-            session.eye_path(), *session.eye_rays(), session.corrected_points(True, True),
+            *session.rays(), session.eye_path(), *session.eye_rays(),
+            session.corrected_points(True, True),
             session.eye_gaze(True, True, True), session.head_gaze(True), session.head_gaze(False),
             session.speaking(), session.drowsiness(), session.unattended(),
         ]
@@ -160,11 +191,16 @@ def test_ablation_runs_each_detector_once_per_session(
         return wrapper
 
     counted_names = (
-        "score_session", "compute_session_stats", "select_gaze_source", "intersect_gaze_batch",
+        "score_session", "compute_session_stats", "select_gaze_source",
         "fine_tune", "speaking_flags", "yawn_flags",
     )
     for name in counted_names:
         monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+    # the ray intersection runs inside gaze.valid_gaze_rays; a second one in
+    # the pipeline would import it there
+    intersect = counted("intersect_gaze_batch", geometry.intersect_gaze_batch)
+    for module in (gaze, pipeline):
+        monkeypatch.setattr(module, "intersect_gaze_batch", intersect, raising=False)
     sessions = heldout_sessions
     table = run_ablation(sessions, artifacts, ABLATE_ORDER, config)
     assert [row.variant for row in table.rows] == [v.name for v in ABLATE_ORDER]
@@ -172,6 +208,7 @@ def test_ablation_runs_each_detector_once_per_session(
     # the session facts: once per session
     assert calls["compute_session_stats"] == len(sessions)
     assert calls["select_gaze_source"] == len(sessions)
+    # every valid ray once: the eye path slices its rows of them
     assert calls["intersect_gaze_batch"] == len(sessions)
     # once per distinct (normalize, fine_tune) setting that fine-tunes: full and
     # w/o normalization ("w/o screen size detection" reuses the full model's points)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from adwatch.synth import (
     generate_suite,
     load_script,
     load_suite,
-    save_script,
     script_world,
     validate_script,
 )
@@ -205,7 +205,12 @@ def test_seed_that_numpy_cannot_take_is_a_config_error(tmp_path, seed):
 def test_script_file_round_trip(tmp_path):
     script = simple_script(gaze_noise_deg=0.4)
     path = tmp_path / "script.json"
-    save_script(script, path)
+    doc = dataclasses.asdict(script)
+    doc["segments"] = [
+        {k: v for k, v in dataclasses.asdict(s).items() if v is not None}
+        for s in script.segments
+    ]
+    path.write_text(json.dumps(doc))
     loaded = load_script(path)
     assert loaded == script
 
