@@ -19,7 +19,7 @@ import numpy as np
 
 from .boosting import BoostedEnsemble
 from .cnn import TemporalCnn
-from .config import _read_json_object
+from .config import _artifact_field, _read_json_object
 from .errors import MissingArtifactError
 
 SCHEMA_VERSION = 1
@@ -68,6 +68,35 @@ def _read(path: PathLike, expected_kind: str) -> dict:
     return doc
 
 
+def _is_object(value) -> bool:
+    return isinstance(value, dict)
+
+
+def _model(path: PathLike, doc: dict, key: str, from_dict):
+    """``from_dict`` of the document's ``key`` object; a malformed model
+    raises ``MissingArtifactError`` naming the file and the field."""
+    try:
+        return from_dict(_artifact_field(doc, key, _is_object, "a JSON object"))
+    except MissingArtifactError as exc:
+        raise MissingArtifactError(f"artifact {path}: {exc}") from None
+
+
+def _gaze_models(models: dict) -> dict[str, dict[str, BoostedEnsemble]]:
+    out = {}
+    for device, pair in models.items():
+        if not _is_object(pair):
+            raise MissingArtifactError(f"models.{device}: expected a JSON object")
+        out[device] = {}
+        for axis in ("x", "y"):
+            try:
+                out[device][axis] = BoostedEnsemble.from_dict(
+                    _artifact_field(pair, axis, _is_object, "a JSON object")
+                )
+            except MissingArtifactError as exc:
+                raise MissingArtifactError(f"models.{device}.{axis}: {exc}") from None
+    return out
+
+
 def save_gaze_regressors(
     models: dict[str, dict[str, BoostedEnsemble]], metadata: dict, path: PathLike
 ) -> None:
@@ -87,11 +116,7 @@ def save_gaze_regressors(
 
 
 def load_gaze_regressors(path: PathLike) -> dict[str, dict[str, BoostedEnsemble]]:
-    doc = _read(path, KIND_GAZE)
-    return {
-        device: {axis: BoostedEnsemble.from_dict(m) for axis, m in pair.items()}
-        for device, pair in doc["models"].items()
-    }
+    return _model(path, _read(path, KIND_GAZE), "models", _gaze_models)
 
 
 def save_speaking_cnn(net: TemporalCnn, metadata: dict, path: PathLike) -> None:
@@ -107,8 +132,7 @@ def save_speaking_cnn(net: TemporalCnn, metadata: dict, path: PathLike) -> None:
 
 
 def load_speaking_cnn(path: PathLike) -> TemporalCnn:
-    doc = _read(path, KIND_SPEAKING)
-    return TemporalCnn.from_dict(doc["model"])
+    return _model(path, _read(path, KIND_SPEAKING), "model", TemporalCnn.from_dict)
 
 
 def save_yawn_classifier(model: BoostedEnsemble, metadata: dict, path: PathLike) -> None:
@@ -124,5 +148,4 @@ def save_yawn_classifier(model: BoostedEnsemble, metadata: dict, path: PathLike)
 
 
 def load_yawn_classifier(path: PathLike) -> BoostedEnsemble:
-    doc = _read(path, KIND_YAWN)
-    return BoostedEnsemble.from_dict(doc["model"])
+    return _model(path, _read(path, KIND_YAWN), "model", BoostedEnsemble.from_dict)

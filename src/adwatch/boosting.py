@@ -35,7 +35,8 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import DataError
+from .config import _artifact_curve, _artifact_field, _is_int, _is_real
+from .errors import DataError, MissingArtifactError
 
 MODE_REGRESSION = "squared_error_regression"
 MODE_CLASSIFICATION = "logistic_classification"
@@ -70,15 +71,29 @@ class TreeNode:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "TreeNode":
+    def from_dict(cls, obj: dict, n_features: int) -> "TreeNode":
+        """The tree a ``to_dict`` document describes. A missing field, a value
+        that is not a finite number or a split feature outside
+        ``[0, n_features)`` raises ``MissingArtifactError`` naming the field.
+        The checks are inline: a load walks every node of every tree."""
         if "value" in obj:
-            return cls(value=float(obj["value"]))
-        return cls(
-            feature=int(obj["feature"]),
-            threshold=float(obj["threshold"]),
-            left=cls.from_dict(obj["left"]),
-            right=cls.from_dict(obj["right"]),
-        )
+            value = obj["value"]
+            if not _is_real(value):
+                raise MissingArtifactError(f"field 'value': expected a finite number, got {value!r:.60}")
+            return cls(value=float(value))
+        try:
+            feature, threshold, left, right = obj["feature"], obj["threshold"], obj["left"], obj["right"]
+        except KeyError as exc:
+            raise MissingArtifactError(f"field {exc.args[0]!r} is missing") from None
+        if type(feature) is not int or not 0 <= feature < n_features:
+            raise MissingArtifactError(
+                f"field 'feature': expected an integer in [0, {n_features}), got {feature!r:.60}"
+            )
+        if not _is_real(threshold):
+            raise MissingArtifactError(f"field 'threshold': expected a finite number, got {threshold!r:.60}")
+        if not (isinstance(left, dict) and isinstance(right, dict)):
+            raise MissingArtifactError("fields 'left' and 'right': expected tree node objects")
+        return cls(feature, float(threshold), cls.from_dict(left, n_features), cls.from_dict(right, n_features))
 
 
 # A (sub)tree of at most this many levels has at most 2**7 = 128 cells; a
@@ -425,14 +440,34 @@ class BoostedEnsemble:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "BoostedEnsemble":
+        """The ensemble a ``to_dict`` document describes; a malformed field
+        raises ``MissingArtifactError`` naming it (and its tree)."""
+        mode = _artifact_field(
+            obj, "mode", lambda v: v in (MODE_REGRESSION, MODE_CLASSIFICATION),
+            f"{MODE_REGRESSION!r} or {MODE_CLASSIFICATION!r}",
+        )
+        learning_rate = _artifact_field(
+            obj, "learning_rate", lambda v: _is_real(v) and 0 < v <= 1, "a number in (0, 1]"
+        )
+        max_depth = _artifact_field(obj, "max_depth", lambda v: _is_int(v) and v >= 1, "an integer of at least 1")
+        base = _artifact_field(obj, "base_prediction", _is_real, "a finite number")
+        n_features = _artifact_field(obj, "n_features", lambda v: _is_int(v) and v >= 1, "an integer of at least 1")
+        trees = []
+        for i, tree in enumerate(_artifact_field(obj, "trees", lambda v: isinstance(v, list), "a list")):
+            try:
+                if not isinstance(tree, dict):
+                    raise MissingArtifactError(f"expected a tree node object, got {tree!r:.60}")
+                trees.append(TreeNode.from_dict(tree, n_features))
+            except MissingArtifactError as exc:
+                raise MissingArtifactError(f"tree {i}: {exc}") from None
         return cls(
-            mode=str(obj["mode"]),
-            learning_rate=float(obj["learning_rate"]),
-            max_depth=int(obj["max_depth"]),
-            base_prediction=float(obj["base_prediction"]),
-            n_features=int(obj["n_features"]),
-            trees=[TreeNode.from_dict(t) for t in obj["trees"]],
-            train_loss_curve=[float(v) for v in obj.get("train_loss_curve", [])],
+            mode=mode,
+            learning_rate=float(learning_rate),
+            max_depth=max_depth,
+            base_prediction=float(base),
+            n_features=n_features,
+            trees=trees,
+            train_loss_curve=_artifact_curve(obj),
         )
 
 

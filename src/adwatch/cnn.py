@@ -6,16 +6,31 @@ of width 50 (ReLU), and a single sigmoid output. Training is plain
 mini-batch SGD on binary cross-entropy with seeded shuffling, so a fit is
 reproducible bit for bit. Analytic gradients are verifiable against central
 finite differences via :func:`gradient_check`.
+
+Activations are channel-last, ``(B, L, C)``, so that a window of K time
+steps is K*C contiguous values. Each conv layer is one GEMM (im2col
+lowering, Chellapilla et al. 2006): the layer input's sliding windows are
+copied into a column buffer ``(B, lo, K*C + 1)`` whose last column is ones,
+and multiplied by a ``(K*C + 1, O)`` weight matrix whose last row is the
+bias, which gives the pre-activation in ``(B*lo, O)`` layout. The same
+columns, kept from the forward pass, give the weight and bias gradients in
+one GEMM, ``cols.T @ dz``. The input gradient is a shift-sum: tap k's
+``dz @ w[:, :, k]`` is added at time offset k. The parameters keep their
+channel-first artifact layout: ``w1``/``w2`` are ``(O, C, K)`` and ``w3``
+reads the conv output flattened channel by channel, so a step permutes a
+copy of ``w3`` to the time-major flatten and permutes its gradient back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import PipelineConfig, check_seed
-from .errors import DataError
+from .config import PipelineConfig, _artifact_curve, _artifact_field, _is_int, _is_real, check_seed
+from .errors import DataError, MissingArtifactError
 
 KERNEL_WIDTH = 3
 CONV1_CHANNELS = 8
@@ -24,20 +39,24 @@ FC_WIDTH = 50
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4")
 
-# windows per conv chunk in predict_proba
+# windows per forward pass in predict_proba
 _PREDICT_CHUNK = 256
 
+_empty_mask = partial(np.empty, dtype=bool)
 
-def _im2col(x: np.ndarray, K: int, work=None, name="") -> np.ndarray:
-    # x: (B, C, L) -> (B, L-K+1, C, K) with cols[b, t, c, k] = x[b, c, t+k],
-    # filled by one strided copy per kernel tap
-    B, C, L = x.shape
-    lo = L - K + 1
-    cols = _buffer(work, name, (B, lo, C, K))
-    xt = x.transpose(0, 2, 1)
-    for k in range(K):
-        cols[..., k] = xt[:, k : k + lo, :]
-    return cols
+
+def _param_shapes(window_len: int) -> dict[str, tuple]:
+    flat = CONV2_CHANNELS * (window_len - 2 * (KERNEL_WIDTH - 1))
+    return {
+        "w1": (CONV1_CHANNELS, 1, KERNEL_WIDTH),
+        "b1": (CONV1_CHANNELS,),
+        "w2": (CONV2_CHANNELS, CONV1_CHANNELS, KERNEL_WIDTH),
+        "b2": (CONV2_CHANNELS,),
+        "w3": (FC_WIDTH, flat),
+        "b3": (FC_WIDTH,),
+        "w4": (1, FC_WIDTH),
+        "b4": (1,),
+    }
 
 
 def _buffer(work: dict | None, name: str, shape: tuple, alloc=np.empty) -> np.ndarray:
@@ -52,51 +71,88 @@ def _buffer(work: dict | None, name: str, shape: tuple, alloc=np.empty) -> np.nd
     return buf[: shape[0]]
 
 
-def _conv1d(x: np.ndarray, w: np.ndarray, work=None, name="") -> np.ndarray:
-    # x: (B, C, L), w: (O, C, K) -> (B, O, L-K+1); im2col + matmul
-    B, C, L = x.shape
-    O, _, K = w.shape
-    lo = L - K + 1
-    cols = _im2col(x, K, work, name + "_cols").reshape(B, lo, C * K)
-    out = _buffer(work, name, (B, lo, O))
-    return np.matmul(cols, w.reshape(O, C * K).T, out=out).transpose(0, 2, 1)
-
-
-def _conv_weight_grad(x: np.ndarray, dz: np.ndarray, work=None, name="", cols=None) -> np.ndarray:
-    # x: (B, C, L) layer input, dz: (B, O, L-K+1) output delta -> (O, C, K);
-    # cols: the forward pass's im2col of x, if it was kept
-    B, C, L = x.shape
-    _, O, lo = dz.shape
-    K = L - lo + 1
-    if cols is None:
-        cols = _im2col(x, K)
-    cols = cols.reshape(B * lo, C * K)
-    dmat = _buffer(work, name, (B, lo, O))
-    np.copyto(dmat, dz.transpose(0, 2, 1))
-    return (dmat.reshape(B * lo, O).T @ cols).reshape(O, C, K)
-
-
-def _conv_input_grad(dz: np.ndarray, w: np.ndarray, work=None) -> np.ndarray:
-    # full correlation of the zero-padded delta with flipped kernels: the
-    # im2col of the padded delta, filled straight from the delta. Tap k of
-    # column t is dz[..., t + k - (K-1)]; the taps that fall in the padding
-    # are never written, so they stay zero in a kept buffer
+def _weight_matrix(w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # (O, C, K) kernels and (O,) biases -> (K*C + 1, O): row k*C + c holds
+    # w[:, c, k], the last row the biases
     O, C, K = w.shape
-    B, _, lo = dz.shape
-    li = lo + K - 1
-    cols = _buffer(work, "dz_cols", (B, li, O, K), np.zeros)
-    dzt = dz.transpose(0, 2, 1)
-    for k in range(K):
-        cols[:, K - 1 - k : K - 1 - k + lo, :, k] = dzt
-    cols = cols.reshape(B * li, O * K)
-    wmat = w[:, :, ::-1].transpose(1, 0, 2).reshape(C, O * K)
-    out = _buffer(work, "da1", (B, li, C))
-    np.matmul(cols, wmat.T, out=out.reshape(B * li, C))
-    return out.transpose(0, 2, 1)
+    wm = np.empty((K * C + 1, O))
+    wm[:-1] = w.transpose(2, 1, 0).reshape(K * C, O)
+    wm[-1] = b
+    return wm
+
+
+def _conv(x: np.ndarray, wm: np.ndarray, work=None, name=""):
+    # x: (B, L, C), wm: (K*C + 1, O) -> (cols, z). Row t of the column buffer
+    # cols (B, L-K+1, K*C + 1) is x[:, t:t+K] flattened, then a one: each a
+    # contiguous run of x, so one strided copy fills them all. The ones
+    # column is never written after the buffer is made. z = cols @ wm is the
+    # pre-activation, (B, L-K+1, O)
+    B, L, C = x.shape
+    KC, O = wm.shape[0] - 1, wm.shape[1]
+    lo = L - KC // C + 1
+    cols = _buffer(work, name + "_cols", (B, lo, KC + 1), np.ones)
+    np.copyto(cols[:, :, :KC], sliding_window_view(x.reshape(B, L * C), KC, axis=1)[:, ::C])
+    z = _buffer(work, name, (B, lo, O))
+    np.matmul(cols.reshape(B * lo, KC + 1), wm, out=z.reshape(B * lo, O))
+    return cols, z
+
+
+def _conv_grads(cols: np.ndarray, dz: np.ndarray):
+    # kernel (O, C, K) and bias (O,) gradients of a conv layer from its kept
+    # forward columns and its output delta dz (B, lo, O): one GEMM
+    B, lo, KC1 = cols.shape
+    O = dz.shape[2]
+    g = cols.reshape(B * lo, KC1).T @ dz.reshape(B * lo, O)
+    # contiguous like the kernels, which makes the SGD update cheaper
+    return np.ascontiguousarray(g[:-1].reshape(KERNEL_WIDTH, -1, O).transpose(2, 1, 0)), g[-1]
+
+
+def _input_grad(dz: np.ndarray, w: np.ndarray, work=None) -> np.ndarray:
+    # delta of a conv layer's input (B, lo+K-1, C) from its output delta dz
+    # (B, lo, O) and kernels w (O, C, K): tap k's dz @ w[:, :, k], added at
+    # time offset k. One GEMM per tap into a contiguous buffer makes each add
+    # contiguous on one side; a single GEMM against all taps leaves every add
+    # strided on both sides, which costs more than the GEMMs it saves
+    B, lo, O = dz.shape
+    _, C, K = w.shape
+    d = dz.reshape(B * lo, O)
+    taps = np.ascontiguousarray(w.transpose(2, 0, 1))       # (K, O, C)
+    tap = _buffer(work, "tap", (B, lo, C))
+    out = _buffer(work, "dz1", (B, lo + K - 1, C))
+    np.matmul(d, taps[0], out=tap.reshape(B * lo, C))
+    out[:, :lo] = tap
+    out[:, lo:] = 0.0
+    for k in range(1, K):
+        np.matmul(d, taps[k], out=tap.reshape(B * lo, C))
+        out[:, k : k + lo] += tap
+    return out
+
+
+def _regroup(m: np.ndarray, outer: int) -> np.ndarray:
+    # (N, outer*inner) -> (N, inner*outer): each row's flatten order swapped
+    return m.reshape(len(m), outer, -1).transpose(0, 2, 1).reshape(len(m), -1)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
+
+
+def _artifact_array(obj: dict, name: str, shape: tuple) -> np.ndarray:
+    if name not in obj:
+        raise MissingArtifactError(f"field {name!r} is missing")
+    try:
+        arr = np.asarray(obj[name])
+        numeric = arr.dtype.kind in "iuf"
+    except ValueError:  # ragged nesting
+        numeric = False
+    if not numeric:
+        raise MissingArtifactError(f"field {name!r}: expected an array of numbers")
+    if arr.shape != shape:
+        raise MissingArtifactError(f"field {name!r}: shape {arr.shape}, expected {shape}")
+    arr = arr.astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise MissingArtifactError(f"field {name!r}: non-finite value")
+    return arr
 
 
 @dataclass
@@ -122,21 +178,20 @@ class TemporalCnn:
         if window_len < 2 * (KERNEL_WIDTH - 1) + 1:
             raise DataError(f"window_len {window_len} too short for two width-3 convs")
         rng = np.random.default_rng(seed)
-        l2 = window_len - 2 * (KERNEL_WIDTH - 1)
-        flat = CONV2_CHANNELS * l2
+        shapes = _param_shapes(window_len)
 
-        def he(shape, fan_in):
-            return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+        def he(name, fan_in):
+            return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shapes[name])
 
         return cls(
             window_len=window_len,
-            w1=he((CONV1_CHANNELS, 1, KERNEL_WIDTH), KERNEL_WIDTH),
+            w1=he("w1", KERNEL_WIDTH),
             b1=np.zeros(CONV1_CHANNELS),
-            w2=he((CONV2_CHANNELS, CONV1_CHANNELS, KERNEL_WIDTH), CONV1_CHANNELS * KERNEL_WIDTH),
+            w2=he("w2", CONV1_CHANNELS * KERNEL_WIDTH),
             b2=np.zeros(CONV2_CHANNELS),
-            w3=he((FC_WIDTH, flat), flat),
+            w3=he("w3", shapes["w3"][1]),
             b3=np.zeros(FC_WIDTH),
-            w4=he((1, FC_WIDTH), FC_WIDTH),
+            w4=he("w4", FC_WIDTH),
             b4=np.zeros(1),
         )
 
@@ -144,43 +199,31 @@ class TemporalCnn:
     # forward / backward
     # ------------------------------------------------------------------
 
-    def _conv_forward(self, X: np.ndarray, work=None):
-        """Standardise the windows and run both conv layers."""
-        X = (X - self.input_center) * self.input_scale
-        x0 = X[:, None, :]                                   # (B,1,L)
-        z1 = _conv1d(x0, self.w1, work, "z1")                # (B,8,L-2)
-        z1 += self.b1[None, :, None]
-        a1 = np.maximum(z1, 0.0, out=_buffer(work, "a1", z1.shape))
-        z2 = _conv1d(a1, self.w2, work, "z2")                # (B,16,L-4)
-        z2 += self.b2[None, :, None]
-        a2 = np.maximum(z2, 0.0, out=_buffer(work, "a2", z2.shape))
-        return x0, z1, a1, z2, a2
-
-    def _dense_forward(self, flat: np.ndarray):
-        """Dense layer and sigmoid output: (p, z3, a3)."""
-        z3 = flat @ self.w3.T + self.b3
+    def _forward(self, X: np.ndarray, work=None):
+        """Output probabilities of checked windows, and what the backward
+        pass reads."""
+        x = (X - self.input_center) * self.input_scale
+        cols1, a1 = _conv(x[:, :, None], _weight_matrix(self.w1, self.b1), work, "a1")
+        m1 = np.greater(a1, 0.0, out=_buffer(work, "m1", a1.shape, _empty_mask))
+        np.maximum(a1, 0.0, out=a1)
+        cols2, a2 = _conv(a1, _weight_matrix(self.w2, self.b2), work, "a2")
+        m2 = np.greater(a2, 0.0, out=_buffer(work, "m2", a2.shape, _empty_mask))
+        np.maximum(a2, 0.0, out=a2)
+        flat = a2.reshape(len(x), -1)                       # time-major
+        w3 = _regroup(self.w3, CONV2_CHANNELS)              # matching flatten
+        z3 = flat @ w3.T + self.b3
         a3 = np.maximum(z3, 0.0)
         z4 = a3 @ self.w4.T + self.b4
-        return _sigmoid(z4[:, 0]), z3, a3
-
-    def _forward(self, X: np.ndarray, work=None):
-        """Full forward pass keeping intermediates for backprop."""
-        x0, z1, a1, z2, a2 = self._conv_forward(X, work)
-        flat = a2.reshape(len(X), -1)
-        p, z3, a3 = self._dense_forward(flat)
-        return p, (x0, z1, a1, z2, a2, flat, z3, a3)
+        return _sigmoid(z4[:, 0]), (cols1, m1, cols2, m2, flat, w3, z3, a3)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = self._check_windows(X)
-        # numpy's stacked matmul runs the conv GEMMs window by window, so
-        # chunking the conv layers bounds their im2col temporaries without
-        # changing a bit. The dense GEMM's sums depend on its row count, so
-        # it takes every row at once, from one buffer the chunks fill.
-        flat = np.empty((len(X), self.w3.shape[1]))
+        # chunks bound the column buffers, which they share
+        p = np.empty(len(X))
+        work: dict = {}
         for i in range(0, len(X), _PREDICT_CHUNK):
-            part = X[i : i + _PREDICT_CHUNK]
-            flat[i : i + len(part)] = self._conv_forward(part)[-1].reshape(len(part), -1)
-        return self._dense_forward(flat)[0]
+            p[i : i + _PREDICT_CHUNK] = self._forward(X[i : i + _PREDICT_CHUNK], work)[0]
+        return p
 
     def _check_windows(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -192,51 +235,38 @@ class TemporalCnn:
             )
         return X
 
-    def _backward(self, X: np.ndarray, y: np.ndarray, cache, p: np.ndarray, work=None) -> dict:
-        x0, z1, a1, z2, a2, flat, z3, a3 = cache
-        B = len(X)
-        dz4 = (p - y)[:, None] / B                           # BCE + sigmoid
-        grads = {}
-        grads["w4"] = dz4.T @ a3
-        grads["b4"] = dz4.sum(axis=0)
-        da3 = dz4 @ self.w4
-        dz3 = da3 * (z3 > 0)
-        grads["w3"] = dz3.T @ flat
+    def _backward(self, y: np.ndarray, p: np.ndarray, cache, work=None) -> dict:
+        cols1, m1, cols2, m2, flat, w3, z3, a3 = cache
+        dz4 = (p - y)[:, None] / len(p)                     # BCE + sigmoid
+        grads = {"w4": dz4.T @ a3, "b4": dz4.sum(axis=0)}
+        dz3 = (dz4 @ self.w4) * (z3 > 0)
+        grads["w3"] = _regroup(dz3.T @ flat, m2.shape[1])   # back to channel-major
         grads["b3"] = dz3.sum(axis=0)
-        dflat = np.matmul(dz3, self.w3, out=_buffer(work, "dflat", flat.shape))
-        dz2 = dflat.reshape(a2.shape)
-        # a2 > 0 is the mask z2 > 0, laid out like dz2 (z2 is a transposed
-        # view), which makes the product several times cheaper
-        dz2 *= a2 > 0
-        grads["b2"] = dz2.sum(axis=(0, 2))
-        cols1 = cols2 = None
-        if work is not None:  # the forward pass kept its im2col columns there
-            cols1, cols2 = work["z1_cols"][:B], work["z2_cols"][:B]
-        grads["w2"] = _conv_weight_grad(a1, dz2, work, "dmat2", cols2)
-        dz1 = _conv_input_grad(dz2, self.w2, work)
-        dz1 *= z1 > 0
-        grads["b1"] = dz1.sum(axis=(0, 2))
-        grads["w1"] = _conv_weight_grad(x0, dz1, work, "dmat1", cols1)
+        dz2 = np.matmul(dz3, w3, out=_buffer(work, "dz2", flat.shape)).reshape(m2.shape)
+        dz2 *= m2
+        grads["w2"], grads["b2"] = _conv_grads(cols2, dz2)
+        dz1 = _input_grad(dz2, self.w2, work)
+        dz1 *= m1
+        grads["w1"], grads["b1"] = _conv_grads(cols1, dz1)
         return grads
 
     def loss_and_grads(self, X: np.ndarray, y: np.ndarray, *, work: dict | None = None):
         """Mean BCE loss and parameter gradients of one batch.
 
         ``work`` is a dict in which a training loop keeps the per-batch
-        activations and deltas from one call to the next. Allocating them
-        afresh costs about 3 MB a step that the allocator hands back to the
-        OS and then faults in again. The forward im2col columns are kept
-        there too, for the weight gradients to reuse; without ``work``
-        (scoring, the gradient check) every buffer is a temporary. The
-        returned gradients never alias ``work``.
+        activations, masks and deltas from one call to the next. Allocating
+        them afresh costs about 3 MB a step that the allocator hands back to
+        the OS and then faults in again. The forward column buffers are kept
+        there too, for the weight gradients to reuse; without ``work`` (the
+        gradient check) every buffer is a temporary. The returned gradients
+        never alias ``work``.
         """
         X = self._check_windows(X)
         y = np.asarray(y, dtype=np.float64)
         p, cache = self._forward(X, work)
         eps = 1e-12
         loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
-        grads = self._backward(X, y, cache, p, work)
-        return loss, grads
+        return loss, self._backward(y, p, cache, work)
 
     # ------------------------------------------------------------------
     # serialization
@@ -255,13 +285,20 @@ class TemporalCnn:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TemporalCnn":
-        kwargs = {name: np.asarray(obj[name], dtype=np.float64) for name in PARAM_NAMES}
+        """The network a ``to_dict`` document describes. A missing field, a
+        value that is not a finite number, or a parameter whose shape does
+        not fit ``window_len`` raises ``MissingArtifactError`` naming the
+        field."""
+        least = 2 * (KERNEL_WIDTH - 1) + 1
+        window_len = _artifact_field(
+            obj, "window_len", lambda v: _is_int(v) and v >= least, f"an integer of at least {least}"
+        )
         return cls(
-            window_len=int(obj["window_len"]),
-            input_center=float(obj.get("input_center", 0.0)),
-            input_scale=float(obj.get("input_scale", 1.0)),
-            train_loss_curve=[float(v) for v in obj.get("train_loss_curve", [])],
-            **kwargs,
+            window_len=window_len,
+            input_center=float(_artifact_field(obj, "input_center", _is_real, "a finite number")),
+            input_scale=float(_artifact_field(obj, "input_scale", _is_real, "a finite number")),
+            train_loss_curve=_artifact_curve(obj),
+            **{name: _artifact_array(obj, name, shape) for name, shape in _param_shapes(window_len).items()},
         )
 
 
@@ -276,10 +313,6 @@ class CnnTrainConfig:
 
     def __post_init__(self) -> None:
         _check_train_config(self)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_train_config(config: CnnTrainConfig) -> None:
@@ -317,6 +350,8 @@ def train_cnn(windows: np.ndarray, labels: np.ndarray, config: CnnTrainConfig | 
         raise DataError("windows and labels lengths differ")
     if not set(np.unique(labels).tolist()) <= {0.0, 1.0}:
         raise DataError("labels must be binary")
+    if not np.all(np.isfinite(windows)):
+        raise DataError("non-finite values in windows")
 
     net = TemporalCnn.initialize(windows.shape[1], seed=config.seed)
     net.input_center = float(np.mean(windows))
@@ -366,8 +401,9 @@ def gradient_check(net: TemporalCnn, window: np.ndarray, label: float, h: float 
     y = float(label)
     _, grads = net.loss_and_grads(X, y_arr)
     _, cache = net._forward(X)
-    _, _, _, _, _, flat, z3, a3 = cache
-    flat1, z31, a31 = flat[0], z3[0], a3[0]
+    _, _, _, m2, flat, _, z3, a3 = cache
+    # w3's columns read the conv output channel by channel
+    flat1, z31, a31 = _regroup(flat, m2.shape[1])[0], z3[0], a3[0]
     z4 = float(a31 @ net.w4[0] + net.b4[0])
     worst = 0.0
 

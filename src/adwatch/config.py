@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Union
 
-from .errors import ConfigError
+from .errors import ConfigError, MissingArtifactError
 
 PathLike = Union[str, Path]
 
@@ -111,6 +111,31 @@ def _is_real(value) -> bool:
         and not isinstance(value, bool)
         and abs(value) <= sys.float_info.max
     )
+
+
+def _is_int(value) -> bool:
+    """A Python or numpy integer; bools are not integers here."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _artifact_field(obj: dict, name: str, ok, what: str):
+    """``obj[name]`` of a model artifact document if ``ok`` holds for it,
+    otherwise a ``MissingArtifactError`` naming the field."""
+    if name not in obj:
+        raise MissingArtifactError(f"field {name!r} is missing")
+    value = obj[name]
+    if not ok(value):
+        raise MissingArtifactError(f"field {name!r}: expected {what}, got {value!r:.60}")
+    return value
+
+
+def _artifact_curve(obj: dict) -> list[float]:
+    """A model artifact's optional ``train_loss_curve``, a list of finite
+    numbers."""
+    curve = obj.get("train_loss_curve", [])
+    if not (isinstance(curve, list) and all(map(_is_real, curve))):
+        raise MissingArtifactError("field 'train_loss_curve': expected a list of finite numbers")
+    return [float(v) for v in curve]
 
 
 def _is_real_pair(value) -> bool:

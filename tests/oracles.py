@@ -9,7 +9,8 @@ search every node's rows exactly from a fresh sort instead of over
 histograms of binned values, replay a fit's gradients by walking its trees,
 and walk each tree node by node instead of looking it up in a compiled table,
 and the convolution oracles build im2col columns from a sliding-window
-view. The timeline oracle reads and checks one row at a time instead of
+view over channel-first activations; the CNN step oracle runs the whole
+forward and backward pass on them. The timeline oracle reads and checks one row at a time instead of
 checking whole columns. The writer oracles encode each row as a dict with
 the stdlib JSON encoder instead of filling a row template, and the yawn
 training-set oracle concatenates every tracked frame's features before it
@@ -331,6 +332,40 @@ def window_conv_input_grad(dz, w):
     wmat = w[:, :, ::-1].transpose(1, 0, 2).reshape(C, O * K)
     return (cols @ wmat.T).reshape(B, li, C).transpose(0, 2, 1)
 
+
+
+def channel_first_loss_and_grads(net, X, y):
+    """Mean BCE loss and the eight parameter gradients of one batch, with
+    channel-first activations (B, C, L): the speaking CNN's step before it
+    went channel-last, with each conv kernel replaced by its sliding-window
+    twin above, which matched it bit for bit."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    B = len(X)
+    x0 = ((X - net.input_center) * net.input_scale)[:, None, :]
+    z1 = window_conv1d(x0, net.w1) + net.b1[None, :, None]
+    a1 = np.maximum(z1, 0.0)
+    z2 = window_conv1d(a1, net.w2) + net.b2[None, :, None]
+    a2 = np.maximum(z2, 0.0)
+    flat = a2.reshape(B, -1)
+    z3 = flat @ net.w3.T + net.b3
+    a3 = np.maximum(z3, 0.0)
+    z4 = a3 @ net.w4.T + net.b4
+    p = 1.0 / (1.0 + np.exp(-np.clip(z4[:, 0], -35.0, 35.0)))
+    eps = 1e-12
+    loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
+    dz4 = (p - y)[:, None] / B
+    grads = {"w4": dz4.T @ a3, "b4": dz4.sum(axis=0)}
+    dz3 = (dz4 @ net.w4) * (z3 > 0)
+    grads["w3"] = dz3.T @ flat
+    grads["b3"] = dz3.sum(axis=0)
+    dz2 = (dz3 @ net.w3).reshape(a2.shape) * (z2 > 0)
+    grads["w2"] = window_conv_weight_grad(a1, dz2)
+    grads["b2"] = dz2.sum(axis=(0, 2))
+    dz1 = window_conv_input_grad(dz2, net.w2) * (z1 > 0)
+    grads["w1"] = window_conv_weight_grad(x0, dz1)
+    grads["b1"] = dz1.sum(axis=(0, 2))
+    return loss, grads
 
 def read_timeline_rows(path):
     """Timeline columns (frame_index, mask, attentive, activity, target_cm),

@@ -6,11 +6,17 @@ failing, so these tests check every name against the live package.
 
 import importlib
 import inspect
+import math
 import pkgutil
 import types
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import adwatch
+import adwatch.cnn
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -77,3 +83,26 @@ def test_every_module_with_public_functions_is_a_layer():
         if defines and info.name not in layers:
             missing.append(info.name)
     assert missing == []
+
+
+# (windows, batch size, epochs); 2000 windows in batches of 128 for 50 epochs
+# is the default training run, 800 steps
+@pytest.mark.parametrize("n, batch_size, epochs", [(2000, 128, 2), (200, 128, 3), (7, 3, 2), (64, 64, 1)])
+def test_traced_cnn_training_counts_one_step_per_batch(n, batch_size, epochs):
+    # cnn.steps and cnn.loss_and_grads_s count the spans of loss_and_grads,
+    # and the step's helpers are private, so no span is recorded inside it
+    rng = np.random.default_rng(n)
+    X = rng.normal(0, 1, (n, 30))
+    y = (X.mean(axis=1) > 0).astype(float)
+    tracer = load_tracing().Tracer()
+    tracer.install([adwatch.cnn])
+    try:
+        adwatch.cnn.train_cnn(X, y, adwatch.cnn.CnnTrainConfig(epochs=epochs, batch_size=batch_size))
+    finally:
+        tracer.uninstall()
+    steps = epochs * math.ceil(n / batch_size)
+    assert Counter(span[0] for span in tracer.spans if span[0].startswith("cnn.")) == {
+        "cnn.train_cnn": 1,
+        "cnn.TemporalCnn.initialize": 1,
+        "cnn.TemporalCnn.loss_and_grads": steps,
+    }

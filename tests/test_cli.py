@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,89 @@ def test_missing_artifacts_exit_4(trained, tmp_path, capsys):
     # the load comes before any session is read or any output is written
     assert not (tmp_path / "o").exists()
     assert not list(tmp_path.rglob("*.timeline.jsonl"))
+
+
+def first_node(model, leaf):
+    """The first leaf (or split) of an ensemble document, trees in order,
+    nodes in preorder."""
+    stack = list(reversed(model["trees"]))
+    while stack:
+        node = stack.pop()
+        if ("value" in node) == leaf:
+            return node
+        if "value" not in node:
+            stack += [node["right"], node["left"]]
+    raise AssertionError("no such node")
+
+
+def on_model(change):
+    """A mutation of the artifact's model: the speaking or yawn ``model``,
+    or the first device's x ensemble of the gaze ``models``."""
+    def mutate(doc):
+        models = doc.get("models")
+        change(models[sorted(models)[0]]["x"] if models else doc["model"])
+    return mutate
+
+
+def shorten_rows(matrix):
+    for row in matrix:
+        row.pop()
+
+
+ARTIFACT_MUTATIONS = [
+    pytest.param("speaking_cnn.json", "'model'", lambda doc: doc.pop("model"), id="speaking_no_model"),
+    pytest.param("speaking_cnn.json", "'w3'", on_model(lambda m: m.pop("w3")), id="speaking_missing_w3"),
+    pytest.param("speaking_cnn.json", "'w1'", on_model(lambda m: m.update(w1="abc")), id="speaking_w1_text"),
+    pytest.param("speaking_cnn.json", "'input_center'", on_model(lambda m: m.update(input_center="x")),
+                 id="speaking_center_text"),
+    pytest.param("speaking_cnn.json", "'w3'", on_model(lambda m: shorten_rows(m["w3"])),
+                 id="speaking_w3_column_short"),
+    pytest.param("speaking_cnn.json", "'b4'", on_model(lambda m: m.update(b4=[[0.0]])), id="speaking_b4_shape"),
+    pytest.param("speaking_cnn.json", "'window_len'", on_model(lambda m: m.update(window_len="30")),
+                 id="speaking_window_len_text"),
+    pytest.param("speaking_cnn.json", "'w3'", on_model(lambda m: m["w3"][0].__setitem__(0, float("nan"))),
+                 id="speaking_w3_nan"),
+    pytest.param("speaking_cnn.json", "'train_loss_curve'",
+                 on_model(lambda m: m.update(train_loss_curve=["x"])), id="speaking_curve_text"),
+    pytest.param("yawn_classifier.json", "'trees'", on_model(lambda m: m.pop("trees")), id="yawn_missing_trees"),
+    pytest.param("yawn_classifier.json", "'n_features'", on_model(lambda m: m.update(n_features="x")),
+                 id="yawn_n_features_text"),
+    pytest.param("yawn_classifier.json", "'value'", on_model(lambda m: first_node(m, True).update(value="x")),
+                 id="yawn_leaf_text"),
+    pytest.param("yawn_classifier.json", "'threshold'",
+                 on_model(lambda m: first_node(m, False).update(threshold=float("nan"))), id="yawn_threshold_nan"),
+    pytest.param("yawn_classifier.json", "'feature'",
+                 on_model(lambda m: first_node(m, False).update(feature=m["n_features"])),
+                 id="yawn_feature_past_the_end"),
+    pytest.param("yawn_classifier.json", "'feature'",
+                 on_model(lambda m: first_node(m, False).update(feature=-1)), id="yawn_feature_negative"),
+    pytest.param("yawn_classifier.json", "'left'", on_model(lambda m: first_node(m, False).pop("left")),
+                 id="yawn_split_without_left"),
+    pytest.param("gaze_regressors.json", "'trees'", on_model(lambda m: m.pop("trees")), id="gaze_missing_trees"),
+    pytest.param("gaze_regressors.json", "'threshold'",
+                 on_model(lambda m: first_node(m, False).update(threshold=float("nan"))), id="gaze_threshold_nan"),
+    pytest.param("gaze_regressors.json", "'feature'",
+                 on_model(lambda m: first_node(m, False).update(feature=m["n_features"])),
+                 id="gaze_feature_past_the_end"),
+    pytest.param("gaze_regressors.json", "'y'",
+                 lambda doc: doc["models"][sorted(doc["models"])[0]].pop("y"), id="gaze_missing_axis"),
+]
+
+
+@pytest.mark.parametrize("name, field, mutate", ARTIFACT_MUTATIONS)
+def test_malformed_artifact_exits_4(trained, tmp_path, capsys, name, field, mutate):
+    _, suite, art, _ = trained
+    bad = tmp_path / "artifacts"
+    shutil.copytree(art, bad)
+    doc = json.loads((bad / name).read_text())
+    mutate(doc)
+    (bad / name).write_text(json.dumps(doc))
+    code = main(["score", "--suite-dir", str(suite), "--artifacts", str(bad),
+                 "--output", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert name in err and field in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

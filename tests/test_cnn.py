@@ -1,20 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adwatch.cnn import (
     PARAM_NAMES,
     CnnTrainConfig,
     TemporalCnn,
-    _conv1d,
-    _conv_input_grad,
-    _conv_weight_grad,
+    _conv,
+    _conv_grads,
+    _input_grad,
+    _weight_matrix,
     gradient_check,
     train_cnn,
 )
 from adwatch.config import PipelineConfig
-from adwatch.errors import DataError
+from adwatch.errors import DataError, MissingArtifactError
 from adwatch.training import train_speaking_cnn
-from oracles import window_conv1d, window_conv_input_grad, window_conv_weight_grad
+from oracles import (
+    channel_first_loss_and_grads,
+    window_conv1d,
+    window_conv_input_grad,
+    window_conv_weight_grad,
+)
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +102,14 @@ def test_empty_training_set_rejected():
         train_cnn(np.zeros((0, 30)), np.zeros(0))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_windows_rejected(toy_set, bad):
+    X, y = toy_set[0][:200].copy(), toy_set[1][:200]
+    X[117, 4] = bad
+    with pytest.raises(DataError, match="non-finite"):
+        train_cnn(X, y, CnnTrainConfig(epochs=1))
+
+
 def test_nonbinary_labels_rejected():
     with pytest.raises(DataError, match="binary"):
         train_cnn(np.zeros((4, 30)), np.array([0.0, 0.5, 1.0, 1.0]))
@@ -114,10 +130,40 @@ def test_serialization_round_trip_bit_exact(toy_set):
     assert np.array_equal(net.predict_proba(probe), clone.predict_proba(probe))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("window_len", True),
+        ("window_len", 4),
+        ("window_len", 30.0),
+        ("input_scale", float("inf")),
+        ("w1", [[[0.1, 0.2, 0.3]]] * 7 + [[[0.1, 0.2]]]),
+        ("w2", None),
+        ("b1", [True] * 8),
+        ("b3", [0.0] * 49),
+    ],
+)
+def test_from_dict_names_a_malformed_field(field, value):
+    doc = TemporalCnn.initialize(30, seed=0).to_dict()
+    doc[field] = value
+    with pytest.raises(MissingArtifactError, match=f"'{field}'"):
+        TemporalCnn.from_dict(doc)
+
+
 def test_window_length_mismatch_rejected():
     net = TemporalCnn.initialize(30, seed=0)
     with pytest.raises(DataError, match="window length"):
         net.predict_proba(np.zeros(29))
+
+
+def assert_close(actual, expected, rel=1e-12):
+    """Equal within ``rel`` of the reference's largest magnitude."""
+    assert actual.shape == expected.shape
+    assert np.max(np.abs(actual - expected), initial=0.0) <= rel * np.max(np.abs(expected), initial=0.0)
+
+
+def channel_last(a):
+    return np.ascontiguousarray(a.transpose(0, 2, 1))
 
 
 # 128 is the training batch; 80 is the last batch of the seed-7 training set
@@ -129,11 +175,45 @@ def test_conv_kernels_match_sliding_window_im2col(batch):
     a1 = np.maximum(rng.normal(0, 1, (batch, 8, 28)), 0.0)
     dz1 = rng.normal(0, 1, (batch, 8, 28))
     dz2 = rng.normal(0, 1, (batch, 16, 26))
-    assert np.array_equal(_conv1d(x0, net.w1), window_conv1d(x0, net.w1))
-    assert np.array_equal(_conv1d(a1, net.w2), window_conv1d(a1, net.w2))
-    assert np.array_equal(_conv_weight_grad(x0, dz1), window_conv_weight_grad(x0, dz1))
-    assert np.array_equal(_conv_weight_grad(a1, dz2), window_conv_weight_grad(a1, dz2))
-    assert np.array_equal(_conv_input_grad(dz2, net.w2), window_conv_input_grad(dz2, net.w2))
+    b1, b2 = rng.normal(0, 1, 8), rng.normal(0, 1, 16)
+    cols0, z1 = _conv(channel_last(x0), _weight_matrix(net.w1, b1))
+    assert_close(z1, channel_last(window_conv1d(x0, net.w1) + b1[None, :, None]))
+    cols1, z2 = _conv(channel_last(a1), _weight_matrix(net.w2, b2))
+    assert_close(z2, channel_last(window_conv1d(a1, net.w2) + b2[None, :, None]))
+    for cols, x, dz in ((cols0, x0, dz1), (cols1, a1, dz2)):
+        dw, db = _conv_grads(cols, channel_last(dz))
+        assert_close(dw, window_conv_weight_grad(x, dz))
+        assert_close(db, dz.sum(axis=(0, 2)))
+    assert_close(_input_grad(channel_last(dz2), net.w2), channel_last(window_conv_input_grad(dz2, net.w2)))
+
+
+def random_network(seed):
+    """A network whose every parameter, biases included, is drawn at random."""
+    rng = np.random.default_rng(seed)
+    net = TemporalCnn.initialize(30, seed=seed)
+    for name in PARAM_NAMES:
+        param = getattr(net, name)
+        param[...] = rng.normal(0.0, 0.5, param.shape)
+    net.input_center, net.input_scale = rng.normal(0.0, 0.1), rng.uniform(5.0, 30.0)
+    return net, rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=st.integers(1, 130), seed=st.integers(0, 2**32 - 1))
+def test_step_matches_the_channel_first_reference(batch, seed):
+    net, rng = random_network(seed)
+    X = rng.normal(0.05, 0.03, (batch, 30))
+    y = (rng.random(batch) < 0.5).astype(float)
+    ref_loss, ref_grads = channel_first_loss_and_grads(net, X, y)
+    # a fresh step, and one in work buffers sized by a larger batch
+    work: dict = {}
+    net.loss_and_grads(rng.normal(0.05, 0.03, (130, 30)), np.ones(130), work=work)
+    for kwargs in ({}, {"work": work}):
+        loss, grads = net.loss_and_grads(X, y, **kwargs)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert grads.keys() == ref_grads.keys()
+        for name in PARAM_NAMES:
+            assert_close(grads[name], ref_grads[name])
 
 
 def test_work_buffers_leave_training_unchanged(toy_set):
