@@ -28,6 +28,7 @@ from .evaluation import (
 )
 from .fusion import session_summary
 from .pipeline import (
+    SPEAKING_ARTIFACT,
     TABLE1_VARIANTS,
     TABLE3_VARIANTS,
     ArtifactSet,
@@ -169,6 +170,18 @@ def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     return cfg
 
 
+def _load_artifacts(artifact_dir: Path, cfg: PipelineConfig) -> ArtifactSet:
+    """The command's one artifact load; a speaking network whose input length
+    is not ``window_samples`` fails here, before any session is read."""
+    artifacts = ArtifactSet.load(artifact_dir)
+    if artifacts.speaking.window_len != cfg.window_samples:
+        raise MissingArtifactError(
+            f"artifact {artifact_dir / SPEAKING_ARTIFACT}: field 'window_len': expected "
+            f"window_samples = {cfg.window_samples}, got {artifacts.speaking.window_len}"
+        )
+    return artifacts
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     out: Path = args.output
     if args.script is not None:
@@ -255,7 +268,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     # the one load per command: it fails before any session is read, and
     # every session scores against it, so each ensemble compiles its lookup
     # tables once (once per worker with --jobs)
-    artifacts = ArtifactSet.load(args.artifacts)
+    artifacts = _load_artifacts(args.artifacts, cfg)
     tasks = [(p, args.device, cfg, args.output) for p in manifest_paths]
     if args.jobs > 1:
         with ProcessPoolExecutor(
@@ -289,6 +302,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 f"session {entry.session_id}: scored timeline length "
                 f"{len(predicted)} != ground truth {len(truth)}"
             )
+        misaligned = (predicted.frame_index != truth.frame_index).nonzero()[0]
+        if misaligned.size:
+            i = misaligned[0]
+            raise DataError(
+                f"session {entry.session_id}: scored timeline row {i + 1} has frame_index "
+                f"{predicted.frame_index[i]}, ground truth {truth.frame_index[i]}"
+            )
         pairs_by_device.setdefault(entry.device_type, []).append(
             (~predicted.attentive, ~truth.attentive)
         )
@@ -320,7 +340,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     cfg = _load_pipeline_config(args)
-    artifacts = ArtifactSet.load(args.artifacts)
+    artifacts = _load_artifacts(args.artifacts, cfg)
     sessions = load_suite_sessions(args.suite_dir, split=args.split)
     args.output.mkdir(parents=True, exist_ok=True)
     families = [

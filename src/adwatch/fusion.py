@@ -47,7 +47,8 @@ class DistractionTimeline:
     frame_index: np.ndarray        # (n,) int
     # generator-only annotations, absent on scored timelines
     activity: Optional[list[str]] = field(default=None, repr=False)
-    target_cm: Optional[list[Optional[tuple[float, float]]]] = field(default=None, repr=False)
+    # (n, 2) float64, a NaN row where the participant is away
+    target_cm: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def attentive(self) -> np.ndarray:

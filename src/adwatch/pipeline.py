@@ -39,7 +39,7 @@ from .gaze import (
     valid_gaze_rays,
 )
 from .head import compute_head_stats, head_off_screen, select_gaze_source
-from .records import FrameArrays, SessionManifest
+from .records import AU_NAMES, FrameArrays, SessionManifest
 from .speaking import speaking_flags
 from .temporal import long_runs
 
@@ -68,11 +68,22 @@ class ArtifactSet:
             raise MissingArtifactError(
                 f"missing model artifacts in {artifact_dir}: {', '.join(missing)}"
             )
-        return cls(
+        loaded = cls(
             gaze=artifacts_io.load_gaze_regressors(artifact_dir / GAZE_ARTIFACT),
             speaking=artifacts_io.load_speaking_cnn(artifact_dir / SPEAKING_ARTIFACT),
             yawn=artifacts_io.load_yawn_classifier(artifact_dir / YAWN_ARTIFACT),
         )
+        # the regressors read normalised (x, y) points, the classifier yawn_features' columns
+        inputs = [(GAZE_ARTIFACT, f"models.{device}.{axis}", model, 2)
+                  for device, pair in loaded.gaze.items() for axis, model in pair.items()]
+        inputs.append((YAWN_ARTIFACT, "model", loaded.yawn, 1 + len(AU_NAMES)))
+        for name, where, model, n_features in inputs:
+            if model.n_features != n_features:
+                raise MissingArtifactError(
+                    f"artifact {artifact_dir / name}: {where}: field 'n_features': "
+                    f"expected {n_features}, got {model.n_features}"
+                )
+        return loaded
 
     def gaze_pair(self, device_type: str) -> dict[str, BoostedEnsemble]:
         if self.gaze is None or device_type not in self.gaze:

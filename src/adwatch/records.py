@@ -1,7 +1,7 @@
 """Frame and session data model.
 
 A session is a sequence of per-frame tracker outputs, held column by column
-in ``FrameArrays`` and checked by ``validate_frames``. Two upstream trackers
+in ``FrameArrays`` and checked by ``frame_checks``. Two upstream trackers
 contribute to each frame: an expression tracker (head pose, mouth landmarks,
 action units, eye closure, face box) and a gaze tracker (3-D pupil position,
 3-D gaze direction, tracking quality). Frames where a tracker lost the face
@@ -18,7 +18,7 @@ units; AU intensities and eye closure on a 0-100 scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -95,19 +95,21 @@ class FrameArrays:
         return len(self.frame_index)
 
 
-def validate_frames(frames: FrameArrays, rows: Sequence[int]) -> None:
-    """Raise SessionFormatError if any frame violates a FORMATS.md invariant.
+def frame_checks(frames: FrameArrays, previous: Optional[tuple[int, float]] = None) -> tuple:
+    """The FORMATS.md invariants of a frame sequence, as ``first_failure``
+    checks in row-by-row order.
 
-    ``rows[i]`` is the 1-based source row of frame i. The error names the
-    first offending row and, within it, the first failed check below.
-    Shapes are not checked here; the loader enforces them per column.
+    ``previous`` is the (frame_index, timestamp_ms) of the frame before the
+    first one, when the sequence continues another. Shapes are not checked
+    here; the loader enforces them per column.
     """
     fi, ts = frames.frame_index, frames.timestamp_ms
     q, eye, fcx, aus = frames.quality, frames.eye_closure, frames.face_center_x, frames.aus
     z = frames.pupil[:, 2]
     angles = np.stack([frames.yaw, frames.pitch, frames.roll], axis=1)
-    prev_fi = np.concatenate(([-1], fi[:-1]))
-    prev_ts = np.concatenate(([-np.inf], ts[:-1]))
+    before_fi, before_ts = (-1, -np.inf) if previous is None else previous
+    prev_fi = np.concatenate(([before_fi], fi[:-1]))
+    prev_ts = np.concatenate(([before_ts], ts[:-1]))
     # Written as ~(in range) so that NaN counts as out of range.
     bad_aus = ~((aus >= 0.0) & (aus <= 100.0))
 
@@ -115,7 +117,7 @@ def validate_frames(frames: FrameArrays, rows: Sequence[int]) -> None:
         j = int(np.flatnonzero(bad_aus[i])[0])
         return f"au_intensities[{j}] ({AU_NAMES[j]}) outside [0, 100]: {aus[i, j]}"
 
-    checks = (
+    return (
         (fi < 0, lambda i: f"frame_index must be >= 0, got {fi[i]}"),
         (~(np.isfinite(ts) & (ts >= 0.0)),
          lambda i: f"timestamp_ms must be a finite real >= 0, got {ts[i]}"),
@@ -137,10 +139,6 @@ def validate_frames(frames: FrameArrays, rows: Sequence[int]) -> None:
         (fi <= prev_fi, lambda i: f"frame_index {fi[i]} not strictly increasing "
                                   f"(previous {prev_fi[i]})"),
     )
-    failure = first_failure(checks)
-    if failure is not None:
-        i, message = failure
-        raise SessionFormatError(f"row {rows[i]}: {message}")
 
 
 def first_failure(checks) -> Optional[tuple[int, str]]:

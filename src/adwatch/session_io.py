@@ -1,55 +1,204 @@
 """Readers and writers for all on-disk formats.
 
 Formats are line-delimited JSON (frames, timelines) or a single JSON
-document (manifests). Each frame field maps to one ``FrameArrays`` column
-(``_FRAME_SCHEMA``); see FORMATS.md for the full schemas. Numbers are emitted with ``repr``
-round-tripping semantics, so write-then-read is the identity. The JSONL
-writers fill row templates with text rendered a block of rows at a time and
-write the bytes ``json.dumps(row, separators=(",", ":"))`` would.
+document (manifests); see FORMATS.md for the full schemas. Each key of a
+JSONL row is one ``_Field`` of its file's schema (``_FRAME_SCHEMA``,
+``_TIMELINE_SCHEMA``) and fills one column. Both JSONL files are read by one
+loop over their lines, ``_row_blocks``, and ``_read_jsonl`` checks every
+block of rows in full before it reads the next, so an error names the
+file's first bad row. Numbers are
+emitted with ``repr`` round-tripping semantics, so write-then-read is the
+identity. The JSONL writers fill row templates with text rendered a block
+of rows at a time and write the bytes ``json.dumps(row, separators=(",",
+":"))`` would.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .config import _read_json_object
 from .errors import DataError, SessionFormatError
 from .fusion import SIGNAL_NAMES, DistractionTimeline
-from .records import AU_NAMES, FrameArrays, SessionManifest, first_failure, validate_frames
+from .records import AU_NAMES, FrameArrays, SessionManifest, first_failure, frame_checks
 
 PathLike = Union[str, Path]
 
 
 # ---------------------------------------------------------------------------
-# frame files
+# JSONL rows and their columns
 # ---------------------------------------------------------------------------
 
-# JSON field, FrameArrays column, dtype, shape of one frame's value, and the
-# exact JSON type a value must have (None: any number numpy converts).
+class _Field(NamedTuple):
+    """One key of a JSONL row and the column it fills."""
+
+    key: str
+    column: str
+    dtype: type
+    shape: tuple            # of one row's value
+    types: frozenset        # the JSON types its numbers (or strings) may have, by type()
+    expected: str           # what a value must be, for the error message
+    # may be absent or null: null reads as a row of NaN (so the numbers must be
+    # finite) or, in an object column, as None
+    optional: bool = False
+
+
+_INT, _BOOL, _NUMBER = frozenset({int}), frozenset({bool}), frozenset({int, float})
+
 _FRAME_SCHEMA = (
-    ("frame_index", "frame_index", np.int64, (), int),
-    ("timestamp_ms", "timestamp_ms", np.float64, (), None),
-    ("pupil_position_cm", "pupil", np.float64, (3,), None),
-    ("gaze_direction", "direction", np.float64, (3,), None),
-    ("gaze_quality", "quality", np.float64, (), None),
-    ("head_yaw_deg", "yaw", np.float64, (), None),
-    ("head_pitch_deg", "pitch", np.float64, (), None),
-    ("head_roll_deg", "roll", np.float64, (), None),
-    ("mouth_points", "mouth", np.float64, (4, 2), None),
-    ("au_intensities", "aus", np.float64, (len(AU_NAMES),), None),
-    ("eye_closure", "eye_closure", np.float64, (), None),
-    ("face_detected_expr", "face_expr", np.bool_, (), bool),
-    ("face_detected_gaze", "face_gaze", np.bool_, (), bool),
-    ("face_center_x", "face_center_x", np.float64, (), None),
+    _Field("frame_index", "frame_index", np.int64, (), _INT, "an integer"),
+    _Field("timestamp_ms", "timestamp_ms", np.float64, (), _NUMBER, "a number"),
+    _Field("pupil_position_cm", "pupil", np.float64, (3,), _NUMBER, "an array of 3 numbers"),
+    _Field("gaze_direction", "direction", np.float64, (3,), _NUMBER, "an array of 3 numbers"),
+    _Field("gaze_quality", "quality", np.float64, (), _NUMBER, "a number"),
+    _Field("head_yaw_deg", "yaw", np.float64, (), _NUMBER, "a number"),
+    _Field("head_pitch_deg", "pitch", np.float64, (), _NUMBER, "a number"),
+    _Field("head_roll_deg", "roll", np.float64, (), _NUMBER, "a number"),
+    _Field("mouth_points", "mouth", np.float64, (4, 2), _NUMBER, "4 pairs of numbers"),
+    _Field("au_intensities", "aus", np.float64, (len(AU_NAMES),), _NUMBER,
+           f"an array of {len(AU_NAMES)} numbers"),
+    _Field("eye_closure", "eye_closure", np.float64, (), _NUMBER, "a number"),
+    _Field("face_detected_expr", "face_expr", np.bool_, (), _BOOL, "a boolean"),
+    _Field("face_detected_gaze", "face_gaze", np.bool_, (), _BOOL, "a boolean"),
+    _Field("face_center_x", "face_center_x", np.float64, (), _NUMBER, "a number"),
 )
-_JSON_TYPE_NAMES = {int: "an integer", bool: "a boolean"}
+_TIMELINE_SCHEMA = (
+    _Field("frame_index", "frame_index", np.int64, (), _INT, "a 64-bit integer"),
+    _Field("mask", "mask", np.int64, (), _INT, "an integer"),
+    _Field("attentive", "attentive", np.bool_, (), _BOOL, "a boolean"),
+    _Field("target_cm", "target_cm", np.float64, (2,), _NUMBER, "null or a pair of numbers",
+           optional=True),
+    _Field("activity", "activity", object, (), frozenset({str, type(None)}), "a string or null",
+           optional=True),
+)
 # rows per block, for reading and writing alike: only one block's parsed
 # objects or rendered text is alive at once
 _BLOCK_ROWS = 256
+
+
+def _column(field: _Field, values: list):
+    """The column of ``field`` over one block's values, an array of shape
+    ``(len(values), *field.shape)`` (a list for an object field), or None if
+    some value is not of the field's JSON types and shape."""
+    null = field.optional and field.dtype is not object and None in values
+    if null:
+        null = [value is None for value in values]
+        blank = np.zeros(field.shape).tolist()
+        values = [blank if none else value for value, none in zip(values, null)]
+    flat = values
+    try:
+        for size in field.shape:
+            if set(map(len, flat)) != {size}:
+                return None
+            flat = list(chain.from_iterable(flat))
+        if not field.types.issuperset(map(type, flat)):
+            return None
+        if field.dtype is object:
+            # one object per distinct value: annotations repeat over whole segments
+            shared: dict = {}
+            return [shared.setdefault(value, value) for value in values]
+        column = np.array(flat, dtype=field.dtype).reshape(len(values), *field.shape)
+    except (TypeError, OverflowError):
+        return None
+    if field.optional and not np.isfinite(column).all():
+        return None
+    if null:
+        column[null] = np.nan
+    return column
+
+
+def _bad_values(field: _Field, objs: list) -> tuple:
+    """The ``first_failure`` check of ``field`` over a block's rows: a key
+    that is missing or a value ``_column`` refuses."""
+    bad = [_column(field, [obj.get(field.key)]) is None for obj in objs]
+
+    def message(i: int) -> str:
+        if field.key not in objs[i]:
+            return f"missing key {field.key!r}"
+        return f"{field.key} must be {field.expected}, got {json.dumps(objs[i][field.key])}"
+
+    return np.array(bad), message
+
+
+def _row_blocks(path: Path, error):
+    """Yield (objects, 1-based row numbers) blocks of up to ``_BLOCK_ROWS``
+    rows, skipping blank lines; a row that is not a JSON object raises
+    ``error(row, message)`` once the rows before it are yielded. Both lists
+    are refilled for the next block, so only one block's rows are alive."""
+    objs, rows = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for row, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            try:
+                obj = json.loads(line)
+                problem = None if type(obj) is dict else "not a JSON object"
+            except json.JSONDecodeError as exc:
+                problem = f"invalid JSON ({exc.msg})"
+            if problem is not None:
+                if objs:
+                    yield objs, rows
+                raise error(row, problem)
+            objs.append(obj)
+            rows.append(row)
+            if len(objs) == _BLOCK_ROWS:
+                yield objs, rows
+                objs.clear()
+                rows.clear()
+    if objs:
+        yield objs, rows
+
+
+def _checked_block(schema, checks, objs: list, rows: list, previous, error) -> dict:
+    """One block's columns by name, once every row passes; otherwise
+    ``error`` names the first bad row and, in it, the first failed check:
+    each field's type and shape in schema order, then ``checks(columns,
+    objs, previous)`` in its order."""
+    columns, failures = {}, []
+    for field in schema:
+        try:
+            values = [obj[field.key] for obj in objs]
+        except KeyError:  # an absent key reads as null, which only an optional field takes
+            values = [obj.get(field.key) for obj in objs]
+        columns[field.column] = column = _column(field, values)
+        if column is None:
+            failures.append(_bad_values(field, objs))
+    if failures:
+        i, message = first_failure(failures)
+        if i:
+            # the rows before it parse, but one of them may fail a later check
+            _checked_block(schema, checks, objs[:i], rows[:i], previous, error)
+        raise error(rows[i], message)
+    failure = first_failure(checks(columns, objs, previous))
+    if failure is not None:
+        raise error(rows[failure[0]], failure[1])
+    return columns
+
+
+def _read_jsonl(path: Path, schema, checks, error) -> Optional[dict]:
+    """The columns of a JSONL file by name, or None if it has no rows; each
+    block is checked before the next is read, and ``checks`` gets the previous
+    block's columns (None for the first) for the checks that span rows."""
+    blocks: list[dict] = []
+    for objs, rows in _row_blocks(path, error):
+        blocks.append(_checked_block(schema, checks, objs, rows, blocks[-1] if blocks else None, error))
+    if not blocks:
+        return None
+    return {
+        name: list(chain.from_iterable(b[name] for b in blocks)) if isinstance(first, list)
+        else np.concatenate([b[name] for b in blocks])
+        for name, first in blocks[0].items()
+    }
+
+
+# ---------------------------------------------------------------------------
+# frame files
+# ---------------------------------------------------------------------------
 
 # json's spelling of the non-finite floats and of booleans
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -81,8 +230,8 @@ def _row_texts(texts: list[str], shape: tuple) -> list[str]:
 
 
 _FRAME_ROW = "{" + ",".join(
-    json.dumps(field) + ":" + "[" * len(shape) + "%s" + "]" * len(shape)
-    for field, _, _, shape, _ in _FRAME_SCHEMA
+    json.dumps(field.key) + ":" + "[" * len(field.shape) + "%s" + "]" * len(field.shape)
+    for field in _FRAME_SCHEMA
 ) + "}\n"
 
 
@@ -94,11 +243,12 @@ def write_frames(frames: FrameArrays, path: PathLike) -> None:
     """
     n = len(frames)
     columns = []
-    for _, column, _, shape, _ in _FRAME_SCHEMA:
-        values = np.asarray(getattr(frames, column))
-        if values.shape != (n, *shape):
-            raise DataError(f"frame column {column} has shape {values.shape}, expected {(n, *shape)}")
-        columns.append((values, shape))
+    for field in _FRAME_SCHEMA:
+        values = np.asarray(getattr(frames, field.column))
+        if values.shape != (n, *field.shape):
+            raise DataError(f"frame column {field.column} has shape {values.shape}, "
+                            f"expected {(n, *field.shape)}")
+        columns.append((values, field.shape))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -110,78 +260,30 @@ def write_frames(frames: FrameArrays, path: PathLike) -> None:
             fh.writelines([_FRAME_ROW % row for row in zip(*block)])
 
 
-def _has_shape(value, dtype, shape: tuple) -> bool:
-    try:
-        return np.asarray(value, dtype=dtype).shape == shape
-    except (TypeError, ValueError, OverflowError):
-        return False
-
-
-def _frame_column(objs: list, rows: list[int], field: str, dtype, shape: tuple, exact) -> np.ndarray:
-    """One column of the frame file, or SessionFormatError naming the first bad row."""
-    try:
-        values = [obj[field] for obj in objs]
-    except (KeyError, TypeError):
-        row = next(r for r, obj in zip(rows, objs) if not (isinstance(obj, dict) and field in obj))
-        raise SessionFormatError(f"row {row}: malformed frame record (no {field!r} field)") from None
-    if exact is not None and set(map(type, values)) != {exact}:
-        row, value = next((r, v) for r, v in zip(rows, values) if type(v) is not exact)
-        raise SessionFormatError(
-            f"row {row}: {field} must be {_JSON_TYPE_NAMES[exact]}, got {json.dumps(value)}"
-        )
-    try:
-        column = np.array(values, dtype=dtype)
-        if column.shape[1:] == shape:
-            return column
-    except (TypeError, ValueError, OverflowError):
-        pass
-    row, value = next((r, v) for r, v in zip(rows, values) if not _has_shape(v, dtype, shape))
-    expected = f"an array of shape {shape}" if shape else "a number"
-    raise SessionFormatError(f"row {row}: {field} must be {expected}, got {json.dumps(value)}")
+def _frame_checks(columns: dict, objs: list, previous: Optional[dict]) -> tuple:
+    last = None if previous is None else (previous["frame_index"][-1], previous["timestamp_ms"][-1])
+    return frame_checks(FrameArrays(**columns), last)
 
 
 def load_frames(path: PathLike) -> FrameArrays:
-    """Read a frame file straight into columns; rows are validated, never clamped.
+    """Read a frame file straight into columns; rows are validated, never
+    clamped, and an error names the first bad row.
 
-    Rows are parsed and converted ``_BLOCK_ROWS`` at a time, so only
-    one block's parsed JSON (about 2.5 kB of small objects a row) is alive
-    at once: whole-file parsing leaves enough scattered interpreter memory
-    behind to raise the peak of a later ``adwatch train`` in the same
-    process by up to 2 MB. A file with several bad rows is reported at the
-    first bad row of the first block that has one.
+    Only one block's parsed JSON (about 2.5 kB of small objects a row) is
+    alive at once: whole-file parsing leaves enough scattered interpreter
+    memory behind to raise the peak of a later ``adwatch train`` in the same
+    process by up to 2 MB.
     """
     path = Path(path)
     if not path.exists():
         raise SessionFormatError(f"frame file not found: {path}")
-    parts: dict = {column: [] for _, column, *_ in _FRAME_SCHEMA}
-    all_rows: list[int] = []
-    objs, rows = [], []
-
-    def flush():
-        for field, column, dtype, shape, exact in _FRAME_SCHEMA:
-            parts[column].append(_frame_column(objs, rows, field, dtype, shape, exact))
-        all_rows.extend(rows)
-        objs.clear()
-        rows.clear()
-
-    with open(path, "r", encoding="utf-8") as fh:
-        for row, line in enumerate(fh, start=1):
-            if line.isspace():
-                continue
-            try:
-                objs.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise SessionFormatError(f"row {row}: invalid JSON ({exc.msg})") from exc
-            rows.append(row)
-            if len(objs) == _BLOCK_ROWS:
-                flush()
-    if objs:
-        flush()
-    if not all_rows:
+    columns = _read_jsonl(
+        path, _FRAME_SCHEMA, _frame_checks,
+        lambda row, message: SessionFormatError(f"frame file {path} row {row}: {message}"),
+    )
+    if columns is None:
         raise SessionFormatError(f"empty session: {path}")
-    frames = FrameArrays(**{column: np.concatenate(blocks) for column, blocks in parts.items()})
-    validate_frames(frames, all_rows)
-    return frames
+    return FrameArrays(**columns)
 
 
 def load_session(manifest: SessionManifest, base_dir: Optional[PathLike] = None) -> FrameArrays:
@@ -267,24 +369,22 @@ _TIMELINE_TAILS = tuple(
     )
     for mask, sources in enumerate(_SOURCES)
 )
-# the sources of a row that has none
-_UNLISTED = object()
 
 
-def _not_text(activities: list) -> np.ndarray:
-    """Per activity: True unless it is a string or None (JSON null)."""
-    return np.array([a is not None and not isinstance(a, str) for a in activities], dtype=bool)
+def _check_timeline(timeline: DistractionTimeline, path: Path) -> Optional[np.ndarray]:
+    """The target_cm column as an (n, 2) float array, if the timeline has one.
 
-
-def _check_timeline(timeline: DistractionTimeline, path: Path) -> None:
-    """DataError unless the columns have one row per frame, each mask is an
-    integer in [0, 32) and each activity is a string or None; the error
-    names the first bad row."""
+    DataError unless the columns have one row per frame, each mask is an
+    integer in [0, 32), each activity is a string or None and each target
+    row is a pair of finite numbers or all NaN (null); the error names the
+    first bad row.
+    """
     n = len(timeline)
+    activity, points = timeline.activity, timeline.target_cm
     lengths = {
         "frame_index": len(timeline.frame_index),
-        "activity": n if timeline.activity is None else len(timeline.activity),
-        "target_cm": n if timeline.target_cm is None else len(timeline.target_cm),
+        "activity": n if activity is None else len(activity),
+        "target_cm": n if points is None else len(points),
     }
     if set(lengths.values()) != {n}:
         raise DataError(f"timeline {path}: columns of mismatched shapes (mask {n}, {lengths})")
@@ -294,67 +394,47 @@ def _check_timeline(timeline: DistractionTimeline, path: Path) -> None:
     if mask.dtype.kind in "iu":
         in_range = (mask >= 0) & (mask < _MASK_LIMIT)
     checks = [(~in_range, lambda i: f"mask must be an integer in [0, {_MASK_LIMIT}), got {mask[i]}")]
-    activity = timeline.activity
     if activity is not None:
-        checks.append((_not_text(activity),
+        checks.append((np.array([a is not None and not isinstance(a, str) for a in activity]),
                        lambda i: f"activity must be a string or null, got {activity[i]!r}"))
+    if points is not None:
+        try:
+            points = np.asarray(points, dtype=np.float64).reshape(n, 2)
+        except (TypeError, ValueError):
+            raise DataError(f"timeline {path}: target_cm must be an ({n}, 2) array of numbers") from None
+        null_or_finite = np.isnan(points).all(axis=1) | np.isfinite(points).all(axis=1)
+        checks.append((~null_or_finite, lambda i: "target_cm must be a pair of finite numbers "
+                                                  f"or NaN for null, got {points[i].tolist()}"))
     failure = first_failure(checks)
     if failure is not None:
         i, message = failure
         raise DataError(f"timeline {path} row {i + 1}: {message}")
-
-
-def _activity_texts(activity: list, encoded: dict) -> list[str]:
-    """The JSON text of each activity, a string or None; each distinct value
-    is encoded once, into ``encoded``."""
-    texts = []
-    for value in activity:
-        if value not in encoded:
-            encoded[value] = json.dumps(value)
-        texts.append(encoded[value])
-    return texts
-
-
-def _target_points(targets: list, path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """(the target_cm column as float pairs, which rows have one); a row
-    without a target reads (0.0, 0.0)."""
-    present = np.array([target is not None for target in targets])
-    try:
-        points = np.array([(0.0, 0.0) if t is None else t for t in targets], dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        points = None
-    if points is None or points.shape != (len(targets), 2):
-        row, target = next((i, t) for i, t in enumerate(targets)
-                           if t is not None and not _has_shape(t, np.float64, (2,)))
-        raise DataError(f"timeline {path} row {row + 1}: target_cm must be null "
-                        f"or a pair of numbers, got {target!r}")
-    return points, present
+    return points
 
 
 def write_timeline(timeline: DistractionTimeline, path: PathLike) -> None:
     """One line per frame: index, attentive flag, signal mask, active names,
     and the generator's activity and target_cm where the timeline has them.
 
-    A timeline with a mask outside [0, 32), or with an activity that is
-    neither a string nor None, is refused with DataError before anything is
-    written. Rows are rendered and written
-    ``_BLOCK_ROWS`` at a time, as ``write_frames`` does.
+    A timeline that ``_check_timeline`` refuses raises DataError before
+    anything is written. Rows are rendered and written ``_BLOCK_ROWS`` at a
+    time, as ``write_frames`` does.
     """
     if len(timeline) == 0:
         raise DataError("refusing to write a 0-length timeline")
     path = Path(path)
-    _check_timeline(timeline, path)
+    points = _check_timeline(timeline, path)
     row = '{"frame_index":%s%s'
     if timeline.activity is not None:
         row += ',"activity":%s'
-    if timeline.target_cm is not None:
+        # each distinct activity, a string or None, is encoded once
+        encoded = {value: json.dumps(value) for value in set(timeline.activity)}
+    if points is not None:
         row += ',"target_cm":%s'
+        null = np.isnan(points[:, 0])
     row += "}\n"
     index = np.asarray(timeline.frame_index).astype(np.int64, copy=False)
     mask = np.asarray(timeline.mask)
-    if timeline.target_cm is not None:
-        points, present = _target_points(timeline.target_cm, path)
-    encoded: dict = {}
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for start in range(0, len(timeline), _BLOCK_ROWS):
@@ -364,160 +444,47 @@ def write_timeline(timeline: DistractionTimeline, path: PathLike) -> None:
                 list(map(_TIMELINE_TAILS.__getitem__, mask[start:stop].tolist())),
             ]
             if timeline.activity is not None:
-                block.append(_activity_texts(timeline.activity[start:stop], encoded))
-            if timeline.target_cm is not None:
+                block.append(list(map(encoded.__getitem__, timeline.activity[start:stop])))
+            if points is not None:
                 pairs = _row_texts(_json_texts(points[start:stop]), (2,))
-                block.append(["[" + pair + "]" if has else "null"
-                              for pair, has in zip(pairs, present[start:stop].tolist())])
+                block.append(["null" if none else "[" + pair + "]"
+                              for pair, none in zip(pairs, null[start:stop].tolist())])
             fh.writelines([row % texts for texts in zip(*block)])
 
 
-_INT64 = np.iinfo(np.int64)
-
-
-def _json_type_is(values: list, kind: type) -> np.ndarray:
-    return np.fromiter(map(type, values), dtype=object, count=len(values)) == kind
-
-
-def _int_column(values: list, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(int64 column, is a JSON integer, is an integer in [lo, hi]) per value;
-    values that are not in range read as 0 in the column."""
-    objs = np.fromiter(values, dtype=object, count=len(values))
-    is_int = _json_type_is(values, int)
-    in_range = is_int.copy()
-    in_range[is_int] = (objs[is_int] >= lo) & (objs[is_int] <= hi)
-    return np.where(in_range, objs, 0).astype(np.int64), is_int, in_range
-
-
-def _target_column(targets: list, shared: dict) -> tuple[Optional[list], np.ndarray]:
-    """(the targets as float-pair tuples, per-row flags of targets that are
-    not a pair of numbers). The column is None if some target is bad.
-
-    Equal points share one tuple object, the one ``shared`` holds under the
-    points' float bits (so -0.0 keeps its own tuple): the annotations repeat
-    over whole segments, and a fresh tuple per frame costs about 160 bytes a
-    frame for as long as the timeline is loaded.
-    """
-    present = [tgt for tgt in targets if tgt is not None]
-    all_good = np.zeros(len(targets), dtype=bool)
-    if not present:
-        return [None] * len(targets), all_good
-    try:
-        points = np.array(present, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        points = None
-    if points is None or points.shape != (len(present), 2):
-        bad = [tgt is not None and not _has_shape(tgt, np.float64, (2,)) for tgt in targets]
-        return None, np.array(bad)
-    # a target holds over a whole segment: look up one tuple per run of equal bits
-    bits = points.view(np.int64)
-    starts = np.ones(len(bits), dtype=bool)
-    starts[1:] = np.any(bits[1:] != bits[:-1], axis=1)
-    runs = [
-        shared.setdefault(tuple(key), tuple(point))
-        for key, point in zip(bits[starts].tolist(), points[starts].tolist())
-    ]
-    column = iter([runs[k] for k in (np.cumsum(starts) - 1).tolist()])
-    return [None if tgt is None else next(column) for tgt in targets], all_good
-
-
-def _timeline_block(path: Path, rows: list[int], indices: list, masks: list, flags: list,
-                    targets: list, activities: list, sources: list, shared: dict):
-    """The frame_index, mask and target_cm columns of one block of rows,
-    checked column-wise with its attentive flags, activities and sources.
-
-    DataError names the block's first bad row and, within it, the first
-    failed check below, as a row-by-row check in this order would.
-    """
-    index, _, index_ok = _int_column(indices, _INT64.min, _INT64.max)
-    mask, mask_int, mask_ok = _int_column(masks, 0, _MASK_LIMIT - 1)
-    flag_ok = _json_type_is(flags, bool)
-    attentive = np.array([flag is True for flag in flags])
-    target_cm, bad_target = _target_column(targets, shared)
-    bad_sources = [listed is not _UNLISTED and listed != _SOURCES[m]
-                   for listed, m in zip(sources, mask.tolist())]
-    failure = first_failure((
-        (~index_ok, lambda i: f"frame_index must be a 64-bit integer, got {json.dumps(indices[i])}"),
-        (~mask_int, lambda i: f"mask must be an integer, got {json.dumps(masks[i])}"),
-        (~flag_ok, lambda i: f"attentive must be a boolean, got {json.dumps(flags[i])}"),
-        (~mask_ok, lambda i: f"mask {masks[i]} out of range"),
+def _timeline_checks(columns: dict, objs: list, previous: Optional[dict]) -> tuple:
+    mask, attentive = columns["mask"], columns["attentive"]
+    in_range = (mask >= 0) & (mask < _MASK_LIMIT)
+    # a row without sources agrees with its mask; a mask out of range fails first
+    names = [_SOURCES[m] for m in np.where(in_range, mask, 0).tolist()]
+    wrong_sources = np.array([obj.get("sources", listed) != listed for obj, listed in zip(objs, names)])
+    return (
+        (~in_range, lambda i: f"mask {mask[i]} out of range"),
         (attentive != (mask == 0), lambda i: "attentive flag inconsistent with mask"),
-        (bad_target, lambda i: "target_cm must be null or a pair of numbers, "
-                               f"got {json.dumps(targets[i])}"),
-        (_not_text(activities), lambda i: "activity must be a string or null, "
-                                          f"got {json.dumps(activities[i])}"),
-        (np.array(bad_sources), lambda i: f"sources {json.dumps(sources[i])} "
-                                          f"do not match mask {masks[i]}"),
-    ))
-    if failure is not None:
-        i, message = failure
-        raise DataError(f"timeline {path} row {rows[i]}: {message}")
-    return index, mask.astype(np.uint8), target_cm
+        (wrong_sources, lambda i: f"sources {json.dumps(objs[i]['sources'])} "
+                                  f"do not match mask {mask[i]}"),
+    )
 
 
 def read_timeline(path: PathLike) -> DistractionTimeline:
     """Read a timeline file; a bad row raises DataError naming the first one.
 
-    Each row is parsed on its own, and every ``_BLOCK_ROWS`` rows are
-    checked column-wise before more are read, so only one block's parsed
-    values are alive at once.
+    ``activity`` and ``target_cm`` are None when no row has a value; a row
+    whose target is null reads as NaN.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"timeline not found: {path}")
-    rows, indices, masks, flags, targets, block_activities, sources = [], [], [], [], [], [], []
-    blocks, activities, target_cm = [], [], []
-    # annotations repeat over whole segments, so equal values share one object
-    shared: dict = {}
-    has_activity = False
-    unparsed = None
-
-    def flush():
-        *columns, block_targets = _timeline_block(
-            path, rows, indices, masks, flags, targets, block_activities, sources, shared
-        )
-        blocks.append(columns)
-        target_cm.extend(block_targets)
-        activities.extend(block_activities)
-        for values in (rows, indices, masks, flags, targets, block_activities, sources):
-            values.clear()
-
-    with open(path, "r", encoding="utf-8") as fh:
-        for row, line in enumerate(fh, start=1):
-            if line.isspace():
-                continue
-            try:
-                obj = json.loads(line)
-                fields = (obj["frame_index"], obj["mask"], obj["attentive"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                unparsed = (row, exc)
-                break
-            rows.append(row)
-            indices.append(fields[0])
-            masks.append(fields[1])
-            flags.append(fields[2])
-            if "activity" in obj:
-                has_activity = True
-            activity = obj.get("activity")
-            if isinstance(activity, str):
-                activity = shared.setdefault(activity, activity)
-            block_activities.append(activity)
-            sources.append(obj.get("sources", _UNLISTED))
-            targets.append(obj.get("target_cm"))
-            if len(rows) == _BLOCK_ROWS:
-                flush()
-    if rows:
-        # the rows before an unparsable one are checked first: one may be bad
-        flush()
-    if unparsed is not None:
-        row, exc = unparsed
-        raise DataError(f"timeline {path} row {row}: {exc}") from exc
-    if not blocks:
+    columns = _read_jsonl(
+        path, _TIMELINE_SCHEMA, _timeline_checks,
+        lambda row, message: DataError(f"timeline {path} row {row}: {message}"),
+    )
+    if columns is None:
         raise DataError(f"empty timeline: {path}")
-    index, mask = (np.concatenate(column) for column in zip(*blocks))
+    activity, target = columns["activity"], columns["target_cm"]
     return DistractionTimeline(
-        mask=mask,
-        frame_index=index,
-        activity=activities if has_activity else None,
-        target_cm=target_cm if any(tgt is not None for tgt in target_cm) else None,
+        mask=columns["mask"].astype(np.uint8),
+        frame_index=columns["frame_index"],
+        activity=activity if any(a is not None for a in activity) else None,
+        target_cm=None if np.isnan(target).all() else target,
     )

@@ -368,14 +368,11 @@ def generate(script: ScenarioScript) -> tuple[FrameArrays, DistractionTimeline]:
         face_center_x=np.round(face_center, 4),
     )
 
-    targets_list: list[Optional[tuple[float, float]]] = [
-        None if leave_mask[i] else (float(target[i, 0]), float(target[i, 1])) for i in range(n)
-    ]
     truth = DistractionTimeline(
         mask=mask,
         frame_index=np.arange(n, dtype=np.int64),
         activity=[str(a) for a in activity],
-        target_cm=targets_list,
+        target_cm=np.where(leave_mask[:, None], np.nan, target),
     )
     return frames, truth
 

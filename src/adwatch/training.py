@@ -83,7 +83,7 @@ def gaze_training_rows(
         keep = toward & np.all(np.isfinite(points), axis=1)
         measured = normalize_gaze(points[keep], stats)
         rows = np.flatnonzero(is_dot & valid)[keep]
-        targets = np.array([truth.target_cm[i] for i in rows], dtype=np.float64)
+        targets = truth.target_cm[rows]
         per_device.setdefault(manifest.device_type, []).append((measured, targets))
     out = {}
     for device, chunks in per_device.items():

@@ -10,8 +10,8 @@ histograms of binned values, replay a fit's gradients by walking its trees,
 and walk each tree node by node instead of looking it up in a compiled table,
 and the convolution oracles build im2col columns from a sliding-window
 view over channel-first activations; the CNN step oracle runs the whole
-forward and backward pass on them. The timeline oracle reads and checks one row at a time instead of
-checking whole columns. The writer oracles encode each row as a dict with
+forward and backward pass on them. The frame and timeline oracles read and check one row at a
+time instead of checking whole columns. The writer oracles encode each row as a dict with
 the stdlib JSON encoder instead of filling a row template, and the yawn
 training-set oracle concatenates every tracked frame's features before it
 subsamples them. The duration-rule oracle walks the flags frame by frame
@@ -19,6 +19,7 @@ into one event per run and paints the distracting events back into a mask.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -367,14 +368,140 @@ def channel_first_loss_and_grads(net, X, y):
     grads["b1"] = dz1.sum(axis=(0, 2))
     return loss, grads
 
+def _is_json_array(value, shape, is_item):
+    """Whether ``value`` is nested JSON arrays of ``shape`` whose items pass ``is_item``."""
+    if not shape:
+        return is_item(value)
+    return (type(value) is list and len(value) == shape[0]
+            and all(_is_json_array(item, shape[1:], is_item) for item in value))
+
+
+def _is_int64(value):
+    return type(value) is int and -(2**63) <= value < 2**63
+
+
+def _is_number(value):
+    if type(value) not in (int, float):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+def _all_finite(values):
+    return all(math.isfinite(float(v)) for v in values)
+
+
+def _parsed_row(line, bad):
+    """The JSON object on a line, or ``bad``'s error."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise bad(f"invalid JSON ({exc.msg})")
+    if type(obj) is not dict:
+        raise bad("not a JSON object")
+    return obj
+
+
+def _required(obj, key, shape, is_item, expected, bad):
+    if key not in obj:
+        raise bad(f"missing key {key!r}")
+    if not _is_json_array(obj[key], shape, is_item):
+        raise bad(f"{key} must be {expected}, got {json.dumps(obj[key])}")
+    return obj[key]
+
+
+# frame key, FrameArrays column, shape, item test, what a value must be
+_FRAME_FIELDS = (
+    ("frame_index", "frame_index", (), _is_int64, "an integer"),
+    ("timestamp_ms", "timestamp_ms", (), _is_number, "a number"),
+    ("pupil_position_cm", "pupil", (3,), _is_number, "an array of 3 numbers"),
+    ("gaze_direction", "direction", (3,), _is_number, "an array of 3 numbers"),
+    ("gaze_quality", "quality", (), _is_number, "a number"),
+    ("head_yaw_deg", "yaw", (), _is_number, "a number"),
+    ("head_pitch_deg", "pitch", (), _is_number, "a number"),
+    ("head_roll_deg", "roll", (), _is_number, "a number"),
+    ("mouth_points", "mouth", (4, 2), _is_number, "4 pairs of numbers"),
+    ("au_intensities", "aus", (20,), _is_number, "an array of 20 numbers"),
+    ("eye_closure", "eye_closure", (), _is_number, "a number"),
+    ("face_detected_expr", "face_expr", (), lambda v: type(v) is bool, "a boolean"),
+    ("face_detected_gaze", "face_gaze", (), lambda v: type(v) is bool, "a boolean"),
+    ("face_center_x", "face_center_x", (), _is_number, "a number"),
+)
+
+
+def load_frames_rows(path):
+    """Frame columns by ``FrameArrays`` name, as lists, each row checked
+    before the next is read; SessionFormatError names the bad row. A row's
+    checks run in the reader's order: each field's type and shape in file
+    order, then the FORMATS.md value checks against the row before it."""
+    from adwatch.errors import SessionFormatError
+    from adwatch.records import AU_NAMES
+
+    columns = {column: [] for _, column, *_ in _FRAME_FIELDS}
+    prev_fi, prev_ts = -1, -math.inf
+    with open(path, encoding="utf-8") as fh:
+        for row, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+
+            def bad(message):
+                return SessionFormatError(f"frame file {path} row {row}: {message}")
+
+            obj = _parsed_row(line, bad)
+            f = {column: _required(obj, key, shape, is_item, expected, bad)
+                 for key, column, shape, is_item, expected in _FRAME_FIELDS}
+            fi = f["frame_index"]
+            ts, q, eye, fcx = (float(f[c]) for c in ("timestamp_ms", "quality", "eye_closure",
+                                                      "face_center_x"))
+            pupil = [float(v) for v in f["pupil"]]
+            if fi < 0:
+                raise bad(f"frame_index must be >= 0, got {fi}")
+            if not (math.isfinite(ts) and ts >= 0.0):
+                raise bad(f"timestamp_ms must be a finite real >= 0, got {ts}")
+            if not _all_finite(pupil):
+                raise bad("pupil_position_cm has non-finite components")
+            if not _all_finite(f["direction"]):
+                raise bad("gaze_direction has non-finite components")
+            if not 0.0 <= q <= 1.0:
+                raise bad(f"gaze_quality outside [0, 1]: {q}")
+            if f["face_gaze"] and pupil[2] <= 0.0:
+                raise bad(f"pupil z must be > 0 on gaze-tracked frames, got {pupil[2]}")
+            if not _all_finite([f["yaw"], f["pitch"], f["roll"]]):
+                raise bad("head pose angles must be finite")
+            if not _all_finite([v for point in f["mouth"] for v in point]):
+                raise bad("mouth_points has non-finite coordinates")
+            for j, au in enumerate(map(float, f["aus"])):
+                if not 0.0 <= au <= 100.0:
+                    raise bad(f"au_intensities[{j}] ({AU_NAMES[j]}) outside [0, 100]: {au}")
+            if not 0.0 <= eye <= 100.0:
+                raise bad(f"eye_closure outside [0, 100]: {eye}")
+            if not 0.0 <= fcx <= 1.0:
+                raise bad(f"face_center_x outside [0, 1]: {fcx}")
+            if ts <= prev_ts:
+                raise bad(f"timestamp_ms {ts} not strictly increasing (previous {prev_ts})")
+            if fi <= prev_fi:
+                raise bad(f"frame_index {fi} not strictly increasing (previous {prev_fi})")
+            prev_fi, prev_ts = fi, ts
+            for column, value in f.items():
+                columns[column].append(value)
+    if not columns["frame_index"]:
+        raise SessionFormatError(f"empty session: {path}")
+    return columns
+
+
 def read_timeline_rows(path):
     """Timeline columns (frame_index, mask, attentive, activity, target_cm),
-    each row checked before the next is read; DataError names the bad row."""
+    each row checked before the next is read; DataError names the bad row.
+    A row's checks run in the reader's order: each key's type in file order,
+    then the mask's range, the attentive flag and the sources. An absent key
+    reads as null; activity and target_cm are None when no row has one."""
     from adwatch.errors import DataError
     from adwatch.fusion import SIGNAL_NAMES
 
     index, mask, attentive, activity, target = [], [], [], [], []
-    has_activity = False
     with open(path, encoding="utf-8") as fh:
         for row, line in enumerate(fh, start=1):
             if line.isspace():
@@ -383,37 +510,25 @@ def read_timeline_rows(path):
             def bad(message):
                 return DataError(f"timeline {path} row {row}: {message}")
 
-            try:
-                obj = json.loads(line)
-                fi, m, a = obj["frame_index"], obj["mask"], obj["attentive"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise bad(exc)
-            if type(fi) is not int or not -(2**63) <= fi < 2**63:
-                raise bad(f"frame_index must be a 64-bit integer, got {json.dumps(fi)}")
-            if type(m) is not int:
-                raise bad(f"mask must be an integer, got {json.dumps(m)}")
-            if type(a) is not bool:
-                raise bad(f"attentive must be a boolean, got {json.dumps(a)}")
+            obj = _parsed_row(line, bad)
+            fi = _required(obj, "frame_index", (), _is_int64, "a 64-bit integer", bad)
+            m = _required(obj, "mask", (), _is_int64, "an integer", bad)
+            a = _required(obj, "attentive", (), lambda v: type(v) is bool, "a boolean", bad)
+            tgt = obj.get("target_cm")
+            if tgt is not None:
+                if not _is_json_array(tgt, (2,), lambda v: _is_number(v) and math.isfinite(v)):
+                    raise bad(f"target_cm must be null or a pair of numbers, got {json.dumps(tgt)}")
+                tgt = (float(tgt[0]), float(tgt[1]))
+            act = obj.get("activity")
+            if act is not None and type(act) is not str:
+                raise bad(f"activity must be a string or null, got {json.dumps(act)}")
             if not 0 <= m < 32:
                 raise bad(f"mask {m} out of range")
             if a != (m == 0):
                 raise bad("attentive flag inconsistent with mask")
-            tgt = obj.get("target_cm")
-            if tgt is not None:
-                try:
-                    point = np.asarray(tgt, dtype=np.float64)
-                except (TypeError, ValueError, OverflowError):
-                    point = None
-                if point is None or point.shape != (2,):
-                    raise bad(f"target_cm must be null or a pair of numbers, got {json.dumps(tgt)}")
-                tgt = (float(point[0]), float(point[1]))
-            act = obj.get("activity")
-            if act is not None and type(act) is not str:
-                raise bad(f"activity must be a string or null, got {json.dumps(act)}")
             names = [name for b, name in enumerate(SIGNAL_NAMES) if m >> b & 1]
             if "sources" in obj and obj["sources"] != names:
                 raise bad(f"sources {json.dumps(obj['sources'])} do not match mask {m}")
-            has_activity = has_activity or "activity" in obj
             index.append(fi)
             mask.append(m)
             attentive.append(a)
@@ -421,6 +536,7 @@ def read_timeline_rows(path):
             target.append(tgt)
     if not index:
         raise DataError(f"empty timeline: {path}")
+    has_activity = any(a is not None for a in activity)
     has_target = any(t is not None for t in target)
     return (index, mask, attentive, activity if has_activity else None,
             target if has_target else None)
@@ -454,8 +570,8 @@ def json_write_timeline(timeline, path):
             if timeline.activity is not None:
                 row["activity"] = timeline.activity[i]
             if timeline.target_cm is not None:
-                tgt = timeline.target_cm[i]
-                row["target_cm"] = list(tgt) if tgt is not None else None
+                tgt = [float(v) for v in timeline.target_cm[i]]
+                row["target_cm"] = None if all(map(math.isnan, tgt)) else tgt
             fh.write(json.dumps(row, separators=(",", ":")))
             fh.write("\n")
 

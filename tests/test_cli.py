@@ -307,6 +307,80 @@ def test_malformed_artifact_exits_4(trained, tmp_path, capsys, name, field, muta
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("name, where, mutate", [
+    pytest.param("gaze_regressors.json", "models.desktop.x: field 'n_features': expected 2, got 3",
+                 lambda doc: doc["models"]["desktop"]["x"].update(n_features=3), id="gaze_3_features"),
+    pytest.param("yawn_classifier.json", "model: field 'n_features': expected 21, got 22",
+                 lambda doc: doc["model"].update(n_features=22), id="yawn_22_features"),
+])
+def test_artifact_that_does_not_fit_the_features_exits_4(trained, tmp_path, capsys, name, where, mutate):
+    # well-formed models that used to load and then fail at first use with exit 3
+    _, suite, art, _ = trained
+    bad = tmp_path / "artifacts"
+    shutil.copytree(art, bad)
+    doc = json.loads((bad / name).read_text())
+    mutate(doc)
+    (bad / name).write_text(json.dumps(doc))
+    code = main(["score", "--suite-dir", str(suite), "--artifacts", str(bad),
+                 "--output", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert f"artifact {bad / name}: {where}" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["score", "ablate"])
+def test_window_samples_that_do_not_fit_the_speaking_cnn_exit_4(trained, tmp_path, capsys, command):
+    _, suite, art, _ = trained
+    code = main([command, "--suite-dir", str(suite), "--artifacts", str(art),
+                 "--set", "window_samples=40", "--output", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert (f"artifact {art / 'speaking_cnn.json'}: field 'window_len': "
+            "expected window_samples = 40, got 30") in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("gaze_quality", "0.9", 'gaze_quality must be a number, got "0.9"'),
+    ("eye_closure", True, "eye_closure must be a number, got true"),
+], ids=["text_quality", "boolean_closure"])
+def test_frame_field_that_is_not_a_number_exits_3(trained, tmp_path, capsys, key, value, message):
+    _, suite, art, _ = trained
+    copy = tmp_path / "suite"
+    shutil.copytree(suite, copy)
+    manifest_path = sorted(copy.glob("sessions/*/manifest.json"))[0]
+    frames_path = manifest_path.parent / json.loads(manifest_path.read_text())["frame_source"]
+    lines = frames_path.read_text().splitlines()
+    row = json.loads(lines[100])
+    row[key] = value
+    lines[100] = json.dumps(row)
+    frames_path.write_text("\n".join(lines) + "\n")
+    code = main(["score", "--manifest", str(manifest_path), "--artifacts", str(art),
+                 "--output", str(tmp_path / "o")])
+    assert code == 3
+    assert f"row 101: {message}" in capsys.readouterr().err
+
+
+def test_evaluate_refuses_a_scored_timeline_of_other_frames(trained, tmp_path, capsys):
+    _, suite, art, _ = trained
+    scored = tmp_path / "scored"
+    assert main(["score", "--suite-dir", str(suite), "--artifacts", str(art),
+                 "--output", str(scored)]) == 0
+    path = sorted(scored.glob("*.timeline.jsonl"))[1]
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    for row in rows[7:]:
+        row["frame_index"] += 1000
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    code = main(["evaluate", "--suite-dir", str(suite), "--scored", str(scored),
+                 "--output", str(tmp_path / "e")])
+    assert code == 3
+    session = path.name.removesuffix(".timeline.jsonl")
+    assert (f"session {session}: scored timeline row 8 has frame_index 1007, ground truth 7"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "e").exists()
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_score_loads_the_artifacts_once_per_command(trained, tmp_path, monkeypatch, jobs):
     _, suite, art, _ = trained

@@ -22,7 +22,7 @@ from adwatch.session_io import (
     write_manifest,
     write_timeline,
 )
-from oracles import json_write_frames, json_write_timeline, read_timeline_rows
+from oracles import json_write_frames, json_write_timeline, load_frames_rows, read_timeline_rows
 
 
 def make_frames(n, **overrides):
@@ -158,7 +158,15 @@ def test_loader_round_trip_property(frames):
 
 @pytest.mark.parametrize("field, value, reason", [
     pytest.param("gaze_quality", 1.7, "gaze_quality outside", id="gaze_quality"),
-    pytest.param("eye_closure", None, "eye_closure outside", id="null_real"),
+    pytest.param("eye_closure", None, "eye_closure must be a number, got null", id="null_real"),
+    pytest.param("gaze_quality", "0.9", 'gaze_quality must be a number, got "0.9"', id="string_quality"),
+    pytest.param("eye_closure", True, "eye_closure must be a number, got true", id="boolean_real"),
+    pytest.param("pupil_position_cm", [0.5, True, 60.0], "pupil_position_cm must be",
+                 id="boolean_in_vector"),
+    pytest.param("au_intensities", ["1.0"] + [1.0] * (len(AU_NAMES) - 1), "au_intensities must be",
+                 id="string_in_aus"),
+    pytest.param("mouth_points", [[0.0, 0.01], [0.0, -0.01], [-0.16, 0.0], [0.16, None]],
+                 "mouth_points must be", id="null_in_mouth"),
     pytest.param("face_detected_gaze", "false", "must be a boolean", id="string_flag"),
     pytest.param("face_detected_expr", 1, "must be a boolean", id="integer_flag"),
     pytest.param("frame_index", 4.9, "must be an integer", id="fractional_index"),
@@ -203,6 +211,123 @@ def test_malformed_row_names_row(tmp_path):
         fh.write("{not json\n")
     with pytest.raises(SessionFormatError, match="row 2"):
         load_frames(path)
+
+
+def write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+
+
+def frame_lines(n):
+    """The JSON lines of ``make_frames(n)``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "frames.jsonl"
+        write_frames(make_frames(n), path)
+        return path.read_text().splitlines()
+
+
+def with_value(line, key, value):
+    row = json.loads(line)
+    row[key] = value
+    return json.dumps(row)
+
+
+def test_frame_reader_names_a_bad_type_before_a_bad_type_in_a_later_row(tmp_path):
+    # each field's column used to be checked in turn, so the index at row 3
+    # was named before the flag at row 2
+    lines = frame_lines(600)
+    lines[1] = with_value(lines[1], "face_detected_gaze", "true")
+    lines[2] = with_value(lines[2], "frame_index", 2.0)
+    path = tmp_path / "frames.jsonl"
+    write_lines(path, lines)
+    message = f'frame file {path} row 2: face_detected_gaze must be a boolean, got "true"'
+    with pytest.raises(SessionFormatError, match=f"^{re.escape(message)}$"):
+        load_frames(path)
+
+
+def test_frame_reader_names_a_bad_value_before_a_later_unparsable_row(tmp_path):
+    # the value checks used to run only after the whole file was read
+    lines = frame_lines(600)
+    lines[4] = with_value(lines[4], "gaze_quality", 2.0)
+    lines[299] = lines[299][:-7]
+    path = tmp_path / "frames.jsonl"
+    write_lines(path, lines)
+    message = f"frame file {path} row 5: gaze_quality outside [0, 1]: 2.0"
+    with pytest.raises(SessionFormatError, match=f"^{re.escape(message)}$"):
+        load_frames(path)
+
+
+@pytest.mark.parametrize("key, row", [("frame_index", 257), ("timestamp_ms", 257), ("frame_index", 513)])
+def test_ordering_is_checked_across_blocks(tmp_path, key, row):
+    lines = frame_lines(600)
+    lines[row - 1] = with_value(lines[row - 1], key, json.loads(lines[row - 2])[key])
+    path = tmp_path / "frames.jsonl"
+    write_lines(path, lines)
+    with pytest.raises(SessionFormatError, match=f"row {row}: {key} .* not strictly increasing"):
+        load_frames(path)
+
+
+_FRAME_KEYS = [field.key for field in _FRAME_SCHEMA]
+_ARRAY_KEYS = [field.key for field in _FRAME_SCHEMA if field.shape]
+# values of a wrong type or shape, out of range or fine, for any frame field
+_ODD_VALUES = ("0.9", "x", True, False, None, 0, 1, -1, 1.5, 101.0, -0.5, 4.9, 2**63, float("nan"),
+               float("inf"), [], [1.0], [1.0, 2.0], [1.0, 2.0, 3.0], [[1.0, 2.0]] * 4, {"a": 1})
+_FRAME_CHANGES = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(_FRAME_KEYS), st.sampled_from(_ODD_VALUES)),
+    st.tuples(st.just("item"), st.sampled_from(_ARRAY_KEYS),
+              st.sampled_from(("1.0", True, None, 1, 150.0, -3.0, float("nan")))),
+    st.tuples(st.just("drop"), st.sampled_from(_FRAME_KEYS), st.none()),
+    st.tuples(st.just("repeat"), st.sampled_from(["frame_index", "timestamp_ms"]), st.none()),
+    st.tuples(st.just("line"), st.none(),
+              st.sampled_from(('{"frame_index":', "[1, 2]", "null", "", "  "))),
+)
+_GOOD_FRAME_LINES = frame_lines(600)
+
+
+def changed_line(lines, i, change):
+    """Line ``i`` after one change: a field set to a value, an item of an
+    array field set, a key dropped, the previous row's index or timestamp
+    repeated, or the whole line replaced."""
+    kind, key, value = change
+    if kind == "line":
+        return value
+    row = json.loads(lines[i])
+    if kind == "set":
+        row[key] = value
+    elif kind == "item":
+        first = row[key]
+        while isinstance(first[0], list):
+            first = first[0]
+        first[0] = value
+    elif kind == "drop":
+        del row[key]
+    else:
+        row[key] = json.loads(lines[i - 1])[key] if i else -row[key] - 1
+    return json.dumps(row)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 600),
+       changes=st.lists(st.tuples(st.integers(0, 599), _FRAME_CHANGES), max_size=4))
+def test_frame_reader_matches_row_by_row_oracle(n, changes):
+    lines = _GOOD_FRAME_LINES[:n]
+    for i, change in changes:
+        if i < n:
+            lines[i] = changed_line(_GOOD_FRAME_LINES, i, change)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "frames.jsonl"
+        write_lines(path, lines)
+        try:
+            expected = load_frames_rows(path)
+        except SessionFormatError as exc:
+            with pytest.raises(SessionFormatError) as got:
+                load_frames(path)
+            assert str(got.value) == str(exc)
+            return
+        frames = load_frames(path)
+    for field in _FRAME_SCHEMA:
+        np.testing.assert_array_equal(getattr(frames, field.column),
+                                      np.array(expected[field.column], dtype=field.dtype),
+                                      strict=True, err_msg=field.key)
 
 
 def test_non_monotonic_timestamps_rejected(tmp_path):
@@ -267,6 +392,12 @@ def test_load_session_resolves_relative_paths(tmp_path):
     assert_same_frames(load_session(manifest, tmp_path), frames)
 
 
+def same_bits(a, b):
+    """Equal shapes and float bits, so -0.0 differs from 0.0 and NaN equals NaN."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def random_timeline(rng, n):
     signals = rng.uniform(size=(n, 5)) < 0.25
     return fuse(*[signals[:, b] for b in range(5)])
@@ -312,27 +443,30 @@ def test_zero_length_timeline_rejected(tmp_path):
 def test_timeline_generator_channels_round_trip(tmp_path):
     tl = fuse(*[np.zeros(3, dtype=bool)] * 5)
     tl.activity = ["dot", "speak", "leave"]
-    tl.target_cm = [(1.0, -2.0), (0.0, 0.0), None]
+    tl.target_cm = np.array([(1.0, -2.0), (0.0, 0.0), (np.nan, np.nan)])
     path = tmp_path / "t.jsonl"
     write_timeline(tl, path)
+    assert path.read_text().splitlines()[2].endswith('"target_cm":null}')
     loaded = read_timeline(path)
     assert loaded.activity == tl.activity
-    assert loaded.target_cm == tl.target_cm
+    np.testing.assert_array_equal(loaded.target_cm, tl.target_cm, strict=True)
 
 
 def test_timeline_annotations_share_equal_values_exactly(tmp_path):
     tl = fuse(*[np.zeros(5, dtype=bool)] * 5)
     tl.activity = ["dot", "dot", "dot", "speak", "dot"]
-    tl.target_cm = [(0.0, 1.5), (0.0, 1.5), (-0.0, 1.5), None, (0.0, 1.5)]
+    tl.target_cm = np.array([(0.0, 1.5), (0.0, 1.5), (-0.0, 1.5), (np.nan, np.nan), (0.0, 1.5)])
     path = tmp_path / "t.jsonl"
     write_timeline(tl, path)
     loaded = read_timeline(path)
     assert loaded.activity == tl.activity
-    assert loaded.target_cm == tl.target_cm
-    # one object per distinct value; -0.0 keeps its sign and its own tuple
+    # one string object per distinct activity
     assert loaded.activity[0] is loaded.activity[4]
-    assert loaded.target_cm[0] is loaded.target_cm[1] is loaded.target_cm[4]
-    assert np.signbit(loaded.target_cm[2][0]) and not np.signbit(loaded.target_cm[0][0])
+    # the targets are one float column: -0.0 keeps its sign and a null row reads NaN
+    assert loaded.target_cm.dtype == np.float64 and loaded.target_cm.shape == (5, 2)
+    assert same_bits(loaded.target_cm, tl.target_cm)
+    assert np.signbit(loaded.target_cm[2, 0]) and not np.signbit(loaded.target_cm[0, 0])
+    assert np.isnan(loaded.target_cm[3]).all()
 
 
 GOOD_ROW = '{"frame_index":%d,"attentive":false,"mask":4,"sources":["speaking"],"target_cm":[1.0,2.0]}'
@@ -360,6 +494,15 @@ BAD_ROWS = {
                    "target_cm must be null or a pair of numbers, got [1.0]"),
     "nested target": ('{"frame_index":%d,"attentive":false,"mask":4,"target_cm":[[1.0,2.0]]}',
                       "target_cm must be null or a pair of numbers"),
+    "non-finite target": ('{"frame_index":%d,"attentive":false,"mask":4,"target_cm":[NaN,1.0]}',
+                          "target_cm must be null or a pair of numbers, got [NaN, 1.0]"),
+    "infinite target": ('{"frame_index":%d,"attentive":false,"mask":4,"target_cm":[0.0,-Infinity]}',
+                        "target_cm must be null or a pair of numbers, got [0.0, -Infinity]"),
+    "boolean in target": ('{"frame_index":%d,"attentive":false,"mask":4,"target_cm":[true,1.0]}',
+                          "target_cm must be null or a pair of numbers, got [true, 1.0]"),
+    "null sources": ('{"frame_index":%d,"attentive":false,"mask":4,"sources":null}',
+                     "sources null do not match mask 4"),
+    "not an object": ('[%d]', "not a JSON object"),
     "sources mismatch": ('{"frame_index":%d,"attentive":false,"mask":5,'
                          '"sources":["speaking","gaze_eye"]}',
                          'sources ["speaking", "gaze_eye"] do not match mask 5'),
@@ -480,9 +623,7 @@ def test_timeline_reader_matches_row_by_row_oracle(kinds):
     assert tl.activity == activity
     assert (tl.target_cm is None) == (target is None)
     if target is not None:
-        assert [None if t is None else tuple(map(float.hex, t)) for t in tl.target_cm] == [
-            None if t is None else tuple(map(float.hex, t)) for t in target
-        ]
+        assert same_bits(tl.target_cm, [(np.nan, np.nan) if t is None else t for t in target])
 
 
 def test_timeline_checks_and_sharing_span_blocks(tmp_path):
@@ -491,7 +632,7 @@ def test_timeline_checks_and_sharing_span_blocks(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     loaded = read_timeline(path)
     assert loaded.frame_index.tolist() == list(range(600))
-    assert loaded.target_cm[0] is loaded.target_cm[599]
+    assert same_bits(loaded.target_cm, np.tile([1.0, 2.0], (600, 1)))
     lines[519] = BAD_ROWS["mask out of range"][0] % 519
     lines[299] = BAD_ROWS["inconsistent"][0] % 299
     path.write_text("\n".join(lines) + "\n")
@@ -556,15 +697,15 @@ def test_write_frames_matches_json_encoder_property(frames):
 def test_write_frames_special_values_in_every_field(n):
     # every float field holds every special value somewhere, shifted per field
     columns = {}
-    for k, (_, column, dtype, shape, _) in enumerate(_FRAME_SCHEMA):
-        size = n * int(np.prod(shape, dtype=int))
-        if dtype is np.int64:
+    for k, field in enumerate(_FRAME_SCHEMA):
+        size = n * int(np.prod(field.shape, dtype=int))
+        if field.dtype is np.int64:
             values = np.resize(np.array(_INT64_EXTREMES, dtype=np.int64), size)
-        elif dtype is np.bool_:
+        elif field.dtype is np.bool_:
             values = np.arange(size) % 2 == 0
         else:
             values = np.roll(np.resize(np.array(_SPECIAL_FLOATS + (0.1, -2.5e-7)), size), k)
-        columns[column] = values.reshape(n, *shape)
+        columns[field.column] = values.reshape(n, *field.shape)
     assert_written_like_oracle(write_frames, json_write_frames, FrameArrays(**columns))
 
 
@@ -588,6 +729,27 @@ _ACTIVITIES = ("dot", 'say "hi"', "back\\slash", "caf\u00e9", "line\nbreak", "sp
 _TARGETS = ((-0.0, 0.0), (0.0, 0.0), (0.0, -0.0), (np.nan, np.inf), (-np.inf, 5e-324))
 
 
+def target_column(targets):
+    """The (n, 2) target_cm column of per-row pairs, a NaN row for None."""
+    return np.array([(np.nan, np.nan) if t is None else t for t in targets], dtype=np.float64)
+
+
+def assert_timeline_written_or_refused(timeline):
+    """Written as the JSON encoder writes it, unless a target row is neither a
+    finite pair nor all NaN: then refused, naming the first such row."""
+    targets = timeline.target_cm
+    ok = True if targets is None else np.isfinite(targets).all(axis=1) | np.isnan(targets).all(axis=1)
+    if np.all(ok):
+        assert_written_like_oracle(write_timeline, json_write_timeline, timeline)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.jsonl"
+        with pytest.raises(DataError, match=f"row {np.argmin(ok) + 1}: target_cm must be a pair "
+                                            "of finite numbers or NaN for null"):
+            write_timeline(timeline, path)
+        assert not path.exists()
+
+
 @st.composite
 def any_timelines(draw):
     n = draw(st.sampled_from(_WRITER_LENGTHS))
@@ -604,14 +766,14 @@ def any_timelines(draw):
         # segments repeat one target over many rows
         runs = draw(st.lists(st.tuples(choices, st.integers(1, 300)), min_size=1))
         targets = [target for target, length in runs for _ in range(length)]
-        timeline.target_cm = (targets * n)[:n]
+        timeline.target_cm = target_column((targets * n)[:n])
     return timeline
 
 
 @settings(max_examples=60, deadline=None)
 @given(timeline=any_timelines())
 def test_write_timeline_matches_json_encoder_property(timeline):
-    assert_written_like_oracle(write_timeline, json_write_timeline, timeline)
+    assert_timeline_written_or_refused(timeline)
 
 
 @pytest.mark.parametrize("targets", [None, [None] * 5, list(_TARGETS)],
@@ -620,8 +782,19 @@ def test_write_timeline_matches_json_encoder_property(timeline):
 def test_write_timeline_annotations_match_json_encoder(activity, targets):
     signals = np.eye(5, dtype=bool)
     tl = fuse(*signals.T)
-    tl.activity, tl.target_cm = activity, targets
-    assert_written_like_oracle(write_timeline, json_write_timeline, tl)
+    tl.activity = activity
+    tl.target_cm = None if targets is None else target_column(targets)
+    assert_timeline_written_or_refused(tl)
+
+
+def test_write_timeline_refuses_targets_that_are_not_a_column_of_pairs(tmp_path):
+    tl = fuse(*[np.zeros(3, dtype=bool)] * 5)
+    path = tmp_path / "t.jsonl"
+    for targets in ([(1.0, 2.0), None, (3.0, 4.0)], np.zeros((3, 3))):
+        tl.target_cm = targets
+        with pytest.raises(DataError, match=r"target_cm must be an \(3, 2\) array of numbers"):
+            write_timeline(tl, path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("bad,dtype", [(32, np.uint8), (-1, np.int64)], ids=["32", "-1"])

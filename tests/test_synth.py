@@ -6,7 +6,7 @@ import pytest
 
 from adwatch.errors import ConfigError
 from adwatch.geometry import intersect_gaze_batch
-from adwatch.records import validate_frames
+from adwatch.records import first_failure, frame_checks
 from adwatch.session_io import load_frames, load_manifest, read_timeline
 from adwatch.synth import (
     ScenarioScript,
@@ -45,7 +45,7 @@ def test_center_dot_reintersection_recovers_target():
     pts, _, toward, _ = intersect_gaze_batch(frames.pupil, frames.direction)
     assert toward.all()
     _, _, camera, _ = script_world(script)
-    targets = np.array(truth.target_cm, dtype=np.float64)
+    targets = truth.target_cm
     assert np.abs((pts + camera) - targets).max() <= 1e-6
 
 
@@ -55,14 +55,16 @@ def test_off_screen_reintersection_recovers_target():
     live = frames.face_gaze
     pts, _, _, _ = intersect_gaze_batch(frames.pupil[live], frames.direction[live])
     _, _, camera, _ = script_world(script)
-    targets = np.array([t for t, l in zip(truth.target_cm, live) if l], dtype=np.float64)
+    targets = truth.target_cm[live]
+    # the rows where the participant is away have no target
+    assert np.isnan(truth.target_cm[~live]).all() and not np.isnan(targets).any()
     assert np.abs((pts + camera) - targets).max() <= 1e-6
 
 
 def test_generated_frames_satisfy_invariants():
     script = simple_script(gaze_noise_deg=0.8, landmark_jitter=0.01, gaze_scale=1.12)
     frames, _ = generate(script)
-    validate_frames(frames, range(1, len(frames) + 1))
+    assert first_failure(frame_checks(frames)) is None
     assert np.all(np.diff(frames.timestamp_ms) > 0)
 
 
