@@ -28,6 +28,7 @@ from .evaluation import (
 )
 from .fusion import session_summary
 from .pipeline import (
+    GAZE_ARTIFACT,
     SPEAKING_ARTIFACT,
     TABLE1_VARIANTS,
     TABLE3_VARIANTS,
@@ -182,6 +183,17 @@ def _load_artifacts(artifact_dir: Path, cfg: PipelineConfig) -> ArtifactSet:
     return artifacts
 
 
+def _check_gaze_devices(artifacts: ArtifactSet, artifact_dir: Path, manifests) -> None:
+    """Fail before any session is scored when one of ``manifests`` is of a
+    device that the gaze regressors lack."""
+    for manifest in manifests:
+        if manifest.device_type not in artifacts.gaze:
+            raise MissingArtifactError(
+                f"artifact {artifact_dir / GAZE_ARTIFACT}: no gaze regressors for device type "
+                f"{manifest.device_type!r} (session {manifest.session_id})"
+            )
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     out: Path = args.output
     if args.script is not None:
@@ -220,16 +232,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _score_one(task, artifacts: ArtifactSet):
-    manifest_path, device_filter, cfg, out_dir = task
-    manifest = load_manifest(manifest_path)
-    if device_filter is not None and manifest.device_type != device_filter:
-        print(
-            f"warning: skipping {manifest.session_id} (device {manifest.device_type}, "
-            f"filter {device_filter})",
-            file=sys.stderr,
-        )
-        return None
-    frames = load_session(manifest, Path(manifest_path).parent)
+    manifest, base_dir, cfg, out_dir = task
+    frames = load_session(manifest, base_dir)
     scored = score_session(SessionDetectors(frames, manifest, artifacts, cfg))
     out_dir.mkdir(parents=True, exist_ok=True)
     write_timeline(scored.timeline, out_dir / f"{manifest.session_id}.timeline.jsonl")
@@ -269,7 +273,18 @@ def cmd_score(args: argparse.Namespace) -> int:
     # every session scores against it, so each ensemble compiles its lookup
     # tables once (once per worker with --jobs)
     artifacts = _load_artifacts(args.artifacts, cfg)
-    tasks = [(p, args.device, cfg, args.output) for p in manifest_paths]
+    tasks = []
+    for path in manifest_paths:
+        manifest = load_manifest(path)
+        if args.device is not None and manifest.device_type != args.device:
+            print(
+                f"warning: skipping {manifest.session_id} (device {manifest.device_type}, "
+                f"filter {args.device})",
+                file=sys.stderr,
+            )
+            continue
+        tasks.append((manifest, path.parent, cfg, args.output))
+    _check_gaze_devices(artifacts, args.artifacts, [task[0] for task in tasks])
     if args.jobs > 1:
         with ProcessPoolExecutor(
             max_workers=args.jobs, initializer=_init_worker, initargs=(artifacts,)
@@ -277,8 +292,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             results = list(pool.map(_score_in_worker, tasks))
     else:
         results = [_score_one(t, artifacts) for t in tasks]
-    scored = [r for r in results if r is not None]
-    print(f"scored {len(scored)} session(s) into {args.output}")
+    print(f"scored {len(results)} session(s) into {args.output}")
     return EXIT_OK
 
 
@@ -342,6 +356,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     cfg = _load_pipeline_config(args)
     artifacts = _load_artifacts(args.artifacts, cfg)
     sessions = load_suite_sessions(args.suite_dir, split=args.split)
+    _check_gaze_devices(artifacts, args.artifacts, [manifest for _, _, manifest in sessions])
     args.output.mkdir(parents=True, exist_ok=True)
     families = [
         (name, variants)

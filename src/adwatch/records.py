@@ -100,15 +100,16 @@ def frame_checks(frames: FrameArrays, previous: Optional[tuple[int, float]] = No
     checks in row-by-row order.
 
     ``previous`` is the (frame_index, timestamp_ms) of the frame before the
-    first one, when the sequence continues another. Shapes are not checked
-    here; the loader enforces them per column.
+    first one, when the sequence continues another. A sequence may start at
+    any frame index; each later frame's index is the previous one's + 1.
+    Shapes are not checked here; the loader enforces them per column.
     """
     fi, ts = frames.frame_index, frames.timestamp_ms
     q, eye, fcx, aus = frames.quality, frames.eye_closure, frames.face_center_x, frames.aus
     z = frames.pupil[:, 2]
     angles = np.stack([frames.yaw, frames.pitch, frames.roll], axis=1)
-    before_fi, before_ts = (-1, -np.inf) if previous is None else previous
-    prev_fi = np.concatenate(([before_fi], fi[:-1]))
+    before_fi, before_ts = (fi[:1] - 1, -np.inf) if previous is None else ([previous[0]], previous[1])
+    prev_fi = np.concatenate((before_fi, fi[:-1]))
     prev_ts = np.concatenate(([before_ts], ts[:-1]))
     # Written as ~(in range) so that NaN counts as out of range.
     bad_aus = ~((aus >= 0.0) & (aus <= 100.0))
@@ -138,6 +139,8 @@ def frame_checks(frames: FrameArrays, previous: Optional[tuple[int, float]] = No
                                   f"(previous {prev_ts[i]})"),
         (fi <= prev_fi, lambda i: f"frame_index {fi[i]} not strictly increasing "
                                   f"(previous {prev_fi[i]})"),
+        (fi > prev_fi + 1, lambda i: f"frame_index {fi[i]} skips frames after {prev_fi[i]}: "
+                                     f"indices must be contiguous"),
     )
 
 

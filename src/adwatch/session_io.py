@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .config import _read_json_object
+from .config import _is_real, _read_json_object
 from .errors import DataError, SessionFormatError
 from .fusion import SIGNAL_NAMES, DistractionTimeline
 from .records import AU_NAMES, FrameArrays, SessionManifest, first_failure, frame_checks
@@ -339,15 +339,22 @@ def load_manifest(path: PathLike) -> SessionManifest:
             raise SessionFormatError(
                 f"manifest {path}: {key} must be {described}, got {json.dumps(doc[key])}"
             )
+    override = doc.get("screen_override_cm")
+    if override is not None and not (
+        type(override) is list and len(override) == 2 and all(_is_real(v) and v > 0 for v in override)
+    ):
+        raise SessionFormatError(
+            f"manifest {path}: screen_override_cm must be null or a list of two finite "
+            f"positive numbers, got {json.dumps(override)}"
+        )
     try:
-        override = doc.get("screen_override_cm")
         return SessionManifest(
             session_id=doc["session_id"],
             device_type=doc["device_type"],
             frame_rate_hz=float(doc["frame_rate_hz"]),
             frame_source=doc["frame_source"],
             ground_truth=doc.get("ground_truth"),
-            screen_override_cm=tuple(float(v) for v in override) if override else None,
+            screen_override_cm=None if override is None else tuple(map(float, override)),
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise SessionFormatError(f"manifest {path}: {exc}") from exc

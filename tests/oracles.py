@@ -484,6 +484,8 @@ def load_frames_rows(path):
                 raise bad(f"timestamp_ms {ts} not strictly increasing (previous {prev_ts})")
             if fi <= prev_fi:
                 raise bad(f"frame_index {fi} not strictly increasing (previous {prev_fi})")
+            if prev_fi >= 0 and fi > prev_fi + 1:
+                raise bad(f"frame_index {fi} skips frames after {prev_fi}: indices must be contiguous")
             prev_fi, prev_ts = fi, ts
             for column, value in f.items():
                 columns[column].append(value)

@@ -330,6 +330,26 @@ def test_artifact_that_does_not_fit_the_features_exits_4(trained, tmp_path, caps
 
 
 @pytest.mark.parametrize("command", ["score", "ablate"])
+def test_gaze_regressors_without_a_device_exit_4_before_any_output(trained, tmp_path, capsys, command):
+    _, suite, art, _ = trained
+    bad = tmp_path / "artifacts"
+    shutil.copytree(art, bad)
+    doc = json.loads((bad / "gaze_regressors.json").read_text())
+    del doc["models"]["mobile"]
+    (bad / "gaze_regressors.json").write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    code = main([command, "--suite-dir", str(suite), "--artifacts", str(bad), "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert f"artifact {bad / 'gaze_regressors.json'}: no gaze regressors for device type 'mobile'" in err
+    assert not out.exists()
+    if command == "score":
+        # only the selected sessions need their device
+        assert main(["score", "--suite-dir", str(suite), "--artifacts", str(bad),
+                     "--device", "desktop", "--output", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command", ["score", "ablate"])
 def test_window_samples_that_do_not_fit_the_speaking_cnn_exit_4(trained, tmp_path, capsys, command):
     _, suite, art, _ = trained
     code = main([command, "--suite-dir", str(suite), "--artifacts", str(art),
@@ -360,6 +380,23 @@ def test_frame_field_that_is_not_a_number_exits_3(trained, tmp_path, capsys, key
                  "--output", str(tmp_path / "o")])
     assert code == 3
     assert f"row 101: {message}" in capsys.readouterr().err
+
+
+def test_cut_frame_run_exits_3_naming_the_row(trained, tmp_path, capsys):
+    # durations are counted in frames, so a gap would mis-time every event over it
+    _, suite, art, _ = trained
+    copy = tmp_path / "suite"
+    shutil.copytree(suite, copy)
+    manifest_path = sorted(copy.glob("sessions/*/manifest.json"))[0]
+    frames_path = manifest_path.parent / json.loads(manifest_path.read_text())["frame_source"]
+    lines = frames_path.read_text().splitlines()
+    del lines[300:330]
+    frames_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    code = main(["score", "--manifest", str(manifest_path), "--artifacts", str(art), "--output", str(out)])
+    assert code == 3
+    assert f"{frames_path} row 301: frame_index 330 skips frames after 299" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_refuses_a_scored_timeline_of_other_frames(trained, tmp_path, capsys):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adwatch.cnn import (
@@ -216,13 +222,57 @@ def test_step_matches_the_channel_first_reference(batch, seed):
             assert_close(grads[name], ref_grads[name])
 
 
+# float32 rounds each operation by up to 2**-23; 1e-4 is about 800 of those,
+# room for the rounding of the longest sums in a step
+F32_REL = 1e-4
+
+
+def float32_copy(net, **changes):
+    return replace(net, **changes, **{name: getattr(net, name).astype(np.float32) for name in PARAM_NAMES})
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=st.integers(1, 130), seed=st.integers(0, 2**32 - 1))
+def test_float32_step_matches_the_float64_reference(batch, seed):
+    # the regime train_cnn runs in: He-initialised kernels, small biases and
+    # standardised windows. Both sides start from the same float32 values,
+    # so only the precision of the arithmetic differs
+    rng = np.random.default_rng(seed)
+    net32 = TemporalCnn.initialize(30, seed=seed)
+    for name in ("b1", "b2", "b3", "b4"):
+        getattr(net32, name)[...] = rng.normal(0.0, 0.1, getattr(net32, name).shape)
+    net32 = float32_copy(net32, input_center=rng.normal(0.05, 0.01), input_scale=rng.uniform(20.0, 50.0))
+    net = TemporalCnn.from_dict(net32.to_dict())            # widened, exactly
+    X = rng.normal(0.05, 0.03, (batch, 30)).astype(np.float32)
+    y = (rng.random(batch) < 0.5).astype(np.float32)
+    p, (_, m1, _, m2, _, _, z3, _) = net._forward(X.astype(np.float64))
+    _, (_, n1, _, n2, _, _, y3, _) = net32._forward(X)
+    # float32 cannot resolve 1 - p near saturation, and a pre-activation
+    # within rounding of zero may fall on the other side of a ReLU
+    assume(np.all((p > 1e-3) & (p < 1 - 1e-3)))
+    assume(np.array_equal(m1, n1) and np.array_equal(m2, n2) and np.array_equal(z3 > 0, y3 > 0))
+    ref_loss, ref_grads = channel_first_loss_and_grads(net, X, y)
+    loss, grads = net32.loss_and_grads(X, y, work={})
+    assert abs(loss - ref_loss) <= F32_REL * ref_loss
+    # norm-wise: b4's gradient is a sum of terms that may cancel, so each
+    # error is measured against the largest gradient entry
+    top = max(np.max(np.abs(g)) for g in ref_grads.values())
+    for name in PARAM_NAMES:
+        assert grads[name].dtype == np.float32
+        assert np.max(np.abs(grads[name] - ref_grads[name])) <= F32_REL * top
+
+
 def test_work_buffers_leave_training_unchanged(toy_set):
     # 200 windows make batches of 128 and 72, so buffers of two shapes are
-    # reused; the reference loop allocates every array afresh
+    # reused; the reference loop allocates every array afresh. Like
+    # train_cnn it steps in float32 on windows standardised in float64
     X, y = toy_set[0][:200], toy_set[1][:200]
     config = CnnTrainConfig(epochs=3, seed=6)
     trained = train_cnn(X, y, config)
-    net = train_cnn(X, y, CnnTrainConfig(epochs=0, seed=6))
+    init = train_cnn(X, y, CnnTrainConfig(epochs=0, seed=6))
+    net = float32_copy(init, input_center=0.0, input_scale=1.0)
+    X = ((X - init.input_center) * init.input_scale).astype(np.float32)
+    y = y.astype(np.float32)
     rng = np.random.default_rng(config.seed + 1)
     for _ in range(config.epochs):
         order = rng.permutation(len(X))
@@ -232,7 +282,40 @@ def test_work_buffers_leave_training_unchanged(toy_set):
             for name in PARAM_NAMES:
                 getattr(net, name)[...] -= config.learning_rate * grads[name]
     for name in PARAM_NAMES:
+        assert getattr(trained, name).dtype == np.float64
         assert np.array_equal(getattr(trained, name), getattr(net, name))
+
+
+def test_windows_beyond_the_float32_range_train_to_finite_weights(toy_set):
+    # standardised in float64 first, they fit the float32 loop
+    X, y = toy_set[0][:200] * 1e39, toy_set[1][:200]
+    net = train_cnn(X, y, CnnTrainConfig(epochs=2, seed=7))
+    for name in PARAM_NAMES:
+        assert np.isfinite(getattr(net, name)).all(), name
+    assert np.isfinite(net.train_loss_curve).all()
+
+
+TRAIN_DIGEST = """
+import hashlib, json
+import numpy as np
+from adwatch.cnn import CnnTrainConfig, train_cnn
+rng = np.random.default_rng(4)
+X = rng.normal(0, 1, (400, 30))
+net = train_cnn(X, (X.mean(axis=1) > 0).astype(float), CnnTrainConfig(epochs=3, seed=7))
+print(hashlib.sha256(json.dumps(net.to_dict()).encode()).hexdigest())
+"""
+
+
+def test_training_is_identical_with_one_and_two_blas_threads():
+    root = Path(__file__).resolve().parent.parent
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", TRAIN_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr[-2000:]
+        digests.append(done.stdout)
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adwatch.cli import main
 from adwatch.errors import DataError, SessionFormatError
 from adwatch.fusion import SIGNAL_NAMES, DistractionTimeline, fuse
 from adwatch.records import AU_NAMES, FrameArrays, SessionManifest
@@ -22,6 +23,7 @@ from adwatch.session_io import (
     write_manifest,
     write_timeline,
 )
+from adwatch.training import load_suite_sessions
 from oracles import json_write_frames, json_write_timeline, load_frames_rows, read_timeline_rows
 
 
@@ -121,13 +123,11 @@ def valid_frames(draw):
     def column(elements, shape=()):
         return draw(hnp.arrays(np.float64, (n, *shape), elements=elements))
 
-    def ascending(dtype, elements):
-        return np.sort(draw(hnp.arrays(dtype, n, elements=elements, unique=True)))
-
     pupil = column(_finite(), (3,))
     return FrameArrays(
-        frame_index=ascending(np.int64, st.integers(0, 2**63 - 1)),
-        timestamp_ms=ascending(np.float64, _finite(min_value=0.0)),
+        # contiguous from any start
+        frame_index=draw(st.integers(0, 2**63 - n)) + np.arange(n),
+        timestamp_ms=np.sort(draw(hnp.arrays(np.float64, n, elements=_finite(min_value=0.0), unique=True))),
         pupil=pupil,
         direction=column(_finite(), (3,)),
         quality=column(_finite(min_value=0.0, max_value=1.0)),
@@ -173,6 +173,7 @@ def test_loader_round_trip_property(frames):
     pytest.param("frame_index", True, "must be an integer", id="boolean_index"),
     pytest.param("frame_index", 3, "frame_index 3 not strictly increasing", id="duplicate_index"),
     pytest.param("frame_index", 2, "frame_index 2 not strictly increasing", id="out_of_order_index"),
+    pytest.param("frame_index", 5, "frame_index 5 skips frames after 3", id="index_gap"),
     pytest.param("pupil_position_cm", [0.5, 60.0], "pupil_position_cm must be", id="short_vector"),
     pytest.param("mouth_points", [[0.0, 0.01], [0.0, -0.01], [-0.16, 0.0], [0.16]],
                  "mouth_points must be", id="ragged_mouth"),
@@ -264,6 +265,34 @@ def test_ordering_is_checked_across_blocks(tmp_path, key, row):
     write_lines(path, lines)
     with pytest.raises(SessionFormatError, match=f"row {row}: {key} .* not strictly increasing"):
         load_frames(path)
+
+
+@pytest.mark.parametrize("cut", [(0, 1), (100, 101), (255, 257), (256, 300), (511, 590)])
+def test_cut_frame_run_names_the_first_row_after_it(tmp_path, cut):
+    # the first row may start anywhere; every later row continues the one
+    # before it, within a block and across blocks
+    lines = frame_lines(600)
+    start, stop = cut
+    del lines[start:stop]
+    path = tmp_path / "frames.jsonl"
+    write_lines(path, lines)
+    if start == 0:
+        assert load_frames(path).frame_index[0] == stop
+        return
+    message = f"row {start + 1}: frame_index {stop} skips frames after {start - 1}"
+    with pytest.raises(SessionFormatError, match=re.escape(message)):
+        load_frames(path)
+
+
+@pytest.mark.parametrize("suite", ["default", "gaze_offset", "orientation", "mini"])
+def test_every_synth_suite_has_contiguous_frame_indices(tmp_path, suite):
+    assert main(["simulate", "--suite", suite, "--sessions", "4", "--seed", "3",
+                 "--output", str(tmp_path)]) == 0
+    # loading runs every frame check, the contiguity rule included
+    sessions = load_suite_sessions(tmp_path)
+    assert len(sessions) == 4
+    for frames, _, _ in sessions:
+        assert np.array_equal(frames.frame_index, np.arange(len(frames)))
 
 
 _FRAME_KEYS = [field.key for field in _FRAME_SCHEMA]
@@ -374,6 +403,32 @@ def test_manifest_round_trip(tmp_path):
     path = tmp_path / "manifest.json"
     write_manifest(manifest, path)
     assert load_manifest(path) == manifest
+
+
+MANIFEST = {"session_id": "s", "device_type": "desktop", "frame_rate_hz": 30, "frame_source": "f.jsonl"}
+
+
+@pytest.mark.parametrize("override, expected", [
+    (None, None),
+    ([34.5, 19], (34.5, 19.0)),
+    ([1e-3, 1e300], (1e-3, 1e300)),
+])
+def test_manifest_screen_override_accepted(tmp_path, override, expected):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({**MANIFEST, "screen_override_cm": override}))
+    assert load_manifest(path).screen_override_cm == expected
+
+
+@pytest.mark.parametrize("override", [
+    ["34.5", True], [34.5, True], [True, 19.4], [34.5], [34.5, 19.4, 1.0], [], 0, 34.5,
+    "34.5,19.4", {"w": 34.5, "h": 19.4}, [0, 19.4], [34.5, -1.0], [float("nan"), 19.4],
+    [float("inf"), 19.4], [10**400, 19.4], [[34.5], 19.4], [None, 19.4],
+], ids=lambda v: json.dumps(v))
+def test_manifest_screen_override_must_be_two_positive_numbers(tmp_path, override):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({**MANIFEST, "screen_override_cm": override}))
+    with pytest.raises(SessionFormatError, match=rf"manifest {re.escape(str(path))}: screen_override_cm"):
+        load_manifest(path)
 
 
 def test_manifest_validation():
