@@ -19,7 +19,7 @@ import numpy as np
 
 from .boosting import BoostedEnsemble
 from .cnn import TemporalCnn
-from .config import _artifact_field, _read_json_object
+from .config import _OBJECT, _check_fields, _equal, _read_json_object
 from .errors import MissingArtifactError
 
 SCHEMA_VERSION = 1
@@ -54,46 +54,28 @@ def _write(doc: dict, path: PathLike) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _read(path: PathLike, expected_kind: str) -> dict:
+def _model(path: PathLike, kind: str, key: str, from_dict):
+    """``from_dict(model, key)`` of the ``key`` object of the ``kind``
+    artifact at ``path``; a malformed document raises MissingArtifactError
+    naming the file and the field. Keys it does not read are ignored."""
     path = Path(path)
+    rules = {"schema_version": _equal(SCHEMA_VERSION), "kind": _equal(kind), key: _OBJECT}
     doc = _read_json_object(path, "model artifact", MissingArtifactError)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise MissingArtifactError(
-            f"artifact {path}: unsupported schema version {doc.get('schema_version')}"
-        )
-    if doc.get("kind") != expected_kind:
-        raise MissingArtifactError(
-            f"artifact {path}: kind {doc.get('kind')!r}, expected {expected_kind!r}"
-        )
-    return doc
-
-
-def _is_object(value) -> bool:
-    return isinstance(value, dict)
-
-
-def _model(path: PathLike, doc: dict, key: str, from_dict):
-    """``from_dict`` of the document's ``key`` object; a malformed model
-    raises ``MissingArtifactError`` naming the file and the field."""
+    model = _check_fields(doc, rules, MissingArtifactError, f"artifact {path}", unknown_ok=True)[key]
     try:
-        return from_dict(_artifact_field(doc, key, _is_object, "a JSON object"))
+        return from_dict(model, key)
     except MissingArtifactError as exc:
         raise MissingArtifactError(f"artifact {path}: {exc}") from None
 
 
-def _gaze_models(models: dict) -> dict[str, dict[str, BoostedEnsemble]]:
+def _gaze_models(models: dict, where: str) -> dict[str, dict[str, BoostedEnsemble]]:
+    _check_fields(models, dict.fromkeys(models, _OBJECT), MissingArtifactError, where)
     out = {}
     for device, pair in models.items():
-        if not _is_object(pair):
-            raise MissingArtifactError(f"models.{device}: expected a JSON object")
-        out[device] = {}
-        for axis in ("x", "y"):
-            try:
-                out[device][axis] = BoostedEnsemble.from_dict(
-                    _artifact_field(pair, axis, _is_object, "a JSON object")
-                )
-            except MissingArtifactError as exc:
-                raise MissingArtifactError(f"models.{device}.{axis}: {exc}") from None
+        axes = _check_fields(pair, {"x": _OBJECT, "y": _OBJECT}, MissingArtifactError, f"{where}.{device}",
+                             unknown_ok=True)
+        out[device] = {axis: BoostedEnsemble.from_dict(model, f"{where}.{device}.{axis}")
+                       for axis, model in axes.items()}
     return out
 
 
@@ -116,7 +98,7 @@ def save_gaze_regressors(
 
 
 def load_gaze_regressors(path: PathLike) -> dict[str, dict[str, BoostedEnsemble]]:
-    return _model(path, _read(path, KIND_GAZE), "models", _gaze_models)
+    return _model(path, KIND_GAZE, "models", _gaze_models)
 
 
 def save_speaking_cnn(net: TemporalCnn, metadata: dict, path: PathLike) -> None:
@@ -132,7 +114,7 @@ def save_speaking_cnn(net: TemporalCnn, metadata: dict, path: PathLike) -> None:
 
 
 def load_speaking_cnn(path: PathLike) -> TemporalCnn:
-    return _model(path, _read(path, KIND_SPEAKING), "model", TemporalCnn.from_dict)
+    return _model(path, KIND_SPEAKING, "model", TemporalCnn.from_dict)
 
 
 def save_yawn_classifier(model: BoostedEnsemble, metadata: dict, path: PathLike) -> None:
@@ -148,4 +130,4 @@ def save_yawn_classifier(model: BoostedEnsemble, metadata: dict, path: PathLike)
 
 
 def load_yawn_classifier(path: PathLike) -> BoostedEnsemble:
-    return _model(path, _read(path, KIND_YAWN), "model", BoostedEnsemble.from_dict)
+    return _model(path, KIND_YAWN, "model", BoostedEnsemble.from_dict)

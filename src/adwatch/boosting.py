@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .config import _artifact_curve, _artifact_field, _is_int, _is_real
+from .config import _LOSS_CURVE, _RATE, _Rule, _check_fields, _choice, _int, _is_real, _real, _shown
 from .errors import DataError, MissingArtifactError
 
 MODE_REGRESSION = "squared_error_regression"
@@ -79,20 +79,20 @@ class TreeNode:
         if "value" in obj:
             value = obj["value"]
             if not _is_real(value):
-                raise MissingArtifactError(f"field 'value': expected a finite number, got {value!r:.60}")
+                raise MissingArtifactError(f"value must be a finite number, got {_shown(value)}")
             return cls(value=float(value))
         try:
             feature, threshold, left, right = obj["feature"], obj["threshold"], obj["left"], obj["right"]
         except KeyError as exc:
-            raise MissingArtifactError(f"field {exc.args[0]!r} is missing") from None
+            raise MissingArtifactError(f"missing key {exc.args[0]}") from None
         if type(feature) is not int or not 0 <= feature < n_features:
             raise MissingArtifactError(
-                f"field 'feature': expected an integer in [0, {n_features}), got {feature!r:.60}"
+                f"feature must be an integer in [0, {n_features}), got {_shown(feature)}"
             )
         if not _is_real(threshold):
-            raise MissingArtifactError(f"field 'threshold': expected a finite number, got {threshold!r:.60}")
+            raise MissingArtifactError(f"threshold must be a finite number, got {_shown(threshold)}")
         if not (isinstance(left, dict) and isinstance(right, dict)):
-            raise MissingArtifactError("fields 'left' and 'right': expected tree node objects")
+            raise MissingArtifactError("left and right must be tree node objects")
         return cls(feature, float(threshold), cls.from_dict(left, n_features), cls.from_dict(right, n_features))
 
 
@@ -439,36 +439,30 @@ class BoostedEnsemble:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "BoostedEnsemble":
-        """The ensemble a ``to_dict`` document describes; a malformed field
-        raises ``MissingArtifactError`` naming it (and its tree)."""
-        mode = _artifact_field(
-            obj, "mode", lambda v: v in (MODE_REGRESSION, MODE_CLASSIFICATION),
-            f"{MODE_REGRESSION!r} or {MODE_CLASSIFICATION!r}",
-        )
-        learning_rate = _artifact_field(
-            obj, "learning_rate", lambda v: _is_real(v) and 0 < v <= 1, "a number in (0, 1]"
-        )
-        max_depth = _artifact_field(obj, "max_depth", lambda v: _is_int(v) and v >= 1, "an integer of at least 1")
-        base = _artifact_field(obj, "base_prediction", _is_real, "a finite number")
-        n_features = _artifact_field(obj, "n_features", lambda v: _is_int(v) and v >= 1, "an integer of at least 1")
-        trees = []
-        for i, tree in enumerate(_artifact_field(obj, "trees", lambda v: isinstance(v, list), "a list")):
+    def from_dict(cls, obj: dict, where: str = "model") -> "BoostedEnsemble":
+        """The ensemble a ``to_dict`` document describes; a field that fails
+        ``_ENSEMBLE_RULES``, or a malformed tree node, raises
+        ``MissingArtifactError`` naming ``where``, the field (and its tree)."""
+        values = _check_fields(obj, _ENSEMBLE_RULES, MissingArtifactError, where, unknown_ok=True)
+        trees = values["trees"]
+        for i, tree in enumerate(trees):
             try:
-                if not isinstance(tree, dict):
-                    raise MissingArtifactError(f"expected a tree node object, got {tree!r:.60}")
-                trees.append(TreeNode.from_dict(tree, n_features))
+                trees[i] = TreeNode.from_dict(tree, values["n_features"])
             except MissingArtifactError as exc:
-                raise MissingArtifactError(f"tree {i}: {exc}") from None
-        return cls(
-            mode=mode,
-            learning_rate=float(learning_rate),
-            max_depth=max_depth,
-            base_prediction=float(base),
-            n_features=n_features,
-            trees=trees,
-            train_loss_curve=_artifact_curve(obj),
-        )
+                raise MissingArtifactError(f"{where}: tree {i}: {exc}") from None
+        return cls(**values)
+
+
+_ENSEMBLE_RULES = {
+    "mode": _choice((MODE_REGRESSION, MODE_CLASSIFICATION)),
+    "learning_rate": _RATE,
+    "max_depth": _int(1),
+    "base_prediction": _real(),
+    "n_features": _int(1),
+    "trees": _Rule(lambda v: isinstance(v, list) and all(isinstance(t, dict) for t in v),
+                   "a list of tree node objects", convert=list),
+    "train_loss_curve": _LOSS_CURVE,
+}
 
 
 @dataclass
@@ -478,6 +472,11 @@ class BoostConfig:
     max_depth: int = 3
     min_samples_leaf: int = 1
     mode: str = MODE_REGRESSION
+
+
+# a fit's own fields, and those its ensemble records
+_BOOST_RULES = {"n_stages": _int(1), "min_samples_leaf": _int(1),
+                **{name: _ENSEMBLE_RULES[name] for name in ("learning_rate", "max_depth", "mode")}}
 
 
 def fit_boosted(X: np.ndarray, y: np.ndarray, config: Optional[BoostConfig] = None) -> BoostedEnsemble:
@@ -501,12 +500,7 @@ def fit_boosted(X: np.ndarray, y: np.ndarray, config: Optional[BoostConfig] = No
         raise DataError("non-finite feature values in X")
     if not np.all(np.isfinite(y)):
         raise DataError("non-finite target values in y")
-    if not 0.0 < config.learning_rate <= 1.0:
-        raise DataError(f"learning_rate must be in (0, 1], got {config.learning_rate}")
-    for name in ("n_stages", "max_depth", "min_samples_leaf"):
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise DataError(f"{name} must be an integer of at least 1, got {value!r}")
+    _check_fields(vars(config), _BOOST_RULES, DataError, "boost config")
 
     classification = config.mode == MODE_CLASSIFICATION
     if classification:

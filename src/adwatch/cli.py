@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional
 
-from .config import PipelineConfig, config_from_mapping, load_config
+from .config import PipelineConfig, _Rule, _check_fields, config_from_mapping, load_config
 from .errors import AdwatchError, ConfigError, DataError, MissingArtifactError
 from .evaluation import (
     AblationTable,
@@ -46,6 +46,7 @@ from .synth import (
     SuiteConfig,
     _write_session,
     generate_suite,
+    load_entry_manifest,
     load_script,
     load_suite,
 )
@@ -175,11 +176,9 @@ def _load_artifacts(artifact_dir: Path, cfg: PipelineConfig) -> ArtifactSet:
     """The command's one artifact load; a speaking network whose input length
     is not ``window_samples`` fails here, before any session is read."""
     artifacts = ArtifactSet.load(artifact_dir)
-    if artifacts.speaking.window_len != cfg.window_samples:
-        raise MissingArtifactError(
-            f"artifact {artifact_dir / SPEAKING_ARTIFACT}: field 'window_len': expected "
-            f"window_samples = {cfg.window_samples}, got {artifacts.speaking.window_len}"
-        )
+    fits = {"window_len": _Rule(lambda v: v == cfg.window_samples, f"window_samples = {cfg.window_samples}")}
+    _check_fields(vars(artifacts.speaking), fits, MissingArtifactError,
+                  f"artifact {artifact_dir / SPEAKING_ARTIFACT}: model", unknown_ok=True)
     return artifacts
 
 
@@ -262,20 +261,17 @@ def cmd_score(args: argparse.Namespace) -> int:
     cfg = _load_pipeline_config(args)
     if (args.suite_dir is None) == (args.manifest is None):
         raise ConfigError("score needs exactly one of --suite-dir or --manifest")
-    if args.manifest is not None:
-        manifest_paths = [args.manifest]
-    else:
-        index = load_suite(args.suite_dir)
-        manifest_paths = [
-            args.suite_dir / e.manifest_path for e in index.by_split(args.split)
-        ]
+    entries = None if args.suite_dir is None else load_suite(args.suite_dir).by_split(args.split)
     # the one load per command: it fails before any session is read, and
     # every session scores against it, so each ensemble compiles its lookup
     # tables once (once per worker with --jobs)
     artifacts = _load_artifacts(args.artifacts, cfg)
+    if entries is None:
+        manifests = [(load_manifest(args.manifest), args.manifest.parent)]
+    else:
+        manifests = [load_entry_manifest(args.suite_dir, e) for e in entries]
     tasks = []
-    for path in manifest_paths:
-        manifest = load_manifest(path)
+    for manifest, base_dir in manifests:
         if args.device is not None and manifest.device_type != args.device:
             print(
                 f"warning: skipping {manifest.session_id} (device {manifest.device_type}, "
@@ -283,7 +279,7 @@ def cmd_score(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             continue
-        tasks.append((manifest, path.parent, cfg, args.output))
+        tasks.append((manifest, base_dir, cfg, args.output))
     _check_gaze_devices(artifacts, args.artifacts, [task[0] for task in tasks])
     if args.jobs > 1:
         with ProcessPoolExecutor(
@@ -302,14 +298,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     pairs_by_device: dict[str, list] = {}
     n = 0
     for entry in index.entries:
-        manifest_path = suite_dir / entry.manifest_path
-        manifest = load_manifest(manifest_path)
+        manifest, base_dir = load_entry_manifest(suite_dir, entry)
         scored_path = args.scored / f"{entry.session_id}.timeline.jsonl"
         if not scored_path.exists():
             continue
         if manifest.ground_truth is None:
             raise DataError(f"session {entry.session_id} has no ground truth")
-        truth = read_timeline(manifest_path.parent / manifest.ground_truth)
+        truth = read_timeline(base_dir / manifest.ground_truth)
         predicted = read_timeline(scored_path)
         if len(predicted) != len(truth):
             raise DataError(

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import PipelineConfig, _artifact_curve, _artifact_field, _is_int, _is_real, check_seed
+from .config import _CONFIG_RULES, _LOSS_CURVE, _SEED, PipelineConfig, _check_fields, _int, _real, _shown
 from .errors import DataError, MissingArtifactError
 
 KERNEL_WIDTH = 3
@@ -142,22 +142,21 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
 
 
-def _artifact_array(obj: dict, name: str, shape: tuple) -> np.ndarray:
+def _artifact_array(obj: dict, name: str, shape: tuple, where: str) -> np.ndarray:
+    """``obj[name]`` as a float64 array, or MissingArtifactError naming
+    ``where`` and the field."""
     if name not in obj:
-        raise MissingArtifactError(f"field {name!r} is missing")
+        raise MissingArtifactError(f"{where}: missing key {name}")
     try:
         arr = np.asarray(obj[name])
-        numeric = arr.dtype.kind in "iuf"
+        ok = arr.dtype.kind in "iuf" and arr.shape == shape and np.isfinite(arr).all()
     except ValueError:  # ragged nesting
-        numeric = False
-    if not numeric:
-        raise MissingArtifactError(f"field {name!r}: expected an array of numbers")
-    if arr.shape != shape:
-        raise MissingArtifactError(f"field {name!r}: shape {arr.shape}, expected {shape}")
-    arr = arr.astype(np.float64)
-    if not np.isfinite(arr).all():
-        raise MissingArtifactError(f"field {name!r}: non-finite value")
-    return arr
+        ok = False
+    if not ok:
+        raise MissingArtifactError(
+            f"{where}: {name} must be an array of finite numbers of shape {shape}, got {_shown(obj[name])}"
+        )
+    return arr.astype(np.float64)
 
 
 @dataclass
@@ -290,22 +289,22 @@ class TemporalCnn:
         return doc
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "TemporalCnn":
-        """The network a ``to_dict`` document describes. A missing field, a
-        value that is not a finite number, or a parameter whose shape does
-        not fit ``window_len`` raises ``MissingArtifactError`` naming the
-        field."""
-        least = 2 * (KERNEL_WIDTH - 1) + 1
-        window_len = _artifact_field(
-            obj, "window_len", lambda v: _is_int(v) and v >= least, f"an integer of at least {least}"
-        )
-        return cls(
-            window_len=window_len,
-            input_center=float(_artifact_field(obj, "input_center", _is_real, "a finite number")),
-            input_scale=float(_artifact_field(obj, "input_scale", _is_real, "a finite number")),
-            train_loss_curve=_artifact_curve(obj),
-            **{name: _artifact_array(obj, name, shape) for name, shape in _param_shapes(window_len).items()},
-        )
+    def from_dict(cls, obj: dict, where: str = "model") -> "TemporalCnn":
+        """The network a ``to_dict`` document describes. A header field that
+        fails ``_HEADER_RULES``, or a parameter that is not finite numbers in
+        the shape ``window_len`` gives, raises ``MissingArtifactError``
+        naming ``where`` and the field."""
+        header = _check_fields(obj, _HEADER_RULES, MissingArtifactError, where, unknown_ok=True)
+        shapes = _param_shapes(header["window_len"])
+        return cls(**header, **{name: _artifact_array(obj, name, shape, where) for name, shape in shapes.items()})
+
+
+_HEADER_RULES = {
+    "window_len": _int(2 * (KERNEL_WIDTH - 1) + 1),
+    "input_center": _real(),
+    "input_scale": _real(),
+    "train_loss_curve": _LOSS_CURVE,
+}
 
 
 @dataclass
@@ -318,18 +317,12 @@ class CnnTrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_train_config(self)
+        _check_fields(vars(self), _TRAIN_RULES, DataError, "CNN training config")
 
 
-def _check_train_config(config: CnnTrainConfig) -> None:
-    if not _is_int(config.epochs) or config.epochs < 0:
-        raise DataError(f"epochs must be an integer of at least 0, got {config.epochs!r}")
-    if not _is_int(config.batch_size) or config.batch_size < 1:
-        raise DataError(f"batch_size must be an integer of at least 1, got {config.batch_size!r}")
-    rate = config.learning_rate
-    if not (_is_int(rate) or isinstance(rate, (float, np.floating))) or not 0 < rate <= 1:
-        raise DataError(f"learning_rate must be a number in (0, 1], got {rate!r}")
-    check_seed(config.seed, DataError)
+# the rules of the PipelineConfig fields that set them
+_TRAIN_RULES = {name: _CONFIG_RULES[f"cnn_{name}"] for name in ("epochs", "learning_rate", "batch_size")}
+_TRAIN_RULES["seed"] = _SEED
 
 
 def train_cnn(windows: np.ndarray, labels: np.ndarray, config: CnnTrainConfig | None = None) -> TemporalCnn:
@@ -343,7 +336,7 @@ def train_cnn(windows: np.ndarray, labels: np.ndarray, config: CnnTrainConfig | 
     already when the ``CnnTrainConfig`` is made).
     """
     config = config or CnnTrainConfig()
-    _check_train_config(config)
+    _check_fields(vars(config), _TRAIN_RULES, DataError, "CNN training config")
     if isinstance(windows, np.ndarray) and windows.dtype == object or not isinstance(windows, np.ndarray):
         lengths = {len(w) for w in windows}
         if len(lengths) > 1:

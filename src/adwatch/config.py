@@ -1,8 +1,10 @@
-"""Pipeline configuration.
+"""Pipeline configuration, and the field rules every document is checked by.
 
 All tunable thresholds live here with their defaults. A config can be
 loaded from a JSON file and overridden field by field; unknown keys are
-rejected rather than ignored so typos fail loudly.
+rejected rather than ignored so typos fail loudly. Each JSON document and
+config object has one table of ``_Rule``s, one per field, that
+``_check_fields`` checks it against.
 """
 
 from __future__ import annotations
@@ -10,13 +12,126 @@ from __future__ import annotations
 import json
 import numbers
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
-from .errors import ConfigError, MissingArtifactError
+from .errors import ConfigError
 
 PathLike = Union[str, Path]
+
+
+class _Rule(NamedTuple):
+    """What one field must hold."""
+
+    ok: Callable[[object], bool]
+    expected: str                       # what ``ok`` accepts, for the message
+    optional: bool = False              # may be absent from a document: its default applies
+    convert: Callable = lambda v: v     # to the field's annotated type, once ``ok`` holds
+
+
+def _is_real(value) -> bool:
+    """An int or float within the float range; bools are not numbers here."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def _is_int(value) -> bool:
+    """A Python or numpy integer; bools are not integers here."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _real(low=None, high=None, *, above: bool = False) -> _Rule:
+    """A finite number from ``low`` to ``high`` (None: unbounded); ``above``
+    leaves ``low`` itself out."""
+    if low is None:
+        return _Rule(_is_real, "a finite number", convert=float)
+    top = sys.float_info.max if high is None else high
+    ok = (lambda v: _is_real(v) and low < v <= top) if above else (lambda v: _is_real(v) and low <= v <= top)
+    bounds = f"{'>' if above else '>='} {low}" if high is None else f"in {'(' if above else '['}{low}, {high}]"
+    return _Rule(ok, f"a finite number {bounds}", convert=float)
+
+
+def _int(least: int) -> _Rule:
+    return _Rule(lambda v: _is_int(v) and v >= least, f"an integer of at least {least}")
+
+
+# what numpy's generators take
+_SEED = _int(0)
+
+
+def _choice(options: tuple) -> _Rule:
+    return _Rule(lambda v: type(v) is str and v in options, f"one of {list(options)}")
+
+
+def _pair(item: _Rule) -> _Rule:
+    """A list or tuple of two values that ``item`` accepts, stored as a tuple."""
+    return _Rule(
+        lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(item.ok, v)),
+        f"a pair, each {item.expected}",
+        convert=lambda v: tuple(map(item.convert, v)),
+    )
+
+
+def _or_null(rule: _Rule) -> _Rule:
+    return rule._replace(
+        ok=lambda v: v is None or rule.ok(v),
+        expected=f"{rule.expected} or null",
+        convert=lambda v: None if v is None else rule.convert(v),
+    )
+
+
+def _equal(value) -> _Rule:
+    return _Rule(lambda v: v == value, _shown(value))
+
+
+def _optional(rule: _Rule) -> _Rule:
+    return rule._replace(optional=True)
+
+
+_STRING = _Rule(lambda v: type(v) is str, "a string")
+_OBJECT = _Rule(lambda v: isinstance(v, dict), "a JSON object")
+# a learning rate, of any of the models
+_RATE = _real(0, 1, above=True)
+# a model artifact's record of its training loss, by epoch or stage
+_LOSS_CURVE = _Rule(
+    lambda v: isinstance(v, list) and all(map(_is_real, v)), "a list of finite numbers",
+    optional=True, convert=lambda v: [float(x) for x in v],
+)
+
+
+def _shown(value) -> str:
+    """``value`` as JSON (its repr if it has none), cut to 60 characters."""
+    try:
+        text = json.dumps(value)
+    except (TypeError, ValueError):
+        text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _check_fields(doc: dict, rules: dict, error: type, where: str, *, unknown_ok: bool = False) -> dict:
+    """``doc``'s values of the fields ``rules`` names, each converted by its
+    rule; an absent optional field is left out, so its default applies.
+
+    The first field that fails, in table order, raises ``error`` naming
+    ``where`` and the field; keys that ``rules`` does not name fail first,
+    unless ``unknown_ok``."""
+    if not unknown_ok and not doc.keys() <= rules.keys():
+        raise error(f"{where}: unknown keys {sorted(doc.keys() - rules.keys())}")
+    values = {}
+    for name, rule in rules.items():
+        if name not in doc:
+            if rule.optional:
+                continue
+            raise error(f"{where}: missing key {name}")
+        value = doc[name]
+        if not rule.ok(value):
+            raise error(f"{where}: {name} must be {rule.expected}, got {_shown(value)}")
+        values[name] = rule.convert(value)
+    return values
 
 
 @dataclass(frozen=True)
@@ -65,20 +180,72 @@ class PipelineConfig:
     speaking_window_stride: int = 3
 
     def __post_init__(self) -> None:
-        _validate(self)
-        for name in _TUPLE_FIELDS:
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+        checked = _check_fields(vars(self), _CONFIG_RULES, ConfigError, "config")
+        # pairs are stored as tuples of floats; a scalar keeps its type, as
+        # the artifacts' metadata records it
+        for name in _PAIR_FIELDS:
+            object.__setattr__(self, name, checked[name])
+        lo, hi = self.orientation_face_band
+        if not 0 <= lo < hi <= 1:
+            raise ConfigError(
+                f"config: orientation_face_band must be an increasing pair in [0, 1], got {[lo, hi]}"
+            )
+        if self.min_valid_samples > self.window_samples:
+            raise ConfigError(
+                f"config: min_valid_samples ({self.min_valid_samples}) must not exceed "
+                f"window_samples ({self.window_samples})"
+            )
 
 
-_FIELDS = {f.name for f in fields(PipelineConfig)}
-_TUPLE_FIELDS = {"default_desktop_screen_cm", "mobile_screen_cm", "orientation_face_band"}
+_PAIR_FIELDS = ("default_desktop_screen_cm", "mobile_screen_cm", "orientation_face_band")
+_SCREEN = _pair(_real(0, above=True))
+
+# every field may be left out of a config file
+_CONFIG_RULES = {name: _optional(rule) for name, rule in {
+    # the quality gates are on the 0-1 tracker quality
+    "quality_floor": _real(0, 1),
+    "quality_gate": _real(0, 1),
+    "margin_cm": _real(0),
+    "pvd_coefficient": _real(0, above=True),
+    "desktop_aspect": _real(0, above=True),
+    "default_desktop_screen_cm": _SCREEN,
+    "mobile_screen_cm": _SCREEN,
+    "orientation_yaw_deg": _real(0),
+    "orientation_face_band": _pair(_real()),    # and increasing, within [0, 1]
+    "orientation_gaze_cm": _real(0),
+    "head_yaw_threshold_deg": _real(0),
+    "head_pitch_threshold_deg": _real(0),
+    "speaking_threshold": _real(0, 1),
+    "speaking_min_event_s": _real(0),           # a run must exceed it; 0 counts every run
+    "window_samples": _int(5),
+    "window_span_s": _real(0, above=True),
+    "min_valid_samples": _int(0),               # and at most window_samples
+    "max_hold_samples": _int(0),
+    # eye closure and AU intensities are on a 0-100 scale (FORMATS.md)
+    "closure_gate": _real(0, 100),
+    "au_gate": _real(0, 100),
+    "closure_min_event_s": _real(0),
+    # 0 turns the yawn vote smoothing off
+    "yawn_smooth_s": _real(0),
+    "yawn_threshold": _real(0, 1),
+    "unattended_min_s": _real(0),
+    "gaze_stages": _int(1),
+    "gaze_depth": _int(1),
+    "yawn_stages": _int(1),
+    "yawn_depth": _int(1),
+    "max_gaze_train_rows": _int(1),
+    "max_yawn_train_rows": _int(1),
+    "cnn_epochs": _int(0),
+    "cnn_learning_rate": _RATE,
+    "cnn_batch_size": _int(1),
+    "max_speaking_train_windows": _int(1),
+    "speaking_window_stride": _int(1),
+}.items()}
 
 
 def config_from_mapping(mapping: dict, base: Optional[PipelineConfig] = None) -> PipelineConfig:
     base = base or PipelineConfig()
-    unknown = set(mapping) - _FIELDS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _check_fields(mapping, _CONFIG_RULES, ConfigError, "config")
     return replace(base, **mapping)
 
 
@@ -102,130 +269,3 @@ def _read_json_object(path: Path, what: str, error: type) -> dict:
 
 def load_config(path: PathLike, base: Optional[PipelineConfig] = None) -> PipelineConfig:
     return config_from_mapping(_read_json_object(Path(path), "config", ConfigError), base=base)
-
-
-def _is_real(value) -> bool:
-    """An int or float within the float range; bools are not numbers here."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max
-    )
-
-
-def _is_int(value) -> bool:
-    """A Python or numpy integer; bools are not integers here."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _artifact_field(obj: dict, name: str, ok, what: str):
-    """``obj[name]`` of a model artifact document if ``ok`` holds for it,
-    otherwise a ``MissingArtifactError`` naming the field."""
-    if name not in obj:
-        raise MissingArtifactError(f"field {name!r} is missing")
-    value = obj[name]
-    if not ok(value):
-        raise MissingArtifactError(f"field {name!r}: expected {what}, got {value!r:.60}")
-    return value
-
-
-def _artifact_curve(obj: dict) -> list[float]:
-    """A model artifact's optional ``train_loss_curve``, a list of finite
-    numbers."""
-    curve = obj.get("train_loss_curve", [])
-    if not (isinstance(curve, list) and all(map(_is_real, curve))):
-        raise MissingArtifactError("field 'train_loss_curve': expected a list of finite numbers")
-    return [float(v) for v in curve]
-
-
-def _is_real_pair(value) -> bool:
-    """A list or tuple of exactly two numbers, each as ``_is_real`` counts them."""
-    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value))
-
-
-def _at_least(least):
-    return (lambda v: v >= least), f"be at least {least}"
-
-
-def _within(lo, hi):
-    return (lambda v: lo <= v <= hi), f"lie in [{lo}, {hi}]"
-
-
-_POSITIVE = ((lambda v: v > 0), "be positive")
-
-# every scalar field's range; its type (int or float) comes from its annotation
-_RANGES = {
-    # probabilities and the quality gates on the 0-1 tracker quality
-    "quality_floor": _within(0, 1),
-    "quality_gate": _within(0, 1),
-    "speaking_threshold": _within(0, 1),
-    "yawn_threshold": _within(0, 1),
-    # eye closure and AU intensities are on a 0-100 scale (FORMATS.md)
-    "closure_gate": _within(0, 100),
-    "au_gate": _within(0, 100),
-    "margin_cm": _at_least(0),
-    "pvd_coefficient": _POSITIVE,
-    "desktop_aspect": _POSITIVE,
-    "orientation_yaw_deg": _at_least(0),
-    "orientation_gaze_cm": _at_least(0),
-    "head_yaw_threshold_deg": _at_least(0),
-    "head_pitch_threshold_deg": _at_least(0),
-    "window_span_s": _POSITIVE,
-    # durations a run must exceed; 0 counts every run
-    "speaking_min_event_s": _at_least(0),
-    "closure_min_event_s": _at_least(0),
-    "unattended_min_s": _at_least(0),
-    # 0 turns the yawn vote smoothing off
-    "yawn_smooth_s": _at_least(0),
-    "window_samples": _at_least(5),
-    "min_valid_samples": _at_least(0),
-    "max_hold_samples": _at_least(0),
-    "gaze_stages": _at_least(1),
-    "gaze_depth": _at_least(1),
-    "yawn_stages": _at_least(1),
-    "yawn_depth": _at_least(1),
-    "max_gaze_train_rows": _at_least(1),
-    "max_yawn_train_rows": _at_least(1),
-    "cnn_epochs": _at_least(0),
-    "cnn_learning_rate": ((lambda v: 0 < v <= 1), "lie in (0, 1]"),
-    "cnn_batch_size": _at_least(1),
-    "max_speaking_train_windows": _at_least(1),
-    "speaking_window_stride": _at_least(1),
-}
-
-
-def _validate(cfg: PipelineConfig) -> None:
-    for f in fields(PipelineConfig):
-        value = getattr(cfg, f.name)
-        if f.name in _TUPLE_FIELDS:
-            if not _is_real_pair(value):
-                raise ConfigError(f"{f.name} must be a pair of finite numbers, got {value!r}")
-            continue
-        if f.type == "int":     # annotations are strings (postponed evaluation)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-        elif not _is_real(value):
-            raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
-        ok, rule = _RANGES[f.name]
-        if not ok(value):
-            raise ConfigError(f"{f.name} must {rule}, got {value!r}")
-    for name in ("default_desktop_screen_cm", "mobile_screen_cm"):
-        if any(v <= 0 for v in getattr(cfg, name)):
-            raise ConfigError(f"{name}: screen dimensions must be positive")
-    lo, hi = cfg.orientation_face_band
-    if not 0 <= lo < hi <= 1:
-        raise ConfigError(
-            f"orientation_face_band must be an increasing pair in [0, 1], got {[lo, hi]}"
-        )
-    if cfg.min_valid_samples > cfg.window_samples:
-        raise ConfigError(
-            f"min_valid_samples ({cfg.min_valid_samples}) must not exceed "
-            f"window_samples ({cfg.window_samples})"
-        )
-
-
-def check_seed(seed, error: type = ConfigError) -> None:
-    """Raise ``error`` unless ``seed`` is an integer of at least 0, which is
-    what numpy's generators accept; a bool is not a seed."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise error(f"seed must be an integer of at least 0, got {seed!r}")

@@ -22,7 +22,7 @@ import numpy as np
 from . import artifacts as artifacts_io
 from .boosting import BoostedEnsemble
 from .cnn import TemporalCnn
-from .config import PipelineConfig
+from .config import PipelineConfig, _check_fields, _equal
 from .drowsiness import refined_eye_closure, yawn_flags
 from .errors import MissingArtifactError, SessionUntrackableError
 from .fusion import SIGNAL_NAMES, DistractionTimeline, fuse, signal_bits, unattended_signal
@@ -78,11 +78,8 @@ class ArtifactSet:
                   for device, pair in loaded.gaze.items() for axis, model in pair.items()]
         inputs.append((YAWN_ARTIFACT, "model", loaded.yawn, 1 + len(AU_NAMES)))
         for name, where, model, n_features in inputs:
-            if model.n_features != n_features:
-                raise MissingArtifactError(
-                    f"artifact {artifact_dir / name}: {where}: field 'n_features': "
-                    f"expected {n_features}, got {model.n_features}"
-                )
+            _check_fields(vars(model), {"n_features": _equal(n_features)}, MissingArtifactError,
+                          f"artifact {artifact_dir / name}: {where}", unknown_ok=True)
         return loaded
 
     def gaze_pair(self, device_type: str) -> dict[str, BoostedEnsemble]:

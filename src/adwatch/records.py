@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from .config import _STRING, _check_fields, _choice, _optional, _or_null, _pair, _real
 from .errors import SessionFormatError
 
 # Fixed AU inventory; au_intensities is indexed by this list.
@@ -53,18 +54,17 @@ class SessionManifest:
     screen_override_cm: Optional[tuple[float, float]] = None
 
     def __post_init__(self) -> None:
-        if self.device_type not in DEVICE_TYPES:
-            raise SessionFormatError(
-                f"device_type must be one of {DEVICE_TYPES}, got {self.device_type!r}"
-            )
-        if not 5.0 <= self.frame_rate_hz <= 120.0:
-            raise SessionFormatError(
-                f"frame_rate_hz must be in [5, 120], got {self.frame_rate_hz}"
-            )
-        if self.screen_override_cm is not None:
-            w, h = self.screen_override_cm
-            if not (w > 0 and h > 0):
-                raise SessionFormatError("screen_override_cm must be positive")
+        _check_fields(vars(self), _MANIFEST_RULES, SessionFormatError, "manifest")
+
+
+_MANIFEST_RULES = {
+    "session_id": _STRING,
+    "device_type": _choice(DEVICE_TYPES),
+    "frame_rate_hz": _real(5, 120),         # a scenario script's rate too
+    "frame_source": _STRING,
+    "ground_truth": _optional(_or_null(_STRING)),
+    "screen_override_cm": _optional(_or_null(_pair(_real(0, above=True)))),
+}
 
 
 @dataclass(eq=False)

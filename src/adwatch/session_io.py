@@ -22,10 +22,10 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .config import _is_real, _read_json_object
+from .config import _check_fields, _read_json_object
 from .errors import DataError, SessionFormatError
 from .fusion import SIGNAL_NAMES, DistractionTimeline
-from .records import AU_NAMES, FrameArrays, SessionManifest, first_failure, frame_checks
+from .records import _MANIFEST_RULES, AU_NAMES, FrameArrays, SessionManifest, first_failure, frame_checks
 
 PathLike = Union[str, Path]
 
@@ -200,23 +200,19 @@ def _read_jsonl(path: Path, schema, checks, error) -> Optional[dict]:
 # frame files
 # ---------------------------------------------------------------------------
 
-# json's spelling of the non-finite floats and of booleans
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# json's spelling of booleans
 _BOOL_TEXT = {False: "false", True: "true"}
 
 
 def _json_texts(values: np.ndarray) -> list[str]:
-    """The JSON text of every value, flattened in row-major order."""
+    """The JSON text of every value, flattened in row-major order. Floats
+    must be finite: the writers refuse the others, or write null for them."""
     kind = values.dtype.kind
     if kind == "b":
         return list(map(_BOOL_TEXT.__getitem__, values.ravel().tolist()))
     if kind in "iu":
         return list(map(int.__repr__, values.ravel().tolist()))
-    values = np.asarray(values, dtype=np.float64)
-    texts = list(map(float.__repr__, values.ravel().tolist()))
-    if not np.isfinite(values).all():
-        texts = [_NON_FINITE.get(text, text) for text in texts]
-    return texts
+    return list(map(float.__repr__, np.asarray(values, dtype=np.float64).ravel().tolist()))
 
 
 def _row_texts(texts: list[str], shape: tuple) -> list[str]:
@@ -238,10 +234,13 @@ _FRAME_ROW = "{" + ",".join(
 def write_frames(frames: FrameArrays, path: PathLike) -> None:
     """One JSON object per frame, in ``_FRAME_SCHEMA`` order (FORMATS.md).
 
-    Each block of ``_BLOCK_ROWS`` frames is rendered column by column and
-    written with one ``writelines``.
+    The frames pass ``frame_checks``, as ``load_frames`` reads them, before
+    the file is opened: otherwise DataError names the first bad row and no
+    file is written. Each block of ``_BLOCK_ROWS`` frames is rendered column
+    by column and written with one ``writelines``.
     """
     n = len(frames)
+    path = Path(path)
     columns = []
     for field in _FRAME_SCHEMA:
         values = np.asarray(getattr(frames, field.column))
@@ -249,7 +248,9 @@ def write_frames(frames: FrameArrays, path: PathLike) -> None:
             raise DataError(f"frame column {field.column} has shape {values.shape}, "
                             f"expected {(n, *field.shape)}")
         columns.append((values, field.shape))
-    path = Path(path)
+    failure = first_failure(frame_checks(frames)) if n else None
+    if failure is not None:
+        raise DataError(f"frame file {path} row {failure[0] + 1}: {failure[1]}")
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for start in range(0, n, _BLOCK_ROWS):
@@ -318,46 +319,13 @@ def write_manifest(manifest: SessionManifest, path: PathLike) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-# manifest field -> the JSON types its value may have, and their description
-_MANIFEST_FIELDS = {
-    "session_id": ((str,), "a string"),
-    "device_type": ((str,), "a string"),
-    "frame_rate_hz": ((int, float), "a number"),
-    "frame_source": ((str,), "a string"),
-    "ground_truth": ((str, type(None)), "a string or null"),
-}
-
-
 def load_manifest(path: PathLike) -> SessionManifest:
+    """The manifest at ``path``; keys ``_MANIFEST_RULES`` does not name are ignored."""
     path = Path(path)
     doc = _read_json_object(path, "manifest", SessionFormatError)
-    for key, (types, described) in _MANIFEST_FIELDS.items():
-        if key not in doc and key != "ground_truth":
-            raise SessionFormatError(f"manifest {path}: missing key {key!r}")
-        # type(), not isinstance: a JSON boolean is not a number here
-        if type(doc.get(key)) not in types:
-            raise SessionFormatError(
-                f"manifest {path}: {key} must be {described}, got {json.dumps(doc[key])}"
-            )
-    override = doc.get("screen_override_cm")
-    if override is not None and not (
-        type(override) is list and len(override) == 2 and all(_is_real(v) and v > 0 for v in override)
-    ):
-        raise SessionFormatError(
-            f"manifest {path}: screen_override_cm must be null or a list of two finite "
-            f"positive numbers, got {json.dumps(override)}"
-        )
-    try:
-        return SessionManifest(
-            session_id=doc["session_id"],
-            device_type=doc["device_type"],
-            frame_rate_hz=float(doc["frame_rate_hz"]),
-            frame_source=doc["frame_source"],
-            ground_truth=doc.get("ground_truth"),
-            screen_override_cm=None if override is None else tuple(map(float, override)),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SessionFormatError(f"manifest {path}: {exc}") from exc
+    return SessionManifest(
+        **_check_fields(doc, _MANIFEST_RULES, SessionFormatError, f"manifest {path}", unknown_ok=True)
+    )
 
 
 # ---------------------------------------------------------------------------

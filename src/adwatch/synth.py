@@ -32,16 +32,29 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .config import _is_real, _is_real_pair, _read_json_object, check_seed
-from .errors import ConfigError
+from .config import (
+    _SEED,
+    _STRING,
+    _Rule,
+    _check_fields,
+    _choice,
+    _int,
+    _optional,
+    _or_null,
+    _pair,
+    _read_json_object,
+    _real,
+)
+from .errors import ConfigError, SessionFormatError
 from .fusion import SIGNAL_NAMES, DistractionTimeline
-from .records import AU_INDEX, FrameArrays, SessionManifest
-from .session_io import write_frames, write_manifest, write_timeline
+from .records import _MANIFEST_RULES, AU_INDEX, DEVICE_TYPES, FrameArrays, SessionManifest
+from .session_io import load_manifest, write_frames, write_manifest, write_timeline
 
 PathLike = Union[str, Path]
 
 SEGMENT_KINDS = ("dot_at", "off_screen", "speak", "yawn", "close_eyes", "leave")
 OFF_DIRECTIONS = ("up", "down", "left", "right")
+ORIENTATIONS = ("centered", "clockwise", "anticlockwise")
 
 # world constants (the pipeline's defaults assume the same geometry)
 PVD_COEFFICIENT = 3.0
@@ -101,36 +114,53 @@ class ScenarioScript:
     frame_rate_hz: float = 30.0
 
 
+# A script's every numeric field is finite. The bounds beyond the ranges
+# that the fields mean keep every synthesized frame finite and its pupil in
+# front of the screen (FORMATS.md).
+_SCRIPT_RULES = {
+    "seed": _optional(_SEED),
+    "device_type": _optional(_choice(DEVICE_TYPES)),
+    # an hour at most, so a script cannot ask for unbounded frame arrays
+    "duration_s": _real(0, 3600, above=True),
+    "segments": _Rule(
+        lambda v: isinstance(v, list) and len(v) > 0 and all(isinstance(s, (dict, Segment)) for s in v),
+        "a non-empty list of segment objects",
+    ),
+    "camera_offset_cm": _optional(_pair(_real(-100, 100))),
+    "orientation": _optional(_choice(ORIENTATIONS)),
+    "behavior_mix": _optional(_real(0, 1)),
+    "gaze_noise_deg": _optional(_real(0, 180)),
+    "landmark_jitter": _optional(_real(0, 1)),
+    "gaze_scale": _optional(_real(0, 10, above=True)),
+    # the head sways by up to 0.9 cm towards the screen
+    "viewing_distance_cm": _optional(_or_null(_real(1, 1000))),
+    "frame_rate_hz": _optional(_MANIFEST_RULES["frame_rate_hz"]),
+}
+_SEGMENT_RULES = {
+    "kind": _choice(SEGMENT_KINDS),
+    "start_s": _real(0),
+    "duration_s": _real(0, above=True),
+    "dot": _optional(_or_null(_pair(_real(-10, 10)))),
+    "direction": _optional(_or_null(_choice(OFF_DIRECTIONS))),
+}
+# the field each kind of segment needs
+_PAYLOAD = {"dot_at": "dot", "off_screen": "direction"}
+
+
 def validate_script(script: ScenarioScript) -> None:
-    check_seed(script.seed)
-    if not script.segments:
-        raise ConfigError("script has no segments")
-    if script.device_type not in ("desktop", "mobile"):
-        raise ConfigError(f"unknown device_type {script.device_type!r}")
-    if script.orientation not in ("centered", "clockwise", "anticlockwise"):
-        raise ConfigError(f"unknown orientation {script.orientation!r}")
-    if not 0.0 <= script.behavior_mix <= 1.0:
-        raise ConfigError("behavior_mix must lie in [0, 1]")
-    vd = script.viewing_distance_cm
-    if vd is not None and not (_is_real(vd) and vd > 0):
-        raise ConfigError(f"viewing_distance_cm must be a positive number or null, got {vd!r}")
-    if not _is_real_pair(script.camera_offset_cm):
-        raise ConfigError(
-            f"camera_offset_cm must be a pair of finite numbers, got {script.camera_offset_cm!r}"
-        )
+    """ConfigError unless every field passes ``_SCRIPT_RULES`` and every
+    segment ``_SEGMENT_RULES``, the segments tile ``[0, duration_s]`` and
+    the script gives at least one frame."""
+    _check_fields(vars(script), _SCRIPT_RULES, ConfigError, "script")
     segs = script.segments
-    tol = 1e-6
     for i, seg in enumerate(segs):
-        if seg.kind not in SEGMENT_KINDS:
-            raise ConfigError(f"segment {i}: unknown kind {seg.kind!r}")
-        if seg.duration_s <= 0:
-            raise ConfigError(f"segment {i}: duration must be positive")
-        if seg.kind == "off_screen" and seg.direction not in OFF_DIRECTIONS:
-            raise ConfigError(f"segment {i}: off_screen needs a direction in {OFF_DIRECTIONS}")
-        if seg.kind == "dot_at" and seg.dot is None:
-            raise ConfigError(f"segment {i}: dot_at needs a dot position")
-        if seg.dot is not None and not _is_real_pair(seg.dot):
-            raise ConfigError(f"segment {i}: dot must be a pair of finite numbers, got {seg.dot!r}")
+        _check_fields(vars(seg), _SEGMENT_RULES, ConfigError, f"segment {i}")
+        need = _PAYLOAD.get(seg.kind)
+        if need is not None and getattr(seg, need) is None:
+            raise ConfigError(f"segment {i}: {need} is required when kind is {seg.kind}")
+    if round(script.duration_s * script.frame_rate_hz) < 1:
+        raise ConfigError("script too short for a single frame")
+    tol = 1e-6
     order = sorted(range(len(segs)), key=lambda i: segs[i].start_s)
     if abs(segs[order[0]].start_s) > tol:
         raise ConfigError(f"segment {order[0]}: first segment must start at 0")
@@ -182,8 +212,6 @@ def generate(script: ScenarioScript) -> tuple[FrameArrays, DistractionTimeline]:
     validate_script(script)
     fps = script.frame_rate_hz
     n = int(round(script.duration_s * fps))
-    if n < 1:
-        raise ConfigError("script too short for a single frame")
     rng = np.random.default_rng(script.seed)
     times = np.arange(n) / fps
 
@@ -533,12 +561,10 @@ def build_suite_scripts(config: SuiteConfig) -> list[tuple[str, ScenarioScript, 
 
     Returns (session_id, script, split) triples.
     """
-    check_seed(config.seed)
-    if config.n_sessions < 1:
-        raise ConfigError("n_sessions must be at least 1")
+    _check_fields(vars(config), {"seed": _SEED, "n_sessions": _int(1)}, ConfigError, "suite config",
+                  unknown_ok=True)
     out = []
     n_train = int(round(config.train_fraction * config.n_sessions))
-    orientations = ("centered", "clockwise", "anticlockwise")
     for i in range(config.n_sessions):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, i)))
         if config.device == "mixed":
@@ -547,7 +573,7 @@ def build_suite_scripts(config: SuiteConfig) -> list[tuple[str, ScenarioScript, 
             device = config.device
         orientation = "centered"
         if device == "mobile":
-            orientation = orientations[(i // 2 if config.device == "mixed" else i) % 3]
+            orientation = ORIENTATIONS[(i // 2 if config.device == "mixed" else i) % 3]
         offset = (0.0, 0.0)
         if device == "desktop" and config.camera_offset_max_cm > 0:
             mag = rng.uniform(0.2, 1.0) * config.camera_offset_max_cm
@@ -618,25 +644,46 @@ def generate_suite(config: SuiteConfig, out_dir: PathLike) -> SuiteIndex:
     return index
 
 
+_INDEX_RULES = {
+    "seed": _SEED,
+    "sessions": _Rule(lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v),
+                      "a list of JSON objects"),
+}
+_ENTRY_RULES = {
+    "session_id": _STRING,
+    "device_type": _choice(DEVICE_TYPES),
+    "manifest_path": _STRING,
+    "split": _choice(("train", "held_out")),
+    "orientation": _choice(ORIENTATIONS),
+}
+
+
 def load_suite(suite_dir: PathLike) -> SuiteIndex:
+    """The suite index of ``suite_dir``, checked by ``_INDEX_RULES`` and each
+    entry by ``_ENTRY_RULES``; keys they do not name are ignored."""
     path = Path(suite_dir) / "suite.json"
-    doc = _read_json_object(path, "suite index", ConfigError)
-    try:
-        seed = doc["seed"]
-        entries = [SuiteEntry(**e) for e in doc["sessions"]]
-    except KeyError as exc:
-        raise ConfigError(f"suite index {path}: missing key {exc}") from exc
-    except TypeError as exc:
-        raise ConfigError(f"suite index {path}: malformed ({exc})") from exc
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"suite index {path}: seed must be an integer, got {seed!r}")
-    for i, entry in enumerate(entries):
-        for name, value in vars(entry).items():
-            if not isinstance(value, str):
-                raise ConfigError(
-                    f"suite index {path}: sessions[{i}]: {name} must be a string, got {value!r}"
-                )
-    return SuiteIndex(seed=seed, entries=entries)
+    where = f"suite index {path}"
+    doc = _check_fields(_read_json_object(path, "suite index", ConfigError), _INDEX_RULES, ConfigError,
+                        where, unknown_ok=True)
+    entries = [
+        SuiteEntry(**_check_fields(e, _ENTRY_RULES, ConfigError, f"{where}: sessions[{i}]", unknown_ok=True))
+        for i, e in enumerate(doc["sessions"])
+    ]
+    return SuiteIndex(seed=doc["seed"], entries=entries)
+
+
+def load_entry_manifest(suite_dir: PathLike, entry: SuiteEntry) -> tuple[SessionManifest, Path]:
+    """The manifest of a suite entry and the directory its paths are relative
+    to. A manifest whose device type is not the entry's raises
+    SessionFormatError naming the session."""
+    path = Path(suite_dir) / entry.manifest_path
+    manifest = load_manifest(path)
+    if manifest.device_type != entry.device_type:
+        raise SessionFormatError(
+            f"manifest {path}: device_type {manifest.device_type!r} differs from the suite "
+            f"index's {entry.device_type!r} for session {entry.session_id}"
+        )
+    return manifest, path.parent
 
 
 # ---------------------------------------------------------------------------
@@ -644,35 +691,18 @@ def load_suite(suite_dir: PathLike) -> SuiteIndex:
 # ---------------------------------------------------------------------------
 
 def load_script(path: PathLike) -> ScenarioScript:
+    """The script at ``path``; any error names the file. Numbers are stored
+    as floats, so an integer reads as it would as a float."""
     path = Path(path)
-    doc = _read_json_object(path, "script", ConfigError)
+    where = f"script {path}"
+    values = _check_fields(_read_json_object(path, "script", ConfigError), _SCRIPT_RULES, ConfigError, where)
+    values["segments"] = [
+        Segment(**_check_fields(seg, _SEGMENT_RULES, ConfigError, f"{where}: segment {i}"))
+        for i, seg in enumerate(values["segments"])
+    ]
+    script = ScenarioScript(**values)
     try:
-        segments = [
-            Segment(
-                kind=s["kind"],
-                start_s=float(s["start_s"]),
-                duration_s=float(s["duration_s"]),
-                dot=tuple(s["dot"]) if s.get("dot") is not None else None,
-                direction=s.get("direction"),
-            )
-            for s in doc["segments"]
-        ]
-        script = ScenarioScript(
-            seed=doc.get("seed", 0),        # checked, not coerced, by validate_script
-            device_type=str(doc.get("device_type", "desktop")),
-            duration_s=float(doc["duration_s"]),
-            segments=segments,
-            camera_offset_cm=tuple(doc.get("camera_offset_cm", (0.0, 0.0))),
-            orientation=str(doc.get("orientation", "centered")),
-            behavior_mix=float(doc.get("behavior_mix", 0.85)),
-            gaze_noise_deg=float(doc.get("gaze_noise_deg", 0.8)),
-            landmark_jitter=float(doc.get("landmark_jitter", 0.01)),
-            gaze_scale=float(doc.get("gaze_scale", 1.12)),
-            viewing_distance_cm=doc.get("viewing_distance_cm"),
-            frame_rate_hz=float(doc.get("frame_rate_hz", 30.0)),
-        )
         validate_script(script)
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
-        raise ConfigError(f"script {path}: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
     return script
-

@@ -19,15 +19,15 @@ import numpy as np
 from . import artifacts as artifacts_io
 from .boosting import BoostConfig, BoostedEnsemble, MODE_CLASSIFICATION, fit_boosted
 from .cnn import CnnTrainConfig, TemporalCnn, train_cnn
-from .config import PipelineConfig, check_seed
-from .errors import DataError
+from .config import _SEED, PipelineConfig, _check_fields
+from .errors import ConfigError, DataError
 from .fusion import DistractionTimeline
 from .gaze import compute_session_stats, normalize_gaze, valid_gaze_rays
 from .records import FrameArrays, SessionManifest
-from .session_io import load_manifest, load_session, read_timeline
+from .session_io import load_session, read_timeline
 from .speaking import assemble_training_windows
 from .drowsiness import yawn_features
-from .synth import SuiteIndex, load_suite
+from .synth import SuiteIndex, load_entry_manifest, load_suite
 
 PathLike = Union[str, Path]
 
@@ -43,12 +43,11 @@ def load_suite_sessions(
     for entry in index.by_split(split):
         if device is not None and entry.device_type != device:
             continue
-        manifest_path = suite_dir / entry.manifest_path
-        manifest = load_manifest(manifest_path)
-        frames = load_session(manifest, manifest_path.parent)
+        manifest, base_dir = load_entry_manifest(suite_dir, entry)
+        frames = load_session(manifest, base_dir)
         if manifest.ground_truth is None:
             raise DataError(f"session {entry.session_id} has no ground truth")
-        truth = read_timeline(manifest_path.parent / manifest.ground_truth)
+        truth = read_timeline(base_dir / manifest.ground_truth)
         sessions.append((frames, truth, manifest))
     if not sessions:
         raise DataError(f"no sessions for split={split!r} in {suite_dir}")
@@ -270,7 +269,7 @@ def train_all(
     }
     if only is not None and only not in targets:
         raise DataError(f"unknown training target {only!r}")
-    check_seed(seed)
+    _check_fields({"seed": seed}, {"seed": _SEED}, ConfigError, "train")
     sessions = load_suite_sessions(suite_dir, split="train")
     trained = [
         (save, name, *train(sessions, config, seed=seed))

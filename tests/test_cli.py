@@ -252,41 +252,41 @@ def shorten_rows(matrix):
 
 
 ARTIFACT_MUTATIONS = [
-    pytest.param("speaking_cnn.json", "'model'", lambda doc: doc.pop("model"), id="speaking_no_model"),
-    pytest.param("speaking_cnn.json", "'w3'", on_model(lambda m: m.pop("w3")), id="speaking_missing_w3"),
-    pytest.param("speaking_cnn.json", "'w1'", on_model(lambda m: m.update(w1="abc")), id="speaking_w1_text"),
-    pytest.param("speaking_cnn.json", "'input_center'", on_model(lambda m: m.update(input_center="x")),
+    pytest.param("speaking_cnn.json", "missing key model", lambda doc: doc.pop("model"), id="speaking_no_model"),
+    pytest.param("speaking_cnn.json", "model: missing key w3", on_model(lambda m: m.pop("w3")), id="speaking_missing_w3"),
+    pytest.param("speaking_cnn.json", "model: w1 must be", on_model(lambda m: m.update(w1="abc")), id="speaking_w1_text"),
+    pytest.param("speaking_cnn.json", "model: input_center must be", on_model(lambda m: m.update(input_center="x")),
                  id="speaking_center_text"),
-    pytest.param("speaking_cnn.json", "'w3'", on_model(lambda m: shorten_rows(m["w3"])),
+    pytest.param("speaking_cnn.json", "model: w3 must be", on_model(lambda m: shorten_rows(m["w3"])),
                  id="speaking_w3_column_short"),
-    pytest.param("speaking_cnn.json", "'b4'", on_model(lambda m: m.update(b4=[[0.0]])), id="speaking_b4_shape"),
-    pytest.param("speaking_cnn.json", "'window_len'", on_model(lambda m: m.update(window_len="30")),
+    pytest.param("speaking_cnn.json", "model: b4 must be", on_model(lambda m: m.update(b4=[[0.0]])), id="speaking_b4_shape"),
+    pytest.param("speaking_cnn.json", "model: window_len must be", on_model(lambda m: m.update(window_len="30")),
                  id="speaking_window_len_text"),
-    pytest.param("speaking_cnn.json", "'w3'", on_model(lambda m: m["w3"][0].__setitem__(0, float("nan"))),
+    pytest.param("speaking_cnn.json", "model: w3 must be", on_model(lambda m: m["w3"][0].__setitem__(0, float("nan"))),
                  id="speaking_w3_nan"),
-    pytest.param("speaking_cnn.json", "'train_loss_curve'",
+    pytest.param("speaking_cnn.json", "model: train_loss_curve must be",
                  on_model(lambda m: m.update(train_loss_curve=["x"])), id="speaking_curve_text"),
-    pytest.param("yawn_classifier.json", "'trees'", on_model(lambda m: m.pop("trees")), id="yawn_missing_trees"),
-    pytest.param("yawn_classifier.json", "'n_features'", on_model(lambda m: m.update(n_features="x")),
+    pytest.param("yawn_classifier.json", "model: missing key trees", on_model(lambda m: m.pop("trees")), id="yawn_missing_trees"),
+    pytest.param("yawn_classifier.json", "model: n_features must be", on_model(lambda m: m.update(n_features="x")),
                  id="yawn_n_features_text"),
-    pytest.param("yawn_classifier.json", "'value'", on_model(lambda m: first_node(m, True).update(value="x")),
+    pytest.param("yawn_classifier.json", "model: tree 0: value must be", on_model(lambda m: first_node(m, True).update(value="x")),
                  id="yawn_leaf_text"),
-    pytest.param("yawn_classifier.json", "'threshold'",
+    pytest.param("yawn_classifier.json", "model: tree 0: threshold must be",
                  on_model(lambda m: first_node(m, False).update(threshold=float("nan"))), id="yawn_threshold_nan"),
-    pytest.param("yawn_classifier.json", "'feature'",
+    pytest.param("yawn_classifier.json", "model: tree 0: feature must be",
                  on_model(lambda m: first_node(m, False).update(feature=m["n_features"])),
                  id="yawn_feature_past_the_end"),
-    pytest.param("yawn_classifier.json", "'feature'",
+    pytest.param("yawn_classifier.json", "model: tree 0: feature must be",
                  on_model(lambda m: first_node(m, False).update(feature=-1)), id="yawn_feature_negative"),
-    pytest.param("yawn_classifier.json", "'left'", on_model(lambda m: first_node(m, False).pop("left")),
+    pytest.param("yawn_classifier.json", "model: tree 0: missing key left", on_model(lambda m: first_node(m, False).pop("left")),
                  id="yawn_split_without_left"),
-    pytest.param("gaze_regressors.json", "'trees'", on_model(lambda m: m.pop("trees")), id="gaze_missing_trees"),
-    pytest.param("gaze_regressors.json", "'threshold'",
+    pytest.param("gaze_regressors.json", "models.desktop.x: missing key trees", on_model(lambda m: m.pop("trees")), id="gaze_missing_trees"),
+    pytest.param("gaze_regressors.json", "models.desktop.x: tree 0: threshold must be",
                  on_model(lambda m: first_node(m, False).update(threshold=float("nan"))), id="gaze_threshold_nan"),
-    pytest.param("gaze_regressors.json", "'feature'",
+    pytest.param("gaze_regressors.json", "models.desktop.x: tree 0: feature must be",
                  on_model(lambda m: first_node(m, False).update(feature=m["n_features"])),
                  id="gaze_feature_past_the_end"),
-    pytest.param("gaze_regressors.json", "'y'",
+    pytest.param("gaze_regressors.json", "models.desktop: missing key y",
                  lambda doc: doc["models"][sorted(doc["models"])[0]].pop("y"), id="gaze_missing_axis"),
 ]
 
@@ -308,9 +308,9 @@ def test_malformed_artifact_exits_4(trained, tmp_path, capsys, name, field, muta
 
 
 @pytest.mark.parametrize("name, where, mutate", [
-    pytest.param("gaze_regressors.json", "models.desktop.x: field 'n_features': expected 2, got 3",
+    pytest.param("gaze_regressors.json", "models.desktop.x: n_features must be 2, got 3",
                  lambda doc: doc["models"]["desktop"]["x"].update(n_features=3), id="gaze_3_features"),
-    pytest.param("yawn_classifier.json", "model: field 'n_features': expected 21, got 22",
+    pytest.param("yawn_classifier.json", "model: n_features must be 21, got 22",
                  lambda doc: doc["model"].update(n_features=22), id="yawn_22_features"),
 ])
 def test_artifact_that_does_not_fit_the_features_exits_4(trained, tmp_path, capsys, name, where, mutate):
@@ -356,8 +356,8 @@ def test_window_samples_that_do_not_fit_the_speaking_cnn_exit_4(trained, tmp_pat
                  "--set", "window_samples=40", "--output", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 4, err
-    assert (f"artifact {art / 'speaking_cnn.json'}: field 'window_len': "
-            "expected window_samples = 40, got 30") in err
+    assert (f"artifact {art / 'speaking_cnn.json'}: model: window_len must be "
+            "window_samples = 40, got 30") in err
     assert not (tmp_path / "o").exists()
 
 
@@ -571,6 +571,88 @@ def test_script_with_a_pair_that_is_not_numbers_exits_2(tmp_path, capsys, change
     err = capsys.readouterr().err
     assert str(path) in err and named in err
     assert not (tmp_path / "out").exists()
+
+
+ONE_DOT = {"kind": "dot_at", "start_s": 0.0, "duration_s": 4.0, "dot": [0, 0]}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"segments": [{**ONE_DOT, "start_s": float("nan")}]},
+     "segment 0: start_s must be a finite number >= 0, got NaN"),
+    ({"gaze_scal": 1.0}, "unknown keys ['gaze_scal']"),
+    ({"duration_s": True}, "duration_s must be a finite number in (0, 3600], got true"),
+    ({"duration_s": 3601.0}, "duration_s must be a finite number in (0, 3600], got 3601.0"),
+    ({"frame_rate_hz": 2}, "frame_rate_hz must be a finite number in [5, 120], got 2"),
+    ({"frame_rate_hz": 1000}, "frame_rate_hz must be a finite number in [5, 120], got 1000"),
+    ({"segments": None}, "missing key segments"),
+    ({"behavior_mix": "a"}, 'behavior_mix must be a finite number in [0, 1], got "a"'),
+    ({"gaze_scale": float("nan")}, "gaze_scale must be a finite number in (0, 10], got NaN"),
+    ({"gaze_scale": 0}, "gaze_scale must be a finite number in (0, 10], got 0"),
+    ({"gaze_noise_deg": -5}, "gaze_noise_deg must be a finite number in [0, 180], got -5"),
+    ({"landmark_jitter": float("nan")}, "landmark_jitter must be a finite number in [0, 1], got NaN"),
+    ({"viewing_distance_cm": 0.5}, "viewing_distance_cm must be a finite number in [1, 1000] or null, got 0.5"),
+    ({"segments": [{**ONE_DOT, "dott": [0, 0]}]}, "segment 0: unknown keys ['dott']"),
+], ids=["nan_start", "unknown_key", "boolean_duration", "duration_over_an_hour", "frame_rate_2",
+        "frame_rate_1000", "no_segments", "text_behavior_mix", "nan_gaze_scale", "zero_gaze_scale",
+        "negative_gaze_noise", "nan_landmark_jitter", "viewing_distance_under_1cm", "unknown_segment_key"])
+def test_script_field_out_of_its_rule_exits_2_naming_it(tmp_path, capsys, change, message):
+    script = {"duration_s": 4.0, "segments": [ONE_DOT], **change}
+    if script["segments"] is None:
+        del script["segments"]
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    code = main(["simulate", "--script", str(path), "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config error: script {path}: {message}\n" == capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_script_integer_frame_rate_is_written_as_a_float(tmp_path):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps({"duration_s": 4.0, "segments": [ONE_DOT], "frame_rate_hz": 30}))
+    assert main(["simulate", "--script", str(path), "--output", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "sessions" / "scripted" / "manifest.json").read_text())
+    assert manifest["frame_rate_hz"] == 30.0 and '"frame_rate_hz": 30.0' in json.dumps(manifest)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("split", "heldout", "split must be one of ['train', 'held_out'], got \"heldout\""),
+    ("device_type", "tablet", "device_type must be one of ['desktop', 'mobile'], got \"tablet\""),
+    ("orientation", "sideways",
+     "orientation must be one of ['centered', 'clockwise', 'anticlockwise'], got \"sideways\""),
+], ids=["split", "device_type", "orientation"])
+@pytest.mark.parametrize("command", ["score", "evaluate"])
+def test_suite_entry_out_of_its_choices_exits_2(trained, tmp_path, capsys, key, value, message, command):
+    _, suite, art, _ = trained
+    doc = json.loads((suite / "suite.json").read_text())
+    doc["sessions"][1][key] = value
+    (tmp_path / "suite.json").write_text(json.dumps(doc))
+    flags = ["--artifacts", str(art)] if command == "score" else ["--scored", str(tmp_path)]
+    code = main([command, "--suite-dir", str(tmp_path), *flags, "--output", str(tmp_path / "o")])
+    assert code == 2
+    assert f"suite index {tmp_path / 'suite.json'}: sessions[1]: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["score", "evaluate", "ablate"])
+def test_suite_entry_whose_manifest_has_another_device_exits_3(trained, tmp_path, capsys, command):
+    _, suite, art, _ = trained
+    copy = tmp_path / "suite"
+    shutil.copytree(suite, copy)
+    doc = json.loads((copy / "suite.json").read_text())
+    entry = doc["sessions"][2]              # a held-out desktop session
+    assert (entry["device_type"], entry["split"]) == ("desktop", "held_out")
+    entry["device_type"] = "mobile"
+    (copy / "suite.json").write_text(json.dumps(doc))
+    scored = tmp_path / "scored"
+    assert main(["score", "--suite-dir", str(suite), "--artifacts", str(art), "--output", str(scored)]) == 0
+    flags = {"score": ["--artifacts", str(art)], "evaluate": ["--scored", str(scored)],
+             "ablate": ["--artifacts", str(art)]}[command]
+    code = main([command, "--suite-dir", str(copy), *flags, "--output", str(tmp_path / "o")])
+    assert code == 3
+    assert (f"manifest {copy / entry['manifest_path']}: device_type 'desktop' differs from the suite "
+            f"index's 'mobile' for session {entry['session_id']}") in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_config_key_exit_2(trained, tmp_path, capsys):

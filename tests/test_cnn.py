@@ -152,7 +152,7 @@ def test_serialization_round_trip_bit_exact(toy_set):
 def test_from_dict_names_a_malformed_field(field, value):
     doc = TemporalCnn.initialize(30, seed=0).to_dict()
     doc[field] = value
-    with pytest.raises(MissingArtifactError, match=f"'{field}'"):
+    with pytest.raises(MissingArtifactError, match=f"^model: {field} must be "):
         TemporalCnn.from_dict(doc)
 
 

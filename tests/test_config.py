@@ -1,10 +1,25 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import pytest
 
-from adwatch.config import PipelineConfig, config_from_mapping, load_config
+from adwatch.boosting import _BOOST_RULES, BoostConfig
+from adwatch.cnn import _TRAIN_RULES, CnnTrainConfig
+from adwatch.config import (
+    _CONFIG_RULES,
+    PipelineConfig,
+    _check_fields,
+    _int,
+    _optional,
+    _or_null,
+    _pair,
+    _real,
+    config_from_mapping,
+    load_config,
+)
 from adwatch.errors import ConfigError
+from adwatch.records import _MANIFEST_RULES, SessionManifest
+from adwatch.synth import _ENTRY_RULES, _SCRIPT_RULES, _SEGMENT_RULES, ScenarioScript, Segment, SuiteEntry
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
@@ -22,7 +37,7 @@ def test_defaults_are_sane():
 
 
 def test_unknown_keys_rejected():
-    with pytest.raises(ConfigError, match="unknown config keys"):
+    with pytest.raises(ConfigError, match=r"^config: unknown keys \['margn_cm'\]$"):
         config_from_mapping({"margn_cm": 2.0})
 
 
@@ -163,3 +178,50 @@ def test_constructor_stores_pairs_as_float_tuples():
     cfg = PipelineConfig(mobile_screen_cm=[15, 7])
     assert cfg.mobile_screen_cm == (15.0, 7.0)
     assert all(type(v) is float for v in cfg.mobile_screen_cm)
+
+
+@pytest.mark.parametrize("cls, rules", [
+    (PipelineConfig, _CONFIG_RULES),
+    (ScenarioScript, _SCRIPT_RULES),
+    (Segment, _SEGMENT_RULES),
+    (SessionManifest, _MANIFEST_RULES),
+    (SuiteEntry, _ENTRY_RULES),
+    (CnnTrainConfig, _TRAIN_RULES),
+    (BoostConfig, _BOOST_RULES),
+], ids=lambda v: v.__name__ if isinstance(v, type) else "")
+def test_every_field_has_a_rule(cls, rules):
+    # a new field cannot go unchecked, and a rule cannot outlive its field
+    assert sorted(rules) == sorted(f.name for f in fields(cls))
+
+
+RULES = {
+    "count": _int(1),
+    "rate": _real(0, 1, above=True),
+    "pair": _optional(_pair(_real())),
+    "name": _optional(_or_null(_real(0))),
+}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"rate": 0.5}, "doc: missing key count"),
+    ({"count": 1, "rate": 0.5, "extra": 1, "more": 2}, "doc: unknown keys ['extra', 'more']"),
+    ({"count": True, "rate": 0.5}, "doc: count must be an integer of at least 1, got true"),
+    ({"count": 1, "rate": 0}, "doc: rate must be a finite number in (0, 1], got 0"),
+    ({"count": 1, "rate": float("nan")}, "doc: rate must be a finite number in (0, 1], got NaN"),
+    ({"count": 1, "rate": 1, "pair": [1, "2"]}, 'doc: pair must be a pair, each a finite number, got [1, "2"]'),
+    ({"count": 1, "rate": 1, "name": -1}, "doc: name must be a finite number >= 0 or null, got -1"),
+    ({"count": 1, "rate": 1, "pair": list(range(40))},
+     "doc: pair must be a pair, each a finite number, got [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16..."),
+], ids=["missing", "unknown", "boolean_count", "open_low_end", "nan", "text_in_pair", "negative_or_null",
+        "long_value_cut"])
+def test_check_fields_message_forms(doc, message):
+    with pytest.raises(ConfigError) as got:
+        _check_fields(doc, RULES, ConfigError, "doc")
+    assert str(got.value) == message
+
+
+def test_check_fields_converts_and_leaves_out_absent_optional_fields():
+    assert _check_fields({"count": 3, "rate": 1, "name": None, "extra": 0}, RULES, ConfigError, "doc",
+                         unknown_ok=True) == {"count": 3, "rate": 1.0, "name": None}
+    checked = _check_fields({"count": 3, "rate": 1, "pair": [1, 2]}, RULES, ConfigError, "doc")
+    assert checked["pair"] == (1.0, 2.0) and all(type(v) is float for v in checked["pair"])

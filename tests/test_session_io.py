@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from adwatch.cli import main
 from adwatch.errors import DataError, SessionFormatError
 from adwatch.fusion import SIGNAL_NAMES, DistractionTimeline, fuse
-from adwatch.records import AU_NAMES, FrameArrays, SessionManifest
+from adwatch.records import AU_NAMES, FrameArrays, SessionManifest, first_failure, frame_checks
 from adwatch.session_io import (
     _FRAME_SCHEMA,
     load_frames,
@@ -361,7 +361,12 @@ def test_frame_reader_matches_row_by_row_oracle(n, changes):
 
 def test_non_monotonic_timestamps_rejected(tmp_path):
     path = tmp_path / "frames.jsonl"
-    write_frames(make_frames(2, timestamp_ms=np.zeros(2)), path)
+    frames = make_frames(2, timestamp_ms=np.zeros(2))
+    # the writer refuses what the reader refuses, before any file is made
+    with pytest.raises(DataError, match="row 2: timestamp_ms 0.0 not strictly increasing"):
+        write_frames(frames, path)
+    assert not path.exists()
+    json_write_frames(frames, path)
     with pytest.raises(SessionFormatError, match="strictly increasing"):
         load_frames(path)
 
@@ -742,15 +747,69 @@ def any_frames(draw):
     )
 
 
+def assert_frames_written_or_refused(frames):
+    """Written as the JSON encoder writes them, if the reader's oracle takes
+    the encoder's file; otherwise refused with the oracle's message for that
+    file, before any file is made."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "frames.jsonl"
+        json_write_frames(frames, path)
+        try:
+            load_frames_rows(path)
+        except SessionFormatError as exc:
+            path.unlink()
+            with pytest.raises(DataError) as got:
+                write_frames(frames, path)
+            assert str(got.value) == str(exc)
+            assert not path.exists()
+            return
+    assert_written_like_oracle(write_frames, json_write_frames, frames)
+
+
 @settings(max_examples=40, deadline=None)
 @given(frames=any_frames())
 def test_write_frames_matches_json_encoder_property(frames):
+    assert_frames_written_or_refused(frames)
+
+
+@settings(max_examples=40, deadline=None)
+@given(frames=valid_frames())
+def test_write_frames_of_valid_frames_matches_json_encoder_property(frames):
     assert_written_like_oracle(write_frames, json_write_frames, frames)
+
+
+def special_valid_frames(n):
+    """Valid frames whose every float field holds each special value its
+    range allows somewhere, shifted per field, and whose frame_index runs up
+    to the largest int64."""
+    unbounded = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                 0.1, -2.5e-7)
+    in_range = {"quality": 1.0, "face_center_x": 1.0, "aus": 100.0, "eye_closure": 100.0}
+    columns = {}
+    for k, field in enumerate(_FRAME_SCHEMA):
+        size = n * int(np.prod(field.shape, dtype=int))
+        if field.column == "frame_index":
+            values = np.arange(2**63 - n, 2**63 - 1, dtype=np.int64)
+            values = np.append(values, np.int64(2**63 - 1))
+        elif field.column == "timestamp_ms":
+            values = np.array(([-0.0, 5e-324, 0.1, 1 + 2.5e-7] + [2.0 + i for i in range(n - 5)]
+                               + [1.7976931348623157e308])[:n])
+        elif field.dtype is np.bool_:
+            values = np.arange(size) % 2 == 0
+        elif field.column in in_range:
+            values = np.roll(np.resize(np.array((-0.0, 0.0, 5e-324, 0.1, in_range[field.column])), size), k)
+        else:
+            values = np.roll(np.resize(np.array(unbounded), size), k)
+        columns[field.column] = values.reshape(n, *field.shape)
+    # a gaze-tracked frame needs pupil z > 0
+    columns["pupil"][:, 2] = np.resize([5e-324, 0.1, 1.7976931348623157e308], n)
+    return FrameArrays(**columns)
 
 
 @pytest.mark.parametrize("n", _WRITER_LENGTHS)
 def test_write_frames_special_values_in_every_field(n):
-    # every float field holds every special value somewhere, shifted per field
+    # every float field holds every special value somewhere, shifted per
+    # field: the writer refuses the frames where the reader would
     columns = {}
     for k, field in enumerate(_FRAME_SCHEMA):
         size = n * int(np.prod(field.shape, dtype=int))
@@ -761,7 +820,11 @@ def test_write_frames_special_values_in_every_field(n):
         else:
             values = np.roll(np.resize(np.array(_SPECIAL_FLOATS + (0.1, -2.5e-7)), size), k)
         columns[field.column] = values.reshape(n, *field.shape)
-    assert_written_like_oracle(write_frames, json_write_frames, FrameArrays(**columns))
+    assert_frames_written_or_refused(FrameArrays(**columns))
+    # and writes the finite ones, where each field's range allows them
+    frames = special_valid_frames(n)
+    assert first_failure(frame_checks(frames)) is None
+    assert_frames_written_or_refused(frames)
 
 
 def test_write_frames_other_numeric_dtypes_match_json_encoder():
@@ -772,6 +835,21 @@ def test_write_frames_other_numeric_dtypes_match_json_encoder():
         yaw=np.arange(300, dtype=np.int16),
     )
     assert_written_like_oracle(write_frames, json_write_frames, frames)
+
+
+@pytest.mark.parametrize("column, value, message", [
+    ("quality", np.nan, "gaze_quality outside [0, 1]: nan"),
+    ("yaw", np.inf, "head pose angles must be finite"),
+    ("timestamp_ms", 0.0, "timestamp_ms 0.0 not strictly increasing (previous 100.0)"),
+], ids=["nan_quality", "infinite_yaw", "timestamp_back"])
+def test_write_frames_refuses_a_bad_row_before_opening_the_file(tmp_path, column, value, message):
+    frames = make_frames(10)
+    getattr(frames, column)[4] = value
+    path = tmp_path / "new" / "frames.jsonl"
+    with pytest.raises(DataError) as got:
+        write_frames(frames, path)
+    assert str(got.value) == f"frame file {path} row 5: {message}"
+    assert not path.parent.exists()
 
 
 def test_write_frames_rejects_misshapen_column(tmp_path):

@@ -1,17 +1,26 @@
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
 
 from adwatch.errors import ConfigError
 from adwatch.geometry import intersect_gaze_batch
 from adwatch.records import first_failure, frame_checks
 from adwatch.session_io import load_frames, load_manifest, read_timeline
 from adwatch.synth import (
+    OFF_DIRECTIONS,
+    ORIENTATIONS,
+    SEGMENT_KINDS,
     ScenarioScript,
     Segment,
     SuiteConfig,
+    SuiteEntry,
+    _write_session,
     build_suite_scripts,
     generate,
     generate_suite,
@@ -20,6 +29,7 @@ from adwatch.synth import (
     script_world,
     validate_script,
 )
+from adwatch.training import load_suite_sessions
 
 
 def simple_script(**overrides):
@@ -191,7 +201,7 @@ def test_script_field_validation():
         validate_script(simple_script(segments=[Segment("off_screen", 0.0, 8.0)]))
     with pytest.raises(ConfigError, match="dot"):
         validate_script(simple_script(segments=[Segment("dot_at", 0.0, 8.0)]))
-    with pytest.raises(ConfigError, match="no segments"):
+    with pytest.raises(ConfigError, match="segments must be a non-empty list"):
         validate_script(simple_script(segments=[]))
 
 
@@ -250,3 +260,67 @@ def test_camera_offset_translates_intersections_only():
     p1, _, _, _ = intersect_gaze_batch(f1.pupil[live], f1.direction[live])
     assert np.allclose(p1 - p0, [-6.0, 3.0], atol=1e-9)
     assert t0 == t1
+
+
+# ---------------------------------------------------------------------------
+# every script validate_script accepts writes files every loader accepts
+# ---------------------------------------------------------------------------
+
+def _reals(low, high, **kwargs):
+    return st.floats(min_value=low, max_value=high, allow_nan=False, allow_infinity=False, **kwargs)
+
+
+@st.composite
+def small_scripts(draw):
+    """Scripts of up to four segments and about 2 s, every other field drawn
+    from the whole range ``validate_script`` accepts, its ends included."""
+    segments, t = [], 0.0
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(SEGMENT_KINDS))
+        duration = draw(_reals(0.0, 0.5, exclude_min=True))
+        pair = st.tuples(_reals(-10, 10), _reals(-10, 10))
+        dot = draw(pair if kind == "dot_at" else st.none() | pair)
+        direction = st.sampled_from(OFF_DIRECTIONS)
+        segments.append(Segment(kind, t, duration, dot=dot,
+                                direction=draw(direction if kind == "off_screen" else st.none() | direction)))
+        t += duration
+    return ScenarioScript(
+        seed=draw(st.integers(0, 2**64)),
+        device_type=draw(st.sampled_from(("desktop", "mobile"))),
+        duration_s=t,
+        segments=segments,
+        camera_offset_cm=draw(st.tuples(_reals(-100, 100), _reals(-100, 100))),
+        orientation=draw(st.sampled_from(ORIENTATIONS)),
+        behavior_mix=draw(_reals(0, 1)),
+        gaze_noise_deg=draw(_reals(0, 180)),
+        landmark_jitter=draw(_reals(0, 1)),
+        gaze_scale=draw(_reals(0, 10, exclude_min=True)),
+        viewing_distance_cm=draw(st.none() | _reals(1, 1000)),
+        frame_rate_hz=draw(_reals(5, 120)),
+    )
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(script=small_scripts())
+def test_every_accepted_script_writes_files_every_loader_accepts(script):
+    try:
+        validate_script(script)
+    except ConfigError:
+        # the draws meet every field rule; only a script of less than one
+        # frame is refused
+        assert round(script.duration_s * script.frame_rate_hz) < 1
+        reject()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        _write_session(script, "s000", root / "sessions" / "s000")
+        entry = SuiteEntry("s000", script.device_type, "sessions/s000/manifest.json", "held_out",
+                           script.orientation)
+        (root / "suite.json").write_text(json.dumps({"seed": 0, "sessions": [dataclasses.asdict(entry)]}))
+        assert load_suite(root).entries == [entry]
+        manifest = load_manifest(root / entry.manifest_path)
+        assert manifest.frame_rate_hz == script.frame_rate_hz
+        frames = load_frames(root / "sessions" / "s000" / manifest.frame_source)
+        truth = read_timeline(root / "sessions" / "s000" / manifest.ground_truth)
+        assert len(frames) == len(truth) == round(script.duration_s * script.frame_rate_hz)
+        [(_, _, loaded)] = load_suite_sessions(root, split="held_out")
+        assert loaded == manifest
