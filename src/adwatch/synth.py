@@ -39,6 +39,7 @@ from .config import (
     _check_fields,
     _choice,
     _int,
+    _is_real,
     _optional,
     _or_null,
     _pair,
@@ -487,8 +488,6 @@ def build_template_script(
         other_s = sum(d for _, d, _ in dot_specs) + sum(
             d for kind, d, _ in distractors if kind != "yawn"
         )
-        if not 0.0 < yawn_prevalence < 0.7:
-            raise ConfigError("yawn_prevalence must lie in (0, 0.7)")
         yawn_spec[1] = max(0.8, yawn_prevalence * other_s / (0.747 - yawn_prevalence))
 
     ordered = _interleave(dot_specs, distractors)
@@ -536,6 +535,32 @@ class SuiteConfig:
     frame_rate_hz: float = 30.0
 
 
+# The fields a template script takes from the suite config keep the
+# script's rules, so every script the suite builds passes validate_script.
+_SUITE_RULES = {
+    "seed": _SEED,
+    "n_sessions": _int(1),
+    "template": _choice(("full", "gaze_only", "mini")),
+    "device": _choice(DEVICE_TYPES + ("mixed",)),
+    "train_fraction": _real(0, 1),
+    # the largest offset a script's camera_offset_cm allows
+    "camera_offset_max_cm": _real(0, 100),
+    "owl_fraction": _real(0, 1),
+    "owl_mix": _SCRIPT_RULES["behavior_mix"],
+    "lizard_mix": _SCRIPT_RULES["behavior_mix"],
+    "gaze_noise_deg": _SCRIPT_RULES["gaze_noise_deg"],
+    "landmark_jitter": _SCRIPT_RULES["landmark_jitter"],
+    "gaze_scale": _SCRIPT_RULES["gaze_scale"],
+    # the full template sizes its yawn to this share of active frames; a
+    # yawn's sin^2 ramp is active for about 74.7% of its span, so the share
+    # stays below that, with a margin
+    "yawn_prevalence": _or_null(
+        _Rule(lambda v: _is_real(v) and 0 < v < 0.7, "a finite number in (0, 0.7)", convert=float)
+    ),
+    "frame_rate_hz": _SCRIPT_RULES["frame_rate_hz"],
+}
+
+
 @dataclass
 class SuiteEntry:
     session_id: str
@@ -561,8 +586,7 @@ def build_suite_scripts(config: SuiteConfig) -> list[tuple[str, ScenarioScript, 
 
     Returns (session_id, script, split) triples.
     """
-    _check_fields(vars(config), {"seed": _SEED, "n_sessions": _int(1)}, ConfigError, "suite config",
-                  unknown_ok=True)
+    _check_fields(vars(config), _SUITE_RULES, ConfigError, "suite config")
     out = []
     n_train = int(round(config.train_fraction * config.n_sessions))
     for i in range(config.n_sessions):

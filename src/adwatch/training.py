@@ -7,10 +7,20 @@ truth). The speaking CNN trains on resampled lip windows labeled by the
 scripted speech activity of their center frame; yawn-edge and silent windows
 provide the negatives. The yawn classifier trains on per-frame mouth aspect
 ratio plus AU features at the suite's natural class imbalance.
+
+The three fits share nothing but the loaded sessions, so ``train_all`` runs
+them side by side: the calling process trains the speaking CNN, the longest
+fit, while one worker process fits the gaze regressors and then the yawn
+classifier. It fits them in this process in turn when one model is asked
+for (``only``) or only one CPU is usable; no flag chooses. Each fit is
+seeded on its own, so the artifacts are byte-identical either way.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional, Union
 
@@ -248,6 +258,52 @@ def train_yawn_classifier(
 # artifact-level entry point
 # ---------------------------------------------------------------------------
 
+# Fork where the platform has it: the worker inherits the loaded sessions
+# rather than unpickling them, and imports nothing again. The only other
+# threads in the process are BLAS's, and the worker's fits never call BLAS.
+_START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+
+# Set only inside train_all's worker process, by the pool initializer; the
+# calling process never assigns it.
+_worker_sessions: Optional[list[Session]] = None
+
+
+def _init_worker(sessions: list[Session]) -> None:
+    global _worker_sessions
+    _worker_sessions = sessions
+
+
+def _fit_in_worker(fit, config: PipelineConfig, seed: int):
+    return fit(_worker_sessions, config, seed=seed)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fit_side_by_side(sessions: list[Session], config: PipelineConfig, seed: int) -> list:
+    """The gaze, speaking and yawn fits, in that order. One worker process
+    fits the gaze regressors and then the yawn classifier while this process
+    trains the speaking CNN, the longest fit. The first fit to fail in that
+    order raises, as in series, once the worker has exited."""
+    with ProcessPoolExecutor(
+        max_workers=1,
+        mp_context=multiprocessing.get_context(_START_METHOD),
+        initializer=_init_worker,
+        initargs=(sessions,),
+    ) as pool:
+        gaze = pool.submit(_fit_in_worker, train_gaze_regressors, config, seed)
+        yawn = pool.submit(_fit_in_worker, train_yawn_classifier, config, seed)
+        try:
+            speaking = train_speaking_cnn(sessions, config, seed=seed)
+        except Exception:
+            gaze.result()   # a failed gaze fit comes first
+            raise
+        return [gaze.result(), speaking, yawn.result()]
+
+
 def train_all(
     suite_dir: PathLike,
     out_dir: PathLike,
@@ -258,7 +314,9 @@ def train_all(
     """Train requested models on the suite's train split and write artifacts.
 
     Every requested model is trained before any file is written, so a
-    failing fit leaves the output directory as it was.
+    failing fit leaves the output directory as it was. With all three
+    requested and more than one usable CPU they fit side by side
+    (``_fit_side_by_side``); otherwise they fit in this process in turn.
     """
     from .pipeline import GAZE_ARTIFACT, SPEAKING_ARTIFACT, YAWN_ARTIFACT
 
@@ -271,13 +329,13 @@ def train_all(
         raise DataError(f"unknown training target {only!r}")
     _check_fields({"seed": seed}, {"seed": _SEED}, ConfigError, "train")
     sessions = load_suite_sessions(suite_dir, split="train")
-    trained = [
-        (save, name, *train(sessions, config, seed=seed))
-        for target, (train, save, name) in targets.items()
-        if only in (None, target)
-    ]
+    requested = [spec for target, spec in targets.items() if only in (None, target)]
+    if only is None and _usable_cpus() > 1:
+        fitted = _fit_side_by_side(sessions, config, seed)
+    else:
+        fitted = [train(sessions, config, seed=seed) for train, _, _ in requested]
     written = []
-    for save, name, model, meta in trained:
+    for (_, save, name), (model, meta) in zip(requested, fitted):
         path = Path(out_dir) / name
         save(model, meta, path)
         written.append(path)

@@ -1,11 +1,15 @@
 import json
+import multiprocessing
 import os
 import shutil
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
+from adwatch import training
 from adwatch.cli import build_parser, main
+from adwatch.errors import DataError
 from adwatch.pipeline import ArtifactSet
 
 FAST_CONFIG = {
@@ -84,6 +88,17 @@ def test_negative_seed_to_simulate_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("suite", ["mini", "default"])
+@pytest.mark.parametrize("value", ["5", "nan"])
+def test_out_of_range_yawn_prevalence_exits_2_for_every_suite(tmp_path, capsys, suite, value):
+    code = main(["simulate", "--suite", suite, "--sessions", "1", "--yawn-prevalence", value,
+                 "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error: suite config: yawn_prevalence must be a finite number in (0, 0.7)" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_seed_to_train_exits_2_before_reading_the_suite(tmp_path, capsys):
     # the suite directory does not exist: the seed is checked first
     code = main(["train", "--suite-dir", str(tmp_path / "missing"), "--seed", "-1",
@@ -135,9 +150,28 @@ def test_train_rerun_byte_identical(tmp_path, trained):
     assert tree_bytes(a) == tree_bytes(b)
 
 
-def test_failing_yawn_fit_writes_no_artifact(tmp_path, capsys):
-    # the mini template has no yawns, so the last model fails after the
-    # gaze regressors and the speaking CNN have trained
+def test_train_side_by_side_writes_the_bytes_of_each_model_trained_alone(tmp_path, trained, monkeypatch):
+    _, suite, _, cfg = trained
+    # the worker process fits whatever the CPU count; --only always fits in turn
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+    side_by_side = []
+    fit_side_by_side = training._fit_side_by_side
+    monkeypatch.setattr(training, "_fit_side_by_side",
+                        lambda *args: side_by_side.append(args) or fit_side_by_side(*args))
+    both, alone = tmp_path / "both", tmp_path / "alone"
+    assert main(["train", "--suite-dir", str(suite), "--config", str(cfg),
+                 "--seed", "11", "--output", str(both)]) == 0
+    for only in ("gaze", "speaking", "yawn"):
+        assert main(["train", "--suite-dir", str(suite), "--config", str(cfg),
+                     "--seed", "11", "--only", only, "--output", str(alone)]) == 0
+    assert len(side_by_side) == 1
+    assert tree_bytes(both) == tree_bytes(alone)
+
+
+def test_failing_yawn_fit_writes_no_artifact(tmp_path, capsys, monkeypatch):
+    # the mini template has no yawns, so the yawn fit fails in the worker
+    # process, after the gaze regressors and while the speaking CNN trains
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
     suite, out = tmp_path / "suite", tmp_path / "art"
     assert main(["simulate", "--suite", "mini", "--sessions", "2",
                  "--seed", "5", "--output", str(suite)]) == 0
@@ -146,6 +180,41 @@ def test_failing_yawn_fit_writes_no_artifact(tmp_path, capsys):
     assert code == 3
     assert "both classes" in capsys.readouterr().err
     assert not out.exists() or list(out.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+@dataclass(frozen=True)
+class FakeFit:
+    """A fit that fails or returns nothing; picklable, so the worker can run it."""
+
+    target: str
+    fails: bool
+
+    def __call__(self, sessions, config, seed=0):
+        if self.fails:
+            raise DataError(f"the {self.target} fit failed")
+        return None, {}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("failing, reported", [
+    ("gaze speaking yawn", "gaze"),
+    ("speaking yawn", "speaking"),
+    ("gaze", "gaze"),
+    ("yawn", "yawn"),
+])
+def test_train_reports_the_first_failing_fit_in_series_order(trained, tmp_path, capsys, monkeypatch,
+                                                             cpus, failing, reported):
+    _, suite, _, _ = trained
+    monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+    for name in ("train_gaze_regressors", "train_speaking_cnn", "train_yawn_classifier"):
+        target = name.split("_")[1]
+        monkeypatch.setattr(training, name, FakeFit(target, target in failing.split()))
+    out = tmp_path / "art"
+    assert main(["train", "--suite-dir", str(suite), "--output", str(out)]) == 3
+    assert capsys.readouterr().err == f"data error: the {reported} fit failed\n"
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_out_of_range_training_value_exits_2(trained, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -211,6 +212,23 @@ def test_seed_that_numpy_cannot_take_is_a_config_error(tmp_path, seed):
         validate_script(simple_script(seed=seed))
     with pytest.raises(ConfigError, match="seed"):
         generate_suite(SuiteConfig(seed=seed, n_sessions=1, template="mini"), tmp_path / "suite")
+    assert not (tmp_path / "suite").exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("template", "huge", "template must be one of ['full', 'gaze_only', 'mini'], got \"huge\""),
+    ("device", "tablet", "device must be one of ['desktop', 'mobile', 'mixed']"),
+    ("train_fraction", 1.5, "train_fraction must be a finite number in [0, 1], got 1.5"),
+    ("camera_offset_max_cm", 150.0, "camera_offset_max_cm must be a finite number in [0, 100]"),
+    ("gaze_noise_deg", float("inf"), "gaze_noise_deg must be a finite number in [0, 180], got Infinity"),
+    ("yawn_prevalence", 0.7, "yawn_prevalence must be a finite number in (0, 0.7) or null, got 0.7"),
+    ("yawn_prevalence", float("nan"), "yawn_prevalence must be a finite number in (0, 0.7) or null, got NaN"),
+])
+@pytest.mark.parametrize("template", ["full", "mini"])
+def test_suite_config_field_out_of_its_rule_is_a_config_error(tmp_path, field, value, message, template):
+    config = SuiteConfig(seed=1, n_sessions=1, **{"template": template, field: value})
+    with pytest.raises(ConfigError, match=f"^suite config: {re.escape(message)}"):
+        generate_suite(config, tmp_path / "suite")
     assert not (tmp_path / "suite").exists()
 
 
