@@ -3,8 +3,10 @@
 Every trained model is stored as a single JSON document carrying a schema
 version, a `kind` tag, a training-metadata header (seed, data hash,
 hyperparameters) and the model payload. Numbers round-trip exactly, so
-reloading a model reproduces its predictions bit for bit. Each file is
-written to a temp file and renamed into place.
+reloading a model reproduces its predictions bit for bit. A kind's
+``*_text`` function gives the document's exact text, wherever it runs, and
+``write_artifact`` writes it to a temp file and renames that into place;
+each ``save_*`` is the two in turn.
 """
 
 from __future__ import annotations
@@ -41,14 +43,21 @@ def data_hash(*arrays: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-def _write(doc: dict, path: PathLike) -> None:
-    """Write to a temp file beside ``path``, then rename it into place, so a
-    reader never sees a half-written artifact and a failed write leaves none."""
+def _text(kind: str, metadata: dict, key: str, model: dict) -> str:
+    """The JSON text of a ``kind`` artifact holding ``model`` under ``key``."""
+    doc = {"schema_version": SCHEMA_VERSION, "kind": kind, "metadata": metadata, key: model}
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def write_artifact(text: str, path: PathLike) -> None:
+    """Write an artifact's ``text`` to a temp file beside ``path``, then rename
+    it into place, so a reader never sees a half-written artifact and a failed
+    write leaves none."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -79,54 +88,41 @@ def _gaze_models(models: dict, where: str) -> dict[str, dict[str, BoostedEnsembl
     return out
 
 
+def gaze_regressors_text(models: dict[str, dict[str, BoostedEnsemble]], metadata: dict) -> str:
+    """``models`` maps device type -> {"x": ensemble, "y": ensemble}."""
+    return _text(KIND_GAZE, metadata, "models", {
+        device: {axis: m.to_dict() for axis, m in pair.items()} for device, pair in models.items()
+    })
+
+
 def save_gaze_regressors(
     models: dict[str, dict[str, BoostedEnsemble]], metadata: dict, path: PathLike
 ) -> None:
-    """``models`` maps device type -> {"x": ensemble, "y": ensemble}."""
-    _write(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "kind": KIND_GAZE,
-            "metadata": metadata,
-            "models": {
-                device: {axis: m.to_dict() for axis, m in pair.items()}
-                for device, pair in models.items()
-            },
-        },
-        path,
-    )
+    write_artifact(gaze_regressors_text(models, metadata), path)
 
 
 def load_gaze_regressors(path: PathLike) -> dict[str, dict[str, BoostedEnsemble]]:
     return _model(path, KIND_GAZE, "models", _gaze_models)
 
 
+def speaking_cnn_text(net: TemporalCnn, metadata: dict) -> str:
+    return _text(KIND_SPEAKING, metadata, "model", net.to_dict())
+
+
 def save_speaking_cnn(net: TemporalCnn, metadata: dict, path: PathLike) -> None:
-    _write(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "kind": KIND_SPEAKING,
-            "metadata": metadata,
-            "model": net.to_dict(),
-        },
-        path,
-    )
+    write_artifact(speaking_cnn_text(net, metadata), path)
 
 
 def load_speaking_cnn(path: PathLike) -> TemporalCnn:
     return _model(path, KIND_SPEAKING, "model", TemporalCnn.from_dict)
 
 
+def yawn_classifier_text(model: BoostedEnsemble, metadata: dict) -> str:
+    return _text(KIND_YAWN, metadata, "model", model.to_dict())
+
+
 def save_yawn_classifier(model: BoostedEnsemble, metadata: dict, path: PathLike) -> None:
-    _write(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "kind": KIND_YAWN,
-            "metadata": metadata,
-            "model": model.to_dict(),
-        },
-        path,
-    )
+    write_artifact(yawn_classifier_text(model, metadata), path)
 
 
 def load_yawn_classifier(path: PathLike) -> BoostedEnsemble:

@@ -183,7 +183,7 @@ def _load_artifacts(artifact_dir: Path, cfg: PipelineConfig) -> ArtifactSet:
 
 
 def _check_gaze_devices(artifacts: ArtifactSet, artifact_dir: Path, manifests) -> None:
-    """Fail before any session is scored when one of ``manifests`` is of a
+    """Fail before any frame file is read when one of ``manifests`` is of a
     device that the gaze regressors lack."""
     for manifest in manifests:
         if manifest.device_type not in artifacts.gaze:
@@ -350,8 +350,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_ablate(args: argparse.Namespace) -> int:
     cfg = _load_pipeline_config(args)
     artifacts = _load_artifacts(args.artifacts, cfg)
-    sessions = load_suite_sessions(args.suite_dir, split=args.split)
-    _check_gaze_devices(artifacts, args.artifacts, [manifest for _, _, manifest in sessions])
+    sessions = load_suite_sessions(
+        args.suite_dir, split=args.split,
+        check_manifests=lambda manifests: _check_gaze_devices(artifacts, args.artifacts, manifests),
+    )
     args.output.mkdir(parents=True, exist_ok=True)
     families = [
         (name, variants)

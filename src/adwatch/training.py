@@ -8,12 +8,21 @@ scripted speech activity of their center frame; yawn-edge and silent windows
 provide the negatives. The yawn classifier trains on per-frame mouth aspect
 ratio plus AU features at the suite's natural class imbalance.
 
+``load_suite_sessions`` reads and checks every selected manifest first, so
+a session without ground truth fails before any frame file is parsed. It
+then parses the sessions' frame and truth files in two processes when more
+than one CPU is usable: a worker process takes the last half, one session
+per task, while the calling process parses the first half. The first
+session to fail in index order raises, as in a serial load.
+
 The three fits share nothing but the loaded sessions, so ``train_all`` runs
 them side by side: the calling process trains the speaking CNN, the longest
 fit, while one worker process fits the gaze regressors and then the yawn
-classifier. It fits them in this process in turn when one model is asked
-for (``only``) or only one CPU is usable; no flag chooses. Each fit is
-seeded on its own, so the artifacts are byte-identical either way.
+classifier and encodes each artifact's JSON text. It fits them in this
+process in turn when one model is asked for (``only``) or only one CPU is
+usable; no flag chooses either split. Each fit is seeded on its own and
+each artifact's text comes from one function per kind, so the artifacts
+are byte-identical either way.
 """
 
 from __future__ import annotations
@@ -21,8 +30,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -37,31 +47,79 @@ from .records import FrameArrays, SessionManifest
 from .session_io import load_session, read_timeline
 from .speaking import assemble_training_windows
 from .drowsiness import yawn_features
-from .synth import SuiteIndex, load_entry_manifest, load_suite
+from .synth import load_entry_manifest, load_suite
 
 PathLike = Union[str, Path]
 
 Session = tuple[FrameArrays, DistractionTimeline, SessionManifest]
 
 
+# Fork where the platform has it: a worker inherits what this process has
+# loaded rather than unpickling it, and imports nothing again. The only other
+# threads in the process are BLAS's, and no worker task calls BLAS.
+_START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _parse_session(manifest: SessionManifest, base_dir: Path) -> tuple[FrameArrays, DistractionTimeline]:
+    return load_session(manifest, base_dir), read_timeline(base_dir / manifest.ground_truth)
+
+
+def _parse_sessions(
+    selected: list[tuple[SessionManifest, Path]]
+) -> list[tuple[FrameArrays, DistractionTimeline]]:
+    """The frames and truth of each selected session, in order. With two or
+    more sessions and more than one usable CPU, one worker process parses the
+    last half, a task per session, while this process parses the first. The
+    first session to fail in order raises, once the worker has exited."""
+    if len(selected) < 2 or _usable_cpus() < 2:
+        return [_parse_session(*s) for s in selected]
+    half = (len(selected) + 1) // 2
+    with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context(_START_METHOD)) as pool:
+        later = [pool.submit(_parse_session, *s) for s in selected[half:]]
+        try:
+            first = [_parse_session(*s) for s in selected[:half]]
+            return first + [future.result() for future in later]
+        except BaseException:
+            for future in later:
+                future.cancel()
+            raise
+
+
 def load_suite_sessions(
-    suite_dir: PathLike, split: str = "all", device: Optional[str] = None
+    suite_dir: PathLike,
+    split: str = "all",
+    device: Optional[str] = None,
+    *,
+    check_manifests: Optional[Callable[[list[SessionManifest]], None]] = None,
 ) -> list[Session]:
+    """The (frames, truth, manifest) of each session of ``split`` (and
+    ``device``) in index order.
+
+    Every selected manifest is read and checked before any frame file is
+    parsed; ``check_manifests``, when given, sees them then, so that a
+    caller's own check of the manifests fails before the parse as well.
+    """
     suite_dir = Path(suite_dir)
-    index: SuiteIndex = load_suite(suite_dir)
-    sessions = []
-    for entry in index.by_split(split):
+    selected = []
+    for entry in load_suite(suite_dir).by_split(split):
         if device is not None and entry.device_type != device:
             continue
         manifest, base_dir = load_entry_manifest(suite_dir, entry)
-        frames = load_session(manifest, base_dir)
         if manifest.ground_truth is None:
             raise DataError(f"session {entry.session_id} has no ground truth")
-        truth = read_timeline(base_dir / manifest.ground_truth)
-        sessions.append((frames, truth, manifest))
-    if not sessions:
+        selected.append((manifest, base_dir))
+    if not selected:
         raise DataError(f"no sessions for split={split!r} in {suite_dir}")
-    return sessions
+    if check_manifests is not None:
+        check_manifests([manifest for manifest, _ in selected])
+    return [(frames, truth, manifest)
+            for (frames, truth), (manifest, _) in zip(_parse_sessions(selected), selected)]
 
 
 def _subsample(rng: np.random.Generator, n: int, cap: int) -> np.ndarray:
@@ -258,11 +316,6 @@ def train_yawn_classifier(
 # artifact-level entry point
 # ---------------------------------------------------------------------------
 
-# Fork where the platform has it: the worker inherits the loaded sessions
-# rather than unpickling them, and imports nothing again. The only other
-# threads in the process are BLAS's, and the worker's fits never call BLAS.
-_START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-
 # Set only inside train_all's worker process, by the pool initializer; the
 # calling process never assigns it.
 _worker_sessions: Optional[list[Session]] = None
@@ -273,35 +326,39 @@ def _init_worker(sessions: list[Session]) -> None:
     _worker_sessions = sessions
 
 
-def _fit_in_worker(fit, config: PipelineConfig, seed: int):
-    return fit(_worker_sessions, config, seed=seed)
+def _fit_in_worker(fit, encode, config: PipelineConfig, seed: int) -> str:
+    return encode(*fit(_worker_sessions, config, seed=seed))
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fit_side_by_side(sessions: list[Session], config: PipelineConfig, seed: int) -> list:
-    """The gaze, speaking and yawn fits, in that order. One worker process
-    fits the gaze regressors and then the yawn classifier while this process
-    trains the speaking CNN, the longest fit. The first fit to fail in that
-    order raises, as in series, once the worker has exited."""
+def _fit_side_by_side(
+    sessions: list[Session], config: PipelineConfig, seed: int
+) -> list[Callable[[Path], None]]:
+    """The gaze, speaking and yawn fits, in that order, each as the function
+    that writes its artifact to a path. One worker process fits the gaze
+    regressors and then the yawn classifier, and returns each artifact's JSON
+    text, while this process trains the speaking CNN, the longest fit. The
+    first fit to fail in that order raises, as in series, once the worker has
+    exited."""
     with ProcessPoolExecutor(
         max_workers=1,
         mp_context=multiprocessing.get_context(_START_METHOD),
         initializer=_init_worker,
         initargs=(sessions,),
     ) as pool:
-        gaze = pool.submit(_fit_in_worker, train_gaze_regressors, config, seed)
-        yawn = pool.submit(_fit_in_worker, train_yawn_classifier, config, seed)
+        gaze = pool.submit(_fit_in_worker, train_gaze_regressors, artifacts_io.gaze_regressors_text,
+                           config, seed)
+        yawn = pool.submit(_fit_in_worker, train_yawn_classifier, artifacts_io.yawn_classifier_text,
+                           config, seed)
         try:
             speaking = train_speaking_cnn(sessions, config, seed=seed)
         except Exception:
             gaze.result()   # a failed gaze fit comes first
             raise
-        return [gaze.result(), speaking, yawn.result()]
+        return [
+            partial(artifacts_io.write_artifact, gaze.result()),
+            partial(artifacts_io.save_speaking_cnn, *speaking),
+            partial(artifacts_io.write_artifact, yawn.result()),
+        ]
 
 
 def train_all(
@@ -331,12 +388,12 @@ def train_all(
     sessions = load_suite_sessions(suite_dir, split="train")
     requested = [spec for target, spec in targets.items() if only in (None, target)]
     if only is None and _usable_cpus() > 1:
-        fitted = _fit_side_by_side(sessions, config, seed)
+        writers = _fit_side_by_side(sessions, config, seed)
     else:
-        fitted = [train(sessions, config, seed=seed) for train, _, _ in requested]
+        writers = [partial(save, *train(sessions, config, seed=seed)) for train, save, _ in requested]
     written = []
-    for (_, save, name), (model, meta) in zip(requested, fitted):
+    for (_, _, name), write in zip(requested, writers):
         path = Path(out_dir) / name
-        save(model, meta, path)
+        write(path)
         written.append(path)
     return written

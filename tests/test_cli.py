@@ -150,22 +150,40 @@ def test_train_rerun_byte_identical(tmp_path, trained):
     assert tree_bytes(a) == tree_bytes(b)
 
 
-def test_train_side_by_side_writes_the_bytes_of_each_model_trained_alone(tmp_path, trained, monkeypatch):
-    _, suite, _, cfg = trained
-    # the worker process fits whatever the CPU count; --only always fits in turn
-    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+def assert_side_by_side_writes_the_bytes_of_each_model_trained_alone(suite, cfg, tmp_path, monkeypatch):
+    # the worker processes load and fit whatever the CPU count; --only always
+    # fits in turn, and with one CPU the suite loads in this process
     side_by_side = []
     fit_side_by_side = training._fit_side_by_side
     monkeypatch.setattr(training, "_fit_side_by_side",
                         lambda *args: side_by_side.append(args) or fit_side_by_side(*args))
     both, alone = tmp_path / "both", tmp_path / "alone"
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
     assert main(["train", "--suite-dir", str(suite), "--config", str(cfg),
                  "--seed", "11", "--output", str(both)]) == 0
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 1)
     for only in ("gaze", "speaking", "yawn"):
         assert main(["train", "--suite-dir", str(suite), "--config", str(cfg),
                      "--seed", "11", "--only", only, "--output", str(alone)]) == 0
     assert len(side_by_side) == 1
     assert tree_bytes(both) == tree_bytes(alone)
+    assert multiprocessing.active_children() == []
+
+
+def test_train_side_by_side_writes_the_bytes_of_each_model_trained_alone(tmp_path, trained, monkeypatch):
+    _, suite, _, cfg = trained
+    assert_side_by_side_writes_the_bytes_of_each_model_trained_alone(suite, cfg, tmp_path, monkeypatch)
+
+
+def test_train_side_by_side_on_an_odd_train_split_writes_the_bytes_of_each_model_trained_alone(
+        tmp_path, trained, monkeypatch):
+    # three train sessions: this process parses two, the worker one
+    _, _, _, cfg = trained
+    suite = tmp_path / "suite"
+    assert main(["simulate", "--suite", "default", "--sessions", "6",
+                 "--seed", "4", "--output", str(suite)]) == 0
+    assert len(split_manifests(suite, "train")) == 3
+    assert_side_by_side_writes_the_bytes_of_each_model_trained_alone(suite, cfg, tmp_path, monkeypatch)
 
 
 def test_failing_yawn_fit_writes_no_artifact(tmp_path, capsys, monkeypatch):
@@ -183,9 +201,20 @@ def test_failing_yawn_fit_writes_no_artifact(tmp_path, capsys, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+class EmptyModel:
+    """Encodes as a model of any kind with nothing in it."""
+
+    def items(self):
+        return ()
+
+    def to_dict(self):
+        return {}
+
+
 @dataclass(frozen=True)
 class FakeFit:
-    """A fit that fails or returns nothing; picklable, so the worker can run it."""
+    """A fit that fails or returns an empty model; picklable, so the worker
+    can run it and encode what it returns."""
 
     target: str
     fails: bool
@@ -193,7 +222,7 @@ class FakeFit:
     def __call__(self, sessions, config, seed=0):
         if self.fails:
             raise DataError(f"the {self.target} fit failed")
-        return None, {}
+        return EmptyModel(), {}
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -215,6 +244,75 @@ def test_train_reports_the_first_failing_fit_in_series_order(trained, tmp_path, 
     assert capsys.readouterr().err == f"data error: the {reported} fit failed\n"
     assert not out.exists()
     assert multiprocessing.active_children() == []
+
+
+def split_manifests(suite: Path, split: str) -> list[Path]:
+    """The manifest paths of the sessions of ``split``, in index order."""
+    index = json.loads((suite / "suite.json").read_text())
+    return [suite / e["manifest_path"] for e in index["sessions"] if e["split"] == split]
+
+
+def break_frame_row(manifest_path: Path, row: int) -> str:
+    """Make frame ``row`` (1-based) of the session's frame file a text
+    quality; returns the message the loader gives for it."""
+    frames_path = manifest_path.parent / json.loads(manifest_path.read_text())["frame_source"]
+    lines = frames_path.read_text().splitlines()
+    doc = json.loads(lines[row - 1])
+    doc["gaze_quality"] = "0.9"
+    lines[row - 1] = json.dumps(doc)
+    frames_path.write_text("\n".join(lines) + "\n")
+    return f'frame file {frames_path} row {row}: gaze_quality must be a number, got "0.9"'
+
+
+def count_frame_loads(monkeypatch) -> list:
+    from adwatch import session_io
+
+    calls = []
+    load_frames = session_io.load_frames
+    monkeypatch.setattr(session_io, "load_frames", lambda path: calls.append(path) or load_frames(path))
+    return calls
+
+
+def test_train_on_a_session_without_ground_truth_exits_3_before_parsing_any_frames(
+        trained, tmp_path, capsys, monkeypatch):
+    _, suite, _, cfg = trained
+    copy = tmp_path / "suite"
+    shutil.copytree(suite, copy)
+    last = split_manifests(copy, "train")[-1]
+    doc = json.loads(last.read_text())
+    doc["ground_truth"] = None
+    last.write_text(json.dumps(doc))
+    loads = count_frame_loads(monkeypatch)
+    out = tmp_path / "art"
+    code = main(["train", "--suite-dir", str(copy), "--config", str(cfg), "--output", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == f"data error: session {doc['session_id']} has no ground truth\n"
+    assert loads == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, split", [("train", "train"), ("ablate", "held_out")])
+@pytest.mark.parametrize("broken", ["second", "both"])
+def test_bad_frame_row_in_either_half_of_a_split_load_reports_the_first_in_index_order(
+        trained, tmp_path, capsys, monkeypatch, command, split, broken):
+    # two sessions: this process parses the first, the worker the second
+    _, suite, art, cfg = trained
+    copy = tmp_path / "suite"
+    shutil.copytree(suite, copy)
+    manifests = split_manifests(copy, split)
+    assert len(manifests) == 2
+    message = break_frame_row(manifests[1], 40)
+    if broken == "both":
+        message = break_frame_row(manifests[0], 70)
+    out = tmp_path / "o"
+    argv = ["train", "--config", str(cfg)] if command == "train" else ["ablate", "--artifacts", str(art)]
+    argv += ["--suite-dir", str(copy), "--output", str(out)]
+    for cpus in (1, 2):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
 
 def test_out_of_range_training_value_exits_2(trained, tmp_path, capsys):
@@ -399,18 +497,21 @@ def test_artifact_that_does_not_fit_the_features_exits_4(trained, tmp_path, caps
 
 
 @pytest.mark.parametrize("command", ["score", "ablate"])
-def test_gaze_regressors_without_a_device_exit_4_before_any_output(trained, tmp_path, capsys, command):
+def test_gaze_regressors_without_a_device_exit_4_before_any_output(trained, tmp_path, capsys, monkeypatch,
+                                                                   command):
     _, suite, art, _ = trained
     bad = tmp_path / "artifacts"
     shutil.copytree(art, bad)
     doc = json.loads((bad / "gaze_regressors.json").read_text())
     del doc["models"]["mobile"]
     (bad / "gaze_regressors.json").write_text(json.dumps(doc))
+    loads = count_frame_loads(monkeypatch)
     out = tmp_path / "o"
     code = main([command, "--suite-dir", str(suite), "--artifacts", str(bad), "--output", str(out)])
     err = capsys.readouterr().err
     assert code == 4, err
     assert f"artifact {bad / 'gaze_regressors.json'}: no gaze regressors for device type 'mobile'" in err
+    assert loads == []
     assert not out.exists()
     if command == "score":
         # only the selected sessions need their device

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import multiprocessing
 import re
 import tempfile
 from pathlib import Path
@@ -293,6 +295,63 @@ def test_every_synth_suite_has_contiguous_frame_indices(tmp_path, suite):
     assert len(sessions) == 4
     for frames, _, _ in sessions:
         assert np.array_equal(frames.frame_index, np.arange(len(frames)))
+
+
+@pytest.fixture(scope="module")
+def suites(tmp_path_factory):
+    """Default-template suites of 2, 4 and 6 sessions: 1, 2 and 3 in each split."""
+    root = tmp_path_factory.mktemp("suites")
+    for n in (2, 4, 6):
+        assert main(["simulate", "--suite", "default", "--sessions", str(n), "--seed", "8",
+                     "--output", str(root / str(n))]) == 0
+    return root
+
+
+def assert_same_sessions(got, want):
+    assert len(got) == len(want)
+    for (frames, truth, manifest), (frames0, truth0, manifest0) in zip(got, want):
+        assert manifest == manifest0
+        pairs = [(getattr(frames, f.name), getattr(frames0, f.name)) for f in dataclasses.fields(FrameArrays)]
+        pairs += [(truth.mask, truth0.mask), (truth.frame_index, truth0.frame_index)]
+        for a, b in pairs:
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b, equal_nan=True)
+            assert a.tobytes() == b.tobytes()
+        assert (truth.target_cm is None) == (truth0.target_cm is None)
+        if truth.target_cm is not None:
+            assert truth.target_cm.dtype == truth0.target_cm.dtype
+            assert truth.target_cm.tobytes() == truth0.target_cm.tobytes()
+        assert truth.activity == truth0.activity
+
+
+@pytest.mark.parametrize("n, split, device, selected", [
+    (2, "train", None, 1),
+    (4, "train", None, 2),
+    (6, "train", None, 3),
+    (6, "all", None, 6),
+    (6, "all", "mobile", 3),
+])
+def test_split_load_returns_what_the_serial_load_returns(suites, monkeypatch, n, split, device, selected):
+    from adwatch import training
+
+    pools = []
+
+    class CountedPool(training.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(training, "ProcessPoolExecutor", CountedPool)
+    loaded = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        loaded[cpus] = load_suite_sessions(suites / str(n), split=split, device=device)
+        assert multiprocessing.active_children() == []
+    assert len(loaded[1]) == selected
+    assert len(pools) == (selected > 1)
+    if device is not None:
+        assert {manifest.device_type for _, _, manifest in loaded[1]} == {device}
+    assert_same_sessions(loaded[2], loaded[1])
 
 
 _FRAME_KEYS = [field.key for field in _FRAME_SCHEMA]
