@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -50,7 +50,7 @@ from .synth import (
     load_script,
     load_suite,
 )
-from .training import load_suite_sessions, train_all
+from .training import _in_order, load_suite_sessions, train_all
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -230,8 +230,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _score_one(task, artifacts: ArtifactSet):
-    manifest, base_dir, cfg, out_dir = task
+def _score_one(manifest, base_dir: Path, cfg: PipelineConfig, out_dir: Path, artifacts: ArtifactSet) -> str:
     frames = load_session(manifest, base_dir)
     scored = score_session(SessionDetectors(frames, manifest, artifacts, cfg))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -241,20 +240,6 @@ def _score_one(task, artifacts: ArtifactSet):
         json.dumps(summary.to_dict(), indent=2) + "\n", encoding="utf-8"
     )
     return manifest.session_id
-
-
-# Set only inside ``score --jobs N`` worker processes, once per worker, by
-# the pool initializer; the parent process never assigns it.
-_worker_artifacts: Optional[ArtifactSet] = None
-
-
-def _init_worker(artifacts: ArtifactSet) -> None:
-    global _worker_artifacts
-    _worker_artifacts = artifacts
-
-
-def _score_in_worker(task):
-    return _score_one(task, _worker_artifacts)
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -270,7 +255,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         manifests = [(load_manifest(args.manifest), args.manifest.parent)]
     else:
         manifests = [load_entry_manifest(args.suite_dir, e) for e in entries]
-    tasks = []
+    selected = []
     for manifest, base_dir in manifests:
         if args.device is not None and manifest.device_type != args.device:
             print(
@@ -279,15 +264,16 @@ def cmd_score(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             continue
-        tasks.append((manifest, base_dir, cfg, args.output))
-    _check_gaze_devices(artifacts, args.artifacts, [task[0] for task in tasks])
-    if args.jobs > 1:
-        with ProcessPoolExecutor(
-            max_workers=args.jobs, initializer=_init_worker, initargs=(artifacts,)
-        ) as pool:
-            results = list(pool.map(_score_in_worker, tasks))
-    else:
-        results = [_score_one(t, artifacts) for t in tasks]
+        selected.append((manifest, base_dir))
+    if not selected:
+        split = "" if args.suite_dir is None else f"split={args.split!r} and "
+        raise DataError(f"no sessions for {split}device={args.device!r} in {args.suite_dir or args.manifest}")
+    _check_gaze_devices(artifacts, args.artifacts, [manifest for manifest, _ in selected])
+    results = _in_order(
+        [partial(_score_one, manifest, base_dir, cfg, args.output, artifacts) for manifest, base_dir in selected],
+        [args.jobs > 1] * len(selected),
+        workers=args.jobs,
+    )
     print(f"scored {len(results)} session(s) into {args.output}")
     return EXIT_OK
 

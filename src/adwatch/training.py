@@ -9,20 +9,17 @@ provide the negatives. The yawn classifier trains on per-frame mouth aspect
 ratio plus AU features at the suite's natural class imbalance.
 
 ``load_suite_sessions`` reads and checks every selected manifest first, so
-a session without ground truth fails before any frame file is parsed. It
-then parses the sessions' frame and truth files in two processes when more
-than one CPU is usable: a worker process takes the last half, one session
-per task, while the calling process parses the first half. The first
-session to fail in index order raises, as in a serial load.
+a session without ground truth fails before any frame file is parsed.
 
-The three fits share nothing but the loaded sessions, so ``train_all`` runs
-them side by side: the calling process trains the speaking CNN, the longest
-fit, while one worker process fits the gaze regressors and then the yawn
-classifier and encodes each artifact's JSON text. It fits them in this
-process in turn when one model is asked for (``only``) or only one CPU is
-usable; no flag chooses either split. Each fit is seeded on its own and
-each artifact's text comes from one function per kind, so the artifacts
-are byte-identical either way.
+``_in_order`` is the one way work spreads over processes: the tasks marked
+for forked workers run there while this process runs the rest, and results
+and the first failure come back in task order, as in series. The suite load
+parses its last half in a worker, ``train_all`` fits the gaze and yawn
+models in one while this process trains the speaking CNN, and ``score
+--jobs N`` scores every session in at most N; with one usable CPU, ``only``
+or ``--jobs 1``, all runs here. Each fit is seeded on its own and each
+artifact's text comes from one function per kind, so the artifacts are
+byte-identical either way.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -55,8 +52,11 @@ Session = tuple[FrameArrays, DistractionTimeline, SessionManifest]
 
 
 # Fork where the platform has it: a worker inherits what this process has
-# loaded rather than unpickling it, and imports nothing again. The only other
-# threads in the process are BLAS's, and no worker task calls BLAS.
+# loaded, the task list included, rather than unpickling it, and imports
+# nothing again. The only other threads in the process are BLAS's, and
+# OpenBLAS handles fork itself: it stops its thread pool before a fork and
+# restarts it on the next call, so a worker's GEMMs (``score --jobs`` runs
+# the CNN) are safe.
 _START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
 
 
@@ -66,50 +66,80 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _parse_session(manifest: SessionManifest, base_dir: Path) -> tuple[FrameArrays, DistractionTimeline]:
-    return load_session(manifest, base_dir), read_timeline(base_dir / manifest.ground_truth)
+# Set only in ``_in_order``'s workers, by the pool initializer.
+_worker_tasks: Sequence[Callable[[], object]] = ()
 
 
-def _parse_sessions(
-    selected: list[tuple[SessionManifest, Path]]
-) -> list[tuple[FrameArrays, DistractionTimeline]]:
-    """The frames and truth of each selected session, in order. With two or
-    more sessions and more than one usable CPU, one worker process parses the
-    last half, a task per session, while this process parses the first. The
-    first session to fail in order raises, once the worker has exited."""
-    if len(selected) < 2 or _usable_cpus() < 2:
-        return [_parse_session(*s) for s in selected]
-    half = (len(selected) + 1) // 2
-    with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context(_START_METHOD)) as pool:
-        later = [pool.submit(_parse_session, *s) for s in selected[half:]]
+def _set_worker_tasks(tasks: Sequence[Callable[[], object]]) -> None:
+    global _worker_tasks
+    _worker_tasks = tasks
+
+
+def _run_worker_task(i: int):
+    return _worker_tasks[i]()
+
+
+def _in_order(tasks: Sequence[Callable[[], object]], in_worker: Sequence[bool], workers: int = 1) -> list:
+    """The results of the zero-argument ``tasks``, in task order.
+
+    The tasks marked ``in_worker`` run in ``min(workers, number marked)``
+    worker processes, which get the task list when they start, so only an
+    index and a result cross to and fro; the others run in this process
+    meanwhile. The first task to fail in order raises, whichever side ran
+    it, once the workers have exited; worker tasks not yet started are
+    cancelled.
+    """
+    marked = [i for i, mark in enumerate(in_worker) if mark]
+    if not marked:
+        return [task() for task in tasks]
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(marked)),
+        mp_context=multiprocessing.get_context(_START_METHOD),
+        initializer=_set_worker_tasks,
+        initargs=(tasks,),
+    ) as pool:
+        futures = {i: pool.submit(_run_worker_task, i) for i in marked}
         try:
-            first = [_parse_session(*s) for s in selected[:half]]
-            return first + [future.result() for future in later]
+            here = {}
+            for i, task in enumerate(tasks):
+                if i in futures:
+                    continue
+                try:
+                    here[i] = task()
+                except Exception:
+                    for j in marked:   # a worker task before this one that fails comes first
+                        if j < i:
+                            futures[j].result()
+                    raise
+            return [futures[i].result() if i in futures else here[i] for i in range(len(tasks))]
         except BaseException:
-            for future in later:
+            for future in futures.values():
                 future.cancel()
             raise
+
+
+def _parse_session(manifest: SessionManifest, base_dir: Path) -> tuple[FrameArrays, DistractionTimeline]:
+    return load_session(manifest, base_dir), read_timeline(base_dir / manifest.ground_truth)
 
 
 def load_suite_sessions(
     suite_dir: PathLike,
     split: str = "all",
-    device: Optional[str] = None,
     *,
     check_manifests: Optional[Callable[[list[SessionManifest]], None]] = None,
 ) -> list[Session]:
-    """The (frames, truth, manifest) of each session of ``split`` (and
-    ``device``) in index order.
+    """The (frames, truth, manifest) of each session of ``split`` in index
+    order.
 
     Every selected manifest is read and checked before any frame file is
     parsed; ``check_manifests``, when given, sees them then, so that a
     caller's own check of the manifests fails before the parse as well.
+    With more than one usable CPU, a worker process parses the last half of
+    the sessions while this process parses the first.
     """
     suite_dir = Path(suite_dir)
     selected = []
     for entry in load_suite(suite_dir).by_split(split):
-        if device is not None and entry.device_type != device:
-            continue
         manifest, base_dir = load_entry_manifest(suite_dir, entry)
         if manifest.ground_truth is None:
             raise DataError(f"session {entry.session_id} has no ground truth")
@@ -118,8 +148,10 @@ def load_suite_sessions(
         raise DataError(f"no sessions for split={split!r} in {suite_dir}")
     if check_manifests is not None:
         check_manifests([manifest for manifest, _ in selected])
-    return [(frames, truth, manifest)
-            for (frames, truth), (manifest, _) in zip(_parse_sessions(selected), selected)]
+    half = (len(selected) + 1) // 2 if _usable_cpus() > 1 else len(selected)
+    parsed = _in_order([partial(_parse_session, *s) for s in selected],
+                       [i >= half for i in range(len(selected))])
+    return [(frames, truth, manifest) for (frames, truth), (manifest, _) in zip(parsed, selected)]
 
 
 def _subsample(rng: np.random.Generator, n: int, cap: int) -> np.ndarray:
@@ -316,49 +348,15 @@ def train_yawn_classifier(
 # artifact-level entry point
 # ---------------------------------------------------------------------------
 
-# Set only inside train_all's worker process, by the pool initializer; the
-# calling process never assigns it.
-_worker_sessions: Optional[list[Session]] = None
-
-
-def _init_worker(sessions: list[Session]) -> None:
-    global _worker_sessions
-    _worker_sessions = sessions
-
-
-def _fit_in_worker(fit, encode, config: PipelineConfig, seed: int) -> str:
-    return encode(*fit(_worker_sessions, config, seed=seed))
-
-
-def _fit_side_by_side(
-    sessions: list[Session], config: PipelineConfig, seed: int
-) -> list[Callable[[Path], None]]:
-    """The gaze, speaking and yawn fits, in that order, each as the function
-    that writes its artifact to a path. One worker process fits the gaze
-    regressors and then the yawn classifier, and returns each artifact's JSON
-    text, while this process trains the speaking CNN, the longest fit. The
-    first fit to fail in that order raises, as in series, once the worker has
-    exited."""
-    with ProcessPoolExecutor(
-        max_workers=1,
-        mp_context=multiprocessing.get_context(_START_METHOD),
-        initializer=_init_worker,
-        initargs=(sessions,),
-    ) as pool:
-        gaze = pool.submit(_fit_in_worker, train_gaze_regressors, artifacts_io.gaze_regressors_text,
-                           config, seed)
-        yawn = pool.submit(_fit_in_worker, train_yawn_classifier, artifacts_io.yawn_classifier_text,
-                           config, seed)
-        try:
-            speaking = train_speaking_cnn(sessions, config, seed=seed)
-        except Exception:
-            gaze.result()   # a failed gaze fit comes first
-            raise
-        return [
-            partial(artifacts_io.write_artifact, gaze.result()),
-            partial(artifacts_io.save_speaking_cnn, *speaking),
-            partial(artifacts_io.write_artifact, yawn.result()),
-        ]
+def _fit_writer(fit, save, sessions: list[Session], config: PipelineConfig, seed: int,
+                text=None) -> Callable[[Path], None]:
+    """``fit``'s model of ``sessions`` as the function that writes its
+    artifact to a path: ``save``, or with ``text`` (in a worker) the
+    artifact's text encoded here, so only the text crosses back."""
+    model, metadata = fit(sessions, config, seed=seed)
+    if text is None:
+        return partial(save, model, metadata)
+    return partial(artifacts_io.write_artifact, text(model, metadata))
 
 
 def train_all(
@@ -372,27 +370,34 @@ def train_all(
 
     Every requested model is trained before any file is written, so a
     failing fit leaves the output directory as it was. With all three
-    requested and more than one usable CPU they fit side by side
-    (``_fit_side_by_side``); otherwise they fit in this process in turn.
+    requested and more than one usable CPU, a worker process fits the gaze
+    regressors and then the yawn classifier while this process trains the
+    speaking CNN; otherwise they fit in this process in turn.
     """
     from .pipeline import GAZE_ARTIFACT, SPEAKING_ARTIFACT, YAWN_ARTIFACT
 
     targets = {
-        "gaze": (train_gaze_regressors, artifacts_io.save_gaze_regressors, GAZE_ARTIFACT),
-        "speaking": (train_speaking_cnn, artifacts_io.save_speaking_cnn, SPEAKING_ARTIFACT),
-        "yawn": (train_yawn_classifier, artifacts_io.save_yawn_classifier, YAWN_ARTIFACT),
+        "gaze": (train_gaze_regressors, artifacts_io.save_gaze_regressors,
+                 artifacts_io.gaze_regressors_text, GAZE_ARTIFACT),
+        "speaking": (train_speaking_cnn, artifacts_io.save_speaking_cnn, None, SPEAKING_ARTIFACT),
+        "yawn": (train_yawn_classifier, artifacts_io.save_yawn_classifier,
+                 artifacts_io.yawn_classifier_text, YAWN_ARTIFACT),
     }
     if only is not None and only not in targets:
         raise DataError(f"unknown training target {only!r}")
     _check_fields({"seed": seed}, {"seed": _SEED}, ConfigError, "train")
     sessions = load_suite_sessions(suite_dir, split="train")
     requested = [spec for target, spec in targets.items() if only in (None, target)]
-    if only is None and _usable_cpus() > 1:
-        writers = _fit_side_by_side(sessions, config, seed)
-    else:
-        writers = [partial(save, *train(sessions, config, seed=seed)) for train, save, _ in requested]
+    # side by side, the boosted fits go to a worker and the CNN, the longest, stays here
+    side_by_side = only is None and _usable_cpus() > 1
+    in_worker = [side_by_side and text is not None for _, _, text, _ in requested]
+    writers = _in_order(
+        [partial(_fit_writer, fit, save, sessions, config, seed, text if mark else None)
+         for (fit, save, text, _), mark in zip(requested, in_worker)],
+        in_worker,
+    )
     written = []
-    for (_, _, name), write in zip(requested, writers):
+    for (_, _, _, name), write in zip(requested, writers):
         path = Path(out_dir) / name
         write(path)
         written.append(path)

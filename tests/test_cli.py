@@ -153,10 +153,10 @@ def test_train_rerun_byte_identical(tmp_path, trained):
 def assert_side_by_side_writes_the_bytes_of_each_model_trained_alone(suite, cfg, tmp_path, monkeypatch):
     # the worker processes load and fit whatever the CPU count; --only always
     # fits in turn, and with one CPU the suite loads in this process
-    side_by_side = []
-    fit_side_by_side = training._fit_side_by_side
-    monkeypatch.setattr(training, "_fit_side_by_side",
-                        lambda *args: side_by_side.append(args) or fit_side_by_side(*args))
+    marks = []
+    in_order = training._in_order
+    monkeypatch.setattr(training, "_in_order",
+                        lambda tasks, in_worker: marks.append(list(in_worker)) or in_order(tasks, in_worker))
     both, alone = tmp_path / "both", tmp_path / "alone"
     monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
     assert main(["train", "--suite-dir", str(suite), "--config", str(cfg),
@@ -165,7 +165,8 @@ def assert_side_by_side_writes_the_bytes_of_each_model_trained_alone(suite, cfg,
     for only in ("gaze", "speaking", "yawn"):
         assert main(["train", "--suite-dir", str(suite), "--config", str(cfg),
                      "--seed", "11", "--only", only, "--output", str(alone)]) == 0
-    assert len(side_by_side) == 1
+    # gaze and yawn go to the worker in the one side-by-side train only
+    assert marks.count([True, False, True]) == 1
     assert tree_bytes(both) == tree_bytes(alone)
     assert multiprocessing.active_children() == []
 
@@ -213,8 +214,8 @@ class EmptyModel:
 
 @dataclass(frozen=True)
 class FakeFit:
-    """A fit that fails or returns an empty model; picklable, so the worker
-    can run it and encode what it returns."""
+    """A fit that fails or returns an empty model, which the fit worker
+    encodes as any kind."""
 
     target: str
     fails: bool
@@ -371,13 +372,45 @@ def test_device_filter_skips_with_warning(trained, tmp_path, capsys):
     _, suite, art, _ = trained
     from adwatch.synth import load_suite
 
-    desktop_entry = next(e for e in load_suite(suite).entries if e.device_type == "desktop")
+    entries = load_suite(suite).entries
     out = tmp_path / "filtered"
-    code = main(["score", "--manifest", str(suite / desktop_entry.manifest_path),
-                 "--artifacts", str(art), "--device", "mobile", "--output", str(out)])
-    assert code == 0
-    assert "skipping" in capsys.readouterr().err
-    assert not list(out.glob("*.timeline.jsonl")) if out.exists() else True
+    assert main(["score", "--suite-dir", str(suite), "--artifacts", str(art),
+                 "--device", "desktop", "--output", str(out)]) == 0
+    err = capsys.readouterr().err
+    for entry in entries:
+        skipped = f"warning: skipping {entry.session_id} (device mobile, filter desktop)" in err
+        assert skipped == (entry.device_type == "mobile")
+        assert (out / f"{entry.session_id}.timeline.jsonl").exists() == (not skipped)
+
+
+def test_score_that_selects_no_session_from_a_manifest_exits_3_before_any_output(trained, tmp_path, capsys):
+    _, suite, art, _ = trained
+    from adwatch.synth import load_suite
+
+    desktop_entry = next(e for e in load_suite(suite).entries if e.device_type == "desktop")
+    manifest = suite / desktop_entry.manifest_path
+    out = tmp_path / "filtered"
+    code = main(["score", "--manifest", str(manifest), "--artifacts", str(art),
+                 "--device", "mobile", "--output", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"warning: skipping {desktop_entry.session_id}" in err
+    assert err.endswith(f"data error: no sessions for device='mobile' in {manifest}\n")
+    assert not out.exists()
+
+
+def test_score_that_selects_no_session_from_a_suite_exits_3_before_any_output(trained, tmp_path, capsys):
+    _, _, art, _ = trained
+    suite, out = tmp_path / "desktop_only", tmp_path / "o"
+    assert main(["simulate", "--suite", "gaze_offset", "--sessions", "2", "--seed", "2",
+                 "--output", str(suite)]) == 0
+    capsys.readouterr()
+    code = main(["score", "--suite-dir", str(suite), "--artifacts", str(art),
+                 "--device", "mobile", "--output", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.endswith(
+        f"data error: no sessions for split='all' and device='mobile' in {suite}\n")
+    assert not out.exists()
 
 
 def test_missing_artifacts_exit_4(trained, tmp_path, capsys):
@@ -872,6 +905,24 @@ def test_score_with_parallel_jobs_matches_serial(trained, tmp_path):
     assert main(["score", "--suite-dir", str(suite), "--artifacts", str(art),
                  "--jobs", "2", "--output", str(parallel)]) == 0
     assert tree_bytes(serial) == tree_bytes(parallel)
+
+
+def test_score_jobs_forks_no_more_workers_than_sessions(trained, tmp_path, monkeypatch):
+    _, suite, art, _ = trained
+    workers = []
+
+    class CountedPool(training.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            workers.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(training, "ProcessPoolExecutor", CountedPool)
+    out = tmp_path / "o"
+    assert main(["score", "--suite-dir", str(suite), "--artifacts", str(art),
+                 "--jobs", "8", "--output", str(out)]) == 0
+    assert len(list(out.glob("*.timeline.jsonl"))) == 4
+    assert workers == [4]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("argv", [

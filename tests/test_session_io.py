@@ -25,6 +25,7 @@ from adwatch.session_io import (
     write_manifest,
     write_timeline,
 )
+from adwatch.synth import load_suite
 from adwatch.training import load_suite_sessions
 from oracles import json_write_frames, json_write_timeline, load_frames_rows, read_timeline_rows
 
@@ -324,33 +325,33 @@ def assert_same_sessions(got, want):
         assert truth.activity == truth0.activity
 
 
-@pytest.mark.parametrize("n, split, device, selected", [
-    (2, "train", None, 1),
-    (4, "train", None, 2),
-    (6, "train", None, 3),
-    (6, "all", None, 6),
-    (6, "all", "mobile", 3),
+@pytest.mark.parametrize("n, split, selected", [
+    (2, "train", 1),
+    (4, "train", 2),
+    (6, "train", 3),
+    (6, "all", 6),
+    (6, "held_out", 3),
 ])
-def test_split_load_returns_what_the_serial_load_returns(suites, monkeypatch, n, split, device, selected):
+def test_split_load_returns_what_the_serial_load_returns(suites, monkeypatch, n, split, selected):
     from adwatch import training
 
     pools = []
 
     class CountedPool(training.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
-            pools.append(args)
+            pools.append(kwargs["max_workers"])
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(training, "ProcessPoolExecutor", CountedPool)
     loaded = {}
     for cpus in (1, 2):
         monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
-        loaded[cpus] = load_suite_sessions(suites / str(n), split=split, device=device)
+        loaded[cpus] = load_suite_sessions(suites / str(n), split=split)
         assert multiprocessing.active_children() == []
     assert len(loaded[1]) == selected
-    assert len(pools) == (selected > 1)
-    if device is not None:
-        assert {manifest.device_type for _, _, manifest in loaded[1]} == {device}
+    assert pools == [1] * (selected > 1)
+    assert [manifest.session_id for _, _, manifest in loaded[1]] == [
+        entry.session_id for entry in load_suite(suites / str(n)).by_split(split)]
     assert_same_sessions(loaded[2], loaded[1])
 
 
