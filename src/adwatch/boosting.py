@@ -15,21 +15,25 @@ one ``np.bincount``; only a split's smaller child is counted, the larger
 one being its parent minus its sibling. Ties go to the lowest feature, then
 the lowest threshold, so a fit is fully reproducible.
 
-Prediction is compiled and exact. The first ``predict`` turns each tree
-into a lookup table over the product of its own per-feature threshold bins,
-holding ``learning_rate * leaf value`` per cell, in the spirit of
-QuickScorer (Lucchese et al., SIGIR 2015). A prediction bins every used
-feature once against the ensemble's sorted thresholds, with
-``searchsorted(side="left")`` so that bin <= k exactly when x <= t_k (NaN
-and +inf go right at every node, as ``x <= threshold`` sends them). Each
-tree's cell is then a sum of small-integer gathers, and the cells are added
-in tree order: the same doubles in the same order as a node-by-node walk,
-so predictions are bit-identical to it. A tree taller than three levels is
-split at its root until its parts fit a table of at most 128 cells.
+Prediction is compiled and exact. The first ``predict`` lays each tree out
+as a complete heap of three levels, seven comparison slots over eight leaf
+slots, and tabulates it by the set of slots that send a row right, one bit
+per slot, as QuickScorer's bitvectors do (Lucchese et al., SIGIR 2015):
+each of the 128 cells holds ``learning_rate * leaf value`` of the leaf its
+bits lead to. A prediction bins every used feature once against the
+ensemble's sorted thresholds, with ``searchsorted(side="left")`` so that
+bin <= k exactly when x <= t_k (NaN and +inf go right at every node, as
+``x <= threshold`` sends them). A per-feature map turns a row's bin into
+the bits of that feature's slots, a tree's cell index is the sum of its
+maps' gathers, and the cells are added in tree order: the same doubles in
+the same order as a node-by-node walk, so predictions are bit-identical to
+it. A tree taller than three levels is split at its root until its parts
+fit a table.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
@@ -96,24 +100,33 @@ class TreeNode:
         return cls(feature, float(threshold), cls.from_dict(left, n_features), cls.from_dict(right, n_features))
 
 
-# A (sub)tree of at most this many levels has at most 2**7 = 128 cells; a
-# taller tree is split at its root until its parts are this short.
+# A (sub)tree of at most this many levels is laid out as a complete heap of
+# 2**3 - 1 = 7 comparison slots over 8 leaf slots. Its table has one cell per
+# set of slots that send a row right, 2**7 = 128, so a cell index fits a
+# uint8; a taller tree is split at its root until its parts are this short.
 _TABLE_LEVELS = 3
+_SLOTS = 2**_TABLE_LEVELS - 1
+
+# the leaf slot each cell reaches from the root, bit s sending slot s right
+_LEAF_OF_CELL = np.zeros(2**_SLOTS, dtype=np.intp)
+for _ in range(_TABLE_LEVELS):
+    _LEAF_OF_CELL = 2 * _LEAF_OF_CELL + 1 + (np.arange(2**_SLOTS) >> _LEAF_OF_CELL & 1)
+_LEAF_OF_CELL -= _SLOTS
 
 
 class _Table(NamedTuple):
     """A (sub)tree as one lookup table: its value for a row is
     ``cells[sum(m[bins[f]] for f, m in maps)]``."""
 
-    maps: list          # (feature, ensemble grid bin -> stride * the tree's own bin)
-    cells: np.ndarray
+    maps: list          # (feature, ensemble grid bin -> bits of its slots that send the row right)
+    cells: np.ndarray   # learning_rate * the value of the leaf each cell reaches
 
 
 class _Split(NamedTuple):
     """A tree too tall to tabulate: its root split over two parts."""
 
     feature: int
-    bin: int            # rows go left where their grid bin is at most this
+    bin: int            # rows go left where their grid bin is at most this (-1 at a NaN threshold)
     left: Union[_Table, "_Split"]
     right: Union[_Table, "_Split"]
 
@@ -122,36 +135,12 @@ class _Split(NamedTuple):
 class _Compiled:
     """An ensemble's trees as exact lookup tables over its threshold grid:
     ``grids[f]`` holds feature f's sorted distinct thresholds over all
-    trees, ``parts`` one part per tree."""
+    trees, ``parts`` one ``_Table`` or ``_Split`` per tree, in tree order."""
 
     trees: list[TreeNode]
     learning_rate: float
     grids: dict[int, np.ndarray]
     parts: list[Union[_Table, _Split]]
-
-
-def _flatten(trees: list[TreeNode]):
-    """All nodes in preorder (leaves get feature -1) with each subtree's size
-    and height, plus each tree's root index."""
-    feature, threshold, value, size, height = [], [], [], [], []
-
-    def visit(nd: TreeNode) -> int:
-        i = len(feature)
-        feature.append(-1 if nd.left is None else nd.feature)
-        threshold.append(nd.threshold)
-        value.append(nd.value)
-        size.append(1)
-        height.append(0)
-        if nd.left is not None:
-            height[i] = max(visit(nd.left), visit(nd.right)) + 1
-            size[i] = len(feature) - i
-        return height[i]
-
-    roots = []
-    for tree in trees:
-        roots.append(len(feature))
-        visit(tree)
-    return feature, threshold, value, size, height, roots
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,106 +155,66 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _compile(trees: list[TreeNode], learning_rate: float) -> _Compiled:
-    feature_l, threshold_l, value_l, size_l, height, roots = _flatten(trees)
-    feature = np.array(feature_l, dtype=np.intp)
-    threshold = np.array(threshold_l, dtype=np.float64)
-    size = np.array(size_l, dtype=np.intp)
-    n = len(feature)
-    internal = feature >= 0
-    comparable = internal & ~np.isnan(threshold)   # a NaN threshold sends every row right
+    nodes = []      # (table, or -1 at a split root; heap slot; feature; threshold)
+    leaves = []     # each table's leaf slot values
 
-    # the ensemble's grid per feature, and each threshold's index on it
+    def lay(nd: TreeNode, slot: int, leaf: list) -> bool:
+        """Lay ``nd`` out from heap ``slot`` on; False when it is too tall."""
+        if slot >= _SLOTS:
+            leaf[slot - _SLOTS] = nd.value
+            return nd.is_leaf
+        # a leaf, or a NaN threshold (which sends every row right), is a
+        # slot with no comparison over two copies of one subtree
+        left = right = nd
+        if not nd.is_leaf:
+            nodes.append((len(leaves), slot, nd.feature, nd.threshold))
+            left, right = (nd.right if math.isnan(nd.threshold) else nd.left), nd.right
+        return lay(left, 2 * slot + 1, leaf) and lay(right, 2 * slot + 2, leaf)
+
+    def part(nd: TreeNode):
+        """A table's index, or (node index, left part, right part)."""
+        mark, leaf = len(nodes), [0.0] * (_SLOTS + 1)
+        if lay(nd, 0, leaf):
+            leaves.append(leaf)
+            return len(leaves) - 1
+        del nodes[mark:]
+        nodes.append((-1, 0, nd.feature, nd.threshold))
+        return len(nodes) - 1, part(nd.left), part(nd.right)
+
+    parts = [part(tree) for tree in trees]
+    cols = np.array(nodes, dtype=np.float64).reshape(-1, 4).T
+    table, slot, feature = cols[:3].astype(np.intp)
+    threshold = cols[3]
+    comparable = ~np.isnan(threshold)
+
+    # per feature: the ensemble's grid, each threshold's index k on it, and
+    # each table's map, the OR of the bits of its slots that send bins > k right
     grids = {}
-    grid_bin = np.full(n, -1, dtype=np.intp)
-    for f in sorted(set(feature_l) - {-1}):
+    k = np.full(len(nodes), -1, dtype=np.intp)
+    maps: list[list] = [[] for _ in leaves]
+    for f in sorted(set(feature.tolist())):
         on_f = comparable & (feature == f)
         ts = np.sort(threshold[on_f])
         grids[f] = ts[_runs(ts)[1]]
-        grid_bin[on_f] = np.searchsorted(grids[f], threshold[on_f])
-
-    units: list[int] = []       # root node of each tabulated part
-
-    def part(i: int):
-        if height[i] <= _TABLE_LEVELS:
-            units.append(i)
-            return len(units) - 1
-        return _Split(feature_l[i], int(grid_bin[i]), part(i + 1), part(i + 1 + size_l[i + 1]))
-
-    parts = [part(r) for r in roots]
-    unit_of = np.full(n, -1, dtype=np.intp)
-    for u, r in enumerate(units):
-        unit_of[r : r + size_l[r]] = u
-
-    # each part's own bins per feature: its distinct thresholds, in grid order
-    use = comparable & (unit_of >= 0)
-    n_feat = int(feature.max(initial=-1)) + 1
-    n_bin = max((len(g) for g in grids.values()), default=0) + 1
-    key = (unit_of[use] * n_feat + feature[use]) * n_bin + grid_bin[use]
-    order = np.argsort(key, kind="stable")
-    run, starts = _runs(key[order])
-    distinct = key[order][starts]
-    inverse = np.empty_like(run)
-    inverse[order] = run
-    group_of, first = _runs(distinct // n_bin)     # (part, feature) of each distinct threshold
-    group_key = distinct[first] // n_bin
-    count = np.diff(np.append(first, len(distinct)))
-    g_unit = (group_key // n_feat).tolist()
-    g_feature = group_key % n_feat
-    radix = (count + 1).tolist()
-    # mixed-radix strides, the last feature of a part varying fastest
-    stride = [0] * len(radix)
-    n_cells = [1] * len(units)
-    for g in range(len(radix) - 1, -1, -1):
-        stride[g] = n_cells[g_unit[g]]
-        n_cells[g_unit[g]] *= radix[g]
-    stride = np.array(stride, dtype=np.intp)
-
-    # every cell's value: walk each part from its root with the cell's bins
-    node_stride = np.ones(n, dtype=np.intp)
-    node_radix = np.ones(n, dtype=np.intp)
-    node_k = np.full(n, -1, dtype=np.intp)
-    node_group = group_of[inverse]
-    node_stride[use] = stride[node_group]
-    node_radix[use] = np.asarray(radix, dtype=np.intp)[node_group]
-    # a node goes left on its part's bins 0..k, k its threshold's rank there
-    node_k[use] = (np.arange(len(distinct)) - first[group_of])[inverse]
-    left = np.arange(n)
-    right = np.arange(n)
-    inner = np.flatnonzero(internal)
-    left[inner] = inner + 1
-    right[inner] = inner + 1 + size[inner + 1]
-    cell_unit = np.repeat(np.arange(len(units)), n_cells)
-    start = np.cumsum(n_cells) - n_cells
-    cell = np.arange(len(cell_unit)) - start[cell_unit]
-    node = np.asarray(units, dtype=np.intp)[cell_unit]
-    for _ in range(_TABLE_LEVELS):
-        go_left = (cell // node_stride[node]) % node_radix[node] <= node_k[node]
-        node = np.where(go_left, left[node], right[node])
-    cells = learning_rate * np.array(value_l, dtype=np.float64)[node]
-
-    # grid bin -> stride * own bin, for every (part, feature) at once
-    maps: list[list] = [[] for _ in units]
-    for f, grid in grids.items():
-        gs = np.flatnonzero(g_feature == f)
-        if not len(gs):
+        k[on_f] = np.searchsorted(grids[f], threshold[on_f])
+        tabled = np.flatnonzero(on_f & (table >= 0))
+        if not len(tabled):
             continue
-        on_f = np.flatnonzero(g_feature[group_of] == f)
-        # cell indices stay below 2**7, so uint8 maps suffice: an eighth of
-        # the memory of intp ones, and no slower to gather
-        own = np.zeros((len(gs), len(grid) + 1), dtype=np.uint8)
-        own[np.searchsorted(gs, group_of[on_f]), distinct[on_f] % n_bin + 1] = 1
-        np.cumsum(own, axis=1, out=own)
-        own *= stride[gs, None].astype(np.uint8)
-        for row, g in zip(own, gs.tolist()):
-            maps[g_unit[g]].append((f, row))
+        row, first = _runs(table[tabled])
+        own = np.zeros((len(first), len(grids[f]) + 1), dtype=np.uint8)
+        np.bitwise_or.at(own, (row, k[tabled] + 1), (1 << slot[tabled]).astype(np.uint8))
+        np.bitwise_or.accumulate(own, axis=1, out=own)
+        for t, m in zip(table[tabled][first].tolist(), own):
+            maps[t].append((f, m))
 
-    tables = [
-        _Table(maps[u], cells[start[u] : start[u] + n_cells[u]]) for u in range(len(units))
-    ]
+    # take, not fancy indexing, keeps each table's cells C-contiguous
+    values = np.array(leaves, dtype=np.float64).reshape(-1, _SLOTS + 1)
+    tables = [_Table(m, c) for m, c in zip(maps, learning_rate * values.take(_LEAF_OF_CELL, axis=1))]
 
     def resolve(p):
-        if isinstance(p, _Split):
-            return p._replace(left=resolve(p.left), right=resolve(p.right))
+        if isinstance(p, tuple):
+            i, left, right = p
+            return _Split(int(feature[i]), int(k[i]), resolve(left), resolve(right))
         return tables[p]
 
     return _Compiled(list(trees), learning_rate, grids, [resolve(p) for p in parts])

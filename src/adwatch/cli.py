@@ -21,7 +21,6 @@ from .config import PipelineConfig, _Rule, _check_fields, config_from_mapping, l
 from .errors import AdwatchError, ConfigError, DataError, MissingArtifactError
 from .evaluation import (
     AblationTable,
-    per_session_mean,
     pooled_report,
     render_table,
     run_ablation,
@@ -97,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=["default", "gaze_offset", "orientation", "mini"],
                    default="default", help="suite template")
     p.add_argument("--sessions", type=int, default=20, help="number of sessions")
-    p.add_argument("--device", choices=["desktop", "mobile", "mixed"], default="mixed",
-                   help="device mix")
+    p.add_argument("--device", choices=["desktop", "mobile", "mixed"], default=None,
+                   help="device mix; when not given, the suite's own device, else mixed")
     p.add_argument("--script", type=Path, default=None,
                    help="generate a single session from a script file instead")
     p.add_argument("--yawn-prevalence", type=float, default=0.026,
@@ -132,8 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     _output_flag(p)
     p.add_argument("--suite-dir", type=Path, required=True, help="suite with ground truth")
     p.add_argument("--scored", type=Path, required=True, help="directory of scored timelines")
-    p.add_argument("--macro", action="store_true",
-                   help="also report per-session macro averages")
 
     p = sub.add_parser("ablate", help="run the ablation tables", formatter_class=fmt)
     _config_flags(p)
@@ -196,25 +193,22 @@ def _check_gaze_devices(artifacts: ArtifactSet, artifact_dir: Path, manifests) -
 def cmd_simulate(args: argparse.Namespace) -> int:
     out: Path = args.output
     if args.script is not None:
+        if args.device is not None:
+            raise ConfigError("--device does not apply to --script: the script names its device")
         sdir = out / "sessions" / "scripted"
         _write_session(load_script(args.script), "scripted", sdir)
         print(f"wrote 1 scripted session to {sdir}")
         return EXIT_OK
-    template = {"default": "full", "gaze_offset": "gaze_only",
-                "orientation": "full", "mini": "mini"}[args.suite]
-    device = args.device
-    offset_max = 0.0
-    if args.suite == "gaze_offset":
-        device = "desktop"
-        offset_max = 10.0
-    if args.suite == "orientation":
-        device = "mobile"
+    template, fixed = {"default": ("full", None), "gaze_offset": ("gaze_only", "desktop"),
+                       "orientation": ("full", "mobile"), "mini": ("mini", None)}[args.suite]
+    if fixed is not None and args.device not in (None, fixed):
+        raise ConfigError(f"--suite {args.suite} writes {fixed} sessions only, got --device {args.device}")
     config = SuiteConfig(
         seed=args.seed,
         n_sessions=args.sessions,
         template=template,
-        device=device,
-        camera_offset_max_cm=offset_max,
+        device=fixed or args.device or "mixed",
+        camera_offset_max_cm=10.0 if args.suite == "gaze_offset" else 0.0,
         yawn_prevalence=args.yawn_prevalence,
     )
     index = generate_suite(config, out)
@@ -320,8 +314,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for device, pairs in sorted(pairs_by_device.items()):
         rep = pooled_report(pairs)
         report["by_device"][device] = rep.to_dict()
-        if args.macro:
-            report["by_device"][device]["per_session"] = per_session_mean(pairs)
     args.output.mkdir(parents=True, exist_ok=True)
     out_path = args.output / "evaluation.json"
     out_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

@@ -91,21 +91,6 @@ def pooled_report(pairs: list[tuple[np.ndarray, np.ndarray]]) -> ClassificationR
     return frame_metrics(pred, true)
 
 
-def per_session_mean(pairs: list[tuple[np.ndarray, np.ndarray]]) -> dict:
-    """Macro aggregation: average per-session g-mean and F1 where defined."""
-    gs, fs = [], []
-    for pred, true in pairs:
-        rep = frame_metrics(pred, true)
-        if rep.g_mean is not None:
-            gs.append(rep.g_mean)
-        fs.append(rep.f1)
-    return {
-        "g_mean": float(np.mean(gs)) if gs else None,
-        "f1": float(np.mean(fs)),
-        "n_sessions": len(pairs),
-    }
-
-
 # ---------------------------------------------------------------------------
 # ablation harness
 # ---------------------------------------------------------------------------

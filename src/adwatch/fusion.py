@@ -55,12 +55,6 @@ class DistractionTimeline:
         """(n,) bool: no signal is active."""
         return self.mask == 0
 
-    @property
-    def signals(self) -> np.ndarray:
-        """(n, 5) bool activations, column order = SIGNAL_NAMES."""
-        bits = np.unpackbits(self.mask[:, None], axis=1, count=len(SIGNAL_NAMES), bitorder="little")
-        return bits.astype(bool)
-
     def __len__(self) -> int:
         return len(self.mask)
 

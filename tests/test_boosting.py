@@ -13,6 +13,7 @@ from adwatch.boosting import (
     BoostConfig,
     BoostedEnsemble,
     TreeNode,
+    _Table,
     _best_split,
     _bin_feature,
     fit_boosted,
@@ -523,6 +524,52 @@ def test_compiled_prediction_empty_single_leaf_and_odd_thresholds():
     # five levels: too tall for one table, so split at a NaN root
     model.trees.append(split(1, float("nan"), model.trees[-1], leaf[5]))
     assert_matches_walk(model, P)
+
+
+# repeated and IEEE-special thresholds, which fitted and loaded trees never have
+THRESHOLD_POOL = [-1.0, 0.5, 0.5, 1.0, *SPECIALS]
+PROBE_VALUES = np.array([-2.0, -1.0, 0.25, 0.5, 0.75, 1.0, 3.0, *SPECIALS])
+
+
+@st.composite
+def hand_built_tree(draw, levels):
+    """A tree of exactly ``levels`` levels below its root, with leaves at
+    every depth above the last: one child keeps the full height, the other
+    draws its own."""
+    if levels == 0:
+        return TreeNode(value=draw(st.floats(-4.0, 4.0)))
+    tall = draw(st.booleans())
+    left, right = (draw(hand_built_tree(levels - 1 if keep else draw(st.integers(0, levels - 1))))
+                   for keep in (not tall, tall))
+    return TreeNode(feature=draw(st.integers(0, 1)), threshold=draw(st.sampled_from(THRESHOLD_POOL)),
+                    left=left, right=right)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees=st.lists(st.integers(0, 6).flatmap(hand_built_tree), min_size=1, max_size=4),
+       learning_rate=st.sampled_from([0.1, 0.3, 1.0]))
+def test_compiled_prediction_of_hand_built_trees_matches_walk(trees, learning_rate):
+    model = BoostedEnsemble(mode=MODE_REGRESSION, learning_rate=learning_rate, max_depth=6,
+                            base_prediction=0.3, n_features=2, trees=trees)
+    P = np.stack(np.meshgrid(PROBE_VALUES, PROBE_VALUES), axis=-1).reshape(-1, 2)
+    assert_matches_walk(model, P)
+
+
+def test_fitted_depth_3_ensemble_compiles_to_contiguous_tables():
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(300, 3))
+    y = X[:, 0] - 2.0 * X[:, 1] * X[:, 2] + 0.1 * rng.normal(size=300)
+    model = fit_boosted(X, y, BoostConfig(n_stages=20, max_depth=3))
+    assert_matches_walk(model, X)
+    compiled = model._compiled
+    assert len(compiled.parts) == 20
+    for table in compiled.parts:
+        assert isinstance(table, _Table)
+        assert table.cells.dtype == np.float64 and table.cells.flags.c_contiguous
+        assert 1 <= len(table.cells) <= 128
+        for f, m in table.maps:
+            assert m.dtype == np.uint8 and m.flags.c_contiguous
+            assert m.shape == (len(compiled.grids[f]) + 1,)
 
 
 def test_trained_ensembles_match_walk(artifacts, heldout_sessions):

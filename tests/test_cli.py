@@ -65,6 +65,59 @@ def test_simulate_creates_missing_output_dir(tmp_path):
     assert (nested / "suite.json").exists()
 
 
+def suite_devices(suite: Path) -> set:
+    return {s["device_type"] for s in json.loads((suite / "suite.json").read_text())["sessions"]}
+
+
+@pytest.mark.parametrize("suite, fixed, device", [
+    ("gaze_offset", "desktop", "mobile"), ("gaze_offset", "desktop", "mixed"),
+    ("orientation", "mobile", "desktop"), ("orientation", "mobile", "mixed"),
+])
+def test_simulate_device_that_conflicts_with_the_suite_exits_2(tmp_path, capsys, suite, fixed, device):
+    code = main(["simulate", "--suite", suite, "--device", device, "--sessions", "2",
+                 "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.endswith(
+        f"config error: --suite {suite} writes {fixed} sessions only, got --device {device}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("device", ["desktop", "mobile", "mixed"])
+def test_simulate_device_with_a_script_exits_2(tmp_path, capsys, device):
+    script = {
+        "device_type": "desktop",
+        "duration_s": 2.0,
+        "segments": [{"kind": "dot_at", "start_s": 0.0, "duration_s": 2.0, "dot": [0, 0]}],
+    }
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    code = main(["simulate", "--script", str(path), "--device", device,
+                 "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert "--device does not apply to --script" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("suite, device", [
+    ("gaze_offset", "desktop"), ("orientation", "mobile"), ("mini", "mixed"), ("default", "mixed"),
+])
+def test_simulate_without_device_writes_the_suite_its_own_device_writes(tmp_path, suite, device):
+    unset, given = tmp_path / "unset", tmp_path / "given"
+    args = ["simulate", "--suite", suite, "--sessions", "2", "--seed", "4"]
+    assert main([*args, "--output", str(unset)]) == 0
+    assert main([*args, "--device", device, "--output", str(given)]) == 0
+    assert tree_bytes(unset) == tree_bytes(given)
+    assert suite_devices(unset) == ({"desktop", "mobile"} if device == "mixed" else {device})
+
+
+@pytest.mark.parametrize("device", ["desktop", "mobile"])
+def test_simulate_device_sets_the_mix_of_a_suite_without_its_own(tmp_path, device):
+    out = tmp_path / "out"
+    assert main(["simulate", "--suite", "mini", "--sessions", "2", "--device", device,
+                 "--output", str(out)]) == 0
+    assert suite_devices(out) == {device}
+
+
 def test_overlapping_script_exits_2(tmp_path, capsys):
     script = {
         "duration_s": 5.0,

@@ -9,7 +9,6 @@ from adwatch.errors import DataError
 from adwatch.evaluation import (
     _average_ranks,
     frame_metrics,
-    per_session_mean,
     pooled_report,
     render_table,
     roc_auc,
@@ -153,8 +152,6 @@ def test_aggregation_helpers():
     ]
     pooled = pooled_report(pairs)
     assert pooled.tp == 1 and pooled.fn == 1
-    macro = per_session_mean(pairs)
-    assert macro["n_sessions"] == 2
 
 
 def test_empty_variant_list_runs_full_model(heldout_sessions, artifacts, config):

@@ -61,7 +61,8 @@ def test_fuse_all_32_mask_combinations():
     # brute-force OR truth table over every signal combination
     combos = np.array([[(k >> b) & 1 for b in range(5)] for k in range(32)], dtype=bool)
     tl = fuse(*[combos[:, b] for b in range(5)])
-    np.testing.assert_array_equal(tl.signals, combos, strict=True)
+    for b, name in enumerate(SIGNAL_NAMES):
+        np.testing.assert_array_equal(tl.signal(name), combos[:, b], strict=True)
     for k in range(32):
         assert tl.mask[k] == k
         assert tl.attentive[k] == (k == 0)
