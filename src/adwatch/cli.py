@@ -21,9 +21,10 @@ from .config import PipelineConfig, _Rule, _check_fields, config_from_mapping, l
 from .errors import AdwatchError, ConfigError, DataError, MissingArtifactError
 from .evaluation import (
     AblationTable,
+    ablation_pairs,
+    ablation_table,
     pooled_report,
     render_table,
-    run_ablation,
 )
 from .fusion import session_summary
 from .pipeline import (
@@ -49,7 +50,7 @@ from .synth import (
     load_script,
     load_suite,
 )
-from .training import _in_order, load_suite_sessions, train_all
+from .training import _in_halves, _in_order, parse_session, select_sessions, train_all
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -81,27 +82,44 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Shows each flag's default, except where it is None: such a flag's
+    help says what leaving it out means."""
+
+    def _get_help_string(self, action: argparse.Action) -> str:
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
+# What simulate's suite flags are when not given. Each defaults to None in
+# the parser, so that one given with --script, which reads none of them,
+# can be refused.
+_SUITE_DEFAULTS = {"suite": "default", "sessions": 20, "seed": 0, "yawn_prevalence": 0.026}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adwatch",
         description="Offline attention scoring for ad-viewing sessions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+    fmt = _HelpFormatter
 
     p = sub.add_parser("simulate", help="generate a synthetic suite or session",
                        formatter_class=fmt)
-    _seed_flag(p)
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"master random seed (default: {_SUITE_DEFAULTS['seed']})")
     _output_flag(p)
     p.add_argument("--suite", choices=["default", "gaze_offset", "orientation", "mini"],
-                   default="default", help="suite template")
-    p.add_argument("--sessions", type=int, default=20, help="number of sessions")
+                   default=None, help=f"suite template (default: {_SUITE_DEFAULTS['suite']})")
+    p.add_argument("--sessions", type=int, default=None,
+                   help=f"number of sessions (default: {_SUITE_DEFAULTS['sessions']})")
     p.add_argument("--device", choices=["desktop", "mobile", "mixed"], default=None,
                    help="device mix; when not given, the suite's own device, else mixed")
     p.add_argument("--script", type=Path, default=None,
                    help="generate a single session from a script file instead")
-    p.add_argument("--yawn-prevalence", type=float, default=0.026,
-                   help="target fraction of active-yawn frames (full template only)")
+    p.add_argument("--yawn-prevalence", type=float, default=None,
+                   help="target fraction of active-yawn frames, full template only "
+                        f"(default: {_SUITE_DEFAULTS['yawn_prevalence']})")
 
     p = sub.add_parser("train", help="train model artifacts from a suite",
                        formatter_class=fmt)
@@ -193,12 +211,17 @@ def _check_gaze_devices(artifacts: ArtifactSet, artifact_dir: Path, manifests) -
 def cmd_simulate(args: argparse.Namespace) -> int:
     out: Path = args.output
     if args.script is not None:
-        if args.device is not None:
-            raise ConfigError("--device does not apply to --script: the script names its device")
+        for dest in ("device", *_SUITE_DEFAULTS):
+            if getattr(args, dest) is not None:
+                raise ConfigError(f"--{dest.replace('_', '-')} does not apply to --script: "
+                                  "the script names its own device, seed and segments")
         sdir = out / "sessions" / "scripted"
         _write_session(load_script(args.script), "scripted", sdir)
         print(f"wrote 1 scripted session to {sdir}")
         return EXIT_OK
+    for dest, default in _SUITE_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     template, fixed = {"default": ("full", None), "gaze_offset": ("gaze_only", "desktop"),
                        "orientation": ("full", "mobile"), "mini": ("mini", None)}[args.suite]
     if fixed is not None and args.device not in (None, fixed):
@@ -325,14 +348,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _ablate_one(manifest, base_dir: Path, artifacts: ArtifactSet, variants: list, cfg: PipelineConfig) -> list:
+    frames, truth = parse_session(manifest, base_dir)
+    return ablation_pairs(frames, truth, manifest, artifacts, variants, cfg)
+
+
 def cmd_ablate(args: argparse.Namespace) -> int:
     cfg = _load_pipeline_config(args)
     artifacts = _load_artifacts(args.artifacts, cfg)
-    sessions = load_suite_sessions(
-        args.suite_dir, split=args.split,
-        check_manifests=lambda manifests: _check_gaze_devices(artifacts, args.artifacts, manifests),
-    )
-    args.output.mkdir(parents=True, exist_ok=True)
+    selected = select_sessions(args.suite_dir, args.split)
+    _check_gaze_devices(artifacts, args.artifacts, [manifest for manifest, _ in selected])
     families = [
         (name, variants)
         for name, variants, choice in (
@@ -341,13 +366,18 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         )
         if args.tables in (choice, "both")
     ]
-    # one run over both families shares each session's detector outputs
-    rows = run_ablation(sessions, artifacts, [v for _, vs in families for v in vs], cfg).rows
+    # one run over both families shares each session's detector outputs, and
+    # a session's task hands back only its masks, never its frames
+    variants = [v for _, vs in families for v in vs]
+    pairs = _in_halves([partial(_ablate_one, manifest, base_dir, artifacts, variants, cfg)
+                        for manifest, base_dir in selected])
+    rows = ablation_table(variants, [(manifest.device_type, p) for (manifest, _), p in zip(selected, pairs)]).rows
     tables = {}
     for name, variants in families:
         tables[name] = AblationTable(rows=rows[: len(variants)])
         rows = rows[len(variants) :]
     doc = {name: tbl.to_dict() for name, tbl in tables.items()}
+    args.output.mkdir(parents=True, exist_ok=True)
     (args.output / "ablation.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     rendered = []
     for name, tbl in tables.items():

@@ -123,35 +123,54 @@ class AblationTable:
         raise KeyError(variant)
 
 
-def run_ablation(sessions, artifacts, variants, config) -> AblationTable:
-    """Score identical sessions under each variant and tabulate per device.
+def ablation_pairs(frames, truth, manifest, artifacts, variants, config) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One session's (predicted, true) inattentive masks under each of
+    ``variants``, in order.
 
-    ``sessions`` is a list of (frames, truth, manifest) triples; an empty
-    variant list degrades to the full model alone. Each session is scored
-    under every variant through one ``SessionDetectors``, so a detector step
-    runs once per session for every setting of the switches it reads, and
-    only one session's steps are held at a time.
+    The session is scored under every variant through one
+    ``SessionDetectors``, so a detector step runs once for every setting of
+    the switches it reads; the masks are all that is kept.
     """
-    from .pipeline import FULL_VARIANT, SessionDetectors, score_session
+    from .pipeline import SessionDetectors, score_session
 
-    if not sessions:
-        raise DataError("no sessions supplied to the ablation harness")
-    variants = list(variants) or [FULL_VARIANT]
+    session = SessionDetectors(frames, manifest, artifacts, config)
+    true = ~truth.attentive
+    return [(~score_session(session, variant).timeline.attentive, true) for variant in variants]
+
+
+def ablation_table(variants, sessions) -> AblationTable:
+    """The row of each of ``variants``, pooled per device type over
+    ``sessions``, a list of (device type, ``ablation_pairs``) in session
+    order."""
     per_variant: list[dict[str, list[tuple[np.ndarray, np.ndarray]]]] = [{} for _ in variants]
-    for frames, truth, manifest in sessions:
-        session = SessionDetectors(frames, manifest, artifacts, config)
-        for variant, per_device in zip(variants, per_variant):
-            scored = score_session(session, variant)
-            pair = (~scored.timeline.attentive, ~truth.attentive)
-            per_device.setdefault(manifest.device_type, []).append(pair)
-    rows = [
+    for device, pairs in sessions:
+        for per_device, pair in zip(per_variant, pairs):
+            per_device.setdefault(device, []).append(pair)
+    return AblationTable(rows=[
         AblationRow(
             variant=variant.name,
             by_device={d: pooled_report(pairs) for d, pairs in sorted(per_device.items())},
         )
         for variant, per_device in zip(variants, per_variant)
-    ]
-    return AblationTable(rows=rows)
+    ])
+
+
+def run_ablation(sessions, artifacts, variants, config) -> AblationTable:
+    """Score identical sessions under each variant and tabulate per device.
+
+    ``sessions`` is a list of (frames, truth, manifest) triples; an empty
+    variant list degrades to the full model alone. Only one session's
+    detector steps are held at a time.
+    """
+    from .pipeline import FULL_VARIANT
+
+    if not sessions:
+        raise DataError("no sessions supplied to the ablation harness")
+    variants = list(variants) or [FULL_VARIANT]
+    return ablation_table(variants, [
+        (manifest.device_type, ablation_pairs(frames, truth, manifest, artifacts, variants, config))
+        for frames, truth, manifest in sessions
+    ])
 
 
 def render_table(table: AblationTable) -> str:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Optional, Union
 
@@ -642,22 +643,29 @@ def _write_session(script: ScenarioScript, session_id: str, sdir: Path) -> None:
 
 def generate_suite(config: SuiteConfig, out_dir: PathLike) -> SuiteIndex:
     """Generate a whole suite to disk: one directory per session holding the
-    manifest, the frame stream, and the ground-truth timeline."""
+    manifest, the frame stream, and the ground-truth timeline, then the
+    suite index.
+
+    Every script is built first, each from its own seed, so the sessions
+    can be written in two processes (``training._in_halves``) with the same
+    bytes as in one.
+    """
+    from .training import _in_halves   # training imports this module
+
     scripts = build_suite_scripts(config)      # a bad config fails before any write
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for sid, script, split in scripts:
-        _write_session(script, sid, out_dir / "sessions" / sid)
-        entries.append(
-            SuiteEntry(
-                session_id=sid,
-                device_type=script.device_type,
-                manifest_path=str(Path("sessions") / sid / "manifest.json"),
-                split=split,
-                orientation=script.orientation,
-            )
+    _in_halves([partial(_write_session, script, sid, out_dir / "sessions" / sid) for sid, script, _ in scripts])
+    entries = [
+        SuiteEntry(
+            session_id=sid,
+            device_type=script.device_type,
+            manifest_path=str(Path("sessions") / sid / "manifest.json"),
+            split=split,
+            orientation=script.orientation,
         )
+        for sid, script, split in scripts
+    ]
     index = SuiteIndex(seed=config.seed, entries=entries)
     doc = {
         "seed": config.seed,

@@ -8,18 +8,21 @@ scripted speech activity of their center frame; yawn-edge and silent windows
 provide the negatives. The yawn classifier trains on per-frame mouth aspect
 ratio plus AU features at the suite's natural class imbalance.
 
-``load_suite_sessions`` reads and checks every selected manifest first, so
-a session without ground truth fails before any frame file is parsed.
+``select_sessions`` reads and checks every selected manifest, so a session
+without ground truth fails before any frame file is parsed.
 
 ``_in_order`` is the one way work spreads over processes: the tasks marked
 for forked workers run there while this process runs the rest, and results
-and the first failure come back in task order, as in series. The suite load
-parses its last half in a worker, ``train_all`` fits the gaze and yawn
-models in one while this process trains the speaking CNN, and ``score
---jobs N`` scores every session in at most N; with one usable CPU, ``only``
-or ``--jobs 1``, all runs here. Each fit is seeded on its own and each
-artifact's text comes from one function per kind, so the artifacts are
-byte-identical either way.
+and the first failure come back in task order, as in series. One rule,
+``_usable_cpus() > 1``, decides every split: ``_in_halves`` runs the last
+half of a command's per-session tasks in one worker, for the suite load of
+``train``, ``ablate``'s parse and score and ``simulate``'s writes;
+``train_all`` fits the gaze and yawn models in one worker while this process
+trains the speaking CNN. ``score --jobs N`` alone chooses by its flag, and
+scores every session in at most N workers. With one usable CPU all else
+runs here. Each session and each fit is seeded on its own and each artifact's
+text comes from one function per kind, so the outputs are byte-identical
+either way.
 """
 
 from __future__ import annotations
@@ -118,25 +121,18 @@ def _in_order(tasks: Sequence[Callable[[], object]], in_worker: Sequence[bool], 
             raise
 
 
-def _parse_session(manifest: SessionManifest, base_dir: Path) -> tuple[FrameArrays, DistractionTimeline]:
-    return load_session(manifest, base_dir), read_timeline(base_dir / manifest.ground_truth)
+def _in_halves(tasks: Sequence[Callable[[], object]]) -> list:
+    """The results of the per-session ``tasks``, in task order: with more
+    than one usable CPU, one worker process runs the last half of them while
+    this process runs the first half (one more when the count is odd)."""
+    half = (len(tasks) + 1) // 2 if _usable_cpus() > 1 else len(tasks)
+    return _in_order(tasks, [i >= half for i in range(len(tasks))])
 
 
-def load_suite_sessions(
-    suite_dir: PathLike,
-    split: str = "all",
-    *,
-    check_manifests: Optional[Callable[[list[SessionManifest]], None]] = None,
-) -> list[Session]:
-    """The (frames, truth, manifest) of each session of ``split`` in index
-    order.
-
-    Every selected manifest is read and checked before any frame file is
-    parsed; ``check_manifests``, when given, sees them then, so that a
-    caller's own check of the manifests fails before the parse as well.
-    With more than one usable CPU, a worker process parses the last half of
-    the sessions while this process parses the first.
-    """
+def select_sessions(suite_dir: PathLike, split: str = "all") -> list[tuple[SessionManifest, Path]]:
+    """The manifest of each session of ``split`` in index order, with the
+    directory its paths are relative to; a session without ground truth or
+    an empty split raises DataError."""
     suite_dir = Path(suite_dir)
     selected = []
     for entry in load_suite(suite_dir).by_split(split):
@@ -146,11 +142,23 @@ def load_suite_sessions(
         selected.append((manifest, base_dir))
     if not selected:
         raise DataError(f"no sessions for split={split!r} in {suite_dir}")
-    if check_manifests is not None:
-        check_manifests([manifest for manifest, _ in selected])
-    half = (len(selected) + 1) // 2 if _usable_cpus() > 1 else len(selected)
-    parsed = _in_order([partial(_parse_session, *s) for s in selected],
-                       [i >= half for i in range(len(selected))])
+    return selected
+
+
+def parse_session(manifest: SessionManifest, base_dir: Path) -> tuple[FrameArrays, DistractionTimeline]:
+    """A selected session's frames and ground-truth timeline."""
+    return load_session(manifest, base_dir), read_timeline(base_dir / manifest.ground_truth)
+
+
+def load_suite_sessions(suite_dir: PathLike, split: str = "all") -> list[Session]:
+    """The (frames, truth, manifest) of each session of ``split`` in index
+    order.
+
+    Every selected manifest is read and checked (``select_sessions``) before
+    any frame file is parsed, and the parse is split by ``_in_halves``.
+    """
+    selected = select_sessions(suite_dir, split)
+    parsed = _in_halves([partial(parse_session, *s) for s in selected])
     return [(frames, truth, manifest) for (frames, truth), (manifest, _) in zip(parsed, selected)]
 
 

@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import shutil
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -96,6 +97,77 @@ def test_simulate_device_with_a_script_exits_2(tmp_path, capsys, device):
     assert code == 2
     assert "--device does not apply to --script" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--suite", "mini"), ("--sessions", "3"), ("--seed", "0"), ("--yawn-prevalence", "0.026"),
+])
+def test_simulate_suite_flag_with_a_script_exits_2(tmp_path, capsys, flag, value):
+    # even a value equal to the suite default is refused: the flag was given
+    script = {
+        "device_type": "desktop",
+        "duration_s": 2.0,
+        "segments": [{"kind": "dot_at", "start_s": 0.0, "duration_s": 2.0, "dot": [0, 0]}],
+    }
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    out = tmp_path / "out"
+    code = main(["simulate", "--script", str(path), flag, value, "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: {flag} does not apply to --script: the script names its own device, seed and segments\n")
+    assert not out.exists()
+    assert main(["simulate", "--script", str(path), "--output", str(out)]) == 0
+
+
+def test_simulate_suite_flags_keep_their_defaults(tmp_path):
+    unset, given = tmp_path / "unset", tmp_path / "given"
+    assert main(["simulate", "--output", str(unset)]) == 0
+    assert main(["simulate", "--suite", "default", "--sessions", "20", "--seed", "0",
+                 "--yawn-prevalence", "0.026", "--output", str(given)]) == 0
+    assert tree_bytes(unset) == tree_bytes(given)
+    assert len(json.loads((unset / "suite.json").read_text())["sessions"]) == 20
+
+
+IN_ORDER = training._in_order
+
+
+def split_by(monkeypatch, cpus: int) -> list:
+    """Make ``cpus`` CPUs usable; returns the list to which each process
+    split appends its worker marks. With one CPU, starting a process pool
+    raises."""
+    marks = []
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a process pool was started with one usable CPU")
+
+    monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(training, "_in_order",
+                        lambda tasks, in_worker: marks.append(list(in_worker)) or IN_ORDER(tasks, in_worker))
+    monkeypatch.setattr(training, "ProcessPoolExecutor", NoPool if cpus == 1 else ProcessPoolExecutor)
+    return marks
+
+
+def halves(n: int) -> list:
+    """The marks of a split of ``n`` sessions in two processes: this
+    process takes the first half, and one more when ``n`` is odd."""
+    return [i >= (n + 1) // 2 for i in range(n)]
+
+
+@pytest.mark.parametrize("seed, sessions", [(7, 20), (31, 6), (59, 6), (59, 5)])
+def test_simulate_writes_the_same_bytes_in_one_process_and_in_two(tmp_path, monkeypatch, seed, sessions):
+    trees = {}
+    for cpus in (1, 2):
+        marks = split_by(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["simulate", "--seed", str(seed), "--sessions", str(sessions),
+                     "--output", str(out)]) == 0
+        assert marks == [halves(sessions) if cpus == 2 else [False] * sessions]
+        assert multiprocessing.active_children() == []
+        trees[cpus] = tree_bytes(out)
+    assert len(trees[1]) == 3 * sessions + 1
+    assert trees[1] == trees[2]
 
 
 @pytest.mark.parametrize("suite, device", [
@@ -346,17 +418,19 @@ def test_train_on_a_session_without_ground_truth_exits_3_before_parsing_any_fram
 
 
 @pytest.mark.parametrize("command, split", [("train", "train"), ("ablate", "held_out")])
-@pytest.mark.parametrize("broken", ["second", "both"])
+@pytest.mark.parametrize("broken", ["first", "second", "both"])
 def test_bad_frame_row_in_either_half_of_a_split_load_reports_the_first_in_index_order(
         trained, tmp_path, capsys, monkeypatch, command, split, broken):
-    # two sessions: this process parses the first, the worker the second
+    # two sessions: this process parses (and for ablate scores) the first,
+    # the worker the second
     _, suite, art, cfg = trained
     copy = tmp_path / "suite"
     shutil.copytree(suite, copy)
     manifests = split_manifests(copy, split)
     assert len(manifests) == 2
-    message = break_frame_row(manifests[1], 40)
-    if broken == "both":
+    if broken in ("second", "both"):
+        message = break_frame_row(manifests[1], 40)
+    if broken in ("first", "both"):
         message = break_frame_row(manifests[0], 70)
     out = tmp_path / "o"
     argv = ["train", "--config", str(cfg)] if command == "train" else ["ablate", "--artifacts", str(art)]
@@ -603,6 +677,31 @@ def test_gaze_regressors_without_a_device_exit_4_before_any_output(trained, tmp_
         # only the selected sessions need their device
         assert main(["score", "--suite-dir", str(suite), "--artifacts", str(bad),
                      "--device", "desktop", "--output", str(out)]) == 0
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_ablate_with_a_gaze_device_gap_exits_4_before_opening_any_frame_file(trained, tmp_path, capsys,
+                                                                             monkeypatch, cpus):
+    from adwatch import session_io
+
+    _, suite, art, _ = trained
+    bad = tmp_path / "artifacts"
+    shutil.copytree(art, bad)
+    doc = json.loads((bad / "gaze_regressors.json").read_text())
+    del doc["models"]["desktop"]
+    (bad / "gaze_regressors.json").write_text(json.dumps(doc))
+    marks = split_by(monkeypatch, cpus)
+    opened = []
+    row_blocks = session_io._row_blocks
+    monkeypatch.setattr(session_io, "_row_blocks", lambda path, error: opened.append(path) or row_blocks(path, error))
+    out = tmp_path / "o"
+    code = main(["ablate", "--suite-dir", str(suite), "--artifacts", str(bad), "--output", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err.startswith(
+        f"missing artifact: artifact {bad / 'gaze_regressors.json'}: no gaze regressors for device type 'desktop'")
+    assert opened == [] and marks == []
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("command", ["score", "ablate"])
@@ -928,6 +1027,9 @@ def test_help_shows_defaults(capsys):
     text = capsys.readouterr().out
     assert "(default: 0)" in text          # --seed
     assert "(default: 20)" in text         # --sessions
+    assert "(default: default)" in text    # --suite
+    assert "(default: 0.026)" in text      # --yawn-prevalence
+    assert "None" not in text
 
 
 def test_set_overrides_win_over_config_file(trained, tmp_path):
@@ -1024,6 +1126,9 @@ KEPT = {
     "--config": ("c.json", "config", Path("c.json"), None),
     "--set": ("margin_cm=2", "set", ["margin_cm=2"], []),
 }
+# simulate's seed is None when not given, so that --script can refuse it;
+# a suite then uses seed 0 (test_simulate_suite_flags_keep_their_defaults)
+UNSET = {("simulate", "--seed"): None}
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -1039,7 +1144,7 @@ def test_kept_seed_and_config_flags_parse(command, flags):
     for flag in flags:
         _, dest, parsed, default = KEPT[flag]
         assert getattr(given, dest) == parsed
-        assert getattr(unset, dest) == default
+        assert getattr(unset, dest) == UNSET.get((command, flag), default)
 
 
 def test_ablate_renders_tables(trained, tmp_path):
@@ -1053,6 +1158,39 @@ def test_ablate_renders_tables(trained, tmp_path):
     assert "+ unattended screen (all)" in text
     doc = json.loads((out / "ablation.json").read_text())
     assert "processing_steps" in doc and "distraction_signals" in doc
+
+
+@pytest.mark.parametrize("sessions, split", [(4, "held_out"), (6, "train"), (6, "all")])
+def test_ablate_writes_the_same_bytes_in_one_process_and_in_two(trained, tmp_path, monkeypatch, sessions, split):
+    # the 6-session suite's train split has 3 sessions: this process scores two
+    from adwatch.config import PipelineConfig
+    from adwatch.evaluation import AblationTable, run_ablation
+    from adwatch.pipeline import TABLE1_VARIANTS, TABLE3_VARIANTS
+
+    _, suite, art, _ = trained
+    if sessions != 4:
+        suite = tmp_path / "suite"
+        assert main(["simulate", "--suite", "default", "--sessions", str(sessions), "--seed", "4",
+                     "--output", str(suite)]) == 0
+    n = sum(split in ("all", e["split"]) for e in json.loads((suite / "suite.json").read_text())["sessions"])
+    trees = {}
+    for cpus in (1, 2):
+        marks = split_by(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["ablate", "--suite-dir", str(suite), "--artifacts", str(art), "--split", split,
+                     "--output", str(out)]) == 0
+        assert marks == [halves(n) if cpus == 2 else [False] * n]
+        assert multiprocessing.active_children() == []
+        trees[cpus] = tree_bytes(out)
+    assert sorted(trees[1]) == ["ablation.json", "ablation.txt"]
+    assert trees[1] == trees[2]
+    # the command and the library harness share one scoring loop
+    rows = run_ablation(training.load_suite_sessions(suite, split), ArtifactSet.load(art),
+                        TABLE1_VARIANTS + TABLE3_VARIANTS, PipelineConfig()).rows
+    assert json.loads(trees[1]["ablation.json"]) == {
+        "processing_steps": AblationTable(rows[: len(TABLE1_VARIANTS)]).to_dict(),
+        "distraction_signals": AblationTable(rows[len(TABLE1_VARIANTS):]).to_dict(),
+    }
 
 
 def test_ablate_single_family_matches_its_slice_of_both(trained, tmp_path):

@@ -1,4 +1,5 @@
-"""The one process split: ``training._in_order`` and the rule that no other
+"""The one process split: ``training._in_order``, the halves that every
+per-session command splits its sessions into, and the rule that no other
 module of ``adwatch`` starts processes."""
 
 import ast
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from adwatch import training
-from adwatch.training import _in_order
+from adwatch.training import _in_halves, _in_order
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "adwatch"
 
@@ -93,6 +94,18 @@ def test_a_forked_worker_inherits_its_tasks_rather_than_unpickling_them():
     got = _in_order([lambda: (lock.locked(), os.getpid())], [True])
     assert multiprocessing.active_children() == []
     assert got[0][0] is False and got[0][1] != os.getpid()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_halves_run_the_last_half_in_one_worker_only_with_more_than_one_cpu(monkeypatch, n, cpus):
+    monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+    got = _in_halves([partial(where, i) for i in range(n)])
+    assert multiprocessing.active_children() == []
+    assert [i for i, _ in got] == list(range(n))
+    # this process takes the first half, and one more when n is odd
+    assert [pid != os.getpid() for _, pid in got] == [cpus > 1 and i >= (n + 1) // 2 for i in range(n)]
+    assert len({pid for _, pid in got}) == (2 if cpus > 1 and n > 1 else 1)
 
 
 def imported_modules(path: Path) -> set[str]:
