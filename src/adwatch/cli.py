@@ -14,9 +14,11 @@ import argparse
 import json
 import sys
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
+from .artifacts import write_artifact
 from .config import PipelineConfig, _Rule, _check_fields, config_from_mapping, load_config
 from .errors import AdwatchError, ConfigError, DataError, MissingArtifactError
 from .evaluation import (
@@ -37,10 +39,10 @@ from .pipeline import (
     score_session,
 )
 from .session_io import (
+    _timeline_blocks,
     load_manifest,
     load_session,
     read_timeline,
-    write_timeline,
 )
 from .synth import (
     SuiteConfig,
@@ -247,16 +249,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _score_one(manifest, base_dir: Path, cfg: PipelineConfig, out_dir: Path, artifacts: ArtifactSet) -> str:
+def _score_one(manifest, base_dir: Path, cfg: PipelineConfig, out_dir: Path,
+               artifacts: ArtifactSet) -> list[tuple[Path, str]]:
+    """The session's output files as (path, text) pairs, rendered but not
+    written: ``score`` writes them once every session has scored."""
     frames = load_session(manifest, base_dir)
     scored = score_session(SessionDetectors(frames, manifest, artifacts, cfg))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_timeline(scored.timeline, out_dir / f"{manifest.session_id}.timeline.jsonl")
+    timeline_path = out_dir / f"{manifest.session_id}.timeline.jsonl"
     summary = session_summary(scored.timeline, manifest.frame_rate_hz)
-    (out_dir / f"{manifest.session_id}.summary.json").write_text(
-        json.dumps(summary.to_dict(), indent=2) + "\n", encoding="utf-8"
-    )
-    return manifest.session_id
+    return [
+        (timeline_path, "".join(_timeline_blocks(scored.timeline, timeline_path))),
+        (out_dir / f"{manifest.session_id}.summary.json", json.dumps(summary.to_dict(), indent=2) + "\n"),
+    ]
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -286,11 +290,14 @@ def cmd_score(args: argparse.Namespace) -> int:
         split = "" if args.suite_dir is None else f"split={args.split!r} and "
         raise DataError(f"no sessions for {split}device={args.device!r} in {args.suite_dir or args.manifest}")
     _check_gaze_devices(artifacts, args.artifacts, [manifest for manifest, _ in selected])
+    # all or nothing: a session that fails leaves no file of any session
     results = _in_order(
         [partial(_score_one, manifest, base_dir, cfg, args.output, artifacts) for manifest, base_dir in selected],
         [args.jobs > 1] * len(selected),
         workers=args.jobs,
     )
+    for path, text in chain.from_iterable(results):
+        write_artifact(text, path)
     print(f"scored {len(results)} session(s) into {args.output}")
     return EXIT_OK
 

@@ -13,20 +13,35 @@ lowering, Chellapilla et al. 2006): the layer input's sliding windows are
 copied into a column buffer ``(B, lo, K*C + 1)`` whose last column is ones,
 and multiplied by a ``(K*C + 1, O)`` weight matrix whose last row is the
 bias, which gives the pre-activation in ``(B*lo, O)`` layout. The same
-columns, kept from the forward pass, give the weight and bias gradients in
-one GEMM, ``cols.T @ dz``. The input gradient is a shift-sum: tap k's
-``dz @ w[:, :, k]`` is added at time offset k. The parameters keep their
-channel-first artifact layout: ``w1``/``w2`` are ``(O, C, K)`` and ``w3``
-reads the conv output flattened channel by channel, so a step permutes a
-copy of ``w3`` to the time-major flatten and permutes its gradient back.
+columns, kept from the forward pass, give the gradient of that matrix, bias
+row included, in one GEMM, ``cols.T @ dz``. The input gradient is a
+shift-sum: tap k's ``dz @ w[:, :, k]`` is added at time offset k.
 
-A step computes in its network's parameter dtype. ``train_cnn`` sets the
-input standardisation in float64 and runs its SGD loop in float32, where
-the step's GEMMs take about half the time: each batch is standardised in
-float64 and then rounded, and the labels and a copy of the parameters are
-rounded once. It widens the parameters back to float64 (exactly) at the
-end, as in mixed-precision training (Micikevicius et al. 2018).
-Prediction, loaded artifacts and the gradient check stay float64.
+A network keeps its parameters in the channel-first artifact layout:
+``w1``/``w2`` are ``(O, C, K)`` and ``w3`` reads the conv output flattened
+channel by channel. A step reads them in the layouts its GEMMs use
+(``_step_params``): each conv layer's weight matrix with its bias row, and
+``w3t``, which reads the conv output time-major. ``predict_proba`` and the
+gradient check lay them out once per call, in float64.
+
+``train_cnn`` sets the input standardisation in float64 and runs its SGD
+loop in float32, where the step's GEMMs take about half the time, as in
+mixed-precision training (Micikevicius et al. 2018). For the whole fit it
+holds:
+
+- every window, standardised in float64 and rounded to float32 once;
+- the parameters in float32 and in the step layout, which each update
+  changes in place;
+- one set of work buffers (``_Batch``: columns, activations, float32 ReLU
+  masks and deltas) sized for the largest batch, with the strided views
+  that fill the columns built once. An epoch's short last batch steps in
+  leading slices of them.
+
+At the end it lays the parameters back out channel-first and widens them
+to float64, which is exact. Each element's arithmetic and each GEMM's
+operands are those of a step on the artifact layout, so the fit is that
+loop's bit for bit. Prediction, loaded artifacts and the gradient check
+stay float64.
 """
 
 from __future__ import annotations
@@ -64,18 +79,6 @@ def _param_shapes(window_len: int) -> dict[str, tuple]:
     }
 
 
-def _buffer(work: dict | None, name: str, shape: tuple, dtype, alloc=np.empty) -> np.ndarray:
-    # a training work buffer, or a fresh array when there is no workspace;
-    # a smaller batch (an epoch's last) gets a leading slice of the buffer,
-    # which is C-contiguous like a fresh array of its shape
-    if work is None:
-        return alloc(shape, dtype)
-    buf = work.get(name)
-    if buf is None or buf.shape[1:] != shape[1:] or len(buf) < shape[0]:
-        buf = work[name] = alloc(shape, dtype)
-    return buf[: shape[0]]
-
-
 def _weight_matrix(w: np.ndarray, b: np.ndarray) -> np.ndarray:
     # (O, C, K) kernels and (O,) biases -> (K*C + 1, O): row k*C + c holds
     # w[:, c, k], the last row the biases
@@ -86,56 +89,112 @@ def _weight_matrix(w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return wm
 
 
-def _conv(x: np.ndarray, wm: np.ndarray, work=None, name=""):
-    # x: (B, L, C), wm: (K*C + 1, O) -> (cols, z). Row t of the column buffer
-    # cols (B, L-K+1, K*C + 1) is x[:, t:t+K] flattened, then a one: each a
-    # contiguous run of x, so one strided copy fills them all. The ones
-    # column is never written after the buffer is made. z = cols @ wm is the
-    # pre-activation, (B, L-K+1, O)
-    B, L, C = x.shape
-    KC, O = wm.shape[0] - 1, wm.shape[1]
-    lo = L - KC // C + 1
-    cols = _buffer(work, name + "_cols", (B, lo, KC + 1), wm.dtype, np.ones)
-    np.copyto(cols[:, :, :KC], sliding_window_view(x.reshape(B, L * C), KC, axis=1)[:, ::C])
-    z = _buffer(work, name, (B, lo, O), wm.dtype)
-    np.matmul(cols.reshape(B * lo, KC + 1), wm, out=z.reshape(B * lo, O))
-    return cols, z
-
-
-def _conv_grads(cols: np.ndarray, dz: np.ndarray):
-    # kernel (O, C, K) and bias (O,) gradients of a conv layer from its kept
-    # forward columns and its output delta dz (B, lo, O): one GEMM
-    B, lo, KC1 = cols.shape
-    O = dz.shape[2]
-    g = cols.reshape(B * lo, KC1).T @ dz.reshape(B * lo, O)
-    # contiguous like the kernels, which makes the SGD update cheaper
-    return np.ascontiguousarray(g[:-1].reshape(KERNEL_WIDTH, -1, O).transpose(2, 1, 0)), g[-1]
-
-
-def _input_grad(dz: np.ndarray, w: np.ndarray, work=None) -> np.ndarray:
-    # delta of a conv layer's input (B, lo+K-1, C) from its output delta dz
-    # (B, lo, O) and kernels w (O, C, K): tap k's dz @ w[:, :, k], added at
-    # time offset k. One GEMM per tap into a contiguous buffer makes each add
-    # contiguous on one side; a single GEMM against all taps leaves every add
-    # strided on both sides, which costs more than the GEMMs it saves
-    B, lo, O = dz.shape
-    _, C, K = w.shape
-    d = dz.reshape(B * lo, O)
-    taps = np.ascontiguousarray(w.transpose(2, 0, 1))       # (K, O, C)
-    tap = _buffer(work, "tap", (B, lo, C), dz.dtype)
-    out = _buffer(work, "dz1", (B, lo + K - 1, C), dz.dtype)
-    np.matmul(d, taps[0], out=tap.reshape(B * lo, C))
-    out[:, :lo] = tap
-    out[:, lo:] = 0.0
-    for k in range(1, K):
-        np.matmul(d, taps[k], out=tap.reshape(B * lo, C))
-        out[:, k : k + lo] += tap
-    return out
-
-
 def _regroup(m: np.ndarray, outer: int) -> np.ndarray:
     # (N, outer*inner) -> (N, inner*outer): each row's flatten order swapped
     return m.reshape(len(m), outer, -1).transpose(0, 2, 1).reshape(len(m), -1)
+
+
+def _step_params(net: "TemporalCnn") -> dict[str, np.ndarray]:
+    """``net``'s parameters as new arrays, in its dtype, in the layouts the
+    step's GEMMs read: ``wb1``/``wb2`` are the conv layers' weight matrices
+    with their bias rows, and ``w3t`` is ``w3`` reading the conv output
+    time-major."""
+    return {
+        "wb1": _weight_matrix(net.w1, net.b1),
+        "wb2": _weight_matrix(net.w2, net.b2),
+        "w3t": _regroup(net.w3, CONV2_CHANNELS),
+        "b3": net.b3.copy(),
+        "w4": net.w4.copy(),
+        "b4": net.b4.copy(),
+    }
+
+
+def _artifact_layout(step: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The ``PARAM_NAMES`` arrays of parameters, or of their gradients, given
+    in the step layout of ``_step_params``."""
+    out = {}
+    for i in (1, 2):
+        wb = step[f"wb{i}"]
+        out[f"w{i}"] = np.ascontiguousarray(wb[:-1].reshape(KERNEL_WIDTH, -1, wb.shape[1]).transpose(2, 1, 0))
+        out[f"b{i}"] = wb[-1]
+    w3t = step["w3t"]
+    out["w3"] = _regroup(w3t, w3t.shape[1] // CONV2_CHANNELS)
+    out.update(b3=step["b3"], w4=step["w4"], b4=step["b4"])
+    return out
+
+
+class _Batch:
+    """The buffers of a step on ``n`` windows, and the strided views that
+    fill its column buffers, built once. With ``base``, a batch of at least
+    ``n`` windows, each buffer is a leading slice of base's, C-contiguous
+    like a fresh array of its shape. ``backward`` adds the ReLU masks, in the
+    step's dtype, and the delta buffers. The column buffers' ones columns are
+    never written after they are made."""
+
+    def __init__(self, n: int, window_len: int, dtype, backward: bool, base: "_Batch | None" = None):
+        K, C1, C2 = KERNEL_WIDTH, CONV1_CHANNELS, CONV2_CHANNELS
+        l1 = window_len - K + 1
+        l2 = l1 - K + 1
+
+        def buf(name, *shape, alloc=np.empty):
+            return alloc((n, *shape), dtype) if base is None else getattr(base, name)[:n]
+
+        self.n, self.backward = n, backward
+        self.x = buf("x", window_len)
+        self.cols1 = buf("cols1", l1, K + 1, alloc=np.ones)
+        self.z1 = buf("z1", l1, C1)
+        self.cols2 = buf("cols2", l2, K * C1 + 1, alloc=np.ones)
+        self.z2 = buf("z2", l2, C2)
+        self.z3 = buf("z3", FC_WIDTH)
+        self.a3 = buf("a3", FC_WIDTH)
+        # the strided copies that fill the columns: tap k of every window of
+        # x, and every window of conv1's output
+        self.x_taps = [(self.cols1[:, :, k], self.x[:, k : k + l1]) for k in range(K)]
+        self.a1_windows = sliding_window_view(self.z1.reshape(n, l1 * C1), K * C1, axis=1)[:, ::C1]
+        self.cols2_head = self.cols2[:, :, : K * C1]
+        self.cols1_2d = self.cols1.reshape(n * l1, K + 1)
+        self.z1_2d = self.z1.reshape(n * l1, C1)
+        self.cols2_2d = self.cols2.reshape(n * l2, K * C1 + 1)
+        self.z2_2d = self.z2.reshape(n * l2, C2)
+        self.flat = self.z2.reshape(n, l2 * C2)              # time-major
+        if backward:
+            self.m1 = buf("m1", l1, C1)
+            self.m2 = buf("m2", l2, C2)
+            self.dz2 = buf("dz2", l2, C2)
+            self.tap = buf("tap", l2, C1)
+            self.dz1 = buf("dz1", l1, C1)
+            self.dz2_flat = self.dz2.reshape(n, l2 * C2)
+            self.dz2_2d = self.dz2.reshape(n * l2, C2)
+            self.tap_2d = self.tap.reshape(n * l2, C1)
+            self.dz1_2d = self.dz1.reshape(n * l1, C1)
+            self.dz1_shifts = [self.dz1[:, k : k + l2] for k in range(K)]
+
+
+def _work_batch(work: dict, n: int, window_len: int, dtype, backward: bool) -> _Batch:
+    # the buffers of an n-window batch in a workspace, made once per size; a
+    # smaller batch (an epoch's last) gets leading slices of the largest's
+    batch = work.get(n)
+    if batch is None:
+        base = work.get("largest")
+        batch = work[n] = _Batch(n, window_len, dtype, backward, base if base is not None and base.n >= n else None)
+        if base is None or base.n < n:
+            work["largest"] = batch
+    return batch
+
+
+def _input_grad(b: _Batch, taps: np.ndarray) -> None:
+    # delta of conv2's input, b.dz1 (B, lo+K-1, C), from its output delta
+    # b.dz2 (B*lo, O) and its kernels taps (K, O, C): tap k's dz @ taps[k],
+    # added at time offset k. One GEMM per tap into a contiguous buffer makes
+    # each add contiguous on one side; a single GEMM against all taps leaves
+    # every add strided on both sides, which costs more than the GEMMs it saves
+    lo = b.tap.shape[1]
+    np.matmul(b.dz2_2d, taps[0], out=b.tap_2d)
+    b.dz1[:, :lo] = b.tap
+    b.dz1[:, lo:] = 0.0
+    for k in range(1, len(taps)):
+        np.matmul(b.dz2_2d, taps[k], out=b.tap_2d)
+        np.add(b.dz1_shifts[k], b.tap, out=b.dz1_shifts[k])
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -203,30 +262,45 @@ class TemporalCnn:
     # forward / backward
     # ------------------------------------------------------------------
 
-    def _forward(self, X: np.ndarray, work=None):
-        """Output probabilities of checked windows, and what the backward
-        pass reads."""
-        x = (X - self.input_center) * self.input_scale
-        cols1, a1 = _conv(x[:, :, None], _weight_matrix(self.w1, self.b1), work, "a1")
-        m1 = np.greater(a1, 0.0, out=_buffer(work, "m1", a1.shape, bool))
-        np.maximum(a1, 0.0, out=a1)
-        cols2, a2 = _conv(a1, _weight_matrix(self.w2, self.b2), work, "a2")
-        m2 = np.greater(a2, 0.0, out=_buffer(work, "m2", a2.shape, bool))
-        np.maximum(a2, 0.0, out=a2)
-        flat = a2.reshape(len(x), -1)                       # time-major
-        w3 = _regroup(self.w3, CONV2_CHANNELS)              # matching flatten
-        z3 = flat @ w3.T + self.b3
-        a3 = np.maximum(z3, 0.0)
-        z4 = a3 @ self.w4.T + self.b4
-        return _sigmoid(z4[:, 0]), (cols1, m1, cols2, m2, flat, w3, z3, a3)
+    def _forward(self, X: np.ndarray, params: dict | None = None, b: _Batch | None = None):
+        """Output probabilities of checked windows, and the batch buffers
+        that hold what the backward pass reads. ``params`` is in the step
+        layout; by default, this network's, and fresh buffers with masks."""
+        if params is None:
+            params = _step_params(self)
+        if b is None:
+            b = _Batch(len(X), self.window_len, X.dtype, backward=True)
+        if self.input_center == 0.0 and self.input_scale == 1.0:
+            np.copyto(b.x, X)                               # (X - 0.0) * 1.0 is X
+        else:
+            np.multiply(np.subtract(X, self.input_center, out=b.x), self.input_scale, out=b.x)
+        for cols, x in b.x_taps:
+            np.copyto(cols, x)
+        np.matmul(b.cols1_2d, params["wb1"], out=b.z1_2d)
+        if b.backward:
+            np.greater(b.z1, 0.0, out=b.m1)
+        np.maximum(b.z1, 0.0, out=b.z1)
+        np.copyto(b.cols2_head, b.a1_windows)
+        np.matmul(b.cols2_2d, params["wb2"], out=b.z2_2d)
+        if b.backward:
+            np.greater(b.z2, 0.0, out=b.m2)
+        np.maximum(b.z2, 0.0, out=b.z2)
+        z3 = np.matmul(b.flat, params["w3t"].T, out=b.z3)
+        z3 += params["b3"]
+        a3 = np.maximum(z3, 0.0, out=b.a3)
+        z4 = a3 @ params["w4"].T + params["b4"]
+        return _sigmoid(z4[:, 0]), b
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = self._check_windows(X)
-        # chunks bound the column buffers, which they share
+        # chunks bound the buffers, which they share
+        params = _step_params(self)
         p = np.empty(len(X))
         work: dict = {}
         for i in range(0, len(X), _PREDICT_CHUNK):
-            p[i : i + _PREDICT_CHUNK] = self._forward(X[i : i + _PREDICT_CHUNK], work)[0]
+            chunk = X[i : i + _PREDICT_CHUNK]
+            batch = _work_batch(work, len(chunk), self.window_len, X.dtype, backward=False)
+            p[i : i + _PREDICT_CHUNK] = self._forward(chunk, params, batch)[0]
         return p
 
     def _check_windows(self, X: np.ndarray) -> np.ndarray:
@@ -240,38 +314,52 @@ class TemporalCnn:
             )
         return X
 
-    def _backward(self, y: np.ndarray, p: np.ndarray, cache, work=None) -> dict:
-        cols1, m1, cols2, m2, flat, w3, z3, a3 = cache
+    def _backward(self, y: np.ndarray, p: np.ndarray, params: dict, b: _Batch) -> dict:
+        # the gradients of the step-layout params, from the kept forward pass
         dz4 = (p - y)[:, None] / len(p)                     # BCE + sigmoid
-        grads = {"w4": dz4.T @ a3, "b4": dz4.sum(axis=0)}
-        dz3 = (dz4 @ self.w4) * (z3 > 0)
-        grads["w3"] = _regroup(dz3.T @ flat, m2.shape[1])   # back to channel-major
+        grads = {"w4": dz4.T @ b.a3, "b4": dz4.sum(axis=0)}
+        dz3 = (dz4 @ params["w4"]) * (b.z3 > 0)
+        grads["w3t"] = dz3.T @ b.flat
         grads["b3"] = dz3.sum(axis=0)
-        dz2 = np.matmul(dz3, w3, out=_buffer(work, "dz2", flat.shape, flat.dtype)).reshape(m2.shape)
-        dz2 *= m2
-        grads["w2"], grads["b2"] = _conv_grads(cols2, dz2)
-        dz1 = _input_grad(dz2, self.w2, work)
-        dz1 *= m1
-        grads["w1"], grads["b1"] = _conv_grads(cols1, dz1)
+        np.matmul(dz3, params["w3t"], out=b.dz2_flat)
+        np.multiply(b.dz2, b.m2, out=b.dz2)
+        grads["wb2"] = b.cols2_2d.T @ b.dz2_2d
+        wb2 = params["wb2"]
+        # (K, O, C) kernels: taps[k, o, c] = w2[o, c, k]
+        _input_grad(b, np.ascontiguousarray(wb2[:-1].reshape(KERNEL_WIDTH, -1, wb2.shape[1]).transpose(0, 2, 1)))
+        np.multiply(b.dz1, b.m1, out=b.dz1)
+        grads["wb1"] = b.cols1_2d.T @ b.dz1_2d
         return grads
 
     def loss_and_grads(self, X: np.ndarray, y: np.ndarray, *, work: dict | None = None):
         """Mean BCE loss and parameter gradients of one batch.
 
-        ``work`` is a dict in which a training loop keeps the per-batch
-        activations, masks and deltas from one call to the next. Allocating
-        them afresh costs about 3 MB a step that the allocator hands back to
-        the OS and then faults in again. The forward column buffers are kept
-        there too, for the weight gradients to reuse; without ``work`` (the
-        gradient check) every buffer is a temporary. The returned gradients
-        never alias ``work``.
+        Without ``work`` (the gradient check) the step reads the network's
+        parameters and returns their gradients in the same artifact layout;
+        every buffer is a temporary. ``work`` is a dict in which a training
+        loop keeps, for the whole fit, the parameters in the step layout of
+        ``_step_params`` (``work["params"]``, copied from this network on
+        the first call) and the per-batch buffers. The step then reads those
+        parameters, not the network's, and returns their gradients in that
+        layout, for the loop to apply to them in place. Allocating the
+        buffers afresh costs about 3 MB a step that the allocator hands back
+        to the OS and then faults in again. The returned gradients never
+        alias ``work``.
         """
         X = self._check_windows(X)
         y = np.asarray(y, dtype=X.dtype)
-        p, cache = self._forward(X, work)
+        if work is None:
+            params, b = _step_params(self), None
+        else:
+            params = work.get("params")
+            if params is None:
+                params = work["params"] = _step_params(self)
+            b = _work_batch(work, len(X), self.window_len, X.dtype, backward=True)
+        p, b = self._forward(X, params, b)
         eps = 1e-12
         loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
-        return loss, self._backward(y, p, cache, work)
+        grads = self._backward(y, p, params, b)
+        return loss, grads if work is not None else _artifact_layout(grads)
 
     # ------------------------------------------------------------------
     # serialization
@@ -331,21 +419,28 @@ def train_cnn(windows: np.ndarray, labels: np.ndarray, config: CnnTrainConfig | 
     ``windows`` may be a ragged list; inconsistent lengths are rejected.
     The SGD steps run in float32 (see the module docstring); the returned
     network is float64. epochs = 0 returns the freshly initialized network.
-    A budget outside the ranges ``PipelineConfig`` allows, or a seed that is
-    not an integer of at least 0, raises ``DataError`` before any work (and
-    already when the ``CnnTrainConfig`` is made).
+    A budget outside the ranges ``PipelineConfig`` allows, a seed that is
+    not an integer of at least 0 (already when the ``CnnTrainConfig`` is
+    made), windows that are not a 2-D array or labels that are not a 1-D
+    array raise ``DataError`` before any work.
     """
     config = config or CnnTrainConfig()
     _check_fields(vars(config), _TRAIN_RULES, DataError, "CNN training config")
     if isinstance(windows, np.ndarray) and windows.dtype == object or not isinstance(windows, np.ndarray):
+        if any(np.ndim(w) != 1 for w in windows):
+            raise DataError("windows must be a 2-D array (windows, samples)")
         lengths = {len(w) for w in windows}
         if len(lengths) > 1:
             raise DataError(f"windows of mixed lengths: {sorted(lengths)}")
         windows = np.array([np.asarray(w, dtype=np.float64) for w in windows])
     windows = np.asarray(windows, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    if windows.ndim != 2:
+        raise DataError(f"windows must be a 2-D array (windows, samples), got shape {windows.shape}")
+    if labels.ndim != 1:
+        raise DataError(f"labels must be a 1-D array, got shape {labels.shape}")
     if windows.size == 0:
         raise DataError("empty training set")
-    labels = np.asarray(labels, dtype=np.float64)
     if len(labels) != len(windows):
         raise DataError("windows and labels lengths differ")
     if not set(np.unique(labels).tolist()) <= {0.0, 1.0}:
@@ -359,36 +454,42 @@ def train_cnn(windows: np.ndarray, labels: np.ndarray, config: CnnTrainConfig | 
     net.input_scale = 1.0 / std if std > 1e-12 else 1.0
     if config.epochs == 0:
         return net
-    # The SGD loop runs in float32. Each batch is standardised in float64
-    # and then rounded, so any finite input fits float32 and no float32
-    # copy of every window is kept; a float32 copy of the network, whose own
-    # standardisation is the identity, takes the steps. A Python float rate
-    # keeps the update in float32 (a numpy float64 would promote it).
+    # The SGD loop runs in float32. The windows are standardised in float64
+    # and then rounded, so any finite input fits float32; a float32 copy of
+    # the network, whose own standardisation is the identity, takes the
+    # steps, and work["params"] holds its parameters in the step layout. A
+    # Python float rate keeps the update in float32 (a numpy float64 would
+    # promote it).
+    windows = windows - net.input_center               # a copy: the caller's windows stay as they are
+    windows *= net.input_scale
+    windows = windows.astype(np.float32)
+    labels = labels.astype(np.float32)
     step_net = replace(
         net, input_center=0.0, input_scale=1.0,
         **{name: getattr(net, name).astype(np.float32) for name in PARAM_NAMES},
     )
-    labels = labels.astype(np.float32)
+    params = _step_params(step_net)
+    work: dict = {"params": params}
     rate = float(config.learning_rate)
     rng = np.random.default_rng(config.seed + 1)
     n = len(windows)
-    work: dict = {}
     for _ in range(config.epochs):
         order = rng.permutation(n)
         epoch_losses = []
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            x = ((windows[idx] - net.input_center) * net.input_scale).astype(np.float32)
-            loss, grads = step_net.loss_and_grads(x, labels[idx], work=work)
+            loss, grads = step_net.loss_and_grads(windows[idx], labels[idx], work=work)
             epoch_losses.append(loss)
-            for name in PARAM_NAMES:
-                param = getattr(step_net, name)
-                param -= rate * grads[name]
+            for name, grad in grads.items():
+                grad *= rate                                # rate * grad, in float32
+                params[name] -= grad
         net.train_loss_curve.append(float(np.mean(epoch_losses)))
     # widening float32 to float64 is exact
-    for name in PARAM_NAMES:
-        setattr(net, name, getattr(step_net, name).astype(np.float64))
+    for name, param in _artifact_layout(params).items():
+        setattr(net, name, param.astype(np.float64))
     return net
+
+
 
 
 def _bce(p: np.ndarray, y: float) -> np.ndarray:
@@ -415,10 +516,9 @@ def gradient_check(net: TemporalCnn, window: np.ndarray, label: float, h: float 
     y_arr = np.array([label], dtype=np.float64)
     y = float(label)
     _, grads = net.loss_and_grads(X, y_arr)
-    _, cache = net._forward(X)
-    _, _, _, m2, flat, _, z3, a3 = cache
+    _, b = net._forward(X)
     # w3's columns read the conv output channel by channel
-    flat1, z31, a31 = _regroup(flat, m2.shape[1])[0], z3[0], a3[0]
+    flat1, z31, a31 = _regroup(b.flat, b.z2.shape[1])[0], b.z3[0], b.a3[0]
     z4 = float(a31 @ net.w4[0] + net.b4[0])
     worst = 0.0
 

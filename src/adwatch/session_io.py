@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -395,9 +395,20 @@ def write_timeline(timeline: DistractionTimeline, path: PathLike) -> None:
     anything is written. Rows are rendered and written ``_BLOCK_ROWS`` at a
     time, as ``write_frames`` does.
     """
+    path = Path(path)
+    blocks = _timeline_blocks(timeline, path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(blocks)
+
+
+def _timeline_blocks(timeline: DistractionTimeline, path: Path) -> Iterator[str]:
+    """The text ``write_timeline`` writes to ``path``, one block of
+    ``_BLOCK_ROWS`` rows at a time. The timeline is checked first: one that
+    ``_check_timeline`` refuses raises DataError naming ``path`` before any
+    row is rendered."""
     if len(timeline) == 0:
         raise DataError("refusing to write a 0-length timeline")
-    path = Path(path)
     points = _check_timeline(timeline, path)
     row = '{"frame_index":%s%s'
     if timeline.activity is not None:
@@ -410,8 +421,8 @@ def write_timeline(timeline: DistractionTimeline, path: PathLike) -> None:
     row += "}\n"
     index = np.asarray(timeline.frame_index).astype(np.int64, copy=False)
     mask = np.asarray(timeline.mask)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+
+    def blocks() -> Iterator[str]:
         for start in range(0, len(timeline), _BLOCK_ROWS):
             stop = start + _BLOCK_ROWS
             block = [
@@ -424,7 +435,9 @@ def write_timeline(timeline: DistractionTimeline, path: PathLike) -> None:
                 pairs = _row_texts(_json_texts(points[start:stop]), (2,))
                 block.append(["null" if none else "[" + pair + "]"
                               for pair, none in zip(pairs, null[start:stop].tolist())])
-            fh.writelines([row % texts for texts in zip(*block)])
+            yield "".join([row % texts for texts in zip(*block)])
+
+    return blocks()
 
 
 def _timeline_checks(columns: dict, objs: list, previous: Optional[dict]) -> tuple:

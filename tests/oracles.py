@@ -10,7 +10,9 @@ histograms of binned values, replay a fit's gradients by walking its trees,
 and walk each tree node by node instead of looking it up in a compiled table,
 and the convolution oracles build im2col columns from a sliding-window
 view over channel-first activations; the CNN step oracle runs the whole
-forward and backward pass on them. The frame and timeline oracles read and check one row at a
+forward and backward pass on them. The CNN training oracle keeps the
+parameters channel-first and standardises each batch as it comes, laying
+the parameters out for the step's GEMMs afresh every step. The frame and timeline oracles read and check one row at a
 time instead of checking whole columns. The writer oracles encode each row as a dict with
 the stdlib JSON encoder instead of filling a row template, and the yawn
 training-set oracle concatenates every tracked frame's features before it
@@ -298,6 +300,135 @@ def distracting_mask(events, n_frames):
         if ev.distracting:
             mask[ev.start_frame : ev.end_frame + 1] = True
     return mask
+
+
+# ---------------------------------------------------------------------------
+# CNN training: the SGD loop that re-lays the parameters out every step
+# ---------------------------------------------------------------------------
+
+def _reference_buffer(work, name, shape, dtype, alloc=np.empty):
+    buf = work.get(name)
+    if buf is None or buf.shape[1:] != shape[1:] or len(buf) < shape[0]:
+        buf = work[name] = alloc(shape, dtype)
+    return buf[: shape[0]]
+
+
+def _reference_weight_matrix(w, b):
+    O, C, K = w.shape
+    wm = np.empty((K * C + 1, O), w.dtype)
+    wm[:-1] = w.transpose(2, 1, 0).reshape(K * C, O)
+    wm[-1] = b
+    return wm
+
+
+def _reference_regroup(m, outer):
+    return m.reshape(len(m), outer, -1).transpose(0, 2, 1).reshape(len(m), -1)
+
+
+def _reference_conv(x, wm, work, name):
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    B, L, C = x.shape
+    KC, O = wm.shape[0] - 1, wm.shape[1]
+    lo = L - KC // C + 1
+    cols = _reference_buffer(work, name + "_cols", (B, lo, KC + 1), wm.dtype, np.ones)
+    np.copyto(cols[:, :, :KC], sliding_window_view(x.reshape(B, L * C), KC, axis=1)[:, ::C])
+    z = _reference_buffer(work, name, (B, lo, O), wm.dtype)
+    np.matmul(cols.reshape(B * lo, KC + 1), wm, out=z.reshape(B * lo, O))
+    return cols, z
+
+
+def _reference_conv_grads(cols, dz):
+    B, lo, KC1 = cols.shape
+    O = dz.shape[2]
+    g = cols.reshape(B * lo, KC1).T @ dz.reshape(B * lo, O)
+    return np.ascontiguousarray(g[:-1].reshape(3, -1, O).transpose(2, 1, 0)), g[-1]
+
+
+def _reference_input_grad(dz, w, work):
+    B, lo, O = dz.shape
+    _, C, K = w.shape
+    d = dz.reshape(B * lo, O)
+    taps = np.ascontiguousarray(w.transpose(2, 0, 1))
+    tap = _reference_buffer(work, "tap", (B, lo, C), dz.dtype)
+    out = _reference_buffer(work, "dz1", (B, lo + K - 1, C), dz.dtype)
+    np.matmul(d, taps[0], out=tap.reshape(B * lo, C))
+    out[:, :lo] = tap
+    out[:, lo:] = 0.0
+    for k in range(1, K):
+        np.matmul(d, taps[k], out=tap.reshape(B * lo, C))
+        out[:, k : k + lo] += tap
+    return out
+
+
+def _reference_step(p, X, y, work):
+    """Loss and artifact-layout gradients of one batch of windows that are
+    already standardised, for the parameters ``p`` (a dict by name)."""
+    cols1, a1 = _reference_conv(X[:, :, None], _reference_weight_matrix(p["w1"], p["b1"]), work, "a1")
+    m1 = np.greater(a1, 0.0, out=_reference_buffer(work, "m1", a1.shape, bool))
+    np.maximum(a1, 0.0, out=a1)
+    cols2, a2 = _reference_conv(a1, _reference_weight_matrix(p["w2"], p["b2"]), work, "a2")
+    m2 = np.greater(a2, 0.0, out=_reference_buffer(work, "m2", a2.shape, bool))
+    np.maximum(a2, 0.0, out=a2)
+    flat = a2.reshape(len(X), -1)
+    w3 = _reference_regroup(p["w3"], 16)
+    z3 = flat @ w3.T + p["b3"]
+    a3 = np.maximum(z3, 0.0)
+    z4 = a3 @ p["w4"].T + p["b4"]
+    prob = 1.0 / (1.0 + np.exp(-np.clip(z4[:, 0], -35.0, 35.0)))
+    eps = 1e-12
+    loss = float(-np.mean(y * np.log(prob + eps) + (1 - y) * np.log(1 - prob + eps)))
+    dz4 = (prob - y)[:, None] / len(prob)
+    grads = {"w4": dz4.T @ a3, "b4": dz4.sum(axis=0)}
+    dz3 = (dz4 @ p["w4"]) * (z3 > 0)
+    grads["w3"] = _reference_regroup(dz3.T @ flat, m2.shape[1])
+    grads["b3"] = dz3.sum(axis=0)
+    dz2 = np.matmul(dz3, w3, out=_reference_buffer(work, "dz2", flat.shape, flat.dtype)).reshape(m2.shape)
+    dz2 *= m2
+    grads["w2"], grads["b2"] = _reference_conv_grads(cols2, dz2)
+    dz1 = _reference_input_grad(dz2, p["w2"], work)
+    dz1 *= m1
+    grads["w1"], grads["b1"] = _reference_conv_grads(cols1, dz1)
+    return loss, grads
+
+
+def reference_train_cnn(windows, labels, config):
+    """``cnn.train_cnn`` of valid 2-D windows and binary labels, as it ran
+    before a fit held its parameters in the layouts of the step's GEMMs.
+    Each batch is standardised in float64 and then rounded to float32; the
+    float32 parameters stay in the channel-first artifact layout, and each
+    step builds the conv weight matrices and regroups ``w3`` (and its
+    gradient) afresh, with bool ReLU masks, returning new gradient arrays
+    that the loop subtracts."""
+    from adwatch.cnn import PARAM_NAMES, TemporalCnn
+
+    windows = np.asarray(windows, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    net = TemporalCnn.initialize(windows.shape[1], seed=config.seed)
+    net.input_center = float(np.mean(windows))
+    std = float(np.std(windows))
+    net.input_scale = 1.0 / std if std > 1e-12 else 1.0
+    if config.epochs == 0:
+        return net
+    params = {name: getattr(net, name).astype(np.float32) for name in PARAM_NAMES}
+    labels = labels.astype(np.float32)
+    rate = float(config.learning_rate)
+    rng = np.random.default_rng(config.seed + 1)
+    work = {}
+    for _ in range(config.epochs):
+        order = rng.permutation(len(windows))
+        losses = []
+        for start in range(0, len(windows), config.batch_size):
+            idx = order[start : start + config.batch_size]
+            x = ((windows[idx] - net.input_center) * net.input_scale).astype(np.float32)
+            loss, grads = _reference_step(params, x, labels[idx], work)
+            losses.append(loss)
+            for name in PARAM_NAMES:
+                params[name] -= rate * grads[name]
+        net.train_loss_curve.append(float(np.mean(losses)))
+    for name in PARAM_NAMES:
+        setattr(net, name, params[name].astype(np.float64))
+    return net
 
 
 # ---------------------------------------------------------------------------

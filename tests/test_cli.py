@@ -1080,6 +1080,28 @@ def test_score_jobs_forks_no_more_workers_than_sessions(trained, tmp_path, monke
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_score_whose_last_session_fails_writes_no_file(trained, tmp_path, capsys, jobs):
+    # every other session scores first (with --jobs 2, half of them in a
+    # worker), and none of their files may be written
+    _, suite, art, _ = trained
+    copy = tmp_path / "suite"
+    shutil.copytree(suite, copy)
+    message = break_frame_row(split_manifests(copy, "held_out")[-1], 701)
+    out = tmp_path / "o"
+    code = main(["score", "--suite-dir", str(copy), "--artifacts", str(art), "--split", "held_out",
+                 "--jobs", jobs, "--output", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+    # the same split, mended, writes every session's two files
+    shutil.copytree(suite, copy, dirs_exist_ok=True)
+    assert main(["score", "--suite-dir", str(copy), "--artifacts", str(art), "--split", "held_out",
+                 "--jobs", jobs, "--output", str(out)]) == 0
+    assert len(list(out.iterdir())) == 2 * len(split_manifests(copy, "held_out"))
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["simulate", "--jobs", "2"], id="simulate_has_no_jobs"),
     pytest.param(["score", "--artifacts", "a", "--jobs", "0"], id="score_jobs_0"),

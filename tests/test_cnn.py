@@ -13,10 +13,9 @@ from adwatch.cnn import (
     PARAM_NAMES,
     CnnTrainConfig,
     TemporalCnn,
-    _conv,
-    _conv_grads,
+    _artifact_layout,
     _input_grad,
-    _weight_matrix,
+    _step_params,
     gradient_check,
     train_cnn,
 )
@@ -25,6 +24,7 @@ from adwatch.errors import DataError, MissingArtifactError
 from adwatch.training import train_speaking_cnn
 from oracles import (
     channel_first_loss_and_grads,
+    reference_train_cnn,
     window_conv1d,
     window_conv_input_grad,
     window_conv_weight_grad,
@@ -116,6 +116,22 @@ def test_non_finite_windows_rejected(toy_set, bad):
         train_cnn(X, y, CnnTrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize(
+    "windows, labels, message",
+    [
+        (np.zeros(10), np.zeros(10), r"windows must be a 2-D array .*got shape \(10,\)"),
+        (np.zeros((10, 30, 2)), np.zeros(10), r"windows must be a 2-D array .*got shape \(10, 30, 2\)"),
+        (np.zeros((10, 30)), np.zeros((10, 2)), r"labels must be a 1-D array, got shape \(10, 2\)"),
+        ([0.0, 1.0], np.zeros(2), r"windows must be a 2-D array"),
+    ],
+    ids=["1d_windows", "3d_windows", "2d_labels", "list_of_numbers"],
+)
+def test_windows_and_labels_of_the_wrong_shape_rejected_before_any_work(monkeypatch, windows, labels, message):
+    monkeypatch.setattr(TemporalCnn, "initialize", lambda *args, **kwargs: pytest.fail("initialized"))
+    with pytest.raises(DataError, match=message):
+        train_cnn(windows, labels, CnnTrainConfig(epochs=1))
+
+
 def test_nonbinary_labels_rejected():
     with pytest.raises(DataError, match="binary"):
         train_cnn(np.zeros((4, 30)), np.array([0.0, 0.5, 1.0, 1.0]))
@@ -177,20 +193,40 @@ def channel_last(a):
 def test_conv_kernels_match_sliding_window_im2col(batch):
     rng = np.random.default_rng(batch)
     net = TemporalCnn.initialize(30, seed=4)
-    x0 = rng.normal(0, 1, (batch, 1, 30))
-    a1 = np.maximum(rng.normal(0, 1, (batch, 8, 28)), 0.0)
+    net.b1[...], net.b2[...] = rng.normal(0, 1, 8), rng.normal(0, 1, 16)
+    X = rng.normal(0, 1, (batch, 30))
     dz1 = rng.normal(0, 1, (batch, 8, 28))
     dz2 = rng.normal(0, 1, (batch, 16, 26))
-    b1, b2 = rng.normal(0, 1, 8), rng.normal(0, 1, 16)
-    cols0, z1 = _conv(channel_last(x0), _weight_matrix(net.w1, b1))
-    assert_close(z1, channel_last(window_conv1d(x0, net.w1) + b1[None, :, None]))
-    cols1, z2 = _conv(channel_last(a1), _weight_matrix(net.w2, b2))
-    assert_close(z2, channel_last(window_conv1d(a1, net.w2) + b2[None, :, None]))
-    for cols, x, dz in ((cols0, x0, dz1), (cols1, a1, dz2)):
-        dw, db = _conv_grads(cols, channel_last(dz))
-        assert_close(dw, window_conv_weight_grad(x, dz))
-        assert_close(db, dz.sum(axis=(0, 2)))
-    assert_close(_input_grad(channel_last(dz2), net.w2), channel_last(window_conv_input_grad(dz2, net.w2)))
+    _, b = net._forward(X)
+    x0 = X[:, None, :]
+    z1 = window_conv1d(x0, net.w1) + net.b1[None, :, None]
+    a1 = np.maximum(z1, 0.0)
+    z2 = window_conv1d(a1, net.w2) + net.b2[None, :, None]
+    # the forward pass keeps each layer's columns and ReLU output
+    assert np.array_equal(b.cols1[:, :, :3], channel_last(x0)[:, np.arange(28)[:, None] + np.arange(3), 0])
+    assert (b.cols1[:, :, 3] == 1.0).all() and (b.cols2[:, :, 24] == 1.0).all()
+    assert_close(b.z1, channel_last(a1))
+    assert_close(b.z2, channel_last(np.maximum(z2, 0.0)))
+    # each conv's weight-matrix gradient is one GEMM against its columns,
+    # laid out channel-first like the kernels
+    step = _step_params(net)
+    step["wb1"] = b.cols1_2d.T @ channel_last(dz1).reshape(-1, 8)
+    step["wb2"] = b.cols2_2d.T @ channel_last(dz2).reshape(-1, 16)
+    grads = _artifact_layout(step)
+    for x, dz, i in ((x0, dz1, 1), (a1, dz2, 2)):
+        assert_close(grads[f"w{i}"], window_conv_weight_grad(x, dz))
+        assert_close(grads[f"b{i}"], dz.sum(axis=(0, 2)))
+    b.dz2[...] = channel_last(dz2)
+    _input_grad(b, np.ascontiguousarray(net.w2.transpose(2, 0, 1)))
+    assert_close(b.dz1, channel_last(window_conv_input_grad(dz2, net.w2)))
+
+
+def test_step_layout_round_trips_exactly():
+    net, _ = random_network(3)
+    back = _artifact_layout(_step_params(net))
+    assert back.keys() == set(PARAM_NAMES)
+    for name in PARAM_NAMES:
+        assert np.array_equal(back[name], getattr(net, name)), name
 
 
 def random_network(seed):
@@ -216,6 +252,10 @@ def test_step_matches_the_channel_first_reference(batch, seed):
     net.loss_and_grads(rng.normal(0.05, 0.03, (130, 30)), np.ones(130), work=work)
     for kwargs in ({}, {"work": work}):
         loss, grads = net.loss_and_grads(X, y, **kwargs)
+        if kwargs:
+            # a workspace's step returns the gradients in its step layout
+            assert grads.keys() == work["params"].keys()
+            grads = _artifact_layout(grads)
         assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
         assert grads.keys() == ref_grads.keys()
         for name in PARAM_NAMES:
@@ -245,14 +285,16 @@ def test_float32_step_matches_the_float64_reference(batch, seed):
     net = TemporalCnn.from_dict(net32.to_dict())            # widened, exactly
     X = rng.normal(0.05, 0.03, (batch, 30)).astype(np.float32)
     y = (rng.random(batch) < 0.5).astype(np.float32)
-    p, (_, m1, _, m2, _, _, z3, _) = net._forward(X.astype(np.float64))
-    _, (_, n1, _, n2, _, _, y3, _) = net32._forward(X)
+    p, b64 = net._forward(X.astype(np.float64))
+    _, b32 = net32._forward(X)
     # float32 cannot resolve 1 - p near saturation, and a pre-activation
     # within rounding of zero may fall on the other side of a ReLU
     assume(np.all((p > 1e-3) & (p < 1 - 1e-3)))
-    assume(np.array_equal(m1, n1) and np.array_equal(m2, n2) and np.array_equal(z3 > 0, y3 > 0))
+    assume(np.array_equal(b64.m1, b32.m1) and np.array_equal(b64.m2, b32.m2)
+           and np.array_equal(b64.z3 > 0, b32.z3 > 0))
     ref_loss, ref_grads = channel_first_loss_and_grads(net, X, y)
     loss, grads = net32.loss_and_grads(X, y, work={})
+    grads = _artifact_layout(grads)
     assert abs(loss - ref_loss) <= F32_REL * ref_loss
     # norm-wise: b4's gradient is a sum of terms that may cancel, so each
     # error is measured against the largest gradient entry
@@ -284,6 +326,30 @@ def test_work_buffers_leave_training_unchanged(toy_set):
     for name in PARAM_NAMES:
         assert getattr(trained, name).dtype == np.float64
         assert np.array_equal(getattr(trained, name), getattr(net, name))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 260),
+    window_len=st.integers(5, 40),
+    batch_size=st.integers(1, 130),
+    epochs=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_training_matches_the_per_step_layout_reference_bit_for_bit(n, window_len, batch_size, epochs, seed):
+    # the reference standardises each batch and re-lays the parameters out
+    # every step; the fit does both once. An n that batch_size does not
+    # divide leaves a short last batch, stepped in slices of the buffers
+    rng = np.random.default_rng(seed)
+    X = rng.normal(rng.normal(0.0, 5.0), rng.uniform(0.01, 10.0), (n, window_len))
+    y = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(float)
+    config = CnnTrainConfig(epochs=epochs, batch_size=batch_size, seed=seed % 1000)
+    got, want = train_cnn(X, y, config), reference_train_cnn(X, y, config)
+    assert got.train_loss_curve == want.train_loss_curve
+    for name in PARAM_NAMES:
+        assert getattr(got, name).dtype == np.float64
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.to_dict() == want.to_dict()
 
 
 def test_windows_beyond_the_float32_range_train_to_finite_weights(toy_set):

@@ -17,6 +17,7 @@ from adwatch.fusion import SIGNAL_NAMES, DistractionTimeline, fuse
 from adwatch.records import AU_NAMES, FrameArrays, SessionManifest, first_failure, frame_checks
 from adwatch.session_io import (
     _FRAME_SCHEMA,
+    _timeline_blocks,
     load_frames,
     load_manifest,
     load_session,
@@ -932,14 +933,18 @@ def assert_timeline_written_or_refused(timeline):
     finite pair nor all NaN: then refused, naming the first such row."""
     targets = timeline.target_cm
     ok = True if targets is None else np.isfinite(targets).all(axis=1) | np.isnan(targets).all(axis=1)
-    if np.all(ok):
-        assert_written_like_oracle(write_timeline, json_write_timeline, timeline)
-        return
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.jsonl"
-        with pytest.raises(DataError, match=f"row {np.argmin(ok) + 1}: target_cm must be a pair "
-                                            "of finite numbers or NaN for null"):
+        if np.all(ok):
+            assert_written_like_oracle(write_timeline, json_write_timeline, timeline)
+            # the text score renders before it writes anything
             write_timeline(timeline, path)
+            assert "".join(_timeline_blocks(timeline, path)) == path.read_text(encoding="utf-8")
+            return
+        for write in (write_timeline, _timeline_blocks):    # the blocks are checked before any is rendered
+            with pytest.raises(DataError, match=f"row {np.argmin(ok) + 1}: target_cm must be a pair "
+                                                "of finite numbers or NaN for null"):
+                write(timeline, path)
         assert not path.exists()
 
 
