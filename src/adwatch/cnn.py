@@ -17,12 +17,14 @@ columns, kept from the forward pass, give the gradient of that matrix, bias
 row included, in one GEMM, ``cols.T @ dz``. The input gradient is a
 shift-sum: tap k's ``dz @ w[:, :, k]`` is added at time offset k.
 
-A network keeps its parameters in the channel-first artifact layout:
-``w1``/``w2`` are ``(O, C, K)`` and ``w3`` reads the conv output flattened
-channel by channel. A step reads them in the layouts its GEMMs use
-(``_step_params``): each conv layer's weight matrix with its bias row, and
-``w3t``, which reads the conv output time-major. ``predict_proba`` and the
-gradient check lay them out once per call, in float64.
+A network holds its parameters in one layout, the one its GEMMs read:
+``wb1`` and ``wb2`` are the conv layers' weight matrices with their bias
+rows, ``w3t`` reads the conv output time-major, and ``b3``, ``w4`` and
+``b4`` are the dense layers' remaining arrays. ``loss_and_grads`` returns
+the gradients in the same layout. The artifact file keeps the channel-first
+layout, ``w1``/``w2`` as ``(O, C, K)`` kernels and ``w3`` reading the conv
+output channel by channel: ``to_dict`` writes it, and ``from_dict`` and
+``initialize`` lay the parameters out for the GEMMs once.
 
 ``train_cnn`` sets the input standardisation in float64 and runs its SGD
 loop in float32, where the step's GEMMs take about half the time, as in
@@ -30,18 +32,17 @@ mixed-precision training (Micikevicius et al. 2018). For the whole fit it
 holds:
 
 - every window, standardised in float64 and rounded to float32 once;
-- the parameters in float32 and in the step layout, which each update
-  changes in place;
+- a float32 copy of the network, whose arrays each update changes in place;
 - one set of work buffers (``_Batch``: columns, activations, float32 ReLU
   masks and deltas) sized for the largest batch, with the strided views
   that fill the columns built once. An epoch's short last batch steps in
   leading slices of them.
 
-At the end it lays the parameters back out channel-first and widens them
-to float64, which is exact. Each element's arithmetic and each GEMM's
-operands are those of a step on the artifact layout, so the fit is that
-loop's bit for bit. Prediction, loaded artifacts and the gradient check
-stay float64.
+At the end it widens the parameters to float64, which is exact. Each
+element's arithmetic and each GEMM's operands are those of a step that
+re-lays channel-first parameters out every time, so the fit is that loop's
+bit for bit. Prediction, loaded artifacts and the gradient check stay
+float64.
 """
 
 from __future__ import annotations
@@ -59,7 +60,10 @@ CONV1_CHANNELS = 8
 CONV2_CHANNELS = 16
 FC_WIDTH = 50
 
+# the artifact's arrays, channel-first, in file order
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4")
+# a network's arrays, in the layouts of its GEMMs
+_STEP_NAMES = ("wb1", "wb2", "w3t", "b3", "w4", "b4")
 
 # windows per forward pass in predict_proba
 _PREDICT_CHUNK = 256
@@ -94,24 +98,24 @@ def _regroup(m: np.ndarray, outer: int) -> np.ndarray:
     return m.reshape(len(m), outer, -1).transpose(0, 2, 1).reshape(len(m), -1)
 
 
-def _step_params(net: "TemporalCnn") -> dict[str, np.ndarray]:
-    """``net``'s parameters as new arrays, in its dtype, in the layouts the
-    step's GEMMs read: ``wb1``/``wb2`` are the conv layers' weight matrices
+def _step_layout(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The ``_STEP_NAMES`` arrays of the channel-first ``PARAM_NAMES``
+    arrays ``params``: ``wb1``/``wb2`` are the conv layers' weight matrices
     with their bias rows, and ``w3t`` is ``w3`` reading the conv output
-    time-major."""
+    time-major. ``b3``, ``w4`` and ``b4`` are ``params``' own arrays."""
     return {
-        "wb1": _weight_matrix(net.w1, net.b1),
-        "wb2": _weight_matrix(net.w2, net.b2),
-        "w3t": _regroup(net.w3, CONV2_CHANNELS),
-        "b3": net.b3.copy(),
-        "w4": net.w4.copy(),
-        "b4": net.b4.copy(),
+        "wb1": _weight_matrix(params["w1"], params["b1"]),
+        "wb2": _weight_matrix(params["w2"], params["b2"]),
+        "w3t": _regroup(params["w3"], CONV2_CHANNELS),
+        "b3": params["b3"],
+        "w4": params["w4"],
+        "b4": params["b4"],
     }
 
 
 def _artifact_layout(step: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """The ``PARAM_NAMES`` arrays of parameters, or of their gradients, given
-    in the step layout of ``_step_params``."""
+    in the step layout of ``_step_layout``."""
     out = {}
     for i in (1, 2):
         wb = step[f"wb{i}"]
@@ -220,14 +224,13 @@ def _artifact_array(obj: dict, name: str, shape: tuple, where: str) -> np.ndarra
 
 @dataclass
 class TemporalCnn:
-    """Binary classifier over fixed-length 1-D windows."""
+    """Binary classifier over fixed-length 1-D windows. Its parameters are
+    in the step layout of ``_step_layout``."""
 
     window_len: int
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
+    wb1: np.ndarray
+    wb2: np.ndarray
+    w3t: np.ndarray
     b3: np.ndarray
     w4: np.ndarray
     b4: np.ndarray
@@ -246,66 +249,59 @@ class TemporalCnn:
         def he(name, fan_in):
             return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shapes[name])
 
-        return cls(
-            window_len=window_len,
-            w1=he("w1", KERNEL_WIDTH),
-            b1=np.zeros(CONV1_CHANNELS),
-            w2=he("w2", CONV1_CHANNELS * KERNEL_WIDTH),
-            b2=np.zeros(CONV2_CHANNELS),
-            w3=he("w3", shapes["w3"][1]),
-            b3=np.zeros(FC_WIDTH),
-            w4=he("w4", FC_WIDTH),
-            b4=np.zeros(1),
-        )
+        return cls(window_len=window_len, **_step_layout({
+            "w1": he("w1", KERNEL_WIDTH),
+            "b1": np.zeros(CONV1_CHANNELS),
+            "w2": he("w2", CONV1_CHANNELS * KERNEL_WIDTH),
+            "b2": np.zeros(CONV2_CHANNELS),
+            "w3": he("w3", shapes["w3"][1]),
+            "b3": np.zeros(FC_WIDTH),
+            "w4": he("w4", FC_WIDTH),
+            "b4": np.zeros(1),
+        }))
 
     # ------------------------------------------------------------------
     # forward / backward
     # ------------------------------------------------------------------
 
-    def _forward(self, X: np.ndarray, params: dict | None = None, b: _Batch | None = None):
+    def _forward(self, X: np.ndarray, b: _Batch | None = None):
         """Output probabilities of checked windows, and the batch buffers
-        that hold what the backward pass reads. ``params`` is in the step
-        layout; by default, this network's, and fresh buffers with masks."""
-        if params is None:
-            params = _step_params(self)
+        that hold what the backward pass reads; by default, fresh buffers
+        with masks."""
         if b is None:
             b = _Batch(len(X), self.window_len, X.dtype, backward=True)
-        if self.input_center == 0.0 and self.input_scale == 1.0:
-            np.copyto(b.x, X)                               # (X - 0.0) * 1.0 is X
-        else:
-            np.multiply(np.subtract(X, self.input_center, out=b.x), self.input_scale, out=b.x)
+        np.multiply(np.subtract(X, self.input_center, out=b.x), self.input_scale, out=b.x)
         for cols, x in b.x_taps:
             np.copyto(cols, x)
-        np.matmul(b.cols1_2d, params["wb1"], out=b.z1_2d)
+        np.matmul(b.cols1_2d, self.wb1, out=b.z1_2d)
         if b.backward:
             np.greater(b.z1, 0.0, out=b.m1)
         np.maximum(b.z1, 0.0, out=b.z1)
         np.copyto(b.cols2_head, b.a1_windows)
-        np.matmul(b.cols2_2d, params["wb2"], out=b.z2_2d)
+        np.matmul(b.cols2_2d, self.wb2, out=b.z2_2d)
         if b.backward:
             np.greater(b.z2, 0.0, out=b.m2)
         np.maximum(b.z2, 0.0, out=b.z2)
-        z3 = np.matmul(b.flat, params["w3t"].T, out=b.z3)
-        z3 += params["b3"]
+        z3 = np.matmul(b.flat, self.w3t.T, out=b.z3)
+        z3 += self.b3
         a3 = np.maximum(z3, 0.0, out=b.a3)
-        z4 = a3 @ params["w4"].T + params["b4"]
+        z4 = a3 @ self.w4.T + self.b4
         return _sigmoid(z4[:, 0]), b
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = self._check_windows(X)
         # chunks bound the buffers, which they share
-        params = _step_params(self)
         p = np.empty(len(X))
         work: dict = {}
         for i in range(0, len(X), _PREDICT_CHUNK):
             chunk = X[i : i + _PREDICT_CHUNK]
             batch = _work_batch(work, len(chunk), self.window_len, X.dtype, backward=False)
-            p[i : i + _PREDICT_CHUNK] = self._forward(chunk, params, batch)[0]
+            p[i : i + _PREDICT_CHUNK] = self._forward(chunk, batch)[0]
         return p
 
     def _check_windows(self, X: np.ndarray) -> np.ndarray:
         # in the parameters' dtype: float64 but while train_cnn runs
-        X = np.asarray(X, dtype=self.w1.dtype)
+        X = np.asarray(X, dtype=self.wb1.dtype)
         if X.ndim == 1:
             X = X[None, :]
         if X.shape[1] != self.window_len:
@@ -314,17 +310,17 @@ class TemporalCnn:
             )
         return X
 
-    def _backward(self, y: np.ndarray, p: np.ndarray, params: dict, b: _Batch) -> dict:
-        # the gradients of the step-layout params, from the kept forward pass
+    def _backward(self, y: np.ndarray, p: np.ndarray, b: _Batch) -> dict:
+        # the gradients of the parameters, from the kept forward pass
         dz4 = (p - y)[:, None] / len(p)                     # BCE + sigmoid
         grads = {"w4": dz4.T @ b.a3, "b4": dz4.sum(axis=0)}
-        dz3 = (dz4 @ params["w4"]) * (b.z3 > 0)
+        dz3 = (dz4 @ self.w4) * (b.z3 > 0)
         grads["w3t"] = dz3.T @ b.flat
         grads["b3"] = dz3.sum(axis=0)
-        np.matmul(dz3, params["w3t"], out=b.dz2_flat)
+        np.matmul(dz3, self.w3t, out=b.dz2_flat)
         np.multiply(b.dz2, b.m2, out=b.dz2)
         grads["wb2"] = b.cols2_2d.T @ b.dz2_2d
-        wb2 = params["wb2"]
+        wb2 = self.wb2
         # (K, O, C) kernels: taps[k, o, c] = w2[o, c, k]
         _input_grad(b, np.ascontiguousarray(wb2[:-1].reshape(KERNEL_WIDTH, -1, wb2.shape[1]).transpose(0, 2, 1)))
         np.multiply(b.dz1, b.m1, out=b.dz1)
@@ -332,48 +328,38 @@ class TemporalCnn:
         return grads
 
     def loss_and_grads(self, X: np.ndarray, y: np.ndarray, *, work: dict | None = None):
-        """Mean BCE loss and parameter gradients of one batch.
+        """Mean BCE loss and parameter gradients of one batch, the gradients
+        by ``_STEP_NAMES`` name in the network's own layout.
 
-        Without ``work`` (the gradient check) the step reads the network's
-        parameters and returns their gradients in the same artifact layout;
-        every buffer is a temporary. ``work`` is a dict in which a training
-        loop keeps, for the whole fit, the parameters in the step layout of
-        ``_step_params`` (``work["params"]``, copied from this network on
-        the first call) and the per-batch buffers. The step then reads those
-        parameters, not the network's, and returns their gradients in that
-        layout, for the loop to apply to them in place. Allocating the
-        buffers afresh costs about 3 MB a step that the allocator hands back
-        to the OS and then faults in again. The returned gradients never
-        alias ``work``.
+        Without ``work`` (the gradient check) every buffer is a temporary.
+        ``work`` is a dict in which a training loop keeps the per-batch
+        buffers for the whole fit: allocating them afresh costs about 3 MB a
+        step that the allocator hands back to the OS and then faults in
+        again. The returned gradients never alias ``work``.
         """
         X = self._check_windows(X)
         y = np.asarray(y, dtype=X.dtype)
-        if work is None:
-            params, b = _step_params(self), None
-        else:
-            params = work.get("params")
-            if params is None:
-                params = work["params"] = _step_params(self)
-            b = _work_batch(work, len(X), self.window_len, X.dtype, backward=True)
-        p, b = self._forward(X, params, b)
+        b = None if work is None else _work_batch(work, len(X), self.window_len, X.dtype, backward=True)
+        p, b = self._forward(X, b)
         eps = 1e-12
         loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
-        grads = self._backward(y, p, params, b)
-        return loss, grads if work is not None else _artifact_layout(grads)
+        return loss, self._backward(y, p, b)
 
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------
 
     def to_dict(self) -> dict:
+        """The artifact document, its parameters laid out channel-first."""
         doc = {
             "window_len": self.window_len,
             "input_center": self.input_center,
             "input_scale": self.input_scale,
             "train_loss_curve": self.train_loss_curve,
         }
+        params = _artifact_layout({name: getattr(self, name) for name in _STEP_NAMES})
         for name in PARAM_NAMES:
-            doc[name] = getattr(self, name).tolist()
+            doc[name] = params[name].tolist()
         return doc
 
     @classmethod
@@ -384,7 +370,8 @@ class TemporalCnn:
         naming ``where`` and the field."""
         header = _check_fields(obj, _HEADER_RULES, MissingArtifactError, where, unknown_ok=True)
         shapes = _param_shapes(header["window_len"])
-        return cls(**header, **{name: _artifact_array(obj, name, shape, where) for name, shape in shapes.items()})
+        params = {name: _artifact_array(obj, name, shape, where) for name, shape in shapes.items()}
+        return cls(**header, **_step_layout(params))
 
 
 _HEADER_RULES = {
@@ -457,19 +444,17 @@ def train_cnn(windows: np.ndarray, labels: np.ndarray, config: CnnTrainConfig | 
     # The SGD loop runs in float32. The windows are standardised in float64
     # and then rounded, so any finite input fits float32; a float32 copy of
     # the network, whose own standardisation is the identity, takes the
-    # steps, and work["params"] holds its parameters in the step layout. A
-    # Python float rate keeps the update in float32 (a numpy float64 would
-    # promote it).
+    # steps, and each update changes its arrays in place. A Python float
+    # rate keeps the update in float32 (a numpy float64 would promote it).
     windows = windows - net.input_center               # a copy: the caller's windows stay as they are
     windows *= net.input_scale
     windows = windows.astype(np.float32)
     labels = labels.astype(np.float32)
     step_net = replace(
         net, input_center=0.0, input_scale=1.0,
-        **{name: getattr(net, name).astype(np.float32) for name in PARAM_NAMES},
+        **{name: getattr(net, name).astype(np.float32) for name in _STEP_NAMES},
     )
-    params = _step_params(step_net)
-    work: dict = {"params": params}
+    work: dict = {}
     rate = float(config.learning_rate)
     rng = np.random.default_rng(config.seed + 1)
     n = len(windows)
@@ -482,14 +467,13 @@ def train_cnn(windows: np.ndarray, labels: np.ndarray, config: CnnTrainConfig | 
             epoch_losses.append(loss)
             for name, grad in grads.items():
                 grad *= rate                                # rate * grad, in float32
-                params[name] -= grad
+                param = getattr(step_net, name)
+                param -= grad
         net.train_loss_curve.append(float(np.mean(epoch_losses)))
     # widening float32 to float64 is exact
-    for name, param in _artifact_layout(params).items():
-        setattr(net, name, param.astype(np.float64))
+    for name in _STEP_NAMES:
+        setattr(net, name, getattr(step_net, name).astype(np.float64))
     return net
-
-
 
 
 def _bce(p: np.ndarray, y: float) -> np.ndarray:
@@ -517,16 +501,15 @@ def gradient_check(net: TemporalCnn, window: np.ndarray, label: float, h: float 
     y = float(label)
     _, grads = net.loss_and_grads(X, y_arr)
     _, b = net._forward(X)
-    # w3's columns read the conv output channel by channel
-    flat1, z31, a31 = _regroup(b.flat, b.z2.shape[1])[0], b.z3[0], b.a3[0]
+    flat1, z31, a31 = b.flat[0], b.z3[0], b.a3[0]
     z4 = float(a31 @ net.w4[0] + net.b4[0])
     worst = 0.0
 
     def loss_at(z4_val: np.ndarray) -> np.ndarray:
         return _bce(_sigmoid(np.asarray(z4_val)), y)
 
-    # conv side: honest re-evaluation per perturbed entry
-    for name in ("w1", "b1", "w2", "b2"):
+    # conv side: honest re-evaluation per perturbed entry, bias rows included
+    for name in ("wb1", "wb2"):
         param = getattr(net, name)
         pf = param.ravel()
         ga = grads[name].ravel()
@@ -542,10 +525,10 @@ def gradient_check(net: TemporalCnn, window: np.ndarray, label: float, h: float 
         worst = max(worst, _rel_err(ga, numeric))
 
     w4row = net.w4[0]
-    # w3[i, j]: z3[i] shifts by +/- h * flat[j]
+    # w3t[i, j]: z3[i] shifts by +/- h * flat[j]
     lp = loss_at(z4 + w4row[:, None] * (np.maximum(z31[:, None] + h * flat1[None, :], 0.0) - a31[:, None]))
     lm = loss_at(z4 + w4row[:, None] * (np.maximum(z31[:, None] - h * flat1[None, :], 0.0) - a31[:, None]))
-    worst = max(worst, _rel_err(grads["w3"], (lp - lm) / (2 * h)))
+    worst = max(worst, _rel_err(grads["w3t"], (lp - lm) / (2 * h)))
     # b3[i]: z3[i] shifts by +/- h
     lp = loss_at(z4 + w4row * (np.maximum(z31 + h, 0.0) - a31))
     lm = loss_at(z4 + w4row * (np.maximum(z31 - h, 0.0) - a31))

@@ -71,17 +71,23 @@ def yawn_probability(features: np.ndarray, model: Optional[BoostedEnsemble]) -> 
 
 
 def smooth_flags(flags: np.ndarray, frame_rate_hz: float, span_s: float) -> np.ndarray:
-    """Centered majority vote over ``span_s`` seconds."""
+    """Centered majority vote over ``span_s`` seconds, one flag per frame
+    however short the sequence."""
     flags = np.asarray(flags, dtype=bool)
+    n = len(flags)
     w = int(round(span_s * frame_rate_hz))
-    if w <= 1:
+    if w <= 1 or n == 0:
         return flags.copy()
     if w % 2 == 0:
         w += 1
-    counts = np.convolve(flags.astype(np.int64), np.ones(w, dtype=np.int64), mode="same")
+
+    def window_sums(a: np.ndarray) -> np.ndarray:
+        # the centred part of the full convolution; mode="same" would give
+        # max(n, w) sums, more than the frames when n < w
+        return np.convolve(a, np.ones(w, dtype=np.int64))[w // 2 : w // 2 + n]
+
     # edge windows are truncated; majority is over the actual window size
-    sizes = np.convolve(np.ones(len(flags), dtype=np.int64), np.ones(w, dtype=np.int64), mode="same")
-    return counts * 2 > sizes
+    return window_sums(flags.astype(np.int64)) * 2 > window_sums(np.ones(n, dtype=np.int64))
 
 
 def yawn_flags(

@@ -111,6 +111,10 @@ def frame_checks(frames: FrameArrays, previous: Optional[tuple[int, float]] = No
     before_fi, before_ts = (fi[:1] - 1, -np.inf) if previous is None else ([previous[0]], previous[1])
     prev_fi = np.concatenate((before_fi, fi[:-1]))
     prev_ts = np.concatenate(([before_ts], ts[:-1]))
+    # The length the ray intersection divides by: one that underflows is
+    # zero, and one that overflows is not.
+    with np.errstate(over="ignore"):
+        zero_direction = np.linalg.norm(frames.direction, axis=1) == 0.0
     # Written as ~(in range) so that NaN counts as out of range.
     bad_aus = ~((aus >= 0.0) & (aus <= 100.0))
 
@@ -126,6 +130,8 @@ def frame_checks(frames: FrameArrays, previous: Optional[tuple[int, float]] = No
          lambda i: "pupil_position_cm has non-finite components"),
         (~np.isfinite(frames.direction).all(axis=1),
          lambda i: "gaze_direction has non-finite components"),
+        (frames.face_gaze & zero_direction,
+         lambda i: "gaze_direction must have a non-zero length on gaze-tracked frames"),
         (~((q >= 0.0) & (q <= 1.0)), lambda i: f"gaze_quality outside [0, 1]: {q[i]}"),
         (frames.face_gaze & (z <= 0.0),
          lambda i: f"pupil z must be > 0 on gaze-tracked frames, got {z[i]}"),

@@ -399,18 +399,19 @@ def reference_train_cnn(windows, labels, config):
     float32 parameters stay in the channel-first artifact layout, and each
     step builds the conv weight matrices and regroups ``w3`` (and its
     gradient) afresh, with bool ReLU masks, returning new gradient arrays
-    that the loop subtracts."""
+    that the loop subtracts. The parameters are read from the artifact
+    document of the initial network, and the result is rebuilt from one."""
     from adwatch.cnn import PARAM_NAMES, TemporalCnn
 
     windows = np.asarray(windows, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    net = TemporalCnn.initialize(windows.shape[1], seed=config.seed)
-    net.input_center = float(np.mean(windows))
+    doc = TemporalCnn.initialize(windows.shape[1], seed=config.seed).to_dict()
+    doc["input_center"] = center = float(np.mean(windows))
     std = float(np.std(windows))
-    net.input_scale = 1.0 / std if std > 1e-12 else 1.0
+    doc["input_scale"] = scale = 1.0 / std if std > 1e-12 else 1.0
     if config.epochs == 0:
-        return net
-    params = {name: getattr(net, name).astype(np.float32) for name in PARAM_NAMES}
+        return TemporalCnn.from_dict(doc)
+    params = {name: np.asarray(doc[name]).astype(np.float32) for name in PARAM_NAMES}
     labels = labels.astype(np.float32)
     rate = float(config.learning_rate)
     rng = np.random.default_rng(config.seed + 1)
@@ -420,15 +421,15 @@ def reference_train_cnn(windows, labels, config):
         losses = []
         for start in range(0, len(windows), config.batch_size):
             idx = order[start : start + config.batch_size]
-            x = ((windows[idx] - net.input_center) * net.input_scale).astype(np.float32)
+            x = ((windows[idx] - center) * scale).astype(np.float32)
             loss, grads = _reference_step(params, x, labels[idx], work)
             losses.append(loss)
             for name in PARAM_NAMES:
                 params[name] -= rate * grads[name]
-        net.train_loss_curve.append(float(np.mean(losses)))
+        doc["train_loss_curve"].append(float(np.mean(losses)))
     for name in PARAM_NAMES:
-        setattr(net, name, params[name].astype(np.float64))
-    return net
+        doc[name] = params[name].astype(np.float64).tolist()
+    return TemporalCnn.from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -470,31 +471,36 @@ def channel_first_loss_and_grads(net, X, y):
     """Mean BCE loss and the eight parameter gradients of one batch, with
     channel-first activations (B, C, L): the speaking CNN's step before it
     went channel-last, with each conv kernel replaced by its sliding-window
-    twin above, which matched it bit for bit."""
+    twin above, which matched it bit for bit. The parameters are read from
+    the network's artifact document, in its channel-first layout."""
+    from adwatch.cnn import PARAM_NAMES
+
+    doc = net.to_dict()
+    w1, b1, w2, b2, w3, b3, w4, b4 = (np.asarray(doc[name]) for name in PARAM_NAMES)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     B = len(X)
-    x0 = ((X - net.input_center) * net.input_scale)[:, None, :]
-    z1 = window_conv1d(x0, net.w1) + net.b1[None, :, None]
+    x0 = ((X - doc["input_center"]) * doc["input_scale"])[:, None, :]
+    z1 = window_conv1d(x0, w1) + b1[None, :, None]
     a1 = np.maximum(z1, 0.0)
-    z2 = window_conv1d(a1, net.w2) + net.b2[None, :, None]
+    z2 = window_conv1d(a1, w2) + b2[None, :, None]
     a2 = np.maximum(z2, 0.0)
     flat = a2.reshape(B, -1)
-    z3 = flat @ net.w3.T + net.b3
+    z3 = flat @ w3.T + b3
     a3 = np.maximum(z3, 0.0)
-    z4 = a3 @ net.w4.T + net.b4
+    z4 = a3 @ w4.T + b4
     p = 1.0 / (1.0 + np.exp(-np.clip(z4[:, 0], -35.0, 35.0)))
     eps = 1e-12
     loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
     dz4 = (p - y)[:, None] / B
     grads = {"w4": dz4.T @ a3, "b4": dz4.sum(axis=0)}
-    dz3 = (dz4 @ net.w4) * (z3 > 0)
+    dz3 = (dz4 @ w4) * (z3 > 0)
     grads["w3"] = dz3.T @ flat
     grads["b3"] = dz3.sum(axis=0)
-    dz2 = (dz3 @ net.w3).reshape(a2.shape) * (z2 > 0)
+    dz2 = (dz3 @ w3).reshape(a2.shape) * (z2 > 0)
     grads["w2"] = window_conv_weight_grad(a1, dz2)
     grads["b2"] = dz2.sum(axis=(0, 2))
-    dz1 = window_conv_input_grad(dz2, net.w2) * (z1 > 0)
+    dz1 = window_conv_input_grad(dz2, w2) * (z1 > 0)
     grads["w1"] = window_conv_weight_grad(x0, dz1)
     grads["b1"] = dz1.sum(axis=(0, 2))
     return loss, grads
@@ -596,6 +602,9 @@ def load_frames_rows(path):
                 raise bad("pupil_position_cm has non-finite components")
             if not _all_finite(f["direction"]):
                 raise bad("gaze_direction has non-finite components")
+            # zero length in floating point: every square underflows to 0
+            if f["face_gaze"] and sum(v * v for v in f["direction"]) == 0.0:
+                raise bad("gaze_direction must have a non-zero length on gaze-tracked frames")
             if not 0.0 <= q <= 1.0:
                 raise bad(f"gaze_quality outside [0, 1]: {q}")
             if f["face_gaze"] and pupil[2] <= 0.0:

@@ -754,6 +754,25 @@ def test_cut_frame_run_exits_3_naming_the_row(trained, tmp_path, capsys):
     assert not out.exists()
 
 
+# the yawn vote spans 15 frames at 30 Hz (yawn_smooth_s = 0.5)
+@pytest.mark.parametrize("n", [1, 2, 14, 15, 16])
+def test_session_shorter_than_the_yawn_vote_scores_every_frame(trained, tmp_path, capsys, n):
+    _, suite, art, _ = trained
+    source = sorted(suite.glob("sessions/*/manifest.json"))[0]
+    doc = json.loads(source.read_text())
+    assert doc["frame_rate_hz"] == 30.0
+    lines = (source.parent / doc["frame_source"]).read_text().splitlines()
+    (tmp_path / "frames.jsonl").write_text("\n".join(lines[:n]) + "\n")
+    doc.update(frame_source="frames.jsonl", ground_truth=None)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    code = main(["score", "--manifest", str(manifest), "--artifacts", str(art), "--output", str(out)])
+    assert code == 0, capsys.readouterr().err
+    rows = [json.loads(line) for line in (out / f"{doc['session_id']}.timeline.jsonl").read_text().splitlines()]
+    assert [row["frame_index"] for row in rows] == [json.loads(line)["frame_index"] for line in lines[:n]]
+
+
 def test_evaluate_refuses_a_scored_timeline_of_other_frames(trained, tmp_path, capsys):
     _, suite, art, _ = trained
     scored = tmp_path / "scored"

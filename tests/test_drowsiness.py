@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adwatch.config import PipelineConfig
 from adwatch.drowsiness import (
@@ -167,6 +169,36 @@ def test_smoothing_majority_suppresses_single_flips():
     flags[20:50] = True
     smoothed = smooth_flags(flags, 30.0, 0.5)
     assert smoothed[25:45].all()
+
+
+def same_mode_smooth(flags, w):
+    """The vote as np.convolve(mode="same") gives it, which has one sum per
+    frame only while there are at least w frames."""
+    ones = np.ones(w, dtype=np.int64)
+    counts = np.convolve(flags.astype(np.int64), ones, mode="same")
+    return counts * 2 > np.convolve(np.ones(len(flags), dtype=np.int64), ones, mode="same")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    flags=st.lists(st.booleans(), max_size=80).map(lambda f: np.array(f, dtype=bool)),
+    rate=st.sampled_from([5.0, 10.0, 24.0, 30.0, 60.0, 120.0]),
+    span=st.floats(0.0, 1.0),
+)
+def test_smoothing_gives_one_flag_per_frame(flags, rate, span):
+    smoothed = smooth_flags(flags, rate, span)
+    assert smoothed.shape == flags.shape and smoothed.dtype == bool
+    w = int(round(span * rate))
+    if w <= 1:
+        assert np.array_equal(smoothed, flags)
+        return
+    w += w % 2 == 0
+    # each frame's vote is over the frames within w // 2 of it
+    for i in range(len(flags)):
+        window = flags[max(0, i - w // 2) : i + w // 2 + 1]
+        assert smoothed[i] == (2 * window.sum() > len(window))
+    if len(flags) >= w:
+        assert np.array_equal(smoothed, same_mode_smooth(flags, w))
 
 
 def test_drowsiness_or_combination(artifacts, heldout_sessions):

@@ -120,6 +120,11 @@ def _finite(**bounds):
     return st.floats(allow_nan=False, allow_infinity=False, **bounds)
 
 
+def nonzero_length(vectors):
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(vectors, axis=1) > 0.0
+
+
 @st.composite
 def valid_frames(draw):
     n = draw(st.integers(1, 12))
@@ -128,12 +133,13 @@ def valid_frames(draw):
         return draw(hnp.arrays(np.float64, (n, *shape), elements=elements))
 
     pupil = column(_finite(), (3,))
+    direction = column(_finite(), (3,))
     return FrameArrays(
         # contiguous from any start
         frame_index=draw(st.integers(0, 2**63 - n)) + np.arange(n),
         timestamp_ms=np.sort(draw(hnp.arrays(np.float64, n, elements=_finite(min_value=0.0), unique=True))),
         pupil=pupil,
-        direction=column(_finite(), (3,)),
+        direction=direction,
         quality=column(_finite(min_value=0.0, max_value=1.0)),
         yaw=column(_finite()),
         pitch=column(_finite()),
@@ -142,8 +148,9 @@ def valid_frames(draw):
         aus=column(_finite(min_value=0.0, max_value=100.0), (len(AU_NAMES),)),
         eye_closure=column(_finite(min_value=0.0, max_value=100.0)),
         face_expr=draw(hnp.arrays(np.bool_, n)),
-        # a gaze-tracked frame needs pupil z > 0; others keep any sentinel
-        face_gaze=draw(hnp.arrays(np.bool_, n)) & (pupil[:, 2] > 0),
+        # a gaze-tracked frame needs pupil z > 0 and a direction of non-zero
+        # length; others keep any sentinel
+        face_gaze=draw(hnp.arrays(np.bool_, n)) & (pupil[:, 2] > 0) & nonzero_length(direction),
         face_center_x=column(_finite(min_value=0.0, max_value=1.0)),
     )
 
@@ -195,6 +202,25 @@ def test_range_violation_names_row(tmp_path, field, value, reason):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(SessionFormatError, match=f"row 5: .*{reason}"):
         load_frames(path)
+
+
+def test_zero_gaze_direction_rejected_only_on_gaze_tracked_frames(tmp_path):
+    # the ray intersection divides by the direction's length; a frame the
+    # gaze tracker lost keeps its sentinel
+    face_gaze = np.ones(10, dtype=bool)
+    face_gaze[2] = False
+    direction = np.tile([0.01, -0.02, -1.0], (10, 1))
+    direction[2] = 0.0
+    direction[6] = [-0.0, 5e-324, 0.0]              # its length underflows to zero
+    path = tmp_path / "frames.jsonl"
+    json_write_frames(make_frames(10, face_gaze=face_gaze, direction=direction), path)
+    with pytest.raises(SessionFormatError) as got:
+        load_frames(path)
+    assert str(got.value) == (f"frame file {path} row 7: gaze_direction must have a non-zero length "
+                              "on gaze-tracked frames")
+    direction[6] = [0.0, 0.0, 1e-150]
+    json_write_frames(make_frames(10, face_gaze=face_gaze, direction=direction), path)
+    assert_same_frames(load_frames(path), make_frames(10, face_gaze=face_gaze, direction=direction))
 
 
 def test_empty_file_rejected(tmp_path):
@@ -862,8 +888,10 @@ def special_valid_frames(n):
         else:
             values = np.roll(np.resize(np.array(unbounded), size), k)
         columns[field.column] = values.reshape(n, *field.shape)
-    # a gaze-tracked frame needs pupil z > 0
+    # a gaze-tracked frame needs pupil z > 0 and a direction of non-zero
+    # length, which a direction of subnormal components lacks
     columns["pupil"][:, 2] = np.resize([5e-324, 0.1, 1.7976931348623157e308], n)
+    columns["face_gaze"] &= nonzero_length(columns["direction"])
     return FrameArrays(**columns)
 
 
@@ -902,7 +930,8 @@ def test_write_frames_other_numeric_dtypes_match_json_encoder():
     ("quality", np.nan, "gaze_quality outside [0, 1]: nan"),
     ("yaw", np.inf, "head pose angles must be finite"),
     ("timestamp_ms", 0.0, "timestamp_ms 0.0 not strictly increasing (previous 100.0)"),
-], ids=["nan_quality", "infinite_yaw", "timestamp_back"])
+    ("direction", 0.0, "gaze_direction must have a non-zero length on gaze-tracked frames"),
+], ids=["nan_quality", "infinite_yaw", "timestamp_back", "zero_direction"])
 def test_write_frames_refuses_a_bad_row_before_opening_the_file(tmp_path, column, value, message):
     frames = make_frames(10)
     getattr(frames, column)[4] = value
