@@ -5,15 +5,14 @@ version, a `kind` tag, a training-metadata header (seed, data hash,
 hyperparameters) and the model payload. Numbers round-trip exactly, so
 reloading a model reproduces its predictions bit for bit. A kind's
 ``*_text`` function gives the document's exact text, wherever it runs, and
-``write_artifact`` writes it to a temp file and renames that into place;
-each ``save_*`` is the two in turn.
+``write_artifact`` writes it through ``config._replacing``, to a temp file
+renamed into place; each ``save_*`` is the two in turn.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Union
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .boosting import BoostedEnsemble
 from .cnn import TemporalCnn
-from .config import _OBJECT, _check_fields, _equal, _read_json_object
+from .config import _OBJECT, _check_fields, _equal, _read_json_object, _replacing
 from .errors import MissingArtifactError
 
 SCHEMA_VERSION = 1
@@ -50,17 +49,9 @@ def _text(kind: str, metadata: dict, key: str, model: dict) -> str:
 
 
 def write_artifact(text: str, path: PathLike) -> None:
-    """Write an artifact's ``text`` to a temp file beside ``path``, then rename
-    it into place, so a reader never sees a half-written artifact and a failed
-    write leaves none."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    """Write ``text``, an artifact's or a report's, whole to ``path``."""
+    with _replacing(path) as fh:
+        fh.write(text)
 
 
 def _model(path: PathLike, kind: str, key: str, from_dict):

@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 from functools import partial
-from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -28,7 +27,7 @@ from .evaluation import (
     pooled_report,
     render_table,
 )
-from .fusion import session_summary
+from .fusion import DistractionTimeline, session_summary
 from .pipeline import (
     GAZE_ARTIFACT,
     SPEAKING_ARTIFACT,
@@ -39,10 +38,10 @@ from .pipeline import (
     score_session,
 )
 from .session_io import (
-    _timeline_blocks,
     load_manifest,
     load_session,
     read_timeline,
+    write_timeline,
 )
 from .synth import (
     SuiteConfig,
@@ -249,18 +248,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _score_one(manifest, base_dir: Path, cfg: PipelineConfig, out_dir: Path,
-               artifacts: ArtifactSet) -> list[tuple[Path, str]]:
-    """The session's output files as (path, text) pairs, rendered but not
-    written: ``score`` writes them once every session has scored."""
+def _score_one(manifest, base_dir: Path, cfg: PipelineConfig, artifacts: ArtifactSet) -> DistractionTimeline:
+    """The session's timeline, not yet written: ``score`` writes every
+    session's files once every session has scored."""
     frames = load_session(manifest, base_dir)
-    scored = score_session(SessionDetectors(frames, manifest, artifacts, cfg))
-    timeline_path = out_dir / f"{manifest.session_id}.timeline.jsonl"
-    summary = session_summary(scored.timeline, manifest.frame_rate_hz)
-    return [
-        (timeline_path, "".join(_timeline_blocks(scored.timeline, timeline_path))),
-        (out_dir / f"{manifest.session_id}.summary.json", json.dumps(summary.to_dict(), indent=2) + "\n"),
-    ]
+    return score_session(SessionDetectors(frames, manifest, artifacts, cfg)).timeline
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -291,14 +283,17 @@ def cmd_score(args: argparse.Namespace) -> int:
         raise DataError(f"no sessions for {split}device={args.device!r} in {args.suite_dir or args.manifest}")
     _check_gaze_devices(artifacts, args.artifacts, [manifest for manifest, _ in selected])
     # all or nothing: a session that fails leaves no file of any session
-    results = _in_order(
-        [partial(_score_one, manifest, base_dir, cfg, args.output, artifacts) for manifest, base_dir in selected],
+    timelines = _in_order(
+        [partial(_score_one, manifest, base_dir, cfg, artifacts) for manifest, base_dir in selected],
         [args.jobs > 1] * len(selected),
         workers=args.jobs,
     )
-    for path, text in chain.from_iterable(results):
-        write_artifact(text, path)
-    print(f"scored {len(results)} session(s) into {args.output}")
+    for (manifest, _), timeline in zip(selected, timelines):
+        write_timeline(timeline, args.output / f"{manifest.session_id}.timeline.jsonl")
+        summary = session_summary(timeline, manifest.frame_rate_hz)
+        write_artifact(json.dumps(summary.to_dict(), indent=2) + "\n",
+                       args.output / f"{manifest.session_id}.summary.json")
+    print(f"scored {len(timelines)} session(s) into {args.output}")
     return EXIT_OK
 
 
@@ -344,9 +339,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for device, pairs in sorted(pairs_by_device.items()):
         rep = pooled_report(pairs)
         report["by_device"][device] = rep.to_dict()
-    args.output.mkdir(parents=True, exist_ok=True)
     out_path = args.output / "evaluation.json"
-    out_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    write_artifact(json.dumps(report, indent=2) + "\n", out_path)
     for device, rep in report["by_device"].items():
         g = rep["g_mean"]
         g_str = f"{g:.3f}" if g is not None else "n/a"
@@ -384,14 +378,14 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         tables[name] = AblationTable(rows=rows[: len(variants)])
         rows = rows[len(variants) :]
     doc = {name: tbl.to_dict() for name, tbl in tables.items()}
-    args.output.mkdir(parents=True, exist_ok=True)
-    (args.output / "ablation.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     rendered = []
     for name, tbl in tables.items():
         rendered.append(f"== {name} ==")
         rendered.append(render_table(tbl))
     text = "\n".join(rendered)
-    (args.output / "ablation.txt").write_text(text, encoding="utf-8")
+    # both files are rendered before either is written
+    write_artifact(json.dumps(doc, indent=2) + "\n", args.output / "ablation.json")
+    write_artifact(text, args.output / "ablation.txt")
     print(text)
     return EXIT_OK
 

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, TextIO, Union
 
 from .errors import ConfigError
 
@@ -265,6 +267,27 @@ def _read_json_object(path: Path, what: str, error: type) -> dict:
     if not isinstance(doc, dict):
         raise error(f"{what} {path}: expected a JSON object")
     return doc
+
+
+@contextmanager
+def _replacing(path: PathLike) -> Iterator[TextIO]:
+    """A text file that takes the place of the file at ``path`` whole.
+
+    It writes to ``.{name}.{pid}.tmp`` beside ``path``, creating the
+    directory if need be, and is renamed onto ``path`` when the block ends
+    without an error, or removed when it raises: a reader never sees a
+    half-written file, and a failed write leaves the old file, or none.
+    Every file adwatch writes goes through this, and nothing else writes.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_config(path: PathLike, base: Optional[PipelineConfig] = None) -> PipelineConfig:

@@ -136,24 +136,26 @@ class SessionSummary:
 
 
 def session_summary(timeline: DistractionTimeline, frame_rate_hz: float) -> SessionSummary:
-    """Percentage inattentive plus per-source event spans."""
+    """Percentage inattentive plus per-source event spans. An event's frames
+    are the ``frame_index`` of its first and last rows, and its times are
+    those frame numbers over ``frame_rate_hz``, so a session that does not
+    start at frame 0 reports the frames and times of its own stream."""
     n = len(timeline)
     if n == 0:
         raise DataError("cannot summarize an empty timeline")
     percent = 100.0 * float(np.count_nonzero(~timeline.attentive)) / n
-    by_source = {
-        name: [
-            SourceEvent(
-                start_frame=start,
-                end_frame=end,
-                start_s=start / frame_rate_hz,
-                end_s=(end + 1) / frame_rate_hz,
-                duration_s=(end - start + 1) / frame_rate_hz,
-            )
-            for start, end in find_runs(timeline.signal(name))
-        ]
-        for name in SIGNAL_NAMES
-    }
+    index = np.asarray(timeline.frame_index).tolist()
+    by_source = {name: [] for name in SIGNAL_NAMES}
+    for name, events in by_source.items():
+        for start, end in find_runs(timeline.signal(name)):
+            first, last = index[start], index[end]
+            events.append(SourceEvent(
+                start_frame=first,
+                end_frame=last,
+                start_s=first / frame_rate_hz,
+                end_s=(last + 1) / frame_rate_hz,
+                duration_s=(last - first + 1) / frame_rate_hz,
+            ))
     return SessionSummary(
         n_frames=n, percent_inattentive=percent, events_by_source=by_source
     )

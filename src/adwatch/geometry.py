@@ -25,11 +25,14 @@ def intersect_gaze_batch(pupils: np.ndarray, directions: np.ndarray):
     """
     pupils = np.asarray(pupils, dtype=np.float64)
     directions = np.asarray(directions, dtype=np.float64)
-    norms = np.linalg.norm(directions, axis=1)
-    if np.any(norms == 0.0):
+    # each row over its largest component, so that no square overflows or
+    # underflows in the norm
+    largest = np.abs(directions).max(axis=1)
+    if np.any(largest == 0.0):
         raise ValueError("gaze direction is the zero vector")
+    scaled = directions / largest[:, None]
     with np.errstate(invalid="ignore", divide="ignore"):
-        parallel = np.abs(directions[:, 2]) / norms < PARALLEL_EPS
+        parallel = np.abs(scaled[:, 2]) / np.linalg.norm(scaled, axis=1) < PARALLEL_EPS
         t = np.where(parallel, np.nan, -pupils[:, 2] / directions[:, 2])
         points = pupils[:, :2] + directions[:, :2] * t[:, None]
     toward = ~parallel & (t > 0)

@@ -111,8 +111,8 @@ def frame_checks(frames: FrameArrays, previous: Optional[tuple[int, float]] = No
     before_fi, before_ts = (fi[:1] - 1, -np.inf) if previous is None else ([previous[0]], previous[1])
     prev_fi = np.concatenate((before_fi, fi[:-1]))
     prev_ts = np.concatenate(([before_ts], ts[:-1]))
-    # The length the ray intersection divides by: one that underflows is
-    # zero, and one that overflows is not.
+    # A gaze ray's length, by FORMATS.md's rule: one whose squares all
+    # underflow is zero, and one that overflows is not.
     with np.errstate(over="ignore"):
         zero_direction = np.linalg.norm(frames.direction, axis=1) == 0.0
     # Written as ~(in range) so that NaN counts as out of range.

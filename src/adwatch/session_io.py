@@ -10,7 +10,8 @@ file's first bad row. Numbers are
 emitted with ``repr`` round-tripping semantics, so write-then-read is the
 identity. The JSONL writers fill row templates with text rendered a block
 of rows at a time and write the bytes ``json.dumps(row, separators=(",",
-":"))`` would.
+":"))`` would. Every writer lands its file whole through
+``config._replacing``.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from __future__ import annotations
 import json
 from itertools import chain
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .config import _check_fields, _read_json_object
+from .config import _check_fields, _read_json_object, _replacing
 from .errors import DataError, SessionFormatError
 from .fusion import SIGNAL_NAMES, DistractionTimeline
 from .records import _MANIFEST_RULES, AU_NAMES, FrameArrays, SessionManifest, first_failure, frame_checks
@@ -251,8 +252,7 @@ def write_frames(frames: FrameArrays, path: PathLike) -> None:
     failure = first_failure(frame_checks(frames)) if n else None
     if failure is not None:
         raise DataError(f"frame file {path} row {failure[0] + 1}: {failure[1]}")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         for start in range(0, n, _BLOCK_ROWS):
             block = [
                 _row_texts(_json_texts(values[start:start + _BLOCK_ROWS]), shape)
@@ -304,19 +304,10 @@ def load_session(manifest: SessionManifest, base_dir: Optional[PathLike] = None)
 # ---------------------------------------------------------------------------
 
 def write_manifest(manifest: SessionManifest, path: PathLike) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "session_id": manifest.session_id,
-        "device_type": manifest.device_type,
-        "frame_rate_hz": manifest.frame_rate_hz,
-        "frame_source": manifest.frame_source,
-    }
-    if manifest.ground_truth is not None:
-        doc["ground_truth"] = manifest.ground_truth
-    if manifest.screen_override_cm is not None:
-        doc["screen_override_cm"] = list(manifest.screen_override_cm)
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    """The manifest's fields in order, leaving out those that are None."""
+    doc = {name: value for name, value in vars(manifest).items() if value is not None}
+    with _replacing(path) as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def load_manifest(path: PathLike) -> SessionManifest:
@@ -396,17 +387,6 @@ def write_timeline(timeline: DistractionTimeline, path: PathLike) -> None:
     time, as ``write_frames`` does.
     """
     path = Path(path)
-    blocks = _timeline_blocks(timeline, path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(blocks)
-
-
-def _timeline_blocks(timeline: DistractionTimeline, path: Path) -> Iterator[str]:
-    """The text ``write_timeline`` writes to ``path``, one block of
-    ``_BLOCK_ROWS`` rows at a time. The timeline is checked first: one that
-    ``_check_timeline`` refuses raises DataError naming ``path`` before any
-    row is rendered."""
     if len(timeline) == 0:
         raise DataError("refusing to write a 0-length timeline")
     points = _check_timeline(timeline, path)
@@ -421,8 +401,7 @@ def _timeline_blocks(timeline: DistractionTimeline, path: Path) -> Iterator[str]
     row += "}\n"
     index = np.asarray(timeline.frame_index).astype(np.int64, copy=False)
     mask = np.asarray(timeline.mask)
-
-    def blocks() -> Iterator[str]:
+    with _replacing(path) as fh:
         for start in range(0, len(timeline), _BLOCK_ROWS):
             stop = start + _BLOCK_ROWS
             block = [
@@ -435,9 +414,7 @@ def _timeline_blocks(timeline: DistractionTimeline, path: Path) -> Iterator[str]
                 pairs = _row_texts(_json_texts(points[start:stop]), (2,))
                 block.append(["null" if none else "[" + pair + "]"
                               for pair, none in zip(pairs, null[start:stop].tolist())])
-            yield "".join([row % texts for texts in zip(*block)])
-
-    return blocks()
+            fh.write("".join([row % texts for texts in zip(*block)]))
 
 
 def _timeline_checks(columns: dict, objs: list, previous: Optional[dict]) -> tuple:

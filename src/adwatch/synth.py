@@ -46,6 +46,7 @@ from .config import (
     _pair,
     _read_json_object,
     _real,
+    _replacing,
 )
 from .errors import ConfigError, SessionFormatError
 from .fusion import SIGNAL_NAMES, DistractionTimeline
@@ -654,7 +655,6 @@ def generate_suite(config: SuiteConfig, out_dir: PathLike) -> SuiteIndex:
 
     scripts = build_suite_scripts(config)      # a bad config fails before any write
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _in_halves([partial(_write_session, script, sid, out_dir / "sessions" / sid) for sid, script, _ in scripts])
     entries = [
         SuiteEntry(
@@ -672,7 +672,8 @@ def generate_suite(config: SuiteConfig, out_dir: PathLike) -> SuiteIndex:
         "config": dataclasses.asdict(config),
         "sessions": [dataclasses.asdict(e) for e in entries],
     }
-    (out_dir / "suite.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    with _replacing(out_dir / "suite.json") as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
     return index
 
 

@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import shutil
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from adwatch import training
 from adwatch.cli import build_parser, main
 from adwatch.errors import DataError
+from adwatch.fusion import SIGNAL_NAMES
 from adwatch.pipeline import ArtifactSet
 
 FAST_CONFIG = {
@@ -771,6 +773,74 @@ def test_session_shorter_than_the_yawn_vote_scores_every_frame(trained, tmp_path
     assert code == 0, capsys.readouterr().err
     rows = [json.loads(line) for line in (out / f"{doc['session_id']}.timeline.jsonl").read_text().splitlines()]
     assert [row["frame_index"] for row in rows] == [json.loads(line)["frame_index"] for line in lines[:n]]
+
+
+def copy_session(source: Path, dest: Path, edit_lines) -> tuple[Path, dict]:
+    """A manifest in ``dest`` for the session of ``source`` without ground
+    truth, whose frame file is ``edit_lines`` of the source's lines."""
+    doc = json.loads(source.read_text())
+    lines = (source.parent / doc["frame_source"]).read_text().splitlines()
+    dest.mkdir(exist_ok=True)
+    (dest / "frames.jsonl").write_text("\n".join(edit_lines(lines)) + "\n")
+    doc.update(frame_source="frames.jsonl", ground_truth=None)
+    manifest = dest / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    return manifest, doc
+
+
+def score_one(manifest: Path, art: Path, out: Path) -> dict:
+    """The files ``score --manifest`` writes, by name; no warning may be raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["score", "--manifest", str(manifest), "--artifacts", str(art), "--output", str(out)]) == 0
+    return {path.name: path.read_text() for path in out.iterdir()}
+
+
+def test_summary_of_a_session_that_starts_past_frame_0_names_its_own_frames(trained, tmp_path):
+    _, suite, art, _ = trained
+    manifest, doc = copy_session(sorted(suite.glob("sessions/*/manifest.json"))[0], tmp_path / "cut",
+                                 lambda lines: lines[300:])
+    files = score_one(manifest, art, tmp_path / "o")
+    sid, rate = doc["session_id"], doc["frame_rate_hz"]
+    rows = [json.loads(line) for line in files[f"{sid}.timeline.jsonl"].splitlines()]
+    assert rows[0]["frame_index"] == 300
+    # each signal's runs of rows, by the frame_index of their first and last rows
+    expected = {name: [] for name in SIGNAL_NAMES}
+    for name, runs in expected.items():
+        for row in rows:
+            if name not in row["sources"]:
+                continue
+            if runs and runs[-1][1] == row["frame_index"] - 1:
+                runs[-1][1] = row["frame_index"]
+            else:
+                runs.append([row["frame_index"]] * 2)
+    events = json.loads(files[f"{sid}.summary.json"])["events"]
+    assert sum(map(len, events.values())) > 0
+    assert events == {
+        name: [{"start_frame": first, "end_frame": last, "start_s": first / rate,
+                "end_s": (last + 1) / rate, "duration_s": (last - first + 1) / rate}
+               for first, last in runs]
+        for name, runs in expected.items()
+    }
+
+
+def test_gaze_direction_too_long_to_square_scores_as_its_unscaled_direction(trained, tmp_path):
+    # 2**664 is about 1.2e200: each component's square overflows a float,
+    # and scaling by a power of two keeps every intersection exact
+    _, suite, art, _ = trained
+    source = next(path for path in sorted(suite.glob("sessions/*/manifest.json"))
+                  if json.loads(path.read_text())["device_type"] == "desktop")
+
+    def scale_rows(lines):
+        rows = [json.loads(line) for line in lines[20:40]]
+        assert sum(row["face_detected_gaze"] for row in rows) >= 10
+        for row in rows:
+            row["gaze_direction"] = [2.0 ** 664 * value for value in row["gaze_direction"]]
+        return lines[:20] + list(map(json.dumps, rows)) + lines[40:]
+
+    manifest, _ = copy_session(source, tmp_path / "plain", lambda lines: lines)
+    scaled, _ = copy_session(source, tmp_path / "scaled", scale_rows)
+    assert score_one(scaled, art, tmp_path / "o_scaled") == score_one(manifest, art, tmp_path / "o_plain")
 
 
 def test_evaluate_refuses_a_scored_timeline_of_other_frames(trained, tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from adwatch.geometry import intersect_gaze_batch
 
@@ -75,6 +77,32 @@ def test_positive_scaling_invariance():
     hit = ~parallel_a
     np.testing.assert_allclose(pb[hit], pa[hit], rtol=1e-9, atol=1e-9)
     np.testing.assert_allclose(tb[hit], ta[hit] / lam[hit], rtol=1e-9)
+
+
+# components of magnitude 0 or 1e-3 to 1e3, so that t and every scaled
+# component below stay normal floats for scales 2**-1000 to 2**1000
+_COMPONENT = st.just(0.0) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+
+
+@given(
+    pupil=st.tuples(_COMPONENT, _COMPONENT, _COMPONENT),
+    direction=st.tuples(_COMPONENT, _COMPONENT, _COMPONENT).filter(any),
+    k=st.integers(-1000, 1000),
+)
+def test_scaling_by_a_power_of_two_changes_no_point_or_flag(pupil, direction, k):
+    # beyond about 1.3e154 a component's square overflows, and below about
+    # 1e-162 it underflows; neither may turn a ray parallel or zero
+    pa, ta, toward_a, parallel_a = intersect_gaze_batch([pupil], [direction])
+    pb, tb, toward_b, parallel_b = intersect_gaze_batch([pupil], [np.ldexp(direction, k)])
+    assert np.array_equal(pb, pa, equal_nan=True)
+    assert np.array_equal(tb, np.ldexp(ta, -k), equal_nan=True)
+    assert toward_b == toward_a and parallel_b == parallel_a
+
+
+def test_direction_too_long_to_square_is_not_parallel():
+    x, y, t, toward, parallel = one_ray((0, 0, 60), (0, 0, -1e200))
+    assert toward and not parallel
+    assert (x, y) == (0.0, 0.0) and t == pytest.approx(6e-199)
 
 
 def test_batch_matches_scalar():

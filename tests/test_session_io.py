@@ -11,13 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adwatch.artifacts import write_artifact
 from adwatch.cli import main
 from adwatch.errors import DataError, SessionFormatError
 from adwatch.fusion import SIGNAL_NAMES, DistractionTimeline, fuse
 from adwatch.records import AU_NAMES, FrameArrays, SessionManifest, first_failure, frame_checks
+from adwatch import session_io
 from adwatch.session_io import (
+    _BLOCK_ROWS,
     _FRAME_SCHEMA,
-    _timeline_blocks,
     load_frames,
     load_manifest,
     load_session,
@@ -495,6 +497,13 @@ def test_manifest_round_trip(tmp_path):
     path = tmp_path / "manifest.json"
     write_manifest(manifest, path)
     assert load_manifest(path) == manifest
+    # the fields in order, each that is not None
+    assert path.read_text(encoding="utf-8") == json.dumps(
+        {"session_id": "s1", "device_type": "mobile", "frame_rate_hz": 30.0, "frame_source": "frames.jsonl",
+         "ground_truth": "truth.jsonl", "screen_override_cm": [34.5, 19.4]}, indent=2) + "\n"
+    write_manifest(dataclasses.replace(manifest, ground_truth=None, screen_override_cm=None), path)
+    assert list(json.loads(path.read_text(encoding="utf-8"))) == [
+        "session_id", "device_type", "frame_rate_hz", "frame_source"]
 
 
 MANIFEST = {"session_id": "s", "device_type": "desktop", "frame_rate_hz": 30, "frame_source": "f.jsonl"}
@@ -962,19 +971,16 @@ def assert_timeline_written_or_refused(timeline):
     finite pair nor all NaN: then refused, naming the first such row."""
     targets = timeline.target_cm
     ok = True if targets is None else np.isfinite(targets).all(axis=1) | np.isnan(targets).all(axis=1)
+    if np.all(ok):
+        assert_written_like_oracle(write_timeline, json_write_timeline, timeline)
+        return
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.jsonl"
-        if np.all(ok):
-            assert_written_like_oracle(write_timeline, json_write_timeline, timeline)
-            # the text score renders before it writes anything
+        with pytest.raises(DataError, match=f"row {np.argmin(ok) + 1}: target_cm must be a pair "
+                                            "of finite numbers or NaN for null"):
             write_timeline(timeline, path)
-            assert "".join(_timeline_blocks(timeline, path)) == path.read_text(encoding="utf-8")
-            return
-        for write in (write_timeline, _timeline_blocks):    # the blocks are checked before any is rendered
-            with pytest.raises(DataError, match=f"row {np.argmin(ok) + 1}: target_cm must be a pair "
-                                                "of finite numbers or NaN for null"):
-                write(timeline, path)
-        assert not path.exists()
+        # the timeline is checked before any row is rendered: no file, and no temp file
+        assert list(Path(tmp).iterdir()) == []
 
 
 @st.composite
@@ -1053,3 +1059,70 @@ def test_write_timeline_refuses_annotations_of_another_length(tmp_path):
     with pytest.raises(DataError, match="columns of mismatched shapes"):
         write_timeline(tl, path)
     assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# every writer lands its file whole
+# ---------------------------------------------------------------------------
+
+def fail_on_call(monkeypatch, owner, name: str, call: int, directory: Path) -> None:
+    """Make ``owner.name`` raise on its ``call``-th call (1-based), which must
+    come while the writer's temp file exists in ``directory``."""
+    real = getattr(owner, name)
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == call:
+            assert list(directory.glob(".*.tmp")), "rendering outside the temp file"
+            raise RuntimeError("rendering failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, failing)
+
+
+def assert_lands_whole(tmp_path: Path, failing_write) -> None:
+    """``failing_write(path)`` fails part way: the file it replaces is
+    unchanged, a new one is not created, and no temp file remains."""
+    old = tmp_path / "old.out"
+    old.write_text("previous\n", encoding="utf-8")
+    new = tmp_path / "new" / "new.out"
+    for path in (old, new):
+        with pytest.raises((RuntimeError, UnicodeEncodeError)):
+            failing_write(path)
+    assert old.read_text(encoding="utf-8") == "previous\n"
+    assert not new.exists()
+    assert list(tmp_path.rglob(".*.tmp")) == []
+
+
+_TWO_BLOCKS = 2 * _BLOCK_ROWS
+_MANIFEST = SessionManifest(session_id="s", device_type="desktop", frame_rate_hz=30.0, frame_source="f.jsonl")
+
+# writer: (write, renderer's owner and name, the call of it that fails: the
+# first of the second block, or of the only one)
+LANDING_WRITERS = {
+    "write_frames": (lambda path: write_frames(make_frames(_TWO_BLOCKS), path),
+                     session_io, "_row_texts", len(_FRAME_SCHEMA) + 1),
+    "write_timeline": (lambda path: write_timeline(fuse(*np.zeros((5, _TWO_BLOCKS), dtype=bool)), path),
+                       session_io, "_json_texts", 2),       # one call a block, for frame_index
+    "write_manifest": (lambda path: write_manifest(_MANIFEST, path), session_io.json, "dumps", 1),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(LANDING_WRITERS))
+def test_a_writer_whose_rendering_fails_leaves_the_old_file_or_none(tmp_path, monkeypatch, writer):
+    write, owner, renderer, call = LANDING_WRITERS[writer]
+
+    def failing_write(path):
+        with monkeypatch.context() as mp:
+            fail_on_call(mp, owner, renderer, call, path.parent)
+            write(path)
+
+    assert_lands_whole(tmp_path, failing_write)
+    write(tmp_path / "new" / "new.out")     # the same write, unbroken, lands
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["new", "new.out", "old.out"]
+
+
+def test_write_artifact_whose_text_cannot_be_encoded_leaves_the_old_file_or_none(tmp_path):
+    # a lone surrogate has no UTF-8 encoding, so the write fails in the open temp file
+    assert_lands_whole(tmp_path, lambda path: write_artifact("{}\n" * 50_000 + "\ud800", path))
