@@ -2,17 +2,20 @@
 
 Every trained model is stored as a single JSON document carrying a schema
 version, a `kind` tag, a training-metadata header (seed, data hash,
-hyperparameters) and the model payload. Numbers round-trip exactly, so
-reloading a model reproduces its predictions bit for bit. A kind's
-``*_text`` function gives the document's exact text, wherever it runs, and
-``write_artifact`` writes it through ``config._replacing``, to a temp file
-renamed into place; each ``save_*`` is the two in turn.
+hyperparameters) and the model payload, in the file this module names for
+its kind. Numbers round-trip exactly, so reloading a model reproduces its
+predictions bit for bit. A kind's ``*_text`` function gives the document's
+exact text, wherever it runs, and ``write_artifact`` writes it through
+``config._replacing``, to a temp file renamed into place; each ``save_*`` is
+the two in turn. Each ``load_*`` checks its model whole, down to the number
+of input columns the pipeline gives it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from functools import partial
 from pathlib import Path
 from typing import Union
 
@@ -22,8 +25,13 @@ from .boosting import BoostedEnsemble
 from .cnn import TemporalCnn
 from .config import _OBJECT, _check_fields, _equal, _read_json_object, _replacing
 from .errors import MissingArtifactError
+from .records import AU_NAMES
 
 SCHEMA_VERSION = 1
+
+GAZE_ARTIFACT = "gaze_regressors.json"
+SPEAKING_ARTIFACT = "speaking_cnn.json"
+YAWN_ARTIFACT = "yawn_classifier.json"
 
 KIND_GAZE = "gaze_regressors"
 KIND_SPEAKING = "speaking_cnn"
@@ -68,14 +76,22 @@ def _model(path: PathLike, kind: str, key: str, from_dict):
         raise MissingArtifactError(f"artifact {path}: {exc}") from None
 
 
+def _ensemble(model: dict, where: str, n_features: int) -> BoostedEnsemble:
+    """The ensemble ``model`` describes, which must read ``n_features`` columns."""
+    ensemble = BoostedEnsemble.from_dict(model, where)
+    _check_fields(vars(ensemble), {"n_features": _equal(n_features)}, MissingArtifactError, where,
+                  unknown_ok=True)
+    return ensemble
+
+
 def _gaze_models(models: dict, where: str) -> dict[str, dict[str, BoostedEnsemble]]:
+    """Each device's x and y regressors, which read normalised (x, y) points."""
     _check_fields(models, dict.fromkeys(models, _OBJECT), MissingArtifactError, where)
     out = {}
     for device, pair in models.items():
         axes = _check_fields(pair, {"x": _OBJECT, "y": _OBJECT}, MissingArtifactError, f"{where}.{device}",
                              unknown_ok=True)
-        out[device] = {axis: BoostedEnsemble.from_dict(model, f"{where}.{device}.{axis}")
-                       for axis, model in axes.items()}
+        out[device] = {axis: _ensemble(model, f"{where}.{device}.{axis}", 2) for axis, model in axes.items()}
     return out
 
 
@@ -117,4 +133,5 @@ def save_yawn_classifier(model: BoostedEnsemble, metadata: dict, path: PathLike)
 
 
 def load_yawn_classifier(path: PathLike) -> BoostedEnsemble:
-    return _model(path, KIND_YAWN, "model", BoostedEnsemble.from_dict)
+    # the classifier reads yawn_features' columns: the mouth aspect ratio and the AUs
+    return _model(path, KIND_YAWN, "model", partial(_ensemble, n_features=1 + len(AU_NAMES)))

@@ -17,7 +17,7 @@ from functools import partial
 from pathlib import Path
 from typing import Optional
 
-from .artifacts import write_artifact
+from .artifacts import GAZE_ARTIFACT, SPEAKING_ARTIFACT, write_artifact
 from .config import PipelineConfig, _Rule, _check_fields, config_from_mapping, load_config
 from .errors import AdwatchError, ConfigError, DataError, MissingArtifactError
 from .evaluation import (
@@ -29,8 +29,6 @@ from .evaluation import (
 )
 from .fusion import DistractionTimeline, session_summary
 from .pipeline import (
-    GAZE_ARTIFACT,
-    SPEAKING_ARTIFACT,
     TABLE1_VARIANTS,
     TABLE3_VARIANTS,
     ArtifactSet,
@@ -51,7 +49,7 @@ from .synth import (
     load_script,
     load_suite,
 )
-from .training import _in_halves, _in_order, parse_session, select_sessions, train_all
+from .training import _in_halves, _in_order, check_truth, parse_session, select_sessions, train_all
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -311,18 +309,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise DataError(f"session {entry.session_id} has no ground truth")
         truth = read_timeline(base_dir / manifest.ground_truth)
         predicted = read_timeline(scored_path)
-        if len(predicted) != len(truth):
-            raise DataError(
-                f"session {entry.session_id}: scored timeline length "
-                f"{len(predicted)} != ground truth {len(truth)}"
-            )
-        misaligned = (predicted.frame_index != truth.frame_index).nonzero()[0]
-        if misaligned.size:
-            i = misaligned[0]
-            raise DataError(
-                f"session {entry.session_id}: scored timeline row {i + 1} has frame_index "
-                f"{predicted.frame_index[i]}, ground truth {truth.frame_index[i]}"
-            )
+        check_truth(entry.session_id, "scored timeline", predicted.frame_index, truth)
         pairs_by_device.setdefault(entry.device_type, []).append(
             (~predicted.attentive, ~truth.attentive)
         )

@@ -10,13 +10,10 @@ over half a second. Either signal marks the frame drowsy.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .boosting import BoostedEnsemble
 from .config import PipelineConfig
-from .errors import DataError, MissingArtifactError
 from .records import (
     AU_INDEX,
     MOUTH_LEFT_CORNER,
@@ -59,17 +56,6 @@ def yawn_features(frames: FrameArrays) -> np.ndarray:
     return np.concatenate([ratios[:, None], frames.aus], axis=1)
 
 
-def yawn_probability(features: np.ndarray, model: Optional[BoostedEnsemble]) -> np.ndarray:
-    if model is None:
-        raise MissingArtifactError("yawn classifier is not loaded")
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != model.n_features:
-        raise DataError(
-            f"yawn features must be (n, {model.n_features}) rows, got shape {features.shape}"
-        )
-    return model.predict(features)
-
-
 def smooth_flags(flags: np.ndarray, frame_rate_hz: float, span_s: float) -> np.ndarray:
     """Centered majority vote over ``span_s`` seconds, one flag per frame
     however short the sequence."""
@@ -91,11 +77,9 @@ def smooth_flags(flags: np.ndarray, frame_rate_hz: float, span_s: float) -> np.n
 
 
 def yawn_flags(
-    frames: FrameArrays, model: Optional[BoostedEnsemble], config: PipelineConfig, frame_rate_hz: float
+    frames: FrameArrays, model: BoostedEnsemble, config: PipelineConfig, frame_rate_hz: float
 ) -> np.ndarray:
     """Smoothed per-frame yawn flags; untracked frames never flag."""
-    feats = yawn_features(frames)
-    probs = yawn_probability(feats, model)
-    raw = (probs >= config.yawn_threshold) & frames.face_expr
+    raw = (model.predict(yawn_features(frames)) >= config.yawn_threshold) & frames.face_expr
     return smooth_flags(raw, frame_rate_hz, config.yawn_smooth_s) & frames.face_expr
 

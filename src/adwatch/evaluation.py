@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError
+from .pipeline import FULL_VARIANT, SessionDetectors, score_session
 
 
 @dataclass(frozen=True)
@@ -131,8 +132,6 @@ def ablation_pairs(frames, truth, manifest, artifacts, variants, config) -> list
     ``SessionDetectors``, so a detector step runs once for every setting of
     the switches it reads; the masks are all that is kept.
     """
-    from .pipeline import SessionDetectors, score_session
-
     session = SessionDetectors(frames, manifest, artifacts, config)
     true = ~truth.attentive
     return [(~score_session(session, variant).timeline.attentive, true) for variant in variants]
@@ -162,8 +161,6 @@ def run_ablation(sessions, artifacts, variants, config) -> AblationTable:
     variant list degrades to the full model alone. Only one session's
     detector steps are held at a time.
     """
-    from .pipeline import FULL_VARIANT
-
     if not sessions:
         raise DataError("no sessions supplied to the ablation harness")
     variants = list(variants) or [FULL_VARIANT]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .boosting import BoostedEnsemble
 from .config import PipelineConfig
-from .errors import DataError, MissingArtifactError, SessionUntrackableError
+from .errors import DataError, SessionUntrackableError
 from .geometry import intersect_gaze_batch
 from .records import FrameArrays
 
@@ -100,9 +100,7 @@ def normalize_gaze(points: np.ndarray, stats: SessionGazeStats) -> np.ndarray:
     return points - np.array([stats.mean_x_s, stats.mean_y_s])
 
 
-def fine_tune(
-    points: np.ndarray, models: Optional[dict[str, BoostedEnsemble]]
-) -> np.ndarray:
+def fine_tune(points: np.ndarray, models: dict[str, BoostedEnsemble]) -> np.ndarray:
     """Apply the trained per-axis correction to (n, 2) normalized points.
 
     The regressors predict the residual between the true on-screen location
@@ -111,8 +109,6 @@ def fine_tune(
     so predicting the residual rather than the absolute coordinate keeps
     far off-screen points far off-screen.)
     """
-    if models is None or "x" not in models or "y" not in models:
-        raise MissingArtifactError("gaze fine-tuning regressors are not loaded")
     points = np.asarray(points, dtype=np.float64)
     dx = models["x"].predict(points)
     dy = models["y"].predict(points)

@@ -20,9 +20,10 @@ from typing import Optional, Union
 import numpy as np
 
 from . import artifacts as artifacts_io
+from .artifacts import GAZE_ARTIFACT, SPEAKING_ARTIFACT, YAWN_ARTIFACT
 from .boosting import BoostedEnsemble
 from .cnn import TemporalCnn
-from .config import PipelineConfig, _check_fields, _equal
+from .config import PipelineConfig
 from .drowsiness import refined_eye_closure, yawn_flags
 from .errors import MissingArtifactError, SessionUntrackableError
 from .fusion import SIGNAL_NAMES, DistractionTimeline, fuse, signal_bits, unattended_signal
@@ -39,55 +40,38 @@ from .gaze import (
     valid_gaze_rays,
 )
 from .head import compute_head_stats, head_off_screen, select_gaze_source
-from .records import AU_NAMES, FrameArrays, SessionManifest
+from .records import FrameArrays, SessionManifest
 from .speaking import speaking_flags
 from .temporal import long_runs
 
 PathLike = Union[str, Path]
 
-GAZE_ARTIFACT = "gaze_regressors.json"
-SPEAKING_ARTIFACT = "speaking_cnn.json"
-YAWN_ARTIFACT = "yawn_classifier.json"
-
 
 @dataclass
 class ArtifactSet:
-    gaze: Optional[dict[str, dict[str, BoostedEnsemble]]] = None
-    speaking: Optional[TemporalCnn] = None
-    yawn: Optional[BoostedEnsemble] = None
+    """The three trained models every session is scored with."""
+
+    gaze: dict[str, dict[str, BoostedEnsemble]]
+    speaking: TemporalCnn
+    yawn: BoostedEnsemble
 
     @classmethod
     def load(cls, artifact_dir: PathLike) -> "ArtifactSet":
+        """The set in ``artifact_dir``; a missing file, named with every other
+        missing one, or a model that does not load raises MissingArtifactError."""
         artifact_dir = Path(artifact_dir)
-        missing = [
-            name
-            for name in (GAZE_ARTIFACT, SPEAKING_ARTIFACT, YAWN_ARTIFACT)
-            if not (artifact_dir / name).exists()
-        ]
+        paths = [artifact_dir / name for name in (GAZE_ARTIFACT, SPEAKING_ARTIFACT, YAWN_ARTIFACT)]
+        missing = [path.name for path in paths if not path.exists()]
         if missing:
             raise MissingArtifactError(
                 f"missing model artifacts in {artifact_dir}: {', '.join(missing)}"
             )
-        loaded = cls(
-            gaze=artifacts_io.load_gaze_regressors(artifact_dir / GAZE_ARTIFACT),
-            speaking=artifacts_io.load_speaking_cnn(artifact_dir / SPEAKING_ARTIFACT),
-            yawn=artifacts_io.load_yawn_classifier(artifact_dir / YAWN_ARTIFACT),
+        gaze, speaking, yawn = paths
+        return cls(
+            gaze=artifacts_io.load_gaze_regressors(gaze),
+            speaking=artifacts_io.load_speaking_cnn(speaking),
+            yawn=artifacts_io.load_yawn_classifier(yawn),
         )
-        # the regressors read normalised (x, y) points, the classifier yawn_features' columns
-        inputs = [(GAZE_ARTIFACT, f"models.{device}.{axis}", model, 2)
-                  for device, pair in loaded.gaze.items() for axis, model in pair.items()]
-        inputs.append((YAWN_ARTIFACT, "model", loaded.yawn, 1 + len(AU_NAMES)))
-        for name, where, model, n_features in inputs:
-            _check_fields(vars(model), {"n_features": _equal(n_features)}, MissingArtifactError,
-                          f"artifact {artifact_dir / name}: {where}", unknown_ok=True)
-        return loaded
-
-    def gaze_pair(self, device_type: str) -> dict[str, BoostedEnsemble]:
-        if self.gaze is None or device_type not in self.gaze:
-            raise MissingArtifactError(
-                f"no gaze regressors for device type {device_type!r}"
-            )
-        return self.gaze[device_type]
 
 
 @dataclass(frozen=True)
@@ -206,8 +190,7 @@ class SessionDetectors:
         if normalize:
             points[finite] = normalize_gaze(points[finite], self.stats())
         if tune:
-            pair = self.artifacts.gaze_pair(self.manifest.device_type)
-            points[finite] = fine_tune(points[finite], pair)
+            points[finite] = fine_tune(points[finite], self.artifacts.gaze[self.manifest.device_type])
         return points
 
     @_step

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cnn import TemporalCnn
 from .config import PipelineConfig
-from .errors import DataError, MissingArtifactError
+from .errors import DataError
 from .records import MOUTH_LOWER_INNER, MOUTH_UPPER_INNER, FrameArrays
 from .temporal import long_runs
 
@@ -85,8 +85,6 @@ def build_windows(frames: FrameArrays, config: PipelineConfig) -> WindowedSeries
 def speaking_flags(frames: FrameArrays, net: TemporalCnn, config: PipelineConfig) -> np.ndarray:
     """Per-frame speaking flags; unscored frames inherit the nearest scored
     frame's flag (earlier frame on ties), all-false when nothing scored."""
-    if net is None:
-        raise MissingArtifactError("speaking CNN is not loaded")
     series = build_windows(frames, config)
     n = len(frames)
     flags = np.zeros(n, dtype=bool)

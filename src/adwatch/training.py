@@ -9,7 +9,9 @@ provide the negatives. The yawn classifier trains on per-frame mouth aspect
 ratio plus AU features at the suite's natural class imbalance.
 
 ``select_sessions`` reads and checks every selected manifest, so a session
-without ground truth fails before any frame file is parsed.
+without ground truth fails before any frame file is parsed. ``parse_session``
+then refuses ground truth whose rows are not the frames' rows
+(``check_truth``).
 
 ``_in_order`` is the one way work spreads over processes: the tasks marked
 for forked workers run there while this process runs the rest, and results
@@ -37,6 +39,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import artifacts as artifacts_io
+from .artifacts import GAZE_ARTIFACT, SPEAKING_ARTIFACT, YAWN_ARTIFACT
 from .boosting import BoostConfig, BoostedEnsemble, MODE_CLASSIFICATION, fit_boosted
 from .cnn import CnnTrainConfig, TemporalCnn, train_cnn
 from .config import _SEED, PipelineConfig, _check_fields
@@ -145,9 +148,30 @@ def select_sessions(suite_dir: PathLike, split: str = "all") -> list[tuple[Sessi
     return selected
 
 
+def check_truth(session_id: str, rows: str, frame_index: np.ndarray, truth: DistractionTimeline) -> None:
+    """Raise DataError unless ``frame_index``, that of the ``rows`` of session
+    ``session_id``, is the ground truth's row for row; the message names the
+    first row that differs."""
+    if len(frame_index) != len(truth):
+        raise DataError(
+            f"session {session_id}: {rows} length {len(frame_index)} != ground truth {len(truth)} "
+            f"(first unmatched row {min(len(frame_index), len(truth)) + 1})"
+        )
+    misaligned = np.flatnonzero(frame_index != truth.frame_index)
+    if misaligned.size:
+        i = misaligned[0]
+        raise DataError(
+            f"session {session_id}: {rows} row {i + 1} has frame_index "
+            f"{frame_index[i]}, ground truth {truth.frame_index[i]}"
+        )
+
+
 def parse_session(manifest: SessionManifest, base_dir: Path) -> tuple[FrameArrays, DistractionTimeline]:
-    """A selected session's frames and ground-truth timeline."""
-    return load_session(manifest, base_dir), read_timeline(base_dir / manifest.ground_truth)
+    """A selected session's frames and their ground-truth timeline."""
+    frames = load_session(manifest, base_dir)
+    truth = read_timeline(base_dir / manifest.ground_truth)
+    check_truth(manifest.session_id, "frame file", frames.frame_index, truth)
+    return frames, truth
 
 
 def load_suite_sessions(suite_dir: PathLike, split: str = "all") -> list[Session]:
@@ -382,8 +406,6 @@ def train_all(
     regressors and then the yawn classifier while this process trains the
     speaking CNN; otherwise they fit in this process in turn.
     """
-    from .pipeline import GAZE_ARTIFACT, SPEAKING_ARTIFACT, YAWN_ARTIFACT
-
     targets = {
         "gaze": (train_gaze_regressors, artifacts_io.save_gaze_regressors,
                  artifacts_io.gaze_regressors_text, GAZE_ARTIFACT),

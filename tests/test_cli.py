@@ -445,6 +445,41 @@ def test_bad_frame_row_in_either_half_of_a_split_load_reports_the_first_in_index
         assert multiprocessing.active_children() == []
 
 
+def one_row_short(rows: list) -> list:
+    return rows[:-1]
+
+
+def one_frame_late(rows: list) -> list:
+    return [{**row, "frame_index": row["frame_index"] + 1} for row in rows]
+
+
+@pytest.mark.parametrize("command, split", [("train", "train"), ("ablate", "held_out")])
+@pytest.mark.parametrize("edit", [one_row_short, one_frame_late])
+def test_ground_truth_that_is_not_the_frames_row_for_row_exits_3_naming_the_row(
+        trained, tmp_path, capsys, command, split, edit):
+    # refused before any fit or score: a short truth file misaligns the
+    # training rows, and a late one labels each frame with its neighbour's truth
+    _, suite, art, cfg = trained
+    copy = tmp_path / "suite"
+    shutil.copytree(suite, copy)
+    manifest_path = split_manifests(copy, split)[-1]
+    manifest = json.loads(manifest_path.read_text())
+    truth_path = manifest_path.parent / manifest["ground_truth"]
+    rows = [json.loads(line) for line in truth_path.read_text().splitlines()]
+    truth_path.write_text("".join(json.dumps(row) + "\n" for row in edit(rows)))
+    n = len(rows)
+    message = {
+        one_row_short: f"frame file length {n} != ground truth {n - 1} (first unmatched row {n})",
+        one_frame_late: "frame file row 1 has frame_index 0, ground truth 1",
+    }[edit]
+    out = tmp_path / "o"
+    argv = ["train", "--config", str(cfg)] if command == "train" else ["ablate", "--artifacts", str(art)]
+    code = main([*argv, "--suite-dir", str(copy), "--output", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == f"data error: session {manifest['session_id']}: {message}\n"
+    assert not out.exists()
+
+
 def test_out_of_range_training_value_exits_2(trained, tmp_path, capsys):
     _, suite, _, _ = trained
     out = tmp_path / "o"

@@ -3,18 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adwatch.boosting import MODE_CLASSIFICATION, BoostedEnsemble
 from adwatch.config import PipelineConfig
 from adwatch.drowsiness import (
+    _WIDTH_EPS,
     mouth_aspect_series,
     refined_eye_closure,
     smooth_flags,
     yawn_features,
     yawn_flags,
-    yawn_probability,
 )
-from adwatch.errors import DataError, MissingArtifactError
+from adwatch.errors import DataError
 from adwatch.artifacts import data_hash
-from adwatch.records import AU_INDEX
+from adwatch.records import AU_INDEX, FrameArrays
 from adwatch.pipeline import SessionDetectors
 from adwatch.temporal import long_runs
 from adwatch.training import yawn_training_set
@@ -107,6 +108,16 @@ def test_mar_degenerate_width_invalid():
     assert ratio == 0.0
 
 
+def test_mouth_corners_exactly_the_width_floor_apart_are_valid():
+    # the norm of a (1e-9, 0) offset is exactly 1e-9, so the width is the floor itself
+    assert _WIDTH_EPS == 1e-9
+    assert np.linalg.norm(np.array([[_WIDTH_EPS, 0.0]]), axis=1)[0] == _WIDTH_EPS
+    pts = np.array([[0.0, _WIDTH_EPS], [0.0, 0.0], [0.0, 0.0], [_WIDTH_EPS, 0.0]])
+    ratio, valid = mar(pts)
+    assert valid
+    assert ratio == 1.0
+
+
 def test_mar_scale_invariant():
     rng = np.random.default_rng(1)
     for _ in range(50):
@@ -133,20 +144,17 @@ def test_mar_series_matches_per_frame():
 
 
 def test_yawn_probability_dimensionality(artifacts):
-    with pytest.raises(DataError):
-        yawn_probability(np.zeros((1, 5)), artifacts.yawn)
-    with pytest.raises(DataError):
-        yawn_probability(np.zeros(21), artifacts.yawn)      # one row must be a batch of one
-    with pytest.raises(MissingArtifactError):
-        yawn_probability(np.zeros((1, 21)), None)
+    # the classifier reads yawn_features' 21 columns and refuses any other width
+    for width in (5, 20, 22):
+        with pytest.raises(DataError, match=f"expected 21 features, got {width}"):
+            artifacts.yawn.predict(np.zeros((1, width)))
 
 
 def test_yawn_probability_deterministic(artifacts):
     feats = np.zeros((1, 21))
     feats[0, 0] = 0.8
     feats[0, 1 + AU_INDEX["AU26"]] = 60.0
-    assert np.array_equal(yawn_probability(feats, artifacts.yawn),
-                          yawn_probability(feats, artifacts.yawn))
+    assert np.array_equal(artifacts.yawn.predict(feats), artifacts.yawn.predict(feats))
 
 
 def test_yawn_vs_speech_features(artifacts):
@@ -158,8 +166,33 @@ def test_yawn_vs_speech_features(artifacts):
     speech[0] = 0.2                     # small oscillating opening
     speech[1 + AU_INDEX["AU26"]] = 15.0
     speech[1 + AU_INDEX["AU25"]] = 20.0
-    assert yawn_probability(yawn[None], artifacts.yawn)[0] >= 0.5
-    assert yawn_probability(speech[None], artifacts.yawn)[0] < 0.5
+    assert artifacts.yawn.predict(yawn[None])[0] >= 0.5
+    assert artifacts.yawn.predict(speech[None])[0] < 0.5
+
+
+def still_frames(face_expr: np.ndarray) -> FrameArrays:
+    """Frames with a closed mouth and no AU, tracked where ``face_expr``."""
+    n = len(face_expr)
+    mouth = np.zeros((n, 4, 2))
+    mouth[:, 2, 0], mouth[:, 3, 0] = -0.16, 0.16
+    return FrameArrays(
+        frame_index=np.arange(n), timestamp_ms=np.arange(n) * (1000.0 / 30.0),
+        pupil=np.tile([0.0, 0.0, 60.0], (n, 1)), direction=np.tile([0.0, 0.0, -1.0], (n, 1)),
+        quality=np.full(n, 0.9), yaw=np.zeros(n), pitch=np.zeros(n), roll=np.zeros(n),
+        mouth=mouth, aus=np.zeros((n, 20)), eye_closure=np.zeros(n),
+        face_expr=face_expr, face_gaze=face_expr.copy(), face_center_x=np.full(n, 0.5),
+    )
+
+
+def test_yawn_probability_at_the_threshold_flags():
+    # with no trees and a zero base, a classifier predicts sigmoid(0) = 0.5 exactly
+    model = BoostedEnsemble(mode=MODE_CLASSIFICATION, learning_rate=0.1, max_depth=1,
+                            base_prediction=0.0, n_features=21)
+    tracked = np.array([True, True, False, True, False, True])
+    frames = still_frames(tracked)
+    assert np.all(model.predict(yawn_features(frames)) == 0.5)
+    config = PipelineConfig(yawn_threshold=0.5, yawn_smooth_s=0.0)
+    assert np.array_equal(yawn_flags(frames, model, config, 30.0), tracked)
 
 
 def test_smoothing_majority_suppresses_single_flips():

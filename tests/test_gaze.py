@@ -5,7 +5,7 @@ import pytest
 
 from adwatch.boosting import BoostConfig, fit_boosted
 from adwatch.config import PipelineConfig
-from adwatch.errors import DataError, MissingArtifactError, SessionUntrackableError
+from adwatch.errors import DataError, SessionUntrackableError
 from adwatch.gaze import (
     Orientation,
     ScreenGeometry,
@@ -155,13 +155,6 @@ def test_fine_tune_identity_regressors():
     pts = np.array([[3.0, -7.0], [0.0, 0.0], [-12.0, 9.0]])
     out = fine_tune(pts, pair)
     assert np.abs(out - pts).max() < 0.5
-
-
-def test_fine_tune_missing_model():
-    with pytest.raises(MissingArtifactError):
-        fine_tune(np.zeros((1, 2)), None)
-    with pytest.raises(MissingArtifactError):
-        fine_tune(np.zeros((1, 2)), {"x": None ,})
 
 
 def gaze_only_script(seed, scale, noise, offset=(0.0, 0.0)):

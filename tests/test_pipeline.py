@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adwatch import artifacts as artifacts_io
-from adwatch import gaze, geometry, pipeline
+from adwatch import evaluation, gaze, geometry, pipeline
 from adwatch.errors import DataError, MissingArtifactError
 from adwatch.fusion import SIGNAL_NAMES, signal_bits
 from adwatch.gaze import Orientation
@@ -72,13 +72,6 @@ def test_untrackable_gaze_stream_leaves_every_tracked_frame_to_the_head(artifact
     assert head.any() and np.array_equal(head, without_eye.timeline.signal("gaze_head"))
 
 
-def test_missing_gaze_artifact_raises(heldout_sessions, config):
-    frames, _, manifest = heldout_sessions[0]
-    empty = ArtifactSet(gaze=None, speaking=None, yawn=None)
-    with pytest.raises(MissingArtifactError):
-        score_session(SessionDetectors(frames, manifest, empty, config))
-
-
 def test_variant_switches_disable_signals(heldout_sessions, artifacts, config):
     head_only = PipelineVariant(name="head", signals=frozenset({"gaze_head"}))
     head_takes_eye_frames = False
@@ -141,9 +134,9 @@ def test_shared_artifact_set_matches_a_fresh_load_per_session(
     heldout_sessions, artifacts, config, tmp_path
 ):
     # adwatch score loads once per command; no detector may change a model it shares
-    artifacts_io.save_gaze_regressors(artifacts.gaze, {}, tmp_path / pipeline.GAZE_ARTIFACT)
-    artifacts_io.save_speaking_cnn(artifacts.speaking, {}, tmp_path / pipeline.SPEAKING_ARTIFACT)
-    artifacts_io.save_yawn_classifier(artifacts.yawn, {}, tmp_path / pipeline.YAWN_ARTIFACT)
+    artifacts_io.save_gaze_regressors(artifacts.gaze, {}, tmp_path / artifacts_io.GAZE_ARTIFACT)
+    artifacts_io.save_speaking_cnn(artifacts.speaking, {}, tmp_path / artifacts_io.SPEAKING_ARTIFACT)
+    artifacts_io.save_yawn_classifier(artifacts.yawn, {}, tmp_path / artifacts_io.YAWN_ARTIFACT)
     assert {m.device_type for _, _, m in heldout_sessions} == {"desktop", "mobile"}
     shared = ArtifactSet.load(tmp_path)
     for frames, _, manifest in heldout_sessions:
@@ -190,11 +183,10 @@ def test_ablation_runs_each_detector_once_per_session(
             return fn(*args, **kwargs)
         return wrapper
 
-    counted_names = (
-        "score_session", "compute_session_stats", "select_gaze_source",
-        "fine_tune", "speaking_flags", "yawn_flags",
-    )
-    for name in counted_names:
+    # each name is patched where its caller looks it up: run_ablation scores
+    # through evaluation's import of score_session, the steps through pipeline's
+    monkeypatch.setattr(evaluation, "score_session", counted("score_session", evaluation.score_session))
+    for name in ("compute_session_stats", "select_gaze_source", "fine_tune", "speaking_flags", "yawn_flags"):
         monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
     # the ray intersection runs inside gaze.valid_gaze_rays; a second one in
     # the pipeline would import it there

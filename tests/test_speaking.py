@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from adwatch.config import PipelineConfig
-from adwatch.errors import MissingArtifactError
 from adwatch.records import FrameArrays
 from adwatch.speaking import (
     build_windows,
@@ -94,6 +93,44 @@ def test_short_gap_held_and_scored():
     assert not series.scored[61]
 
 
+@pytest.mark.parametrize("extra, bridged", [(0, True), (1, False)], ids=["budget", "one_more"])
+def test_face_loss_of_exactly_the_hold_budget_is_bridged(extra, bridged):
+    gap = CFG.max_hold_samples + extra
+    expr = np.ones(120, dtype=bool)
+    expr[60 : 60 + gap] = False
+    series = build_windows(mouth_session(np.full(120, 0.05), face_expr=expr), CFG)
+    if bridged:
+        assert series.scored.all()
+    else:
+        assert not series.scored[60 : 60 + gap].any()
+        assert series.scored[:40].all() and series.scored[90:].all()
+
+
+class SpeaksFirst:
+    """A stand-in speaking CNN that flags the first ``n`` windows it is given."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def predict_proba(self, windows: np.ndarray) -> np.ndarray:
+        return (np.arange(len(windows)) < self.n).astype(np.float64)
+
+
+def test_a_frame_midway_between_two_scored_frames_takes_the_earlier_flag():
+    expr = np.ones(150, dtype=bool)
+    expr[70:81] = False
+    frames = mouth_session(np.full(150, 0.05), face_expr=expr)
+    scored = build_windows(frames, CFG).scored
+    unscored = np.flatnonzero(~scored)
+    left, right = unscored[0] - 1, unscored[-1] + 1
+    # one unscored run, of odd length, so that its middle frame is a tie
+    assert unscored.size == right - left - 1 and unscored.size % 2 == 1
+    mid = (left + right) // 2
+    flags = speaking_flags(frames, SpeaksFirst(np.count_nonzero(scored[: left + 1])), CFG)
+    assert flags[: mid + 1].all()
+    assert not flags[mid + 1 :].any()
+
+
 def test_unscored_frames_inherit_nearest_flag(artifacts):
     expr = np.ones(150, dtype=bool)
     expr[100:140] = False
@@ -110,11 +147,6 @@ def test_unscored_frames_inherit_nearest_flag(artifacts):
     for i in unscored[:10]:
         nearest = scored_idx[np.argmin(np.abs(scored_idx - i))]
         assert flags[i] == flags[nearest]
-
-
-def test_probability_missing_model():
-    with pytest.raises(MissingArtifactError):
-        speaking_flags(mouth_session(np.full(30, 0.02)), None, CFG)
 
 
 def test_window_centered_on_frame(artifacts):
