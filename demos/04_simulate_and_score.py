@@ -53,7 +53,7 @@ segments = [
 script = ScenarioScript(seed=99, device_type="desktop", duration_s=33.8,
                         segments=segments, viewing_distance_cm=62.0)
 frames, truth = generate(script)
-manifest = SessionManifest("demo", "desktop", 30.0, "f")
+manifest = SessionManifest("demo", "desktop", script.frame_rate_hz, "f")
 
 scored = score_session(SessionDetectors(frames, manifest, artifacts, config))
 timeline = scored.timeline
@@ -69,10 +69,10 @@ for i in range(len(timeline)):
     active = timeline.active_names(i)
     row.append(codes[active[0]] if active else ".")
 for start in range(0, len(row), 90):
-    t = start / 30.0
+    t = start / manifest.frame_rate_hz
     print(f"  {t:5.1f}s  {''.join(row[start:start + 90])}")
 
-summary = session_summary(timeline, 30.0)
+summary = session_summary(timeline, manifest.frame_rate_hz)
 print(f"\ninattentive: {summary.percent_inattentive:.1f}% of frames")
 for name, events in summary.events_by_source.items():
     for ev in events:

@@ -25,7 +25,6 @@ from .fusion import (
     fuse,
     session_summary,
     signal_bits,
-    unattended_signal,
 )
 from .gaze import (
     Orientation,

@@ -253,7 +253,7 @@ def config_from_mapping(mapping: dict, base: Optional[PipelineConfig] = None) ->
 
 def _read_json_object(path: Path, what: str, error: type) -> dict:
     """The JSON object in the ``what`` file at ``path``, or ``error`` if the
-    file is missing, is not JSON or holds another JSON value.
+    file is missing or unreadable, is not UTF-8 JSON or holds another JSON value.
 
     Every JSON document loader reads through this. It is private so that a
     tracer of the public functions counts the parse in the caller's module.
@@ -262,6 +262,10 @@ def _read_json_object(path: Path, what: str, error: type) -> dict:
         raise error(f"{what} not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:  # a directory, say
+        raise error(f"{what} {path}: cannot be read ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise error(f"{what} {path}: invalid JSON ({exc.msg})") from exc
     if not isinstance(doc, dict):

@@ -56,12 +56,11 @@ def yawn_features(frames: FrameArrays) -> np.ndarray:
     return np.concatenate([ratios[:, None], frames.aus], axis=1)
 
 
-def smooth_flags(flags: np.ndarray, frame_rate_hz: float, span_s: float) -> np.ndarray:
-    """Centered majority vote over ``span_s`` seconds, one flag per frame
-    however short the sequence."""
+def smooth_flags(flags: np.ndarray, w: int) -> np.ndarray:
+    """Centered majority vote over ``w`` frames (the next odd number, if even),
+    one flag per frame however short the sequence."""
     flags = np.asarray(flags, dtype=bool)
     n = len(flags)
-    w = int(round(span_s * frame_rate_hz))
     if w <= 1 or n == 0:
         return flags.copy()
     if w % 2 == 0:
@@ -76,10 +75,8 @@ def smooth_flags(flags: np.ndarray, frame_rate_hz: float, span_s: float) -> np.n
     return window_sums(flags.astype(np.int64)) * 2 > window_sums(np.ones(n, dtype=np.int64))
 
 
-def yawn_flags(
-    frames: FrameArrays, model: BoostedEnsemble, config: PipelineConfig, frame_rate_hz: float
-) -> np.ndarray:
-    """Smoothed per-frame yawn flags; untracked frames never flag."""
+def yawn_flags(frames: FrameArrays, model: BoostedEnsemble, config: PipelineConfig, w: int) -> np.ndarray:
+    """Per-frame yawn flags smoothed over ``w`` frames; untracked frames never flag."""
     raw = (model.predict(yawn_features(frames)) >= config.yawn_threshold) & frames.face_expr
-    return smooth_flags(raw, frame_rate_hz, config.yawn_smooth_s) & frames.face_expr
+    return smooth_flags(raw, w) & frames.face_expr
 

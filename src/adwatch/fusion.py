@@ -1,4 +1,4 @@
-"""Unattended-screen detection and fusion of the five distraction signals.
+"""Fusion of the five distraction signals, and session summaries.
 
 Signal order (and bit position in the per-frame mask):
 
@@ -21,9 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .config import PipelineConfig
 from .errors import DataError
-from .temporal import find_runs, long_runs
+from .temporal import find_runs
 
 SIGNAL_NAMES = ("gaze_eye", "gaze_head", "speaking", "drowsiness", "unattended")
 
@@ -71,20 +70,6 @@ class DistractionTimeline:
             np.array_equal(self.mask, other.mask)
             and np.array_equal(self.frame_index, other.frame_index)
         )
-
-
-def unattended_signal(
-    no_face_expr: np.ndarray,
-    no_face_gaze: np.ndarray,
-    frame_rate_hz: float,
-    min_duration_s: float = PipelineConfig().unattended_min_s,
-) -> np.ndarray:
-    """Frames inside runs where BOTH trackers lost the face for > 1 s."""
-    no_face_expr = np.asarray(no_face_expr, dtype=bool)
-    no_face_gaze = np.asarray(no_face_gaze, dtype=bool)
-    if no_face_expr.shape != no_face_gaze.shape:
-        raise DataError("tracker no-face flags have mismatched lengths")
-    return long_runs(no_face_expr & no_face_gaze, frame_rate_hz, min_duration_s)
 
 
 def fuse(

@@ -26,7 +26,7 @@ from .cnn import TemporalCnn
 from .config import PipelineConfig
 from .drowsiness import refined_eye_closure, yawn_flags
 from .errors import MissingArtifactError, SessionUntrackableError
-from .fusion import SIGNAL_NAMES, DistractionTimeline, fuse, signal_bits, unattended_signal
+from .fusion import SIGNAL_NAMES, DistractionTimeline, fuse, signal_bits
 from .gaze import (
     Orientation,
     ScreenGeometry,
@@ -42,7 +42,7 @@ from .gaze import (
 from .head import compute_head_stats, head_off_screen, select_gaze_source
 from .records import FrameArrays, SessionManifest
 from .speaking import speaking_flags
-from .temporal import long_runs
+from .temporal import frames_within, long_runs
 
 PathLike = Union[str, Path]
 
@@ -138,7 +138,8 @@ class SessionDetectors:
     exactly the ``PipelineVariant`` switches it reads, which are its arguments.
     The session facts (``rays``, ``stats``, ``orientation``, ``eye_path``,
     ``eye_rays``) read none; the orientation, screen and corrected points need
-    a trackable gaze stream, one whose ``stats()`` is not None."""
+    a trackable gaze stream, one whose ``stats()`` is not None. Only here are
+    the config's durations turned into frames of the manifest's rate."""
 
     frames: FrameArrays
     manifest: SessionManifest
@@ -230,25 +231,27 @@ class SessionDetectors:
             )
         return signal
 
+    def _frames(self, seconds: float) -> int:
+        return frames_within(seconds, self.manifest.frame_rate_hz)
+
     @_step
     def speaking(self) -> np.ndarray:
         flags = speaking_flags(self.frames, self.artifacts.speaking, self.config)
-        return long_runs(flags, self.manifest.frame_rate_hz, self.config.speaking_min_event_s)
+        return long_runs(flags, self._frames(self.config.speaking_min_event_s))
 
     @_step
     def drowsiness(self) -> np.ndarray:
-        frames, config, fps = self.frames, self.config, self.manifest.frame_rate_hz
+        frames, config = self.frames, self.config
         closure = refined_eye_closure(frames.eye_closure, frames.aus, config) & frames.face_expr
-        return long_runs(closure, fps, config.closure_min_event_s) | yawn_flags(
-            frames, self.artifacts.yawn, config, fps
+        vote = int(round(config.yawn_smooth_s * self.manifest.frame_rate_hz))
+        return long_runs(closure, self._frames(config.closure_min_event_s)) | yawn_flags(
+            frames, self.artifacts.yawn, config, vote
         )
 
     @_step
     def unattended(self) -> np.ndarray:
-        return unattended_signal(
-            ~self.frames.face_expr, ~self.frames.face_gaze,
-            self.manifest.frame_rate_hz, self.config.unattended_min_s,
-        )
+        lost = ~self.frames.face_expr & ~self.frames.face_gaze
+        return long_runs(lost, self._frames(self.config.unattended_min_s))
 
 
 def score_session(

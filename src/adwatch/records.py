@@ -95,14 +95,18 @@ class FrameArrays:
         return len(self.frame_index)
 
 
-def frame_checks(frames: FrameArrays, previous: Optional[tuple[int, float]] = None) -> tuple:
+def frame_checks(
+    frames: FrameArrays, previous: Optional[tuple[int, float]] = None, period_ms: Optional[float] = None
+) -> tuple:
     """The FORMATS.md invariants of a frame sequence, as ``first_failure``
     checks in row-by-row order.
 
     ``previous`` is the (frame_index, timestamp_ms) of the frame before the
     first one, when the sequence continues another. A sequence may start at
     any frame index; each later frame's index is the previous one's + 1.
-    Shapes are not checked here; the loader enforces them per column.
+    Given the manifest's ``period_ms``, each timestamp step must be more than
+    half a period and less than one and a half. Shapes are not checked here;
+    the loader enforces them per column.
     """
     fi, ts = frames.frame_index, frames.timestamp_ms
     q, eye, fcx, aus = frames.quality, frames.eye_closure, frames.face_center_x, frames.aus
@@ -122,7 +126,7 @@ def frame_checks(frames: FrameArrays, previous: Optional[tuple[int, float]] = No
         j = int(np.flatnonzero(bad_aus[i])[0])
         return f"au_intensities[{j}] ({AU_NAMES[j]}) outside [0, 100]: {aus[i, j]}"
 
-    return (
+    checks = (
         (fi < 0, lambda i: f"frame_index must be >= 0, got {fi[i]}"),
         (~(np.isfinite(ts) & (ts >= 0.0)),
          lambda i: f"timestamp_ms must be a finite real >= 0, got {ts[i]}"),
@@ -147,6 +151,15 @@ def frame_checks(frames: FrameArrays, previous: Optional[tuple[int, float]] = No
                                   f"(previous {prev_fi[i]})"),
         (fi > prev_fi + 1, lambda i: f"frame_index {fi[i]} skips frames after {prev_fi[i]}: "
                                      f"indices must be contiguous"),
+    )
+    if period_ms is None:
+        return checks
+    # the first frame of a stream (previous timestamp -inf) has no step
+    step = ts - prev_ts
+    off_rate = np.isfinite(prev_ts) & ~((step > 0.5 * period_ms) & (step < 1.5 * period_ms))
+    return checks + (
+        (off_rate, lambda i: f"timestamp_ms {ts[i]} is {step[i]:g} ms after {prev_ts[i]}, outside "
+                             f"0.5 to 1.5 frame periods of {period_ms:g} ms at the manifest's rate"),
     )
 
 

@@ -17,6 +17,7 @@ of rows at a time and write the bytes ``json.dumps(row, separators=(",",
 from __future__ import annotations
 
 import json
+from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
@@ -126,19 +127,33 @@ def _bad_values(field: _Field, objs: list) -> tuple:
     return np.array(bad), message
 
 
+def _row_error(error: type, where: str):
+    """The ``error(row, message)`` of ``_row_blocks``: ``error`` naming
+    ``where`` and the row, if there is one."""
+    return lambda row, message: error(f"{where}{'' if row is None else f' row {row}'}: {message}")
+
+
 def _row_blocks(path: Path, error):
     """Yield (objects, 1-based row numbers) blocks of up to ``_BLOCK_ROWS``
-    rows, skipping blank lines; a row that is not a JSON object raises
-    ``error(row, message)`` once the rows before it are yielded. Both lists
-    are refilled for the next block, so only one block's rows are alive."""
+    rows, skipping blank lines; a row that is not UTF-8 text holding a JSON
+    object raises ``error(row, message)`` once the rows before it are
+    yielded, and a file that cannot be opened ``error(None, message)``. Both
+    lists are refilled for the next block, so only one block's rows are alive."""
     objs, rows = [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise error(None, f"cannot be read ({exc.strerror})") from None
+    with fh:
         for row, line in enumerate(fh, start=1):
             if line.isspace():
                 continue
             try:
-                obj = json.loads(line)
+                # decoded row by row, so that a bad byte names its row
+                obj = json.loads(line.decode("utf-8"))
                 problem = None if type(obj) is dict else "not a JSON object"
+            except UnicodeDecodeError as exc:
+                problem = f"not UTF-8 text (byte {exc.start}: {exc.reason})"
             except json.JSONDecodeError as exc:
                 problem = f"invalid JSON ({exc.msg})"
             if problem is not None:
@@ -261,14 +276,15 @@ def write_frames(frames: FrameArrays, path: PathLike) -> None:
             fh.writelines([_FRAME_ROW % row for row in zip(*block)])
 
 
-def _frame_checks(columns: dict, objs: list, previous: Optional[dict]) -> tuple:
+def _frame_checks(columns: dict, objs: list, previous: Optional[dict], period_ms: Optional[float]) -> tuple:
     last = None if previous is None else (previous["frame_index"][-1], previous["timestamp_ms"][-1])
-    return frame_checks(FrameArrays(**columns), last)
+    return frame_checks(FrameArrays(**columns), last, period_ms)
 
 
-def load_frames(path: PathLike) -> FrameArrays:
+def load_frames(path: PathLike, period_ms: Optional[float] = None) -> FrameArrays:
     """Read a frame file straight into columns; rows are validated, never
-    clamped, and an error names the first bad row.
+    clamped, and an error names the first bad row. Timestamp steps are held
+    to ``period_ms`` when it is given, as ``load_session`` gives it.
 
     Only one block's parsed JSON (about 2.5 kB of small objects a row) is
     alive at once: whole-file parsing leaves enough scattered interpreter
@@ -279,8 +295,8 @@ def load_frames(path: PathLike) -> FrameArrays:
     if not path.exists():
         raise SessionFormatError(f"frame file not found: {path}")
     columns = _read_jsonl(
-        path, _FRAME_SCHEMA, _frame_checks,
-        lambda row, message: SessionFormatError(f"frame file {path} row {row}: {message}"),
+        path, _FRAME_SCHEMA, partial(_frame_checks, period_ms=period_ms),
+        _row_error(SessionFormatError, f"frame file {path}"),
     )
     if columns is None:
         raise SessionFormatError(f"empty session: {path}")
@@ -288,7 +304,8 @@ def load_frames(path: PathLike) -> FrameArrays:
 
 
 def load_session(manifest: SessionManifest, base_dir: Optional[PathLike] = None) -> FrameArrays:
-    """Load the frame stream referenced by ``manifest``.
+    """Load the frame stream referenced by ``manifest``, its timestamps
+    stepping by about one period of the manifest's ``frame_rate_hz``.
 
     Relative frame paths resolve against ``base_dir`` (the manifest's
     directory when the manifest was loaded from disk).
@@ -296,7 +313,7 @@ def load_session(manifest: SessionManifest, base_dir: Optional[PathLike] = None)
     src = Path(manifest.frame_source)
     if not src.is_absolute() and base_dir is not None:
         src = Path(base_dir) / src
-    return load_frames(src)
+    return load_frames(src, 1000.0 / manifest.frame_rate_hz)
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +457,7 @@ def read_timeline(path: PathLike) -> DistractionTimeline:
     path = Path(path)
     if not path.exists():
         raise DataError(f"timeline not found: {path}")
-    columns = _read_jsonl(
-        path, _TIMELINE_SCHEMA, _timeline_checks,
-        lambda row, message: DataError(f"timeline {path} row {row}: {message}"),
-    )
+    columns = _read_jsonl(path, _TIMELINE_SCHEMA, _timeline_checks, _row_error(DataError, f"timeline {path}"))
     if columns is None:
         raise DataError(f"empty timeline: {path}")
     activity, target = columns["activity"], columns["target_cm"]

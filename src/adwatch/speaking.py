@@ -57,7 +57,7 @@ def build_windows(frames: FrameArrays, config: PipelineConfig) -> WindowedSeries
         return WindowedSeries(windows=windows, scored=scored)
 
     # frames inside invalid runs longer than the hold budget poison windows
-    unfillable = long_runs(~valid, 1.0, config.max_hold_samples)
+    unfillable = long_runs(~valid, config.max_hold_samples)
 
     vt = times[valid]
     vd = dist[valid]

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 from adwatch.config import PipelineConfig
-from adwatch.pipeline import ArtifactSet
-from adwatch.records import SessionManifest
+from adwatch.pipeline import ArtifactSet, SessionDetectors
+from adwatch.records import FrameArrays, SessionManifest
 from adwatch.synth import SuiteConfig, build_suite_scripts, generate
 from adwatch.training import (
     train_gaze_regressors,
@@ -25,6 +26,21 @@ def sessions_from_config(suite: SuiteConfig):
         )
         out.append((frames, truth, manifest, split))
     return out
+
+
+def unattended_of(no_face_expr, no_face_gaze, frame_rate_hz=30.0, config=PipelineConfig()):
+    """``SessionDetectors.unattended`` of a session whose expression and gaze
+    trackers lose the face on the flagged frames; it reads no model."""
+    n = len(no_face_expr)
+    zeros = np.zeros(n)
+    frames = FrameArrays(
+        frame_index=np.arange(n), timestamp_ms=np.arange(n) * 1000.0 / frame_rate_hz,
+        pupil=np.zeros((n, 3)), direction=np.zeros((n, 3)), quality=zeros, yaw=zeros, pitch=zeros,
+        roll=zeros, mouth=np.zeros((n, 4, 2)), aus=np.zeros((n, 20)), eye_closure=zeros,
+        face_expr=~np.asarray(no_face_expr), face_gaze=~np.asarray(no_face_gaze), face_center_x=zeros,
+    )
+    manifest = SessionManifest("s", "desktop", frame_rate_hz, "frames.jsonl")
+    return SessionDetectors(frames, manifest, None, config).unattended()
 
 
 @pytest.fixture(scope="session")

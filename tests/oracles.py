@@ -277,9 +277,16 @@ class Event:
         return self.end_frame - self.start_frame + 1
 
 
+def lasts_longer(n_frames, frame_rate_hz, min_duration_s):
+    """The duration rule in seconds: a run of ``n_frames`` lasts
+    n_frames / frame_rate_hz seconds, and counts when that is strictly more
+    than ``min_duration_s``."""
+    return n_frames / frame_rate_hz > min_duration_s
+
+
 def events_from_flags(flags, frame_rate_hz, min_duration_s):
     """One event per run of True flags, found frame by frame; distracting iff
-    the run lasts strictly longer than ``min_duration_s``."""
+    the run lasts strictly longer than ``min_duration_s`` (``lasts_longer``)."""
     if frame_rate_hz <= 0:
         raise ValueError(f"frame_rate_hz must be positive, got {frame_rate_hz}")
     events, start = [], None
@@ -288,7 +295,7 @@ def events_from_flags(flags, frame_rate_hz, min_duration_s):
             start = i
         elif not flag and start is not None:
             duration = (i - start) / frame_rate_hz
-            events.append(Event(start, i - 1, duration, duration > min_duration_s))
+            events.append(Event(start, i - 1, duration, lasts_longer(i - start, frame_rate_hz, min_duration_s)))
             start = None
     return events
 

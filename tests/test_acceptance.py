@@ -32,10 +32,9 @@ from adwatch.pipeline import (
     score_session,
 )
 from adwatch.synth import SuiteConfig, build_suite_scripts, generate
-from adwatch.temporal import long_runs
-from adwatch.fusion import unattended_signal
+from adwatch.temporal import frames_within, long_runs
 
-from conftest import sessions_from_config
+from conftest import sessions_from_config, unattended_of
 from oracles import line_sampling_intersection_batch, macro_f1
 
 CFG = PipelineConfig()
@@ -243,9 +242,10 @@ def test_criterion_08_orientation_voting(config):
 def test_criterion_09_duration_rule_boundaries(kind, min_s, frames_at, expect):
     flags = np.zeros(200, dtype=bool)
     flags[50 : 50 + frames_at] = True
-    active = long_runs(flags, 30.0, min_s)
+    active = long_runs(flags, frames_within(min_s, 30.0))
     if kind == "unattended":
-        np.testing.assert_array_equal(unattended_signal(flags, flags, 30.0, min_s), active)
+        config = dataclasses.replace(CFG, unattended_min_s=min_s)
+        np.testing.assert_array_equal(unattended_of(flags, flags, 30.0, config), active)
     np.testing.assert_array_equal(active, flags if expect else np.zeros_like(flags))
     report(
         "criterion 9",

@@ -7,6 +7,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adwatch import training
@@ -397,7 +398,8 @@ def count_frame_loads(monkeypatch) -> list:
 
     calls = []
     load_frames = session_io.load_frames
-    monkeypatch.setattr(session_io, "load_frames", lambda path: calls.append(path) or load_frames(path))
+    monkeypatch.setattr(session_io, "load_frames",
+                        lambda path, *rest: calls.append(path) or load_frames(path, *rest))
     return calls
 
 
@@ -788,6 +790,165 @@ def test_cut_frame_run_exits_3_naming_the_row(trained, tmp_path, capsys):
     code = main(["score", "--manifest", str(manifest_path), "--artifacts", str(art), "--output", str(out)])
     assert code == 3
     assert f"{frames_path} row 301: frame_index 330 skips frames after 299" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def rewrite_frames(manifest_path: Path, edit) -> Path:
+    """Apply ``edit(doc, rows)`` to the manifest's document and its frame
+    rows, in place; returns the frame file's path."""
+    doc = json.loads(manifest_path.read_text())
+    frames_path = manifest_path.parent / doc["frame_source"]
+    rows = [json.loads(line) for line in frames_path.read_text().splitlines()]
+    edit(doc, rows)
+    manifest_path.write_text(json.dumps(doc))
+    frames_path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return frames_path
+
+
+def doubled_timestamps(doc, rows):
+    for row in rows:
+        row["timestamp_ms"] *= 2
+
+
+def manifest_at_60_hz(doc, rows):
+    doc["frame_rate_hz"] = 60.0
+
+
+def hole_after_row_600(doc, rows):
+    for row in rows[600:]:
+        row["timestamp_ms"] += 5000.0
+
+
+# each edit's first step off the manifest's rate, a 1-based row
+CLOCK_EDITS = [(doubled_timestamps, 2), (manifest_at_60_hz, 2), (hole_after_row_600, 601)]
+
+
+@pytest.mark.parametrize("edit, row", CLOCK_EDITS, ids=["doubled", "60hz_manifest", "5s_hole"])
+@pytest.mark.parametrize("command, split", [("score", "all"), ("train", "train"), ("ablate", "held_out")])
+def test_timestamps_off_the_manifest_rate_exit_3_naming_the_row(trained, tmp_path, capsys, edit, row,
+                                                               command, split):
+    # a duration counted in frames is a duration only at the manifest's rate
+    _, suite, art, cfg = trained
+    copy = tmp_path / "suite"
+    shutil.copytree(suite, copy)
+    index = json.loads((copy / "suite.json").read_text())
+    first = None
+    for entry in index["sessions"]:
+        frames_path = rewrite_frames(copy / entry["manifest_path"], edit)
+        if entry["split"] == split or split == "all":
+            first = first or frames_path
+    out = tmp_path / "o"
+    argv = ["train", "--config", str(cfg)] if command == "train" else [command, "--artifacts", str(art)]
+    assert main(argv + ["--suite-dir", str(copy), "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: frame file {first} row {row}: timestamp_ms "), err
+    assert "frame periods of 33.3333 ms" in err or "frame periods of 16.6667 ms" in err
+    assert not out.exists()
+
+
+def test_timestamps_jittered_within_the_tolerance_score(trained, tmp_path):
+    # a webcam's steps wander; each here is 0.6 to 1.4 periods
+    _, suite, art, _ = trained
+    source = sorted(suite.glob("sessions/*/manifest.json"))[0]
+    rng = np.random.default_rng(11)
+
+    def jitter(doc, rows):
+        steps = 1000.0 / doc["frame_rate_hz"] * rng.uniform(0.6, 1.4, len(rows))
+        for row, t in zip(rows, np.cumsum(steps).tolist()):
+            row["timestamp_ms"] = t
+
+    manifest, doc = copy_session(source, tmp_path / "session", lambda lines: lines)
+    rewrite_frames(manifest, jitter)
+    files = score_one(manifest, art, tmp_path / "o")
+    timeline = files[f"{doc['session_id']}.timeline.jsonl"].splitlines()
+    assert len(timeline) == len((manifest.parent / "frames.jsonl").read_text().splitlines())
+
+
+def not_utf8(path: Path) -> None:
+    """Replace ``path`` with a UTF-16 text of its own, which begins \\xff\\xfe."""
+    text = path.read_text()
+    path.unlink()
+    path.write_bytes(text.encode("utf-16"))
+
+
+def a_directory(path: Path) -> None:
+    path.unlink()
+    path.mkdir()
+
+
+@pytest.mark.parametrize("spoil, problem", [
+    (a_directory, "cannot be read (Is a directory)"),
+    (not_utf8, "not UTF-8 text (byte 0: invalid start byte)"),
+], ids=["directory", "utf16"])
+@pytest.mark.parametrize("kind, code", [
+    ("config", 2), ("suite index", 2), ("script", 2), ("manifest", 3), ("model artifact", 4),
+])
+def test_json_document_that_is_a_directory_or_not_utf8_exits_with_its_code(trained, tmp_path, capsys,
+                                                                         spoil, problem, kind, code):
+    _, suite, art, cfg = trained
+    copy, art_copy = tmp_path / "suite", tmp_path / "artifacts"
+    shutil.copytree(suite, copy)
+    shutil.copytree(art, art_copy)
+    config = tmp_path / "config.json"
+    shutil.copy(cfg, config)
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"duration_s": 2.0, "segments": [{"kind": "dot_at", "start_s": 0.0,
+                                                                  "duration_s": 2.0, "dot": [0, 0]}]}))
+    manifest = sorted(copy.glob("sessions/*/manifest.json"))[0]
+    path, argv = {
+        "config": (config, ["score", "--config", str(config), "--suite-dir", str(copy)]),
+        "suite index": (copy / "suite.json", ["score", "--suite-dir", str(copy)]),
+        "script": (script, ["simulate", "--script", str(script)]),
+        "manifest": (manifest, ["score", "--manifest", str(manifest)]),
+        "model artifact": (art_copy / "yawn_classifier.json", ["score", "--suite-dir", str(copy)]),
+    }[kind]
+    if argv[0] == "score":
+        argv += ["--artifacts", str(art_copy)]
+    spoil(path)
+    out = tmp_path / "o"
+    assert main(argv + ["--output", str(out)]) == code
+    assert f"{kind} {path}: {problem}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_frame_file_that_is_a_directory_exits_3(trained, tmp_path, capsys):
+    _, suite, art, _ = trained
+    source = sorted(suite.glob("sessions/*/manifest.json"))[0]
+    manifest, _ = copy_session(source, tmp_path / "session", lambda lines: lines)
+    a_directory(manifest.parent / "frames.jsonl")
+    out = tmp_path / "o"
+    assert main(["score", "--manifest", str(manifest), "--artifacts", str(art), "--output", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: frame file {manifest.parent / 'frames.jsonl'}: cannot be read (Is a directory)\n")
+    assert not out.exists()
+
+
+def test_frame_row_that_is_not_utf8_exits_3_naming_the_row(trained, tmp_path, capsys):
+    _, suite, art, _ = trained
+    source = sorted(suite.glob("sessions/*/manifest.json"))[0]
+    manifest, _ = copy_session(source, tmp_path / "session", lambda lines: lines)
+    frames_path = manifest.parent / "frames.jsonl"
+    lines = frames_path.read_bytes().split(b"\n")
+    # a row before it fails a later check than the byte's; the byte's row still comes first
+    lines[5] = lines[5].replace(b'"frame_index"', b'"frame_\xffindex"')
+    lines[9] = lines[9].replace(b'"gaze_quality":', b'"gaze_quality":"x","q":')
+    frames_path.write_bytes(b"\n".join(lines))
+    out = tmp_path / "o"
+    assert main(["score", "--manifest", str(manifest), "--artifacts", str(art), "--output", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: frame file {frames_path} row 6: not UTF-8 text (byte 8: invalid start byte)\n")
+    assert not out.exists()
+
+
+def test_scored_timeline_that_is_a_directory_exits_3(trained, tmp_path, capsys):
+    _, suite, art, _ = trained
+    scored = tmp_path / "scored"
+    assert main(["score", "--suite-dir", str(suite), "--artifacts", str(art), "--output", str(scored)]) == 0
+    timeline = sorted(scored.glob("*.timeline.jsonl"))[0]
+    a_directory(timeline)
+    out = tmp_path / "e"
+    assert main(["evaluate", "--suite-dir", str(suite), "--scored", str(scored), "--output", str(out)]) == 3
+    assert capsys.readouterr().err.endswith(f"data error: timeline {timeline}: cannot be read (Is a directory)\n")
     assert not out.exists()
 
 

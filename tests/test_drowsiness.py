@@ -17,11 +17,13 @@ from adwatch.errors import DataError
 from adwatch.artifacts import data_hash
 from adwatch.records import AU_INDEX, FrameArrays
 from adwatch.pipeline import SessionDetectors
-from adwatch.temporal import long_runs
+from adwatch.temporal import frames_within, long_runs
 from adwatch.training import yawn_training_set
 from oracles import concatenating_yawn_training_set
 
 CFG = PipelineConfig()
+# the closure rule's minimum at 30 fps: 60 frames
+CLOSURE_FRAMES = frames_within(CFG.closure_min_event_s, 30.0)
 
 
 def au_row(**values):
@@ -63,27 +65,27 @@ def test_no_flagged_frame_has_high_au12():
 def test_blink_not_distracting():
     flags = np.zeros(300, dtype=bool)
     flags[10:19] = True   # 0.3 s at 30 fps
-    assert not long_runs(flags, 30.0, CFG.closure_min_event_s).any()
+    assert not long_runs(flags, CLOSURE_FRAMES).any()
 
 
 def test_long_closure_distracting():
     flags = np.zeros(300, dtype=bool)
     flags[10:85] = True   # 2.5 s
-    assert np.array_equal(long_runs(flags, 30.0, CFG.closure_min_event_s), flags)
+    assert np.array_equal(long_runs(flags, CLOSURE_FRAMES), flags)
 
 
 def test_alternating_frames_never_distract():
     flags = np.zeros(100, dtype=bool)
     flags[::2] = True
-    assert not long_runs(flags, 30.0, CFG.closure_min_event_s).any()
+    assert not long_runs(flags, CLOSURE_FRAMES).any()
 
 
 def test_extending_a_run_keeps_it_distracting():
     flags = np.zeros(300, dtype=bool)
     flags[0:70] = True
-    assert np.array_equal(long_runs(flags, 30.0, CFG.closure_min_event_s), flags)
+    assert np.array_equal(long_runs(flags, CLOSURE_FRAMES), flags)
     flags[0:90] = True
-    assert np.array_equal(long_runs(flags, 30.0, CFG.closure_min_event_s), flags)
+    assert np.array_equal(long_runs(flags, CLOSURE_FRAMES), flags)
 
 
 def mar(points):
@@ -191,16 +193,16 @@ def test_yawn_probability_at_the_threshold_flags():
     tracked = np.array([True, True, False, True, False, True])
     frames = still_frames(tracked)
     assert np.all(model.predict(yawn_features(frames)) == 0.5)
-    config = PipelineConfig(yawn_threshold=0.5, yawn_smooth_s=0.0)
-    assert np.array_equal(yawn_flags(frames, model, config, 30.0), tracked)
+    config = PipelineConfig(yawn_threshold=0.5)
+    assert np.array_equal(yawn_flags(frames, model, config, 0), tracked)
 
 
 def test_smoothing_majority_suppresses_single_flips():
     flags = np.zeros(60, dtype=bool)
     flags[30] = True
-    assert not smooth_flags(flags, 30.0, 0.5).any()
+    assert not smooth_flags(flags, 15).any()
     flags[20:50] = True
-    smoothed = smooth_flags(flags, 30.0, 0.5)
+    smoothed = smooth_flags(flags, 15)
     assert smoothed[25:45].all()
 
 
@@ -215,13 +217,11 @@ def same_mode_smooth(flags, w):
 @settings(max_examples=200, deadline=None)
 @given(
     flags=st.lists(st.booleans(), max_size=80).map(lambda f: np.array(f, dtype=bool)),
-    rate=st.sampled_from([5.0, 10.0, 24.0, 30.0, 60.0, 120.0]),
-    span=st.floats(0.0, 1.0),
+    w=st.integers(0, 120),
 )
-def test_smoothing_gives_one_flag_per_frame(flags, rate, span):
-    smoothed = smooth_flags(flags, rate, span)
+def test_smoothing_gives_one_flag_per_frame(flags, w):
+    smoothed = smooth_flags(flags, w)
     assert smoothed.shape == flags.shape and smoothed.dtype == bool
-    w = int(round(span * rate))
     if w <= 1:
         assert np.array_equal(smoothed, flags)
         return
@@ -239,8 +239,8 @@ def test_drowsiness_or_combination(artifacts, heldout_sessions):
     for frames, _, manifest in heldout_sessions:
         fps = manifest.frame_rate_hz
         closure = refined_eye_closure(frames.eye_closure, frames.aus, CFG) & frames.face_expr
-        closure = long_runs(closure, fps, CFG.closure_min_event_s)
-        yawns = yawn_flags(frames, artifacts.yawn, CFG, fps)
+        closure = long_runs(closure, frames_within(CFG.closure_min_event_s, fps))
+        yawns = yawn_flags(frames, artifacts.yawn, CFG, int(round(CFG.yawn_smooth_s * fps)))
         if (closure & ~yawns).any() and (yawns & ~closure).any():
             break
     else:

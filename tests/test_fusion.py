@@ -2,25 +2,21 @@ import numpy as np
 import pytest
 
 from adwatch.errors import DataError
-from adwatch.fusion import (
-    SIGNAL_NAMES,
-    fuse,
-    session_summary,
-    unattended_signal,
-)
+from adwatch.fusion import SIGNAL_NAMES, fuse, session_summary
 from adwatch.temporal import find_runs
+from conftest import unattended_of
 
 
 def test_short_dual_gap_inactive():
     no_face = np.zeros(100, dtype=bool)
     no_face[10:25] = True   # 0.5 s at 30 fps
-    assert not unattended_signal(no_face, no_face, 30.0).any()
+    assert not unattended_of(no_face, no_face).any()
 
 
 def test_long_dual_gap_active():
     no_face = np.zeros(200, dtype=bool)
     no_face[10:100] = True  # 3 s
-    out = unattended_signal(no_face, no_face, 30.0)
+    out = unattended_of(no_face, no_face)
     assert out[10:100].all()
     assert not out[0:10].any() and not out[100:].any()
 
@@ -28,16 +24,16 @@ def test_long_dual_gap_active():
 def test_single_tracker_loss_inactive():
     lost = np.zeros(200, dtype=bool)
     lost[10:100] = True
-    assert not unattended_signal(lost, np.zeros(200, dtype=bool), 30.0).any()
-    assert not unattended_signal(np.zeros(200, dtype=bool), lost, 30.0).any()
+    assert not unattended_of(lost, np.zeros(200, dtype=bool)).any()
+    assert not unattended_of(np.zeros(200, dtype=bool), lost).any()
 
 
 def test_exactly_one_second_not_distracting():
     no_face = np.zeros(100, dtype=bool)
     no_face[0:30] = True
-    assert not unattended_signal(no_face, no_face, 30.0).any()
+    assert not unattended_of(no_face, no_face).any()
     no_face[0:31] = True
-    assert unattended_signal(no_face, no_face, 30.0).any()
+    assert unattended_of(no_face, no_face).any()
 
 
 def test_fuse_identity():

@@ -1,7 +1,10 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adwatch import artifacts as artifacts_io
 from adwatch import evaluation, gaze, geometry, pipeline
@@ -27,6 +30,29 @@ def test_clean_session_scores_close_to_truth(heldout_sessions, artifacts, config
     assert len(scored.timeline) == len(frames)
     rep = frame_metrics(~scored.timeline.attentive, ~truth.attentive)
     assert rep.g_mean > 0.9
+
+
+# every config field the session clock times
+CLOCKED_FIELDS = (
+    "speaking_min_event_s", "closure_min_event_s", "unattended_min_s", "yawn_smooth_s", "window_span_s",
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(-2, 2), index=st.integers(0, 7))
+def test_scaling_the_clock_changes_no_label(heldout_sessions, artifacts, config, k, index):
+    # timestamps and durations times 2**k over a rate times 2**-k is the same
+    # session on a slower or faster clock; powers of two scale floats exactly
+    frames, _, manifest = heldout_sessions[index]
+    scale = 2.0 ** k
+    scaled = SessionDetectors(
+        dataclasses.replace(frames, timestamp_ms=frames.timestamp_ms * scale),
+        dataclasses.replace(manifest, frame_rate_hz=manifest.frame_rate_hz / scale),
+        artifacts,
+        dataclasses.replace(config, **{name: getattr(config, name) * scale for name in CLOCKED_FIELDS}),
+    )
+    expected = score_session(SessionDetectors(frames, manifest, artifacts, config)).timeline
+    assert score_session(scaled).timeline == expected
 
 
 def test_gaze_source_exclusive_per_frame(heldout_sessions, artifacts, config):

@@ -548,6 +548,50 @@ def test_load_session_resolves_relative_paths(tmp_path):
     assert_same_frames(load_session(manifest, tmp_path), frames)
 
 
+# 25 Hz: a 40 ms period, so these steps and timestamps are exact floats
+@pytest.mark.parametrize("row, step, ok", [
+    (2, 20.0, False), (300, 20.0, False), (300, 20.0 + 2**-20, True),
+    (300, 60.0, False), (300, 60.0 - 2**-20, True), (257, 60.0, False), (600, 80.0, False),
+])
+def test_timestamp_steps_must_lie_within_half_and_one_and_a_half_periods(tmp_path, row, step, ok):
+    timestamps = np.arange(600) * 40.0
+    timestamps[row - 1:] += step - 40.0
+    frames = make_frames(600, timestamp_ms=timestamps)
+    write_frames(frames, tmp_path / "frames.jsonl")
+    manifest = SessionManifest("s", "desktop", 25.0, "frames.jsonl")
+    # without a manifest there is no period, so only the order is checked
+    assert_same_frames(load_frames(tmp_path / "frames.jsonl"), frames)
+    if ok:
+        assert_same_frames(load_session(manifest, tmp_path), frames)
+        return
+    message = (f"row {row}: timestamp_ms {timestamps[row - 1]} is {step:g} ms after {timestamps[row - 2]}, "
+               "outside 0.5 to 1.5 frame periods of 40 ms at the manifest's rate")
+    with pytest.raises(SessionFormatError, match=f"{re.escape(message)}$"):
+        load_session(manifest, tmp_path)
+
+
+@pytest.mark.parametrize("rate, row", [(15.0, 2), (30.0, None), (60.0, 2)])
+def test_a_manifest_rate_half_or_twice_the_frames_rate_is_refused(tmp_path, rate, row):
+    write_frames(make_frames(40), tmp_path / "frames.jsonl")
+    manifest = SessionManifest("s", "desktop", rate, "frames.jsonl")
+    if row is None:
+        assert len(load_session(manifest, tmp_path)) == 40
+        return
+    with pytest.raises(SessionFormatError, match=f"row {row}: timestamp_ms "):
+        load_session(manifest, tmp_path)
+
+
+def test_timeline_row_that_is_not_utf8_names_its_row(tmp_path):
+    path = tmp_path / "t.jsonl"
+    write_timeline(fuse(*[np.zeros(300, dtype=bool)] * 5), path)
+    lines = path.read_bytes().split(b"\n")
+    lines[279] = b"\xfe" + lines[279]
+    path.write_bytes(b"\n".join(lines))
+    message = f"timeline {path} row 280: not UTF-8 text (byte 0: invalid start byte)"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        read_timeline(path)
+
+
 def same_bits(a, b):
     """Equal shapes and float bits, so -0.0 differs from 0.0 and NaN equals NaN."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)

@@ -9,7 +9,7 @@ from adwatch.speaking import (
     speaking_flags,
 )
 from adwatch.synth import ScenarioScript, Segment, generate
-from adwatch.temporal import find_runs, long_runs
+from adwatch.temporal import find_runs, frames_within, long_runs
 
 CFG = PipelineConfig()
 
@@ -186,19 +186,21 @@ def test_oscillating_window_is_speech(artifacts):
 
 
 def test_events_boundary_strictness():
+    # the speaking rule's minimum at 30 fps: 30 frames
+    min_frames = frames_within(CFG.speaking_min_event_s, 30.0)
     flags = np.zeros(200, dtype=bool)
     flags[0:27] = True     # 0.9 s at 30 fps
-    assert not long_runs(flags, 30.0, CFG.speaking_min_event_s).any()
+    assert not long_runs(flags, min_frames).any()
     flags[0:45] = True     # 1.5 s
-    assert np.array_equal(long_runs(flags, 30.0, CFG.speaking_min_event_s), flags)
-    assert not long_runs(np.zeros(10, dtype=bool), 30.0, CFG.speaking_min_event_s).any()
+    assert np.array_equal(long_runs(flags, min_frames), flags)
+    assert not long_runs(np.zeros(10, dtype=bool), min_frames).any()
 
 
 def test_event_decomposition_partition():
     rng = np.random.default_rng(3)
     flags = rng.uniform(size=500) < 0.3
     flags[100:140] = True   # one run over a second, so some frames are kept
-    kept = long_runs(flags, 30.0, CFG.speaking_min_event_s)
+    kept = long_runs(flags, frames_within(CFG.speaking_min_event_s, 30.0))
     runs = find_runs(flags)
     assert sum(end - start + 1 for start, end in runs) == int(np.count_nonzero(flags))
     long = [(start, end) for start, end in runs if end - start + 1 > 30]
