@@ -207,6 +207,17 @@ def _check_gaze_devices(artifacts: ArtifactSet, artifact_dir: Path, manifests) -
             )
 
 
+def _check_output(out: Path) -> None:
+    """ConfigError unless ``--output`` is a directory or can be made one: the
+    first of it and its parents that exists, a dangling link included, must
+    be a directory. Every command checks this before it reads any input."""
+    for path in (out, *out.parents):
+        if path.exists() or path.is_symlink():
+            if not path.is_dir():
+                raise ConfigError(f"--output {out}: {path} is not a directory")
+            return
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     out: Path = args.output
     if args.script is not None:
@@ -390,6 +401,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output(args.output)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

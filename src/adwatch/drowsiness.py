@@ -14,14 +14,8 @@ import numpy as np
 
 from .boosting import BoostedEnsemble
 from .config import PipelineConfig
-from .records import (
-    AU_INDEX,
-    MOUTH_LEFT_CORNER,
-    MOUTH_LOWER_INNER,
-    MOUTH_RIGHT_CORNER,
-    MOUTH_UPPER_INNER,
-    FrameArrays,
-)
+from .records import AU_INDEX, MOUTH_LEFT_CORNER, MOUTH_RIGHT_CORNER, FrameArrays
+from .speaking import lip_distance
 
 _WIDTH_EPS = 1e-9
 
@@ -30,7 +24,7 @@ def mouth_aspect_series(mouth_points: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """(ratios, valid) of mouth height over width for (n, 4, 2) mouth points;
     a degenerate width gives an invalid sample with ratio 0."""
     pts = np.asarray(mouth_points, dtype=np.float64)
-    heights = np.linalg.norm(pts[:, MOUTH_UPPER_INNER] - pts[:, MOUTH_LOWER_INNER], axis=1)
+    heights = lip_distance(pts)
     widths = np.linalg.norm(pts[:, MOUTH_LEFT_CORNER] - pts[:, MOUTH_RIGHT_CORNER], axis=1)
     valid = widths >= _WIDTH_EPS
     ratios = np.zeros(len(pts))

@@ -117,12 +117,6 @@ class AblationTable:
             ]
         }
 
-    def get(self, variant: str, device: str) -> ClassificationReport:
-        for row in self.rows:
-            if row.variant == variant:
-                return row.by_device[device]
-        raise KeyError(variant)
-
 
 def ablation_pairs(frames, truth, manifest, artifacts, variants, config) -> list[tuple[np.ndarray, np.ndarray]]:
     """One session's (predicted, true) inattentive masks under each of

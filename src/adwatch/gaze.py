@@ -51,37 +51,39 @@ class SessionGazeStats:
     mean_eye_distance_cm: float
     mean_yaw_deg: float
     mean_face_center_x: float
-    valid_frame_count: int
 
 
 def valid_gaze_rays(
     frames: FrameArrays, quality_floor: float = PipelineConfig().quality_floor
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(valid, points, toward): the frames whose gaze is tracked at or above
-    the quality floor, and where their rays meet the screen plane, one row per
-    valid frame. A session intersects its rays once; the stats, the eye path
-    and the training rows each slice the rows of their own valid frames."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(valid, points): the frames whose gaze is tracked at or above the
+    quality floor, and where each frame's ray meets the screen plane, one
+    (n, 2) row per frame. A point is NaN on every frame that is not valid and
+    wherever the ray is parallel to the plane or points away from it. Only
+    the valid rows are intersected, once per session."""
     valid = frames.face_gaze & (frames.quality >= quality_floor)
-    points, _, toward, _ = intersect_gaze_batch(frames.pupil[valid], frames.direction[valid])
-    return valid, points, toward
+    hits, _, toward, _ = intersect_gaze_batch(frames.pupil[valid], frames.direction[valid])
+    points = np.full((len(frames), 2), np.nan)
+    points[valid] = np.where(toward[:, None], hits, np.nan)
+    return valid, points
 
 
 def compute_session_stats(
-    frames: FrameArrays, rays: tuple[np.ndarray, np.ndarray, np.ndarray]
+    frames: FrameArrays, rays: tuple[np.ndarray, np.ndarray]
 ) -> SessionGazeStats:
     """First pass over a session: means of the raw screen-plane intersections
-    (``rays`` from ``valid_gaze_rays``), eye distance, head yaw, and face
-    location.
+    (``rays`` from ``valid_gaze_rays``; its finite points), eye distance,
+    head yaw, and face location.
 
     Eye-to-camera distance is the perpendicular distance to the camera plane
     (pupil z); unlike the full Euclidean norm this is invariant to where the
     camera sits within the plane, which keeps the screen-size estimate stable
     for displaced webcams.
     """
-    valid, points, toward = rays
+    valid, points = rays
     if not np.any(valid):
         raise SessionUntrackableError("no frame passed the gaze validity gates")
-    usable = toward & np.all(np.isfinite(points), axis=1)
+    usable = np.all(np.isfinite(points), axis=1)
     if not np.any(usable):
         raise SessionUntrackableError("no valid gaze ray meets the screen plane")
     return SessionGazeStats(
@@ -90,7 +92,6 @@ def compute_session_stats(
         mean_eye_distance_cm=float(np.mean(frames.pupil[valid, 2])),
         mean_yaw_deg=float(np.mean(frames.yaw[valid])),
         mean_face_center_x=float(np.mean(frames.face_center_x[valid])),
-        valid_frame_count=int(np.count_nonzero(valid)),
     )
 
 
@@ -193,13 +194,12 @@ def estimate_screen(
     return ScreenGeometry(width, height, Orientation.CENTERED, config.margin_cm)
 
 
-def gaze_on_screen(points: np.ndarray, toward: np.ndarray, geom: ScreenGeometry) -> np.ndarray:
+def gaze_on_screen(points: np.ndarray, geom: ScreenGeometry) -> np.ndarray:
     """True where the corrected (n, 2) point lies inside the rectangle plus
-    margin; rays that do not meet the plane in front of the viewer are
-    off-screen."""
+    margin; a NaN point, a ray that does not meet the plane in front of the
+    viewer, is off-screen."""
     points = np.asarray(points, dtype=np.float64)
     half_w = geom.width_cm / 2 + geom.margin_cm
     half_h = geom.height_cm / 2 + geom.margin_cm
     with np.errstate(invalid="ignore"):
-        inside = (np.abs(points[:, 0]) <= half_w) & (np.abs(points[:, 1]) <= half_h)
-    return inside & np.asarray(toward, dtype=bool)
+        return (np.abs(points[:, 0]) <= half_w) & (np.abs(points[:, 1]) <= half_h)

@@ -21,7 +21,6 @@ from .records import FrameArrays
 class HeadPoseStats:
     mean_yaw_deg: float
     mean_pitch_deg: float
-    valid_frame_count: int
 
 
 def compute_head_stats(frames: FrameArrays) -> HeadPoseStats:
@@ -31,7 +30,6 @@ def compute_head_stats(frames: FrameArrays) -> HeadPoseStats:
     return HeadPoseStats(
         mean_yaw_deg=float(np.mean(frames.yaw[valid])),
         mean_pitch_deg=float(np.mean(frames.pitch[valid])),
-        valid_frame_count=int(np.count_nonzero(valid)),
     )
 
 

@@ -136,10 +136,11 @@ def _step(method):
 class SessionDetectors:
     """One session's detector steps, each computed once for every setting of
     exactly the ``PipelineVariant`` switches it reads, which are its arguments.
-    The session facts (``rays``, ``stats``, ``orientation``, ``eye_path``,
-    ``eye_rays``) read none; the orientation, screen and corrected points need
-    a trackable gaze stream, one whose ``stats()`` is not None. Only here are
-    the config's durations turned into frames of the manifest's rate."""
+    The session facts (``rays``, ``stats``, ``orientation``, ``eye_path``)
+    read none; the orientation, screen and corrected points need a trackable
+    gaze stream, one whose ``stats()`` is not None. Every array a step returns
+    has one row per frame. Only here are the config's durations turned into
+    frames of the manifest's rate."""
 
     frames: FrameArrays
     manifest: SessionManifest
@@ -148,8 +149,8 @@ class SessionDetectors:
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @_step
-    def rays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(valid, points, toward) of every valid gaze ray, intersected once."""
+    def rays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(valid, points) of every frame's gaze ray, the valid ones intersected once."""
         return valid_gaze_rays(self.frames, self.config.quality_floor)
 
     @_step
@@ -177,21 +178,15 @@ class SessionDetectors:
         return path & self.rays()[0]
 
     @_step
-    def eye_rays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(points, toward, finite) where the eye path's rays meet the screen plane."""
-        valid, points, toward = self.rays()
-        keep = self.eye_path()[valid]
-        points = points[keep]
-        return points, toward[keep], np.all(np.isfinite(points), axis=1)
-
-    @_step
     def corrected_points(self, normalize: bool, tune: bool) -> np.ndarray:
-        points, _, finite = self.eye_rays()
-        points = points.copy()
+        """The gaze points, corrected on the eye-path frames whose ray meets
+        the screen plane in front of the viewer."""
+        points = self.rays()[1].copy()
+        rows = self.eye_path() & np.all(np.isfinite(points), axis=1)
         if normalize:
-            points[finite] = normalize_gaze(points[finite], self.stats())
+            points[rows] = normalize_gaze(points[rows], self.stats())
         if tune:
-            points[finite] = fine_tune(points[finite], self.artifacts.gaze[self.manifest.device_type])
+            points[rows] = fine_tune(points[rows], self.artifacts.gaze[self.manifest.device_type])
         return points
 
     @_step
@@ -208,28 +203,19 @@ class SessionDetectors:
     @_step
     def eye_gaze(self, normalize: bool, tune: bool, screen_size: bool) -> np.ndarray:
         """Off-screen by the eye path."""
-        signal = np.zeros(len(self.frames), dtype=bool)
-        path = self.eye_path()
-        if np.any(path):
-            _, toward, _ = self.eye_rays()
-            points = self.corrected_points(normalize, tune)
-            signal[path] = ~gaze_on_screen(points, toward, self.screen(screen_size))
-        return signal
+        points = self.corrected_points(normalize, tune)
+        return self.eye_path() & ~gaze_on_screen(points, self.screen(screen_size))
 
     @_step
     def head_gaze(self, after_eye: bool) -> np.ndarray:
         """Off-screen head pose on the tracked frames the eye path leaves over,
         or on every tracked frame when not ``after_eye``."""
         frames = self.frames
-        signal = np.zeros(len(frames), dtype=bool)
         candidates = frames.face_expr & ~self.eye_path() if after_eye else frames.face_expr
         # with a candidate there is a tracked face, so the head stats exist
-        if np.any(candidates):
-            signal[candidates] = head_off_screen(
-                frames.yaw[candidates], frames.pitch[candidates],
-                compute_head_stats(frames), self.config,
-            )
-        return signal
+        if not np.any(candidates):
+            return np.zeros(len(frames), dtype=bool)
+        return candidates & head_off_screen(frames.yaw, frames.pitch, compute_head_stats(frames), self.config)
 
     def _frames(self, seconds: float) -> int:
         return frames_within(seconds, self.manifest.frame_rate_hz)

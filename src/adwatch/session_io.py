@@ -51,6 +51,10 @@ class _Field(NamedTuple):
 
 
 _INT, _BOOL, _NUMBER = frozenset({int}), frozenset({bool}), frozenset({int, float})
+# the dtype kinds of a column that a writer renders as its field's JSON
+# types, and what they are for the error message
+_KINDS = {_INT: ("iu", "integers"), _BOOL: ("b", "booleans"), _NUMBER: ("iuf", "integers or floats")}
+_INT64_MAX = np.iinfo(np.int64).max
 
 _FRAME_SCHEMA = (
     _Field("frame_index", "frame_index", np.int64, (), _INT, "an integer"),
@@ -212,6 +216,18 @@ def _read_jsonl(path: Path, schema, checks, error) -> Optional[dict]:
     }
 
 
+def _unwritable(types: frozenset, values: np.ndarray) -> Optional[str]:
+    """Why the column ``values`` of a field of JSON ``types`` would not read
+    back equal, or None: its dtype kind must be one those types are written
+    from, and integers must fit in int64."""
+    kinds, expected = _KINDS[types]
+    if values.dtype.kind not in kinds:
+        return f"has dtype {values.dtype}, expected {expected}"
+    if types is _INT and values.size and values.max() > _INT64_MAX:
+        return f"holds {values.max()}, beyond int64"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # frame files
 # ---------------------------------------------------------------------------
@@ -250,21 +266,27 @@ _FRAME_ROW = "{" + ",".join(
 def write_frames(frames: FrameArrays, path: PathLike) -> None:
     """One JSON object per frame, in ``_FRAME_SCHEMA`` order (FORMATS.md).
 
-    The frames pass ``frame_checks``, as ``load_frames`` reads them, before
-    the file is opened: otherwise DataError names the first bad row and no
-    file is written. Each block of ``_BLOCK_ROWS`` frames is rendered column
-    by column and written with one ``writelines``.
+    Each column has its field's shape and a dtype ``_unwritable`` takes,
+    and the frames, at the dtypes ``load_frames`` reads them back at, pass
+    its ``frame_checks`` before the file is opened: otherwise DataError
+    names the first bad column or row and no file is written. Each block of
+    ``_BLOCK_ROWS`` frames is rendered column by column and written with one
+    ``writelines``.
     """
     n = len(frames)
     path = Path(path)
-    columns = []
+    columns, checked = [], {}
     for field in _FRAME_SCHEMA:
         values = np.asarray(getattr(frames, field.column))
         if values.shape != (n, *field.shape):
             raise DataError(f"frame column {field.column} has shape {values.shape}, "
                             f"expected {(n, *field.shape)}")
+        problem = _unwritable(field.types, values)
+        if problem is not None:
+            raise DataError(f"frame column {field.column} {problem}")
         columns.append((values, field.shape))
-    failure = first_failure(frame_checks(frames)) if n else None
+        checked[field.column] = values.astype(field.dtype, copy=False)
+    failure = first_failure(frame_checks(FrameArrays(**checked))) if n else None
     if failure is not None:
         raise DataError(f"frame file {path} row {failure[0] + 1}: {failure[1]}")
     with _replacing(path) as fh:
@@ -357,10 +379,11 @@ _TIMELINE_TAILS = tuple(
 def _check_timeline(timeline: DistractionTimeline, path: Path) -> Optional[np.ndarray]:
     """The target_cm column as an (n, 2) float array, if the timeline has one.
 
-    DataError unless the columns have one row per frame, each mask is an
+    DataError unless the columns have one row per frame, the frame_index
+    and target_cm columns have dtypes ``_unwritable`` takes, each mask is an
     integer in [0, 32), each activity is a string or None and each target
     row is a pair of finite numbers or all NaN (null); the error names the
-    first bad row.
+    first bad column or row.
     """
     n = len(timeline)
     activity, points = timeline.activity, timeline.target_cm
@@ -371,6 +394,9 @@ def _check_timeline(timeline: DistractionTimeline, path: Path) -> Optional[np.nd
     }
     if set(lengths.values()) != {n}:
         raise DataError(f"timeline {path}: columns of mismatched shapes (mask {n}, {lengths})")
+    problem = _unwritable(_INT, np.asarray(timeline.frame_index))
+    if problem is not None:
+        raise DataError(f"timeline {path}: column frame_index {problem}")
     mask = np.asarray(timeline.mask)
     # a mask outside [0, 32) would pick the wrong row tail, or wrap round to one
     in_range = np.zeros(n, dtype=bool)
@@ -382,9 +408,15 @@ def _check_timeline(timeline: DistractionTimeline, path: Path) -> Optional[np.nd
                        lambda i: f"activity must be a string or null, got {activity[i]!r}"))
     if points is not None:
         try:
-            points = np.asarray(points, dtype=np.float64).reshape(n, 2)
-        except (TypeError, ValueError):
-            raise DataError(f"timeline {path}: target_cm must be an ({n}, 2) array of numbers") from None
+            points = np.asarray(points)
+        except ValueError:   # rows of different lengths
+            points = None
+        if points is None or points.shape != (n, 2):
+            raise DataError(f"timeline {path}: target_cm must be an ({n}, 2) array of numbers")
+        problem = _unwritable(_NUMBER, points)
+        if problem is not None:
+            raise DataError(f"timeline {path}: column target_cm {problem}")
+        points = points.astype(np.float64, copy=False)
         null_or_finite = np.isnan(points).all(axis=1) | np.isfinite(points).all(axis=1)
         checks.append((~null_or_finite, lambda i: "target_cm must be a pair of finite numbers "
                                                   f"or NaN for null, got {points[i].tolist()}"))
@@ -416,7 +448,7 @@ def write_timeline(timeline: DistractionTimeline, path: PathLike) -> None:
         row += ',"target_cm":%s'
         null = np.isnan(points[:, 0])
     row += "}\n"
-    index = np.asarray(timeline.frame_index).astype(np.int64, copy=False)
+    index = np.asarray(timeline.frame_index)
     mask = np.asarray(timeline.mask)
     with _replacing(path) as fh:
         for start in range(0, len(timeline), _BLOCK_ROWS):

@@ -204,18 +204,15 @@ def gaze_training_rows(
     for frames, truth, manifest in sessions:
         if truth.activity is None or truth.target_cm is None:
             raise DataError("gaze training needs generator ground truth (activity, target_cm)")
-        valid, points, toward = rays = valid_gaze_rays(frames, config.quality_floor)
+        valid, points = rays = valid_gaze_rays(frames, config.quality_floor)
         stats = compute_session_stats(frames, rays)
         is_dot = np.array([a == "dot" for a in truth.activity])
-        dot = is_dot[valid]   # the dot frames among the valid rows
-        if not np.any(dot):
+        if not np.any(is_dot & valid):
             continue
-        points, toward = points[dot], toward[dot]
-        keep = toward & np.all(np.isfinite(points), axis=1)
-        measured = normalize_gaze(points[keep], stats)
-        rows = np.flatnonzero(is_dot & valid)[keep]
-        targets = truth.target_cm[rows]
-        per_device.setdefault(manifest.device_type, []).append((measured, targets))
+        rows = is_dot & np.all(np.isfinite(points), axis=1)
+        per_device.setdefault(manifest.device_type, []).append(
+            (normalize_gaze(points[rows], stats), truth.target_cm[rows])
+        )
     out = {}
     for device, chunks in per_device.items():
         X = np.concatenate([m for m, _ in chunks])

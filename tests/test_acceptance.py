@@ -129,13 +129,19 @@ def offset_suite():
     )
 
 
+def g_mean_of(table, variant: str, device: str) -> float:
+    """The g-mean of ``variant``'s row of an ablation table on ``device``."""
+    (row,) = [row for row in table.rows if row.variant == variant]
+    return row.by_device[device].g_mean
+
+
 def test_criterion_04_ablation_processing_steps(offset_suite, artifacts, config):
     sessions = [(f, t, m) for f, t, m, _ in offset_suite]
     table = run_ablation(sessions, artifacts, TABLE1_VARIANTS, config)
-    full = table.get("full model", "desktop").g_mean
-    no_norm = table.get("w/o normalization", "desktop").g_mean
-    no_ft = table.get("w/o fine-tuning", "desktop").g_mean
-    no_ss = table.get("w/o screen size detection", "desktop").g_mean
+    full = g_mean_of(table, "full model", "desktop")
+    no_norm = g_mean_of(table, "w/o normalization", "desktop")
+    no_ft = g_mean_of(table, "w/o fine-tuning", "desktop")
+    no_ss = g_mean_of(table, "w/o screen size detection", "desktop")
     assert full - no_norm >= 0.05
     assert no_ft <= full
     assert no_ss <= full
@@ -153,7 +159,7 @@ def test_criterion_05_ablation_distraction_signals(eval_suite_50, artifacts, con
     assert order == [v.name for v in TABLE3_VARIANTS]
     details = []
     for device in ("desktop", "mobile"):
-        g = [table.get(name, device).g_mean for name in order]
+        g = [g_mean_of(table, name, device) for name in order]
         gains = np.diff(g)
         # +gaze strictly helps, +speaking and +unattended never hurt
         assert gains[0] >= 0.02, (device, g)

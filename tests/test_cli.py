@@ -236,6 +236,34 @@ def test_negative_seed_to_train_exits_2_before_reading_the_suite(tmp_path, capsy
     assert not (tmp_path / "art").exists()
 
 
+# each command's input flags, all naming paths that do not exist
+MISSING_INPUTS = {
+    "simulate": ["--script", "script.json"],
+    "train": ["--suite-dir", "suite"],
+    "score": ["--suite-dir", "suite", "--artifacts", "art"],
+    "evaluate": ["--suite-dir", "suite", "--scored", "scored"],
+    "ablate": ["--suite-dir", "suite", "--artifacts", "art"],
+}
+
+
+@pytest.mark.parametrize("command", list(MISSING_INPUTS))
+@pytest.mark.parametrize("kind", ["file", "below_a_file", "dangling_link"])
+def test_output_that_is_or_is_below_a_file_exits_2_before_reading_any_input(tmp_path, capsys, command, kind):
+    # no input exists, so a command that read one first would fail on it instead
+    taken = tmp_path / "taken"
+    if kind == "dangling_link":
+        taken.symlink_to(tmp_path / "nowhere")
+    else:
+        taken.write_text("kept\n")
+    out = taken / "out" if kind == "below_a_file" else taken
+    inputs = [arg if arg.startswith("--") else str(tmp_path / "missing" / arg)
+              for arg in MISSING_INPUTS[command]]
+    assert main([command, *inputs, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: --output {out}: {taken} is not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert taken.is_symlink() if kind == "dangling_link" else taken.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("seed", [-1, 2.5, "3", True])
 def test_script_seed_that_is_not_a_non_negative_integer_exits_2(tmp_path, capsys, seed):
     script = {

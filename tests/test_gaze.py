@@ -53,7 +53,6 @@ def make_stats(**overrides):
     base = dict(
         mean_x_s=0.0, mean_y_s=0.0, mean_eye_distance_cm=60.0,
         mean_yaw_deg=0.0, mean_face_center_x=0.5,
-        valid_frame_count=100,
     )
     base.update(overrides)
     return SessionGazeStats(**base)
@@ -85,32 +84,37 @@ def test_stats_without_valid_frames_is_untrackable():
 def test_stats_quality_floor_masks_frames():
     frames = frames_with_targets([(0.0, 0.0), (8.0, 8.0)])
     frames.quality[1] = 0.1   # below floor: excluded from the means
-    stats = compute_session_stats(frames, valid_gaze_rays(frames, CFG.quality_floor))
-    assert stats.valid_frame_count == 1
+    rays = valid_gaze_rays(frames, CFG.quality_floor)
+    stats = compute_session_stats(frames, rays)
+    assert rays[0].tolist() == [True, False]
     assert stats.mean_x_s == pytest.approx(0.0)
 
 
 def test_valid_rays_slice_to_a_fresh_intersection_of_any_subset():
     # the eye path and the dot frames read their rows of the session's one
-    # intersection; each row must be what intersecting that subset alone gives
+    # frame-aligned column; each row must be what intersecting that subset
+    # alone gives, NaN where the ray misses the plane in front of the viewer
     from adwatch.geometry import intersect_gaze_batch
 
     frames, _ = generate(gaze_only_script(11, scale=1.1, noise=1.0))
     frames.quality[::7] = 0.1
     frames.direction = frames.direction.copy()
     frames.direction[::13, 2] = 0.0   # parallel rays: NaN points
-    valid, points, toward = valid_gaze_rays(frames, CFG.quality_floor)
+    frames.direction[5::17, 2] *= -1.0   # rays that point away: NaN points
+    valid, points = valid_gaze_rays(frames, CFG.quality_floor)
+    assert points.shape == (len(frames), 2)
     assert np.array_equal(valid, frames.face_gaze & (frames.quality >= CFG.quality_floor))
-    assert np.isnan(points).any() and not valid.all()
+    assert np.isnan(points[~valid]).all() and not valid.all()
+    assert np.isnan(points[valid]).any()
     rng = np.random.default_rng(0)
     for _ in range(5):
         subset = valid & (rng.random(len(frames)) < 0.4)
         fresh, _, fresh_toward, _ = intersect_gaze_batch(
             frames.pupil[subset], frames.direction[subset]
         )
-        keep = subset[valid]
-        assert np.array_equal(points[keep], fresh, equal_nan=True)
-        assert np.array_equal(toward[keep], fresh_toward)
+        assert not fresh_toward.all()
+        expected = np.where(fresh_toward[:, None], fresh, np.nan)
+        assert np.array_equal(points[subset], expected, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -302,29 +306,35 @@ def test_estimate_screen_fixed_fallback():
 
 def test_on_screen_center():
     geom = ScreenGeometry(35.6, 20.0, margin_cm=1.0)
-    assert gaze_on_screen(np.array([[0.0, 0.0]]), [True], geom).tolist() == [True]
+    assert gaze_on_screen(np.array([[0.0, 0.0]]), geom).tolist() == [True]
 
 
 def test_just_outside_boundary():
     geom = ScreenGeometry(35.6, 20.0, margin_cm=1.0)
     x = 35.6 / 2 + 1.0 + 0.1
-    assert gaze_on_screen(np.array([[x, 0.0]]), [True], geom).tolist() == [False]
+    assert gaze_on_screen(np.array([[x, 0.0]]), geom).tolist() == [False]
 
 
 def test_away_from_plane_is_off_screen():
+    # the ray's line meets the plane at the screen center, but behind the viewer
     geom = ScreenGeometry(35.6, 20.0, margin_cm=1.0)
-    assert gaze_on_screen(np.array([[0.0, 0.0]]), [False], geom).tolist() == [False]
+    frames = frames_with_targets([(0.0, 0.0)])
+    frames.direction[0] = [0.0, 0.0, 1.0]
+    _, points = valid_gaze_rays(frames)
+    assert np.isnan(points).all()
+    assert gaze_on_screen(points, geom).tolist() == [False]
 
 
 def test_shrinking_screen_is_monotone():
     rng = np.random.default_rng(1)
     pts = rng.uniform(-30, 30, (500, 2))
-    toward = np.ones(500, dtype=bool)
+    pts[::25] = np.nan   # rays that miss the plane in front of the viewer
     big = ScreenGeometry(40.0, 24.0, margin_cm=1.0)
     small = ScreenGeometry(30.0, 18.0, margin_cm=1.0)
-    on_big = gaze_on_screen(pts, toward, big)
-    on_small = gaze_on_screen(pts, toward, small)
+    on_big = gaze_on_screen(pts, big)
+    on_small = gaze_on_screen(pts, small)
     assert not np.any(on_small & ~on_big)
+    assert not on_big[::25].any()
 
 
 def test_translation_invariance_of_labels():
@@ -333,9 +343,9 @@ def test_translation_invariance_of_labels():
     frames, _ = generate(script)
     rays = valid_gaze_rays(frames, CFG.quality_floor)
     stats = compute_session_stats(frames, rays)
-    _, pts, toward = rays
+    _, pts = rays
     geom = estimate_screen(stats, "desktop", CFG)
-    base = gaze_on_screen(normalize_gaze(pts, stats), toward, geom)
+    base = gaze_on_screen(normalize_gaze(pts, stats), geom)
     for offset in ([3.0, -2.0], [-9.9, 0.4]):
         shifted = pts + np.asarray(offset)
         stats2 = dataclasses.replace(
@@ -343,5 +353,5 @@ def test_translation_invariance_of_labels():
             mean_x_s=stats.mean_x_s + offset[0],
             mean_y_s=stats.mean_y_s + offset[1],
         )
-        labels = gaze_on_screen(normalize_gaze(shifted, stats2), toward, geom)
+        labels = gaze_on_screen(normalize_gaze(shifted, stats2), geom)
         assert np.array_equal(base, labels)

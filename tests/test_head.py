@@ -35,12 +35,12 @@ def pose_frames(yaw, pitch, face_expr=True):
 
 
 def test_centered_pose_not_flagged():
-    stats = HeadPoseStats(mean_yaw_deg=5.0, mean_pitch_deg=-3.0, valid_frame_count=10)
+    stats = HeadPoseStats(mean_yaw_deg=5.0, mean_pitch_deg=-3.0)
     assert not head_off_screen(np.array([5.0]), np.array([-3.0]), stats, CFG)[0]
 
 
 def test_just_over_threshold_flagged():
-    stats = HeadPoseStats(mean_yaw_deg=0.0, mean_pitch_deg=0.0, valid_frame_count=10)
+    stats = HeadPoseStats(mean_yaw_deg=0.0, mean_pitch_deg=0.0)
     yaw = np.array([CFG.head_yaw_threshold_deg + 1.0])
     assert head_off_screen(yaw, np.array([0.0]), stats, CFG)[0]
     pitch = np.array([CFG.head_pitch_threshold_deg + 1.0])
@@ -73,7 +73,7 @@ def test_lowering_thresholds_never_unflags():
     rng = np.random.default_rng(2)
     yaw = rng.normal(0, 15, 300)
     pitch = rng.normal(0, 10, 300)
-    stats = HeadPoseStats(0.0, 0.0, 300)
+    stats = HeadPoseStats(0.0, 0.0)
     loose = head_off_screen(yaw, pitch, stats, CFG)
     import dataclasses
     tight_cfg = dataclasses.replace(

@@ -23,6 +23,8 @@ from adwatch.evaluation import frame_metrics, run_ablation
 from adwatch.records import SessionManifest
 from adwatch.synth import ScenarioScript, Segment, generate
 
+from oracles import intersect_gaze
+
 
 def test_clean_session_scores_close_to_truth(heldout_sessions, artifacts, config):
     frames, truth, manifest = heldout_sessions[0]
@@ -190,12 +192,85 @@ def test_shared_session_matches_fresh_session_scoring(heldout_sessions, artifact
             assert shared.screen == alone.screen, variant.name
             assert shared.stats == alone.stats, variant.name
         cached = [
-            *session.rays(), session.eye_path(), *session.eye_rays(),
-            session.corrected_points(True, True),
+            *session.rays(), session.eye_path(), session.corrected_points(True, True),
             session.eye_gaze(True, True, True), session.head_gaze(True), session.head_gaze(False),
             session.speaking(), session.drowsiness(), session.unattended(),
         ]
         assert not any(a.flags.writeable for a in cached)
+        # every step's array is a column of the session's frames
+        assert all(len(a) == len(frames) for a in cached)
+
+
+def with_missing_rays(frames):
+    """``frames`` with every 11th gaze ray turned away from the plane and
+    every 13th parallel to it."""
+    direction = frames.direction.copy()
+    direction[::11, 2] = np.abs(direction[::11, 2]) + 0.1
+    direction[::13, 2] = 0.0
+    return dataclasses.replace(frames, direction=direction)
+
+
+def scalar_gaze_points(frames, quality_floor):
+    """Frame by frame: the scalar intersection of each valid frame's ray, for
+    a ray that meets the plane in front of the viewer at finite coordinates."""
+    hits = {}
+    for i in range(len(frames)):
+        if frames.face_gaze[i] and frames.quality[i] >= quality_floor:
+            x, y, _, status = intersect_gaze(frames.pupil[i], frames.direction[i])
+            if status == "toward_plane" and np.isfinite(x) and np.isfinite(y):
+                hits[i] = (x, y)
+    return hits
+
+
+def test_valid_gaze_points_are_the_scalar_intersection_of_each_valid_frame(heldout_sessions, config):
+    for session_frames, _, manifest in heldout_sessions:
+        # as it is, and with rays that miss the screen
+        for frames in (session_frames, with_missing_rays(session_frames)):
+            _, points = gaze.valid_gaze_rays(frames, config.quality_floor)
+            hits = scalar_gaze_points(frames, config.quality_floor)
+            finite = np.isfinite(points).all(axis=1)
+            assert np.flatnonzero(finite).tolist() == sorted(hits), manifest.session_id
+            assert np.isnan(points[~finite]).all(), manifest.session_id
+            assert np.array_equal(points[finite], np.array(list(hits.values()))), manifest.session_id
+
+
+def test_eye_gaze_matches_a_frame_by_frame_oracle(heldout_sessions, artifacts, config):
+    # a one-row fine_tune costs most of a millisecond, so one session per device
+    first = {}
+    for frames, _, manifest in heldout_sessions:
+        first.setdefault(manifest.device_type, (with_missing_rays(frames), manifest))
+    assert sorted(first) == ["desktop", "mobile"]
+    for frames, manifest in first.values():
+        session = SessionDetectors(frames, manifest, artifacts, config)
+        hits = scalar_gaze_points(frames, config.quality_floor)
+        mean = [np.mean(np.array([hit[axis] for hit in hits.values()])) for axis in (0, 1)]
+        assert mean == [session.stats().mean_x_s, session.stats().mean_y_s], manifest.session_id
+        on_path = [i for i in range(len(frames))
+                   if frames.face_gaze[i] and frames.quality[i] >= config.quality_floor
+                   and frames.quality[i] >= config.quality_gate]
+        assert any(i not in hits for i in on_path), manifest.session_id
+        corrected = {}   # (normalize, tune) -> the corrected point of each frame with a hit
+        for variant in TABLE1_VARIANTS:
+            key = (variant.normalize, variant.fine_tune)
+            if key not in corrected:
+                corrected[key] = {}
+                for i, hit in hits.items():
+                    point = np.array([hit])
+                    if variant.normalize:
+                        point = point - mean
+                    if variant.fine_tune:
+                        point = gaze.fine_tune(point, artifacts.gaze[manifest.device_type])
+                    corrected[key][i] = point[0]
+            screen = session.screen(variant.screen_size)
+            half_w = screen.width_cm / 2 + screen.margin_cm
+            half_h = screen.height_cm / 2 + screen.margin_cm
+            expected = np.zeros(len(frames), dtype=bool)
+            for i in on_path:
+                # a ray that misses the screen in front of the viewer is off it
+                x, y = corrected[key].get(i, (np.nan, np.nan))
+                expected[i] = not (abs(x) <= half_w and abs(y) <= half_h)
+            got = session.eye_gaze(variant.normalize, variant.fine_tune, variant.screen_size)
+            assert np.array_equal(got, expected), (manifest.session_id, variant.name)
 
 
 def test_ablation_runs_each_detector_once_per_session(

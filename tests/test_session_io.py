@@ -127,25 +127,52 @@ def nonzero_length(vectors):
         return np.linalg.norm(vectors, axis=1) > 0.0
 
 
+# every dtype kind a column handed to a writer can have, at more than one size
+_DTYPES = tuple(map(np.dtype, (np.bool_, np.int8, np.int32, np.int64, np.uint8, np.uint64,
+                               np.float32, np.float64, np.complex128)))
+
+
+def reads_back(types: frozenset, values: np.ndarray) -> bool:
+    """Whether the reader of a field of JSON ``types`` returns the column
+    ``values`` equal: booleans from bool, integers from integers within
+    int64, numbers from integers or floats."""
+    kind = values.dtype.kind
+    if types == frozenset({bool}):
+        return kind == "b"
+    if types == frozenset({int}):
+        return kind in "iu" and (values.size == 0 or int(values.max()) < 2**63)
+    return kind in "iuf"
+
+
 @st.composite
-def valid_frames(draw):
+def valid_frames(draw, any_dtypes=False):
+    """Frames that pass every check; with ``any_dtypes``, frame_index and
+    the head pose may be of any dtype that reads back equal."""
     n = draw(st.integers(1, 12))
 
     def column(elements, shape=()):
         return draw(hnp.arrays(np.float64, (n, *shape), elements=elements))
 
+    def angles():
+        if not any_dtypes:
+            return column(_finite())
+        dtype = draw(st.sampled_from([d for d in _DTYPES if d.kind in "iuf"]))
+        finite = hnp.from_dtype(dtype, allow_nan=False, allow_infinity=False) if dtype.kind == "f" else None
+        return draw(hnp.arrays(dtype, n, elements=finite))
+
+    index_dtype = draw(st.sampled_from((np.int64, np.uint64))) if any_dtypes else np.int64
     pupil = column(_finite(), (3,))
     direction = column(_finite(), (3,))
     return FrameArrays(
         # contiguous from any start
-        frame_index=draw(st.integers(0, 2**63 - n)) + np.arange(n),
+        frame_index=(draw(st.integers(0, 2**63 - n)) + np.arange(n)).astype(index_dtype),
         timestamp_ms=np.sort(draw(hnp.arrays(np.float64, n, elements=_finite(min_value=0.0), unique=True))),
         pupil=pupil,
         direction=direction,
         quality=column(_finite(min_value=0.0, max_value=1.0)),
-        yaw=column(_finite()),
-        pitch=column(_finite()),
-        roll=column(_finite()),
+        yaw=angles(),
+        pitch=angles(),
+        roll=angles(),
         mouth=column(_finite(), (4, 2)),
         aus=column(_finite(min_value=0.0, max_value=100.0), (len(AU_NAMES),)),
         eye_closure=column(_finite(min_value=0.0, max_value=100.0)),
@@ -860,7 +887,8 @@ def assert_written_like_oracle(write, oracle, value):
 
 @st.composite
 def any_frames(draw):
-    """Frame columns of the schema's dtypes holding any values, valid or not."""
+    """Frame columns holding any values, valid or not, of the schema's dtypes
+    but for up to two columns of any dtype."""
     n = draw(st.sampled_from(_WRITER_LENGTHS))
 
     def floats(*shape):
@@ -868,7 +896,7 @@ def any_frames(draw):
                                elements=st.floats() | st.sampled_from(_SPECIAL_FLOATS),
                                fill=st.sampled_from(_SPECIAL_FLOATS)))
 
-    return FrameArrays(
+    columns = dict(
         frame_index=draw(hnp.arrays(np.int64, n, elements=st.integers(-(2**63), 2**63 - 1),
                                     fill=st.sampled_from(_INT64_EXTREMES))),
         timestamp_ms=floats(),
@@ -885,14 +913,34 @@ def any_frames(draw):
         face_gaze=draw(hnp.arrays(np.bool_, n)),
         face_center_x=floats(),
     )
+    for name in draw(st.sets(st.sampled_from(list(columns)), max_size=2)):
+        columns[name] = draw(hnp.arrays(draw(st.sampled_from(_DTYPES)), columns[name].shape))
+    return FrameArrays(**columns)
+
+
+def assert_frames_read_back_equal(frames):
+    """``load_frames`` returns what ``write_frames`` wrote, at the schema's dtypes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "frames.jsonl"
+        write_frames(frames, path)
+        expected = {f.column: getattr(frames, f.column).astype(f.dtype) for f in _FRAME_SCHEMA}
+        assert_same_frames(load_frames(path), FrameArrays(**expected))
 
 
 def assert_frames_written_or_refused(frames):
-    """Written as the JSON encoder writes them, if the reader's oracle takes
-    the encoder's file; otherwise refused with the oracle's message for that
-    file, before any file is made."""
+    """Refused, naming the first column whose dtype would not read back
+    equal, if there is one. Otherwise written as the JSON encoder writes
+    them and read back equal, if the reader's oracle takes the encoder's
+    file, or else refused with the oracle's message for that file. A
+    refusal makes no file."""
+    odd = [f.column for f in _FRAME_SCHEMA if not reads_back(f.types, getattr(frames, f.column))]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "frames.jsonl"
+        if odd:
+            with pytest.raises(DataError, match=f"^frame column {odd[0]} (has dtype|holds)"):
+                write_frames(frames, path)
+            assert list(Path(tmp).iterdir()) == []
+            return
         json_write_frames(frames, path)
         try:
             load_frames_rows(path)
@@ -904,6 +952,7 @@ def assert_frames_written_or_refused(frames):
             assert not path.exists()
             return
     assert_written_like_oracle(write_frames, json_write_frames, frames)
+    assert_frames_read_back_equal(frames)
 
 
 @settings(max_examples=40, deadline=None)
@@ -913,9 +962,10 @@ def test_write_frames_matches_json_encoder_property(frames):
 
 
 @settings(max_examples=40, deadline=None)
-@given(frames=valid_frames())
+@given(frames=valid_frames(any_dtypes=True))
 def test_write_frames_of_valid_frames_matches_json_encoder_property(frames):
     assert_written_like_oracle(write_frames, json_write_frames, frames)
+    assert_frames_read_back_equal(frames)
 
 
 def special_valid_frames(n):
@@ -995,6 +1045,42 @@ def test_write_frames_refuses_a_bad_row_before_opening_the_file(tmp_path, column
     assert not path.parent.exists()
 
 
+_BEYOND_INT64 = np.arange(2**63, 2**63 + 3, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("column, values, message", [
+    ("frame_index", np.arange(3.0), "has dtype float64, expected integers"),
+    ("frame_index", _BEYOND_INT64, "holds 9223372036854775810, beyond int64"),
+    ("face_expr", np.ones(3, dtype=np.int64), "has dtype int64, expected booleans"),
+    ("face_gaze", np.ones(3), "has dtype float64, expected booleans"),
+    ("yaw", np.ones(3, dtype=bool), "has dtype bool, expected integers or floats"),
+], ids=["float_index", "index_beyond_int64", "integer_flag", "float_flag", "boolean_number"])
+def test_write_frames_refuses_a_column_its_reader_would_not_read_back(tmp_path, column, values, message):
+    path = tmp_path / "new" / "frames.jsonl"
+    with pytest.raises(DataError) as got:
+        write_frames(make_frames(3, **{column: values}), path)
+    assert str(got.value) == f"frame column {column} {message}"
+    assert not path.parent.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("column, values, message", [
+    ("frame_index", np.array([0.5, 1.0, 2.0]), "has dtype float64, expected integers"),
+    ("frame_index", np.array([np.nan, 1.0, 2.0]), "has dtype float64, expected integers"),
+    ("frame_index", np.array([True, False, True]), "has dtype bool, expected integers"),
+    ("frame_index", _BEYOND_INT64, "holds 9223372036854775810, beyond int64"),
+    ("target_cm", np.ones((3, 2), dtype=bool), "has dtype bool, expected integers or floats"),
+], ids=["half_index", "nan_index", "boolean_index", "index_beyond_int64", "boolean_target"])
+def test_write_timeline_refuses_a_column_its_reader_would_not_read_back(tmp_path, column, values, message):
+    timeline = fuse(*[np.zeros(3, dtype=bool)] * 5)
+    setattr(timeline, column, values)
+    path = tmp_path / "new" / "t.jsonl"
+    with pytest.raises(DataError) as got:
+        write_timeline(timeline, path)
+    assert str(got.value) == f"timeline {path}: column {column} {message}"
+    assert not path.parent.exists()
+
+
 def test_write_frames_rejects_misshapen_column(tmp_path):
     frames = make_frames(4, pupil=np.zeros((4, 2)))
     with pytest.raises(DataError, match=r"pupil has shape \(4, 2\), expected \(4, 3\)"):
@@ -1011,17 +1097,29 @@ def target_column(targets):
 
 
 def assert_timeline_written_or_refused(timeline):
-    """Written as the JSON encoder writes it, unless a target row is neither a
-    finite pair nor all NaN: then refused, naming the first such row."""
+    """Refused, naming the column, if its frame_index or target_cm has a
+    dtype that would not read back equal. Otherwise written as the JSON
+    encoder writes it, with the frame_index read back equal, unless a target
+    row is neither a finite pair nor all NaN: then refused, naming the first
+    such row."""
     targets = timeline.target_cm
-    ok = True if targets is None else np.isfinite(targets).all(axis=1) | np.isnan(targets).all(axis=1)
-    if np.all(ok):
+    odd = [name for name, types, values in (("frame_index", frozenset({int}), timeline.frame_index),
+                                            ("target_cm", frozenset({int, float}), targets))
+           if values is not None and not reads_back(types, values)]
+    ok = (True if targets is None or odd
+          else np.isfinite(targets).all(axis=1) | np.isnan(targets).all(axis=1))
+    if np.all(ok) and not odd:
         assert_written_like_oracle(write_timeline, json_write_timeline, timeline)
+        with tempfile.TemporaryDirectory() as tmp:
+            write_timeline(timeline, Path(tmp) / "t.jsonl")
+            read = read_timeline(Path(tmp) / "t.jsonl")
+        np.testing.assert_array_equal(read.frame_index, timeline.frame_index.astype(np.int64), strict=True)
         return
+    message = (f"column {odd[0]} (has dtype|holds)" if odd
+               else f"row {np.argmin(ok) + 1}: target_cm must be a pair of finite numbers or NaN for null")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.jsonl"
-        with pytest.raises(DataError, match=f"row {np.argmin(ok) + 1}: target_cm must be a pair "
-                                            "of finite numbers or NaN for null"):
+        with pytest.raises(DataError, match=message):
             write_timeline(timeline, path)
         # the timeline is checked before any row is rendered: no file, and no temp file
         assert list(Path(tmp).iterdir()) == []
@@ -1031,9 +1129,14 @@ def assert_timeline_written_or_refused(timeline):
 def any_timelines(draw):
     n = draw(st.sampled_from(_WRITER_LENGTHS))
     signals = draw(hnp.arrays(np.bool_, (n, len(SIGNAL_NAMES))))
-    timeline = fuse(*signals.T, frame_index=draw(hnp.arrays(
-        np.int64, n, elements=st.integers(-(2**63), 2**63 - 1),
-        fill=st.sampled_from(_INT64_EXTREMES))))
+    timeline = fuse(*signals.T)
+    # the frame_index and target_cm columns are of their schema's dtypes or, now and then, any
+    odd = draw(st.sets(st.sampled_from(("frame_index", "target_cm"))))
+    if "frame_index" in odd:
+        timeline.frame_index = draw(hnp.arrays(draw(st.sampled_from(_DTYPES)), n))
+    else:
+        timeline.frame_index = draw(hnp.arrays(np.int64, n, elements=st.integers(-(2**63), 2**63 - 1),
+                                               fill=st.sampled_from(_INT64_EXTREMES)))
     if draw(st.booleans()):
         choices = st.sampled_from(_ACTIVITIES) | st.text() | st.none()
         timeline.activity = draw(st.lists(choices, min_size=n, max_size=n))
@@ -1044,6 +1147,8 @@ def any_timelines(draw):
         runs = draw(st.lists(st.tuples(choices, st.integers(1, 300)), min_size=1))
         targets = [target for target, length in runs for _ in range(length)]
         timeline.target_cm = target_column((targets * n)[:n])
+        if "target_cm" in odd:
+            timeline.target_cm = draw(hnp.arrays(draw(st.sampled_from(_DTYPES)), (n, 2)))
     return timeline
 
 
