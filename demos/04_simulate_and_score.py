@@ -55,10 +55,11 @@ script = ScenarioScript(seed=99, device_type="desktop", duration_s=33.8,
 frames, truth = generate(script)
 manifest = SessionManifest("demo", "desktop", script.frame_rate_hz, "f")
 
-scored = score_session(SessionDetectors(frames, manifest, artifacts, config))
-timeline = scored.timeline
+session = SessionDetectors(frames, manifest, artifacts, config)
+timeline = score_session(session)
+screen = session.screen(True)
 
-print(f"\nscreen estimate: {scored.screen.width_cm:.1f} x {scored.screen.height_cm:.1f} cm")
+print(f"\nscreen estimate: {screen.width_cm:.1f} x {screen.height_cm:.1f} cm")
 rep = frame_metrics(~timeline.attentive, ~truth.attentive)
 print(f"frame agreement vs ground truth: g-mean {rep.g_mean:.3f}, F1 {rep.f1:.3f}\n")
 

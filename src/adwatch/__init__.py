@@ -16,7 +16,6 @@ from .errors import (
     DataError,
     MissingArtifactError,
     SessionFormatError,
-    SessionUntrackableError,
 )
 from .evaluation import ClassificationReport, frame_metrics, roc_auc, run_ablation
 from .fusion import (

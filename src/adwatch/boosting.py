@@ -350,8 +350,8 @@ class BoostedEnsemble:
 
     def raw_predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
+        if X.ndim != 2:
+            raise DataError(f"X must be a 2-D (rows, {self.n_features}) array, got shape {X.shape}")
         if X.shape[1] != self.n_features:
             raise DataError(
                 f"expected {self.n_features} features, got {X.shape[1]}"
@@ -437,8 +437,8 @@ def fit_boosted(X: np.ndarray, y: np.ndarray, config: Optional[BoostConfig] = No
     config = config or BoostConfig()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
+    if X.ndim != 2:
+        raise DataError(f"X must be a 2-D (rows, features) array, got shape {X.shape}")
     if len(X) == 0 or len(y) == 0:
         raise DataError("empty training data")
     if len(X) != len(y):

@@ -138,8 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--artifacts", type=Path, required=True, help="trained artifact directory")
     p.add_argument("--device", choices=["desktop", "mobile"], default=None,
                    help="score only this device type")
-    p.add_argument("--split", choices=["train", "held_out", "all"], default="all",
-                   help="suite split to score")
+    p.add_argument("--split", choices=["train", "held_out", "all"], default=None,
+                   help="suite split to score (default: all)")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="sessions scored in parallel worker processes")
 
@@ -261,14 +261,17 @@ def _score_one(manifest, base_dir: Path, cfg: PipelineConfig, artifacts: Artifac
     """The session's timeline, not yet written: ``score`` writes every
     session's files once every session has scored."""
     frames = load_session(manifest, base_dir)
-    return score_session(SessionDetectors(frames, manifest, artifacts, cfg)).timeline
+    return score_session(SessionDetectors(frames, manifest, artifacts, cfg))
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    cfg = _load_pipeline_config(args)
     if (args.suite_dir is None) == (args.manifest is None):
         raise ConfigError("score needs exactly one of --suite-dir or --manifest")
-    entries = None if args.suite_dir is None else load_suite(args.suite_dir).by_split(args.split)
+    if args.manifest is not None and args.split is not None:
+        raise ConfigError("--split does not apply to --manifest: it scores the one session it names")
+    split = args.split or "all"
+    cfg = _load_pipeline_config(args)
+    entries = None if args.suite_dir is None else load_suite(args.suite_dir).by_split(split)
     # the one load per command: it fails before any session is read, and
     # every session scores against it, so each ensemble compiles its lookup
     # tables once (once per worker with --jobs)
@@ -288,8 +291,8 @@ def cmd_score(args: argparse.Namespace) -> int:
             continue
         selected.append((manifest, base_dir))
     if not selected:
-        split = "" if args.suite_dir is None else f"split={args.split!r} and "
-        raise DataError(f"no sessions for {split}device={args.device!r} in {args.suite_dir or args.manifest}")
+        where = "" if args.suite_dir is None else f"split={split!r} and "
+        raise DataError(f"no sessions for {where}device={args.device!r} in {args.suite_dir or args.manifest}")
     _check_gaze_devices(artifacts, args.artifacts, [manifest for manifest, _ in selected])
     # all or nothing: a session that fails leaves no file of any session
     timelines = _in_order(

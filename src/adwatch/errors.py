@@ -21,9 +21,5 @@ class SessionFormatError(DataError):
     """A session file failed to parse or violated a record invariant."""
 
 
-class SessionUntrackableError(DataError):
-    """No frame in the session passed the validity gates."""
-
-
 class MissingArtifactError(AdwatchError):
     """A required trained model artifact is absent or not loadable."""

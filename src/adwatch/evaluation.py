@@ -128,7 +128,7 @@ def ablation_pairs(frames, truth, manifest, artifacts, variants, config) -> list
     """
     session = SessionDetectors(frames, manifest, artifacts, config)
     true = ~truth.attentive
-    return [(~score_session(session, variant).timeline.attentive, true) for variant in variants]
+    return [(~score_session(session, variant).attentive, true) for variant in variants]
 
 
 def ablation_table(variants, sessions) -> AblationTable:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .boosting import BoostedEnsemble
 from .config import PipelineConfig
-from .errors import DataError, SessionUntrackableError
+from .errors import DataError
 from .geometry import intersect_gaze_batch
 from .records import FrameArrays
 
@@ -70,10 +70,11 @@ def valid_gaze_rays(
 
 def compute_session_stats(
     frames: FrameArrays, rays: tuple[np.ndarray, np.ndarray]
-) -> SessionGazeStats:
+) -> Optional[SessionGazeStats]:
     """First pass over a session: means of the raw screen-plane intersections
     (``rays`` from ``valid_gaze_rays``; its finite points), eye distance,
-    head yaw, and face location.
+    head yaw, and face location. None when the gaze stream is untrackable:
+    no valid ray meets the screen plane in front of the viewer.
 
     Eye-to-camera distance is the perpendicular distance to the camera plane
     (pupil z); unlike the full Euclidean norm this is invariant to where the
@@ -81,11 +82,9 @@ def compute_session_stats(
     for displaced webcams.
     """
     valid, points = rays
-    if not np.any(valid):
-        raise SessionUntrackableError("no frame passed the gaze validity gates")
     usable = np.all(np.isfinite(points), axis=1)
     if not np.any(usable):
-        raise SessionUntrackableError("no valid gaze ray meets the screen plane")
+        return None
     return SessionGazeStats(
         mean_x_s=float(np.mean(points[usable, 0])),
         mean_y_s=float(np.mean(points[usable, 1])),
@@ -96,8 +95,7 @@ def compute_session_stats(
 
 
 def normalize_gaze(points: np.ndarray, stats: SessionGazeStats) -> np.ndarray:
-    """Subtract the session mean; accepts (2,) or (n, 2)."""
-    points = np.asarray(points, dtype=np.float64)
+    """The (n, 2) points less the session mean."""
     return points - np.array([stats.mean_x_s, stats.mean_y_s])
 
 

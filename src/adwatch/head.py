@@ -9,11 +9,11 @@ fixed thresholds. Roll plays no part in the decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import SessionUntrackableError
 from .records import FrameArrays
 
 
@@ -23,10 +23,11 @@ class HeadPoseStats:
     mean_pitch_deg: float
 
 
-def compute_head_stats(frames: FrameArrays) -> HeadPoseStats:
+def compute_head_stats(frames: FrameArrays) -> Optional[HeadPoseStats]:
+    """Mean yaw and pitch over the tracked frames; None when no face is tracked."""
     valid = frames.face_expr
     if not np.any(valid):
-        raise SessionUntrackableError("no frame with a tracked face for head pose")
+        return None
     return HeadPoseStats(
         mean_yaw_deg=float(np.mean(frames.yaw[valid])),
         mean_pitch_deg=float(np.mean(frames.pitch[valid])),

@@ -25,7 +25,7 @@ from .boosting import BoostedEnsemble
 from .cnn import TemporalCnn
 from .config import PipelineConfig
 from .drowsiness import refined_eye_closure, yawn_flags
-from .errors import MissingArtifactError, SessionUntrackableError
+from .errors import MissingArtifactError
 from .fusion import SIGNAL_NAMES, DistractionTimeline, fuse, signal_bits
 from .gaze import (
     Orientation,
@@ -105,14 +105,6 @@ TABLE3_VARIANTS = tuple(
 )
 
 
-@dataclass
-class ScoredSession:
-    timeline: DistractionTimeline
-    orientation: Orientation
-    screen: Optional[ScreenGeometry] = None
-    stats: Optional[SessionGazeStats] = None
-
-
 def _step(method):
     """Run ``method`` once per setting of its arguments, the switches it reads.
 
@@ -137,10 +129,14 @@ class SessionDetectors:
     """One session's detector steps, each computed once for every setting of
     exactly the ``PipelineVariant`` switches it reads, which are its arguments.
     The session facts (``rays``, ``stats``, ``orientation``, ``eye_path``)
-    read none; the orientation, screen and corrected points need a trackable
-    gaze stream, one whose ``stats()`` is not None. Every array a step returns
-    has one row per frame. Only here are the config's durations turned into
-    frames of the manifest's rate."""
+    read none. The facts a caller reports (``stats()``, ``orientation()``,
+    ``screen(...)``) are read from here; ``score_session`` returns only the
+    timeline. A gaze stream is untrackable when ``stats()`` is None, the one
+    test of it: then the eye path is empty, ``eye_gaze`` is all false,
+    ``orientation()`` is centered, ``screen(...)`` is None, and the head pose
+    scores every tracked frame. Every array a step returns has one row per
+    frame. Only here are the config's durations turned into frames of the
+    manifest's rate."""
 
     frames: FrameArrays
     manifest: SessionManifest
@@ -156,14 +152,11 @@ class SessionDetectors:
     @_step
     def stats(self) -> Optional[SessionGazeStats]:
         """The session gaze stats; None when the gaze stream is untrackable."""
-        try:
-            return compute_session_stats(self.frames, self.rays())
-        except SessionUntrackableError:
-            return None
+        return compute_session_stats(self.frames, self.rays())
 
     @_step
     def orientation(self) -> Orientation:
-        if self.manifest.device_type != "mobile":
+        if self.manifest.device_type != "mobile" or self.stats() is None:
             return Orientation.CENTERED
         return detect_orientation(self.stats(), self.config)
 
@@ -190,7 +183,10 @@ class SessionDetectors:
         return points
 
     @_step
-    def screen(self, screen_size: bool) -> ScreenGeometry:
+    def screen(self, screen_size: bool) -> Optional[ScreenGeometry]:
+        """The screen rectangle; None when the gaze stream is untrackable."""
+        if self.stats() is None:
+            return None
         return estimate_screen(
             self.stats(),
             self.manifest.device_type,
@@ -202,7 +198,9 @@ class SessionDetectors:
 
     @_step
     def eye_gaze(self, normalize: bool, tune: bool, screen_size: bool) -> np.ndarray:
-        """Off-screen by the eye path."""
+        """Off-screen by the eye path; all false when the gaze stream is untrackable."""
+        if self.stats() is None:
+            return np.zeros(len(self.frames), dtype=bool)
         points = self.corrected_points(normalize, tune)
         return self.eye_path() & ~gaze_on_screen(points, self.screen(screen_size))
 
@@ -242,20 +240,11 @@ class SessionDetectors:
 
 def score_session(
     session: SessionDetectors, variant: PipelineVariant = FULL_VARIANT
-) -> ScoredSession:
-    """Fuse all five signals and keep the bits of ``variant.signals``. The eye
-    gaze of an untrackable stream is all false, and its facts stay unset."""
-    eye = np.zeros(len(session.frames), dtype=bool)
-    facts = {"orientation": Orientation.CENTERED}
-    if session.stats() is not None:
-        facts = {
-            "orientation": session.orientation(),
-            "screen": session.screen(variant.screen_size),
-            "stats": session.stats(),
-        }
-        eye = session.eye_gaze(variant.normalize, variant.fine_tune, variant.screen_size)
+) -> DistractionTimeline:
+    """The session's timeline: all five signals fused, with the bits of
+    ``variant.signals`` kept."""
     timeline = fuse(
-        eye,
+        session.eye_gaze(variant.normalize, variant.fine_tune, variant.screen_size),
         session.head_gaze("gaze_eye" in variant.signals),
         session.speaking(),
         session.drowsiness(),
@@ -263,4 +252,4 @@ def score_session(
         frame_index=session.frames.frame_index,
     )
     timeline.mask &= signal_bits(variant.signals)
-    return ScoredSession(timeline=timeline, **facts)
+    return timeline

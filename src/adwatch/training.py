@@ -199,19 +199,21 @@ def _subsample(rng: np.random.Generator, n: int, cap: int) -> np.ndarray:
 def gaze_training_rows(
     sessions: list[Session], config: PipelineConfig
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per device: (normalized measured points (n,2), true dot targets (n,2))."""
+    """Per device: (normalized measured points (n,2), true dot targets (n,2)).
+
+    A session none of whose dot frames has a gaze point is skipped; it may be
+    untrackable, and then it has no stats to normalize by."""
     per_device: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
     for frames, truth, manifest in sessions:
         if truth.activity is None or truth.target_cm is None:
             raise DataError("gaze training needs generator ground truth (activity, target_cm)")
-        valid, points = rays = valid_gaze_rays(frames, config.quality_floor)
-        stats = compute_session_stats(frames, rays)
+        _, points = rays = valid_gaze_rays(frames, config.quality_floor)
         is_dot = np.array([a == "dot" for a in truth.activity])
-        if not np.any(is_dot & valid):
-            continue
         rows = is_dot & np.all(np.isfinite(points), axis=1)
+        if not np.any(rows):
+            continue
         per_device.setdefault(manifest.device_type, []).append(
-            (normalize_gaze(points[rows], stats), truth.target_cm[rows])
+            (normalize_gaze(points[rows], compute_session_stats(frames, rays)), truth.target_cm[rows])
         )
     out = {}
     for device, chunks in per_device.items():

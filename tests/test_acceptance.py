@@ -86,8 +86,8 @@ def test_criterion_02_normalization_invariance(artifacts, config):
         manifest = SessionManifest(sid, "desktop", script.frame_rate_hz, "f")
         f1, _ = generate(with_offset)
         f0, _ = generate(without)
-        t1 = score_session(SessionDetectors(f1, manifest, artifacts, config)).timeline
-        t0 = score_session(SessionDetectors(f0, manifest, artifacts, config)).timeline
+        t1 = score_session(SessionDetectors(f1, manifest, artifacts, config))
+        t0 = score_session(SessionDetectors(f0, manifest, artifacts, config))
         flips += int(np.count_nonzero(t1.mask != t0.mask))
         frames_checked += len(t0)
     assert flips == 0
@@ -106,9 +106,9 @@ def test_criterion_03_end_to_end_suite(eval_suite_50, artifacts, config):
     t0 = time.time()
     pairs = {}
     for frames, truth, manifest, _ in eval_suite_50:
-        scored = score_session(SessionDetectors(frames, manifest, artifacts, config))
+        timeline = score_session(SessionDetectors(frames, manifest, artifacts, config))
         pairs.setdefault(manifest.device_type, []).append(
-            (~scored.timeline.attentive, ~truth.attentive)
+            (~timeline.attentive, ~truth.attentive)
         )
     elapsed = time.time() - t0
     details = []

@@ -1,4 +1,5 @@
 import json
+import re
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -67,6 +68,16 @@ def test_empty_and_tiny_data_rejected():
         fit_boosted(np.zeros((0, 1)), np.zeros(0))
     with pytest.raises(DataError, match="at least 10"):
         fit_boosted(np.zeros((5, 1)), np.zeros(5))
+
+
+def test_features_that_are_not_a_2d_array_are_refused_naming_the_shape():
+    x = np.arange(20.0)
+    with pytest.raises(DataError, match=r"X must be a 2-D \(rows, features\) array, got shape \(20,\)"):
+        fit_boosted(x, x)
+    model = fit_boosted(x[:, None], x)
+    for X in (x, x[:, None, None]):
+        with pytest.raises(DataError, match=rf"X must be a 2-D \(rows, 1\) array, got shape {re.escape(str(X.shape))}"):
+            model.predict(X)
 
 
 def test_dimension_mismatch_on_predict():

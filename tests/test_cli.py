@@ -343,6 +343,31 @@ def test_train_side_by_side_on_an_odd_train_split_writes_the_bytes_of_each_model
     assert_side_by_side_writes_the_bytes_of_each_model_trained_alone(suite, cfg, tmp_path, monkeypatch)
 
 
+def test_train_with_an_untrackable_train_session_fits_the_gaze_as_if_it_were_not_there(trained, tmp_path):
+    # every gaze_quality of the first train session is below quality_floor, so
+    # none of its rays counts; speaking and yawn still train on it
+    _, suite, _, cfg = trained
+    broken, without = tmp_path / "broken", tmp_path / "without"
+    shutil.copytree(suite, broken)
+    shutil.copytree(suite, without)
+    index = json.loads((suite / "suite.json").read_text())
+    first = next(e for e in index["sessions"] if e["split"] == "train")
+
+    def below_the_floor(doc, rows):
+        for row in rows:
+            row["gaze_quality"] = 0.1
+
+    rewrite_frames(broken / first["manifest_path"], below_the_floor)
+    index["sessions"].remove(first)
+    (without / "suite.json").write_text(json.dumps(index))
+    assert main(["train", "--suite-dir", str(broken), "--config", str(cfg), "--seed", "3",
+                 "--output", str(tmp_path / "a")]) == 0
+    assert main(["train", "--suite-dir", str(without), "--config", str(cfg), "--seed", "3",
+                 "--only", "gaze", "--output", str(tmp_path / "b")]) == 0
+    gaze = "gaze_regressors.json"
+    assert (tmp_path / "a" / gaze).read_bytes() == (tmp_path / "b" / gaze).read_bytes()
+
+
 def test_failing_yawn_fit_writes_no_artifact(tmp_path, capsys, monkeypatch):
     # the mini template has no yawns, so the yawn fit fails in the worker
     # process, after the gaze regressors and while the speaking CNN trains
@@ -591,6 +616,23 @@ def test_score_that_selects_no_session_from_a_manifest_exits_3_before_any_output
     assert f"warning: skipping {desktop_entry.session_id}" in err
     assert err.endswith(f"data error: no sessions for device='mobile' in {manifest}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("split", ["train", "held_out", "all"])
+def test_split_with_a_manifest_exits_2_before_reading_any_file(trained, tmp_path, capsys, monkeypatch, split):
+    # --split picks sessions from a suite's index; a manifest names its one session
+    _, suite, art, _ = trained
+    manifest = split_manifests(suite, "train")[0]
+    loads = count_frame_loads(monkeypatch)
+    out = tmp_path / "o"
+    code = main(["score", "--manifest", str(manifest), "--artifacts", str(art), "--config",
+                 str(tmp_path / "absent.json"), "--split", split, "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: --split does not apply to --manifest: it scores the one session it names\n")
+    assert loads == [] and not out.exists()
+    # a suite's split is all when --split is not given
+    assert build_parser().parse_args(["score", *REQUIRED["score"], "--output", "o"]).split is None
 
 
 def test_score_that_selects_no_session_from_a_suite_exits_3_before_any_output(trained, tmp_path, capsys):

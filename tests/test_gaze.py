@@ -5,7 +5,7 @@ import pytest
 
 from adwatch.boosting import BoostConfig, fit_boosted
 from adwatch.config import PipelineConfig
-from adwatch.errors import DataError, SessionUntrackableError
+from adwatch.errors import DataError
 from adwatch.gaze import (
     Orientation,
     ScreenGeometry,
@@ -77,8 +77,14 @@ def test_stats_arithmetic_mean():
 
 def test_stats_without_valid_frames_is_untrackable():
     frames = frames_with_targets([(0.0, 0.0)] * 5, face_gaze=False)
-    with pytest.raises(SessionUntrackableError):
-        compute_session_stats(frames, valid_gaze_rays(frames))
+    assert compute_session_stats(frames, valid_gaze_rays(frames)) is None
+
+
+def test_stats_whose_valid_rays_all_miss_the_plane_is_untrackable():
+    frames = frames_with_targets([(0.0, 0.0)] * 5)
+    frames.direction[:, 2] = np.abs(frames.direction[:, 2])   # every ray looks away
+    rays = valid_gaze_rays(frames)
+    assert rays[0].all() and compute_session_stats(frames, rays) is None
 
 
 def test_stats_quality_floor_masks_frames():
@@ -123,12 +129,12 @@ def test_valid_rays_slice_to_a_fresh_intersection_of_any_subset():
 
 def test_normalize_self_centering():
     stats = make_stats(mean_x_s=5.0, mean_y_s=5.0)
-    assert normalize_gaze(np.array([5.0, 5.0]), stats) == pytest.approx((0.0, 0.0))
+    assert normalize_gaze(np.array([[5.0, 5.0]]), stats).tolist() == [[0.0, 0.0]]
 
 
 def test_normalize_subtraction():
     stats = make_stats(mean_x_s=2.0, mean_y_s=-1.0)
-    assert normalize_gaze(np.array([8.0, 1.0]), stats) == pytest.approx((6.0, 2.0))
+    assert normalize_gaze(np.array([[8.0, 1.0], [2.0, -1.0]]), stats).tolist() == [[6.0, 2.0], [0.0, 0.0]]
 
 
 def test_normalized_session_mean_is_zero():

@@ -28,9 +28,9 @@ from oracles import intersect_gaze
 
 def test_clean_session_scores_close_to_truth(heldout_sessions, artifacts, config):
     frames, truth, manifest = heldout_sessions[0]
-    scored = score_session(SessionDetectors(frames, manifest, artifacts, config))
-    assert len(scored.timeline) == len(frames)
-    rep = frame_metrics(~scored.timeline.attentive, ~truth.attentive)
+    timeline = score_session(SessionDetectors(frames, manifest, artifacts, config))
+    assert len(timeline) == len(frames)
+    rep = frame_metrics(~timeline.attentive, ~truth.attentive)
     assert rep.g_mean > 0.9
 
 
@@ -53,14 +53,14 @@ def test_scaling_the_clock_changes_no_label(heldout_sessions, artifacts, config,
         artifacts,
         dataclasses.replace(config, **{name: getattr(config, name) * scale for name in CLOCKED_FIELDS}),
     )
-    expected = score_session(SessionDetectors(frames, manifest, artifacts, config)).timeline
-    assert score_session(scaled).timeline == expected
+    expected = score_session(SessionDetectors(frames, manifest, artifacts, config))
+    assert score_session(scaled) == expected
 
 
 def test_gaze_source_exclusive_per_frame(heldout_sessions, artifacts, config):
     for frames, _, manifest in heldout_sessions:
-        scored = score_session(SessionDetectors(frames, manifest, artifacts, config))
-        both = scored.timeline.signal("gaze_eye") & scored.timeline.signal("gaze_head")
+        timeline = score_session(SessionDetectors(frames, manifest, artifacts, config))
+        both = timeline.signal("gaze_eye") & timeline.signal("gaze_head")
         assert not both.any()
 
 
@@ -71,10 +71,10 @@ def test_all_no_face_session_is_unattended(artifacts, config):
     )
     frames, _ = generate(script)
     manifest = SessionManifest("gone", "desktop", 30.0, "f")
-    scored = score_session(SessionDetectors(frames, manifest, artifacts, config))
-    assert not scored.timeline.attentive.any()
-    assert scored.timeline.signal("unattended").all()
-    assert scored.timeline.mask.max() == 0b10000
+    timeline = score_session(SessionDetectors(frames, manifest, artifacts, config))
+    assert not timeline.attentive.any()
+    assert timeline.signal("unattended").all()
+    assert timeline.mask.max() == 0b10000
 
 
 def test_untrackable_gaze_stream_leaves_every_tracked_frame_to_the_head(artifacts, config):
@@ -90,14 +90,43 @@ def test_untrackable_gaze_stream_leaves_every_tracked_frame_to_the_head(artifact
                                artifacts, config)
     assert frames.face_gaze.any() and session.stats() is None
     assert not session.eye_path().any()
-    scored = score_session(session)
+    timeline = score_session(session)
     without_eye = score_session(
         session, PipelineVariant(name="no eye", signals=frozenset(SIGNAL_NAMES) - {"gaze_eye"})
     )
-    assert (scored.orientation, scored.screen, scored.stats) == (Orientation.CENTERED, None, None)
-    assert not scored.timeline.signal("gaze_eye").any()
-    head = scored.timeline.signal("gaze_head")
-    assert head.any() and np.array_equal(head, without_eye.timeline.signal("gaze_head"))
+    assert (session.orientation(), session.screen(True), session.screen(False)) == (
+        Orientation.CENTERED, None, None)
+    assert not timeline.signal("gaze_eye").any()
+    head = timeline.signal("gaze_head")
+    assert head.any() and np.array_equal(head, without_eye.signal("gaze_head"))
+
+
+def untrackable(frames, how, amount, quality_floor):
+    """``frames`` with no gaze ray the stats can use: every ``gaze_quality``
+    scaled below ``quality_floor``, or every ray turned away from the plane."""
+    if how == "quality":
+        return dataclasses.replace(frames, quality=frames.quality * amount * quality_floor)
+    direction = frames.direction.copy()
+    direction[:, 2] = np.abs(direction[:, 2]) + amount
+    return dataclasses.replace(frames, direction=direction)
+
+
+@settings(max_examples=12, deadline=None)
+@given(index=st.integers(0, 7), how=st.sampled_from(["quality", "away"]),
+       amount=st.floats(0.0, 1.0, exclude_max=True))
+def test_an_untrackable_stream_leaves_the_gaze_to_the_head_and_every_other_signal_as_it_was(
+        heldout_sessions, artifacts, config, index, how, amount):
+    frames, _, manifest = heldout_sessions[index]
+    original = SessionDetectors(frames, manifest, artifacts, config)
+    session = SessionDetectors(untrackable(frames, how, amount, config.quality_floor), manifest,
+                               artifacts, config)
+    assert session.stats() is None and original.stats() is not None
+    assert session.orientation() is Orientation.CENTERED
+    timeline, before = score_session(session), score_session(original)
+    assert not timeline.signal("gaze_eye").any()
+    assert np.array_equal(timeline.signal("gaze_head"), original.head_gaze(False))
+    for name in ("speaking", "drowsiness", "unattended"):
+        assert np.array_equal(timeline.signal(name), before.signal(name)), name
 
 
 def test_variant_switches_disable_signals(heldout_sessions, artifacts, config):
@@ -105,7 +134,7 @@ def test_variant_switches_disable_signals(heldout_sessions, artifacts, config):
     head_takes_eye_frames = False
     for frames, _, manifest in heldout_sessions:
         session = SessionDetectors(frames, manifest, artifacts, config)
-        tl = score_session(session, head_only).timeline
+        tl = score_session(session, head_only)
         assert not tl.signal("gaze_eye").any()
         assert not tl.signal("speaking").any()
         assert not tl.signal("drowsiness").any()
@@ -122,11 +151,11 @@ def test_signal_rows_are_the_full_mask_and_their_bits(heldout_sessions, artifact
     rows = [v for v in TABLE3_VARIANTS if "gaze_eye" in v.signals]
     assert [v.name for v in TABLE3_VARIANTS if v not in rows] == ["head model only"]
     for frames, _, manifest in heldout_sessions:
-        full = score_session(SessionDetectors(frames, manifest, artifacts, config)).timeline
+        full = score_session(SessionDetectors(frames, manifest, artifacts, config))
         for variant in rows:
             # a fresh session: nothing is shared with the full model's scoring
             session = SessionDetectors(frames, manifest, artifacts, config)
-            mask = score_session(session, variant).timeline.mask
+            mask = score_session(session, variant).mask
             expected = full.mask & signal_bits(variant.signals)
             assert np.array_equal(mask, expected), (manifest.session_id, variant.name)
         assert full.mask.any(), manifest.session_id
@@ -149,8 +178,7 @@ def test_screen_override_is_used(artifacts, config):
     )
     frames, _ = generate(script)
     manifest = SessionManifest("s", "desktop", 30.0, "f", screen_override_cm=(100.0, 100.0))
-    scored = score_session(SessionDetectors(frames, manifest, artifacts, config))
-    assert scored.screen.width_cm == 100.0
+    assert SessionDetectors(frames, manifest, artifacts, config).screen(True).width_cm == 100.0
 
 
 def test_artifact_set_load_missing_names_files(tmp_path):
@@ -168,14 +196,12 @@ def test_shared_artifact_set_matches_a_fresh_load_per_session(
     assert {m.device_type for _, _, m in heldout_sessions} == {"desktop", "mobile"}
     shared = ArtifactSet.load(tmp_path)
     for frames, _, manifest in heldout_sessions:
-        kept = score_session(SessionDetectors(frames, manifest, shared, config))
-        fresh = score_session(
-            SessionDetectors(frames, manifest, ArtifactSet.load(tmp_path), config)
-        )
-        assert kept.timeline == fresh.timeline, manifest.session_id
-        assert kept.orientation is fresh.orientation, manifest.session_id
-        assert kept.screen == fresh.screen, manifest.session_id
-        assert kept.stats == fresh.stats, manifest.session_id
+        kept = SessionDetectors(frames, manifest, shared, config)
+        fresh = SessionDetectors(frames, manifest, ArtifactSet.load(tmp_path), config)
+        assert score_session(kept) == score_session(fresh), manifest.session_id
+        assert kept.orientation() is fresh.orientation(), manifest.session_id
+        assert kept.screen(True) == fresh.screen(True), manifest.session_id
+        assert kept.stats() == fresh.stats(), manifest.session_id
 
 
 ABLATE_ORDER = TABLE1_VARIANTS + TABLE3_VARIANTS
@@ -185,12 +211,11 @@ def test_shared_session_matches_fresh_session_scoring(heldout_sessions, artifact
     for frames, _, manifest in heldout_sessions:
         session = SessionDetectors(frames, manifest, artifacts, config)
         for variant in ABLATE_ORDER:
-            shared = score_session(session, variant)
-            alone = score_session(SessionDetectors(frames, manifest, artifacts, config), variant)
-            assert shared.timeline == alone.timeline, variant.name
-            assert shared.orientation is alone.orientation, variant.name
-            assert shared.screen == alone.screen, variant.name
-            assert shared.stats == alone.stats, variant.name
+            alone = SessionDetectors(frames, manifest, artifacts, config)
+            assert score_session(session, variant) == score_session(alone, variant), variant.name
+            assert session.orientation() is alone.orientation(), variant.name
+            assert session.screen(variant.screen_size) == alone.screen(variant.screen_size), variant.name
+            assert session.stats() == alone.stats(), variant.name
         cached = [
             *session.rays(), session.eye_path(), session.corrected_points(True, True),
             session.eye_gaze(True, True, True), session.head_gaze(True), session.head_gaze(False),
