@@ -51,7 +51,7 @@ auc = roc_auc(net.predict_proba(np.array(held_w)), held_y > 0.5)
 print(f"held-out ROC-AUC: {auc:.4f}")
 
 for name, w in (("speech burst", speech()), ("flat silence", silence()), ("slow yawn", yawn())):
-    p = float(net.predict_proba(w)[0])
+    p = float(net.predict_proba(w[None, :])[0])
     print(f"  {name:14s} -> p(speaking) = {p:.3f}")
 
 err = gradient_check(net, jitter(speech()), 1.0)

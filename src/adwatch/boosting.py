@@ -50,6 +50,8 @@ _MAX_LEAF_LOGIT = 4.0
 _MIN_GAIN = 1e-12
 # thresholds per feature and fit, so a row's bin (0..255) fits a uint8
 MAX_THRESHOLDS = 255
+# every fit's shrinkage; an ensemble still records its own rate
+LEARNING_RATE = 0.1
 
 
 @dataclass
@@ -274,10 +276,12 @@ def _best_split(sums: np.ndarray, counts: np.ndarray):
     return f, k
 
 
-def _build_tree(keys, cuts, n_bins, grad, hess, fitted, max_depth, min_samples_leaf) -> TreeNode:
+def _build_tree(keys, cuts, n_bins, grad, hess, fitted, max_depth) -> TreeNode:
     """Grow one tree over binned rows: ``keys`` (N, F) holds each row's
     ``feature * n_bins + bin``, ``cuts[f]`` feature f's thresholds. Each leaf
     writes its value into ``fitted`` for its rows, saving a prediction pass.
+    A one-row node has no split (``_best_split``), and a split leaves rows
+    on both sides.
     """
     n_feat = keys.shape[1]
 
@@ -301,7 +305,7 @@ def _build_tree(keys, cuts, n_bins, grad, hess, fitted, max_depth, min_samples_l
         return TreeNode(value=value)
 
     def build(idx: np.ndarray, hist, d: int) -> TreeNode:
-        if hist is None or len(idx) < 2 * min_samples_leaf:
+        if hist is None:
             return leaf(idx)
         split = _best_split(*hist)
         if split is None:
@@ -309,8 +313,6 @@ def _build_tree(keys, cuts, n_bins, grad, hess, fitted, max_depth, min_samples_l
         f, k = split
         go_left = keys[idx, f] <= f * n_bins + k
         li, ri = idx[go_left], idx[~go_left]
-        if len(li) < min_samples_leaf or len(ri) < min_samples_leaf:
-            return leaf(idx)
         hists = [None, None]
         if d + 1 < max_depth:
             # count the smaller child; the larger one is its parent minus it
@@ -417,19 +419,17 @@ _ENSEMBLE_RULES = {
 @dataclass
 class BoostConfig:
     n_stages: int = 100
-    learning_rate: float = 0.1
     max_depth: int = 3
-    min_samples_leaf: int = 1
     mode: str = MODE_REGRESSION
 
 
-# a fit's own fields, and those its ensemble records
-_BOOST_RULES = {"n_stages": _int(1), "min_samples_leaf": _int(1),
-                **{name: _ENSEMBLE_RULES[name] for name in ("learning_rate", "max_depth", "mode")}}
+# a fit's own field, and those its ensemble records
+_BOOST_RULES = {"n_stages": _int(1), **{name: _ENSEMBLE_RULES[name] for name in ("max_depth", "mode")}}
 
 
 def fit_boosted(X: np.ndarray, y: np.ndarray, config: Optional[BoostConfig] = None) -> BoostedEnsemble:
-    """Fit a boosted ensemble; stops early once residuals are exhausted.
+    """Fit a boosted ensemble at ``LEARNING_RATE``; stops early once
+    residuals are exhausted.
 
     Regression tracks per-stage training MSE, classification per-stage
     log-loss; both curves are stored on the model and are nonincreasing.
@@ -463,7 +463,7 @@ def fit_boosted(X: np.ndarray, y: np.ndarray, config: Optional[BoostConfig] = No
 
     model = BoostedEnsemble(
         mode=config.mode,
-        learning_rate=config.learning_rate,
+        learning_rate=LEARNING_RATE,
         max_depth=config.max_depth,
         base_prediction=base,
         n_features=X.shape[1],
@@ -493,10 +493,8 @@ def fit_boosted(X: np.ndarray, y: np.ndarray, config: Optional[BoostConfig] = No
         if np.max(np.abs(grad)) < 1e-12:
             break                  # targets fully explained; no further trees
         fitted = np.empty(len(y), dtype=np.float64)
-        tree = _build_tree(
-            keys, cuts, n_bins, grad, hess, fitted, config.max_depth, config.min_samples_leaf
-        )
-        raw = raw + config.learning_rate * fitted
+        tree = _build_tree(keys, cuts, n_bins, grad, hess, fitted, config.max_depth)
+        raw = raw + LEARNING_RATE * fitted
         model.trees.append(tree)
         model.train_loss_curve.append(loss(raw))
     return model

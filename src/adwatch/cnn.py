@@ -302,8 +302,10 @@ class TemporalCnn:
     def _check_windows(self, X: np.ndarray) -> np.ndarray:
         # in the parameters' dtype: float64 but while train_cnn runs
         X = np.asarray(X, dtype=self.wb1.dtype)
-        if X.ndim == 1:
-            X = X[None, :]
+        if X.ndim != 2:
+            raise DataError(
+                f"windows must be a 2-D (windows, {self.window_len}) array, got shape {X.shape}"
+            )
         if X.shape[1] != self.window_len:
             raise DataError(
                 f"window length {X.shape[1]} does not match network input {self.window_len}"
@@ -488,7 +490,7 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 def gradient_check(net: TemporalCnn, window: np.ndarray, label: float, h: float = 1e-4) -> float:
     """Max relative error between analytic and central-difference gradients
-    over every parameter.
+    over every parameter, at one 1-D ``window`` and its ``label``.
 
     Convolutional parameters are perturbed one at a time with a full forward
     pass. For the dense layers only downstream values change under a
@@ -496,7 +498,7 @@ def gradient_check(net: TemporalCnn, window: np.ndarray, label: float, h: float 
     closed form from the cached forward state; the finite-difference values
     are identical to what full re-evaluation would produce.
     """
-    X = net._check_windows(np.asarray(window, dtype=np.float64))
+    X = net._check_windows(np.asarray(window, dtype=np.float64)[None, :])
     y_arr = np.array([label], dtype=np.float64)
     y = float(label)
     _, grads = net.loss_and_grads(X, y_arr)

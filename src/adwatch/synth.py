@@ -75,6 +75,11 @@ YAWN_GAP = 0.23
 MOUTH_WIDTH = 0.32
 YAWN_ACTIVE_LEVEL = 0.15         # ramp level above which the yawn counts as active
 ON_SCREEN_HEAD_MIX = 0.3
+# a suite's sessions are owls (the head carries the glance) at this share,
+# lizards (the eyes do) otherwise
+OWL_FRACTION = 0.6
+OWL_HEAD_MIX = 0.85
+LIZARD_HEAD_MIX = 0.1
 
 SPEAK_MIN_S = 1.0
 CLOSURE_MIN_S = 2.0
@@ -434,19 +439,17 @@ def _interleave(dots: list, distractors: list) -> list:
 def build_template_script(
     rng: np.random.Generator,
     device_type: str,
-    template: str = "full",
-    orientation: str = "centered",
-    camera_offset_cm: tuple[float, float] = (0.0, 0.0),
-    behavior_mix: float = 0.85,
-    gaze_noise_deg: float = 0.8,
-    landmark_jitter: float = 0.01,
-    gaze_scale: float = 1.12,
-    yawn_prevalence: Optional[float] = None,
-    frame_rate_hz: float = 30.0,
+    template: str,
+    orientation: str,
+    camera_offset_cm: tuple[float, float],
+    behavior_mix: float,
+    yawn_prevalence: Optional[float],
 ) -> ScenarioScript:
     """Build a protocol-style script: dot fixations over the screen (far
     edges included), off-screen glances in all four directions, and the
-    scripted distractor bouts, with a dot between any two distractors."""
+    scripted distractor bouts, with a dot between any two distractors. The
+    tracker's noise, jitter, magnification and frame rate are the script's
+    defaults."""
     if device_type == "desktop":
         vd = float(rng.uniform(55.0, 85.0))
     else:
@@ -507,11 +510,7 @@ def build_template_script(
         camera_offset_cm=camera_offset_cm,
         orientation=orientation,
         behavior_mix=behavior_mix,
-        gaze_noise_deg=gaze_noise_deg,
-        landmark_jitter=landmark_jitter,
-        gaze_scale=gaze_scale,
         viewing_distance_cm=vd,
-        frame_rate_hz=frame_rate_hz,
     )
 
 
@@ -527,14 +526,7 @@ class SuiteConfig:
     device: str = "mixed"             # desktop | mobile | mixed
     train_fraction: float = 0.5
     camera_offset_max_cm: float = 0.0  # desktop external webcams
-    owl_fraction: float = 0.6
-    owl_mix: float = 0.85
-    lizard_mix: float = 0.1
-    gaze_noise_deg: float = 0.8
-    landmark_jitter: float = 0.01
-    gaze_scale: float = 1.12
     yawn_prevalence: Optional[float] = None
-    frame_rate_hz: float = 30.0
 
 
 # The fields a template script takes from the suite config keep the
@@ -547,19 +539,12 @@ _SUITE_RULES = {
     "train_fraction": _real(0, 1),
     # the largest offset a script's camera_offset_cm allows
     "camera_offset_max_cm": _real(0, 100),
-    "owl_fraction": _real(0, 1),
-    "owl_mix": _SCRIPT_RULES["behavior_mix"],
-    "lizard_mix": _SCRIPT_RULES["behavior_mix"],
-    "gaze_noise_deg": _SCRIPT_RULES["gaze_noise_deg"],
-    "landmark_jitter": _SCRIPT_RULES["landmark_jitter"],
-    "gaze_scale": _SCRIPT_RULES["gaze_scale"],
     # the full template sizes its yawn to this share of active frames; a
     # yawn's sin^2 ramp is active for about 74.7% of its span, so the share
     # stays below that, with a margin
     "yawn_prevalence": _or_null(
         _Rule(lambda v: _is_real(v) and 0 < v < 0.7, "a finite number in (0, 0.7)", convert=float)
     ),
-    "frame_rate_hz": _SCRIPT_RULES["frame_rate_hz"],
 }
 
 
@@ -605,8 +590,7 @@ def build_suite_scripts(config: SuiteConfig) -> list[tuple[str, ScenarioScript, 
             mag = rng.uniform(0.2, 1.0) * config.camera_offset_max_cm
             ang = rng.uniform(0.0, 2 * np.pi)
             offset = (float(mag * np.cos(ang)), float(mag * np.sin(ang)))
-        owl = rng.uniform() < config.owl_fraction
-        mix = config.owl_mix if owl else config.lizard_mix
+        mix = OWL_HEAD_MIX if rng.uniform() < OWL_FRACTION else LIZARD_HEAD_MIX
         script = build_template_script(
             rng,
             device_type=device,
@@ -614,11 +598,7 @@ def build_suite_scripts(config: SuiteConfig) -> list[tuple[str, ScenarioScript, 
             orientation=orientation,
             camera_offset_cm=offset,
             behavior_mix=mix,
-            gaze_noise_deg=config.gaze_noise_deg,
-            landmark_jitter=config.landmark_jitter,
-            gaze_scale=config.gaze_scale,
             yawn_prevalence=config.yawn_prevalence,
-            frame_rate_hz=config.frame_rate_hz,
         )
         split = "train" if i < n_train else "held_out"
         sid = f"s{i:03d}_{device}"

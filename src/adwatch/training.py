@@ -40,7 +40,7 @@ import numpy as np
 
 from . import artifacts as artifacts_io
 from .artifacts import GAZE_ARTIFACT, SPEAKING_ARTIFACT, YAWN_ARTIFACT
-from .boosting import BoostConfig, BoostedEnsemble, MODE_CLASSIFICATION, fit_boosted
+from .boosting import LEARNING_RATE, BoostConfig, BoostedEnsemble, MODE_CLASSIFICATION, fit_boosted
 from .cnn import CnnTrainConfig, TemporalCnn, train_cnn
 from .config import _SEED, PipelineConfig, _check_fields
 from .errors import ConfigError, DataError
@@ -186,6 +186,17 @@ def load_suite_sessions(suite_dir: PathLike, split: str = "all") -> list[Session
     return [(frames, truth, manifest) for (frames, truth), (manifest, _) in zip(parsed, selected)]
 
 
+def _check_both_classes(model: str, y: np.ndarray, rows: str) -> None:
+    """DataError unless the labels ``y`` of ``model``'s training set hold
+    both classes: a detector fit on one class never learns the other."""
+    if not np.any(y) or np.all(y):
+        only = "positive" if np.any(y) else "negative"
+        raise DataError(
+            f"{model} training set needs both classes, but all its {len(y)} {rows} are {only}; "
+            "a suite without speech or yawns trains its gaze model alone, with --only gaze"
+        )
+
+
 def _subsample(rng: np.random.Generator, n: int, cap: int) -> np.ndarray:
     if n <= cap:
         return np.arange(n)
@@ -232,9 +243,7 @@ def train_gaze_regressors(
     rng = np.random.default_rng(seed)
     models: dict[str, dict[str, BoostedEnsemble]] = {}
     hashes = {}
-    boost = BoostConfig(
-        n_stages=config.gaze_stages, max_depth=config.gaze_depth, learning_rate=0.1
-    )
+    boost = BoostConfig(n_stages=config.gaze_stages, max_depth=config.gaze_depth)
     for device in sorted(rows):
         X, targets = rows[device]
         idx = _subsample(rng, len(X), config.max_gaze_train_rows)
@@ -251,7 +260,7 @@ def train_gaze_regressors(
         "hyperparameters": {
             "n_stages": boost.n_stages,
             "max_depth": boost.max_depth,
-            "learning_rate": boost.learning_rate,
+            "learning_rate": LEARNING_RATE,
             "target": "residual(true - measured)",
         },
         "n_devices": len(models),
@@ -286,6 +295,7 @@ def train_speaking_cnn(
     sessions: list[Session], config: PipelineConfig, seed: int = 0
 ) -> tuple[TemporalCnn, dict]:
     X, y = speaking_training_set(sessions, config, seed=seed)
+    _check_both_classes("speaking CNN", y, "windows")
     net = train_cnn(
         X,
         y,
@@ -349,15 +359,13 @@ def train_yawn_classifier(
     sessions: list[Session], config: PipelineConfig, seed: int = 0
 ) -> tuple[BoostedEnsemble, dict]:
     X, y = yawn_training_set(sessions, config, seed=seed)
-    if not np.any(y) or np.all(y):
-        raise DataError("yawn training set needs both classes")
+    _check_both_classes("yawn classifier", y, "frames")
     model = fit_boosted(
         X,
         y,
         BoostConfig(
             n_stages=config.yawn_stages,
             max_depth=config.yawn_depth,
-            learning_rate=0.1,
             mode=MODE_CLASSIFICATION,
         ),
     )
@@ -367,7 +375,7 @@ def train_yawn_classifier(
         "hyperparameters": {
             "n_stages": config.yawn_stages,
             "max_depth": config.yawn_depth,
-            "learning_rate": 0.1,
+            "learning_rate": LEARNING_RATE,
         },
         "n_frames": int(len(X)),
         "positive_fraction": float(np.mean(y)),

@@ -197,9 +197,9 @@ def test_criterion_07_yawn_classifier(artifacts, config):
     report("criterion 7", f"held-out ROC-AUC {auc:.4f} at {100 * prevalence:.1f}% prevalence")
 
 
-def orientation_macro_f1(suite: SuiteConfig, config) -> float:
+def orientation_macro_f1(scripts, config) -> float:
     truth, predicted = [], []
-    for _, script, _ in build_suite_scripts(suite):
+    for script in scripts:
         frames, _ = generate(script)
         stats = compute_session_stats(frames, valid_gaze_rays(frames, config.quality_floor))
         predicted.append(detect_orientation(stats, config).value)
@@ -209,13 +209,15 @@ def orientation_macro_f1(suite: SuiteConfig, config) -> float:
 
 
 def test_criterion_08_orientation_voting(config):
+    # the clean suite's tracker has no angular noise and no landmark jitter
     clean = orientation_macro_f1(
-        SuiteConfig(seed=904, n_sessions=12, template="full", device="mobile",
-                    gaze_noise_deg=0.0, landmark_jitter=0.0),
+        [dataclasses.replace(script, gaze_noise_deg=0.0, landmark_jitter=0.0) for _, script, _ in
+         build_suite_scripts(SuiteConfig(seed=904, n_sessions=12, template="full", device="mobile"))],
         config,
     )
     noisy = orientation_macro_f1(
-        SuiteConfig(seed=905, n_sessions=12, template="full", device="mobile"),
+        [script for _, script, _ in
+         build_suite_scripts(SuiteConfig(seed=905, n_sessions=12, template="full", device="mobile"))],
         config,
     )
     assert clean == pytest.approx(1.0)

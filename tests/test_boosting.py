@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adwatch.boosting import (
+    LEARNING_RATE,
     MAX_THRESHOLDS,
     MODE_CLASSIFICATION,
     MODE_REGRESSION,
@@ -20,7 +21,7 @@ from adwatch.boosting import (
     fit_boosted,
 )
 from adwatch.drowsiness import yawn_features
-from adwatch.errors import DataError
+from adwatch.errors import DataError, MissingArtifactError
 from oracles import (
     _per_node_best_split,
     base_prediction,
@@ -154,14 +155,15 @@ def test_tie_break_prefers_lowest_feature_index():
 
 def test_learning_rate_validated():
     X = np.arange(10, dtype=float)[:, None]
-    with pytest.raises(DataError):
-        fit_boosted(X, np.arange(10, dtype=float), BoostConfig(learning_rate=0.0))
+    doc = fit_boosted(X, np.arange(10, dtype=float), BoostConfig(n_stages=2)).to_dict()
+    doc["learning_rate"] = 0
+    with pytest.raises(MissingArtifactError, match="^model: learning_rate must be "):
+        BoostedEnsemble.from_dict(doc)
 
 
 @pytest.mark.parametrize(
     "field, value",
-    [("n_stages", -1), ("n_stages", 2.5), ("max_depth", 0), ("max_depth", -1),
-     ("min_samples_leaf", 0), ("min_samples_leaf", True)],
+    [("n_stages", -1), ("n_stages", 2.5), ("max_depth", 0), ("max_depth", -1)],
 )
 def test_tree_shape_parameters_validated(field, value):
     X = np.arange(10, dtype=float)[:, None]
@@ -189,7 +191,6 @@ def tied_problems(draw):
     config = BoostConfig(
         n_stages=draw(st.integers(1, 8)),
         max_depth=draw(st.integers(1, 4)),
-        min_samples_leaf=draw(st.sampled_from([1, 3])),
         mode=mode,
     )
     return X.astype(np.float64), y.astype(np.float64), config
@@ -225,11 +226,6 @@ def clear_winner(best, tol):
     return len(ranked) == 1 or ranked[0] - ranked[1] > tol
 
 
-def leaves_a_small_child(key, n_rows, least):
-    n_left = int(np.frombuffer(key, bool).sum())
-    return min(n_left, n_rows - n_left) < least
-
-
 @settings(max_examples=80, deadline=None)
 @given(problem=tied_problems())
 def test_histogram_fit_matches_per_node_search(problem):
@@ -240,7 +236,7 @@ def test_histogram_fit_matches_per_node_search(problem):
     model = fit_boosted(X, y, config)
     assert model.base_prediction == base_prediction(y, config.mode == MODE_CLASSIFICATION)
     assert (model.mode, model.learning_rate, model.max_depth, model.n_features) == (
-        config.mode, config.learning_rate, config.max_depth, X.shape[1]
+        config.mode, LEARNING_RATE, config.max_depth, X.shape[1]
     )
     stages, curve = replay_fit(model, X, y)
     assert model.train_loss_curve == curve
@@ -249,22 +245,16 @@ def test_histogram_fit_matches_per_node_search(problem):
         for depth, node, rows in tree_nodes(tree, X):
             g = grad[rows]
             tol = MARGIN * float(np.sum(g**2))
-            searched = depth < config.max_depth and len(rows) >= 2 * config.min_samples_leaf
+            searched = depth < config.max_depth
             best = exact_partitions(X[rows], g) if searched else {None: _MIN_GAIN}
             top = max(best.values())
             if node.is_leaf:
                 assert node.value == leaf_value(g, None if hess is None else hess[rows])
-                # no split, or a near-best one that leaves a child too small
-                small = [
-                    gain for key, gain in best.items()
-                    if key is not None
-                    and leaves_a_small_child(key, len(rows), config.min_samples_leaf)
-                ]
-                assert top <= _MIN_GAIN + tol or max(small, default=-np.inf) >= top - tol
+                assert top <= _MIN_GAIN + tol
             else:
                 assert searched
                 left = X[rows, node.feature] <= node.threshold
-                assert min(left.sum(), (~left).sum()) >= config.min_samples_leaf
+                assert left.any() and not left.all()
                 assert best[bytes(left)] >= top - tol
     if len(model.trees) < config.n_stages:
         assert np.max(np.abs(stages[-1][0])) < 1e-12
@@ -476,7 +466,6 @@ def fitted_with_probes(draw):
     config = BoostConfig(
         n_stages=draw(st.integers(1, 30)),
         max_depth=draw(st.integers(1, 5)),
-        min_samples_leaf=draw(st.sampled_from([1, 3])),
         mode=mode,
     )
     low, high = (0, 1) if mode == MODE_CLASSIFICATION else (-3, 3)

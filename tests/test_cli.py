@@ -383,6 +383,40 @@ def test_failing_yawn_fit_writes_no_artifact(tmp_path, capsys, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.fixture(scope="module")
+def gaze_offset_suite(tmp_path_factory):
+    """A suite whose template scripts no speech and no yawn."""
+    suite = tmp_path_factory.mktemp("gaze_offset") / "suite"
+    assert main(["simulate", "--suite", "gaze_offset", "--sessions", "4",
+                 "--seed", "7", "--output", str(suite)]) == 0
+    return suite
+
+
+@pytest.mark.parametrize("only, model, rows", [
+    (None, "speaking CNN", "windows"),
+    ("speaking", "speaking CNN", "windows"),
+    ("yawn", "yawn classifier", "frames"),
+], ids=["all", "speaking", "yawn"])
+def test_train_without_both_classes_exits_3_naming_the_model_and_only_gaze(
+    gaze_offset_suite, tmp_path, capsys, only, model, rows
+):
+    out = tmp_path / "art"
+    code = main(["train", "--suite-dir", str(gaze_offset_suite), "--config", str(write_fast_config(tmp_path)),
+                 "--output", str(out)] + (["--only", only] if only else []))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"{model} training set needs both classes, but all its " in err
+    assert f" {rows} are negative" in err and "--only gaze" in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_train_only_gaze_on_a_suite_without_speech_or_yawns(gaze_offset_suite, tmp_path):
+    out = tmp_path / "art"
+    assert main(["train", "--suite-dir", str(gaze_offset_suite), "--config", str(write_fast_config(tmp_path)),
+                 "--only", "gaze", "--output", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["gaze_regressors.json"]
+
+
 class EmptyModel:
     """Encodes as a model of any kind with nothing in it."""
 

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -83,7 +84,7 @@ def test_output_is_probability():
 
 def test_forward_deterministic():
     net = TemporalCnn.initialize(30, seed=0)
-    w = np.linspace(-1, 1, 30)
+    w = np.linspace(-1, 1, 30)[None, :]
     assert np.array_equal(net.predict_proba(w), net.predict_proba(w))
 
 
@@ -182,7 +183,17 @@ def test_from_dict_names_a_malformed_field(field, value):
 def test_window_length_mismatch_rejected():
     net = TemporalCnn.initialize(30, seed=0)
     with pytest.raises(DataError, match="window length"):
-        net.predict_proba(np.zeros(29))
+        net.predict_proba(np.zeros((1, 29)))
+
+
+@pytest.mark.parametrize("shape", [(30,), (2, 30, 1), ()], ids=["one_window", "three_d", "scalar"])
+def test_windows_that_are_not_a_2d_array_are_refused_naming_the_shape(shape):
+    net = TemporalCnn.initialize(30, seed=0)
+    message = f"windows must be a 2-D (windows, 30) array, got shape {shape}"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        net.predict_proba(np.zeros(shape))
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        net.loss_and_grads(np.zeros(shape), np.zeros(2))
 
 
 def assert_close(actual, expected, rel=1e-12):

@@ -19,7 +19,16 @@ from adwatch.config import (
 )
 from adwatch.errors import ConfigError
 from adwatch.records import _MANIFEST_RULES, SessionManifest
-from adwatch.synth import _ENTRY_RULES, _SCRIPT_RULES, _SEGMENT_RULES, ScenarioScript, Segment, SuiteEntry
+from adwatch.synth import (
+    _ENTRY_RULES,
+    _SCRIPT_RULES,
+    _SEGMENT_RULES,
+    _SUITE_RULES,
+    ScenarioScript,
+    Segment,
+    SuiteConfig,
+    SuiteEntry,
+)
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
@@ -186,6 +195,7 @@ def test_constructor_stores_pairs_as_float_tuples():
     (Segment, _SEGMENT_RULES),
     (SessionManifest, _MANIFEST_RULES),
     (SuiteEntry, _ENTRY_RULES),
+    (SuiteConfig, _SUITE_RULES),
     (CnnTrainConfig, _TRAIN_RULES),
     (BoostConfig, _BOOST_RULES),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else "")

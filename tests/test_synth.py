@@ -14,8 +14,10 @@ from adwatch.geometry import intersect_gaze_batch
 from adwatch.records import first_failure, frame_checks
 from adwatch.session_io import load_frames, load_manifest, read_timeline
 from adwatch.synth import (
+    LIZARD_HEAD_MIX,
     OFF_DIRECTIONS,
     ORIENTATIONS,
+    OWL_HEAD_MIX,
     SEGMENT_KINDS,
     ScenarioScript,
     Segment,
@@ -220,7 +222,6 @@ def test_seed_that_numpy_cannot_take_is_a_config_error(tmp_path, seed):
     ("device", "tablet", "device must be one of ['desktop', 'mobile', 'mixed']"),
     ("train_fraction", 1.5, "train_fraction must be a finite number in [0, 1], got 1.5"),
     ("camera_offset_max_cm", 150.0, "camera_offset_max_cm must be a finite number in [0, 100]"),
-    ("gaze_noise_deg", float("inf"), "gaze_noise_deg must be a finite number in [0, 180], got Infinity"),
     ("yawn_prevalence", 0.7, "yawn_prevalence must be a finite number in (0, 0.7) or null, got 0.7"),
     ("yawn_prevalence", float("nan"), "yawn_prevalence must be a finite number in (0, 0.7) or null, got NaN"),
 ])
@@ -316,6 +317,34 @@ def small_scripts(draw):
         viewing_distance_cm=draw(st.none() | _reals(1, 1000)),
         frame_rate_hz=draw(_reals(5, 120)),
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    config=st.builds(
+        SuiteConfig,
+        seed=st.integers(0, 2**64),
+        n_sessions=st.integers(1, 4),
+        template=st.sampled_from(("full", "gaze_only", "mini")),
+        device=st.sampled_from(("desktop", "mobile", "mixed")),
+        train_fraction=_reals(0, 1),
+        camera_offset_max_cm=_reals(0, 100),
+        yawn_prevalence=st.none() | _reals(0, 0.7, exclude_min=True, exclude_max=True),
+    )
+)
+def test_every_suite_config_within_its_rules_builds_valid_scripts(config):
+    # the tracker's noise, jitter, magnification and rate are the script's
+    # own defaults, and each session is an owl or a lizard
+    tracker = {f.name: f.default for f in dataclasses.fields(ScenarioScript)
+               if f.name in ("gaze_noise_deg", "landmark_jitter", "gaze_scale", "frame_rate_hz")}
+    scripts = build_suite_scripts(config)
+    assert len(scripts) == config.n_sessions
+    for _, script, _ in scripts:
+        validate_script(script)
+        assert script.behavior_mix in (OWL_HEAD_MIX, LIZARD_HEAD_MIX)
+        assert {name: getattr(script, name) for name in tracker} == tracker
+    splits = [split for _, _, split in scripts]
+    assert splits.count("train") == round(config.train_fraction * config.n_sessions)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
