@@ -8,7 +8,7 @@ this demo quick).
 
 import numpy as np
 
-from adwatch.config import PipelineConfig
+from adwatch.config import PipelineConfig, ScoreConfig
 from adwatch.evaluation import frame_metrics
 from adwatch.fusion import SIGNAL_NAMES, session_summary
 from adwatch.pipeline import ArtifactSet, SessionDetectors, score_session
@@ -55,7 +55,7 @@ script = ScenarioScript(seed=99, device_type="desktop", duration_s=33.8,
 frames, truth = generate(script)
 manifest = SessionManifest("demo", "desktop", script.frame_rate_hz, "f")
 
-session = SessionDetectors(frames, manifest, artifacts, config)
+session = SessionDetectors(frames, manifest, artifacts, ScoreConfig())
 timeline = score_session(session)
 screen = session.screen(True)
 

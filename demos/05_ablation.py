@@ -5,7 +5,7 @@ processing steps (on desktop sessions with displaced webcams, where
 normalization matters most) and adding distraction signals one at a time.
 """
 
-from adwatch.config import PipelineConfig
+from adwatch.config import PipelineConfig, ScoreConfig
 from adwatch.evaluation import render_table, run_ablation
 from adwatch.pipeline import ArtifactSet, TABLE1_VARIANTS, TABLE3_VARIANTS
 from adwatch.records import SessionManifest
@@ -38,9 +38,9 @@ offset_suite = make(SuiteConfig(seed=31, n_sessions=8, template="gaze_only",
                                 device="desktop", camera_offset_max_cm=10.0,
                                 train_fraction=0.0))
 print("\nremoving gaze processing steps (desktop, displaced webcams):\n")
-print(render_table(run_ablation(offset_suite, artifacts, TABLE1_VARIANTS, config)))
+print(render_table(run_ablation(offset_suite, artifacts, TABLE1_VARIANTS, ScoreConfig())))
 
 full_suite = make(SuiteConfig(seed=32, n_sessions=10, device="mixed",
                               train_fraction=0.0, yawn_prevalence=0.026))
 print("adding distraction signals one at a time:\n")
-print(render_table(run_ablation(full_suite, artifacts, TABLE3_VARIANTS, config)))
+print(render_table(run_ablation(full_suite, artifacts, TABLE3_VARIANTS, ScoreConfig())))

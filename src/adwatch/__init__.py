@@ -9,7 +9,7 @@ seeded synthetic-session generator that doubles as the verification oracle.
 
 from .boosting import BoostConfig, BoostedEnsemble, fit_boosted
 from .cnn import CnnTrainConfig, TemporalCnn, gradient_check, train_cnn
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, ScoreConfig
 from .errors import (
     AdwatchError,
     ConfigError,

@@ -9,6 +9,13 @@ exact text, wherever it runs, and ``write_artifact`` writes it through
 ``config._replacing``, to a temp file renamed into place; each ``save_*`` is
 the two in turn. Each ``load_*`` checks its model whole, down to the number
 of input columns the pipeline gives it.
+
+The gaze and speaking artifacts also record the ``PipelineConfig`` values
+that shaped their model's input, beside the model: ``quality_floor`` for the
+gaze rays, and ``window_span_s``, ``min_valid_samples`` and
+``max_hold_samples`` for the lip windows, whose sample count is the
+network's ``window_len``. Loading checks them by the config's own rules and
+hands them to scoring with the model.
 """
 
 from __future__ import annotations
@@ -23,9 +30,11 @@ import numpy as np
 
 from .boosting import BoostedEnsemble
 from .cnn import TemporalCnn
-from .config import _OBJECT, _check_fields, _equal, _read_json_object, _replacing
+from .config import _OBJECT, _PIPELINE_RULES, _check_fields, _equal, _read_json_object, _replacing
 from .errors import MissingArtifactError
+from .gaze import GazeRegressors
 from .records import AU_NAMES
+from .speaking import LipWindows, SpeakingCnn
 
 SCHEMA_VERSION = 1
 
@@ -50,9 +59,10 @@ def data_hash(*arrays: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-def _text(kind: str, metadata: dict, key: str, model: dict) -> str:
-    """The JSON text of a ``kind`` artifact holding ``model`` under ``key``."""
-    doc = {"schema_version": SCHEMA_VERSION, "kind": kind, "metadata": metadata, key: model}
+def _text(kind: str, metadata: dict, key: str, model: dict, **recorded) -> str:
+    """The JSON text of a ``kind`` artifact holding ``model`` under ``key``,
+    and the ``recorded`` config values beside it."""
+    doc = {"schema_version": SCHEMA_VERSION, "kind": kind, "metadata": metadata, key: model, **recorded}
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
@@ -62,16 +72,19 @@ def write_artifact(text: str, path: PathLike) -> None:
         fh.write(text)
 
 
-def _model(path: PathLike, kind: str, key: str, from_dict):
-    """``from_dict(model, key)`` of the ``key`` object of the ``kind``
-    artifact at ``path``; a malformed document raises MissingArtifactError
-    naming the file and the field. Keys it does not read are ignored."""
+def _model(path: PathLike, kind: str, key: str, from_dict, recorded: tuple = ()):
+    """``from_dict(model, key, **values)`` of the ``key`` object of the
+    ``kind`` artifact at ``path``, where ``values`` are its values of the
+    ``recorded`` config fields, each of which it must hold by the field's
+    rule. A malformed document raises MissingArtifactError naming the file
+    and the field. Keys it does not read are ignored."""
     path = Path(path)
     rules = {"schema_version": _equal(SCHEMA_VERSION), "kind": _equal(kind), key: _OBJECT}
+    rules.update({name: _PIPELINE_RULES[name]._replace(optional=False) for name in recorded})
     doc = _read_json_object(path, "model artifact", MissingArtifactError)
-    model = _check_fields(doc, rules, MissingArtifactError, f"artifact {path}", unknown_ok=True)[key]
+    values = _check_fields(doc, rules, MissingArtifactError, f"artifact {path}", unknown_ok=True)
     try:
-        return from_dict(model, key)
+        return from_dict(values[key], key, **{name: values[name] for name in recorded})
     except MissingArtifactError as exc:
         raise MissingArtifactError(f"artifact {path}: {exc}") from None
 
@@ -84,44 +97,56 @@ def _ensemble(model: dict, where: str, n_features: int) -> BoostedEnsemble:
     return ensemble
 
 
-def _gaze_models(models: dict, where: str) -> dict[str, dict[str, BoostedEnsemble]]:
-    """Each device's x and y regressors, which read normalised (x, y) points."""
+def _gaze_regressors(models: dict, where: str, quality_floor: float) -> GazeRegressors:
+    """Each device's x and y regressors, which read normalised (x, y)
+    points of the rays at ``quality_floor``."""
     _check_fields(models, dict.fromkeys(models, _OBJECT), MissingArtifactError, where)
     out = {}
     for device, pair in models.items():
         axes = _check_fields(pair, {"x": _OBJECT, "y": _OBJECT}, MissingArtifactError, f"{where}.{device}",
                              unknown_ok=True)
         out[device] = {axis: _ensemble(model, f"{where}.{device}.{axis}", 2) for axis, model in axes.items()}
-    return out
+    return GazeRegressors(out, quality_floor)
 
 
-def gaze_regressors_text(models: dict[str, dict[str, BoostedEnsemble]], metadata: dict) -> str:
-    """``models`` maps device type -> {"x": ensemble, "y": ensemble}."""
+def gaze_regressors_text(model: GazeRegressors, metadata: dict) -> str:
     return _text(KIND_GAZE, metadata, "models", {
-        device: {axis: m.to_dict() for axis, m in pair.items()} for device, pair in models.items()
-    })
+        device: {axis: m.to_dict() for axis, m in pair.items()} for device, pair in model.by_device.items()
+    }, quality_floor=model.min_quality)
 
 
-def save_gaze_regressors(
-    models: dict[str, dict[str, BoostedEnsemble]], metadata: dict, path: PathLike
-) -> None:
-    write_artifact(gaze_regressors_text(models, metadata), path)
+def save_gaze_regressors(model: GazeRegressors, metadata: dict, path: PathLike) -> None:
+    write_artifact(gaze_regressors_text(model, metadata), path)
 
 
-def load_gaze_regressors(path: PathLike) -> dict[str, dict[str, BoostedEnsemble]]:
-    return _model(path, KIND_GAZE, "models", _gaze_models)
+def load_gaze_regressors(path: PathLike) -> GazeRegressors:
+    return _model(path, KIND_GAZE, "models", _gaze_regressors, ("quality_floor",))
 
 
-def speaking_cnn_text(net: TemporalCnn, metadata: dict) -> str:
-    return _text(KIND_SPEAKING, metadata, "model", net.to_dict())
+def _speaking_cnn(model: dict, where: str, window_span_s: float, min_valid_samples: int,
+                  max_hold_samples: int) -> SpeakingCnn:
+    """The network ``model`` describes, with the windows it reads."""
+    net = TemporalCnn.from_dict(model, where)
+    if min_valid_samples > net.window_len:
+        raise MissingArtifactError(
+            f"min_valid_samples ({min_valid_samples}) must not exceed {where}.window_len ({net.window_len})"
+        )
+    return SpeakingCnn(net, LipWindows(net.window_len, window_span_s, min_valid_samples, max_hold_samples))
 
 
-def save_speaking_cnn(net: TemporalCnn, metadata: dict, path: PathLike) -> None:
-    write_artifact(speaking_cnn_text(net, metadata), path)
+def speaking_cnn_text(model: SpeakingCnn, metadata: dict) -> str:
+    lip = model.windows
+    return _text(KIND_SPEAKING, metadata, "model", model.net.to_dict(), window_span_s=lip.span_s,
+                 min_valid_samples=lip.min_valid, max_hold_samples=lip.max_hold)
 
 
-def load_speaking_cnn(path: PathLike) -> TemporalCnn:
-    return _model(path, KIND_SPEAKING, "model", TemporalCnn.from_dict)
+def save_speaking_cnn(model: SpeakingCnn, metadata: dict, path: PathLike) -> None:
+    write_artifact(speaking_cnn_text(model, metadata), path)
+
+
+def load_speaking_cnn(path: PathLike) -> SpeakingCnn:
+    return _model(path, KIND_SPEAKING, "model", _speaking_cnn,
+                  ("window_span_s", "min_valid_samples", "max_hold_samples"))
 
 
 def yawn_classifier_text(model: BoostedEnsemble, metadata: dict) -> str:

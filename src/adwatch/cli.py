@@ -1,11 +1,17 @@
 """Command-line entry point: simulate -> train -> score -> evaluate -> ablate.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 missing model
-artifact. Threshold defaults come from ``PipelineConfig`` and can be set in
-a JSON config file; command-line values win over the file, the file over
-the defaults. Each command takes only the flags it reads: ``--seed`` goes to
+artifact. Each command takes only the flags it reads: ``--seed`` goes to
 simulate and train, ``--config`` and ``--set`` to train, score and ablate,
 and any other use of them is a usage error (exit 2).
+
+The same holds for config fields. ``train`` reads ``PipelineConfig`` and
+``score`` and ``ablate`` read ``ScoreConfig``; their defaults can be set in
+a JSON config file, and command-line values win over the file, the file over
+the defaults. A key that is not a field of the command's own object, from
+``--config`` or ``--set``, exits 2 before any input is read, naming the
+command that reads it. The values that shaped a model's input are
+``train``'s: scoring reads them from the artifacts.
 """
 
 from __future__ import annotations
@@ -15,10 +21,10 @@ import json
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
-from .artifacts import GAZE_ARTIFACT, SPEAKING_ARTIFACT, write_artifact
-from .config import PipelineConfig, _Rule, _check_fields, config_from_mapping, load_config
+from .artifacts import GAZE_ARTIFACT, write_artifact
+from .config import PipelineConfig, ScoreConfig, _read_json_object, config_from_mapping
 from .errors import AdwatchError, ConfigError, DataError, MissingArtifactError
 from .evaluation import (
     AblationTable,
@@ -175,32 +181,32 @@ def _parse_overrides(pairs: list[str]) -> dict:
     return mapping
 
 
-def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    # precedence: --set > --config file > defaults
-    cfg = PipelineConfig()
-    if args.config is not None:
-        cfg = load_config(args.config, base=cfg)
-    overrides = _parse_overrides(args.set)
-    if overrides:
-        cfg = config_from_mapping(overrides, base=cfg)
+# the config object each command reads
+_CONFIGS = {"train": PipelineConfig, "score": ScoreConfig, "ablate": ScoreConfig}
+
+
+def _load_config(args: argparse.Namespace) -> Union[PipelineConfig, ScoreConfig]:
+    """The command's config object: its defaults, then the --config file's
+    values, then those of --set. A key of another command's object is a
+    ConfigError naming the commands that read it."""
+    cfg = _CONFIGS[args.command]()
+    layers = [] if args.config is None else [
+        (f"config {args.config}", _read_json_object(args.config, "config", ConfigError))]
+    layers.append(("--set", _parse_overrides(args.set)))
+    for source, mapping in layers:
+        for key in mapping:
+            readers = [command for command, cls in _CONFIGS.items() if key in cls.__dataclass_fields__]
+            if readers and args.command not in readers:
+                raise ConfigError(f"{source}: {key} is read by {' and '.join(readers)}, not by {args.command}")
+        cfg = config_from_mapping(mapping, cfg)
     return cfg
-
-
-def _load_artifacts(artifact_dir: Path, cfg: PipelineConfig) -> ArtifactSet:
-    """The command's one artifact load; a speaking network whose input length
-    is not ``window_samples`` fails here, before any session is read."""
-    artifacts = ArtifactSet.load(artifact_dir)
-    fits = {"window_len": _Rule(lambda v: v == cfg.window_samples, f"window_samples = {cfg.window_samples}")}
-    _check_fields(vars(artifacts.speaking), fits, MissingArtifactError,
-                  f"artifact {artifact_dir / SPEAKING_ARTIFACT}: model", unknown_ok=True)
-    return artifacts
 
 
 def _check_gaze_devices(artifacts: ArtifactSet, artifact_dir: Path, manifests) -> None:
     """Fail before any frame file is read when one of ``manifests`` is of a
     device that the gaze regressors lack."""
     for manifest in manifests:
-        if manifest.device_type not in artifacts.gaze:
+        if manifest.device_type not in artifacts.gaze.by_device:
             raise MissingArtifactError(
                 f"artifact {artifact_dir / GAZE_ARTIFACT}: no gaze regressors for device type "
                 f"{manifest.device_type!r} (session {manifest.session_id})"
@@ -250,14 +256,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _load_pipeline_config(args)
+    cfg = _load_config(args)
     written = train_all(args.suite_dir, args.output, cfg, seed=args.seed, only=args.only)
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK
 
 
-def _score_one(manifest, base_dir: Path, cfg: PipelineConfig, artifacts: ArtifactSet) -> DistractionTimeline:
+def _score_one(manifest, base_dir: Path, cfg: ScoreConfig, artifacts: ArtifactSet) -> DistractionTimeline:
     """The session's timeline, not yet written: ``score`` writes every
     session's files once every session has scored."""
     frames = load_session(manifest, base_dir)
@@ -270,12 +276,12 @@ def cmd_score(args: argparse.Namespace) -> int:
     if args.manifest is not None and args.split is not None:
         raise ConfigError("--split does not apply to --manifest: it scores the one session it names")
     split = args.split or "all"
-    cfg = _load_pipeline_config(args)
+    cfg = _load_config(args)
     entries = None if args.suite_dir is None else load_suite(args.suite_dir).by_split(split)
     # the one load per command: it fails before any session is read, and
     # every session scores against it, so each ensemble compiles its lookup
     # tables once (once per worker with --jobs)
-    artifacts = _load_artifacts(args.artifacts, cfg)
+    artifacts = ArtifactSet.load(args.artifacts)
     if entries is None:
         manifests = [(load_manifest(args.manifest), args.manifest.parent)]
     else:
@@ -350,14 +356,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _ablate_one(manifest, base_dir: Path, artifacts: ArtifactSet, variants: list, cfg: PipelineConfig) -> list:
+def _ablate_one(manifest, base_dir: Path, artifacts: ArtifactSet, variants: list, cfg: ScoreConfig) -> list:
     frames, truth = parse_session(manifest, base_dir)
     return ablation_pairs(frames, truth, manifest, artifacts, variants, cfg)
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    cfg = _load_pipeline_config(args)
-    artifacts = _load_artifacts(args.artifacts, cfg)
+    cfg = _load_config(args)
+    artifacts = ArtifactSet.load(args.artifacts)
     selected = select_sessions(args.suite_dir, args.split)
     _check_gaze_devices(artifacts, args.artifacts, [manifest for manifest, _ in selected])
     families = [

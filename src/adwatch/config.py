@@ -1,10 +1,12 @@
 """Pipeline configuration, and the field rules every document is checked by.
 
-All tunable thresholds live here with their defaults. A config can be
-loaded from a JSON file and overridden field by field; unknown keys are
-rejected rather than ignored so typos fail loudly. Each JSON document and
-config object has one table of ``_Rule``s, one per field, that
-``_check_fields`` checks it against.
+Every tunable value lives here with its default, in the config object of
+the command that reads it: ``PipelineConfig`` for ``train``, ``ScoreConfig``
+for ``score`` and ``ablate``. A config is overridden field by field from a
+mapping; a key that is not one of its fields is rejected rather than
+ignored, so typos fail loudly. Each JSON document and config object has one
+table of ``_Rule``s, one per field, that ``_check_fields`` checks it
+against.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Optional, TextIO, Union
+from typing import Callable, Iterator, NamedTuple, TextIO, TypeVar, Union
 
 from .errors import ConfigError
 
@@ -136,10 +138,94 @@ def _check_fields(doc: dict, rules: dict, error: type, where: str, *, unknown_ok
     return values
 
 
+_SCREEN = _pair(_real(0, above=True))
+
+# The fields of each config object, every one of which a config file may
+# leave out. ``train`` reads PipelineConfig's: its model budgets, and the
+# values that shape each model's input, which the artifacts record so that
+# scoring builds the same inputs. ``score`` and ``ablate`` read ScoreConfig's.
+_PIPELINE_RULES = {name: _optional(rule) for name, rule in {
+    "quality_floor": _real(0, 1),               # on the 0-1 tracker quality
+    "window_samples": _int(5),
+    "window_span_s": _real(0, above=True),
+    "min_valid_samples": _int(0),               # and at most window_samples
+    "max_hold_samples": _int(0),
+    "gaze_stages": _int(1),
+    "gaze_depth": _int(1),
+    "yawn_stages": _int(1),
+    "yawn_depth": _int(1),
+    "max_gaze_train_rows": _int(1),
+    "max_yawn_train_rows": _int(1),
+    "cnn_epochs": _int(0),
+    "cnn_learning_rate": _RATE,
+    "cnn_batch_size": _int(1),
+    "max_speaking_train_windows": _int(1),
+    "speaking_window_stride": _int(1),
+}.items()}
+
+_SCORE_RULES = {name: _optional(rule) for name, rule in {
+    "quality_gate": _real(0, 1),                # on the 0-1 tracker quality
+    "margin_cm": _real(0),
+    "pvd_coefficient": _real(0, above=True),
+    "desktop_aspect": _real(0, above=True),
+    "default_desktop_screen_cm": _SCREEN,
+    "mobile_screen_cm": _SCREEN,
+    "orientation_yaw_deg": _real(0),
+    "orientation_face_band": _pair(_real()),    # and increasing, within [0, 1]
+    "orientation_gaze_cm": _real(0),
+    "head_yaw_threshold_deg": _real(0),
+    "head_pitch_threshold_deg": _real(0),
+    "speaking_threshold": _real(0, 1),
+    "speaking_min_event_s": _real(0),           # a run must exceed it; 0 counts every run
+    # eye closure and AU intensities are on a 0-100 scale (FORMATS.md)
+    "closure_gate": _real(0, 100),
+    "au_gate": _real(0, 100),
+    "closure_min_event_s": _real(0),
+    # 0 turns the yawn vote smoothing off
+    "yawn_smooth_s": _real(0),
+    "yawn_threshold": _real(0, 1),
+    "unattended_min_s": _real(0),
+}.items()}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
+    """What ``train`` reads."""
+
+    # model inputs
+    quality_floor: float = 0.3          # gaze rays below it are left out
+    window_samples: int = 30
+    window_span_s: float = 1.0
+    min_valid_samples: int = 15
+    max_hold_samples: int = 5
+    # training
+    gaze_stages: int = 100
+    gaze_depth: int = 3
+    yawn_stages: int = 100
+    yawn_depth: int = 3
+    max_gaze_train_rows: int = 4000
+    max_yawn_train_rows: int = 6000
+    cnn_epochs: int = 50
+    cnn_learning_rate: float = 0.02
+    cnn_batch_size: int = 128
+    max_speaking_train_windows: int = 2000
+    speaking_window_stride: int = 3
+
+    def __post_init__(self) -> None:
+        # a scalar keeps its type, as the artifacts' metadata records it
+        _check_fields(vars(self), _PIPELINE_RULES, ConfigError, "config")
+        if self.min_valid_samples > self.window_samples:
+            raise ConfigError(
+                f"config: min_valid_samples ({self.min_valid_samples}) must not exceed "
+                f"window_samples ({self.window_samples})"
+            )
+
+
+@dataclass(frozen=True)
+class ScoreConfig:
+    """What ``score`` and ``ablate`` read."""
+
     # gaze model
-    quality_floor: float = 0.3          # stats inclusion gate
     quality_gate: float = 0.5           # eye-vs-head source switch
     margin_cm: float = 1.0              # screen boundary tolerance
     pvd_coefficient: float = 3.0        # viewing distance = coeff * screen height
@@ -156,10 +242,6 @@ class PipelineConfig:
     # speaking
     speaking_threshold: float = 0.5
     speaking_min_event_s: float = 1.0
-    window_samples: int = 30
-    window_span_s: float = 1.0
-    min_valid_samples: int = 15
-    max_hold_samples: int = 5
     # drowsiness
     closure_gate: float = 50.0
     au_gate: float = 20.0
@@ -168,86 +250,28 @@ class PipelineConfig:
     yawn_threshold: float = 0.5
     # unattended
     unattended_min_s: float = 1.0
-    # training
-    gaze_stages: int = 100
-    gaze_depth: int = 3
-    yawn_stages: int = 100
-    yawn_depth: int = 3
-    max_gaze_train_rows: int = 4000
-    max_yawn_train_rows: int = 6000
-    cnn_epochs: int = 50
-    cnn_learning_rate: float = 0.02
-    cnn_batch_size: int = 128
-    max_speaking_train_windows: int = 2000
-    speaking_window_stride: int = 3
 
     def __post_init__(self) -> None:
-        checked = _check_fields(vars(self), _CONFIG_RULES, ConfigError, "config")
-        # pairs are stored as tuples of floats; a scalar keeps its type, as
-        # the artifacts' metadata records it
-        for name in _PAIR_FIELDS:
+        checked = _check_fields(vars(self), _SCORE_RULES, ConfigError, "config")
+        # pairs are stored as tuples of floats
+        for name in ("default_desktop_screen_cm", "mobile_screen_cm", "orientation_face_band"):
             object.__setattr__(self, name, checked[name])
         lo, hi = self.orientation_face_band
         if not 0 <= lo < hi <= 1:
             raise ConfigError(
                 f"config: orientation_face_band must be an increasing pair in [0, 1], got {[lo, hi]}"
             )
-        if self.min_valid_samples > self.window_samples:
-            raise ConfigError(
-                f"config: min_valid_samples ({self.min_valid_samples}) must not exceed "
-                f"window_samples ({self.window_samples})"
-            )
 
 
-_PAIR_FIELDS = ("default_desktop_screen_cm", "mobile_screen_cm", "orientation_face_band")
-_SCREEN = _pair(_real(0, above=True))
+_RULES = {PipelineConfig: _PIPELINE_RULES, ScoreConfig: _SCORE_RULES}
 
-# every field may be left out of a config file
-_CONFIG_RULES = {name: _optional(rule) for name, rule in {
-    # the quality gates are on the 0-1 tracker quality
-    "quality_floor": _real(0, 1),
-    "quality_gate": _real(0, 1),
-    "margin_cm": _real(0),
-    "pvd_coefficient": _real(0, above=True),
-    "desktop_aspect": _real(0, above=True),
-    "default_desktop_screen_cm": _SCREEN,
-    "mobile_screen_cm": _SCREEN,
-    "orientation_yaw_deg": _real(0),
-    "orientation_face_band": _pair(_real()),    # and increasing, within [0, 1]
-    "orientation_gaze_cm": _real(0),
-    "head_yaw_threshold_deg": _real(0),
-    "head_pitch_threshold_deg": _real(0),
-    "speaking_threshold": _real(0, 1),
-    "speaking_min_event_s": _real(0),           # a run must exceed it; 0 counts every run
-    "window_samples": _int(5),
-    "window_span_s": _real(0, above=True),
-    "min_valid_samples": _int(0),               # and at most window_samples
-    "max_hold_samples": _int(0),
-    # eye closure and AU intensities are on a 0-100 scale (FORMATS.md)
-    "closure_gate": _real(0, 100),
-    "au_gate": _real(0, 100),
-    "closure_min_event_s": _real(0),
-    # 0 turns the yawn vote smoothing off
-    "yawn_smooth_s": _real(0),
-    "yawn_threshold": _real(0, 1),
-    "unattended_min_s": _real(0),
-    "gaze_stages": _int(1),
-    "gaze_depth": _int(1),
-    "yawn_stages": _int(1),
-    "yawn_depth": _int(1),
-    "max_gaze_train_rows": _int(1),
-    "max_yawn_train_rows": _int(1),
-    "cnn_epochs": _int(0),
-    "cnn_learning_rate": _RATE,
-    "cnn_batch_size": _int(1),
-    "max_speaking_train_windows": _int(1),
-    "speaking_window_stride": _int(1),
-}.items()}
+_Config = TypeVar("_Config", PipelineConfig, ScoreConfig)
 
 
-def config_from_mapping(mapping: dict, base: Optional[PipelineConfig] = None) -> PipelineConfig:
-    base = base or PipelineConfig()
-    _check_fields(mapping, _CONFIG_RULES, ConfigError, "config")
+def config_from_mapping(mapping: dict, base: _Config) -> _Config:
+    """``base`` with the values of ``mapping``, a field name to value map of
+    ``base``'s own fields."""
+    _check_fields(mapping, _RULES[type(base)], ConfigError, "config")
     return replace(base, **mapping)
 
 
@@ -293,6 +317,3 @@ def _replacing(path: PathLike) -> Iterator[TextIO]:
     finally:
         tmp.unlink(missing_ok=True)
 
-
-def load_config(path: PathLike, base: Optional[PipelineConfig] = None) -> PipelineConfig:
-    return config_from_mapping(_read_json_object(Path(path), "config", ConfigError), base=base)

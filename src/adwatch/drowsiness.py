@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .boosting import BoostedEnsemble
-from .config import PipelineConfig
+from .config import ScoreConfig
 from .records import AU_INDEX, MOUTH_LEFT_CORNER, MOUTH_RIGHT_CORNER, FrameArrays
 from .speaking import lip_distance
 
@@ -35,7 +35,7 @@ def mouth_aspect_series(mouth_points: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def refined_eye_closure(
     eye_closure: np.ndarray,
     aus: np.ndarray,
-    config: PipelineConfig,
+    config: ScoreConfig,
 ) -> np.ndarray:
     """Closure flag with the AU12/AU6 exclusion applied."""
     closure = np.asarray(eye_closure, dtype=np.float64) >= config.closure_gate
@@ -69,7 +69,7 @@ def smooth_flags(flags: np.ndarray, w: int) -> np.ndarray:
     return window_sums(flags.astype(np.int64)) * 2 > window_sums(np.ones(n, dtype=np.int64))
 
 
-def yawn_flags(frames: FrameArrays, model: BoostedEnsemble, config: PipelineConfig, w: int) -> np.ndarray:
+def yawn_flags(frames: FrameArrays, model: BoostedEnsemble, config: ScoreConfig, w: int) -> np.ndarray:
     """Per-frame yawn flags smoothed over ``w`` frames; untracked frames never flag."""
     raw = (model.predict(yawn_features(frames)) >= config.yawn_threshold) & frames.face_expr
     return smooth_flags(raw, w) & frames.face_expr

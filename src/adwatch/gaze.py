@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .boosting import BoostedEnsemble
-from .config import PipelineConfig
+from .config import ScoreConfig
 from .errors import DataError
 from .geometry import intersect_gaze_batch
 from .records import FrameArrays
@@ -53,9 +53,17 @@ class SessionGazeStats:
     mean_face_center_x: float
 
 
-def valid_gaze_rays(
-    frames: FrameArrays, quality_floor: float = PipelineConfig().quality_floor
-) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class GazeRegressors:
+    """Each device's x and y fine-tuning regressors, and the quality floor
+    of the rays they were trained on: the rays they correct, the model's
+    input contract, which the gaze artifact records."""
+
+    by_device: dict[str, dict[str, BoostedEnsemble]]
+    min_quality: float
+
+
+def valid_gaze_rays(frames: FrameArrays, quality_floor: float) -> tuple[np.ndarray, np.ndarray]:
     """(valid, points): the frames whose gaze is tracked at or above the
     quality floor, and where each frame's ray meets the screen plane, one
     (n, 2) row per frame. A point is NaN on every frame that is not valid and
@@ -114,7 +122,7 @@ def fine_tune(points: np.ndarray, models: dict[str, BoostedEnsemble]) -> np.ndar
     return points + np.stack([dx, dy], axis=1)
 
 
-def detect_orientation(stats: SessionGazeStats, config: PipelineConfig) -> Orientation:
+def detect_orientation(stats: SessionGazeStats, config: ScoreConfig) -> Orientation:
     """Majority vote of three session-level features; ties fall back to centered.
 
     A clockwise-rotated camera sits to the participant's right, so apparent
@@ -160,7 +168,7 @@ def majority_orientation(votes: list[Orientation]) -> Orientation:
 def estimate_screen(
     stats: SessionGazeStats,
     device_type: str,
-    config: PipelineConfig,
+    config: ScoreConfig,
     orientation: Orientation = Orientation.CENTERED,
     override_cm: Optional[tuple[float, float]] = None,
     use_size_detection: bool = True,

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import ScoreConfig
 from .records import FrameArrays
 
 
@@ -38,7 +38,7 @@ def head_off_screen(
     yaw_deg: np.ndarray,
     pitch_deg: np.ndarray,
     stats: HeadPoseStats,
-    config: PipelineConfig,
+    config: ScoreConfig,
 ) -> np.ndarray:
     """True where the mean-normalized pose exceeds either threshold."""
     yaw_dev = np.abs(np.asarray(yaw_deg, dtype=np.float64) - stats.mean_yaw_deg)

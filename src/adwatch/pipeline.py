@@ -22,12 +22,12 @@ import numpy as np
 from . import artifacts as artifacts_io
 from .artifacts import GAZE_ARTIFACT, SPEAKING_ARTIFACT, YAWN_ARTIFACT
 from .boosting import BoostedEnsemble
-from .cnn import TemporalCnn
-from .config import PipelineConfig
+from .config import ScoreConfig
 from .drowsiness import refined_eye_closure, yawn_flags
 from .errors import MissingArtifactError
 from .fusion import SIGNAL_NAMES, DistractionTimeline, fuse, signal_bits
 from .gaze import (
+    GazeRegressors,
     Orientation,
     ScreenGeometry,
     SessionGazeStats,
@@ -41,7 +41,7 @@ from .gaze import (
 )
 from .head import compute_head_stats, head_off_screen, select_gaze_source
 from .records import FrameArrays, SessionManifest
-from .speaking import speaking_flags
+from .speaking import SpeakingCnn, speaking_flags
 from .temporal import frames_within, long_runs
 
 PathLike = Union[str, Path]
@@ -49,10 +49,11 @@ PathLike = Union[str, Path]
 
 @dataclass
 class ArtifactSet:
-    """The three trained models every session is scored with."""
+    """The three trained models every session is scored with. The gaze and
+    speaking models carry the input contract they were trained at."""
 
-    gaze: dict[str, dict[str, BoostedEnsemble]]
-    speaking: TemporalCnn
+    gaze: GazeRegressors
+    speaking: SpeakingCnn
     yawn: BoostedEnsemble
 
     @classmethod
@@ -141,13 +142,14 @@ class SessionDetectors:
     frames: FrameArrays
     manifest: SessionManifest
     artifacts: ArtifactSet
-    config: PipelineConfig
+    config: ScoreConfig
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @_step
     def rays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(valid, points) of every frame's gaze ray, the valid ones intersected once."""
-        return valid_gaze_rays(self.frames, self.config.quality_floor)
+        """(valid, points) of every frame's gaze ray at the gaze model's
+        quality floor, the valid ones intersected once."""
+        return valid_gaze_rays(self.frames, self.artifacts.gaze.min_quality)
 
     @_step
     def stats(self) -> Optional[SessionGazeStats]:
@@ -179,7 +181,7 @@ class SessionDetectors:
         if normalize:
             points[rows] = normalize_gaze(points[rows], self.stats())
         if tune:
-            points[rows] = fine_tune(points[rows], self.artifacts.gaze[self.manifest.device_type])
+            points[rows] = fine_tune(points[rows], self.artifacts.gaze.by_device[self.manifest.device_type])
         return points
 
     @_step

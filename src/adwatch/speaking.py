@@ -2,7 +2,8 @@
 
 Per frame, the vertical distance between the inner upper and lower lip
 landmarks is computed; a one-second window around each frame is resampled
-to a fixed 30 samples and classified by the temporal CNN. Only runs of
+to a fixed 30 samples and classified by the temporal CNN. How the windows
+are built is the model's own (``LipWindows``), fixed when it is trained. Only runs of
 speaking frames strictly longer than one second count as distraction
 (``temporal.long_runs``; shorter bursts are engaging reactions to the ad,
 not inattention).
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cnn import TemporalCnn
-from .config import PipelineConfig
+from .config import ScoreConfig
 from .errors import DataError
 from .records import MOUTH_LOWER_INNER, MOUTH_UPPER_INNER, FrameArrays
 from .temporal import long_runs
@@ -28,45 +29,70 @@ def lip_distance(mouth_points: np.ndarray) -> np.ndarray:
     return np.linalg.norm(pts[:, MOUTH_UPPER_INNER] - pts[:, MOUTH_LOWER_INNER], axis=1)
 
 
+@dataclass(frozen=True)
+class LipWindows:
+    """How each frame's window of lip distances is built: the speaking
+    CNN's input contract. Training builds its windows by it and the
+    speaking artifact records it, so scoring builds the same ones.
+
+    A frame's window spans the ``span_s`` seconds centred on it, linearly
+    interpolated over timestamps onto ``samples`` points. Gaps where the face
+    was lost are bridged by holding the last valid value for up to
+    ``max_hold`` consecutive source frames; windows touching longer gaps, or
+    whose span holds fewer than ``min_valid`` valid frames, are left
+    unscored.
+    """
+
+    samples: int
+    span_s: float
+    min_valid: int
+    max_hold: int
+
+
+@dataclass(frozen=True)
+class SpeakingCnn:
+    """The speaking network and the windows it reads, of its
+    ``window_len`` samples."""
+
+    net: TemporalCnn
+    windows: LipWindows
+
+    def predict_proba(self, windows: np.ndarray) -> np.ndarray:
+        """The speech probability of each of the (n, samples) ``windows``."""
+        return self.net.predict_proba(windows)
+
+
 @dataclass
 class WindowedSeries:
     """Per-frame resampled windows plus a scored mask."""
 
-    windows: np.ndarray   # (n, window_samples)
+    windows: np.ndarray   # (n, samples)
     scored: np.ndarray    # (n,) bool
 
 
-def build_windows(frames: FrameArrays, config: PipelineConfig) -> WindowedSeries:
-    """Resample the lip series into one window per frame.
-
-    A frame's window spans the second centered on it, linearly interpolated
-    over timestamps onto ``window_samples`` points. Gaps where the face was
-    lost are bridged by holding the last valid value for up to
-    ``max_hold_samples`` consecutive source frames; windows touching longer
-    gaps, or whose surrounding second holds fewer than ``min_valid_samples``
-    valid frames, are left unscored.
-    """
+def build_windows(frames: FrameArrays, lip: LipWindows) -> WindowedSeries:
+    """Resample the lip series into one window per frame, as ``lip`` says."""
     n = len(frames)
     times = frames.timestamp_ms / 1000.0
     valid = frames.face_expr.copy()
     dist = lip_distance(frames.mouth)
 
-    windows = np.zeros((n, config.window_samples), dtype=np.float64)
+    windows = np.zeros((n, lip.samples), dtype=np.float64)
     scored = np.zeros(n, dtype=bool)
     if not np.any(valid):
         return WindowedSeries(windows=windows, scored=scored)
 
     # frames inside invalid runs longer than the hold budget poison windows
-    unfillable = long_runs(~valid, config.max_hold_samples)
+    unfillable = long_runs(~valid, lip.max_hold)
 
     vt = times[valid]
     vd = dist[valid]
-    half = config.window_span_s / 2.0
+    half = lip.span_s / 2.0
     grid = (
         times[:, None]
-        + np.linspace(-half, half, config.window_samples)[None, :]
+        + np.linspace(-half, half, lip.samples)[None, :]
     )
-    windows = np.interp(grid.ravel(), vt, vd).reshape(n, config.window_samples)
+    windows = np.interp(grid.ravel(), vt, vd).reshape(n, lip.samples)
 
     # count valid source frames inside each window span
     cum = np.concatenate(([0], np.cumsum(valid.astype(np.int64))))
@@ -78,20 +104,21 @@ def build_windows(frames: FrameArrays, config: PipelineConfig) -> WindowedSeries
     cum_bad = np.concatenate(([0], np.cumsum(unfillable.astype(np.int64))))
     bad_counts = cum_bad[hi] - cum_bad[lo]
 
-    scored = (valid_counts >= config.min_valid_samples) & (bad_counts == 0)
+    scored = (valid_counts >= lip.min_valid) & (bad_counts == 0)
     return WindowedSeries(windows=windows, scored=scored)
 
 
-def speaking_flags(frames: FrameArrays, net: TemporalCnn, config: PipelineConfig) -> np.ndarray:
-    """Per-frame speaking flags; unscored frames inherit the nearest scored
-    frame's flag (earlier frame on ties), all-false when nothing scored."""
-    series = build_windows(frames, config)
+def speaking_flags(frames: FrameArrays, model: SpeakingCnn, config: ScoreConfig) -> np.ndarray:
+    """Per-frame speaking flags of the windows ``model`` reads; unscored
+    frames inherit the nearest scored frame's flag (earlier frame on ties),
+    all-false when nothing scored."""
+    series = build_windows(frames, model.windows)
     n = len(frames)
     flags = np.zeros(n, dtype=bool)
     scored_idx = np.flatnonzero(series.scored)
     if scored_idx.size == 0:
         return flags
-    probs = net.predict_proba(series.windows[scored_idx])
+    probs = model.predict_proba(series.windows[scored_idx])
     flags[scored_idx] = probs >= config.speaking_threshold
     unscored = np.flatnonzero(~series.scored)
     if unscored.size:
@@ -108,7 +135,7 @@ def speaking_flags(frames: FrameArrays, net: TemporalCnn, config: PipelineConfig
 def assemble_training_windows(
     frames: FrameArrays,
     speak_active: np.ndarray,
-    config: PipelineConfig,
+    lip: LipWindows,
     stride: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Extract (windows, labels) pairs for CNN training from one session.
@@ -118,6 +145,6 @@ def assemble_training_windows(
     """
     if len(speak_active) != len(frames):
         raise DataError("speak_active length does not match session")
-    series = build_windows(frames, config)
+    series = build_windows(frames, lip)
     idx = np.flatnonzero(series.scored)[::stride]
     return series.windows[idx], np.asarray(speak_active, dtype=np.float64)[idx]

@@ -41,14 +41,14 @@ import numpy as np
 from . import artifacts as artifacts_io
 from .artifacts import GAZE_ARTIFACT, SPEAKING_ARTIFACT, YAWN_ARTIFACT
 from .boosting import LEARNING_RATE, BoostConfig, BoostedEnsemble, MODE_CLASSIFICATION, fit_boosted
-from .cnn import CnnTrainConfig, TemporalCnn, train_cnn
+from .cnn import CnnTrainConfig, train_cnn
 from .config import _SEED, PipelineConfig, _check_fields
 from .errors import ConfigError, DataError
 from .fusion import DistractionTimeline
-from .gaze import compute_session_stats, normalize_gaze, valid_gaze_rays
+from .gaze import GazeRegressors, compute_session_stats, normalize_gaze, valid_gaze_rays
 from .records import FrameArrays, SessionManifest
 from .session_io import load_session, read_timeline
-from .speaking import assemble_training_windows
+from .speaking import LipWindows, SpeakingCnn, assemble_training_windows
 from .drowsiness import yawn_features
 from .synth import load_entry_manifest, load_suite
 
@@ -238,7 +238,7 @@ def gaze_training_rows(
 
 def train_gaze_regressors(
     sessions: list[Session], config: PipelineConfig, seed: int = 0
-) -> tuple[dict[str, dict[str, BoostedEnsemble]], dict]:
+) -> tuple[GazeRegressors, dict]:
     rows = gaze_training_rows(sessions, config)
     rng = np.random.default_rng(seed)
     models: dict[str, dict[str, BoostedEnsemble]] = {}
@@ -265,22 +265,29 @@ def train_gaze_regressors(
         },
         "n_devices": len(models),
     }
-    return models, metadata
+    return GazeRegressors(models, config.quality_floor), metadata
 
 
 # ---------------------------------------------------------------------------
 # speaking CNN
 # ---------------------------------------------------------------------------
 
+def lip_windows(config: PipelineConfig) -> LipWindows:
+    """The windows the speaking CNN trains on, and then reads."""
+    return LipWindows(config.window_samples, config.window_span_s, config.min_valid_samples,
+                      config.max_hold_samples)
+
+
 def speaking_training_set(
     sessions: list[Session], config: PipelineConfig, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
+    lip = lip_windows(config)
     windows, labels = [], []
     for frames, truth, _ in sessions:
         if truth.activity is None:
             raise DataError("speaking training needs generator activity labels")
         active = np.array([a == "speak" for a in truth.activity])
-        w, l = assemble_training_windows(frames, active, config, stride=config.speaking_window_stride)
+        w, l = assemble_training_windows(frames, active, lip, stride=config.speaking_window_stride)
         windows.append(w)
         labels.append(l)
     X = np.concatenate(windows)
@@ -293,7 +300,7 @@ def speaking_training_set(
 
 def train_speaking_cnn(
     sessions: list[Session], config: PipelineConfig, seed: int = 0
-) -> tuple[TemporalCnn, dict]:
+) -> tuple[SpeakingCnn, dict]:
     X, y = speaking_training_set(sessions, config, seed=seed)
     _check_both_classes("speaking CNN", y, "windows")
     net = train_cnn(
@@ -313,12 +320,11 @@ def train_speaking_cnn(
             "epochs": config.cnn_epochs,
             "learning_rate": config.cnn_learning_rate,
             "batch_size": config.cnn_batch_size,
-            "window_samples": config.window_samples,
         },
         "n_windows": int(len(X)),
         "positive_fraction": float(np.mean(y)),
     }
-    return net, metadata
+    return SpeakingCnn(net, lip_windows(config)), metadata
 
 
 # ---------------------------------------------------------------------------

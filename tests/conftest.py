@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adwatch.config import PipelineConfig
+from adwatch.config import PipelineConfig, ScoreConfig
 from adwatch.pipeline import ArtifactSet, SessionDetectors
 from adwatch.records import FrameArrays, SessionManifest
 from adwatch.synth import SuiteConfig, build_suite_scripts, generate
@@ -28,7 +28,7 @@ def sessions_from_config(suite: SuiteConfig):
     return out
 
 
-def unattended_of(no_face_expr, no_face_gaze, frame_rate_hz=30.0, config=PipelineConfig()):
+def unattended_of(no_face_expr, no_face_gaze, frame_rate_hz=30.0, config=ScoreConfig()):
     """``SessionDetectors.unattended`` of a session whose expression and gaze
     trackers lose the face on the flagged frames; it reads no model."""
     n = len(no_face_expr)
@@ -45,6 +45,12 @@ def unattended_of(no_face_expr, no_face_gaze, frame_rate_hz=30.0, config=Pipelin
 
 @pytest.fixture(scope="session")
 def config():
+    """What scoring reads."""
+    return ScoreConfig()
+
+
+@pytest.fixture(scope="session")
+def train_config():
     return PipelineConfig()
 
 
@@ -69,12 +75,12 @@ def heldout_sessions(mixed_suite):
 
 
 @pytest.fixture(scope="session")
-def artifacts(train_sessions, config):
+def artifacts(train_sessions, train_config):
     """All three trained models, shared across the whole test run."""
-    gaze, _ = train_gaze_regressors(train_sessions, config, seed=1)
-    net, _ = train_speaking_cnn(train_sessions, config, seed=1)
-    yawn, _ = train_yawn_classifier(train_sessions, config, seed=1)
-    return ArtifactSet(gaze=gaze, speaking=net, yawn=yawn)
+    gaze, _ = train_gaze_regressors(train_sessions, train_config, seed=1)
+    speaking, _ = train_speaking_cnn(train_sessions, train_config, seed=1)
+    yawn, _ = train_yawn_classifier(train_sessions, train_config, seed=1)
+    return ArtifactSet(gaze=gaze, speaking=speaking, yawn=yawn)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

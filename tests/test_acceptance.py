@@ -15,7 +15,7 @@ import pytest
 from adwatch.boosting import BoostConfig, fit_boosted
 from adwatch.cli import main as cli_main
 from adwatch.cnn import gradient_check
-from adwatch.config import PipelineConfig
+from adwatch.config import PipelineConfig, ScoreConfig
 from adwatch.evaluation import pooled_report, roc_auc, run_ablation
 from adwatch.gaze import (
     Orientation,
@@ -37,7 +37,7 @@ from adwatch.temporal import frames_within, long_runs
 from conftest import sessions_from_config, unattended_of
 from oracles import line_sampling_intersection_batch, macro_f1
 
-CFG = PipelineConfig()
+CFG = ScoreConfig()
 
 
 def report(criterion: str, detail: str) -> None:
@@ -169,19 +169,19 @@ def test_criterion_05_ablation_distraction_signals(eval_suite_50, artifacts, con
     report("criterion 5", " | ".join(details))
 
 
-def test_criterion_06_speaking_cnn(heldout_sessions, artifacts, config):
+def test_criterion_06_speaking_cnn(heldout_sessions, artifacts, train_config):
     from adwatch.training import speaking_training_set
 
-    X, y = speaking_training_set(heldout_sessions, config, seed=55)
+    X, y = speaking_training_set(heldout_sessions, train_config, seed=55)
     auc = roc_auc(artifacts.speaking.predict_proba(X), y > 0.5)
     assert auc >= 0.95
     rng = np.random.default_rng(3)
-    err = gradient_check(artifacts.speaking, rng.normal(0.05, 0.03, 30), 1.0)
+    err = gradient_check(artifacts.speaking.net, rng.normal(0.05, 0.03, 30), 1.0)
     assert err <= 1e-4
     report("criterion 6", f"held-out ROC-AUC {auc:.4f}; gradient check {err:.2e}")
 
 
-def test_criterion_07_yawn_classifier(artifacts, config):
+def test_criterion_07_yawn_classifier(artifacts, train_config):
     from adwatch.training import yawn_training_set
 
     eval_suite = sessions_from_config(
@@ -189,7 +189,7 @@ def test_criterion_07_yawn_classifier(artifacts, config):
                     train_fraction=0.0, yawn_prevalence=0.026)
     )
     sessions = [(f, t, m) for f, t, m, _ in eval_suite]
-    X, y = yawn_training_set(sessions, config, seed=66)
+    X, y = yawn_training_set(sessions, train_config, seed=66)
     prevalence = float(np.mean(y))
     auc = roc_auc(artifacts.yawn.predict(X), y > 0.5)
     assert auc >= 0.95
@@ -201,7 +201,7 @@ def orientation_macro_f1(scripts, config) -> float:
     truth, predicted = [], []
     for script in scripts:
         frames, _ = generate(script)
-        stats = compute_session_stats(frames, valid_gaze_rays(frames, config.quality_floor))
+        stats = compute_session_stats(frames, valid_gaze_rays(frames, PipelineConfig().quality_floor))
         predicted.append(detect_orientation(stats, config).value)
         truth.append(script.orientation)
     labels = ["centered", "clockwise", "anticlockwise"]

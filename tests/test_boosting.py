@@ -575,7 +575,7 @@ def test_fitted_depth_3_ensemble_compiles_to_contiguous_tables():
 def test_trained_ensembles_match_walk(artifacts, heldout_sessions):
     rng = np.random.default_rng(4)
     feats = np.concatenate([yawn_features(frames) for frames, _, _ in heldout_sessions])
-    models = [artifacts.yawn] + [m for pair in artifacts.gaze.values() for m in pair.values()]
+    models = [artifacts.yawn] + [m for pair in artifacts.gaze.by_device.values() for m in pair.values()]
     assert len(models) == 5
     for model in models:
         if model is artifacts.yawn:

@@ -4,14 +4,15 @@ import os
 import shutil
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from adwatch import training
-from adwatch.cli import build_parser, main
+from adwatch.cli import _load_config, build_parser, main
+from adwatch.config import PipelineConfig, ScoreConfig
 from adwatch.errors import DataError
 from adwatch.fusion import SIGNAL_NAMES
 from adwatch.pipeline import ArtifactSet
@@ -285,7 +286,7 @@ def test_train_produces_three_loadable_artifacts(trained):
     arts = ArtifactSet.load(art)
     assert arts.speaking is not None
     assert arts.yawn is not None
-    assert set(arts.gaze) == {"desktop", "mobile"}
+    assert set(arts.gaze.by_device) == {"desktop", "mobile"}
 
 
 def test_train_only_speaking(tmp_path, trained):
@@ -418,10 +419,10 @@ def test_train_only_gaze_on_a_suite_without_speech_or_yawns(gaze_offset_suite, t
 
 
 class EmptyModel:
-    """Encodes as a model of any kind with nothing in it."""
+    """Encodes as a gaze or yawn model with nothing in it."""
 
-    def items(self):
-        return ()
+    by_device: dict = {}
+    min_quality = 0.0
 
     def to_dict(self):
         return {}
@@ -579,13 +580,14 @@ def test_out_of_range_training_value_exits_2(trained, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("item", ['quality_gate="abc"', "window_samples=5.5"])
-def test_mistyped_scoring_value_exits_2(trained, tmp_path, capsys, item):
+@pytest.mark.parametrize("command, item", [("score", 'quality_gate="abc"'), ("train", "window_samples=5.5")])
+def test_mistyped_config_value_exits_2(trained, tmp_path, capsys, command, item):
     _, suite, art, _ = trained
-    code = main(["score", "--suite-dir", str(suite), "--artifacts", str(art),
-                 "--set", item, "--output", str(tmp_path / "s")])
+    artifacts = [] if command == "train" else ["--artifacts", str(art)]
+    code = main([command, "--suite-dir", str(suite), *artifacts, "--set", item, "--output", str(tmp_path / "s")])
     assert code == 2
-    assert item.split("=")[0] in capsys.readouterr().err
+    assert f"config: {item.split('=')[0]} must be" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_score_suite_and_evaluate(trained, tmp_path):
@@ -758,6 +760,21 @@ ARTIFACT_MUTATIONS = [
                  id="gaze_feature_past_the_end"),
     pytest.param("gaze_regressors.json", "models.desktop: missing key y",
                  lambda doc: doc["models"][sorted(doc["models"])[0]].pop("y"), id="gaze_missing_axis"),
+    # the input contract each model records
+    pytest.param("speaking_cnn.json", "missing key window_span_s", lambda doc: doc.pop("window_span_s"),
+                 id="speaking_no_span"),
+    pytest.param("speaking_cnn.json", "missing key min_valid_samples", lambda doc: doc.pop("min_valid_samples"),
+                 id="speaking_no_min_valid"),
+    pytest.param("speaking_cnn.json", "missing key max_hold_samples", lambda doc: doc.pop("max_hold_samples"),
+                 id="speaking_no_hold"),
+    pytest.param("speaking_cnn.json", "window_span_s must be a finite number > 0, got 0",
+                 lambda doc: doc.update(window_span_s=0), id="speaking_span_0"),
+    pytest.param("speaking_cnn.json", "min_valid_samples (31) must not exceed model.window_len (30)",
+                 lambda doc: doc.update(min_valid_samples=31), id="speaking_min_valid_above_window_len"),
+    pytest.param("gaze_regressors.json", "missing key quality_floor", lambda doc: doc.pop("quality_floor"),
+                 id="gaze_no_floor"),
+    pytest.param("gaze_regressors.json", "quality_floor must be a finite number in [0, 1], got 1.5",
+                 lambda doc: doc.update(quality_floor=1.5), id="gaze_floor_1_5"),
 ]
 
 
@@ -848,15 +865,44 @@ def test_ablate_with_a_gaze_device_gap_exits_4_before_opening_any_frame_file(tra
 
 
 @pytest.mark.parametrize("command", ["score", "ablate"])
-def test_window_samples_that_do_not_fit_the_speaking_cnn_exit_4(trained, tmp_path, capsys, command):
+def test_window_samples_at_score_time_exits_2_naming_train(trained, tmp_path, capsys, monkeypatch, command):
+    # the speaking network's input length is its artifact's window_len, which
+    # only train sets; an artifact whose contract breaks its rules exits 4
+    # (test_malformed_artifact_exits_4)
     _, suite, art, _ = trained
+    loads = count_frame_loads(monkeypatch)
     code = main([command, "--suite-dir", str(suite), "--artifacts", str(art),
                  "--set", "window_samples=40", "--output", str(tmp_path / "o")])
-    err = capsys.readouterr().err
-    assert code == 4, err
-    assert (f"artifact {art / 'speaking_cnn.json'}: model: window_len must be "
-            "window_samples = 40, got 30") in err
-    assert not (tmp_path / "o").exists()
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: --set: window_samples is read by train, not by {command}\n"
+    assert loads == [] and not (tmp_path / "o").exists()
+
+
+def as_before_the_contract(doc):
+    """An artifact document as it was written before it recorded its input
+    contract: the speaking CNN's sample count in its metadata instead."""
+    for key in ("quality_floor", "window_span_s", "min_valid_samples", "max_hold_samples"):
+        doc.pop(key, None)
+    if doc["kind"] == "speaking_cnn":
+        doc["metadata"]["hyperparameters"]["window_samples"] = doc["model"]["window_len"]
+
+
+@pytest.mark.parametrize("command", ["score", "ablate"])
+@pytest.mark.parametrize("name, key", [("gaze_regressors.json", "quality_floor"),
+                                       ("speaking_cnn.json", "window_span_s")])
+def test_artifact_without_its_input_contract_exits_4_naming_the_file_and_key(
+        trained, tmp_path, capsys, monkeypatch, command, name, key):
+    _, suite, art, _ = trained
+    old = tmp_path / "artifacts"
+    shutil.copytree(art, old)
+    doc = json.loads((old / name).read_text())
+    as_before_the_contract(doc)
+    (old / name).write_text(json.dumps(doc))
+    loads = count_frame_loads(monkeypatch)
+    out = tmp_path / "o"
+    assert main([command, "--suite-dir", str(suite), "--artifacts", str(old), "--output", str(out)]) == 4
+    assert capsys.readouterr().err == f"missing artifact: artifact {old / name}: missing key {key}\n"
+    assert loads == [] and not out.exists()
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -1559,10 +1605,9 @@ def test_kept_seed_and_config_flags_parse(command, flags):
 
 
 def test_ablate_renders_tables(trained, tmp_path):
-    _, suite, art, cfg = trained
+    _, suite, art, _ = trained
     out = tmp_path / "abl"
-    assert main(["ablate", "--suite-dir", str(suite), "--artifacts", str(art),
-                 "--config", str(cfg), "--split", "held_out",
+    assert main(["ablate", "--suite-dir", str(suite), "--artifacts", str(art), "--split", "held_out",
                  "--output", str(out)]) == 0
     text = (out / "ablation.txt").read_text()
     assert "w/o normalization" in text
@@ -1574,7 +1619,7 @@ def test_ablate_renders_tables(trained, tmp_path):
 @pytest.mark.parametrize("sessions, split", [(4, "held_out"), (6, "train"), (6, "all")])
 def test_ablate_writes_the_same_bytes_in_one_process_and_in_two(trained, tmp_path, monkeypatch, sessions, split):
     # the 6-session suite's train split has 3 sessions: this process scores two
-    from adwatch.config import PipelineConfig
+    from adwatch.config import ScoreConfig
     from adwatch.evaluation import AblationTable, run_ablation
     from adwatch.pipeline import TABLE1_VARIANTS, TABLE3_VARIANTS
 
@@ -1597,7 +1642,7 @@ def test_ablate_writes_the_same_bytes_in_one_process_and_in_two(trained, tmp_pat
     assert trees[1] == trees[2]
     # the command and the library harness share one scoring loop
     rows = run_ablation(training.load_suite_sessions(suite, split), ArtifactSet.load(art),
-                        TABLE1_VARIANTS + TABLE3_VARIANTS, PipelineConfig()).rows
+                        TABLE1_VARIANTS + TABLE3_VARIANTS, ScoreConfig()).rows
     assert json.loads(trees[1]["ablation.json"]) == {
         "processing_steps": AblationTable(rows[: len(TABLE1_VARIANTS)]).to_dict(),
         "distraction_signals": AblationTable(rows[len(TABLE1_VARIANTS):]).to_dict(),
@@ -1605,12 +1650,73 @@ def test_ablate_writes_the_same_bytes_in_one_process_and_in_two(trained, tmp_pat
 
 
 def test_ablate_single_family_matches_its_slice_of_both(trained, tmp_path):
-    _, suite, art, cfg = trained
+    _, suite, art, _ = trained
     docs = {}
     for tables in ("both", "steps", "signals"):
         out = tmp_path / tables
         assert main(["ablate", "--suite-dir", str(suite), "--artifacts", str(art),
-                     "--config", str(cfg), "--tables", tables, "--output", str(out)]) == 0
+                     "--tables", tables, "--output", str(out)]) == 0
         docs[tables] = json.loads((out / "ablation.json").read_text())
     assert docs["steps"] == {"processing_steps": docs["both"]["processing_steps"]}
     assert docs["signals"] == {"distraction_signals": docs["both"]["distraction_signals"]}
+
+
+# the config object each command reads
+READS = {"train": PipelineConfig, "score": ScoreConfig, "ablate": ScoreConfig}
+# (command, field, its default, the object that has it) for every field of both objects
+CONFIG_FIELDS = [(command, f.name, f.default, owner) for command in READS
+                 for owner in (PipelineConfig, ScoreConfig) for f in fields(owner)]
+
+
+def config_flags(tmp_path, source, name, value) -> list[str]:
+    """The flags that set config field ``name`` to ``value`` through ``source``."""
+    if source == "--set":
+        return ["--set", f"{name}={json.dumps(value)}"]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({name: value}))
+    return ["--config", str(path)]
+
+
+@pytest.mark.parametrize("source", ["--set", "--config"])
+@pytest.mark.parametrize("command, name, default, owner", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in CONFIG_FIELDS if case[3] is not READS[case[0]]
+])
+def test_a_config_field_the_command_does_not_read_exits_2_naming_its_reader(
+        trained, tmp_path, capsys, monkeypatch, source, command, name, default, owner):
+    _, suite, art, _ = trained
+    readers = " and ".join(c for c, cls in READS.items() if cls is owner)
+    artifacts = [] if command == "train" else ["--artifacts", str(art)]
+    loads = count_frame_loads(monkeypatch)
+    out = tmp_path / "o"
+    flags = config_flags(tmp_path, source, name, default)
+    assert main([command, "--suite-dir", str(suite), *artifacts, *flags, "--output", str(out)]) == 2
+    where = "--set" if source == "--set" else f"config {tmp_path / 'c.json'}"
+    assert capsys.readouterr().err == f"config error: {where}: {name} is read by {readers}, not by {command}\n"
+    assert loads == [] and not out.exists()
+
+
+@pytest.mark.parametrize("source", ["--set", "--config"])
+@pytest.mark.parametrize("command, name, default, owner", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in CONFIG_FIELDS if case[3] is READS[case[0]]
+])
+def test_a_config_field_the_command_reads_is_accepted(tmp_path, source, command, name, default, owner):
+    flags = config_flags(tmp_path, source, name, default)
+    cfg = _load_config(build_parser().parse_args([command, *REQUIRED[command], *flags, "--output", "o"]))
+    assert type(cfg) is owner and getattr(cfg, name) == default
+
+
+@pytest.mark.parametrize("command, item", [
+    ("train", "window_span_s=1.0"), ("score", "speaking_threshold=0.5"), ("ablate", "quality_gate=0.5"),
+])
+def test_a_read_field_at_its_default_changes_no_output_byte(trained, tmp_path, command, item):
+    _, suite, art, cfg = trained
+    argv = ["train", "--config", str(cfg), "--seed", "3"] if command == "train" else [command, "--artifacts", str(art)]
+
+    def run(*extra):
+        out = tmp_path / f"o{len(extra)}"
+        assert main([*argv, "--suite-dir", str(suite), *extra, "--output", str(out)]) == 0
+        return tree_bytes(out)
+
+    # the fixture's artifacts are train's plain run
+    plain = tree_bytes(art) if command == "train" else run()
+    assert plain and run("--set", item) == plain

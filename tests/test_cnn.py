@@ -488,8 +488,8 @@ def test_shorter_budget_is_a_prefix_of_the_longer_schedule(toy_set):
 
 def test_speaking_cnn_trains_for_the_configured_epochs(train_sessions, artifacts):
     config = PipelineConfig(cnn_epochs=4, max_speaking_train_windows=300)
-    net, metadata = train_speaking_cnn(train_sessions, config, seed=1)
+    model, metadata = train_speaking_cnn(train_sessions, config, seed=1)
     assert metadata["hyperparameters"]["epochs"] == config.cnn_epochs
-    assert len(net.train_loss_curve) == config.cnn_epochs
+    assert len(model.net.train_loss_curve) == config.cnn_epochs
     # the shared fixture trains at the default budget
-    assert len(artifacts.speaking.train_loss_curve) == PipelineConfig().cnn_epochs
+    assert len(artifacts.speaking.net.train_loss_curve) == PipelineConfig().cnn_epochs

@@ -6,16 +6,18 @@ import pytest
 from adwatch.boosting import _BOOST_RULES, BoostConfig
 from adwatch.cnn import _TRAIN_RULES, CnnTrainConfig
 from adwatch.config import (
-    _CONFIG_RULES,
+    _PIPELINE_RULES,
+    _SCORE_RULES,
     PipelineConfig,
+    ScoreConfig,
     _check_fields,
     _int,
     _optional,
     _or_null,
     _pair,
+    _read_json_object,
     _real,
     config_from_mapping,
-    load_config,
 )
 from adwatch.errors import ConfigError
 from adwatch.records import _MANIFEST_RULES, SessionManifest
@@ -31,50 +33,68 @@ from adwatch.synth import (
 )
 
 
-def config_to_dict(cfg: PipelineConfig) -> dict:
+def config_to_dict(cfg) -> dict:
     """The config as ``config_from_mapping`` reads it: pairs as lists."""
     return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(cfg).items()}
 
 
+def holder(key: str):
+    """A default instance of the config object that has the field ``key``."""
+    return PipelineConfig() if key in _PIPELINE_RULES else ScoreConfig()
+
+
 def test_defaults_are_sane():
-    cfg = PipelineConfig()
-    assert cfg.quality_floor <= cfg.quality_gate
-    assert cfg.speaking_min_event_s == 1.0
-    assert cfg.closure_min_event_s == 2.0
-    assert cfg.unattended_min_s == 1.0
-    assert cfg.window_samples == 30
+    train, score = PipelineConfig(), ScoreConfig()
+    assert train.quality_floor <= score.quality_gate
+    assert score.speaking_min_event_s == 1.0
+    assert score.closure_min_event_s == 2.0
+    assert score.unattended_min_s == 1.0
+    assert train.window_samples == 30
+
+
+def test_the_two_objects_split_the_fields_by_reader():
+    # train reads 16 fields, score and ablate 19; no field is in both
+    train = {f.name for f in fields(PipelineConfig)}
+    score = {f.name for f in fields(ScoreConfig)}
+    assert (len(train), len(score)) == (16, 19)
+    assert not train & score
 
 
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError, match=r"^config: unknown keys \['margn_cm'\]$"):
-        config_from_mapping({"margn_cm": 2.0})
+        config_from_mapping({"margn_cm": 2.0}, ScoreConfig())
+    # a field of the other object is not one of this one's
+    with pytest.raises(ConfigError, match=r"^config: unknown keys \['window_span_s'\]$"):
+        config_from_mapping({"window_span_s": 1.0}, ScoreConfig())
+    with pytest.raises(ConfigError, match=r"^config: unknown keys \['margin_cm'\]$"):
+        config_from_mapping({"margin_cm": 1.0}, PipelineConfig())
 
 
 def test_file_overrides_defaults(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"margin_cm": 2.5, "mobile_screen_cm": [15.0, 7.5]}))
-    cfg = load_config(path)
+    cfg = config_from_mapping(_read_json_object(path, "config", ConfigError), ScoreConfig())
     assert cfg.margin_cm == 2.5
     assert cfg.mobile_screen_cm == (15.0, 7.5)
-    assert cfg.quality_gate == PipelineConfig().quality_gate
+    assert cfg.quality_gate == ScoreConfig().quality_gate
 
 
 def test_layered_overrides():
-    base = config_from_mapping({"margin_cm": 2.5})
-    top = config_from_mapping({"quality_gate": 0.6}, base=base)
+    base = config_from_mapping({"margin_cm": 2.5}, ScoreConfig())
+    top = config_from_mapping({"quality_gate": 0.6}, base)
     assert top.margin_cm == 2.5
     assert top.quality_gate == 0.6
 
 
 def test_validation_failures():
     with pytest.raises(ConfigError):
-        config_from_mapping({"quality_gate": 1.5})
+        config_from_mapping({"quality_gate": 1.5}, ScoreConfig())
     with pytest.raises(ConfigError):
-        config_from_mapping({"pvd_coefficient": 0.0})
+        config_from_mapping({"pvd_coefficient": 0.0}, ScoreConfig())
     with pytest.raises(ConfigError):
-        config_from_mapping({"mobile_screen_cm": [0.0, 7.0]})
+        config_from_mapping({"mobile_screen_cm": [0.0, 7.0]}, ScoreConfig())
     with pytest.raises(ConfigError):
-        config_from_mapping({"mobile_screen_cm": "wide"})
+        config_from_mapping({"mobile_screen_cm": "wide"}, ScoreConfig())
 
 
 @pytest.mark.parametrize(
@@ -97,11 +117,11 @@ def test_validation_failures():
 )
 def test_validation_failures_training_fields(key, value):
     with pytest.raises(ConfigError, match=key):
-        config_from_mapping({key: value})
+        config_from_mapping({key: value}, PipelineConfig())
 
 
 def test_training_field_limits_accepted():
-    cfg = config_from_mapping({"cnn_epochs": 0, "cnn_learning_rate": 1, "gaze_depth": 1})
+    cfg = config_from_mapping({"cnn_epochs": 0, "cnn_learning_rate": 1, "gaze_depth": 1}, PipelineConfig())
     assert (cfg.cnn_epochs, cfg.cnn_learning_rate, cfg.gaze_depth) == (0, 1, 1)
 
 
@@ -138,33 +158,38 @@ def test_training_field_limits_accepted():
     ],
 )
 def test_validation_failures_scoring_fields(key, value):
+    # each on the object that has the field: the model-input ones are train's
     with pytest.raises(ConfigError, match=key):
-        config_from_mapping({key: value})
+        config_from_mapping({key: value}, holder(key))
 
 
-def test_scoring_field_limits_accepted():
-    limits = {
-        "quality_floor": 0, "quality_gate": 1, "speaking_threshold": 1, "yawn_threshold": 0,
-        "closure_gate": 100, "au_gate": 0, "margin_cm": 0, "yawn_smooth_s": 0,
-        "speaking_min_event_s": 0, "window_span_s": 0.25, "min_valid_samples": 30,
-        "max_hold_samples": 0, "orientation_face_band": [0, 1],
-    }
-    cfg = config_from_mapping(limits)
-    assert config_to_dict(cfg) == {**config_to_dict(PipelineConfig()), **limits}
+@pytest.mark.parametrize("limits", [
+    {"quality_gate": 1, "speaking_threshold": 1, "yawn_threshold": 0, "closure_gate": 100, "au_gate": 0,
+     "margin_cm": 0, "yawn_smooth_s": 0, "speaking_min_event_s": 0, "orientation_face_band": [0, 1]},
+    {"quality_floor": 0, "window_span_s": 0.25, "min_valid_samples": 30, "max_hold_samples": 0},
+], ids=["score", "model_inputs"])
+def test_scoring_field_limits_accepted(limits):
+    base = holder(next(iter(limits)))
+    cfg = config_from_mapping(limits, base)
+    assert config_to_dict(cfg) == {**config_to_dict(base), **limits}
 
 
 def test_missing_or_invalid_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
-        load_config(tmp_path / "nope.json")
+        _read_json_object(tmp_path / "nope.json", "config", ConfigError)
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="object"):
-        load_config(bad)
+        _read_json_object(bad, "config", ConfigError)
 
 
-def test_round_trip_through_dict():
-    cfg = config_from_mapping({"margin_cm": 3.0})
-    again = config_from_mapping(config_to_dict(cfg))
+@pytest.mark.parametrize("mapping, base", [
+    ({"margin_cm": 3.0}, ScoreConfig()),
+    ({"window_span_s": 2.0}, PipelineConfig()),
+], ids=["score", "train"])
+def test_round_trip_through_dict(mapping, base):
+    cfg = config_from_mapping(mapping, base)
+    again = config_from_mapping(config_to_dict(cfg), base)
     assert again == cfg
 
 
@@ -180,17 +205,18 @@ def test_round_trip_through_dict():
 def test_constructor_validates(key, value):
     # configs built in code are checked like those read from files
     with pytest.raises(ConfigError, match=key):
-        PipelineConfig(**{key: value})
+        type(holder(key))(**{key: value})
 
 
 def test_constructor_stores_pairs_as_float_tuples():
-    cfg = PipelineConfig(mobile_screen_cm=[15, 7])
+    cfg = ScoreConfig(mobile_screen_cm=[15, 7])
     assert cfg.mobile_screen_cm == (15.0, 7.0)
     assert all(type(v) is float for v in cfg.mobile_screen_cm)
 
 
 @pytest.mark.parametrize("cls, rules", [
-    (PipelineConfig, _CONFIG_RULES),
+    (PipelineConfig, _PIPELINE_RULES),
+    (ScoreConfig, _SCORE_RULES),
     (ScenarioScript, _SCRIPT_RULES),
     (Segment, _SEGMENT_RULES),
     (SessionManifest, _MANIFEST_RULES),

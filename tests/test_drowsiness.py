@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adwatch.boosting import MODE_CLASSIFICATION, BoostedEnsemble
-from adwatch.config import PipelineConfig
+from adwatch.config import PipelineConfig, ScoreConfig
 from adwatch.drowsiness import (
     _WIDTH_EPS,
     mouth_aspect_series,
@@ -21,7 +21,7 @@ from adwatch.temporal import frames_within, long_runs
 from adwatch.training import yawn_training_set
 from oracles import concatenating_yawn_training_set
 
-CFG = PipelineConfig()
+CFG = ScoreConfig()
 # the closure rule's minimum at 30 fps: 60 frames
 CLOSURE_FRAMES = frames_within(CFG.closure_min_event_s, 30.0)
 
@@ -193,7 +193,7 @@ def test_yawn_probability_at_the_threshold_flags():
     tracked = np.array([True, True, False, True, False, True])
     frames = still_frames(tracked)
     assert np.all(model.predict(yawn_features(frames)) == 0.5)
-    config = PipelineConfig(yawn_threshold=0.5)
+    config = ScoreConfig(yawn_threshold=0.5)
     assert np.array_equal(yawn_flags(frames, model, config, 0), tracked)
 
 
@@ -257,7 +257,7 @@ def test_yawn_features_shape(artifacts, heldout_sessions):
     assert feats.shape == (len(frames), 21)
 
 
-@pytest.mark.parametrize("cap", [CFG.max_yawn_train_rows, 10**6], ids=["subsampled", "all_rows"])
+@pytest.mark.parametrize("cap", [PipelineConfig().max_yawn_train_rows, 10**6], ids=["subsampled", "all_rows"])
 def test_yawn_training_set_matches_concatenating_oracle(train_sessions, cap):
     # drawing the subsample before gathering features keeps the rows and their order
     config = PipelineConfig(max_yawn_train_rows=cap)
@@ -267,4 +267,4 @@ def test_yawn_training_set_matches_concatenating_oracle(train_sessions, cap):
     np.testing.assert_array_equal(y, y_ref, strict=True)
     assert data_hash(X, y) == data_hash(X_ref, y_ref)
     tracked = sum(int(np.count_nonzero(f.face_expr)) for f, _, _ in train_sessions)
-    assert len(X) == min(cap, tracked) and tracked > CFG.max_yawn_train_rows
+    assert len(X) == min(cap, tracked) and tracked > PipelineConfig().max_yawn_train_rows

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adwatch.boosting import BoostConfig, fit_boosted
-from adwatch.config import PipelineConfig
+from adwatch.config import PipelineConfig, ScoreConfig
 from adwatch.errors import DataError
 from adwatch.gaze import (
     Orientation,
@@ -23,7 +23,10 @@ from adwatch.records import FrameArrays
 from adwatch.synth import ScenarioScript, Segment, generate
 from adwatch.training import gaze_training_rows, train_gaze_regressors
 
-CFG = PipelineConfig()
+CFG = ScoreConfig()
+TRAIN = PipelineConfig()
+# the floor a gaze model trained at the defaults reads rays at
+FLOOR = TRAIN.quality_floor
 
 
 def frames_with_targets(targets, z=60.0, quality=0.9, face_gaze=True):
@@ -64,33 +67,33 @@ def make_stats(**overrides):
 
 def test_stats_constant_stream():
     frames = frames_with_targets([(3.0, -2.0)] * 10)
-    stats = compute_session_stats(frames, valid_gaze_rays(frames))
+    stats = compute_session_stats(frames, valid_gaze_rays(frames, FLOOR))
     assert (stats.mean_x_s, stats.mean_y_s) == pytest.approx((3.0, -2.0))
     assert stats.mean_eye_distance_cm == pytest.approx(60.0)
 
 
 def test_stats_arithmetic_mean():
     frames = frames_with_targets([(0.0, 0.0), (4.0, 2.0)])
-    stats = compute_session_stats(frames, valid_gaze_rays(frames))
+    stats = compute_session_stats(frames, valid_gaze_rays(frames, FLOOR))
     assert (stats.mean_x_s, stats.mean_y_s) == pytest.approx((2.0, 1.0))
 
 
 def test_stats_without_valid_frames_is_untrackable():
     frames = frames_with_targets([(0.0, 0.0)] * 5, face_gaze=False)
-    assert compute_session_stats(frames, valid_gaze_rays(frames)) is None
+    assert compute_session_stats(frames, valid_gaze_rays(frames, FLOOR)) is None
 
 
 def test_stats_whose_valid_rays_all_miss_the_plane_is_untrackable():
     frames = frames_with_targets([(0.0, 0.0)] * 5)
     frames.direction[:, 2] = np.abs(frames.direction[:, 2])   # every ray looks away
-    rays = valid_gaze_rays(frames)
+    rays = valid_gaze_rays(frames, FLOOR)
     assert rays[0].all() and compute_session_stats(frames, rays) is None
 
 
 def test_stats_quality_floor_masks_frames():
     frames = frames_with_targets([(0.0, 0.0), (8.0, 8.0)])
     frames.quality[1] = 0.1   # below floor: excluded from the means
-    rays = valid_gaze_rays(frames, CFG.quality_floor)
+    rays = valid_gaze_rays(frames, FLOOR)
     stats = compute_session_stats(frames, rays)
     assert rays[0].tolist() == [True, False]
     assert stats.mean_x_s == pytest.approx(0.0)
@@ -107,9 +110,9 @@ def test_valid_rays_slice_to_a_fresh_intersection_of_any_subset():
     frames.direction = frames.direction.copy()
     frames.direction[::13, 2] = 0.0   # parallel rays: NaN points
     frames.direction[5::17, 2] *= -1.0   # rays that point away: NaN points
-    valid, points = valid_gaze_rays(frames, CFG.quality_floor)
+    valid, points = valid_gaze_rays(frames, FLOOR)
     assert points.shape == (len(frames), 2)
-    assert np.array_equal(valid, frames.face_gaze & (frames.quality >= CFG.quality_floor))
+    assert np.array_equal(valid, frames.face_gaze & (frames.quality >= FLOOR))
     assert np.isnan(points[~valid]).all() and not valid.all()
     assert np.isnan(points[valid]).any()
     rng = np.random.default_rng(0)
@@ -197,7 +200,7 @@ def sessions_for(scripts):
 def heldout_mae(pair, sessions):
     raw_err, tuned_err = [], []
     for frames, truth, m in sessions:
-        rows = gaze_training_rows([(frames, truth, m)], CFG)["desktop"]
+        rows = gaze_training_rows([(frames, truth, m)], TRAIN)["desktop"]
         X, targets = rows
         raw_err.append(np.abs(X - targets))
         tuned_err.append(np.abs(fine_tune(X, pair) - targets))
@@ -207,22 +210,22 @@ def heldout_mae(pair, sessions):
 def test_regressor_clean_world_mae_below_half_cm():
     train = sessions_for([gaze_only_script(i, scale=1.0, noise=0.0) for i in range(4)])
     held = sessions_for([gaze_only_script(100 + i, scale=1.0, noise=0.0) for i in range(2)])
-    models, _ = train_gaze_regressors(train, CFG, seed=0)
-    _, tuned = heldout_mae(models["desktop"], held)
+    models, _ = train_gaze_regressors(train, TRAIN, seed=0)
+    _, tuned = heldout_mae(models.by_device["desktop"], held)
     assert tuned <= 0.5
 
 
 def test_regressor_corrects_systematic_bias():
     train = sessions_for([gaze_only_script(i, scale=1.15, noise=1.0) for i in range(5)])
     held = sessions_for([gaze_only_script(200 + i, scale=1.15, noise=1.0) for i in range(3)])
-    models, _ = train_gaze_regressors(train, CFG, seed=0)
-    raw, tuned = heldout_mae(models["desktop"], held)
+    models, _ = train_gaze_regressors(train, TRAIN, seed=0)
+    raw, tuned = heldout_mae(models.by_device["desktop"], held)
     assert tuned < raw
 
 
 def test_regressor_requires_sessions():
     with pytest.raises(DataError):
-        train_gaze_regressors([], CFG)
+        train_gaze_regressors([], TRAIN)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +268,7 @@ def test_orientation_invariant_to_frame_count():
         frames = frames_with_targets([(-7.0, 0.0)] * n)
         frames.face_center_x[:] = 0.2
         frames.yaw[:] = -15.0
-        stats = compute_session_stats(frames, valid_gaze_rays(frames))
+        stats = compute_session_stats(frames, valid_gaze_rays(frames, FLOOR))
         assert detect_orientation(stats, CFG) is Orientation.CLOCKWISE
 
 
@@ -326,7 +329,7 @@ def test_away_from_plane_is_off_screen():
     geom = ScreenGeometry(35.6, 20.0, margin_cm=1.0)
     frames = frames_with_targets([(0.0, 0.0)])
     frames.direction[0] = [0.0, 0.0, 1.0]
-    _, points = valid_gaze_rays(frames)
+    _, points = valid_gaze_rays(frames, FLOOR)
     assert np.isnan(points).all()
     assert gaze_on_screen(points, geom).tolist() == [False]
 
@@ -347,7 +350,7 @@ def test_translation_invariance_of_labels():
     # shifting every raw intersection by a constant changes no label
     script = gaze_only_script(7, scale=1.0, noise=0.5)
     frames, _ = generate(script)
-    rays = valid_gaze_rays(frames, CFG.quality_floor)
+    rays = valid_gaze_rays(frames, FLOOR)
     stats = compute_session_stats(frames, rays)
     _, pts = rays
     geom = estimate_screen(stats, "desktop", CFG)

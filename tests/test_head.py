@@ -1,6 +1,6 @@
 import numpy as np
 
-from adwatch.config import PipelineConfig
+from adwatch.config import ScoreConfig
 from adwatch.head import (
     HeadPoseStats,
     compute_head_stats,
@@ -9,7 +9,7 @@ from adwatch.head import (
 )
 from adwatch.records import FrameArrays
 
-CFG = PipelineConfig()
+CFG = ScoreConfig()
 
 
 def pose_frames(yaw, pitch, face_expr=True):

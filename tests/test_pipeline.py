@@ -34,10 +34,9 @@ def test_clean_session_scores_close_to_truth(heldout_sessions, artifacts, config
     assert rep.g_mean > 0.9
 
 
-# every config field the session clock times
-CLOCKED_FIELDS = (
-    "speaking_min_event_s", "closure_min_event_s", "unattended_min_s", "yawn_smooth_s", "window_span_s",
-)
+# every config field the session clock times; the speaking model's window
+# span is the other duration
+CLOCKED_FIELDS = ("speaking_min_event_s", "closure_min_event_s", "unattended_min_s", "yawn_smooth_s")
 
 
 @settings(max_examples=25, deadline=None)
@@ -47,10 +46,12 @@ def test_scaling_the_clock_changes_no_label(heldout_sessions, artifacts, config,
     # session on a slower or faster clock; powers of two scale floats exactly
     frames, _, manifest = heldout_sessions[index]
     scale = 2.0 ** k
+    speaking = artifacts.speaking
+    lip = dataclasses.replace(speaking.windows, span_s=speaking.windows.span_s * scale)
     scaled = SessionDetectors(
         dataclasses.replace(frames, timestamp_ms=frames.timestamp_ms * scale),
         dataclasses.replace(manifest, frame_rate_hz=manifest.frame_rate_hz / scale),
-        artifacts,
+        dataclasses.replace(artifacts, speaking=dataclasses.replace(speaking, windows=lip)),
         dataclasses.replace(config, **{name: getattr(config, name) * scale for name in CLOCKED_FIELDS}),
     )
     expected = score_session(SessionDetectors(frames, manifest, artifacts, config))
@@ -118,7 +119,7 @@ def test_an_untrackable_stream_leaves_the_gaze_to_the_head_and_every_other_signa
         heldout_sessions, artifacts, config, index, how, amount):
     frames, _, manifest = heldout_sessions[index]
     original = SessionDetectors(frames, manifest, artifacts, config)
-    session = SessionDetectors(untrackable(frames, how, amount, config.quality_floor), manifest,
+    session = SessionDetectors(untrackable(frames, how, amount, artifacts.gaze.min_quality), manifest,
                                artifacts, config)
     assert session.stats() is None and original.stats() is not None
     assert session.orientation() is Orientation.CENTERED
@@ -247,12 +248,12 @@ def scalar_gaze_points(frames, quality_floor):
     return hits
 
 
-def test_valid_gaze_points_are_the_scalar_intersection_of_each_valid_frame(heldout_sessions, config):
+def test_valid_gaze_points_are_the_scalar_intersection_of_each_valid_frame(heldout_sessions, train_config):
     for session_frames, _, manifest in heldout_sessions:
         # as it is, and with rays that miss the screen
         for frames in (session_frames, with_missing_rays(session_frames)):
-            _, points = gaze.valid_gaze_rays(frames, config.quality_floor)
-            hits = scalar_gaze_points(frames, config.quality_floor)
+            _, points = gaze.valid_gaze_rays(frames, train_config.quality_floor)
+            hits = scalar_gaze_points(frames, train_config.quality_floor)
             finite = np.isfinite(points).all(axis=1)
             assert np.flatnonzero(finite).tolist() == sorted(hits), manifest.session_id
             assert np.isnan(points[~finite]).all(), manifest.session_id
@@ -267,11 +268,11 @@ def test_eye_gaze_matches_a_frame_by_frame_oracle(heldout_sessions, artifacts, c
     assert sorted(first) == ["desktop", "mobile"]
     for frames, manifest in first.values():
         session = SessionDetectors(frames, manifest, artifacts, config)
-        hits = scalar_gaze_points(frames, config.quality_floor)
+        hits = scalar_gaze_points(frames, artifacts.gaze.min_quality)
         mean = [np.mean(np.array([hit[axis] for hit in hits.values()])) for axis in (0, 1)]
         assert mean == [session.stats().mean_x_s, session.stats().mean_y_s], manifest.session_id
         on_path = [i for i in range(len(frames))
-                   if frames.face_gaze[i] and frames.quality[i] >= config.quality_floor
+                   if frames.face_gaze[i] and frames.quality[i] >= artifacts.gaze.min_quality
                    and frames.quality[i] >= config.quality_gate]
         assert any(i not in hits for i in on_path), manifest.session_id
         corrected = {}   # (normalize, tune) -> the corrected point of each frame with a hit
@@ -284,7 +285,7 @@ def test_eye_gaze_matches_a_frame_by_frame_oracle(heldout_sessions, artifacts, c
                     if variant.normalize:
                         point = point - mean
                     if variant.fine_tune:
-                        point = gaze.fine_tune(point, artifacts.gaze[manifest.device_type])
+                        point = gaze.fine_tune(point, artifacts.gaze.by_device[manifest.device_type])
                     corrected[key][i] = point[0]
             screen = session.screen(variant.screen_size)
             half_w = screen.width_cm / 2 + screen.margin_cm

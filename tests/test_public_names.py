@@ -20,7 +20,8 @@ from adwatch.synth import SuiteConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "adwatch"
-# PipelineConfig is not here: a config file or --set sets its every field
+# PipelineConfig and ScoreConfig are not here: a config file or --set sets
+# their every field, for the command that reads it
 OPTIONS = (SuiteConfig, BoostConfig, CnnTrainConfig, PipelineVariant)
 
 

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
-from adwatch.config import PipelineConfig
+from adwatch.config import PipelineConfig, ScoreConfig
 from adwatch.records import FrameArrays
 from adwatch.speaking import (
+    SpeakingCnn,
     build_windows,
     lip_distance,
     speaking_flags,
 )
 from adwatch.synth import ScenarioScript, Segment, generate
 from adwatch.temporal import find_runs, frames_within, long_runs
+from adwatch.training import lip_windows
 
-CFG = PipelineConfig()
+CFG = ScoreConfig()
+# the windows of a speaking CNN trained at the defaults
+LIP = lip_windows(PipelineConfig())
 
 
 def mouth_session(gaps, face_expr=None, fps=30.0):
@@ -63,8 +67,8 @@ def test_lip_distance_rotation_invariant():
 
 def test_windows_fixed_length_and_scored():
     frames = mouth_session(np.full(90, 0.05))
-    series = build_windows(frames, CFG)
-    assert series.windows.shape == (90, CFG.window_samples)
+    series = build_windows(frames, LIP)
+    assert series.windows.shape == (90, LIP.samples)
     assert series.scored.all()
     assert np.allclose(series.windows, 0.05)
 
@@ -74,7 +78,7 @@ def test_window_quota_rule():
     expr = np.ones(120, dtype=bool)
     expr[40:80] = False
     frames = mouth_session(np.full(120, 0.05), face_expr=expr)
-    series = build_windows(frames, CFG)
+    series = build_windows(frames, LIP)
     assert not series.scored[55]           # middle of the gap
     assert series.scored[10]
     assert series.scored[110]
@@ -84,21 +88,21 @@ def test_short_gap_held_and_scored():
     expr = np.ones(120, dtype=bool)
     expr[60:64] = False                    # 4 missing frames <= hold budget
     frames = mouth_session(np.full(120, 0.05), face_expr=expr)
-    series = build_windows(frames, CFG)
+    series = build_windows(frames, LIP)
     assert series.scored[61]
     long_gap = np.ones(120, dtype=bool)
     long_gap[60:70] = False                # 10 missing frames: poisoned
     frames = mouth_session(np.full(120, 0.05), face_expr=long_gap)
-    series = build_windows(frames, CFG)
+    series = build_windows(frames, LIP)
     assert not series.scored[61]
 
 
 @pytest.mark.parametrize("extra, bridged", [(0, True), (1, False)], ids=["budget", "one_more"])
 def test_face_loss_of_exactly_the_hold_budget_is_bridged(extra, bridged):
-    gap = CFG.max_hold_samples + extra
+    gap = LIP.max_hold + extra
     expr = np.ones(120, dtype=bool)
     expr[60 : 60 + gap] = False
-    series = build_windows(mouth_session(np.full(120, 0.05), face_expr=expr), CFG)
+    series = build_windows(mouth_session(np.full(120, 0.05), face_expr=expr), LIP)
     if bridged:
         assert series.scored.all()
     else:
@@ -120,13 +124,13 @@ def test_a_frame_midway_between_two_scored_frames_takes_the_earlier_flag():
     expr = np.ones(150, dtype=bool)
     expr[70:81] = False
     frames = mouth_session(np.full(150, 0.05), face_expr=expr)
-    scored = build_windows(frames, CFG).scored
+    scored = build_windows(frames, LIP).scored
     unscored = np.flatnonzero(~scored)
     left, right = unscored[0] - 1, unscored[-1] + 1
     # one unscored run, of odd length, so that its middle frame is a tie
     assert unscored.size == right - left - 1 and unscored.size % 2 == 1
     mid = (left + right) // 2
-    flags = speaking_flags(frames, SpeaksFirst(np.count_nonzero(scored[: left + 1])), CFG)
+    flags = speaking_flags(frames, SpeakingCnn(SpeaksFirst(np.count_nonzero(scored[: left + 1])), LIP), CFG)
     assert flags[: mid + 1].all()
     assert not flags[mid + 1 :].any()
 
@@ -139,7 +143,7 @@ def test_unscored_frames_inherit_nearest_flag(artifacts):
     gaps[:100] = 0.055 + 0.035 * np.sin(2 * np.pi * 4.5 * t[:100])
     frames = mouth_session(gaps, face_expr=expr)
     flags = speaking_flags(frames, artifacts.speaking, CFG)
-    series = build_windows(frames, CFG)
+    series = build_windows(frames, artifacts.speaking.windows)
     unscored = np.flatnonzero(~series.scored)
     assert unscored.size
     # frames in the dead zone take the nearest scored frame's value
@@ -152,20 +156,20 @@ def test_unscored_frames_inherit_nearest_flag(artifacts):
 def test_window_centered_on_frame(artifacts):
     # lip gap rising linearly in time, so a window's samples show its span
     gaps = 0.02 + 0.001 * np.arange(90)
-    series = build_windows(mouth_session(gaps), CFG)
+    series = build_windows(mouth_session(gaps), LIP)
     assert series.scored[45]
     window = series.windows[45]
-    assert window.shape == (CFG.window_samples,)
+    assert window.shape == (LIP.samples,)
     # the second centered on frame 45 runs from frame 30 to frame 60 at 30 fps
     assert window[0] == pytest.approx(gaps[30], abs=1e-12)
     assert window[-1] == pytest.approx(gaps[60], abs=1e-12)
-    flat = build_windows(mouth_session(np.full(90, 0.02)), CFG)
+    flat = build_windows(mouth_session(np.full(90, 0.02)), LIP)
     assert artifacts.speaking.predict_proba(flat.windows[[45]])[0] < 0.5
     # unscorable frame inside a long face loss
     expr = np.ones(90, dtype=bool)
     expr[30:60] = False
     gappy = mouth_session(np.full(90, 0.02), face_expr=expr)
-    assert not build_windows(gappy, CFG).scored[45]
+    assert not build_windows(gappy, LIP).scored[45]
 
 
 def test_probability_deterministic(artifacts):
