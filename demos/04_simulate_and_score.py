@@ -61,7 +61,7 @@ screen = session.screen(True)
 
 print(f"\nscreen estimate: {screen.width_cm:.1f} x {screen.height_cm:.1f} cm")
 rep = frame_metrics(~timeline.attentive, ~truth.attentive)
-print(f"frame agreement vs ground truth: g-mean {rep.g_mean:.3f}, F1 {rep.f1:.3f}\n")
+print(f"frame agreement vs ground truth: g-mean {rep['g_mean']:.3f}, F1 {rep['f1']:.3f}\n")
 
 print("second-by-second view (.=attentive, letters=active signal):")
 codes = dict(zip(SIGNAL_NAMES, "GHSDU"))
@@ -74,7 +74,7 @@ for start in range(0, len(row), 90):
     print(f"  {t:5.1f}s  {''.join(row[start:start + 90])}")
 
 summary = session_summary(timeline, manifest.frame_rate_hz)
-print(f"\ninattentive: {summary.percent_inattentive:.1f}% of frames")
-for name, events in summary.events_by_source.items():
+print(f"\ninattentive: {summary['percent_inattentive']:.1f}% of frames")
+for name, events in summary["events"].items():
     for ev in events:
-        print(f"  {name:11s} {ev.start_s:6.2f}s - {ev.end_s:6.2f}s  ({ev.duration_s:.2f}s)")
+        print(f"  {name:11s} {ev['start_s']:6.2f}s - {ev['end_s']:6.2f}s  ({ev['duration_s']:.2f}s)")

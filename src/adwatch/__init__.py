@@ -17,7 +17,7 @@ from .errors import (
     MissingArtifactError,
     SessionFormatError,
 )
-from .evaluation import ClassificationReport, frame_metrics, roc_auc, run_ablation
+from .evaluation import frame_metrics, roc_auc, run_ablation
 from .fusion import (
     SIGNAL_NAMES,
     DistractionTimeline,

@@ -2,7 +2,10 @@
 
 Two modes share the tree machinery: squared-error regression (leaf values
 are residual means) and binary logistic classification (leaf values are
-single Newton steps on the log-odds).
+single Newton steps on the log-odds). A tree is the node object its
+artifact stores, from the fit on: a leaf ``{"value": v}``, or a split
+``{"feature": f, "threshold": t, "left": node, "right": node}`` that sends
+the rows with ``x[f] <= t`` left.
 
 Split search uses histograms, as LightGBM (Ke et al., NeurIPS 2017) and
 XGBoost's ``hist`` method (Chen & Guestrin, KDD 2016) do. A fit bins each
@@ -54,52 +57,34 @@ MAX_THRESHOLDS = 255
 LEARNING_RATE = 0.1
 
 
-@dataclass
-class TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-    value: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"value": self.value}
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict, n_features: int) -> "TreeNode":
-        """The tree a ``to_dict`` document describes. A missing field, a value
-        that is not a finite number or a split feature outside
-        ``[0, n_features)`` raises ``MissingArtifactError`` naming the field.
-        The checks are inline: a load walks every node of every tree."""
-        if "value" in obj:
-            value = obj["value"]
-            if not _is_real(value):
-                raise MissingArtifactError(f"value must be a finite number, got {_shown(value)}")
-            return cls(value=float(value))
-        try:
-            feature, threshold, left, right = obj["feature"], obj["threshold"], obj["left"], obj["right"]
-        except KeyError as exc:
-            raise MissingArtifactError(f"missing key {exc.args[0]}") from None
-        if type(feature) is not int or not 0 <= feature < n_features:
-            raise MissingArtifactError(
-                f"feature must be an integer in [0, {n_features}), got {_shown(feature)}"
-            )
-        if not _is_real(threshold):
-            raise MissingArtifactError(f"threshold must be a finite number, got {_shown(threshold)}")
-        if not (isinstance(left, dict) and isinstance(right, dict)):
-            raise MissingArtifactError("left and right must be tree node objects")
-        return cls(feature, float(threshold), cls.from_dict(left, n_features), cls.from_dict(right, n_features))
+def _checked_node(node: dict, n_features: int) -> dict:
+    """A new copy of the tree ``node``, its numbers as floats. A missing
+    field, a value that is not a finite number or a split feature outside
+    ``[0, n_features)`` raises ``MissingArtifactError`` naming the field.
+    The checks are inline: a load walks every node of every tree."""
+    if "value" in node:
+        value = node["value"]
+        if not _is_real(value):
+            raise MissingArtifactError(f"value must be a finite number, got {_shown(value)}")
+        return {"value": float(value)}
+    try:
+        feature, threshold, left, right = node["feature"], node["threshold"], node["left"], node["right"]
+    except KeyError as exc:
+        raise MissingArtifactError(f"missing key {exc.args[0]}") from None
+    if type(feature) is not int or not 0 <= feature < n_features:
+        raise MissingArtifactError(
+            f"feature must be an integer in [0, {n_features}), got {_shown(feature)}"
+        )
+    if not _is_real(threshold):
+        raise MissingArtifactError(f"threshold must be a finite number, got {_shown(threshold)}")
+    if not (isinstance(left, dict) and isinstance(right, dict)):
+        raise MissingArtifactError("left and right must be tree node objects")
+    return {
+        "feature": feature,
+        "threshold": float(threshold),
+        "left": _checked_node(left, n_features),
+        "right": _checked_node(right, n_features),
+    }
 
 
 # A (sub)tree of at most this many levels is laid out as a complete heap of
@@ -139,7 +124,7 @@ class _Compiled:
     ``grids[f]`` holds feature f's sorted distinct thresholds over all
     trees, ``parts`` one ``_Table`` or ``_Split`` per tree, in tree order."""
 
-    trees: list[TreeNode]
+    trees: list[dict]
     learning_rate: float
     grids: dict[int, np.ndarray]
     parts: list[Union[_Table, _Split]]
@@ -156,32 +141,32 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.cumsum(new) - 1, np.flatnonzero(new)
 
 
-def _compile(trees: list[TreeNode], learning_rate: float) -> _Compiled:
+def _compile(trees: list[dict], learning_rate: float) -> _Compiled:
     nodes = []      # (table, or -1 at a split root; heap slot; feature; threshold)
     leaves = []     # each table's leaf slot values
 
-    def lay(nd: TreeNode, slot: int, leaf: list) -> bool:
+    def lay(nd: dict, slot: int, leaf: list) -> bool:
         """Lay ``nd`` out from heap ``slot`` on; False when it is too tall."""
         if slot >= _SLOTS:
-            leaf[slot - _SLOTS] = nd.value
-            return nd.is_leaf
+            leaf[slot - _SLOTS] = nd.get("value")
+            return "value" in nd
         # a leaf, or a NaN threshold (which sends every row right), is a
         # slot with no comparison over two copies of one subtree
         left = right = nd
-        if not nd.is_leaf:
-            nodes.append((len(leaves), slot, nd.feature, nd.threshold))
-            left, right = (nd.right if math.isnan(nd.threshold) else nd.left), nd.right
+        if "value" not in nd:
+            nodes.append((len(leaves), slot, nd["feature"], nd["threshold"]))
+            left, right = (nd["right"] if math.isnan(nd["threshold"]) else nd["left"]), nd["right"]
         return lay(left, 2 * slot + 1, leaf) and lay(right, 2 * slot + 2, leaf)
 
-    def part(nd: TreeNode):
+    def part(nd: dict):
         """A table's index, or (node index, left part, right part)."""
         mark, leaf = len(nodes), [0.0] * (_SLOTS + 1)
         if lay(nd, 0, leaf):
             leaves.append(leaf)
             return len(leaves) - 1
         del nodes[mark:]
-        nodes.append((-1, 0, nd.feature, nd.threshold))
-        return len(nodes) - 1, part(nd.left), part(nd.right)
+        nodes.append((-1, 0, nd["feature"], nd["threshold"]))
+        return len(nodes) - 1, part(nd["left"]), part(nd["right"])
 
     parts = [part(tree) for tree in trees]
     cols = np.array(nodes, dtype=np.float64).reshape(-1, 4).T
@@ -276,7 +261,7 @@ def _best_split(sums: np.ndarray, counts: np.ndarray):
     return f, k
 
 
-def _build_tree(keys, cuts, n_bins, grad, hess, fitted, max_depth) -> TreeNode:
+def _build_tree(keys, cuts, n_bins, grad, hess, fitted, max_depth) -> dict:
     """Grow one tree over binned rows: ``keys`` (N, F) holds each row's
     ``feature * n_bins + bin``, ``cuts[f]`` feature f's thresholds. Each leaf
     writes its value into ``fitted`` for its rows, saving a prediction pass.
@@ -291,7 +276,7 @@ def _build_tree(keys, cuts, n_bins, grad, hess, fitted, max_depth) -> TreeNode:
         counts = np.bincount(k, minlength=n_feat * n_bins)
         return sums.reshape(n_feat, n_bins), counts.reshape(n_feat, n_bins)
 
-    def leaf(idx: np.ndarray) -> TreeNode:
+    def leaf(idx: np.ndarray) -> dict:
         if hess is None:
             value = float(np.mean(grad[idx]))
         else:
@@ -302,9 +287,9 @@ def _build_tree(keys, cuts, n_bins, grad, hess, fitted, max_depth) -> TreeNode:
                 v = float(np.sum(grad[idx])) / h
                 value = float(np.clip(v, -_MAX_LEAF_LOGIT, _MAX_LEAF_LOGIT))
         fitted[idx] = value
-        return TreeNode(value=value)
+        return {"value": value}
 
-    def build(idx: np.ndarray, hist, d: int) -> TreeNode:
+    def build(idx: np.ndarray, hist, d: int) -> dict:
         if hist is None:
             return leaf(idx)
         split = _best_split(*hist)
@@ -321,12 +306,12 @@ def _build_tree(keys, cuts, n_bins, grad, hess, fitted, max_depth) -> TreeNode:
             sums, counts = hist[0] - hists[small][0], hist[1] - hists[small][1]
             sums[counts == 0] = 0.0     # no rounding residue in empty bins
             hists[1 - small] = sums, counts
-        return TreeNode(
-            feature=f,
-            threshold=float(cuts[f][k]),
-            left=build(li, hists[0], d + 1),
-            right=build(ri, hists[1], d + 1),
-        )
+        return {
+            "feature": f,
+            "threshold": float(cuts[f][k]),
+            "left": build(li, hists[0], d + 1),
+            "right": build(ri, hists[1], d + 1),
+        }
 
     return build(np.arange(len(keys)), histograms(slice(None)), 0)
 
@@ -344,7 +329,7 @@ class BoostedEnsemble:
     max_depth: int
     base_prediction: float
     n_features: int
-    trees: list[TreeNode] = field(default_factory=list)
+    trees: list[dict] = field(default_factory=list)
     train_loss_curve: list[float] = field(default_factory=list)
     # built by the first prediction; rebuilt when the list of trees or the
     # learning rate changes (a tree's nodes are not edited in place)
@@ -379,26 +364,28 @@ class BoostedEnsemble:
         return raw
 
     def to_dict(self) -> dict:
+        """The artifact's model object; it holds the ensemble's own trees."""
         return {
             "mode": self.mode,
             "learning_rate": self.learning_rate,
             "max_depth": self.max_depth,
             "base_prediction": self.base_prediction,
             "n_features": self.n_features,
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": self.trees,
             "train_loss_curve": self.train_loss_curve,
         }
 
     @classmethod
     def from_dict(cls, obj: dict, where: str = "model") -> "BoostedEnsemble":
-        """The ensemble a ``to_dict`` document describes; a field that fails
+        """The ensemble a ``to_dict`` document describes, holding checked
+        copies of its trees, so ``obj`` is left as it was; a field that fails
         ``_ENSEMBLE_RULES``, or a malformed tree node, raises
         ``MissingArtifactError`` naming ``where``, the field (and its tree)."""
         values = _check_fields(obj, _ENSEMBLE_RULES, MissingArtifactError, where, unknown_ok=True)
         trees = values["trees"]
         for i, tree in enumerate(trees):
             try:
-                trees[i] = TreeNode.from_dict(tree, values["n_features"])
+                trees[i] = _checked_node(tree, values["n_features"])
             except MissingArtifactError as exc:
                 raise MissingArtifactError(f"{where}: tree {i}: {exc}") from None
         return cls(**values)

@@ -26,13 +26,7 @@ from typing import Optional, Union
 from .artifacts import GAZE_ARTIFACT, write_artifact
 from .config import PipelineConfig, ScoreConfig, _read_json_object, config_from_mapping
 from .errors import AdwatchError, ConfigError, DataError, MissingArtifactError
-from .evaluation import (
-    AblationTable,
-    ablation_pairs,
-    ablation_table,
-    pooled_report,
-    render_table,
-)
+from .evaluation import ablation_pairs, ablation_table, pooled_report, render_table
 from .fusion import DistractionTimeline, session_summary
 from .pipeline import (
     TABLE1_VARIANTS,
@@ -189,7 +183,6 @@ def _load_config(args: argparse.Namespace) -> Union[PipelineConfig, ScoreConfig]
     """The command's config object: its defaults, then the --config file's
     values, then those of --set. A key of another command's object is a
     ConfigError naming the commands that read it."""
-    cfg = _CONFIGS[args.command]()
     layers = [] if args.config is None else [
         (f"config {args.config}", _read_json_object(args.config, "config", ConfigError))]
     layers.append(("--set", _parse_overrides(args.set)))
@@ -198,8 +191,7 @@ def _load_config(args: argparse.Namespace) -> Union[PipelineConfig, ScoreConfig]
             readers = [command for command, cls in _CONFIGS.items() if key in cls.__dataclass_fields__]
             if readers and args.command not in readers:
                 raise ConfigError(f"{source}: {key} is read by {' and '.join(readers)}, not by {args.command}")
-        cfg = config_from_mapping(mapping, cfg)
-    return cfg
+    return config_from_mapping(_CONFIGS[args.command](), *layers)
 
 
 def _check_gaze_devices(artifacts: ArtifactSet, artifact_dir: Path, manifests) -> None:
@@ -309,7 +301,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     for (manifest, _), timeline in zip(selected, timelines):
         write_timeline(timeline, args.output / f"{manifest.session_id}.timeline.jsonl")
         summary = session_summary(timeline, manifest.frame_rate_hz)
-        write_artifact(json.dumps(summary.to_dict(), indent=2) + "\n",
+        write_artifact(json.dumps(summary, indent=2) + "\n",
                        args.output / f"{manifest.session_id}.summary.json")
     print(f"scored {len(timelines)} session(s) into {args.output}")
     return EXIT_OK
@@ -342,10 +334,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"scored timelines in {args.scored}",
             file=sys.stderr,
         )
-    report = {"n_sessions": n, "by_device": {}}
-    for device, pairs in sorted(pairs_by_device.items()):
-        rep = pooled_report(pairs)
-        report["by_device"][device] = rep.to_dict()
+    report = {"n_sessions": n, "by_device": {
+        device: pooled_report(pairs) for device, pairs in sorted(pairs_by_device.items())
+    }}
     out_path = args.output / "evaluation.json"
     write_artifact(json.dumps(report, indent=2) + "\n", out_path)
     for device, rep in report["by_device"].items():
@@ -379,16 +370,15 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     variants = [v for _, vs in families for v in vs]
     pairs = _in_halves([partial(_ablate_one, manifest, base_dir, artifacts, variants, cfg)
                         for manifest, base_dir in selected])
-    rows = ablation_table(variants, [(manifest.device_type, p) for (manifest, _), p in zip(selected, pairs)]).rows
-    tables = {}
+    rows = ablation_table(variants, [(manifest.device_type, p) for (manifest, _), p in zip(selected, pairs)])["rows"]
+    doc = {}
     for name, variants in families:
-        tables[name] = AblationTable(rows=rows[: len(variants)])
+        doc[name] = {"rows": rows[: len(variants)]}
         rows = rows[len(variants) :]
-    doc = {name: tbl.to_dict() for name, tbl in tables.items()}
     rendered = []
-    for name, tbl in tables.items():
+    for name, table in doc.items():
         rendered.append(f"== {name} ==")
-        rendered.append(render_table(tbl))
+        rendered.append(render_table(table))
     text = "\n".join(rendered)
     # both files are rendered before either is written
     write_artifact(json.dumps(doc, indent=2) + "\n", args.output / "ablation.json")

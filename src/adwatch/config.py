@@ -268,11 +268,17 @@ _RULES = {PipelineConfig: _PIPELINE_RULES, ScoreConfig: _SCORE_RULES}
 _Config = TypeVar("_Config", PipelineConfig, ScoreConfig)
 
 
-def config_from_mapping(mapping: dict, base: _Config) -> _Config:
-    """``base`` with the values of ``mapping``, a field name to value map of
-    ``base``'s own fields."""
-    _check_fields(mapping, _RULES[type(base)], ConfigError, "config")
-    return replace(base, **mapping)
+def config_from_mapping(base: _Config, *layers: tuple[str, dict]) -> _Config:
+    """``base`` with the values of ``layers``, each a (source, mapping) pair
+    whose mapping sets ``base``'s own fields; a later layer wins. A key or
+    value that fails its field's rule raises ``ConfigError`` naming its
+    layer's source. The rules over two fields are checked once, on the
+    merged object, and name ``config``."""
+    merged = {}
+    for where, mapping in layers:
+        _check_fields(mapping, _RULES[type(base)], ConfigError, where)
+        merged.update(mapping)
+    return replace(base, **merged)
 
 
 def _read_json_object(path: Path, what: str, error: type) -> dict:

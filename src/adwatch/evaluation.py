@@ -9,34 +9,16 @@ P(score+ > score-) + 0.5 P(tie), computed from average ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .errors import DataError
 from .pipeline import FULL_VARIANT, SessionDetectors, score_session
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-    tpr: Optional[float]
-    tnr: Optional[float]
-    g_mean: Optional[float]
-    f1: float
-
-    def to_dict(self) -> dict:
-        return {
-            "tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn,
-            "tpr": self.tpr, "tnr": self.tnr, "g_mean": self.g_mean, "f1": self.f1,
-        }
-
-
-def frame_metrics(predicted_inattentive: np.ndarray, true_inattentive: np.ndarray) -> ClassificationReport:
+def frame_metrics(predicted_inattentive: np.ndarray, true_inattentive: np.ndarray) -> dict:
+    """The confusion counts, rates, g-mean and F1 of the inattentive frames,
+    as ``evaluation.json`` writes them per device; an undefined rate, and a
+    g-mean over it, is None."""
     pred = np.asarray(predicted_inattentive, dtype=bool)
     true = np.asarray(true_inattentive, dtype=bool)
     if pred.shape != true.shape:
@@ -50,7 +32,7 @@ def frame_metrics(predicted_inattentive: np.ndarray, true_inattentive: np.ndarra
     g_mean = float(np.sqrt(tpr * tnr)) if tpr is not None and tnr is not None else None
     denom = 2 * tp + fp + fn
     f1 = 2 * tp / denom if denom > 0 else 0.0
-    return ClassificationReport(tp=tp, fp=fp, tn=tn, fn=fn, tpr=tpr, tnr=tnr, g_mean=g_mean, f1=float(f1))
+    return {"tp": tp, "fp": fp, "tn": tn, "fn": fn, "tpr": tpr, "tnr": tnr, "g_mean": g_mean, "f1": float(f1)}
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
@@ -83,7 +65,7 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
 
 
-def pooled_report(pairs: list[tuple[np.ndarray, np.ndarray]]) -> ClassificationReport:
+def pooled_report(pairs: list[tuple[np.ndarray, np.ndarray]]) -> dict:
     """Micro aggregation: concatenate all (pred, true) pairs, then score."""
     if not pairs:
         raise DataError("no sessions to aggregate")
@@ -95,28 +77,6 @@ def pooled_report(pairs: list[tuple[np.ndarray, np.ndarray]]) -> ClassificationR
 # ---------------------------------------------------------------------------
 # ablation harness
 # ---------------------------------------------------------------------------
-
-@dataclass
-class AblationRow:
-    variant: str
-    by_device: dict[str, ClassificationReport]
-
-
-@dataclass
-class AblationTable:
-    rows: list[AblationRow]
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "variant": row.variant,
-                    "by_device": {d: r.to_dict() for d, r in row.by_device.items()},
-                }
-                for row in self.rows
-            ]
-        }
-
 
 def ablation_pairs(frames, truth, manifest, artifacts, variants, config) -> list[tuple[np.ndarray, np.ndarray]]:
     """One session's (predicted, true) inattentive masks under each of
@@ -131,24 +91,24 @@ def ablation_pairs(frames, truth, manifest, artifacts, variants, config) -> list
     return [(~score_session(session, variant).attentive, true) for variant in variants]
 
 
-def ablation_table(variants, sessions) -> AblationTable:
-    """The row of each of ``variants``, pooled per device type over
-    ``sessions``, a list of (device type, ``ablation_pairs``) in session
-    order."""
+def ablation_table(variants, sessions) -> dict:
+    """``{"rows": [...]}``, the row of each of ``variants``: its name and its
+    ``pooled_report`` per device type over ``sessions``, a list of (device
+    type, ``ablation_pairs``) in session order."""
     per_variant: list[dict[str, list[tuple[np.ndarray, np.ndarray]]]] = [{} for _ in variants]
     for device, pairs in sessions:
         for per_device, pair in zip(per_variant, pairs):
             per_device.setdefault(device, []).append(pair)
-    return AblationTable(rows=[
-        AblationRow(
-            variant=variant.name,
-            by_device={d: pooled_report(pairs) for d, pairs in sorted(per_device.items())},
-        )
+    return {"rows": [
+        {
+            "variant": variant.name,
+            "by_device": {d: pooled_report(pairs) for d, pairs in sorted(per_device.items())},
+        }
         for variant, per_device in zip(variants, per_variant)
-    ])
+    ]}
 
 
-def run_ablation(sessions, artifacts, variants, config) -> AblationTable:
+def run_ablation(sessions, artifacts, variants, config) -> dict:
     """Score identical sessions under each variant and tabulate per device.
 
     ``sessions`` is a list of (frames, truth, manifest) triples; an empty
@@ -164,23 +124,23 @@ def run_ablation(sessions, artifacts, variants, config) -> AblationTable:
     ])
 
 
-def render_table(table: AblationTable) -> str:
-    """Aligned plain-text rendering, one row per variant, g-mean and F1 per
-    device type."""
-    devices = sorted({d for row in table.rows for d in row.by_device})
+def render_table(table: dict) -> str:
+    """Aligned plain-text rendering of an ``ablation_table``, one row per
+    variant, g-mean and F1 per device type."""
+    devices = sorted({d for row in table["rows"] for d in row["by_device"]})
     header = ["model"]
     for d in devices:
         header += [f"{d} g-mean", f"{d} F1"]
     lines = [header]
-    for row in table.rows:
-        cells = [row.variant]
+    for row in table["rows"]:
+        cells = [row["variant"]]
         for d in devices:
-            rep = row.by_device.get(d)
+            rep = row["by_device"].get(d)
             if rep is None:
                 cells += ["-", "-"]
             else:
-                g = f"{rep.g_mean:.3f}" if rep.g_mean is not None else "n/a"
-                cells += [g, f"{rep.f1:.3f}"]
+                g = f"{rep['g_mean']:.3f}" if rep["g_mean"] is not None else "n/a"
+                cells += [g, f"{rep['f1']:.3f}"]
         lines.append(cells)
     widths = [max(len(line[i]) for line in lines) for i in range(len(header))]
     out = []

@@ -16,7 +16,7 @@ switch; the fuser itself accepts any combination.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -93,54 +93,26 @@ def fuse(
     return DistractionTimeline(mask=mask, frame_index=np.asarray(frame_index, dtype=np.int64))
 
 
-@dataclass(frozen=True)
-class SourceEvent:
-    """Contiguous activation span of one signal, with timestamps."""
-
-    start_frame: int
-    end_frame: int
-    start_s: float
-    end_s: float
-    duration_s: float
-
-
-@dataclass
-class SessionSummary:
-    n_frames: int
-    percent_inattentive: float
-    events_by_source: dict[str, list[SourceEvent]]
-
-    def to_dict(self) -> dict:
-        return {
-            "n_frames": self.n_frames,
-            "percent_inattentive": self.percent_inattentive,
-            "events": {
-                name: [asdict(ev) for ev in evs] for name, evs in self.events_by_source.items()
-            },
-        }
-
-
-def session_summary(timeline: DistractionTimeline, frame_rate_hz: float) -> SessionSummary:
-    """Percentage inattentive plus per-source event spans. An event's frames
-    are the ``frame_index`` of its first and last rows, and its times are
-    those frame numbers over ``frame_rate_hz``, so a session that does not
-    start at frame 0 reports the frames and times of its own stream."""
+def session_summary(timeline: DistractionTimeline, frame_rate_hz: float) -> dict:
+    """The ``summary.json`` object: the frame count, the percentage
+    inattentive and, under ``events``, each signal's event spans. An event's
+    frames are the ``frame_index`` of its first and last rows, and its times
+    are those frame numbers over ``frame_rate_hz``, so a session that does
+    not start at frame 0 reports the frames and times of its own stream."""
     n = len(timeline)
     if n == 0:
         raise DataError("cannot summarize an empty timeline")
     percent = 100.0 * float(np.count_nonzero(~timeline.attentive)) / n
     index = np.asarray(timeline.frame_index).tolist()
-    by_source = {name: [] for name in SIGNAL_NAMES}
-    for name, events in by_source.items():
+    events = {name: [] for name in SIGNAL_NAMES}
+    for name, spans in events.items():
         for start, end in find_runs(timeline.signal(name)):
             first, last = index[start], index[end]
-            events.append(SourceEvent(
-                start_frame=first,
-                end_frame=last,
-                start_s=first / frame_rate_hz,
-                end_s=(last + 1) / frame_rate_hz,
-                duration_s=(last - first + 1) / frame_rate_hz,
-            ))
-    return SessionSummary(
-        n_frames=n, percent_inattentive=percent, events_by_source=by_source
-    )
+            spans.append({
+                "start_frame": first,
+                "end_frame": last,
+                "start_s": first / frame_rate_hz,
+                "end_s": (last + 1) / frame_rate_hz,
+                "duration_s": (last - first + 1) / frame_rate_hz,
+            })
+    return {"n_frames": n, "percent_inattentive": percent, "events": events}

@@ -34,7 +34,6 @@ class Orientation(Enum):
 class ScreenGeometry:
     width_cm: float
     height_cm: float
-    orientation: Orientation = Orientation.CENTERED
     margin_cm: float = 1.0
 
     def __post_init__(self) -> None:
@@ -182,22 +181,22 @@ def estimate_screen(
     """
     if override_cm is not None:
         w, h = override_cm
-        return ScreenGeometry(w, h, orientation, config.margin_cm)
+        return ScreenGeometry(w, h, config.margin_cm)
     if device_type == "mobile":
         long_edge, short_edge = config.mobile_screen_cm
         if orientation is Orientation.CENTERED:
-            return ScreenGeometry(short_edge, long_edge, orientation, config.margin_cm)
-        return ScreenGeometry(long_edge, short_edge, orientation, config.margin_cm)
+            return ScreenGeometry(short_edge, long_edge, config.margin_cm)
+        return ScreenGeometry(long_edge, short_edge, config.margin_cm)
     if not use_size_detection:
         w, h = config.default_desktop_screen_cm
-        return ScreenGeometry(w, h, Orientation.CENTERED, config.margin_cm)
+        return ScreenGeometry(w, h, config.margin_cm)
     if stats.mean_eye_distance_cm <= 0:
         raise DataError(
             f"nonpositive mean eye distance: {stats.mean_eye_distance_cm}"
         )
     height = stats.mean_eye_distance_cm / config.pvd_coefficient
     width = config.desktop_aspect * height
-    return ScreenGeometry(width, height, Orientation.CENTERED, config.margin_cm)
+    return ScreenGeometry(width, height, config.margin_cm)
 
 
 def gaze_on_screen(points: np.ndarray, geom: ScreenGeometry) -> np.ndarray:

@@ -54,14 +54,16 @@ def train_config():
     return PipelineConfig()
 
 
+# 16 mixed-device sessions with every distractor; first half is the
+# training split. Yawn prevalence matches the production imbalance.
+MIXED_SUITE = SuiteConfig(seed=5, n_sessions=16, template="full", device="mixed",
+                          train_fraction=0.5, yawn_prevalence=0.026)
+
+
 @pytest.fixture(scope="session")
 def mixed_suite():
-    """16 mixed-device sessions with every distractor; first half is the
-    training split. Yawn prevalence matches the production imbalance."""
-    return sessions_from_config(
-        SuiteConfig(seed=5, n_sessions=16, template="full", device="mixed",
-                    train_fraction=0.5, yawn_prevalence=0.026)
-    )
+    """``MIXED_SUITE``, generated in memory."""
+    return sessions_from_config(MIXED_SUITE)
 
 
 @pytest.fixture(scope="session")

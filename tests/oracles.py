@@ -149,12 +149,12 @@ def tree_predict(node, X):
     stack = [(node, np.arange(len(X)))]
     while stack:
         nd, idx = stack.pop()
-        if nd.is_leaf:
-            out[idx] = nd.value
+        if "value" in nd:
+            out[idx] = nd["value"]
             continue
-        go_left = X[idx, nd.feature] <= nd.threshold
-        stack.append((nd.left, idx[go_left]))
-        stack.append((nd.right, idx[~go_left]))
+        go_left = X[idx, nd["feature"]] <= nd["threshold"]
+        stack.append((nd["left"], idx[go_left]))
+        stack.append((nd["right"], idx[~go_left]))
     return out
 
 
@@ -219,10 +219,10 @@ def tree_nodes(tree, X):
     while stack:
         node, rows, depth = stack.pop()
         yield depth, node, rows
-        if not node.is_leaf:
-            go_left = X[rows, node.feature] <= node.threshold
-            stack.append((node.right, rows[~go_left], depth + 1))
-            stack.append((node.left, rows[go_left], depth + 1))
+        if "value" not in node:
+            go_left = X[rows, node["feature"]] <= node["threshold"]
+            stack.append((node["right"], rows[~go_left], depth + 1))
+            stack.append((node["left"], rows[go_left], depth + 1))
 
 
 def base_prediction(y, classification):

@@ -114,9 +114,9 @@ def test_criterion_03_end_to_end_suite(eval_suite_50, artifacts, config):
     details = []
     for device, ps in sorted(pairs.items()):
         rep = pooled_report(ps)
-        assert rep.g_mean >= 0.90, (device, rep)
-        assert rep.f1 >= 0.85, (device, rep)
-        details.append(f"{device} g={rep.g_mean:.3f} F1={rep.f1:.3f}")
+        assert rep["g_mean"] >= 0.90, (device, rep)
+        assert rep["f1"] >= 0.85, (device, rep)
+        details.append(f"{device} g={rep['g_mean']:.3f} F1={rep['f1']:.3f}")
     assert elapsed < 60.0
     report("criterion 3", f"{'; '.join(details)}; scored in {elapsed:.1f}s")
 
@@ -131,8 +131,8 @@ def offset_suite():
 
 def g_mean_of(table, variant: str, device: str) -> float:
     """The g-mean of ``variant``'s row of an ablation table on ``device``."""
-    (row,) = [row for row in table.rows if row.variant == variant]
-    return row.by_device[device].g_mean
+    (row,) = [row for row in table["rows"] if row["variant"] == variant]
+    return row["by_device"][device]["g_mean"]
 
 
 def test_criterion_04_ablation_processing_steps(offset_suite, artifacts, config):
@@ -155,7 +155,7 @@ def test_criterion_04_ablation_processing_steps(offset_suite, artifacts, config)
 def test_criterion_05_ablation_distraction_signals(eval_suite_50, artifacts, config):
     sessions = [(f, t, m) for f, t, m, _ in eval_suite_50]
     table = run_ablation(sessions, artifacts, TABLE3_VARIANTS, config)
-    order = [row.variant for row in table.rows]
+    order = [row["variant"] for row in table["rows"]]
     assert order == [v.name for v in TABLE3_VARIANTS]
     details = []
     for device in ("desktop", "mobile"):

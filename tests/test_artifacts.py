@@ -42,6 +42,16 @@ def test_gaze_artifact_round_trip(tmp_path):
     assert doc["quality_floor"] == loaded.min_quality == 0.3
 
 
+def test_a_loaded_ensemble_writes_the_document_it_was_loaded_from(tmp_path):
+    path = tmp_path / "gaze_regressors.json"
+    artifacts_io.save_gaze_regressors(gaze_model(), {}, path)
+    written = json.loads(path.read_text())["models"]["desktop"]
+    loaded = artifacts_io.load_gaze_regressors(path).by_device["desktop"]
+    assert loaded["x"].trees and written["x"]["trees"]
+    for axis in ("x", "y"):
+        assert json.loads(json.dumps(loaded[axis].to_dict())) == written[axis], axis
+
+
 def test_cnn_artifact_round_trip(tmp_path):
     model = speaking_model()
     path = tmp_path / "speaking_cnn.json"

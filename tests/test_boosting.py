@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 
@@ -14,7 +15,6 @@ from adwatch.boosting import (
     MODE_REGRESSION,
     BoostConfig,
     BoostedEnsemble,
-    TreeNode,
     _Table,
     _best_split,
     _bin_feature,
@@ -135,6 +135,44 @@ def test_serialization_round_trip_bit_exact():
     assert np.array_equal(model.predict(grid), clone.predict(grid))
 
 
+def test_from_dict_checks_a_copy_and_leaves_the_document_as_it_was():
+    doc = {
+        "mode": MODE_REGRESSION, "learning_rate": 0.5, "max_depth": 1, "base_prediction": 1, "n_features": 1,
+        "trees": [{"feature": 0, "threshold": 1, "left": {"value": -2}, "right": {"value": 4}}],
+    }
+    before = copy.deepcopy(doc)
+    model = BoostedEnsemble.from_dict(doc)
+    assert doc == before
+    tree = doc["trees"][0]
+    assert type(tree["threshold"]) is int and type(tree["left"]["value"]) is int
+    # the model's tree is a new node object with its numbers as floats
+    assert model.trees == [{"feature": 0, "threshold": 1.0, "left": {"value": -2.0}, "right": {"value": 4.0}}]
+    assert model.trees[0] is not tree and type(model.trees[0]["threshold"]) is float
+    assert model.predict(np.array([[1.0], [1.5]])).tolist() == [0.0, 3.0]
+    assert model.to_dict()["trees"] == model.trees
+
+
+@pytest.mark.parametrize("node, message", [
+    ({"feature": 2, "threshold": 0.5, "left": {"value": 1}, "right": {"value": 2}},
+     "feature must be an integer in [0, 2), got 2"),
+    ({"feature": True, "threshold": 0.5, "left": {"value": 1}, "right": {"value": 2}},
+     "feature must be an integer in [0, 2), got true"),
+    ({"feature": 0, "threshold": "1", "left": {"value": 1}, "right": {"value": 2}},
+     'threshold must be a finite number, got "1"'),
+    ({"feature": 0, "threshold": 0.5, "left": {"value": 1}}, "missing key right"),
+    ({"feature": 0, "threshold": 0.5, "left": {"value": 1}, "right": [2]}, "left and right must be tree node objects"),
+    ({"feature": 0, "threshold": 0.5, "left": {"value": None}, "right": {"value": 2}},
+     "value must be a finite number, got null"),
+])
+def test_a_malformed_node_is_named_with_its_tree(node, message):
+    leaf = {"value": 0.5}
+    doc = {"mode": MODE_REGRESSION, "learning_rate": 0.1, "max_depth": 2, "base_prediction": 0.0,
+           "n_features": 2, "trees": [leaf, leaf, leaf, node]}
+    with pytest.raises(MissingArtifactError) as got:
+        BoostedEnsemble.from_dict(doc, "models.desktop.x")
+    assert str(got.value) == f"models.desktop.x: tree 3: {message}"
+
+
 def test_fit_is_deterministic():
     rng = np.random.default_rng(11)
     X = rng.normal(0, 1, (80, 2))
@@ -150,7 +188,7 @@ def test_tie_break_prefers_lowest_feature_index():
     x = rng.uniform(-1, 1, 40)
     X = np.stack([x, x], axis=1)
     model = fit_boosted(X, x, BoostConfig(n_stages=1, max_depth=1))
-    assert model.trees[0].feature == 0
+    assert model.trees[0]["feature"] == 0
 
 
 def test_learning_rate_validated():
@@ -248,12 +286,12 @@ def test_histogram_fit_matches_per_node_search(problem):
             searched = depth < config.max_depth
             best = exact_partitions(X[rows], g) if searched else {None: _MIN_GAIN}
             top = max(best.values())
-            if node.is_leaf:
-                assert node.value == leaf_value(g, None if hess is None else hess[rows])
+            if "value" in node:
+                assert node["value"] == leaf_value(g, None if hess is None else hess[rows])
                 assert top <= _MIN_GAIN + tol
             else:
                 assert searched
-                left = X[rows, node.feature] <= node.threshold
+                left = X[rows, node["feature"]] <= node["threshold"]
                 assert left.any() and not left.all()
                 assert best[bytes(left)] >= top - tol
     if len(model.trees) < config.n_stages:
@@ -389,9 +427,9 @@ def test_features_with_many_values_get_at_most_255_thresholds():
 
 
 def features(node):
-    if node.is_leaf:
+    if "value" in node:
         return set()
-    return {node.feature} | features(node.left) | features(node.right)
+    return {node["feature"]} | features(node["left"]) | features(node["right"])
 
 
 def test_constant_feature_never_splits():
@@ -403,7 +441,7 @@ def test_constant_feature_never_splits():
     cuts, bins = _bin_feature(np.full(50, 7.0))
     assert len(cuts) == 0 and not np.any(bins)
     flat = fit_boosted(X[:, [0, 2]], x, BoostConfig(n_stages=5))
-    assert flat.trees and all(tree.is_leaf for tree in flat.trees)
+    assert flat.trees and all("value" in tree for tree in flat.trees)
 
 
 def assert_thresholds_are_midpoints(X, model):
@@ -442,10 +480,10 @@ SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 0.0]
 
 
 def thresholds(node, feature=None):
-    if node.is_leaf:
+    if "value" in node:
         return []
-    own = [node.threshold] if feature in (None, node.feature) else []
-    return [*own, *thresholds(node.left, feature), *thresholds(node.right, feature)]
+    own = [node["threshold"]] if feature in (None, node["feature"]) else []
+    return [*own, *thresholds(node["left"], feature), *thresholds(node["right"], feature)]
 
 
 def thresholds_of(model):
@@ -506,13 +544,13 @@ def test_compiled_prediction_empty_single_leaf_and_odd_thresholds():
     values = np.array([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, *SPECIALS])
     P = np.stack(np.meshgrid(values, values), axis=-1).reshape(-1, 2)
     assert_matches_walk(model, P)
-    model.trees.append(TreeNode(value=2.5))
+    model.trees.append({"value": 2.5})
     assert_matches_walk(model, P)
 
     def split(f, t, left, right):
-        return TreeNode(feature=f, threshold=t, left=left, right=right)
+        return {"feature": f, "threshold": t, "left": left, "right": right}
 
-    leaf = [TreeNode(value=v) for v in (1.0, -2.0, 3.5, 0.25, -0.75, 7.0)]
+    leaf = [{"value": v} for v in (1.0, -2.0, 3.5, 0.25, -0.75, 7.0)]
     # a NaN threshold sends every row right; x <= 1.0 under x <= -1.0 never
     # goes right; infinite and signed-zero thresholds compare as IEEE does
     model.trees.append(split(
@@ -537,12 +575,12 @@ def hand_built_tree(draw, levels):
     every depth above the last: one child keeps the full height, the other
     draws its own."""
     if levels == 0:
-        return TreeNode(value=draw(st.floats(-4.0, 4.0)))
+        return {"value": draw(st.floats(-4.0, 4.0))}
     tall = draw(st.booleans())
     left, right = (draw(hand_built_tree(levels - 1 if keep else draw(st.integers(0, levels - 1))))
                    for keep in (not tall, tall))
-    return TreeNode(feature=draw(st.integers(0, 1)), threshold=draw(st.sampled_from(THRESHOLD_POOL)),
-                    left=left, right=right)
+    return {"feature": draw(st.integers(0, 1)), "threshold": draw(st.sampled_from(THRESHOLD_POOL)),
+            "left": left, "right": right}
 
 
 @settings(max_examples=200, deadline=None)

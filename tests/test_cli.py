@@ -586,7 +586,7 @@ def test_mistyped_config_value_exits_2(trained, tmp_path, capsys, command, item)
     artifacts = [] if command == "train" else ["--artifacts", str(art)]
     code = main([command, "--suite-dir", str(suite), *artifacts, "--set", item, "--output", str(tmp_path / "s")])
     assert code == 2
-    assert f"config: {item.split('=')[0]} must be" in capsys.readouterr().err
+    assert f"config error: --set: {item.split('=')[0]} must be" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
 
 
@@ -1620,7 +1620,7 @@ def test_ablate_renders_tables(trained, tmp_path):
 def test_ablate_writes_the_same_bytes_in_one_process_and_in_two(trained, tmp_path, monkeypatch, sessions, split):
     # the 6-session suite's train split has 3 sessions: this process scores two
     from adwatch.config import ScoreConfig
-    from adwatch.evaluation import AblationTable, run_ablation
+    from adwatch.evaluation import run_ablation
     from adwatch.pipeline import TABLE1_VARIANTS, TABLE3_VARIANTS
 
     _, suite, art, _ = trained
@@ -1642,10 +1642,10 @@ def test_ablate_writes_the_same_bytes_in_one_process_and_in_two(trained, tmp_pat
     assert trees[1] == trees[2]
     # the command and the library harness share one scoring loop
     rows = run_ablation(training.load_suite_sessions(suite, split), ArtifactSet.load(art),
-                        TABLE1_VARIANTS + TABLE3_VARIANTS, ScoreConfig()).rows
+                        TABLE1_VARIANTS + TABLE3_VARIANTS, ScoreConfig())["rows"]
     assert json.loads(trees[1]["ablation.json"]) == {
-        "processing_steps": AblationTable(rows[: len(TABLE1_VARIANTS)]).to_dict(),
-        "distraction_signals": AblationTable(rows[len(TABLE1_VARIANTS):]).to_dict(),
+        "processing_steps": {"rows": rows[: len(TABLE1_VARIANTS)]},
+        "distraction_signals": {"rows": rows[len(TABLE1_VARIANTS):]},
     }
 
 
@@ -1659,6 +1659,75 @@ def test_ablate_single_family_matches_its_slice_of_both(trained, tmp_path):
         docs[tables] = json.loads((out / "ablation.json").read_text())
     assert docs["steps"] == {"processing_steps": docs["both"]["processing_steps"]}
     assert docs["signals"] == {"distraction_signals": docs["both"]["distraction_signals"]}
+
+
+@pytest.fixture(scope="module")
+def mixed_suite_documents(tmp_path_factory, artifacts):
+    """The fixture suite on disk with the fixture models, and the documents
+    that score, evaluate and ablate write for its held-out split."""
+    from adwatch.artifacts import save_gaze_regressors, save_speaking_cnn, save_yawn_classifier
+    from adwatch.synth import generate_suite
+    from conftest import MIXED_SUITE
+
+    root = tmp_path_factory.mktemp("documents")
+    suite, art = root / "suite", root / "art"
+    generate_suite(MIXED_SUITE, suite)
+    save_gaze_regressors(artifacts.gaze, {}, art / "gaze_regressors.json")
+    save_speaking_cnn(artifacts.speaking, {}, art / "speaking_cnn.json")
+    save_yawn_classifier(artifacts.yawn, {}, art / "yawn_classifier.json")
+    models = ["--suite-dir", str(suite), "--artifacts", str(art)]
+    assert main(["score", *models, "--split", "held_out", "--output", str(root / "scored")]) == 0
+    assert main(["evaluate", "--suite-dir", str(suite), "--scored", str(root / "scored"),
+                 "--output", str(root / "evaluated")]) == 0
+    assert main(["ablate", *models, "--tables", "both", "--output", str(root / "ablated")]) == 0
+    return root, training.select_sessions(suite, "held_out")
+
+
+def test_each_summary_file_is_what_session_summary_returns(mixed_suite_documents):
+    from adwatch.fusion import session_summary
+    from adwatch.session_io import read_timeline
+
+    root, selected = mixed_suite_documents
+    assert len(selected) == 8
+    for manifest, _ in selected:
+        sid = manifest.session_id
+        written = json.loads((root / "scored" / f"{sid}.summary.json").read_text())
+        timeline = read_timeline(root / "scored" / f"{sid}.timeline.jsonl")
+        assert written == session_summary(timeline, manifest.frame_rate_hz), manifest.session_id
+
+
+def test_each_evaluation_device_block_is_what_pooled_report_returns(mixed_suite_documents):
+    from adwatch.evaluation import pooled_report
+    from adwatch.session_io import read_timeline
+
+    root, selected = mixed_suite_documents
+    pairs = {}
+    for manifest, base_dir in selected:
+        predicted = read_timeline(root / "scored" / f"{manifest.session_id}.timeline.jsonl")
+        truth = read_timeline(base_dir / manifest.ground_truth)
+        pairs.setdefault(manifest.device_type, []).append((~predicted.attentive, ~truth.attentive))
+    assert sorted(pairs) == ["desktop", "mobile"]
+    written = json.loads((root / "evaluated" / "evaluation.json").read_text())
+    assert written == {"n_sessions": 8, "by_device": {d: pooled_report(p) for d, p in sorted(pairs.items())}}
+
+
+def test_each_ablation_family_is_its_slice_of_what_ablation_table_returns(mixed_suite_documents):
+    from adwatch.evaluation import ablation_pairs, ablation_table
+    from adwatch.pipeline import TABLE1_VARIANTS, TABLE3_VARIANTS
+
+    root, selected = mixed_suite_documents
+    artifacts = ArtifactSet.load(root / "art")
+    variants = TABLE1_VARIANTS + TABLE3_VARIANTS
+    rows = ablation_table(variants, [
+        (manifest.device_type, ablation_pairs(*training.parse_session(manifest, base_dir), manifest,
+                                              artifacts, variants, ScoreConfig()))
+        for manifest, base_dir in selected
+    ])["rows"]
+    written = json.loads((root / "ablated" / "ablation.json").read_text())
+    assert written == {
+        "processing_steps": {"rows": rows[: len(TABLE1_VARIANTS)]},
+        "distraction_signals": {"rows": rows[len(TABLE1_VARIANTS):]},
+    }
 
 
 # the config object each command reads
@@ -1693,6 +1762,56 @@ def test_a_config_field_the_command_does_not_read_exits_2_naming_its_reader(
     where = "--set" if source == "--set" else f"config {tmp_path / 'c.json'}"
     assert capsys.readouterr().err == f"config error: {where}: {name} is read by {readers}, not by {command}\n"
     assert loads == [] and not out.exists()
+
+
+# a field of the command's own object, and what its rule expects
+OWN_FIELD = {"train": ("window_span_s", "> 0"), "score": ("margin_cm", ">= 0"), "ablate": ("margin_cm", ">= 0")}
+
+
+@pytest.mark.parametrize("source", ["--set", "--config"])
+@pytest.mark.parametrize("command", list(READS))
+def test_an_unknown_key_or_a_bad_value_exits_2_naming_its_source(
+        trained, tmp_path, capsys, monkeypatch, source, command):
+    _, suite, art, _ = trained
+    artifacts = [] if command == "train" else ["--artifacts", str(art)]
+    where = "--set" if source == "--set" else f"config {tmp_path / 'c.json'}"
+    name, bound = OWN_FIELD[command]
+    loads = count_frame_loads(monkeypatch)
+    out = tmp_path / "o"
+    for key, value, message in [
+        ("margn_cm", 2, "unknown keys ['margn_cm']"),
+        (name, "2", f'{name} must be a finite number {bound}, got "2"'),
+    ]:
+        flags = config_flags(tmp_path, source, key, value)
+        assert main([command, "--suite-dir", str(suite), *artifacts, *flags, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {where}: {message}\n"
+    assert loads == [] and not out.exists()
+
+
+# (command, a file its cross-field rule refuses, a --set that keeps it
+# refused, the message, and a --set that mends it, with the value it sets)
+CROSS_FIELD = [
+    ("train", {"window_samples": 10}, "window_samples=12",
+     "min_valid_samples (15) must not exceed window_samples (12)", "min_valid_samples=5", 5),
+    ("ablate", {"orientation_face_band": [0.7, 0.6]}, "orientation_face_band=[0.9, 0.8]",
+     "orientation_face_band must be an increasing pair in [0, 1], got [0.9, 0.8]",
+     "orientation_face_band=[0.2, 0.8]", (0.2, 0.8)),
+]
+
+
+@pytest.mark.parametrize("command, file, item, message, mend, value", CROSS_FIELD, ids=["train", "ablate"])
+def test_a_rule_over_two_fields_reads_the_merged_config_and_names_config(
+        tmp_path, capsys, command, file, item, message, mend, value):
+    # the config is read before any input: the suite and artifacts need not exist
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(file))
+    argv = [command, *REQUIRED[command], "--config", str(path)]
+    assert main([*argv, "--set", item, "--output", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: config: {message}\n"
+    assert not (tmp_path / "o").exists()
+    # --set wins over the file before the rule is read
+    cfg = _load_config(build_parser().parse_args([*argv, "--set", mend, "--output", "o"]))
+    assert getattr(cfg, mend.split("=")[0]) == value
 
 
 @pytest.mark.parametrize("source", ["--set", "--config"])

@@ -62,39 +62,56 @@ def test_the_two_objects_split_the_fields_by_reader():
 
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError, match=r"^config: unknown keys \['margn_cm'\]$"):
-        config_from_mapping({"margn_cm": 2.0}, ScoreConfig())
+        config_from_mapping(ScoreConfig(), ("config", {"margn_cm": 2.0}))
     # a field of the other object is not one of this one's
     with pytest.raises(ConfigError, match=r"^config: unknown keys \['window_span_s'\]$"):
-        config_from_mapping({"window_span_s": 1.0}, ScoreConfig())
+        config_from_mapping(ScoreConfig(), ("config", {"window_span_s": 1.0}))
     with pytest.raises(ConfigError, match=r"^config: unknown keys \['margin_cm'\]$"):
-        config_from_mapping({"margin_cm": 1.0}, PipelineConfig())
+        config_from_mapping(PipelineConfig(), ("config", {"margin_cm": 1.0}))
 
 
 def test_file_overrides_defaults(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"margin_cm": 2.5, "mobile_screen_cm": [15.0, 7.5]}))
-    cfg = config_from_mapping(_read_json_object(path, "config", ConfigError), ScoreConfig())
+    cfg = config_from_mapping(ScoreConfig(), ("config", _read_json_object(path, "config", ConfigError)))
     assert cfg.margin_cm == 2.5
     assert cfg.mobile_screen_cm == (15.0, 7.5)
     assert cfg.quality_gate == ScoreConfig().quality_gate
 
 
 def test_layered_overrides():
-    base = config_from_mapping({"margin_cm": 2.5}, ScoreConfig())
-    top = config_from_mapping({"quality_gate": 0.6}, base)
+    base = config_from_mapping(ScoreConfig(), ("config", {"margin_cm": 2.5}))
+    top = config_from_mapping(base, ("config", {"quality_gate": 0.6}))
     assert top.margin_cm == 2.5
     assert top.quality_gate == 0.6
+    # in one call, a later layer wins
+    both = config_from_mapping(ScoreConfig(), ("a", {"margin_cm": 2.5, "quality_gate": 0.7}),
+                               ("b", {"quality_gate": 0.6}))
+    assert both == top
+
+
+def test_each_layer_is_named_and_a_rule_over_two_fields_reads_the_merged_object():
+    with pytest.raises(ConfigError, match=r"^b: unknown keys \['margn_cm'\]$"):
+        config_from_mapping(ScoreConfig(), ("a", {"margin_cm": 2.0}), ("b", {"margn_cm": 2.0}))
+    with pytest.raises(ConfigError, match=r'^a: margin_cm must be a finite number >= 0, got "2"$'):
+        config_from_mapping(ScoreConfig(), ("a", {"margin_cm": "2"}), ("b", {"margin_cm": 2.0}))
+    # the first layer alone breaks min_valid_samples <= window_samples; the
+    # second mends it
+    cfg = config_from_mapping(PipelineConfig(), ("a", {"window_samples": 10}), ("b", {"min_valid_samples": 5}))
+    assert (cfg.window_samples, cfg.min_valid_samples) == (10, 5)
+    with pytest.raises(ConfigError, match=r"^config: min_valid_samples \(15\) must not exceed window_samples \(12\)$"):
+        config_from_mapping(PipelineConfig(), ("a", {"window_samples": 10}), ("b", {"window_samples": 12}))
 
 
 def test_validation_failures():
     with pytest.raises(ConfigError):
-        config_from_mapping({"quality_gate": 1.5}, ScoreConfig())
+        config_from_mapping(ScoreConfig(), ("config", {"quality_gate": 1.5}))
     with pytest.raises(ConfigError):
-        config_from_mapping({"pvd_coefficient": 0.0}, ScoreConfig())
+        config_from_mapping(ScoreConfig(), ("config", {"pvd_coefficient": 0.0}))
     with pytest.raises(ConfigError):
-        config_from_mapping({"mobile_screen_cm": [0.0, 7.0]}, ScoreConfig())
+        config_from_mapping(ScoreConfig(), ("config", {"mobile_screen_cm": [0.0, 7.0]}))
     with pytest.raises(ConfigError):
-        config_from_mapping({"mobile_screen_cm": "wide"}, ScoreConfig())
+        config_from_mapping(ScoreConfig(), ("config", {"mobile_screen_cm": "wide"}))
 
 
 @pytest.mark.parametrize(
@@ -117,11 +134,12 @@ def test_validation_failures():
 )
 def test_validation_failures_training_fields(key, value):
     with pytest.raises(ConfigError, match=key):
-        config_from_mapping({key: value}, PipelineConfig())
+        config_from_mapping(PipelineConfig(), ("config", {key: value}))
 
 
 def test_training_field_limits_accepted():
-    cfg = config_from_mapping({"cnn_epochs": 0, "cnn_learning_rate": 1, "gaze_depth": 1}, PipelineConfig())
+    limits = {"cnn_epochs": 0, "cnn_learning_rate": 1, "gaze_depth": 1}
+    cfg = config_from_mapping(PipelineConfig(), ("config", limits))
     assert (cfg.cnn_epochs, cfg.cnn_learning_rate, cfg.gaze_depth) == (0, 1, 1)
 
 
@@ -160,7 +178,7 @@ def test_training_field_limits_accepted():
 def test_validation_failures_scoring_fields(key, value):
     # each on the object that has the field: the model-input ones are train's
     with pytest.raises(ConfigError, match=key):
-        config_from_mapping({key: value}, holder(key))
+        config_from_mapping(holder(key), ("config", {key: value}))
 
 
 @pytest.mark.parametrize("limits", [
@@ -170,7 +188,7 @@ def test_validation_failures_scoring_fields(key, value):
 ], ids=["score", "model_inputs"])
 def test_scoring_field_limits_accepted(limits):
     base = holder(next(iter(limits)))
-    cfg = config_from_mapping(limits, base)
+    cfg = config_from_mapping(base, ("config", limits))
     assert config_to_dict(cfg) == {**config_to_dict(base), **limits}
 
 
@@ -188,8 +206,8 @@ def test_missing_or_invalid_file(tmp_path):
     ({"window_span_s": 2.0}, PipelineConfig()),
 ], ids=["score", "train"])
 def test_round_trip_through_dict(mapping, base):
-    cfg = config_from_mapping(mapping, base)
-    again = config_from_mapping(config_to_dict(cfg), base)
+    cfg = config_from_mapping(base, ("config", mapping))
+    again = config_from_mapping(base, ("config", config_to_dict(cfg)))
     assert again == cfg
 
 

@@ -22,8 +22,8 @@ from oracles import macro_f1, pairwise_auc
 def test_perfect_prediction():
     truth = np.array([True, False, True, False])
     rep = frame_metrics(truth, truth)
-    assert rep.g_mean == pytest.approx(1.0)
-    assert rep.f1 == pytest.approx(1.0)
+    assert rep["g_mean"] == pytest.approx(1.0)
+    assert rep["f1"] == pytest.approx(1.0)
 
 
 def test_g_mean_formula():
@@ -33,25 +33,25 @@ def test_g_mean_formula():
     pred[0] = False                      # 9/10 positives found
     pred[10:16] = True                   # 4/10 negatives kept
     rep = frame_metrics(pred, truth)
-    assert rep.tpr == pytest.approx(0.9)
-    assert rep.tnr == pytest.approx(0.4)
-    assert rep.g_mean == pytest.approx(0.6)
+    assert rep["tpr"] == pytest.approx(0.9)
+    assert rep["tnr"] == pytest.approx(0.4)
+    assert rep["g_mean"] == pytest.approx(0.6)
 
 
 def test_all_negative_prediction_on_mixed_truth():
     truth = np.array([True, True, False, False])
     pred = np.zeros(4, dtype=bool)
     rep = frame_metrics(pred, truth)
-    assert rep.f1 == 0.0
-    assert rep.g_mean == pytest.approx(0.0)   # TPR 0 defined, TNR 1
+    assert rep["f1"] == 0.0
+    assert rep["g_mean"] == pytest.approx(0.0)   # TPR 0 defined, TNR 1
 
 
 def test_undefined_rates_reported_absent():
     truth = np.zeros(5, dtype=bool)           # no positives at all
     rep = frame_metrics(np.zeros(5, dtype=bool), truth)
-    assert rep.tpr is None
-    assert rep.g_mean is None
-    assert rep.tnr == pytest.approx(1.0)
+    assert rep["tpr"] is None
+    assert rep["g_mean"] is None
+    assert rep["tnr"] == pytest.approx(1.0)
 
 
 def test_length_mismatch_rejected():
@@ -65,9 +65,9 @@ def test_metric_symmetry_under_class_swap():
     pred = truth ^ (rng.uniform(size=200) < 0.2)
     a = frame_metrics(pred, truth)
     b = frame_metrics(~pred, ~truth)
-    assert a.tpr == pytest.approx(b.tnr)
-    assert a.tnr == pytest.approx(b.tpr)
-    assert a.g_mean == pytest.approx(b.g_mean)
+    assert a["tpr"] == pytest.approx(b["tnr"])
+    assert a["tnr"] == pytest.approx(b["tpr"])
+    assert a["g_mean"] == pytest.approx(b["g_mean"])
 
 
 def test_roc_auc_perfect_separation():
@@ -151,18 +151,18 @@ def test_aggregation_helpers():
         (np.array([False, False]), np.array([True, False])),
     ]
     pooled = pooled_report(pairs)
-    assert pooled.tp == 1 and pooled.fn == 1
+    assert pooled["tp"] == 1 and pooled["fn"] == 1
 
 
 def test_empty_variant_list_runs_full_model(heldout_sessions, artifacts, config):
     table = run_ablation(heldout_sessions[:2], artifacts, [], config)
-    assert [row.variant for row in table.rows] == ["full"]
+    assert [row["variant"] for row in table["rows"]] == ["full"]
 
 
 def test_ablation_deterministic(heldout_sessions, artifacts, config):
     a = run_ablation(heldout_sessions[:2], artifacts, [FULL_VARIANT], config)
     b = run_ablation(heldout_sessions[:2], artifacts, [FULL_VARIANT], config)
-    assert a.to_dict() == b.to_dict()
+    assert a == b
 
 
 def test_render_table_alignment(heldout_sessions, artifacts, config):

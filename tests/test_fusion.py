@@ -84,8 +84,8 @@ def test_fuse_length_mismatch():
 def test_summary_all_attentive():
     tl = fuse(*[np.zeros(40, dtype=bool)] * 5)
     s = session_summary(tl, 30.0)
-    assert s.percent_inattentive == 0.0
-    assert all(not evs for evs in s.events_by_source.values())
+    assert s["percent_inattentive"] == 0.0
+    assert all(not evs for evs in s["events"].values())
 
 
 def test_summary_half_inattentive():
@@ -94,7 +94,7 @@ def test_summary_half_inattentive():
     gaze[:50] = True
     tl = fuse(gaze, *[np.zeros(n, dtype=bool)] * 4)
     s = session_summary(tl, 30.0)
-    assert s.percent_inattentive == pytest.approx(50.0)
+    assert s["percent_inattentive"] == pytest.approx(50.0)
 
 
 def test_summary_durations_match_run_lengths():
@@ -104,12 +104,12 @@ def test_summary_durations_match_run_lengths():
     s = session_summary(tl, 30.0)
     for b, name in enumerate(SIGNAL_NAMES):
         runs = find_runs(signals[b])   # independent recomputation
-        evs = s.events_by_source[name]
+        evs = s["events"][name]
         assert len(evs) == len(runs)
         for ev, (start, end) in zip(evs, runs):
-            assert (ev.start_frame, ev.end_frame) == (start, end)
-            assert ev.duration_s == pytest.approx((end - start + 1) / 30.0)
-            assert ev.end_s - ev.start_s == pytest.approx(ev.duration_s)
+            assert (ev["start_frame"], ev["end_frame"]) == (start, end)
+            assert ev["duration_s"] == pytest.approx((end - start + 1) / 30.0)
+            assert ev["end_s"] - ev["start_s"] == pytest.approx(ev["duration_s"])
 
 
 def test_summary_empty_rejected():

@@ -287,8 +287,9 @@ def test_estimate_screen_mobile_swap():
     stats = make_stats()
     portrait = estimate_screen(stats, "mobile", CFG, orientation=Orientation.CENTERED)
     rotated = estimate_screen(stats, "mobile", CFG, orientation=Orientation.CLOCKWISE)
-    assert (portrait.width_cm, portrait.height_cm) == (7.0, 14.0)
-    assert (rotated.width_cm, rotated.height_cm) == (14.0, 7.0)
+    # the orientation picks the rectangle; the screen is only its size and margin
+    assert portrait == ScreenGeometry(7.0, 14.0, CFG.margin_cm)
+    assert rotated == ScreenGeometry(14.0, 7.0, CFG.margin_cm)
 
 
 def test_estimate_screen_override_wins():

@@ -31,7 +31,7 @@ def test_clean_session_scores_close_to_truth(heldout_sessions, artifacts, config
     timeline = score_session(SessionDetectors(frames, manifest, artifacts, config))
     assert len(timeline) == len(frames)
     rep = frame_metrics(~timeline.attentive, ~truth.attentive)
-    assert rep.g_mean > 0.9
+    assert rep["g_mean"] > 0.9
 
 
 # every config field the session clock times; the speaking model's window
@@ -322,7 +322,7 @@ def test_ablation_runs_each_detector_once_per_session(
         monkeypatch.setattr(module, "intersect_gaze_batch", intersect, raising=False)
     sessions = heldout_sessions
     table = run_ablation(sessions, artifacts, ABLATE_ORDER, config)
-    assert [row.variant for row in table.rows] == [v.name for v in ABLATE_ORDER]
+    assert [row["variant"] for row in table["rows"]] == [v.name for v in ABLATE_ORDER]
     assert calls["score_session"] == len(ABLATE_ORDER) * len(sessions)
     # the session facts: once per session
     assert calls["compute_session_stats"] == len(sessions)

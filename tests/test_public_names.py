@@ -1,6 +1,7 @@
 """Every public top-level function and class of ``adwatch``, and every
 public method of a public class, has a user; every field of an options
-object has a caller that sets it.
+object has a caller that sets it; a public class that writes itself as a
+JSON document (``to_dict``) also reads itself back (``from_dict``).
 
 A public name that only ``__init__`` re-exports and only tests call is code
 kept alive for its tests; such a helper belongs with the tests instead. A
@@ -137,4 +138,58 @@ def test_set_fields_counts_values_other_than_the_default_literal():
     assert set_fields([ast.parse(PLANTED)]) == {
         ("BoostConfig", "n_stages"), ("BoostConfig", "max_depth"), ("BoostConfig", "mode"),
         ("SuiteConfig", "template"), ("PipelineVariant", "signals"), ("CnnTrainConfig", "epochs"),
+    }
+
+
+def document_methods(trees: list[ast.Module]) -> dict[str, set[str]]:
+    """For each public class in ``trees`` that defines ``to_dict``, which of
+    ``to_dict`` and ``from_dict`` its own body defines."""
+    found = {}
+    for tree in trees:
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            methods = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+            if "to_dict" in methods:
+                found[cls.name] = methods & {"to_dict", "from_dict"}
+    return found
+
+
+def test_a_public_class_that_writes_a_document_also_reads_it():
+    # a record that is only ever written is its dict: the function that
+    # builds it returns the document itself
+    found = document_methods([parse(path) for path in sorted(PACKAGE.glob("*.py"))])
+    assert {"BoostedEnsemble", "TemporalCnn"} <= found.keys()
+    assert [name for name, methods in found.items() if "from_dict" not in methods] == []
+
+
+PLANTED_RECORDS = """
+class Report:
+    def to_dict(self):
+        return {}
+
+class Model:
+    def to_dict(self):
+        return {}
+
+    @classmethod
+    def from_dict(cls, doc):
+        return cls()
+
+class _Private:
+    def to_dict(self):
+        return {}
+
+class Reader:
+    def from_dict(self, doc):
+        return doc
+
+def to_dict(value):
+    return {}
+"""
+
+
+def test_document_methods_sees_only_public_classes_that_define_to_dict():
+    assert document_methods([ast.parse(PLANTED_RECORDS)]) == {
+        "Report": {"to_dict"}, "Model": {"to_dict", "from_dict"},
     }
