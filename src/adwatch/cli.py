@@ -24,7 +24,14 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .artifacts import GAZE_ARTIFACT, write_artifact
-from .config import PipelineConfig, ScoreConfig, _read_json_object, config_from_mapping
+from .config import (
+    PipelineConfig,
+    ScoreConfig,
+    _check_writes,
+    _read_json_object,
+    _replacing_dirs,
+    config_from_mapping,
+)
 from .errors import AdwatchError, ConfigError, DataError, MissingArtifactError
 from .evaluation import ablation_pairs, ablation_table, pooled_report, render_table
 from .fusion import DistractionTimeline, session_summary
@@ -208,7 +215,8 @@ def _check_gaze_devices(artifacts: ArtifactSet, artifact_dir: Path, manifests) -
 def _check_output(out: Path) -> None:
     """ConfigError unless ``--output`` is a directory or can be made one: the
     first of it and its parents that exists, a dangling link included, must
-    be a directory. Every command checks this before it reads any input."""
+    be a directory. Every command checks this before it reads any input, and
+    then, with ``config._check_writes``, each path it writes inside it."""
     for path in (out, *out.parents):
         if path.exists() or path.is_symlink():
             if not path.is_dir():
@@ -223,9 +231,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             if getattr(args, dest) is not None:
                 raise ConfigError(f"--{dest.replace('_', '-')} does not apply to --script: "
                                   "the script names its own device, seed and segments")
-        sdir = out / "sessions" / "scripted"
-        _write_session(load_script(args.script), "scripted", sdir)
-        print(f"wrote 1 scripted session to {sdir}")
+        _check_writes(out, dirs=["sessions/scripted"])
+        script = load_script(args.script)
+        with _replacing_dirs(out / "sessions", ["scripted"]) as staging:
+            _write_session(script, "scripted", staging / "scripted")
+        print(f"wrote 1 scripted session to {out / 'sessions' / 'scripted'}")
         return EXIT_OK
     for dest, default in _SUITE_DEFAULTS.items():
         if getattr(args, dest) is None:
@@ -291,6 +301,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     if not selected:
         where = "" if args.suite_dir is None else f"split={split!r} and "
         raise DataError(f"no sessions for {where}device={args.device!r} in {args.suite_dir or args.manifest}")
+    _check_writes(args.output, files=[f"{manifest.session_id}.{kind}" for manifest, _ in selected
+                                      for kind in ("timeline.jsonl", "summary.json")])
     _check_gaze_devices(artifacts, args.artifacts, [manifest for manifest, _ in selected])
     # all or nothing: a session that fails leaves no file of any session
     timelines = _in_order(
@@ -308,6 +320,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _check_writes(args.output, files=["evaluation.json"])
     suite_dir: Path = args.suite_dir
     index = load_suite(suite_dir)
     pairs_by_device: dict[str, list] = {}
@@ -353,6 +366,7 @@ def _ablate_one(manifest, base_dir: Path, artifacts: ArtifactSet, variants: list
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
+    _check_writes(args.output, files=["ablation.json", "ablation.txt"])
     cfg = _load_config(args)
     artifacts = ArtifactSet.load(args.artifacts)
     selected = select_sessions(args.suite_dir, args.split)

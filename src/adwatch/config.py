@@ -14,11 +14,14 @@ from __future__ import annotations
 import json
 import numbers
 import os
+import shutil
 import sys
-from contextlib import contextmanager
+import tempfile
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
+from itertools import takewhile
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, TextIO, TypeVar, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO, TypeVar, Union
 
 from .errors import ConfigError
 
@@ -311,7 +314,8 @@ def _replacing(path: PathLike) -> Iterator[TextIO]:
     directory if need be, and is renamed onto ``path`` when the block ends
     without an error, or removed when it raises: a reader never sees a
     half-written file, and a failed write leaves the old file, or none.
-    Every file adwatch writes goes through this, and nothing else writes.
+    Every file adwatch writes goes through this, and nothing else writes
+    but ``_replacing_dirs``, which renames whole directories of such files.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -323,3 +327,55 @@ def _replacing(path: PathLike) -> Iterator[TextIO]:
     finally:
         tmp.unlink(missing_ok=True)
 
+
+@contextmanager
+def _replacing_dirs(root: PathLike, names: Sequence[str]) -> Iterator[Path]:
+    """A temporary directory inside ``root`` in which to fill one directory
+    per name, which then take the places of ``root``'s directories of those
+    names, all or none.
+
+    When the block ends without an error each ``name`` is renamed to
+    ``root / name``, replacing a directory of that name whole: its old files
+    go, whoever wrote them. When the block raises, nothing is moved and the
+    directories made for ``root`` are removed again. Either way the
+    temporary directory is removed.
+    """
+    root = Path(root)
+    made = list(takewhile(lambda p: not (p.exists() or p.is_symlink()), (root, *root.parents)))
+    root.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=root))
+    try:
+        try:
+            yield staging
+        except BaseException:
+            shutil.rmtree(staging)
+            for path in made:       # deepest first, and only while empty
+                with suppress(OSError):
+                    path.rmdir()
+            raise
+        replaced = staging / ".replaced"
+        replaced.mkdir()
+        for name in names:
+            if (root / name).is_dir():
+                os.replace(root / name, replaced / name)
+            os.replace(staging / name, root / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
+def _check_writes(root: Path, files: Iterable[str] = (), dirs: Iterable[str] = ()) -> None:
+    """ConfigError naming the first path that blocks a write below ``root``:
+    a file, or a dangling link, where a directory goes (one of ``dirs``, or
+    one above a name of ``files`` or ``dirs``), or a directory where one of
+    ``files`` goes. Names are relative to ``root``."""
+    for name, is_file in [(name, True) for name in files] + [(name, False) for name in dirs]:
+        target, parts = root / name, Path(name).parts
+        for depth in range(1, len(parts) + 1):
+            path = root.joinpath(*parts[:depth])
+            if not (path.exists() or path.is_symlink()):
+                break
+            if is_file and depth == len(parts):
+                if path.is_dir():
+                    raise ConfigError(f"cannot write {target}: it is a directory")
+            elif not path.is_dir():
+                raise ConfigError(f"cannot write {target}: {path} is not a directory")

@@ -38,6 +38,7 @@ from .config import (
     _STRING,
     _Rule,
     _check_fields,
+    _check_writes,
     _choice,
     _int,
     _is_real,
@@ -47,6 +48,7 @@ from .config import (
     _read_json_object,
     _real,
     _replacing,
+    _replacing_dirs,
 )
 from .errors import ConfigError, SessionFormatError
 from .fusion import SIGNAL_NAMES, DistractionTimeline
@@ -623,19 +625,27 @@ def _write_session(script: ScenarioScript, session_id: str, sdir: Path) -> None:
 
 
 def generate_suite(config: SuiteConfig, out_dir: PathLike) -> SuiteIndex:
-    """Generate a whole suite to disk: one directory per session holding the
-    manifest, the frame stream, and the ground-truth timeline, then the
-    suite index.
+    """Generate a whole suite to disk, or nothing: one directory per session
+    holding the manifest, the frame stream, and the ground-truth timeline,
+    then the suite index.
 
     Every script is built first, each from its own seed, so the sessions
     can be written in two processes (``training._in_halves``) with the same
-    bytes as in one.
+    bytes as in one. A bad config, or a path of the suite that a file or
+    directory blocks, raises ConfigError before anything is written. The
+    sessions are written into a temporary directory and renamed into
+    ``sessions/`` once all are written (``config._replacing_dirs``), so a
+    session of the same name is replaced whole and a failed session leaves
+    ``out_dir`` as it was; ``suite.json`` is written last.
     """
     from .training import _in_halves   # training imports this module
 
-    scripts = build_suite_scripts(config)      # a bad config fails before any write
+    scripts = build_suite_scripts(config)
     out_dir = Path(out_dir)
-    _in_halves([partial(_write_session, script, sid, out_dir / "sessions" / sid) for sid, script, _ in scripts])
+    ids = [sid for sid, _, _ in scripts]
+    _check_writes(out_dir, files=["suite.json"], dirs=[f"sessions/{sid}" for sid in ids])
+    with _replacing_dirs(out_dir / "sessions", ids) as staging:
+        _in_halves([partial(_write_session, script, sid, staging / sid) for sid, script, _ in scripts])
     entries = [
         SuiteEntry(
             session_id=sid,

@@ -42,7 +42,7 @@ from . import artifacts as artifacts_io
 from .artifacts import GAZE_ARTIFACT, SPEAKING_ARTIFACT, YAWN_ARTIFACT
 from .boosting import LEARNING_RATE, BoostConfig, BoostedEnsemble, MODE_CLASSIFICATION, fit_boosted
 from .cnn import CnnTrainConfig, train_cnn
-from .config import _SEED, PipelineConfig, _check_fields
+from .config import _SEED, PipelineConfig, _check_fields, _check_writes
 from .errors import ConfigError, DataError
 from .fusion import DistractionTimeline
 from .gaze import GazeRegressors, compute_session_stats, normalize_gaze, valid_gaze_rays
@@ -413,11 +413,13 @@ def train_all(
 ) -> list[Path]:
     """Train requested models on the suite's train split and write artifacts.
 
-    Every requested model is trained before any file is written, so a
-    failing fit leaves the output directory as it was. With all three
-    requested and more than one usable CPU, a worker process fits the gaze
-    regressors and then the yawn classifier while this process trains the
-    speaking CNN; otherwise they fit in this process in turn.
+    A path of an artifact that a file or directory blocks raises
+    ConfigError before the suite is read. Every requested model is trained
+    before any file is written, so a failing fit leaves the output directory
+    as it was. With all three requested and more than one usable CPU, a
+    worker process fits the gaze regressors and then the yawn classifier
+    while this process trains the speaking CNN; otherwise they fit in this
+    process in turn.
     """
     targets = {
         "gaze": (train_gaze_regressors, artifacts_io.save_gaze_regressors,
@@ -429,8 +431,9 @@ def train_all(
     if only is not None and only not in targets:
         raise DataError(f"unknown training target {only!r}")
     _check_fields({"seed": seed}, {"seed": _SEED}, ConfigError, "train")
-    sessions = load_suite_sessions(suite_dir, split="train")
     requested = [spec for target, spec in targets.items() if only in (None, target)]
+    _check_writes(Path(out_dir), files=[name for _, _, _, name in requested])
+    sessions = load_suite_sessions(suite_dir, split="train")
     # side by side, the boosted fits go to a worker and the CNN, the longest, stays here
     side_by_side = only is None and _usable_cpus() > 1
     in_worker = [side_by_side and text is not None for _, _, text, _ in requested]

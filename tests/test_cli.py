@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adwatch import training
+from adwatch import synth, training
 from adwatch.cli import _load_config, build_parser, main
 from adwatch.config import PipelineConfig, ScoreConfig
 from adwatch.errors import DataError
@@ -174,6 +174,84 @@ def test_simulate_writes_the_same_bytes_in_one_process_and_in_two(tmp_path, monk
     assert trees[1] == trees[2]
 
 
+def listing(root: Path) -> dict:
+    """Every path below ``root``, hidden ones included: a file's bytes, or
+    None for a directory."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
+
+
+def block(path: Path, kind: str) -> Path:
+    """Make a "file" or a "directory" at ``path``, where a command writes."""
+    if kind == "file":
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("kept\n")
+    else:
+        path.mkdir(parents=True)
+    return path
+
+
+def simulate_mini(out: Path, seed: int, sessions: int) -> int:
+    return main(["simulate", "--suite", "mini", "--sessions", str(sessions), "--seed", str(seed),
+                 "--output", str(out)])
+
+
+@pytest.mark.parametrize("before", ["nothing", "a_suite"])
+@pytest.mark.parametrize("failing", ["s001_mobile", "s003_mobile"], ids=["calling_process", "worker"])
+def test_simulate_whose_session_fails_in_either_half_leaves_the_output_as_it_was(
+        tmp_path, capsys, monkeypatch, failing, before):
+    out = tmp_path / "out"
+    if before == "a_suite":
+        assert simulate_mini(out, 1, 4) == 0
+    was = listing(tmp_path)
+    marks = split_by(monkeypatch, 2)
+    write_manifest = synth.write_manifest
+
+    def failing_write(manifest, path):
+        if manifest.session_id == failing:
+            raise DataError(f"session {failing} failed")
+        write_manifest(manifest, path)
+
+    monkeypatch.setattr(synth, "write_manifest", failing_write)
+    capsys.readouterr()
+    assert simulate_mini(out, 2, 4) == 3
+    # s001 is written by this process, s003 by the worker
+    assert marks == [halves(4)]
+    assert capsys.readouterr().err == f"data error: session {failing} failed\n"
+    assert multiprocessing.active_children() == []
+    # no session, no suite.json, no temporary directory, and no --output made for them
+    assert listing(tmp_path) == was
+
+
+def test_simulate_replaces_a_session_directory_of_the_same_name_whole(tmp_path):
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert simulate_mini(out, 1, 3) == 0
+    first = tree_bytes(out)
+    (out / "sessions" / "s000_desktop" / "notes.txt").write_text("old\n")
+    (out / "sessions" / "s099_other").mkdir()
+    (out / "sessions" / "s099_other" / "keep.txt").write_text("kept\n")
+    for path in (out, fresh):
+        assert simulate_mini(path, 2, 2) == 0
+    # s000 and s001 are the new suite's alone; what it does not name stays
+    kept = {name: data for name, data in first.items() if name.startswith("sessions/s002_desktop/")}
+    assert tree_bytes(out) == {**tree_bytes(fresh), **kept, "sessions/s099_other/keep.txt": b"kept\n"}
+    assert [p for p in out.rglob(".*")] == []
+
+
+@pytest.mark.parametrize("blocker, kind, target", [
+    ("sessions", "file", "sessions/s000_desktop"),
+    ("sessions/s001_mobile", "file", "sessions/s001_mobile"),
+    ("suite.json", "directory", "suite.json"),
+])
+def test_simulate_into_a_blocked_path_exits_2_writing_nothing(tmp_path, capsys, blocker, kind, target):
+    out = tmp_path / "out"
+    blocking = block(out / blocker, kind)
+    was = listing(tmp_path)
+    assert simulate_mini(out, 1, 2) == 2
+    problem = "it is a directory" if kind == "directory" else f"{blocking} is not a directory"
+    assert capsys.readouterr().err == f"config error: cannot write {out / target}: {problem}\n"
+    assert listing(tmp_path) == was
+
+
 @pytest.mark.parametrize("suite, device", [
     ("gaze_offset", "desktop"), ("orientation", "mobile"), ("mini", "mixed"), ("default", "mixed"),
 ])
@@ -263,6 +341,30 @@ def test_output_that_is_or_is_below_a_file_exits_2_before_reading_any_input(tmp_
     assert capsys.readouterr().err == f"config error: --output {out}: {taken} is not a directory\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
     assert taken.is_symlink() if kind == "dangling_link" else taken.read_text() == "kept\n"
+
+
+# a path inside --output that each command writes, and what stands there
+BLOCKED_WRITES = {
+    "simulate": ("sessions/scripted", "file"),
+    "train": ("speaking_cnn.json", "directory"),
+    "evaluate": ("evaluation.json", "directory"),
+    "ablate": ("ablation.txt", "directory"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(BLOCKED_WRITES))
+def test_a_blocked_path_inside_the_output_exits_2_before_reading_any_input(tmp_path, capsys, command):
+    # no input exists, so a command that read one first would fail on it instead
+    name, kind = BLOCKED_WRITES[command]
+    out = tmp_path / "out"
+    blocking = block(out / name, kind)
+    was = listing(tmp_path)
+    inputs = [arg if arg.startswith("--") else str(tmp_path / "missing" / arg)
+              for arg in MISSING_INPUTS[command]]
+    assert main([command, *inputs, "--output", str(out)]) == 2
+    problem = "it is a directory" if kind == "directory" else f"{blocking} is not a directory"
+    assert capsys.readouterr().err == f"config error: cannot write {blocking}: {problem}\n"
+    assert listing(tmp_path) == was
 
 
 @pytest.mark.parametrize("seed", [-1, 2.5, "3", True])
@@ -489,6 +591,21 @@ def count_frame_loads(monkeypatch) -> list:
     monkeypatch.setattr(session_io, "load_frames",
                         lambda path, *rest: calls.append(path) or load_frames(path, *rest))
     return calls
+
+
+def test_score_into_a_blocked_path_exits_2_before_reading_any_frame(trained, tmp_path, capsys, monkeypatch):
+    # the session ids that name score's files come from the manifests
+    _, suite, art, _ = trained
+    out = tmp_path / "out"
+    (out / "s003_mobile.timeline.jsonl").mkdir(parents=True)
+    was = listing(tmp_path)
+    loads = count_frame_loads(monkeypatch)
+    assert main(["score", "--suite-dir", str(suite), "--artifacts", str(art), "--split", "held_out",
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot write {out / 's003_mobile.timeline.jsonl'}: it is a directory\n")
+    assert loads == []
+    assert listing(tmp_path) == was
 
 
 def test_train_on_a_session_without_ground_truth_exits_3_before_parsing_any_frames(

@@ -4,6 +4,8 @@ That context manager writes a temp file and renames it into place, so a
 reader never sees a half-written file. A second way to write a file would
 bring half-written files back, so no module outside it may open a file for
 writing, call ``write_text`` or ``write_bytes``, or call ``os.replace``.
+The one other rename is ``config._replacing_dirs``, which moves whole
+directories of files that ``_replacing`` wrote, and opens no file.
 """
 
 import ast
@@ -14,6 +16,8 @@ PACKAGE = ROOT / "src" / "adwatch"
 
 # the one place allowed to write: (module, function)
 WRITER = ("config", "_replacing")
+# the one place allowed to rename a directory of written files into place
+DIRECTORY_MOVER = ("config", "_replacing_dirs")
 WRITE_METHODS = {"write_text", "write_bytes"}
 
 
@@ -54,11 +58,11 @@ def writes(tree: ast.AST) -> list[tuple[int, str]]:
 
 
 def without_writer(path: Path) -> ast.Module:
-    """The module at ``path``, less the body of ``WRITER`` if it defines it."""
+    """The module at ``path``, less the bodies of ``WRITER`` and
+    ``DIRECTORY_MOVER`` if it defines them."""
     tree = parse(path)
-    module, name = WRITER
-    if path.stem == module:
-        tree.body = [node for node in tree.body if not (isinstance(node, ast.FunctionDef) and node.name == name)]
+    names = {name for module, name in (WRITER, DIRECTORY_MOVER) if path.stem == module}
+    tree.body = [node for node in tree.body if not (isinstance(node, ast.FunctionDef) and node.name in names)]
     return tree
 
 
@@ -76,6 +80,13 @@ def test_the_guard_sees_the_writes_of_replacing():
     (writer,) = [node for node in parse(PACKAGE / f"{module}.py").body
                  if isinstance(node, ast.FunctionDef) and node.name == name]
     assert sorted(call for _, call in writes(writer)) == ["open(mode='w')", "os.replace"]
+
+
+def test_the_directory_mover_only_renames():
+    module, name = DIRECTORY_MOVER
+    (mover,) = [node for node in parse(PACKAGE / f"{module}.py").body
+                if isinstance(node, ast.FunctionDef) and node.name == name]
+    assert {call for _, call in writes(mover)} == {"os.replace"}
 
 
 def test_the_guard_flags_each_way_to_write_and_no_read():

@@ -1169,6 +1169,68 @@ def test_write_timeline_annotations_match_json_encoder(activity, targets):
     assert_timeline_written_or_refused(tl)
 
 
+# Repeated values, as a tracker's quantised outputs give: the writers render
+# a field with few distinct values through a dictionary, which must keep
+# both zeros apart and write each number as the JSON encoder does. The
+# numbers have 1, 3, 4 and 6 decimals, or are the float range's extremes.
+_POOL = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+         0.1, 0.125, 97.375, 0.5625, 12.3456, 0.123457, 3.141593)
+_POOLED_LENGTHS = (1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1)
+
+
+@st.composite
+def pooled_frames(draw):
+    """Valid frames whose float columns, but for the timestamps, draw from
+    small pools of ``_POOL`` values; the action units hold both -0.0 and 0.0."""
+    n = draw(st.sampled_from(_POOLED_LENGTHS))
+
+    def column(shape=(), low=-np.inf, high=np.inf):
+        allowed = [v for v in _POOL if low <= v <= high]
+        pool = draw(st.lists(st.sampled_from(allowed), min_size=1, max_size=4))
+        return draw(hnp.arrays(np.float64, (n, *shape), elements=st.sampled_from(pool)))
+
+    pupil, direction, aus = column((3,)), column((3,)), column((len(AU_NAMES),), 0.0, 100.0)
+    aus[0, 0], aus[-1, -1] = -0.0, 0.0
+    return FrameArrays(
+        frame_index=np.arange(n),
+        timestamp_ms=np.arange(n) * (1000.0 / 30.0),
+        pupil=pupil,
+        direction=direction,
+        quality=column((), 0.0, 1.0),
+        yaw=column(),
+        pitch=column(),
+        roll=column(),
+        mouth=column((4, 2)),
+        aus=aus,
+        eye_closure=column((), 0.0, 100.0),
+        face_expr=draw(hnp.arrays(np.bool_, n)),
+        face_gaze=draw(hnp.arrays(np.bool_, n)) & (pupil[:, 2] > 0) & nonzero_length(direction),
+        face_center_x=column((), 0.0, 1.0),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(frames=pooled_frames())
+def test_write_frames_of_repeated_values_matches_json_encoder_property(frames):
+    assert session_io._dictionary(frames.aus) is not None
+    assert_written_like_oracle(write_frames, json_write_frames, frames)
+    assert_frames_read_back_equal(frames)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from(_POOLED_LENGTHS), data=st.data())
+def test_write_timeline_of_repeated_targets_matches_json_encoder_property(n, data):
+    timeline = fuse(*data.draw(hnp.arrays(np.bool_, (n, len(SIGNAL_NAMES)))).T)
+    pairs = st.none() | st.tuples(st.sampled_from(_POOL), st.sampled_from(_POOL))
+    pool = data.draw(st.lists(pairs, min_size=1, max_size=4))
+    targets = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    targets[0] = (-0.0, 0.0)
+    timeline.target_cm = target_column(targets)
+    if n > 1:   # at most 11 distinct numbers, NaN included: no more than half of 2 * n
+        assert session_io._dictionary(timeline.target_cm) is not None
+    assert_timeline_written_or_refused(timeline)
+
+
 def test_write_timeline_refuses_targets_that_are_not_a_column_of_pairs(tmp_path):
     tl = fuse(*[np.zeros(3, dtype=bool)] * 5)
     path = tmp_path / "t.jsonl"
