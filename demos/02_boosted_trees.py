@@ -7,14 +7,14 @@ stage (provably never up, for squared error).
 
 import numpy as np
 
-from adwatch.boosting import MODE_CLASSIFICATION, BoostConfig, fit_boosted
+from adwatch.boosting import MODE_CLASSIFICATION, fit_boosted
 
 rng = np.random.default_rng(0)
 
 print("Regression: y = sin(3x) + noise, 300 points, depth-3 trees")
 x = rng.uniform(-1.5, 1.5, 300)
 y = np.sin(3 * x) + rng.normal(0, 0.1, 300)
-model = fit_boosted(x[:, None], y, BoostConfig(n_stages=100))
+model = fit_boosted(x[:, None], y, n_stages=100)
 curve = model.train_loss_curve
 for stage in (0, 1, 5, 20, 50, 100):
     print(f"  after stage {stage:3d}: train MSE {curve[min(stage, len(curve) - 1)]:.5f}")
@@ -25,7 +25,7 @@ print()
 print("Classification: two noisy blobs, logistic loss with Newton leaves")
 X = np.concatenate([rng.normal(-1, 0.7, (150, 2)), rng.normal(1, 0.7, (150, 2))])
 labels = np.concatenate([np.zeros(150), np.ones(150)])
-clf = fit_boosted(X, labels, BoostConfig(n_stages=60, mode=MODE_CLASSIFICATION))
+clf = fit_boosted(X, labels, n_stages=60, mode=MODE_CLASSIFICATION)
 probs = clf.predict(X)
 acc = np.mean((probs >= 0.5) == labels)
 print(f"  train log-loss {clf.train_loss_curve[0]:.3f} -> {clf.train_loss_curve[-1]:.3f}")

@@ -8,7 +8,7 @@ hand, so the demo also runs the finite-difference gradient check.
 
 import numpy as np
 
-from adwatch.cnn import CnnTrainConfig, gradient_check, train_cnn
+from adwatch.cnn import gradient_check, train_cnn
 from adwatch.evaluation import roc_auc
 
 rng = np.random.default_rng(1)
@@ -40,7 +40,7 @@ for _ in range(350):
         windows.append(jitter(yawn())); labels.append(0.0)
 X, y = np.array(windows), np.array(labels)
 
-net = train_cnn(X, y, CnnTrainConfig(epochs=60, seed=2))
+net = train_cnn(X, y, epochs=60, seed=2)
 print(f"trained on {len(X)} windows; loss {net.train_loss_curve[0]:.3f} "
       f"-> {net.train_loss_curve[-1]:.3f}")
 

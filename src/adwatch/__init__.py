@@ -7,8 +7,8 @@ head model), speaking, drowsiness, and unattended screen. Ships with a
 seeded synthetic-session generator that doubles as the verification oracle.
 """
 
-from .boosting import BoostConfig, BoostedEnsemble, fit_boosted
-from .cnn import CnnTrainConfig, TemporalCnn, gradient_check, train_cnn
+from .boosting import BoostedEnsemble, fit_boosted
+from .cnn import TemporalCnn, gradient_check, train_cnn
 from .config import PipelineConfig, ScoreConfig
 from .errors import (
     AdwatchError,

@@ -403,25 +403,24 @@ _ENSEMBLE_RULES = {
 }
 
 
-@dataclass
-class BoostConfig:
-    n_stages: int = 100
-    max_depth: int = 3
-    mode: str = MODE_REGRESSION
-
-
 # a fit's own field, and those its ensemble records
 _BOOST_RULES = {"n_stages": _int(1), **{name: _ENSEMBLE_RULES[name] for name in ("max_depth", "mode")}}
 
 
-def fit_boosted(X: np.ndarray, y: np.ndarray, config: Optional[BoostConfig] = None) -> BoostedEnsemble:
-    """Fit a boosted ensemble at ``LEARNING_RATE``; stops early once
-    residuals are exhausted.
+def fit_boosted(
+    X: np.ndarray, y: np.ndarray, *, n_stages: int = 100, max_depth: int = 3, mode: str = MODE_REGRESSION
+) -> BoostedEnsemble:
+    """Fit a boosted ensemble of at most ``n_stages`` trees of depth at most
+    ``max_depth`` at ``LEARNING_RATE``; stops early once residuals are
+    exhausted.
 
     Regression tracks per-stage training MSE, classification per-stage
     log-loss; both curves are stored on the model and are nonincreasing.
+    A budget that fails ``_BOOST_RULES`` raises ``DataError`` naming the
+    field before the data are read.
     """
-    config = config or BoostConfig()
+    _check_fields({"n_stages": n_stages, "max_depth": max_depth, "mode": mode}, _BOOST_RULES, DataError,
+                  "boost config")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
@@ -436,9 +435,8 @@ def fit_boosted(X: np.ndarray, y: np.ndarray, config: Optional[BoostConfig] = No
         raise DataError("non-finite feature values in X")
     if not np.all(np.isfinite(y)):
         raise DataError("non-finite target values in y")
-    _check_fields(vars(config), _BOOST_RULES, DataError, "boost config")
 
-    classification = config.mode == MODE_CLASSIFICATION
+    classification = mode == MODE_CLASSIFICATION
     if classification:
         labels = set(np.unique(y).tolist())
         if not labels <= {0.0, 1.0}:
@@ -449,9 +447,9 @@ def fit_boosted(X: np.ndarray, y: np.ndarray, config: Optional[BoostConfig] = No
         base = float(np.mean(y))
 
     model = BoostedEnsemble(
-        mode=config.mode,
+        mode=mode,
         learning_rate=LEARNING_RATE,
-        max_depth=config.max_depth,
+        max_depth=max_depth,
         base_prediction=base,
         n_features=X.shape[1],
     )
@@ -469,7 +467,7 @@ def fit_boosted(X: np.ndarray, y: np.ndarray, config: Optional[BoostConfig] = No
     cuts, bins = zip(*(_bin_feature(x) for x in X.T))
     n_bins = max(len(c) for c in cuts) + 1
     keys = np.stack(bins, axis=1) + np.arange(X.shape[1]) * n_bins
-    for _ in range(config.n_stages):
+    for _ in range(n_stages):
         if classification:
             p = _sigmoid(raw)
             grad = y - p           # negative gradient of log-loss
@@ -480,7 +478,7 @@ def fit_boosted(X: np.ndarray, y: np.ndarray, config: Optional[BoostConfig] = No
         if np.max(np.abs(grad)) < 1e-12:
             break                  # targets fully explained; no further trees
         fitted = np.empty(len(y), dtype=np.float64)
-        tree = _build_tree(keys, cuts, n_bins, grad, hess, fitted, config.max_depth)
+        tree = _build_tree(keys, cuts, n_bins, grad, hess, fitted, max_depth)
         raw = raw + LEARNING_RATE * fitted
         model.trees.append(tree)
         model.train_loss_curve.append(loss(raw))

@@ -289,6 +289,14 @@ class TemporalCnn:
         return _sigmoid(z4[:, 0]), b
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """The output probability of each of the (n, window_len) windows.
+
+        Bit-reproducible only within the same batch: BLAS may sum a row in
+        another order for another number of rows, so a window's probability
+        can differ in its last bits between calls (up to 5e-16 on the seed-7
+        speaking model). ``speaking_flags`` scores a session's windows in one
+        call, and a scorer of single frames must batch them the same way.
+        """
         X = self._check_windows(X)
         # chunks bound the buffers, which they share
         p = np.empty(len(X))
@@ -384,37 +392,34 @@ _HEADER_RULES = {
 }
 
 
-@dataclass
-class CnnTrainConfig:
-    # the budget defaults are PipelineConfig's, so train_cnn(X, y) fits what
-    # `adwatch train` fits
-    epochs: int = PipelineConfig.cnn_epochs
-    learning_rate: float = PipelineConfig.cnn_learning_rate
-    batch_size: int = PipelineConfig.cnn_batch_size
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        _check_fields(vars(self), _TRAIN_RULES, DataError, "CNN training config")
-
-
 # the rules of the PipelineConfig fields that set them
 _TRAIN_RULES = {name: _PIPELINE_RULES[f"cnn_{name}"] for name in ("epochs", "learning_rate", "batch_size")}
 _TRAIN_RULES["seed"] = _SEED
 
 
-def train_cnn(windows: np.ndarray, labels: np.ndarray, config: CnnTrainConfig | None = None) -> TemporalCnn:
-    """Train on fixed-length windows with binary labels.
+def train_cnn(
+    windows: np.ndarray,
+    labels: np.ndarray,
+    *,
+    epochs: int = PipelineConfig.cnn_epochs,
+    learning_rate: float = PipelineConfig.cnn_learning_rate,
+    batch_size: int = PipelineConfig.cnn_batch_size,
+    seed: int = 0,
+) -> TemporalCnn:
+    """Train on fixed-length windows with binary labels for ``epochs`` of
+    mini-batch SGD; the budget defaults are ``PipelineConfig``'s, so
+    ``train_cnn(X, y)`` fits what ``adwatch train`` fits.
 
     ``windows`` may be a ragged list; inconsistent lengths are rejected.
     The SGD steps run in float32 (see the module docstring); the returned
     network is float64. epochs = 0 returns the freshly initialized network.
-    A budget outside the ranges ``PipelineConfig`` allows, a seed that is
-    not an integer of at least 0 (already when the ``CnnTrainConfig`` is
-    made), windows that are not a 2-D array or labels that are not a 1-D
-    array raise ``DataError`` before any work.
+    A budget that fails ``_TRAIN_RULES`` (the ranges ``PipelineConfig``
+    allows, and a seed that is an integer of at least 0), windows that are
+    not a 2-D array or labels that are not a 1-D array raise ``DataError``
+    before any work.
     """
-    config = config or CnnTrainConfig()
-    _check_fields(vars(config), _TRAIN_RULES, DataError, "CNN training config")
+    _check_fields({"epochs": epochs, "learning_rate": learning_rate, "batch_size": batch_size, "seed": seed},
+                  _TRAIN_RULES, DataError, "CNN training config")
     if isinstance(windows, np.ndarray) and windows.dtype == object or not isinstance(windows, np.ndarray):
         if any(np.ndim(w) != 1 for w in windows):
             raise DataError("windows must be a 2-D array (windows, samples)")
@@ -437,11 +442,11 @@ def train_cnn(windows: np.ndarray, labels: np.ndarray, config: CnnTrainConfig | 
     if not np.all(np.isfinite(windows)):
         raise DataError("non-finite values in windows")
 
-    net = TemporalCnn.initialize(windows.shape[1], seed=config.seed)
+    net = TemporalCnn.initialize(windows.shape[1], seed=seed)
     net.input_center = float(np.mean(windows))
     std = float(np.std(windows))
     net.input_scale = 1.0 / std if std > 1e-12 else 1.0
-    if config.epochs == 0:
+    if epochs == 0:
         return net
     # The SGD loop runs in float32. The windows are standardised in float64
     # and then rounded, so any finite input fits float32; a float32 copy of
@@ -457,14 +462,14 @@ def train_cnn(windows: np.ndarray, labels: np.ndarray, config: CnnTrainConfig | 
         **{name: getattr(net, name).astype(np.float32) for name in _STEP_NAMES},
     )
     work: dict = {}
-    rate = float(config.learning_rate)
-    rng = np.random.default_rng(config.seed + 1)
+    rate = float(learning_rate)
+    rng = np.random.default_rng(seed + 1)
     n = len(windows)
-    for _ in range(config.epochs):
+    for _ in range(epochs):
         order = rng.permutation(n)
         epoch_losses = []
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
             loss, grads = step_net.loss_and_grads(windows[idx], labels[idx], work=work)
             epoch_losses.append(loss)
             for name, grad in grads.items():

@@ -62,16 +62,10 @@ class SpeakingCnn:
         return self.net.predict_proba(windows)
 
 
-@dataclass
-class WindowedSeries:
-    """Per-frame resampled windows plus a scored mask."""
-
-    windows: np.ndarray   # (n, samples)
-    scored: np.ndarray    # (n,) bool
-
-
-def build_windows(frames: FrameArrays, lip: LipWindows) -> WindowedSeries:
-    """Resample the lip series into one window per frame, as ``lip`` says."""
+def build_windows(frames: FrameArrays, lip: LipWindows) -> tuple[np.ndarray, np.ndarray]:
+    """The lip series resampled into one window per frame, as ``lip`` says:
+    the (n, samples) windows, and the (n,) mask of the frames whose window
+    is scored."""
     n = len(frames)
     times = frames.timestamp_ms / 1000.0
     valid = frames.face_expr.copy()
@@ -80,7 +74,7 @@ def build_windows(frames: FrameArrays, lip: LipWindows) -> WindowedSeries:
     windows = np.zeros((n, lip.samples), dtype=np.float64)
     scored = np.zeros(n, dtype=bool)
     if not np.any(valid):
-        return WindowedSeries(windows=windows, scored=scored)
+        return windows, scored
 
     # frames inside invalid runs longer than the hold budget poison windows
     unfillable = long_runs(~valid, lip.max_hold)
@@ -105,22 +99,24 @@ def build_windows(frames: FrameArrays, lip: LipWindows) -> WindowedSeries:
     bad_counts = cum_bad[hi] - cum_bad[lo]
 
     scored = (valid_counts >= lip.min_valid) & (bad_counts == 0)
-    return WindowedSeries(windows=windows, scored=scored)
+    return windows, scored
 
 
 def speaking_flags(frames: FrameArrays, model: SpeakingCnn, config: ScoreConfig) -> np.ndarray:
     """Per-frame speaking flags of the windows ``model`` reads; unscored
     frames inherit the nearest scored frame's flag (earlier frame on ties),
     all-false when nothing scored."""
-    series = build_windows(frames, model.windows)
+    windows, scored = build_windows(frames, model.windows)
     n = len(frames)
     flags = np.zeros(n, dtype=bool)
-    scored_idx = np.flatnonzero(series.scored)
+    scored_idx = np.flatnonzero(scored)
     if scored_idx.size == 0:
         return flags
-    probs = model.predict_proba(series.windows[scored_idx])
+    # one call for all of a session's windows: a probability is
+    # bit-reproducible only within the same batch (TemporalCnn.predict_proba)
+    probs = model.predict_proba(windows[scored_idx])
     flags[scored_idx] = probs >= config.speaking_threshold
-    unscored = np.flatnonzero(~series.scored)
+    unscored = np.flatnonzero(~scored)
     if unscored.size:
         pos = np.searchsorted(scored_idx, unscored)
         left = np.clip(pos - 1, 0, scored_idx.size - 1)
@@ -145,6 +141,6 @@ def assemble_training_windows(
     """
     if len(speak_active) != len(frames):
         raise DataError("speak_active length does not match session")
-    series = build_windows(frames, lip)
-    idx = np.flatnonzero(series.scored)[::stride]
-    return series.windows[idx], np.asarray(speak_active, dtype=np.float64)[idx]
+    windows, scored = build_windows(frames, lip)
+    idx = np.flatnonzero(scored)[::stride]
+    return windows[idx], np.asarray(speak_active, dtype=np.float64)[idx]

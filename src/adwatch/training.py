@@ -40,8 +40,8 @@ import numpy as np
 
 from . import artifacts as artifacts_io
 from .artifacts import GAZE_ARTIFACT, SPEAKING_ARTIFACT, YAWN_ARTIFACT
-from .boosting import LEARNING_RATE, BoostConfig, BoostedEnsemble, MODE_CLASSIFICATION, fit_boosted
-from .cnn import CnnTrainConfig, train_cnn
+from .boosting import LEARNING_RATE, BoostedEnsemble, MODE_CLASSIFICATION, fit_boosted
+from .cnn import train_cnn
 from .config import _SEED, PipelineConfig, _check_fields, _check_writes
 from .errors import ConfigError, DataError
 from .fusion import DistractionTimeline
@@ -243,23 +243,22 @@ def train_gaze_regressors(
     rng = np.random.default_rng(seed)
     models: dict[str, dict[str, BoostedEnsemble]] = {}
     hashes = {}
-    boost = BoostConfig(n_stages=config.gaze_stages, max_depth=config.gaze_depth)
     for device in sorted(rows):
         X, targets = rows[device]
         idx = _subsample(rng, len(X), config.max_gaze_train_rows)
         X, targets = X[idx], targets[idx]
         residual = targets - X
         models[device] = {
-            "x": fit_boosted(X, residual[:, 0], boost),
-            "y": fit_boosted(X, residual[:, 1], boost),
+            "x": fit_boosted(X, residual[:, 0], n_stages=config.gaze_stages, max_depth=config.gaze_depth),
+            "y": fit_boosted(X, residual[:, 1], n_stages=config.gaze_stages, max_depth=config.gaze_depth),
         }
         hashes[device] = artifacts_io.data_hash(X, targets)
     metadata = {
         "seed": seed,
         "data_hash": hashes,
         "hyperparameters": {
-            "n_stages": boost.n_stages,
-            "max_depth": boost.max_depth,
+            "n_stages": config.gaze_stages,
+            "max_depth": config.gaze_depth,
             "learning_rate": LEARNING_RATE,
             "target": "residual(true - measured)",
         },
@@ -306,12 +305,10 @@ def train_speaking_cnn(
     net = train_cnn(
         X,
         y,
-        CnnTrainConfig(
-            epochs=config.cnn_epochs,
-            learning_rate=config.cnn_learning_rate,
-            batch_size=config.cnn_batch_size,
-            seed=seed,
-        ),
+        epochs=config.cnn_epochs,
+        learning_rate=config.cnn_learning_rate,
+        batch_size=config.cnn_batch_size,
+        seed=seed,
     )
     metadata = {
         "seed": seed,
@@ -369,11 +366,9 @@ def train_yawn_classifier(
     model = fit_boosted(
         X,
         y,
-        BoostConfig(
-            n_stages=config.yawn_stages,
-            max_depth=config.yawn_depth,
-            mode=MODE_CLASSIFICATION,
-        ),
+        n_stages=config.yawn_stages,
+        max_depth=config.yawn_depth,
+        mode=MODE_CLASSIFICATION,
     )
     metadata = {
         "seed": seed,

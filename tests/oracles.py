@@ -399,7 +399,7 @@ def _reference_step(p, X, y, work):
     return loss, grads
 
 
-def reference_train_cnn(windows, labels, config):
+def reference_train_cnn(windows, labels, *, epochs, learning_rate, batch_size, seed):
     """``cnn.train_cnn`` of valid 2-D windows and binary labels, as it ran
     before a fit held its parameters in the layouts of the step's GEMMs.
     Each batch is standardised in float64 and then rounded to float32; the
@@ -412,22 +412,22 @@ def reference_train_cnn(windows, labels, config):
 
     windows = np.asarray(windows, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    doc = TemporalCnn.initialize(windows.shape[1], seed=config.seed).to_dict()
+    doc = TemporalCnn.initialize(windows.shape[1], seed=seed).to_dict()
     doc["input_center"] = center = float(np.mean(windows))
     std = float(np.std(windows))
     doc["input_scale"] = scale = 1.0 / std if std > 1e-12 else 1.0
-    if config.epochs == 0:
+    if epochs == 0:
         return TemporalCnn.from_dict(doc)
     params = {name: np.asarray(doc[name]).astype(np.float32) for name in PARAM_NAMES}
     labels = labels.astype(np.float32)
-    rate = float(config.learning_rate)
-    rng = np.random.default_rng(config.seed + 1)
+    rate = float(learning_rate)
+    rng = np.random.default_rng(seed + 1)
     work = {}
-    for _ in range(config.epochs):
+    for _ in range(epochs):
         order = rng.permutation(len(windows))
         losses = []
-        for start in range(0, len(windows), config.batch_size):
-            idx = order[start : start + config.batch_size]
+        for start in range(0, len(windows), batch_size):
+            idx = order[start : start + batch_size]
             x = ((windows[idx] - center) * scale).astype(np.float32)
             loss, grads = _reference_step(params, x, labels[idx], work)
             losses.append(loss)

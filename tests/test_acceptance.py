@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from adwatch.boosting import BoostConfig, fit_boosted
+from adwatch.boosting import fit_boosted
 from adwatch.cli import main as cli_main
 from adwatch.cnn import gradient_check
 from adwatch.config import PipelineConfig, ScoreConfig
@@ -269,7 +269,7 @@ def test_criterion_10_boosted_tree_training():
         f = int(rng.integers(1, 4))
         X = rng.normal(0, 1, (n, f))
         y = rng.normal(0, 1, n)
-        model = fit_boosted(X, y, BoostConfig(n_stages=25, max_depth=2))
+        model = fit_boosted(X, y, n_stages=25, max_depth=2)
         curve = np.array(model.train_loss_curve)
         assert np.all(np.diff(curve) <= 1e-12)
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from adwatch import artifacts as artifacts_io
-from adwatch.boosting import BoostConfig, fit_boosted
-from adwatch.cnn import CnnTrainConfig, train_cnn
+from adwatch.boosting import fit_boosted
+from adwatch.cnn import train_cnn
 from adwatch.errors import MissingArtifactError
 from adwatch.gaze import GazeRegressors
 from adwatch.speaking import LipWindows, SpeakingCnn
@@ -16,8 +16,8 @@ def gaze_model(min_quality=0.3) -> GazeRegressors:
     X = rng.uniform(-10, 10, (50, 2))
     return GazeRegressors({
         "desktop": {
-            "x": fit_boosted(X, X[:, 0] * 0.1, BoostConfig(n_stages=10)),
-            "y": fit_boosted(X, X[:, 1] * -0.1, BoostConfig(n_stages=10)),
+            "x": fit_boosted(X, X[:, 0] * 0.1, n_stages=10),
+            "y": fit_boosted(X, X[:, 1] * -0.1, n_stages=10),
         }
     }, min_quality)
 
@@ -26,7 +26,7 @@ def speaking_model(span_s=1.0, min_valid=15, max_hold=5) -> SpeakingCnn:
     rng = np.random.default_rng(1)
     X = rng.normal(0, 1, (64, 30))
     y = (X.mean(axis=1) > 0).astype(float)
-    return SpeakingCnn(train_cnn(X, y, CnnTrainConfig(epochs=2, seed=0)), LipWindows(30, span_s, min_valid, max_hold))
+    return SpeakingCnn(train_cnn(X, y, epochs=2, seed=0), LipWindows(30, span_s, min_valid, max_hold))
 
 
 def test_gaze_artifact_round_trip(tmp_path):
@@ -136,7 +136,7 @@ def test_missing_artifact_raises(tmp_path):
 def test_wrong_kind_rejected(tmp_path):
     rng = np.random.default_rng(2)
     X = rng.uniform(0, 1, (30, 3))
-    model = fit_boosted(X, X[:, 0], BoostConfig(n_stages=5))
+    model = fit_boosted(X, X[:, 0], n_stages=5)
     path = tmp_path / "m.json"
     artifacts_io.save_yawn_classifier(model, {}, path)
     with pytest.raises(MissingArtifactError, match="kind"):

@@ -97,7 +97,7 @@ def test_traced_cnn_training_counts_one_step_per_batch(n, batch_size, epochs):
     tracer = load_tracing().Tracer()
     tracer.install([adwatch.cnn])
     try:
-        adwatch.cnn.train_cnn(X, y, adwatch.cnn.CnnTrainConfig(epochs=epochs, batch_size=batch_size))
+        adwatch.cnn.train_cnn(X, y, epochs=epochs, batch_size=batch_size)
     finally:
         tracer.uninstall()
     steps = epochs * math.ceil(n / batch_size)

@@ -13,7 +13,6 @@ from adwatch.boosting import (
     MAX_THRESHOLDS,
     MODE_CLASSIFICATION,
     MODE_REGRESSION,
-    BoostConfig,
     BoostedEnsemble,
     _Table,
     _best_split,
@@ -44,7 +43,7 @@ def test_constant_target_needs_no_trees():
 def test_identity_problem_beats_variance():
     rng = np.random.default_rng(0)
     x = rng.uniform(-1, 1, 200)
-    model = fit_boosted(x[:, None], x, BoostConfig(n_stages=100))
+    model = fit_boosted(x[:, None], x, n_stages=100)
     mse = float(np.mean((model.predict(x[:, None]) - x) ** 2))
     var = float(np.var(x))   # oracle: variance of the generated sample
     assert mse < 0.01 * var
@@ -101,7 +100,7 @@ def test_training_mse_nonincreasing_per_stage():
         n, f = int(rng.integers(20, 80)), int(rng.integers(1, 4))
         X = rng.normal(0, 1, (n, f))
         y = rng.normal(0, 1, n)
-        model = fit_boosted(X, y, BoostConfig(n_stages=40, max_depth=2))
+        model = fit_boosted(X, y, n_stages=40, max_depth=2)
         curve = np.array(model.train_loss_curve)
         assert np.all(np.diff(curve) <= 1e-12)
 
@@ -110,7 +109,7 @@ def test_classification_logloss_nonincreasing_and_probability_output():
     rng = np.random.default_rng(5)
     X = rng.normal(0, 1, (120, 2))
     y = (X[:, 0] + 0.3 * X[:, 1] > 0).astype(float)
-    model = fit_boosted(X, y, BoostConfig(n_stages=60, mode=MODE_CLASSIFICATION))
+    model = fit_boosted(X, y, n_stages=60, mode=MODE_CLASSIFICATION)
     curve = np.array(model.train_loss_curve)
     assert np.all(np.diff(curve) <= 1e-9)
     probs = model.predict(X)
@@ -121,15 +120,14 @@ def test_classification_logloss_nonincreasing_and_probability_output():
 
 def test_classification_rejects_nonbinary_targets():
     with pytest.raises(DataError, match="0/1"):
-        fit_boosted(np.zeros((12, 1)), np.arange(12, dtype=float),
-                    BoostConfig(mode=MODE_CLASSIFICATION))
+        fit_boosted(np.zeros((12, 1)), np.arange(12, dtype=float), mode=MODE_CLASSIFICATION)
 
 
 def test_serialization_round_trip_bit_exact():
     rng = np.random.default_rng(9)
     X = rng.normal(0, 1, (100, 3))
     y = X[:, 0] ** 2 - X[:, 2] + rng.normal(0, 0.1, 100)
-    model = fit_boosted(X, y, BoostConfig(n_stages=30))
+    model = fit_boosted(X, y, n_stages=30)
     clone = BoostedEnsemble.from_dict(model.to_dict())
     grid = rng.normal(0, 2, (200, 3))
     assert np.array_equal(model.predict(grid), clone.predict(grid))
@@ -177,8 +175,8 @@ def test_fit_is_deterministic():
     rng = np.random.default_rng(11)
     X = rng.normal(0, 1, (80, 2))
     y = np.sin(X[:, 0]) + X[:, 1]
-    a = fit_boosted(X, y, BoostConfig(n_stages=25))
-    b = fit_boosted(X, y, BoostConfig(n_stages=25))
+    a = fit_boosted(X, y, n_stages=25)
+    b = fit_boosted(X, y, n_stages=25)
     assert a.to_dict() == b.to_dict()
 
 
@@ -187,13 +185,13 @@ def test_tie_break_prefers_lowest_feature_index():
     rng = np.random.default_rng(2)
     x = rng.uniform(-1, 1, 40)
     X = np.stack([x, x], axis=1)
-    model = fit_boosted(X, x, BoostConfig(n_stages=1, max_depth=1))
+    model = fit_boosted(X, x, n_stages=1, max_depth=1)
     assert model.trees[0]["feature"] == 0
 
 
 def test_learning_rate_validated():
     X = np.arange(10, dtype=float)[:, None]
-    doc = fit_boosted(X, np.arange(10, dtype=float), BoostConfig(n_stages=2)).to_dict()
+    doc = fit_boosted(X, np.arange(10, dtype=float), n_stages=2).to_dict()
     doc["learning_rate"] = 0
     with pytest.raises(MissingArtifactError, match="^model: learning_rate must be "):
         BoostedEnsemble.from_dict(doc)
@@ -201,12 +199,18 @@ def test_learning_rate_validated():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("n_stages", -1), ("n_stages", 2.5), ("max_depth", 0), ("max_depth", -1)],
+    [("n_stages", -1), ("n_stages", 2.5), ("max_depth", 0), ("max_depth", -1), ("mode", "hinge")],
 )
 def test_tree_shape_parameters_validated(field, value):
     X = np.arange(10, dtype=float)[:, None]
-    with pytest.raises(DataError, match=field):
-        fit_boosted(X, np.arange(10, dtype=float), BoostConfig(**{field: value}))
+    with pytest.raises(DataError, match=f"^boost config: {field} must be "):
+        fit_boosted(X, np.arange(10, dtype=float), **{field: value})
+
+
+def test_fit_budget_checked_before_the_data():
+    # as train_cnn does: empty data with a bad budget reports the budget
+    with pytest.raises(DataError, match="^boost config: n_stages must be an integer of at least 1, got 0$"):
+        fit_boosted(np.zeros((0, 3)), np.zeros(0), n_stages=0)
 
 
 @st.composite
@@ -226,12 +230,8 @@ def tied_problems(draw):
         y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1), fill=st.nothing()))
     else:
         y = draw(hnp.arrays(np.int64, n, elements=st.integers(-3, 3), fill=st.nothing()))
-    config = BoostConfig(
-        n_stages=draw(st.integers(1, 8)),
-        max_depth=draw(st.integers(1, 4)),
-        mode=mode,
-    )
-    return X.astype(np.float64), y.astype(np.float64), config
+    budget = {"n_stages": draw(st.integers(1, 8)), "max_depth": draw(st.integers(1, 4)), "mode": mode}
+    return X.astype(np.float64), y.astype(np.float64), budget
 
 
 # The histogram search and the exact search see the same candidate
@@ -270,11 +270,11 @@ def test_histogram_fit_matches_per_node_search(problem):
     # every node of a whole fit, replayed with the exact search: each split
     # is a best partition up to the margin, each leaf is one the exact search
     # makes, and each leaf value and stage loss is exactly the oracle's
-    X, y, config = problem
-    model = fit_boosted(X, y, config)
-    assert model.base_prediction == base_prediction(y, config.mode == MODE_CLASSIFICATION)
+    X, y, budget = problem
+    model = fit_boosted(X, y, **budget)
+    assert model.base_prediction == base_prediction(y, budget["mode"] == MODE_CLASSIFICATION)
     assert (model.mode, model.learning_rate, model.max_depth, model.n_features) == (
-        config.mode, LEARNING_RATE, config.max_depth, X.shape[1]
+        budget["mode"], LEARNING_RATE, budget["max_depth"], X.shape[1]
     )
     stages, curve = replay_fit(model, X, y)
     assert model.train_loss_curve == curve
@@ -283,7 +283,7 @@ def test_histogram_fit_matches_per_node_search(problem):
         for depth, node, rows in tree_nodes(tree, X):
             g = grad[rows]
             tol = MARGIN * float(np.sum(g**2))
-            searched = depth < config.max_depth
+            searched = depth < budget["max_depth"]
             best = exact_partitions(X[rows], g) if searched else {None: _MIN_GAIN}
             top = max(best.values())
             if "value" in node:
@@ -294,7 +294,7 @@ def test_histogram_fit_matches_per_node_search(problem):
                 left = X[rows, node["feature"]] <= node["threshold"]
                 assert left.any() and not left.all()
                 assert best[bytes(left)] >= top - tol
-    if len(model.trees) < config.n_stages:
+    if len(model.trees) < budget["n_stages"]:
         assert np.max(np.abs(stages[-1][0])) < 1e-12
 
 
@@ -403,8 +403,7 @@ def test_midpoint_rounding_onto_the_upper_float_falls_back_to_the_lower():
     cuts, bins = _bin_feature(x)
     assert cuts.tolist() == [lo]
     assert bins.tolist() == [1, 0, 1, 0]
-    model = fit_boosted(np.repeat(x, 5)[:, None], np.repeat([1.0, 0.0, 1.0, 0.0], 5),
-                        BoostConfig(n_stages=1, max_depth=1))
+    model = fit_boosted(np.repeat(x, 5)[:, None], np.repeat([1.0, 0.0, 1.0, 0.0], 5), n_stages=1, max_depth=1)
     assert model.predict(np.array([[lo], [hi]])).tolist() == [pytest.approx(0.45), pytest.approx(0.55)]
 
 
@@ -418,7 +417,7 @@ def test_features_with_many_values_get_at_most_255_thresholds():
         assert_bins_agree_with_thresholds(x, cuts, bins)
         # spaced by rows: each bin holds close to 3000 / 256 rows
         assert np.max(np.bincount(bins)) <= 2 * 3000 / (MAX_THRESHOLDS + 1)
-    model = fit_boosted(X, y, BoostConfig(n_stages=60, max_depth=4))
+    model = fit_boosted(X, y, n_stages=60, max_depth=4)
     model.predict(X[:5])
     assert all(len(grid) <= MAX_THRESHOLDS for grid in model._compiled.grids.values())
     for f, x in enumerate(X.T):
@@ -436,11 +435,11 @@ def test_constant_feature_never_splits():
     rng = np.random.default_rng(8)
     x = rng.normal(0, 1, 200)
     X = np.stack([np.full(200, 2.5), x, np.full(200, -1.0)], axis=1)
-    model = fit_boosted(X, x**2, BoostConfig(n_stages=30, max_depth=3))
+    model = fit_boosted(X, x**2, n_stages=30, max_depth=3)
     assert {t for tree in model.trees for t in features(tree)} == {1}
     cuts, bins = _bin_feature(np.full(50, 7.0))
     assert len(cuts) == 0 and not np.any(bins)
-    flat = fit_boosted(X[:, [0, 2]], x, BoostConfig(n_stages=5))
+    flat = fit_boosted(X[:, [0, 2]], x, n_stages=5)
     assert flat.trees and all("value" in tree for tree in flat.trees)
 
 
@@ -454,8 +453,8 @@ def assert_thresholds_are_midpoints(X, model):
 @settings(max_examples=60, deadline=None)
 @given(problem=tied_problems())
 def test_thresholds_are_midpoints_of_adjacent_distinct_values(problem):
-    X, y, config = problem
-    assert_thresholds_are_midpoints(X, fit_boosted(X, y, config))
+    X, y, budget = problem
+    assert_thresholds_are_midpoints(X, fit_boosted(X, y, **budget))
 
 
 def test_thresholds_are_midpoints_at_256_distinct_values():
@@ -467,7 +466,7 @@ def test_thresholds_are_midpoints_at_256_distinct_values():
     X[: len(levels)] = levels       # every level present
     assert all(len(np.unique(x)) == MAX_THRESHOLDS + 1 for x in X.T)
     y = np.sin(3 * X[:, 0]) + X[:, 1] + rng.normal(0, 0.1, 2000)
-    model = fit_boosted(X, y, BoostConfig(n_stages=40, max_depth=4))
+    model = fit_boosted(X, y, n_stages=40, max_depth=4)
     assert_thresholds_are_midpoints(X, model)
     assert len({t for tree in model.trees for t in thresholds(tree, 0)}) > 20
 
@@ -501,11 +500,7 @@ def fitted_with_probes(draw):
     n = draw(st.integers(10, 80))
     grid = draw(st.integers(2, 6))
     mode = draw(st.sampled_from([MODE_REGRESSION, MODE_CLASSIFICATION]))
-    config = BoostConfig(
-        n_stages=draw(st.integers(1, 30)),
-        max_depth=draw(st.integers(1, 5)),
-        mode=mode,
-    )
+    budget = {"n_stages": draw(st.integers(1, 30)), "max_depth": draw(st.integers(1, 5)), "mode": mode}
     low, high = (0, 1) if mode == MODE_CLASSIFICATION else (-3, 3)
 
     # every element drawn, as in tied_problems, so that most models split
@@ -514,8 +509,8 @@ def fitted_with_probes(draw):
         y = draw(hnp.arrays(np.int64, n, elements=st.integers(low, high), fill=st.nothing()))
         return X.astype(np.float64), y.astype(np.float64)
 
-    model = fit_boosted(*problem(), config)
-    more = fit_boosted(*problem(), config)
+    model = fit_boosted(*problem(), **budget)
+    more = fit_boosted(*problem(), **budget)
     # probes exactly on thresholds and grid values, and IEEE special values
     values = sorted({*thresholds_of(model), *thresholds_of(more)}) + SPECIALS
     values += [float(v) for v in range(-1, grid + 1)]
@@ -597,7 +592,7 @@ def test_fitted_depth_3_ensemble_compiles_to_contiguous_tables():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(300, 3))
     y = X[:, 0] - 2.0 * X[:, 1] * X[:, 2] + 0.1 * rng.normal(size=300)
-    model = fit_boosted(X, y, BoostConfig(n_stages=20, max_depth=3))
+    model = fit_boosted(X, y, n_stages=20, max_depth=3)
     assert_matches_walk(model, X)
     compiled = model._compiled
     assert len(compiled.parts) == 20

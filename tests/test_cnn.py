@@ -1,3 +1,4 @@
+import inspect
 import os
 import re
 import subprocess
@@ -7,13 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from adwatch.cnn import (
     _STEP_NAMES,
     PARAM_NAMES,
-    CnnTrainConfig,
     TemporalCnn,
     _input_grad,
     _step_layout,
@@ -90,7 +90,7 @@ def test_forward_deterministic():
 
 def test_train_separable_toy_set(toy_set):
     X, y = toy_set
-    net = train_cnn(X, y, CnnTrainConfig(epochs=200, seed=7))
+    net = train_cnn(X, y, epochs=200, seed=7)
     acc = np.mean((net.predict_proba(X) >= 0.5) == y)
     assert acc >= 0.99
     assert net.train_loss_curve[-1] < net.train_loss_curve[0]
@@ -99,7 +99,7 @@ def test_train_separable_toy_set(toy_set):
 
 def test_zero_epochs_returns_untrained(toy_set):
     X, y = toy_set
-    net = train_cnn(X, y, CnnTrainConfig(epochs=0, seed=3))
+    net = train_cnn(X, y, epochs=0, seed=3)
     fresh = TemporalCnn.initialize(30, seed=3)
     for name in _STEP_NAMES:
         assert np.array_equal(getattr(net, name), getattr(fresh, name))
@@ -121,7 +121,7 @@ def test_non_finite_windows_rejected(toy_set, bad):
     X, y = toy_set[0][:200].copy(), toy_set[1][:200]
     X[117, 4] = bad
     with pytest.raises(DataError, match="non-finite"):
-        train_cnn(X, y, CnnTrainConfig(epochs=1))
+        train_cnn(X, y, epochs=1)
 
 
 @pytest.mark.parametrize(
@@ -137,7 +137,7 @@ def test_non_finite_windows_rejected(toy_set, bad):
 def test_windows_and_labels_of_the_wrong_shape_rejected_before_any_work(monkeypatch, windows, labels, message):
     monkeypatch.setattr(TemporalCnn, "initialize", lambda *args, **kwargs: pytest.fail("initialized"))
     with pytest.raises(DataError, match=message):
-        train_cnn(windows, labels, CnnTrainConfig(epochs=1))
+        train_cnn(windows, labels, epochs=1)
 
 
 def test_nonbinary_labels_rejected():
@@ -147,14 +147,14 @@ def test_nonbinary_labels_rejected():
 
 def test_training_deterministic_given_seed(toy_set):
     X, y = toy_set
-    a = train_cnn(X[:128], y[:128], CnnTrainConfig(epochs=5, seed=9))
-    b = train_cnn(X[:128], y[:128], CnnTrainConfig(epochs=5, seed=9))
+    a = train_cnn(X[:128], y[:128], epochs=5, seed=9)
+    b = train_cnn(X[:128], y[:128], epochs=5, seed=9)
     assert a.to_dict() == b.to_dict()
 
 
 def test_serialization_round_trip_bit_exact(toy_set):
     X, y = toy_set
-    net = train_cnn(X[:128], y[:128], CnnTrainConfig(epochs=3, seed=2))
+    net = train_cnn(X[:128], y[:128], epochs=3, seed=2)
     clone = TemporalCnn.from_dict(net.to_dict())
     probe = np.random.default_rng(5).normal(0, 1, (64, 30))
     assert np.array_equal(net.predict_proba(probe), clone.predict_proba(probe))
@@ -266,12 +266,105 @@ def test_artifact_round_trip_is_exact(seed, batch):
     assert net.predict_proba(X).tobytes() == clone.predict_proba(X).tobytes()
 
 
+# float64 unit roundoff
+U = np.finfo(np.float64).eps / 2
+
+
+def gamma(n):
+    """The relative rounding bound of a float64 sum of n products, in any
+    order (Higham, Accuracy and Stability of Numerical Algorithms, 3.1)."""
+    return n * U / (1 - n * U)
+
+
+def rounding_bounds(net, X, y):
+    """How far two float64 evaluation orders of a batch's step may differ,
+    to first order in U, at the batch's own activations and outputs: a bound
+    on the mean BCE loss, one per gradient entry (in the step layout), and
+    whether every ReLU mask is the same in both orders.
+
+    Each sum of n terms rounds by at most gamma(n) of its terms' magnitudes
+    in either order, and a layer passes its input's difference on through
+    |W| (ReLU and the clip are 1-Lipschitz): that bounds each pre-activation's
+    difference dz, and a mask is stable where |z| > dz. With np.exp within 4
+    ulp, each order's sigmoid is within 2U + 8U(1 - p) of p, relative. A loss
+    term -log(q + eps), q being p or 1 - p by the label, moves by the
+    difference of q over q + eps: near saturation 1 - p keeps only the bits
+    of p below 1, so one ulp of p is a large share of it. The logs (4 ulp)
+    and the mean add their own rounding. The backward pass is bounded the
+    same way, on the magnitudes of its deltas, from the output delta
+    (p - y) / B and its difference."""
+    p = channel_first(net)
+    w1, w2, w3, w4 = (np.abs(p[name]) for name in ("w1", "w2", "w3", "w4"))
+    B = len(X)
+    x0 = ((X - net.input_center) * net.input_scale)[:, None, :]   # the same operations in both orders
+    z1 = window_conv1d(x0, p["w1"]) + p["b1"][None, :, None]
+    dz1 = 2 * gamma(4) * (window_conv1d(np.abs(x0), w1) + np.abs(p["b1"])[None, :, None])
+    a1 = np.maximum(z1, 0.0)
+    z2 = window_conv1d(a1, p["w2"]) + p["b2"][None, :, None]
+    dz2 = 2 * gamma(25) * (window_conv1d(a1, w2) + np.abs(p["b2"])[None, :, None]) + window_conv1d(dz1, w2)
+    flat, dflat = np.maximum(z2, 0.0).reshape(B, -1), dz2.reshape(B, -1)
+    z3 = flat @ p["w3"].T + p["b3"]
+    dz3 = 2 * gamma(flat.shape[1] + 1) * (flat @ w3.T + np.abs(p["b3"])) + dflat @ w3.T
+    a3 = np.maximum(z3, 0.0)
+    z4 = (a3 @ p["w4"].T + p["b4"])[:, 0]
+    dz4 = (2 * gamma(51) * (a3 @ w4.T + np.abs(p["b4"])) + dz3 @ w4.T)[:, 0]
+    stable = all(np.all(np.abs(z) > dz) for z, dz in ((z1, dz1), (z2, dz2), (z3, dz3)))
+    prob = 1.0 / (1.0 + np.exp(-np.clip(z4, -35.0, 35.0)))
+    # a logit beyond the clip in both orders gives both the same output
+    dp = np.where(np.abs(z4) - dz4 > 35.0, 0.0, prob * (1 - prob) * (dz4 + 16 * U) + 4 * U * prob)
+
+    eps = 1e-12
+    q = np.where(y == 1, prob, 1 - prob)
+    terms = -np.log(q + eps)
+    # 1 - p rounds only where p < 1/2; q + eps and each log round once per order
+    dq = dp + np.where(y == 1, 0.0, 2 * U * q)
+    dterms = dq / (q + eps) + 2 * U + 16 * U * np.abs(terms)
+    loss = float(np.mean(terms))
+    loss_bound = (float(np.sum(dterms)) + 2 * gamma(B) * float(np.sum(np.abs(terms)))) / B + 2 * U * abs(loss)
+
+    # deltas as magnitudes D and differences E; p - y and the division by B
+    # round once each per order
+    m1, m2, m3 = z1 > 0, z2 > 0, z3 > 0
+    D4 = np.abs(prob - y)[:, None] / B
+    E4 = dp[:, None] / B + 4 * U * D4
+    D3, E3 = (D4 @ w4) * m3, ((E4 @ w4) + 2 * U * (D4 @ w4)) * m3
+    D2 = (D3 @ w3).reshape(z2.shape) * m2
+    E2 = ((E3 @ w3) + 2 * gamma(50) * (D3 @ w3)).reshape(z2.shape) * m2
+    D1 = window_conv_input_grad(D2, w2) * m1
+    E1 = (window_conv_input_grad(E2, w2) + 2 * gamma(48) * window_conv_input_grad(D2, w2)) * m1
+    g1, g2 = B * z1.shape[2], B * z2.shape[2]
+    bounds = {
+        "w4": E4.T @ a3 + D4.T @ (dz3 * m3) + 2 * gamma(B) * (D4.T @ a3),
+        "b4": E4.sum(axis=0) + 2 * gamma(B) * D4.sum(axis=0),
+        "w3": E3.T @ flat + D3.T @ dflat + 2 * gamma(B) * (D3.T @ flat),
+        "b3": E3.sum(axis=0) + 2 * gamma(B) * D3.sum(axis=0),
+        "w2": (window_conv_weight_grad(a1, E2) + window_conv_weight_grad(dz1, D2)
+               + 2 * gamma(g2) * window_conv_weight_grad(a1, D2)),
+        "b2": E2.sum(axis=(0, 2)) + 2 * gamma(g2) * D2.sum(axis=(0, 2)),
+        "w1": window_conv_weight_grad(np.abs(x0), E1) + 2 * gamma(g1) * window_conv_weight_grad(np.abs(x0), D1),
+        "b1": E1.sum(axis=(0, 2)) + 2 * gamma(g1) * D1.sum(axis=(0, 2)),
+    }
+    return loss_bound, _step_layout(bounds), stable
+
+
 @settings(max_examples=40, deadline=None)
+# cases over the fixed 1e-12 relative bounds this test had. Outputs down to
+# 6e-16 from 0 and 1; at one logit of 16, 1 + exp(-z) rounds to neighbouring
+# doubles in the two orders, so p moves by 2 ulps, 1 - p (1e-7) by 2e-9 of
+# itself, and the loss by 2.5e-12 of itself
+@example(batch=80, seed=100000)
+# wb1's gradient differs by 2.2e-12, and b4's by 1e-12, of the largest entry
+@example(batch=1, seed=4037)
+@example(batch=2, seed=17457)
 @given(batch=st.integers(1, 130), seed=st.integers(0, 2**32 - 1))
 def test_step_matches_the_channel_first_reference(batch, seed):
     net, rng = random_network(seed)
     X = rng.normal(0.05, 0.03, (batch, 30))
     y = (rng.random(batch) < 0.5).astype(float)
+    loss_bound, grad_bounds, stable = rounding_bounds(net, X, y)
+    # a pre-activation within rounding of zero may fall on the other side of
+    # a ReLU in one of the orders
+    assume(stable)
     ref_loss, ref_grads = channel_first_loss_and_grads(net, X, y)
     ref_grads = _step_layout(ref_grads)
     # a fresh step, and one in work buffers sized by a larger batch; both
@@ -280,10 +373,11 @@ def test_step_matches_the_channel_first_reference(batch, seed):
     net.loss_and_grads(rng.normal(0.05, 0.03, (130, 30)), np.ones(130), work=work)
     for kwargs in ({}, {"work": work}):
         loss, grads = net.loss_and_grads(X, y, **kwargs)
-        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert abs(loss - ref_loss) <= loss_bound
         assert grads.keys() == set(_STEP_NAMES)
         for name in _STEP_NAMES:
-            assert_close(grads[name], ref_grads[name])
+            assert grads[name].shape == ref_grads[name].shape
+            assert np.all(np.abs(grads[name] - ref_grads[name]) <= grad_bounds[name]), name
 
 
 # float32 rounds each operation by up to 2**-23; 1e-4 is about 800 of those,
@@ -333,20 +427,20 @@ def test_work_buffers_leave_training_unchanged(toy_set):
     # reused; the reference loop allocates every array afresh. Like
     # train_cnn it steps in float32 on windows standardised in float64
     X, y = toy_set[0][:200], toy_set[1][:200]
-    config = CnnTrainConfig(epochs=3, seed=6)
-    trained = train_cnn(X, y, config)
-    init = train_cnn(X, y, CnnTrainConfig(epochs=0, seed=6))
+    epochs, seed, defaults = 3, 6, PipelineConfig()
+    trained = train_cnn(X, y, epochs=epochs, seed=seed)
+    init = train_cnn(X, y, epochs=0, seed=seed)
     net = float32_copy(init, input_center=0.0, input_scale=1.0)
     X = ((X - init.input_center) * init.input_scale).astype(np.float32)
     y = y.astype(np.float32)
-    rng = np.random.default_rng(config.seed + 1)
-    for _ in range(config.epochs):
+    rng = np.random.default_rng(seed + 1)
+    for _ in range(epochs):
         order = rng.permutation(len(X))
-        for start in range(0, len(X), config.batch_size):
-            idx = order[start : start + config.batch_size]
+        for start in range(0, len(X), defaults.cnn_batch_size):
+            idx = order[start : start + defaults.cnn_batch_size]
             _, grads = net.loss_and_grads(X[idx], y[idx])
             for name, grad in grads.items():
-                getattr(net, name)[...] -= config.learning_rate * grad
+                getattr(net, name)[...] -= defaults.cnn_learning_rate * grad
     for name in _STEP_NAMES:
         assert getattr(trained, name).dtype == np.float64
         assert np.array_equal(getattr(trained, name), getattr(net, name))
@@ -367,8 +461,9 @@ def test_training_matches_the_per_step_layout_reference_bit_for_bit(n, window_le
     rng = np.random.default_rng(seed)
     X = rng.normal(rng.normal(0.0, 5.0), rng.uniform(0.01, 10.0), (n, window_len))
     y = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(float)
-    config = CnnTrainConfig(epochs=epochs, batch_size=batch_size, seed=seed % 1000)
-    got, want = train_cnn(X, y, config), reference_train_cnn(X, y, config)
+    budget = {"epochs": epochs, "learning_rate": PipelineConfig().cnn_learning_rate, "batch_size": batch_size,
+              "seed": seed % 1000}
+    got, want = train_cnn(X, y, **budget), reference_train_cnn(X, y, **budget)
     assert got.train_loss_curve == want.train_loss_curve
     for name in _STEP_NAMES:
         assert getattr(got, name).dtype == np.float64
@@ -379,7 +474,7 @@ def test_training_matches_the_per_step_layout_reference_bit_for_bit(n, window_le
 def test_windows_beyond_the_float32_range_train_to_finite_weights(toy_set):
     # standardised in float64 first, they fit the float32 loop
     X, y = toy_set[0][:200] * 1e39, toy_set[1][:200]
-    net = train_cnn(X, y, CnnTrainConfig(epochs=2, seed=7))
+    net = train_cnn(X, y, epochs=2, seed=7)
     for name in _STEP_NAMES:
         assert np.isfinite(getattr(net, name)).all(), name
     assert np.isfinite(net.train_loss_curve).all()
@@ -388,10 +483,10 @@ def test_windows_beyond_the_float32_range_train_to_finite_weights(toy_set):
 TRAIN_DIGEST = """
 import hashlib, json
 import numpy as np
-from adwatch.cnn import CnnTrainConfig, train_cnn
+from adwatch.cnn import train_cnn
 rng = np.random.default_rng(4)
 X = rng.normal(0, 1, (400, 30))
-net = train_cnn(X, (X.mean(axis=1) > 0).astype(float), CnnTrainConfig(epochs=3, seed=7))
+net = train_cnn(X, (X.mean(axis=1) > 0).astype(float), epochs=3, seed=7)
 print(hashlib.sha256(json.dumps(net.to_dict()).encode()).hexdigest())
 """
 
@@ -432,47 +527,39 @@ def test_training_is_identical_with_one_and_two_blas_threads():
 )
 def test_train_budget_validated(toy_set, field, value):
     X, y = toy_set
-    config = CnnTrainConfig(epochs=1, seed=0)
-    setattr(config, field, value)
-    with pytest.raises(DataError, match=field):
-        train_cnn(X, y, config)
+    with pytest.raises(DataError, match=f"^CNN training config: {field} must be "):
+        train_cnn(X, y, **{"epochs": 1, "seed": 0, field: value})
 
 
 def test_train_budget_checked_before_the_windows():
     with pytest.raises(DataError, match="batch_size"):
-        train_cnn(np.zeros((0, 30)), np.zeros(0), CnnTrainConfig(batch_size=0))
+        train_cnn(np.zeros((0, 30)), np.zeros(0), batch_size=0)
 
 
 @pytest.mark.parametrize("seed", [2.5, True, -1, "3", None])
-def test_seed_validated_when_the_config_is_made(seed):
-    with pytest.raises(DataError, match="seed"):
-        CnnTrainConfig(seed=seed)
-
-
-def test_seed_validated_before_training(toy_set):
+def test_seed_validated_before_training(monkeypatch, toy_set, seed):
     X, y = toy_set
-    config = CnnTrainConfig(epochs=1)
-    config.seed = -3
-    with pytest.raises(DataError, match="seed"):
-        train_cnn(X, y, config)
+    monkeypatch.setattr(TemporalCnn, "initialize", lambda *args, **kwargs: pytest.fail("initialized"))
+    with pytest.raises(DataError, match="^CNN training config: seed must be an integer of at least 0, got "):
+        train_cnn(X, y, epochs=1, seed=seed)
 
 
 def test_seed_limits_accepted(toy_set):
     X, y = toy_set[0][:8], toy_set[1][:8]
     for seed in (0, np.int64(5), 2**63):
-        assert len(train_cnn(X, y, CnnTrainConfig(epochs=1, seed=seed)).train_loss_curve) == 1
+        assert len(train_cnn(X, y, epochs=1, seed=seed).train_loss_curve) == 1
 
 
 def test_train_budget_limits_accepted(toy_set):
     # epochs=0 is covered by test_zero_epochs_returns_untrained
     X, y = toy_set[0][:8], toy_set[1][:8]
-    net = train_cnn(X, y, CnnTrainConfig(epochs=np.int64(1), batch_size=1, learning_rate=1, seed=3))
+    net = train_cnn(X, y, epochs=np.int64(1), batch_size=1, learning_rate=1, seed=3)
     assert len(net.train_loss_curve) == 1
 
 
 def test_default_budget_is_the_pipeline_default():
-    config, pipeline = CnnTrainConfig(), PipelineConfig()
-    assert (config.epochs, config.learning_rate, config.batch_size) == (
+    defaults, pipeline = inspect.signature(train_cnn).parameters, PipelineConfig()
+    assert (defaults["epochs"].default, defaults["learning_rate"].default, defaults["batch_size"].default) == (
         pipeline.cnn_epochs,
         pipeline.cnn_learning_rate,
         pipeline.cnn_batch_size,
@@ -481,8 +568,8 @@ def test_default_budget_is_the_pipeline_default():
 
 def test_shorter_budget_is_a_prefix_of_the_longer_schedule(toy_set):
     X, y = toy_set
-    short = train_cnn(X, y, CnnTrainConfig(epochs=3, seed=7))
-    longer = train_cnn(X, y, CnnTrainConfig(epochs=5, seed=7))
+    short = train_cnn(X, y, epochs=3, seed=7)
+    longer = train_cnn(X, y, epochs=5, seed=7)
     assert short.train_loss_curve == longer.train_loss_curve[:3]
 
 

@@ -1,10 +1,11 @@
+import inspect
 import json
 from dataclasses import asdict, fields
 
 import pytest
 
-from adwatch.boosting import _BOOST_RULES, BoostConfig
-from adwatch.cnn import _TRAIN_RULES, CnnTrainConfig
+from adwatch.boosting import _BOOST_RULES, fit_boosted
+from adwatch.cnn import _TRAIN_RULES, train_cnn
 from adwatch.config import (
     _PIPELINE_RULES,
     _SCORE_RULES,
@@ -240,12 +241,18 @@ def test_constructor_stores_pairs_as_float_tuples():
     (SessionManifest, _MANIFEST_RULES),
     (SuiteEntry, _ENTRY_RULES),
     (SuiteConfig, _SUITE_RULES),
-    (CnnTrainConfig, _TRAIN_RULES),
-    (BoostConfig, _BOOST_RULES),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else "")
 def test_every_field_has_a_rule(cls, rules):
     # a new field cannot go unchecked, and a rule cannot outlive its field
     assert sorted(rules) == sorted(f.name for f in fields(cls))
+
+
+@pytest.mark.parametrize("fit, rules", [(train_cnn, _TRAIN_RULES), (fit_boosted, _BOOST_RULES)],
+                         ids=lambda v: getattr(v, "__name__", ""))
+def test_every_budget_parameter_of_a_fit_has_a_rule(fit, rules):
+    # the keyword-only parameters are a fit's budget, each checked by its rule
+    budget = [p.name for p in inspect.signature(fit).parameters.values() if p.kind is p.KEYWORD_ONLY]
+    assert sorted(rules) == sorted(budget)
 
 
 RULES = {

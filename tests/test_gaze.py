@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from adwatch.boosting import BoostConfig, fit_boosted
+from adwatch.boosting import fit_boosted
 from adwatch.config import PipelineConfig, ScoreConfig
 from adwatch.errors import DataError
 from adwatch.gaze import (
@@ -156,10 +156,9 @@ def test_normalized_session_mean_is_zero():
 def identity_pair():
     rng = np.random.default_rng(3)
     X = rng.uniform(-15, 15, (400, 2))
-    cfgb = BoostConfig(n_stages=40)
     return {
-        "x": fit_boosted(X, np.zeros(400), cfgb),
-        "y": fit_boosted(X, np.zeros(400), cfgb),
+        "x": fit_boosted(X, np.zeros(400), n_stages=40),
+        "y": fit_boosted(X, np.zeros(400), n_stages=40),
     }
 
 

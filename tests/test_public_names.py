@@ -1,21 +1,22 @@
 """Every public top-level function and class of ``adwatch``, and every
 public method of a public class, has a user; every field of an options
-object has a caller that sets it; a public class that writes itself as a
-JSON document (``to_dict``) also reads itself back (``from_dict``).
+object, and every budget parameter of a fit, has a caller that sets it; a
+public class that writes itself as a JSON document (``to_dict``) also reads
+itself back (``from_dict``).
 
 A public name that only ``__init__`` re-exports and only tests call is code
 kept alive for its tests; such a helper belongs with the tests instead. A
-field that only tests set is an option with one value in use, which is a
-constant.
+field or parameter that only tests set is an option with one value in use,
+which is a constant.
 """
 
 import ast
-import dataclasses
+import inspect
 from itertools import takewhile
 from pathlib import Path
 
-from adwatch.boosting import BoostConfig
-from adwatch.cnn import CnnTrainConfig
+from adwatch.boosting import fit_boosted
+from adwatch.cnn import train_cnn
 from adwatch.pipeline import PipelineVariant
 from adwatch.synth import SuiteConfig
 
@@ -23,7 +24,14 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "adwatch"
 # PipelineConfig and ScoreConfig are not here: a config file or --set sets
 # their every field, for the command that reads it
-OPTIONS = (SuiteConfig, BoostConfig, CnnTrainConfig, PipelineVariant)
+OPTIONS = (SuiteConfig, PipelineVariant, fit_boosted, train_cnn)
+
+
+def settable(option) -> list[inspect.Parameter]:
+    """What a caller of an ``OPTIONS`` entry sets: a class's fields, or a
+    function's keyword-only parameters, its budget."""
+    params = inspect.signature(option).parameters.values()
+    return [p for p in params if isinstance(option, type) or p.kind is p.KEYWORD_ONLY]
 
 
 def parse(path: Path) -> ast.Module:
@@ -89,23 +97,25 @@ def test_every_public_method_of_a_public_class_is_used_outside_the_tests():
 
 
 def set_fields(trees: list[ast.Module]) -> set[tuple[str, str]]:
-    """(class, field) for each field of an ``OPTIONS`` class that a call of
-    the class in ``trees`` passes, by position or keyword, with a value that
-    is not a literal equal to the field's default."""
-    options = {cls.__name__: dataclasses.fields(cls) for cls in OPTIONS}
+    """(option, name) for each ``settable`` value of an ``OPTIONS`` entry
+    that a call of it in ``trees`` passes, by position or keyword, with a
+    value that is not a literal equal to the default."""
     found = set()
     for tree in trees:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if name not in options:
+            option = next((o for o in OPTIONS if o.__name__ == name), None)
+            if option is None:
                 continue
-            by_name = {f.name: f for f in options[name]}
+            by_name = {p.name: p for p in settable(option)}
             positional = takewhile(lambda arg: not isinstance(arg, ast.Starred), node.args)
-            passed = [(f.name, arg) for f, arg in zip(options[name], positional)]
-            passed += [(kw.arg, kw.value) for kw in node.keywords if kw.arg in by_name]
+            passed = [(p.name, arg) for p, arg in zip(inspect.signature(option).parameters.values(), positional)]
+            passed += [(kw.arg, kw.value) for kw in node.keywords]
             for field, value in passed:
+                if field not in by_name:
+                    continue
                 try:
                     default_literal = ast.literal_eval(value) == by_name[field].default
                 except ValueError:
@@ -117,27 +127,37 @@ def set_fields(trees: list[ast.Module]) -> set[tuple[str, str]]:
 
 def test_every_field_of_an_options_object_is_set_outside_the_tests():
     found = set_fields(users())
-    unset = [f"{cls.__name__}.{f.name}" for cls in OPTIONS for f in dataclasses.fields(cls)
-             if (cls.__name__, f.name) not in found]
+    unset = [f"{option.__name__}.{p.name}" for option in OPTIONS for p in settable(option)
+             if (option.__name__, p.name) not in found]
     assert unset == []
 
 
+def test_the_budget_of_each_fit_is_settable():
+    # the seven values of the two fits' budgets
+    assert {option.__name__: [p.name for p in settable(option)] for option in (fit_boosted, train_cnn)} == {
+        "fit_boosted": ["n_stages", "max_depth", "mode"],
+        "train_cnn": ["epochs", "learning_rate", "batch_size", "seed"],
+    }
+
+
 PLANTED = """
-BoostConfig(n_stages=5, max_depth=3)
-boosting.BoostConfig(7, 0.1, mode=MODE_CLASSIFICATION)
 SuiteConfig(0, *values, 2, template=name, **more)
 PipelineVariant(name="full", signals=frozenset())
-CnnTrainConfig(epochs=-1)
+fit_boosted(X, y, n_stages=5, max_depth=3)
+boosting.fit_boosted(X, y, 7, max_depth=depth, mode=MODE_CLASSIFICATION)
+train_cnn(X, y, epochs=-1, seed=0)
+cnn.train_cnn(X, y, *rest, batch_size=1, **budget)
 """
 
 
 def test_set_fields_counts_values_other_than_the_default_literal():
-    # max_depth=3, seed 0 and name="full" are the defaults; 0.1 lands on
-    # max_depth by position; neither *values, what follows it, nor **more
-    # names a field
+    # max_depth=3, seed=0 and name="full" are the defaults; neither *values,
+    # what follows it, nor **more names a field; a fit's positional
+    # arguments are its data, and 7 sets no budget value
     assert set_fields([ast.parse(PLANTED)]) == {
-        ("BoostConfig", "n_stages"), ("BoostConfig", "max_depth"), ("BoostConfig", "mode"),
-        ("SuiteConfig", "template"), ("PipelineVariant", "signals"), ("CnnTrainConfig", "epochs"),
+        ("SuiteConfig", "template"), ("PipelineVariant", "signals"),
+        ("fit_boosted", "n_stages"), ("fit_boosted", "max_depth"), ("fit_boosted", "mode"),
+        ("train_cnn", "epochs"), ("train_cnn", "batch_size"),
     }
 
 

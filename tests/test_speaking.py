@@ -67,10 +67,11 @@ def test_lip_distance_rotation_invariant():
 
 def test_windows_fixed_length_and_scored():
     frames = mouth_session(np.full(90, 0.05))
-    series = build_windows(frames, LIP)
-    assert series.windows.shape == (90, LIP.samples)
-    assert series.scored.all()
-    assert np.allclose(series.windows, 0.05)
+    windows, scored = build_windows(frames, LIP)
+    assert windows.shape == (90, LIP.samples)
+    assert scored.shape == (90,) and scored.dtype == bool
+    assert scored.all()
+    assert np.allclose(windows, 0.05)
 
 
 def test_window_quota_rule():
@@ -78,23 +79,23 @@ def test_window_quota_rule():
     expr = np.ones(120, dtype=bool)
     expr[40:80] = False
     frames = mouth_session(np.full(120, 0.05), face_expr=expr)
-    series = build_windows(frames, LIP)
-    assert not series.scored[55]           # middle of the gap
-    assert series.scored[10]
-    assert series.scored[110]
+    _, scored = build_windows(frames, LIP)
+    assert not scored[55]                  # middle of the gap
+    assert scored[10]
+    assert scored[110]
 
 
 def test_short_gap_held_and_scored():
     expr = np.ones(120, dtype=bool)
     expr[60:64] = False                    # 4 missing frames <= hold budget
     frames = mouth_session(np.full(120, 0.05), face_expr=expr)
-    series = build_windows(frames, LIP)
-    assert series.scored[61]
+    _, scored = build_windows(frames, LIP)
+    assert scored[61]
     long_gap = np.ones(120, dtype=bool)
     long_gap[60:70] = False                # 10 missing frames: poisoned
     frames = mouth_session(np.full(120, 0.05), face_expr=long_gap)
-    series = build_windows(frames, LIP)
-    assert not series.scored[61]
+    _, scored = build_windows(frames, LIP)
+    assert not scored[61]
 
 
 @pytest.mark.parametrize("extra, bridged", [(0, True), (1, False)], ids=["budget", "one_more"])
@@ -102,12 +103,12 @@ def test_face_loss_of_exactly_the_hold_budget_is_bridged(extra, bridged):
     gap = LIP.max_hold + extra
     expr = np.ones(120, dtype=bool)
     expr[60 : 60 + gap] = False
-    series = build_windows(mouth_session(np.full(120, 0.05), face_expr=expr), LIP)
+    _, scored = build_windows(mouth_session(np.full(120, 0.05), face_expr=expr), LIP)
     if bridged:
-        assert series.scored.all()
+        assert scored.all()
     else:
-        assert not series.scored[60 : 60 + gap].any()
-        assert series.scored[:40].all() and series.scored[90:].all()
+        assert not scored[60 : 60 + gap].any()
+        assert scored[:40].all() and scored[90:].all()
 
 
 class SpeaksFirst:
@@ -124,7 +125,7 @@ def test_a_frame_midway_between_two_scored_frames_takes_the_earlier_flag():
     expr = np.ones(150, dtype=bool)
     expr[70:81] = False
     frames = mouth_session(np.full(150, 0.05), face_expr=expr)
-    scored = build_windows(frames, LIP).scored
+    _, scored = build_windows(frames, LIP)
     unscored = np.flatnonzero(~scored)
     left, right = unscored[0] - 1, unscored[-1] + 1
     # one unscored run, of odd length, so that its middle frame is a tie
@@ -143,11 +144,11 @@ def test_unscored_frames_inherit_nearest_flag(artifacts):
     gaps[:100] = 0.055 + 0.035 * np.sin(2 * np.pi * 4.5 * t[:100])
     frames = mouth_session(gaps, face_expr=expr)
     flags = speaking_flags(frames, artifacts.speaking, CFG)
-    series = build_windows(frames, artifacts.speaking.windows)
-    unscored = np.flatnonzero(~series.scored)
+    _, scored = build_windows(frames, artifacts.speaking.windows)
+    unscored = np.flatnonzero(~scored)
     assert unscored.size
     # frames in the dead zone take the nearest scored frame's value
-    scored_idx = np.flatnonzero(series.scored)
+    scored_idx = np.flatnonzero(scored)
     for i in unscored[:10]:
         nearest = scored_idx[np.argmin(np.abs(scored_idx - i))]
         assert flags[i] == flags[nearest]
@@ -156,20 +157,20 @@ def test_unscored_frames_inherit_nearest_flag(artifacts):
 def test_window_centered_on_frame(artifacts):
     # lip gap rising linearly in time, so a window's samples show its span
     gaps = 0.02 + 0.001 * np.arange(90)
-    series = build_windows(mouth_session(gaps), LIP)
-    assert series.scored[45]
-    window = series.windows[45]
+    windows, scored = build_windows(mouth_session(gaps), LIP)
+    assert scored[45]
+    window = windows[45]
     assert window.shape == (LIP.samples,)
     # the second centered on frame 45 runs from frame 30 to frame 60 at 30 fps
     assert window[0] == pytest.approx(gaps[30], abs=1e-12)
     assert window[-1] == pytest.approx(gaps[60], abs=1e-12)
-    flat = build_windows(mouth_session(np.full(90, 0.02)), LIP)
-    assert artifacts.speaking.predict_proba(flat.windows[[45]])[0] < 0.5
+    flat, _ = build_windows(mouth_session(np.full(90, 0.02)), LIP)
+    assert artifacts.speaking.predict_proba(flat[[45]])[0] < 0.5
     # unscorable frame inside a long face loss
     expr = np.ones(90, dtype=bool)
     expr[30:60] = False
     gappy = mouth_session(np.full(90, 0.02), face_expr=expr)
-    assert not build_windows(gappy, LIP).scored[45]
+    assert not build_windows(gappy, LIP)[1][45]
 
 
 def test_probability_deterministic(artifacts):
