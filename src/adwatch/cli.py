@@ -43,19 +43,14 @@ from .pipeline import (
     score_session,
 )
 from .session_io import (
+    load_entry_manifest,
     load_manifest,
     load_session,
+    load_suite,
     read_timeline,
     write_timeline,
 )
-from .synth import (
-    SuiteConfig,
-    _write_session,
-    generate_suite,
-    load_entry_manifest,
-    load_script,
-    load_suite,
-)
+from .synth import SuiteConfig, _write_session, generate_suite, load_script
 from .training import _in_halves, _in_order, check_truth, parse_session, select_sessions, train_all
 
 EXIT_OK = 0
@@ -252,8 +247,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         camera_offset_max_cm=10.0 if args.suite == "gaze_offset" else 0.0,
         yawn_prevalence=args.yawn_prevalence,
     )
-    index = generate_suite(config, out)
-    print(f"wrote {len(index.entries)} sessions to {out}")
+    entries = generate_suite(config, out)
+    print(f"wrote {len(entries)} sessions to {out}")
     return EXIT_OK
 
 
@@ -279,7 +274,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         raise ConfigError("--split does not apply to --manifest: it scores the one session it names")
     split = args.split or "all"
     cfg = _load_config(args)
-    entries = None if args.suite_dir is None else load_suite(args.suite_dir).by_split(split)
+    entries = None if args.suite_dir is None else load_suite(args.suite_dir, split)
     # the one load per command: it fails before any session is read, and
     # every session scores against it, so each ensemble compiles its lookup
     # tables once (once per worker with --jobs)
@@ -322,10 +317,10 @@ def cmd_score(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _check_writes(args.output, files=["evaluation.json"])
     suite_dir: Path = args.suite_dir
-    index = load_suite(suite_dir)
+    entries = load_suite(suite_dir)
     pairs_by_device: dict[str, list] = {}
     n = 0
-    for entry in index.entries:
+    for entry in entries:
         manifest, base_dir = load_entry_manifest(suite_dir, entry)
         scored_path = args.scored / f"{entry.session_id}.timeline.jsonl"
         if not scored_path.exists():
@@ -341,9 +336,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         n += 1
     if n == 0:
         raise DataError(f"no scored timelines matching the suite found in {args.scored}")
-    if n < len(index.entries):
+    if n < len(entries):
         print(
-            f"warning: only {n} of {len(index.entries)} suite sessions have "
+            f"warning: only {n} of {len(entries)} suite sessions have "
             f"scored timelines in {args.scored}",
             file=sys.stderr,
         )

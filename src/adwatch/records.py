@@ -1,4 +1,5 @@
-"""Frame and session data model.
+"""Frame and session data model: frames, session manifests and suite index
+entries, and the rules they are checked by.
 
 A session is a sequence of per-frame tracker outputs, held column by column
 in ``FrameArrays`` and checked by ``frame_checks``. Two upstream trackers
@@ -22,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import _STRING, _check_fields, _choice, _optional, _or_null, _pair, _real
+from .config import _SEED, _STRING, _Rule, _check_fields, _choice, _optional, _or_null, _pair, _real
 from .errors import SessionFormatError
 
 # Fixed AU inventory; au_intensities is indexed by this list.
@@ -40,6 +41,7 @@ MOUTH_LEFT_CORNER = 2
 MOUTH_RIGHT_CORNER = 3
 
 DEVICE_TYPES = ("desktop", "mobile")
+ORIENTATIONS = ("centered", "clockwise", "anticlockwise")
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,31 @@ _MANIFEST_RULES = {
     "frame_source": _STRING,
     "ground_truth": _optional(_or_null(_STRING)),
     "screen_override_cm": _optional(_or_null(_pair(_real(0, above=True)))),
+}
+
+
+@dataclass(frozen=True)
+class SuiteEntry:
+    """One session of a suite index (``suite.json``), pointing at its manifest."""
+
+    session_id: str
+    device_type: str
+    manifest_path: str
+    split: str
+    orientation: str
+
+
+_INDEX_RULES = {
+    "seed": _SEED,
+    "sessions": _Rule(lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v),
+                      "a list of JSON objects"),
+}
+_ENTRY_RULES = {
+    "session_id": _STRING,
+    "device_type": _choice(DEVICE_TYPES),
+    "manifest_path": _STRING,
+    "split": _choice(("train", "held_out")),
+    "orientation": _choice(ORIENTATIONS),
 }
 
 

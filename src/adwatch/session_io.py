@@ -1,7 +1,9 @@
 """Readers and writers for all on-disk formats.
 
 Formats are line-delimited JSON (frames, timelines) or a single JSON
-document (manifests); see FORMATS.md for the full schemas. Each key of a
+document (manifests, suite indexes); see FORMATS.md for the full schemas.
+A suite is read here whatever wrote it: ``load_suite`` gives a split's
+entries, ``load_entry_manifest`` the manifest of each. Each key of a
 JSONL row is one ``_Field`` of its file's schema (``_FRAME_SCHEMA``,
 ``_TIMELINE_SCHEMA``) and fills one column. Both JSONL files are read by one
 loop over their lines, ``_row_blocks``, and ``_read_jsonl`` checks every
@@ -28,9 +30,19 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .config import _check_fields, _read_json_object, _replacing
-from .errors import DataError, SessionFormatError
+from .errors import ConfigError, DataError, SessionFormatError
 from .fusion import SIGNAL_NAMES, DistractionTimeline
-from .records import _MANIFEST_RULES, AU_NAMES, FrameArrays, SessionManifest, first_failure, frame_checks
+from .records import (
+    _ENTRY_RULES,
+    _INDEX_RULES,
+    _MANIFEST_RULES,
+    AU_NAMES,
+    FrameArrays,
+    SessionManifest,
+    SuiteEntry,
+    first_failure,
+    frame_checks,
+)
 
 PathLike = Union[str, Path]
 
@@ -383,7 +395,7 @@ def load_session(manifest: SessionManifest, base_dir: Optional[PathLike] = None)
 
 
 # ---------------------------------------------------------------------------
-# manifests
+# manifests and suite indexes
 # ---------------------------------------------------------------------------
 
 def write_manifest(manifest: SessionManifest, path: PathLike) -> None:
@@ -400,6 +412,49 @@ def load_manifest(path: PathLike) -> SessionManifest:
     return SessionManifest(
         **_check_fields(doc, _MANIFEST_RULES, SessionFormatError, f"manifest {path}", unknown_ok=True)
     )
+
+
+def write_suite(entries: list[SuiteEntry], config: dict, path: PathLike) -> None:
+    """The index of a suite's ``entries``, with the ``config`` it was
+    written from and that config's ``seed``."""
+    doc = {"seed": config["seed"], "config": config, "sessions": [vars(e) for e in entries]}
+    with _replacing(path) as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
+
+
+def load_suite(suite_dir: PathLike, split: str = "all") -> list[SuiteEntry]:
+    """The entries of ``split`` in the index of ``suite_dir``, in index
+    order. The index is checked by ``_INDEX_RULES`` and each entry by
+    ``_ENTRY_RULES``, and a session listed twice is refused, all with
+    ConfigError; keys the rules do not name are ignored."""
+    path = Path(suite_dir) / "suite.json"
+    where = f"suite index {path}"
+    doc = _check_fields(_read_json_object(path, "suite index", ConfigError), _INDEX_RULES, ConfigError,
+                        where, unknown_ok=True)
+    entries, first = [], {}
+    for i, e in enumerate(doc["sessions"]):
+        entry = SuiteEntry(**_check_fields(e, _ENTRY_RULES, ConfigError, f"{where}: sessions[{i}]", unknown_ok=True))
+        j = first.setdefault(entry.session_id, i)
+        if j != i:
+            raise ConfigError(f"{where}: sessions[{i}]: session {entry.session_id} is listed twice, "
+                              f"first at sessions[{j}]")
+        entries.append(entry)
+    return [e for e in entries if split in ("all", e.split)]
+
+
+def load_entry_manifest(suite_dir: PathLike, entry: SuiteEntry) -> tuple[SessionManifest, Path]:
+    """The manifest of a suite entry and the directory its paths are relative
+    to. A manifest whose session id or device type is not the entry's raises
+    SessionFormatError naming both values and the session."""
+    path = Path(suite_dir) / entry.manifest_path
+    manifest = load_manifest(path)
+    for key in ("session_id", "device_type"):
+        if getattr(manifest, key) != getattr(entry, key):
+            raise SessionFormatError(
+                f"manifest {path}: {key} {getattr(manifest, key)!r} differs from the suite "
+                f"index's {getattr(entry, key)!r} for session {entry.session_id}"
+            )
+    return manifest, path.parent
 
 
 # ---------------------------------------------------------------------------

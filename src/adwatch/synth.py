@@ -25,7 +25,6 @@ makes the generator the oracle for end-to-end and ablation tests.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -35,7 +34,6 @@ import numpy as np
 
 from .config import (
     _SEED,
-    _STRING,
     _Rule,
     _check_fields,
     _check_writes,
@@ -47,19 +45,18 @@ from .config import (
     _pair,
     _read_json_object,
     _real,
-    _replacing,
     _replacing_dirs,
 )
-from .errors import ConfigError, SessionFormatError
+from .errors import ConfigError
 from .fusion import SIGNAL_NAMES, DistractionTimeline
-from .records import _MANIFEST_RULES, AU_INDEX, DEVICE_TYPES, FrameArrays, SessionManifest
-from .session_io import load_manifest, write_frames, write_manifest, write_timeline
+from .records import _MANIFEST_RULES, AU_INDEX, DEVICE_TYPES, ORIENTATIONS, FrameArrays, SessionManifest, SuiteEntry
+from .session_io import write_frames, write_manifest, write_suite, write_timeline
+from .training import _in_halves
 
 PathLike = Union[str, Path]
 
 SEGMENT_KINDS = ("dot_at", "off_screen", "speak", "yawn", "close_eyes", "leave")
 OFF_DIRECTIONS = ("up", "down", "left", "right")
-ORIENTATIONS = ("centered", "clockwise", "anticlockwise")
 
 # world constants (the pipeline's defaults assume the same geometry)
 PVD_COEFFICIENT = 3.0
@@ -550,26 +547,6 @@ _SUITE_RULES = {
 }
 
 
-@dataclass
-class SuiteEntry:
-    session_id: str
-    device_type: str
-    manifest_path: str
-    split: str
-    orientation: str
-
-
-@dataclass
-class SuiteIndex:
-    seed: int
-    entries: list[SuiteEntry]
-
-    def by_split(self, split: str) -> list[SuiteEntry]:
-        if split == "all":
-            return list(self.entries)
-        return [e for e in self.entries if e.split == split]
-
-
 def build_suite_scripts(config: SuiteConfig) -> list[tuple[str, ScenarioScript, str]]:
     """Deterministically expand a suite config into per-session scripts.
 
@@ -624,10 +601,10 @@ def _write_session(script: ScenarioScript, session_id: str, sdir: Path) -> None:
     write_manifest(manifest, sdir / "manifest.json")
 
 
-def generate_suite(config: SuiteConfig, out_dir: PathLike) -> SuiteIndex:
+def generate_suite(config: SuiteConfig, out_dir: PathLike) -> list[SuiteEntry]:
     """Generate a whole suite to disk, or nothing: one directory per session
     holding the manifest, the frame stream, and the ground-truth timeline,
-    then the suite index.
+    then the suite index (``session_io.write_suite``), whose entries it returns.
 
     Every script is built first, each from its own seed, so the sessions
     can be written in two processes (``training._in_halves``) with the same
@@ -638,8 +615,6 @@ def generate_suite(config: SuiteConfig, out_dir: PathLike) -> SuiteIndex:
     session of the same name is replaced whole and a failed session leaves
     ``out_dir`` as it was; ``suite.json`` is written last.
     """
-    from .training import _in_halves   # training imports this module
-
     scripts = build_suite_scripts(config)
     out_dir = Path(out_dir)
     ids = [sid for sid, _, _ in scripts]
@@ -656,57 +631,8 @@ def generate_suite(config: SuiteConfig, out_dir: PathLike) -> SuiteIndex:
         )
         for sid, script, split in scripts
     ]
-    index = SuiteIndex(seed=config.seed, entries=entries)
-    doc = {
-        "seed": config.seed,
-        "config": dataclasses.asdict(config),
-        "sessions": [dataclasses.asdict(e) for e in entries],
-    }
-    with _replacing(out_dir / "suite.json") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
-    return index
-
-
-_INDEX_RULES = {
-    "seed": _SEED,
-    "sessions": _Rule(lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v),
-                      "a list of JSON objects"),
-}
-_ENTRY_RULES = {
-    "session_id": _STRING,
-    "device_type": _choice(DEVICE_TYPES),
-    "manifest_path": _STRING,
-    "split": _choice(("train", "held_out")),
-    "orientation": _choice(ORIENTATIONS),
-}
-
-
-def load_suite(suite_dir: PathLike) -> SuiteIndex:
-    """The suite index of ``suite_dir``, checked by ``_INDEX_RULES`` and each
-    entry by ``_ENTRY_RULES``; keys they do not name are ignored."""
-    path = Path(suite_dir) / "suite.json"
-    where = f"suite index {path}"
-    doc = _check_fields(_read_json_object(path, "suite index", ConfigError), _INDEX_RULES, ConfigError,
-                        where, unknown_ok=True)
-    entries = [
-        SuiteEntry(**_check_fields(e, _ENTRY_RULES, ConfigError, f"{where}: sessions[{i}]", unknown_ok=True))
-        for i, e in enumerate(doc["sessions"])
-    ]
-    return SuiteIndex(seed=doc["seed"], entries=entries)
-
-
-def load_entry_manifest(suite_dir: PathLike, entry: SuiteEntry) -> tuple[SessionManifest, Path]:
-    """The manifest of a suite entry and the directory its paths are relative
-    to. A manifest whose device type is not the entry's raises
-    SessionFormatError naming the session."""
-    path = Path(suite_dir) / entry.manifest_path
-    manifest = load_manifest(path)
-    if manifest.device_type != entry.device_type:
-        raise SessionFormatError(
-            f"manifest {path}: device_type {manifest.device_type!r} differs from the suite "
-            f"index's {entry.device_type!r} for session {entry.session_id}"
-        )
-    return manifest, path.parent
+    write_suite(entries, dataclasses.asdict(config), out_dir / "suite.json")
+    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ scripted speech activity of their center frame; yawn-edge and silent windows
 provide the negatives. The yawn classifier trains on per-frame mouth aspect
 ratio plus AU features at the suite's natural class imbalance.
 
-``select_sessions`` reads and checks every selected manifest, so a session
-without ground truth fails before any frame file is parsed. ``parse_session``
-then refuses ground truth whose rows are not the frames' rows
-(``check_truth``).
+``select_sessions`` reads the suite index and every selected manifest
+through ``session_io``, so a bad index or a session without ground truth
+fails before any frame file is parsed. ``parse_session`` then refuses ground
+truth whose rows are not the frames' rows (``check_truth``).
 
 ``_in_order`` is the one way work spreads over processes: the tasks marked
 for forked workers run there while this process runs the rest, and results
@@ -47,10 +47,9 @@ from .errors import ConfigError, DataError
 from .fusion import DistractionTimeline
 from .gaze import GazeRegressors, compute_session_stats, normalize_gaze, valid_gaze_rays
 from .records import FrameArrays, SessionManifest
-from .session_io import load_session, read_timeline
+from .session_io import load_entry_manifest, load_session, load_suite, read_timeline
 from .speaking import LipWindows, SpeakingCnn, assemble_training_windows
 from .drowsiness import yawn_features
-from .synth import load_entry_manifest, load_suite
 
 PathLike = Union[str, Path]
 
@@ -138,7 +137,7 @@ def select_sessions(suite_dir: PathLike, split: str = "all") -> list[tuple[Sessi
     an empty split raises DataError."""
     suite_dir = Path(suite_dir)
     selected = []
-    for entry in load_suite(suite_dir).by_split(split):
+    for entry in load_suite(suite_dir, split):
         manifest, base_dir = load_entry_manifest(suite_dir, entry)
         if manifest.ground_truth is None:
             raise DataError(f"session {entry.session_id} has no ground truth")
@@ -344,6 +343,8 @@ def yawn_training_set(
         tracked.append(np.flatnonzero(frames.face_expr))
     # uniform subsampling keeps the natural class imbalance
     offsets = np.cumsum([0] + [len(rows) for rows in tracked])
+    if offsets[-1] == 0:
+        raise DataError("no tracked frames in the training sessions")
     idx = _subsample(np.random.default_rng(seed), int(offsets[-1]), config.max_yawn_train_rows)
     bounds = np.searchsorted(idx, offsets)
     feats, labels = [], []

@@ -726,10 +726,9 @@ def test_score_suite_and_evaluate(trained, tmp_path):
 
 def test_score_single_manifest_timeline_length(trained, tmp_path):
     _, suite, art, _ = trained
-    from adwatch.session_io import load_frames, load_manifest, read_timeline
-    from adwatch.synth import load_suite
+    from adwatch.session_io import load_frames, load_manifest, load_suite, read_timeline
 
-    entry = load_suite(suite).entries[0]
+    entry = load_suite(suite)[0]
     manifest_path = suite / entry.manifest_path
     out = tmp_path / "one"
     assert main(["score", "--manifest", str(manifest_path), "--artifacts", str(art),
@@ -742,9 +741,9 @@ def test_score_single_manifest_timeline_length(trained, tmp_path):
 
 def test_device_filter_skips_with_warning(trained, tmp_path, capsys):
     _, suite, art, _ = trained
-    from adwatch.synth import load_suite
+    from adwatch.session_io import load_suite
 
-    entries = load_suite(suite).entries
+    entries = load_suite(suite)
     out = tmp_path / "filtered"
     assert main(["score", "--suite-dir", str(suite), "--artifacts", str(art),
                  "--device", "desktop", "--output", str(out)]) == 0
@@ -757,9 +756,9 @@ def test_device_filter_skips_with_warning(trained, tmp_path, capsys):
 
 def test_score_that_selects_no_session_from_a_manifest_exits_3_before_any_output(trained, tmp_path, capsys):
     _, suite, art, _ = trained
-    from adwatch.synth import load_suite
+    from adwatch.session_io import load_suite
 
-    desktop_entry = next(e for e in load_suite(suite).entries if e.device_type == "desktop")
+    desktop_entry = next(e for e in load_suite(suite) if e.device_type == "desktop")
     manifest = suite / desktop_entry.manifest_path
     out = tmp_path / "filtered"
     code = main(["score", "--manifest", str(manifest), "--artifacts", str(art),
@@ -1560,6 +1559,81 @@ def test_suite_entry_whose_manifest_has_another_device_exits_3(trained, tmp_path
     assert (f"manifest {copy / entry['manifest_path']}: device_type 'desktop' differs from the suite "
             f"index's 'mobile' for session {entry['session_id']}") in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def command_flags(command: str, trained, tmp_path: Path) -> list[str]:
+    """What ``command`` reads besides ``--suite-dir`` and ``--output``; for
+    ``evaluate``, the scored timelines of the ``trained`` suite."""
+    _, suite, art, cfg = trained
+    if command == "evaluate":
+        scored = tmp_path / "scored"
+        assert main(["score", "--suite-dir", str(suite), "--artifacts", str(art), "--output", str(scored)]) == 0
+        return ["--scored", str(scored)]
+    return ["--config", str(cfg)] if command == "train" else ["--artifacts", str(art)]
+
+
+# a session of the split each command reads: train reads the train split, ablate the held-out one
+@pytest.mark.parametrize("command, i", [("train", 0), ("score", 2), ("evaluate", 2), ("ablate", 2)])
+def test_suite_index_that_lists_a_session_twice_exits_2_before_reading_any_session(
+    trained, tmp_path, capsys, monkeypatch, command, i
+):
+    from adwatch import session_io
+
+    _, suite, _, _ = trained
+    flags = command_flags(command, trained, tmp_path)
+    doc = json.loads((suite / "suite.json").read_text())
+    doc["sessions"].append(doc["sessions"][i])
+    (tmp_path / "suite.json").write_text(json.dumps(doc))
+    (tmp_path / "sessions").symlink_to(suite / "sessions")
+    # every session is read through its manifest
+    reads, load_manifest = [], session_io.load_manifest
+    monkeypatch.setattr(session_io, "load_manifest", lambda path: reads.append(path) or load_manifest(path))
+    capsys.readouterr()
+    code = main([command, "--suite-dir", str(tmp_path), *flags, "--output", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: suite index {tmp_path / 'suite.json'}: sessions[4]: session "
+        f"{doc['sessions'][i]['session_id']} is listed twice, first at sessions[{i}]\n")
+    assert reads == [] and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, i, other", [
+    ("train", 0, 2), ("score", 2, 0), ("evaluate", 2, 0), ("ablate", 2, 0),
+])
+def test_suite_entry_whose_manifest_is_another_sessions_exits_3(trained, tmp_path, capsys, command, i, other):
+    # both sessions are desktops, so only the session id tells them apart
+    _, suite, _, _ = trained
+    flags = command_flags(command, trained, tmp_path)
+    copy = tmp_path / "suite"
+    shutil.copytree(suite, copy)
+    doc = json.loads((copy / "suite.json").read_text())
+    entry, other_entry = doc["sessions"][i], doc["sessions"][other]
+    assert entry["device_type"] == other_entry["device_type"] == "desktop"
+    entry["manifest_path"] = other_entry["manifest_path"]
+    (copy / "suite.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main([command, "--suite-dir", str(copy), *flags, "--output", str(tmp_path / "o")])
+    assert code == 3
+    assert (f"data error: manifest {copy / other_entry['manifest_path']}: session_id "
+            f"'{other_entry['session_id']}' differs from the suite index's '{entry['session_id']}' "
+            f"for session {entry['session_id']}\n") == capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_yawn_training_without_a_tracked_frame_exits_3_naming_the_cause(trained, tmp_path, capsys):
+    _, suite, _, cfg = trained
+    copy = tmp_path / "suite"
+    shutil.copytree(suite, copy)
+    for manifest in split_manifests(copy, "train"):
+        frames_path = manifest.parent / json.loads(manifest.read_text())["frame_source"]
+        frames_path.write_text(frames_path.read_text().replace('"face_detected_expr":true',
+                                                               '"face_detected_expr":false'))
+    out = tmp_path / "art"
+    code = main(["train", "--suite-dir", str(copy), "--config", str(cfg), "--only", "yawn",
+                 "--output", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == "data error: no tracked frames in the training sessions\n"
+    assert not out.exists()
 
 
 def test_unknown_config_key_exit_2(trained, tmp_path, capsys):

@@ -21,16 +21,14 @@ from adwatch.config import (
     config_from_mapping,
 )
 from adwatch.errors import ConfigError
-from adwatch.records import _MANIFEST_RULES, SessionManifest
+from adwatch.records import _ENTRY_RULES, _MANIFEST_RULES, SessionManifest, SuiteEntry
 from adwatch.synth import (
-    _ENTRY_RULES,
     _SCRIPT_RULES,
     _SEGMENT_RULES,
     _SUITE_RULES,
     ScenarioScript,
     Segment,
     SuiteConfig,
-    SuiteEntry,
 )
 
 

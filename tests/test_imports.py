@@ -1,11 +1,11 @@
-"""Every ``adwatch`` module imports the others in its header.
+"""Every ``adwatch`` module imports the others in its header, and only the
+command line and the package's re-exports import the generator.
 
 An import inside a function hides a dependency from the module's header,
 defers an import error to the first call, and binds the name afresh on every
 call, so a test that patches the name where the module keeps it patches
-nothing. One import stays in a function: ``synth.generate_suite`` imports
-``training``, because ``training`` imports ``synth`` in its header to read a
-suite's index, and a header import the other way would be a cycle.
+nothing. The library path that reads a suite, trains and scores never needs
+``synth``: a suite on disk is read by ``session_io``, whatever wrote it.
 """
 
 import ast
@@ -14,8 +14,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "adwatch"
 
-# (module, function, imported module): the one import of a real cycle
-CYCLE = ("synth", "generate_suite", "training")
+# the modules that may import synth: the command line and the package's re-exports
+SYNTH_IMPORTERS = {"cli", "__init__"}
 
 
 def parse(path: Path) -> ast.Module:
@@ -54,18 +54,38 @@ def header_imports(tree: ast.Module) -> set[str]:
     return {module for stmt in tree.body for module in imported_modules(stmt)}
 
 
-def test_no_adwatch_import_inside_a_function_but_the_cycle():
-    inside = sorted(
-        (path.stem, function, module)
-        for path in sorted(PACKAGE.glob("*.py"))
-        for function, module in function_imports(parse(path))
-    )
-    assert inside == [CYCLE]
+def synth_importers(trees: dict[str, ast.Module]) -> set[str]:
+    """The modules, by name, that import ``synth`` anywhere in their source."""
+    return {name for name, tree in trees.items()
+            if any("synth" in imported_modules(node) for node in ast.walk(tree))}
 
 
-def test_the_cycle_is_real():
-    module, _, imported = CYCLE
-    assert module in header_imports(parse(PACKAGE / f"{imported}.py"))
+def package_trees() -> dict[str, ast.Module]:
+    return {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_no_adwatch_import_inside_a_function():
+    inside = [(name, function, module)
+              for name, tree in package_trees().items() for function, module in function_imports(tree)]
+    assert inside == []
+
+
+def test_only_the_command_line_and_the_re_exports_import_synth():
+    assert synth_importers(package_trees()) == SYNTH_IMPORTERS
+
+
+def test_the_synth_guard_flags_each_way_to_import_it():
+    planted = {
+        "cli": "from .synth import generate_suite",
+        "__init__": "from .synth import generate",
+        "training": "from .synth import load_suite",
+        "pipeline": "def f():\n    from . import synth",
+        "gaze": "import adwatch.synth",
+        "head": "from adwatch.synth import ORIENTATIONS",
+        "fusion": "from .synthetic import x\nimport synth",
+    }
+    trees = {name: ast.parse(source) for name, source in planted.items()}
+    assert synth_importers(trees) == {"cli", "__init__", "training", "pipeline", "gaze", "head"}
 
 
 def test_the_guard_flags_each_way_to_import_adwatch_and_nothing_else():

@@ -23,12 +23,12 @@ from adwatch.session_io import (
     load_frames,
     load_manifest,
     load_session,
+    load_suite,
     read_timeline,
     write_frames,
     write_manifest,
     write_timeline,
 )
-from adwatch.synth import load_suite
 from adwatch.training import load_suite_sessions
 from oracles import json_write_frames, json_write_timeline, load_frames_rows, read_timeline_rows
 
@@ -407,7 +407,7 @@ def test_split_load_returns_what_the_serial_load_returns(suites, monkeypatch, n,
     assert len(loaded[1]) == selected
     assert pools == [1] * (selected > 1)
     assert [manifest.session_id for _, _, manifest in loaded[1]] == [
-        entry.session_id for entry in load_suite(suites / str(n)).by_split(split)]
+        entry.session_id for entry in load_suite(suites / str(n), split)]
     assert_same_sessions(loaded[2], loaded[1])
 
 

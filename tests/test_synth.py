@@ -11,24 +11,21 @@ from hypothesis import strategies as st
 
 from adwatch.errors import ConfigError
 from adwatch.geometry import intersect_gaze_batch
-from adwatch.records import first_failure, frame_checks
-from adwatch.session_io import load_frames, load_manifest, read_timeline
+from adwatch.records import ORIENTATIONS, SuiteEntry, first_failure, frame_checks
+from adwatch.session_io import load_frames, load_manifest, load_suite, read_timeline
 from adwatch.synth import (
     LIZARD_HEAD_MIX,
     OFF_DIRECTIONS,
-    ORIENTATIONS,
     OWL_HEAD_MIX,
     SEGMENT_KINDS,
     ScenarioScript,
     Segment,
     SuiteConfig,
-    SuiteEntry,
     _write_session,
     build_suite_scripts,
     generate,
     generate_suite,
     load_script,
-    load_suite,
     script_world,
     validate_script,
 )
@@ -156,11 +153,11 @@ def test_suite_files_byte_identical_across_runs(tmp_path):
 
 def test_suite_sessions_loadable(tmp_path):
     cfg = SuiteConfig(seed=1, n_sessions=5, template="mini", device="mixed")
-    index = generate_suite(cfg, tmp_path)
-    assert len(index.entries) == 5
+    entries = generate_suite(cfg, tmp_path)
+    assert len(entries) == 5
     loaded = load_suite(tmp_path)
-    assert [e.session_id for e in loaded.entries] == [e.session_id for e in index.entries]
-    for entry in loaded.entries:
+    assert [e.session_id for e in loaded] == [e.session_id for e in entries]
+    for entry in loaded:
         manifest = load_manifest(tmp_path / entry.manifest_path)
         frames = load_frames((tmp_path / entry.manifest_path).parent / manifest.frame_source)
         truth = read_timeline((tmp_path / entry.manifest_path).parent / manifest.ground_truth)
@@ -363,7 +360,7 @@ def test_every_accepted_script_writes_files_every_loader_accepts(script):
         entry = SuiteEntry("s000", script.device_type, "sessions/s000/manifest.json", "held_out",
                            script.orientation)
         (root / "suite.json").write_text(json.dumps({"seed": 0, "sessions": [dataclasses.asdict(entry)]}))
-        assert load_suite(root).entries == [entry]
+        assert load_suite(root) == [entry]
         manifest = load_manifest(root / entry.manifest_path)
         assert manifest.frame_rate_hz == script.frame_rate_hz
         frames = load_frames(root / "sessions" / "s000" / manifest.frame_source)
