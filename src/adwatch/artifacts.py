@@ -30,7 +30,7 @@ import numpy as np
 
 from .boosting import BoostedEnsemble
 from .cnn import TemporalCnn
-from .config import _OBJECT, _PIPELINE_RULES, _check_fields, _equal, _read_json_object, _replacing
+from .config import _OBJECT, PipelineConfig, _check_fields, _equal, _field_rules, _read_json_object, _replacing
 from .errors import MissingArtifactError
 from .gaze import GazeRegressors
 from .records import AU_NAMES
@@ -80,7 +80,7 @@ def _model(path: PathLike, kind: str, key: str, from_dict, recorded: tuple = ())
     and the field. Keys it does not read are ignored."""
     path = Path(path)
     rules = {"schema_version": _equal(SCHEMA_VERSION), "kind": _equal(kind), key: _OBJECT}
-    rules.update({name: _PIPELINE_RULES[name]._replace(optional=False) for name in recorded})
+    rules.update({name: _field_rules(PipelineConfig)[name]._replace(optional=False) for name in recorded})
     doc = _read_json_object(path, "model artifact", MissingArtifactError)
     values = _check_fields(doc, rules, MissingArtifactError, f"artifact {path}", unknown_ok=True)
     try:

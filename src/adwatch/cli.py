@@ -27,6 +27,7 @@ from .artifacts import GAZE_ARTIFACT, write_artifact
 from .config import (
     PipelineConfig,
     ScoreConfig,
+    _check_fields,
     _check_writes,
     _read_json_object,
     _replacing_dirs,
@@ -232,6 +233,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             _write_session(script, "scripted", staging / "scripted")
         print(f"wrote 1 scripted session to {out / 'sessions' / 'scripted'}")
         return EXIT_OK
+    yawns_given = args.yawn_prevalence is not None
     for dest, default in _SUITE_DEFAULTS.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
@@ -247,6 +249,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         camera_offset_max_cm=10.0 if args.suite == "gaze_offset" else 0.0,
         yawn_prevalence=args.yawn_prevalence,
     )
+    if yawns_given and template != "full":
+        # the value's own rule first, as for a suite that has yawns
+        _check_fields(vars(config), SuiteConfig, ConfigError, "suite config")
+        raise ConfigError(f"--suite {args.suite} scripts no yawns, got --yawn-prevalence {args.yawn_prevalence}")
     entries = generate_suite(config, out)
     print(f"wrote {len(entries)} sessions to {out}")
     return EXIT_OK

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import _LOSS_CURVE, _PIPELINE_RULES, _SEED, PipelineConfig, _check_fields, _int, _real, _shown
+from .config import _LOSS_CURVE, _SEED, PipelineConfig, _check_fields, _field_rules, _int, _real, _shown
 from .errors import DataError, MissingArtifactError
 
 KERNEL_WIDTH = 3
@@ -393,7 +393,8 @@ _HEADER_RULES = {
 
 
 # the rules of the PipelineConfig fields that set them
-_TRAIN_RULES = {name: _PIPELINE_RULES[f"cnn_{name}"] for name in ("epochs", "learning_rate", "batch_size")}
+_TRAIN_RULES = {name: _field_rules(PipelineConfig)[f"cnn_{name}"]
+                for name in ("epochs", "learning_rate", "batch_size")}
 _TRAIN_RULES["seed"] = _SEED
 
 

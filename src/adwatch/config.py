@@ -4,13 +4,17 @@ Every tunable value lives here with its default, in the config object of
 the command that reads it: ``PipelineConfig`` for ``train``, ``ScoreConfig``
 for ``score`` and ``ablate``. A config is overridden field by field from a
 mapping; a key that is not one of its fields is rejected rather than
-ignored, so typos fail loudly. Each JSON document and config object has one
-table of ``_Rule``s, one per field, that ``_check_fields`` checks it
-against.
+ignored, so typos fail loudly. ``_check_fields`` checks every JSON
+document and config object against one ``_Rule`` per field. A document
+that has a dataclass (the config objects, a manifest, a suite entry, a
+script and its segments, a suite config) declares each field once, with
+its rule and its default (``_Rule.as_field``), and may leave out exactly
+the fields that have a default; one with no dataclass has a table of rules.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 import os
@@ -18,7 +22,7 @@ import shutil
 import sys
 import tempfile
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import takewhile
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO, TypeVar, Union
@@ -35,6 +39,11 @@ class _Rule(NamedTuple):
     expected: str                       # what ``ok`` accepts, for the message
     optional: bool = False              # may be absent from a document: its default applies
     convert: Callable = lambda v: v     # to the field's annotated type, once ``ok`` holds
+
+    def as_field(self, default=MISSING):
+        """A dataclass field that this rule checks, which a document may
+        leave out exactly when it has a ``default``."""
+        return field(default=default, metadata={"rule": self._replace(optional=default is not MISSING)})
 
 
 def _is_real(value) -> bool:
@@ -95,10 +104,6 @@ def _equal(value) -> _Rule:
     return _Rule(lambda v: v == value, _shown(value))
 
 
-def _optional(rule: _Rule) -> _Rule:
-    return rule._replace(optional=True)
-
-
 _STRING = _Rule(lambda v: type(v) is str, "a string")
 _OBJECT = _Rule(lambda v: isinstance(v, dict), "a JSON object")
 # a learning rate, of any of the models
@@ -119,13 +124,28 @@ def _shown(value) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
-def _check_fields(doc: dict, rules: dict, error: type, where: str, *, unknown_ok: bool = False) -> dict:
+@functools.cache
+def _field_rules(cls: type) -> dict:
+    """The rule of each field of the dataclass ``cls``, in field order, as
+    ``_Rule.as_field`` declared it; a field without one is a TypeError."""
+    ruleless = [f.name for f in fields(cls) if "rule" not in f.metadata]
+    if ruleless:
+        raise TypeError(f"{cls.__name__}: fields without a rule: {ruleless}")
+    return {f.name: f.metadata["rule"] for f in fields(cls)}
+
+
+def _check_fields(doc: dict, rules: Union[dict, type], error: type, where: str, *,
+                  unknown_ok: bool = False) -> dict:
     """``doc``'s values of the fields ``rules`` names, each converted by its
     rule; an absent optional field is left out, so its default applies.
+    ``rules`` is a table of rules by field name, or a dataclass whose fields
+    carry theirs (``_field_rules``).
 
-    The first field that fails, in table order, raises ``error`` naming
-    ``where`` and the field; keys that ``rules`` does not name fail first,
-    unless ``unknown_ok``."""
+    The first field that fails, in the order of ``rules``, raises ``error``
+    naming ``where`` and the field; keys that ``rules`` does not name fail
+    first, unless ``unknown_ok``."""
+    if isinstance(rules, type):
+        rules = _field_rules(rules)
     if not unknown_ok and not doc.keys() <= rules.keys():
         raise error(f"{where}: unknown keys {sorted(doc.keys() - rules.keys())}")
     values = {}
@@ -142,81 +162,39 @@ def _check_fields(doc: dict, rules: dict, error: type, where: str, *, unknown_ok
 
 
 _SCREEN = _pair(_real(0, above=True))
-
-# The fields of each config object, every one of which a config file may
-# leave out. ``train`` reads PipelineConfig's: its model budgets, and the
-# values that shape each model's input, which the artifacts record so that
-# scoring builds the same inputs. ``score`` and ``ablate`` read ScoreConfig's.
-_PIPELINE_RULES = {name: _optional(rule) for name, rule in {
-    "quality_floor": _real(0, 1),               # on the 0-1 tracker quality
-    "window_samples": _int(5),
-    "window_span_s": _real(0, above=True),
-    "min_valid_samples": _int(0),               # and at most window_samples
-    "max_hold_samples": _int(0),
-    "gaze_stages": _int(1),
-    "gaze_depth": _int(1),
-    "yawn_stages": _int(1),
-    "yawn_depth": _int(1),
-    "max_gaze_train_rows": _int(1),
-    "max_yawn_train_rows": _int(1),
-    "cnn_epochs": _int(0),
-    "cnn_learning_rate": _RATE,
-    "cnn_batch_size": _int(1),
-    "max_speaking_train_windows": _int(1),
-    "speaking_window_stride": _int(1),
-}.items()}
-
-_SCORE_RULES = {name: _optional(rule) for name, rule in {
-    "quality_gate": _real(0, 1),                # on the 0-1 tracker quality
-    "margin_cm": _real(0),
-    "pvd_coefficient": _real(0, above=True),
-    "desktop_aspect": _real(0, above=True),
-    "default_desktop_screen_cm": _SCREEN,
-    "mobile_screen_cm": _SCREEN,
-    "orientation_yaw_deg": _real(0),
-    "orientation_face_band": _pair(_real()),    # and increasing, within [0, 1]
-    "orientation_gaze_cm": _real(0),
-    "head_yaw_threshold_deg": _real(0),
-    "head_pitch_threshold_deg": _real(0),
-    "speaking_threshold": _real(0, 1),
-    "speaking_min_event_s": _real(0),           # a run must exceed it; 0 counts every run
-    # eye closure and AU intensities are on a 0-100 scale (FORMATS.md)
-    "closure_gate": _real(0, 100),
-    "au_gate": _real(0, 100),
-    "closure_min_event_s": _real(0),
-    # 0 turns the yawn vote smoothing off
-    "yawn_smooth_s": _real(0),
-    "yawn_threshold": _real(0, 1),
-    "unattended_min_s": _real(0),
-}.items()}
+# a duration on the session clock: an hour at most, as a script's
+# duration_s, so that its frame count stays a finite integer
+_DURATION = _real(0, 3600)
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """What ``train`` reads."""
+    """What ``train`` reads: the model budgets, and the values that shape
+    each model's input, which the artifacts record so that scoring builds
+    the same inputs. A config file may leave out any field."""
 
-    # model inputs
-    quality_floor: float = 0.3          # gaze rays below it are left out
-    window_samples: int = 30
-    window_span_s: float = 1.0
-    min_valid_samples: int = 15
-    max_hold_samples: int = 5
+    # model inputs; quality is on the tracker's 0-1 scale
+    quality_floor: float = _real(0, 1).as_field(0.3)        # gaze rays below it are left out
+    window_samples: int = _int(5).as_field(30)
+    window_span_s: float = _real(0, above=True).as_field(1.0)
+    min_valid_samples: int = _int(0).as_field(15)           # and at most window_samples
+    max_hold_samples: int = _int(0).as_field(5)
     # training
-    gaze_stages: int = 100
-    gaze_depth: int = 3
-    yawn_stages: int = 100
-    yawn_depth: int = 3
-    max_gaze_train_rows: int = 4000
-    max_yawn_train_rows: int = 6000
-    cnn_epochs: int = 50
-    cnn_learning_rate: float = 0.02
-    cnn_batch_size: int = 128
-    max_speaking_train_windows: int = 2000
-    speaking_window_stride: int = 3
+    gaze_stages: int = _int(1).as_field(100)
+    gaze_depth: int = _int(1).as_field(3)
+    yawn_stages: int = _int(1).as_field(100)
+    yawn_depth: int = _int(1).as_field(3)
+    max_gaze_train_rows: int = _int(1).as_field(4000)
+    max_yawn_train_rows: int = _int(1).as_field(6000)
+    cnn_epochs: int = _int(0).as_field(50)
+    cnn_learning_rate: float = _RATE.as_field(0.02)
+    cnn_batch_size: int = _int(1).as_field(128)
+    max_speaking_train_windows: int = _int(1).as_field(2000)
+    speaking_window_stride: int = _int(1).as_field(3)
 
     def __post_init__(self) -> None:
         # a scalar keeps its type, as the artifacts' metadata records it
-        _check_fields(vars(self), _PIPELINE_RULES, ConfigError, "config")
+        _check_fields(vars(self), PipelineConfig, ConfigError, "config")
         if self.min_valid_samples > self.window_samples:
             raise ConfigError(
                 f"config: min_valid_samples ({self.min_valid_samples}) must not exceed "
@@ -226,36 +204,38 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class ScoreConfig:
-    """What ``score`` and ``ablate`` read."""
+    """What ``score`` and ``ablate`` read. A config file may leave out any
+    field."""
 
-    # gaze model
-    quality_gate: float = 0.5           # eye-vs-head source switch
-    margin_cm: float = 1.0              # screen boundary tolerance
-    pvd_coefficient: float = 3.0        # viewing distance = coeff * screen height
-    desktop_aspect: float = 16.0 / 9.0
-    default_desktop_screen_cm: tuple[float, float] = (35.6, 20.0)
-    mobile_screen_cm: tuple[float, float] = (14.0, 7.0)   # (long edge, short edge)
+    # gaze model; quality is on the tracker's 0-1 scale
+    quality_gate: float = _real(0, 1).as_field(0.5)         # eye-vs-head source switch
+    margin_cm: float = _real(0).as_field(1.0)               # screen boundary tolerance
+    pvd_coefficient: float = _real(0, above=True).as_field(3.0)     # viewing distance = coeff * screen height
+    desktop_aspect: float = _real(0, above=True).as_field(16.0 / 9.0)
+    default_desktop_screen_cm: tuple[float, float] = _SCREEN.as_field((35.6, 20.0))
+    mobile_screen_cm: tuple[float, float] = _SCREEN.as_field((14.0, 7.0))     # (long edge, short edge)
     # orientation voting
-    orientation_yaw_deg: float = 10.0
-    orientation_face_band: tuple[float, float] = (0.35, 0.65)
-    orientation_gaze_cm: float = 4.0
+    orientation_yaw_deg: float = _real(0).as_field(10.0)
+    # also increasing, within [0, 1], which __post_init__ checks
+    orientation_face_band: tuple[float, float] = _pair(_real()).as_field((0.35, 0.65))
+    orientation_gaze_cm: float = _real(0).as_field(4.0)
     # head model
-    head_yaw_threshold_deg: float = 15.0
-    head_pitch_threshold_deg: float = 12.0
+    head_yaw_threshold_deg: float = _real(0).as_field(15.0)
+    head_pitch_threshold_deg: float = _real(0).as_field(12.0)
     # speaking
-    speaking_threshold: float = 0.5
-    speaking_min_event_s: float = 1.0
-    # drowsiness
-    closure_gate: float = 50.0
-    au_gate: float = 20.0
-    closure_min_event_s: float = 2.0
-    yawn_smooth_s: float = 0.5
-    yawn_threshold: float = 0.5
+    speaking_threshold: float = _real(0, 1).as_field(0.5)
+    speaking_min_event_s: float = _DURATION.as_field(1.0)   # a run must exceed it; 0 counts every run
+    # drowsiness; eye closure and AU intensities are on a 0-100 scale (FORMATS.md)
+    closure_gate: float = _real(0, 100).as_field(50.0)
+    au_gate: float = _real(0, 100).as_field(20.0)
+    closure_min_event_s: float = _DURATION.as_field(2.0)
+    yawn_smooth_s: float = _DURATION.as_field(0.5)          # 0 turns the yawn vote smoothing off
+    yawn_threshold: float = _real(0, 1).as_field(0.5)
     # unattended
-    unattended_min_s: float = 1.0
+    unattended_min_s: float = _DURATION.as_field(1.0)
 
     def __post_init__(self) -> None:
-        checked = _check_fields(vars(self), _SCORE_RULES, ConfigError, "config")
+        checked = _check_fields(vars(self), ScoreConfig, ConfigError, "config")
         # pairs are stored as tuples of floats
         for name in ("default_desktop_screen_cm", "mobile_screen_cm", "orientation_face_band"):
             object.__setattr__(self, name, checked[name])
@@ -265,8 +245,6 @@ class ScoreConfig:
                 f"config: orientation_face_band must be an increasing pair in [0, 1], got {[lo, hi]}"
             )
 
-
-_RULES = {PipelineConfig: _PIPELINE_RULES, ScoreConfig: _SCORE_RULES}
 
 _Config = TypeVar("_Config", PipelineConfig, ScoreConfig)
 
@@ -279,7 +257,7 @@ def config_from_mapping(base: _Config, *layers: tuple[str, dict]) -> _Config:
     merged object, and name ``config``."""
     merged = {}
     for where, mapping in layers:
-        _check_fields(mapping, _RULES[type(base)], ConfigError, where)
+        _check_fields(mapping, type(base), ConfigError, where)
         merged.update(mapping)
     return replace(base, **merged)
 

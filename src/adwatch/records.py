@@ -1,5 +1,5 @@
 """Frame and session data model: frames, session manifests and suite index
-entries, and the rules they are checked by.
+entries, and the rules they are checked by, each declared on its field.
 
 A session is a sequence of per-frame tracker outputs, held column by column
 in ``FrameArrays`` and checked by ``frame_checks``. Two upstream trackers
@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import _SEED, _STRING, _Rule, _check_fields, _choice, _optional, _or_null, _pair, _real
+from .config import _SEED, _STRING, _Rule, _check_fields, _choice, _or_null, _pair, _real
 from .errors import SessionFormatError
 
 # Fixed AU inventory; au_intensities is indexed by this list.
@@ -48,49 +48,32 @@ ORIENTATIONS = ("centered", "clockwise", "anticlockwise")
 class SessionManifest:
     """Session-level metadata pointing at the frame stream on disk."""
 
-    session_id: str
-    device_type: str
-    frame_rate_hz: float
-    frame_source: str
-    ground_truth: Optional[str] = None
-    screen_override_cm: Optional[tuple[float, float]] = None
+    session_id: str = _STRING.as_field()
+    device_type: str = _choice(DEVICE_TYPES).as_field()
+    frame_rate_hz: float = _real(5, 120).as_field()         # a scenario script's rate too
+    frame_source: str = _STRING.as_field()
+    ground_truth: Optional[str] = _or_null(_STRING).as_field(None)
+    screen_override_cm: Optional[tuple[float, float]] = _or_null(_pair(_real(0, above=True))).as_field(None)
 
     def __post_init__(self) -> None:
-        _check_fields(vars(self), _MANIFEST_RULES, SessionFormatError, "manifest")
-
-
-_MANIFEST_RULES = {
-    "session_id": _STRING,
-    "device_type": _choice(DEVICE_TYPES),
-    "frame_rate_hz": _real(5, 120),         # a scenario script's rate too
-    "frame_source": _STRING,
-    "ground_truth": _optional(_or_null(_STRING)),
-    "screen_override_cm": _optional(_or_null(_pair(_real(0, above=True)))),
-}
+        _check_fields(vars(self), SessionManifest, SessionFormatError, "manifest")
 
 
 @dataclass(frozen=True)
 class SuiteEntry:
     """One session of a suite index (``suite.json``), pointing at its manifest."""
 
-    session_id: str
-    device_type: str
-    manifest_path: str
-    split: str
-    orientation: str
+    session_id: str = _STRING.as_field()
+    device_type: str = _choice(DEVICE_TYPES).as_field()
+    manifest_path: str = _STRING.as_field()
+    split: str = _choice(("train", "held_out")).as_field()
+    orientation: str = _choice(ORIENTATIONS).as_field()
 
 
 _INDEX_RULES = {
     "seed": _SEED,
     "sessions": _Rule(lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v),
                       "a list of JSON objects"),
-}
-_ENTRY_RULES = {
-    "session_id": _STRING,
-    "device_type": _choice(DEVICE_TYPES),
-    "manifest_path": _STRING,
-    "split": _choice(("train", "held_out")),
-    "orientation": _choice(ORIENTATIONS),
 }
 
 

@@ -33,9 +33,7 @@ from .config import _check_fields, _read_json_object, _replacing
 from .errors import ConfigError, DataError, SessionFormatError
 from .fusion import SIGNAL_NAMES, DistractionTimeline
 from .records import (
-    _ENTRY_RULES,
     _INDEX_RULES,
-    _MANIFEST_RULES,
     AU_NAMES,
     FrameArrays,
     SessionManifest,
@@ -406,11 +404,11 @@ def write_manifest(manifest: SessionManifest, path: PathLike) -> None:
 
 
 def load_manifest(path: PathLike) -> SessionManifest:
-    """The manifest at ``path``; keys ``_MANIFEST_RULES`` does not name are ignored."""
+    """The manifest at ``path``; keys that are not its fields are ignored."""
     path = Path(path)
     doc = _read_json_object(path, "manifest", SessionFormatError)
     return SessionManifest(
-        **_check_fields(doc, _MANIFEST_RULES, SessionFormatError, f"manifest {path}", unknown_ok=True)
+        **_check_fields(doc, SessionManifest, SessionFormatError, f"manifest {path}", unknown_ok=True)
     )
 
 
@@ -425,15 +423,15 @@ def write_suite(entries: list[SuiteEntry], config: dict, path: PathLike) -> None
 def load_suite(suite_dir: PathLike, split: str = "all") -> list[SuiteEntry]:
     """The entries of ``split`` in the index of ``suite_dir``, in index
     order. The index is checked by ``_INDEX_RULES`` and each entry by
-    ``_ENTRY_RULES``, and a session listed twice is refused, all with
-    ConfigError; keys the rules do not name are ignored."""
+    ``SuiteEntry``'s field rules, and a session listed twice is refused, all
+    with ConfigError; keys the rules do not name are ignored."""
     path = Path(suite_dir) / "suite.json"
     where = f"suite index {path}"
     doc = _check_fields(_read_json_object(path, "suite index", ConfigError), _INDEX_RULES, ConfigError,
                         where, unknown_ok=True)
     entries, first = [], {}
     for i, e in enumerate(doc["sessions"]):
-        entry = SuiteEntry(**_check_fields(e, _ENTRY_RULES, ConfigError, f"{where}: sessions[{i}]", unknown_ok=True))
+        entry = SuiteEntry(**_check_fields(e, SuiteEntry, ConfigError, f"{where}: sessions[{i}]", unknown_ok=True))
         j = first.setdefault(entry.session_id, i)
         if j != i:
             raise ConfigError(f"{where}: sessions[{i}]: session {entry.session_id} is listed twice, "

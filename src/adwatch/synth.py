@@ -25,7 +25,7 @@ makes the generator the oracle for end-to-end and ablation tests.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Optional, Union
@@ -38,9 +38,9 @@ from .config import (
     _check_fields,
     _check_writes,
     _choice,
+    _field_rules,
     _int,
     _is_real,
-    _optional,
     _or_null,
     _pair,
     _read_json_object,
@@ -49,7 +49,7 @@ from .config import (
 )
 from .errors import ConfigError
 from .fusion import SIGNAL_NAMES, DistractionTimeline
-from .records import _MANIFEST_RULES, AU_INDEX, DEVICE_TYPES, ORIENTATIONS, FrameArrays, SessionManifest, SuiteEntry
+from .records import AU_INDEX, DEVICE_TYPES, ORIENTATIONS, FrameArrays, SessionManifest, SuiteEntry
 from .session_io import write_frames, write_manifest, write_suite, write_timeline
 from .training import _in_halves
 
@@ -94,74 +94,57 @@ _BIT_UNATTENDED = 1 << SIGNAL_NAMES.index("unattended")
 
 @dataclass(frozen=True)
 class Segment:
-    kind: str
-    start_s: float
-    duration_s: float
-    dot: Optional[tuple[float, float]] = None     # fractions of the half extents
-    direction: Optional[str] = None               # off_screen only
+    kind: str = _choice(SEGMENT_KINDS).as_field()
+    start_s: float = _real(0).as_field()
+    duration_s: float = _real(0, above=True).as_field()
+    # fractions of the half extents
+    dot: Optional[tuple[float, float]] = _or_null(_pair(_real(-10, 10))).as_field(None)
+    direction: Optional[str] = _or_null(_choice(OFF_DIRECTIONS)).as_field(None)    # off_screen only
 
     @property
     def end_s(self) -> float:
         return self.start_s + self.duration_s
 
 
-@dataclass
-class ScenarioScript:
-    seed: int = 0
-    device_type: str = "desktop"
-    duration_s: float = 160.0
-    segments: list[Segment] = field(default_factory=list)
-    camera_offset_cm: tuple[float, float] = (0.0, 0.0)    # desktop webcams only
-    orientation: str = "centered"                         # mobile camera orientation
-    behavior_mix: float = 0.85       # head share of off-screen glances (owl ~0.85, lizard ~0.1)
-    gaze_noise_deg: float = 0.8
-    landmark_jitter: float = 0.01
-    gaze_scale: float = 1.12         # systematic tracker magnification of gaze angles
-    viewing_distance_cm: Optional[float] = None
-    frame_rate_hz: float = 30.0
-
-
 # A script's every numeric field is finite. The bounds beyond the ranges
 # that the fields mean keep every synthesized frame finite and its pupil in
-# front of the screen (FORMATS.md).
-_SCRIPT_RULES = {
-    "seed": _optional(_SEED),
-    "device_type": _optional(_choice(DEVICE_TYPES)),
+# front of the screen (FORMATS.md). The fields are keyword-only, so that
+# duration_s and segments, which a script must give, keep their place.
+@dataclass(kw_only=True)
+class ScenarioScript:
+    seed: int = _SEED.as_field(0)
+    device_type: str = _choice(DEVICE_TYPES).as_field("desktop")
     # an hour at most, so a script cannot ask for unbounded frame arrays
-    "duration_s": _real(0, 3600, above=True),
-    "segments": _Rule(
+    duration_s: float = _real(0, 3600, above=True).as_field()
+    segments: list[Segment] = _Rule(
         lambda v: isinstance(v, list) and len(v) > 0 and all(isinstance(s, (dict, Segment)) for s in v),
         "a non-empty list of segment objects",
-    ),
-    "camera_offset_cm": _optional(_pair(_real(-100, 100))),
-    "orientation": _optional(_choice(ORIENTATIONS)),
-    "behavior_mix": _optional(_real(0, 1)),
-    "gaze_noise_deg": _optional(_real(0, 180)),
-    "landmark_jitter": _optional(_real(0, 1)),
-    "gaze_scale": _optional(_real(0, 10, above=True)),
+    ).as_field()
+    camera_offset_cm: tuple[float, float] = _pair(_real(-100, 100)).as_field((0.0, 0.0))  # desktop webcams
+    orientation: str = _choice(ORIENTATIONS).as_field("centered")      # mobile camera orientation
+    # head share of off-screen glances (owl ~0.85, lizard ~0.1)
+    behavior_mix: float = _real(0, 1).as_field(0.85)
+    gaze_noise_deg: float = _real(0, 180).as_field(0.8)
+    landmark_jitter: float = _real(0, 1).as_field(0.01)
+    # systematic tracker magnification of gaze angles
+    gaze_scale: float = _real(0, 10, above=True).as_field(1.12)
     # the head sways by up to 0.9 cm towards the screen
-    "viewing_distance_cm": _optional(_or_null(_real(1, 1000))),
-    "frame_rate_hz": _optional(_MANIFEST_RULES["frame_rate_hz"]),
-}
-_SEGMENT_RULES = {
-    "kind": _choice(SEGMENT_KINDS),
-    "start_s": _real(0),
-    "duration_s": _real(0, above=True),
-    "dot": _optional(_or_null(_pair(_real(-10, 10)))),
-    "direction": _optional(_or_null(_choice(OFF_DIRECTIONS))),
-}
+    viewing_distance_cm: Optional[float] = _or_null(_real(1, 1000)).as_field(None)
+    frame_rate_hz: float = _field_rules(SessionManifest)["frame_rate_hz"].as_field(30.0)
+
+
 # the field each kind of segment needs
 _PAYLOAD = {"dot_at": "dot", "off_screen": "direction"}
 
 
 def validate_script(script: ScenarioScript) -> None:
-    """ConfigError unless every field passes ``_SCRIPT_RULES`` and every
-    segment ``_SEGMENT_RULES``, the segments tile ``[0, duration_s]`` and
-    the script gives at least one frame."""
-    _check_fields(vars(script), _SCRIPT_RULES, ConfigError, "script")
+    """ConfigError unless every field of the script and of each segment
+    passes its rule, the segments tile ``[0, duration_s]`` and the script
+    gives at least one frame."""
+    _check_fields(vars(script), ScenarioScript, ConfigError, "script")
     segs = script.segments
     for i, seg in enumerate(segs):
-        _check_fields(vars(seg), _SEGMENT_RULES, ConfigError, f"segment {i}")
+        _check_fields(vars(seg), Segment, ConfigError, f"segment {i}")
         need = _PAYLOAD.get(seg.kind)
         if need is not None and getattr(seg, need) is None:
             raise ConfigError(f"segment {i}: {need} is required when kind is {seg.kind}")
@@ -517,34 +500,24 @@ def build_template_script(
 # suites
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SuiteConfig:
-    seed: int = 0
-    n_sessions: int = 20
-    template: str = "full"            # full | gaze_only | mini
-    device: str = "mixed"             # desktop | mobile | mixed
-    train_fraction: float = 0.5
-    camera_offset_max_cm: float = 0.0  # desktop external webcams
-    yawn_prevalence: Optional[float] = None
-
-
 # The fields a template script takes from the suite config keep the
 # script's rules, so every script the suite builds passes validate_script.
-_SUITE_RULES = {
-    "seed": _SEED,
-    "n_sessions": _int(1),
-    "template": _choice(("full", "gaze_only", "mini")),
-    "device": _choice(DEVICE_TYPES + ("mixed",)),
-    "train_fraction": _real(0, 1),
-    # the largest offset a script's camera_offset_cm allows
-    "camera_offset_max_cm": _real(0, 100),
+@dataclass
+class SuiteConfig:
+    seed: int = _SEED.as_field(0)
+    n_sessions: int = _int(1).as_field(20)
+    template: str = _choice(("full", "gaze_only", "mini")).as_field("full")
+    device: str = _choice(DEVICE_TYPES + ("mixed",)).as_field("mixed")
+    train_fraction: float = _real(0, 1).as_field(0.5)
+    # desktop external webcams, up to the largest offset a script's
+    # camera_offset_cm allows
+    camera_offset_max_cm: float = _real(0, 100).as_field(0.0)
     # the full template sizes its yawn to this share of active frames; a
     # yawn's sin^2 ramp is active for about 74.7% of its span, so the share
     # stays below that, with a margin
-    "yawn_prevalence": _or_null(
+    yawn_prevalence: Optional[float] = _or_null(
         _Rule(lambda v: _is_real(v) and 0 < v < 0.7, "a finite number in (0, 0.7)", convert=float)
-    ),
-}
+    ).as_field(None)
 
 
 def build_suite_scripts(config: SuiteConfig) -> list[tuple[str, ScenarioScript, str]]:
@@ -552,7 +525,7 @@ def build_suite_scripts(config: SuiteConfig) -> list[tuple[str, ScenarioScript, 
 
     Returns (session_id, script, split) triples.
     """
-    _check_fields(vars(config), _SUITE_RULES, ConfigError, "suite config")
+    _check_fields(vars(config), SuiteConfig, ConfigError, "suite config")
     out = []
     n_train = int(round(config.train_fraction * config.n_sessions))
     for i in range(config.n_sessions):
@@ -644,9 +617,9 @@ def load_script(path: PathLike) -> ScenarioScript:
     as floats, so an integer reads as it would as a float."""
     path = Path(path)
     where = f"script {path}"
-    values = _check_fields(_read_json_object(path, "script", ConfigError), _SCRIPT_RULES, ConfigError, where)
+    values = _check_fields(_read_json_object(path, "script", ConfigError), ScenarioScript, ConfigError, where)
     values["segments"] = [
-        Segment(**_check_fields(seg, _SEGMENT_RULES, ConfigError, f"{where}: segment {i}"))
+        Segment(**_check_fields(seg, Segment, ConfigError, f"{where}: segment {i}"))
         for i, seg in enumerate(values["segments"])
     ]
     script = ScenarioScript(**values)

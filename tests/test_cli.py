@@ -306,6 +306,16 @@ def test_out_of_range_yawn_prevalence_exits_2_for_every_suite(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("suite", ["mini", "gaze_offset"])
+def test_yawn_prevalence_for_a_suite_without_yawns_exits_2(tmp_path, capsys, suite):
+    # even the default value is refused: the flag was given, and would be recorded
+    out = tmp_path / "out"
+    code = main(["simulate", "--suite", suite, "--sessions", "1", "--yawn-prevalence", "0.026", "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: --suite {suite} scripts no yawns, got --yawn-prevalence 0.026\n"
+    assert not out.exists()
+
+
 def test_negative_seed_to_train_exits_2_before_reading_the_suite(tmp_path, capsys):
     # the suite directory does not exist: the seed is checked first
     code = main(["train", "--suite-dir", str(tmp_path / "missing"), "--seed", "-1",
@@ -694,6 +704,19 @@ def test_out_of_range_training_value_exits_2(trained, tmp_path, capsys):
                  "--output", str(out)])
     assert code == 2
     assert "cnn_batch_size" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["score", "ablate"])
+@pytest.mark.parametrize("key", ["speaking_min_event_s", "closure_min_event_s", "unattended_min_s", "yawn_smooth_s"])
+def test_duration_past_an_hour_exits_2_naming_the_field(trained, tmp_path, capsys, command, key):
+    # a longer span would overflow its count of frames
+    _, suite, art, _ = trained
+    out = tmp_path / "o"
+    code = main([command, "--suite-dir", str(suite), "--artifacts", str(art), "--set", f"{key}=1e308",
+                 "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: --set: {key} must be a finite number in [0, 3600], got 1e+308\n"
     assert not out.exists()
 
 

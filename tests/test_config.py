@@ -1,35 +1,27 @@
 import inspect
 import json
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import pytest
 
 from adwatch.boosting import _BOOST_RULES, fit_boosted
 from adwatch.cnn import _TRAIN_RULES, train_cnn
 from adwatch.config import (
-    _PIPELINE_RULES,
-    _SCORE_RULES,
     PipelineConfig,
     ScoreConfig,
     _check_fields,
+    _field_rules,
     _int,
-    _optional,
     _or_null,
     _pair,
     _read_json_object,
     _real,
+    _Rule,
     config_from_mapping,
 )
 from adwatch.errors import ConfigError
-from adwatch.records import _ENTRY_RULES, _MANIFEST_RULES, SessionManifest, SuiteEntry
-from adwatch.synth import (
-    _SCRIPT_RULES,
-    _SEGMENT_RULES,
-    _SUITE_RULES,
-    ScenarioScript,
-    Segment,
-    SuiteConfig,
-)
+from adwatch.records import SessionManifest, SuiteEntry
+from adwatch.synth import ScenarioScript, Segment, SuiteConfig
 
 
 def config_to_dict(cfg) -> dict:
@@ -39,7 +31,7 @@ def config_to_dict(cfg) -> dict:
 
 def holder(key: str):
     """A default instance of the config object that has the field ``key``."""
-    return PipelineConfig() if key in _PIPELINE_RULES else ScoreConfig()
+    return PipelineConfig() if key in _field_rules(PipelineConfig) else ScoreConfig()
 
 
 def test_defaults_are_sane():
@@ -184,7 +176,8 @@ def test_validation_failures_scoring_fields(key, value):
     {"quality_gate": 1, "speaking_threshold": 1, "yawn_threshold": 0, "closure_gate": 100, "au_gate": 0,
      "margin_cm": 0, "yawn_smooth_s": 0, "speaking_min_event_s": 0, "orientation_face_band": [0, 1]},
     {"quality_floor": 0, "window_span_s": 0.25, "min_valid_samples": 30, "max_hold_samples": 0},
-], ids=["score", "model_inputs"])
+    {"speaking_min_event_s": 3600, "closure_min_event_s": 3600, "unattended_min_s": 3600, "yawn_smooth_s": 3600},
+], ids=["score", "model_inputs", "durations"])
 def test_scoring_field_limits_accepted(limits):
     base = holder(next(iter(limits)))
     cfg = config_from_mapping(base, ("config", limits))
@@ -231,18 +224,32 @@ def test_constructor_stores_pairs_as_float_tuples():
     assert all(type(v) is float for v in cfg.mobile_screen_cm)
 
 
-@pytest.mark.parametrize("cls, rules", [
-    (PipelineConfig, _PIPELINE_RULES),
-    (ScoreConfig, _SCORE_RULES),
-    (ScenarioScript, _SCRIPT_RULES),
-    (Segment, _SEGMENT_RULES),
-    (SessionManifest, _MANIFEST_RULES),
-    (SuiteEntry, _ENTRY_RULES),
-    (SuiteConfig, _SUITE_RULES),
-], ids=lambda v: v.__name__ if isinstance(v, type) else "")
-def test_every_field_has_a_rule(cls, rules):
-    # a new field cannot go unchecked, and a rule cannot outlive its field
-    assert sorted(rules) == sorted(f.name for f in fields(cls))
+# the documents whose dataclass declares each field with its rule
+DECLARED = [PipelineConfig, ScoreConfig, ScenarioScript, Segment, SessionManifest, SuiteEntry, SuiteConfig]
+
+
+@pytest.mark.parametrize("cls", DECLARED, ids=lambda cls: cls.__name__)
+def test_every_field_has_a_rule(cls):
+    # a new field cannot go unchecked, and the rules are read in field order
+    assert all(f.init and isinstance(f.metadata.get("rule"), _Rule) for f in fields(cls))
+    assert list(_field_rules(cls)) == [f.name for f in fields(cls)]
+
+
+@pytest.mark.parametrize("cls", DECLARED, ids=lambda cls: cls.__name__)
+def test_a_field_may_be_left_out_exactly_when_it_has_a_default(cls):
+    rules = _field_rules(cls)
+    for f in fields(cls):
+        assert rules[f.name].optional == (f.default is not MISSING or f.default_factory is not MISSING), f.name
+
+
+def test_a_field_without_a_rule_fails_its_first_check():
+    @dataclass
+    class Planted:
+        count: int = _int(1).as_field(1)
+        name: str = "unchecked"
+
+    with pytest.raises(TypeError, match=r"^Planted: fields without a rule: \['name'\]$"):
+        _check_fields({"count": 2}, Planted, ConfigError, "doc")
 
 
 @pytest.mark.parametrize("fit, rules", [(train_cnn, _TRAIN_RULES), (fit_boosted, _BOOST_RULES)],
@@ -256,8 +263,8 @@ def test_every_budget_parameter_of_a_fit_has_a_rule(fit, rules):
 RULES = {
     "count": _int(1),
     "rate": _real(0, 1, above=True),
-    "pair": _optional(_pair(_real())),
-    "name": _optional(_or_null(_real(0))),
+    "pair": _pair(_real())._replace(optional=True),
+    "name": _or_null(_real(0))._replace(optional=True),
 }
 
 

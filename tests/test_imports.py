@@ -1,5 +1,6 @@
-"""Every ``adwatch`` module imports the others in its header, and only the
-command line and the package's re-exports import the generator.
+"""Every ``adwatch`` module imports the others in its header, only the
+command line and the package's re-exports import the generator, and no
+module borrows another's private name beyond those it borrows today.
 
 An import inside a function hides a dependency from the module's header,
 defers an import error to the first call, and binds the name afresh on every
@@ -16,6 +17,20 @@ PACKAGE = ROOT / "src" / "adwatch"
 
 # the modules that may import synth: the command line and the package's re-exports
 SYNTH_IMPORTERS = {"cli", "__init__"}
+
+# Each private name that one module imports from another, as (the module it
+# is imported from, the name). Each ties its importers to a detail of that
+# module, so the list may only shrink.
+LENT_PRIVATE_NAMES = {
+    ("config", "_LOSS_CURVE"), ("config", "_OBJECT"), ("config", "_RATE"), ("config", "_Rule"),
+    ("config", "_SEED"), ("config", "_STRING"), ("config", "_check_fields"), ("config", "_check_writes"),
+    ("config", "_choice"), ("config", "_equal"), ("config", "_field_rules"), ("config", "_int"),
+    ("config", "_is_real"), ("config", "_or_null"), ("config", "_pair"), ("config", "_read_json_object"),
+    ("config", "_real"), ("config", "_replacing"), ("config", "_replacing_dirs"), ("config", "_shown"),
+    ("records", "_INDEX_RULES"),
+    ("synth", "_write_session"),
+    ("training", "_in_halves"), ("training", "_in_order"),
+}
 
 
 def parse(path: Path) -> ast.Module:
@@ -58,6 +73,15 @@ def synth_importers(trees: dict[str, ast.Module]) -> set[str]:
     """The modules, by name, that import ``synth`` anywhere in their source."""
     return {name for name, tree in trees.items()
             if any("synth" in imported_modules(node) for node in ast.walk(tree))}
+
+
+def lent_private_names(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    """(module, name) of each private name that one of ``trees`` imports
+    from the ``adwatch`` module it names, anywhere in its source."""
+    return {(module, alias.name)
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            for module in imported_modules(node) for alias in node.names if alias.name.startswith("_")}
 
 
 def package_trees() -> dict[str, ast.Module]:
@@ -114,3 +138,18 @@ def f():
     assert function_imports(tree) == [
         ("f", "pipeline"), ("f", "artifacts"), ("f", "cli"), ("f", "records"), ("g", "z"), ("m", "gaze"),
     ]
+
+
+def test_no_module_borrows_a_private_name_beyond_the_list():
+    assert lent_private_names(package_trees()) == LENT_PRIVATE_NAMES
+
+
+def test_the_private_name_guard_flags_each_way_to_import_one():
+    planted = {
+        "cli": "from .config import _x, config_from_mapping",
+        "pipeline": "def f():\n    from adwatch.gaze import _y",
+        "head": "from __future__ import annotations\nfrom . import _z\nfrom .records import AU_NAMES",
+        "fusion": "from json import _w\nimport adwatch._v",
+    }
+    trees = {name: ast.parse(source) for name, source in planted.items()}
+    assert lent_private_names(trees) == {("config", "_x"), ("gaze", "_y")}
